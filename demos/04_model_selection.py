@@ -15,6 +15,7 @@ four product-form dependence functions on a mixed binary/real pair.
 import numpy as np
 
 from mimm import core, gaussian, ple
+from mimm.cli import SELECT_GD_CONFIG
 from mimm.ple import spaced_matching
 
 rng = np.random.default_rng(11)
@@ -28,11 +29,10 @@ def score_candidates(series, specs, seed, splits=9):
         for child in np.random.SeedSequence(seed).spawn(splits)
     ]
     rows = []
-    gd = ple.GdConfig(max_epochs=2000, lr0=1.0, decay=0.001, tol=1e-8)
     for name, spec in items:
         padded = core.DependenceSpec(order=max_d, dim=spec.dim, terms=spec.terms)
         log_pls = [
-            ple.fit_pairs(padded, series, s1, s2, gd).log_pl for s1, s2 in designs
+            ple.fit_pairs(padded, series, s1, s2, SELECT_GD_CONFIG).log_pl for s1, s2 in designs
         ]
         aic, pic = ple.aic_pic(float(np.mean(log_pls)), padded.n_terms, series.n, max_d)
         rows.append((name, padded.n_terms, float(np.mean(log_pls)), aic, pic))

@@ -12,6 +12,7 @@ Every command is deterministic given its inputs and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -37,6 +38,16 @@ EXIT_TIMEOUT = 4
 
 ESTIMATORS = ("mle", "mcle", "ple-naive", "ple-bipartition", "ple-sgd")
 
+# model selection compares log-PL values across candidate specs, so every
+# candidate is fitted to a tighter tolerance than the single-fit default
+SELECT_GD_CONFIG = ple.GdConfig(max_epochs=2000, tol=1e-8)
+
+# option name -> field of the config dataclass it sets
+_EXCHANGE_OPTIONS = {"samples": "n_samples", "burn_in": "burn_in", "thin": "thin"}
+_SCORING_OPTIONS = {"max_iters": "max_iters", "grad_tol": "grad_tol"}
+_GD_OPTIONS = {"max_epochs": "max_epochs", "tol": "tol"}
+_SGD_OPTIONS = {"eta": "eta", "iters": "n_iters"}
+
 
 # ---------------------------------------------------------------------------
 # option handling
@@ -56,6 +67,14 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         if flag_val is not None:
             effective[key] = flag_val
     return effective
+
+
+def _configure(base, conf: dict, options: dict):
+    """``base`` with every option set in ``conf`` (by flag, config file or
+    manifest) written to its field.  Unset options keep the dataclass
+    default, and the dataclass validates what was set."""
+    given = {field: conf[opt] for opt, field in options.items() if conf.get(opt) is not None}
+    return dataclasses.replace(base, **given)
 
 
 def _load_series(path) -> core.TimeSeries:
@@ -165,9 +184,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _run_estimator(estimator, series, spec, conf, seed):
     """Dispatch one estimator run; returns (theta, extras)."""
     if estimator == "mle":
-        order = conf.get("order") or (spec.order if spec is not None else None)
+        order = conf.get("order")
+        if order is None and spec is not None:
+            order = spec.order
         if order is None:
             raise MimmError("mle requires --order (or a spec to derive it from)")
+        if order < 1:
+            raise MimmError(f"--order must be >= 1, got {order}")
         if series.p == 1:
             classical, mininfo = oracle.mle_ols_ar(series, order)
             extras = {"phi": [float(v) for v in classical.phi], "sigma2": classical.sigma2}
@@ -180,16 +203,8 @@ def _run_estimator(estimator, series, spec, conf, seed):
     if spec is None:
         raise MimmError(f"{estimator} requires --spec")
     if estimator == "mcle":
-        exch = mcle.ExchangeConfig(
-            n_samples=conf.get("samples") or 10_000,
-            burn_in=conf.get("burn_in"),
-            thin=conf.get("thin") or 1,
-            seed=seed,
-        )
-        scor = mcle.ScoringConfig(
-            max_iters=conf.get("max_iters") or 30,
-            grad_tol=conf.get("grad_tol") or 0.01,
-        )
+        exch = _configure(mcle.ExchangeConfig(seed=seed), conf, _EXCHANGE_OPTIONS)
+        scor = _configure(mcle.ScoringConfig(), conf, _SCORING_OPTIONS)
         fit = mcle.fisher_scoring(spec, series, exchange_config=exch, scoring_config=scor)
         extras = {
             "iterations": fit.iterations,
@@ -200,26 +215,13 @@ def _run_estimator(estimator, series, spec, conf, seed):
         }
         return fit.theta, extras
     if estimator in ("ple-naive", "ple-bipartition"):
-        gd = ple.GdConfig(
-            max_epochs=conf.get("max_epochs") or 500,
-            lr0=conf.get("lr0") or 1.0,
-            decay=0.01 if conf.get("decay") is None else conf.get("decay"),
-            tol=conf.get("tol") or 1e-6,
-        )
+        gd = _configure(ple.GdConfig(), conf, _GD_OPTIONS)
         if estimator == "ple-naive":
             fit = ple.fit_naive(spec, series, gd)
         else:
             fit = ple.fit_bipartition(spec, series, seed=seed, config=gd)
     elif estimator == "ple-sgd":
-        fit = ple.fit_online_sgd(
-            spec,
-            series,
-            ple.SgdConfig(
-                eta=conf.get("eta") or 0.01,
-                n_iters=conf.get("iters") or 10_000,
-                seed=seed,
-            ),
-        )
+        fit = ple.fit_online_sgd(spec, series, _configure(ple.SgdConfig(seed=seed), conf, _SGD_OPTIONS))
     else:
         raise MimmError(f"unknown estimator {estimator!r}")
     return fit.theta, {"_ple_result": fit, **fit.to_dict()}
@@ -240,8 +242,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "max_iters": None,
             "grad_tol": None,
             "max_epochs": None,
-            "lr0": None,
-            "decay": None,
             "tol": None,
             "eta": None,
             "iters": None,
@@ -339,8 +339,6 @@ def cmd_select(args: argparse.Namespace) -> int:
             "seed": 0,
             "splits": 9,
             "max_epochs": None,
-            "lr0": None,
-            "decay": None,
             "tol": None,
             "out": None,
         },
@@ -350,12 +348,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     if conf["splits"] < 1:
         raise MimmError("--splits must be >= 1")
     series = _load_series(conf["data"])
-    gd = ple.GdConfig(
-        max_epochs=conf["max_epochs"] or 2000,
-        lr0=conf["lr0"] or 1.0,
-        decay=0.001 if conf["decay"] is None else conf["decay"],
-        tol=conf["tol"] or 1e-8,
-    )
+    gd = _configure(SELECT_GD_CONFIG, conf, _GD_OPTIONS)
     specs = []
     for path in conf["spec"]:
         try:
@@ -919,7 +912,7 @@ def _check_monotone_ascent() -> CheckResult:
     fit = ple.fit_naive(
         core.ar_spec(1),
         series,
-        ple.GdConfig(max_epochs=60, lr0=0.2, decay=0.0, track_objective=True),
+        ple.GdConfig(track_objective=True),
     )
     diffs = np.diff(np.asarray(fit.objective_trace))
     worst = float(diffs.min()) if len(diffs) else 0.0
@@ -1049,10 +1042,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--thin", type=int)
     fit.add_argument("--max-iters", dest="max_iters", type=int, help="scoring iterations")
     fit.add_argument("--grad-tol", dest="grad_tol", type=float)
-    fit.add_argument("--max-epochs", dest="max_epochs", type=int)
-    fit.add_argument("--lr0", type=float)
-    fit.add_argument("--decay", type=float)
-    fit.add_argument("--tol", type=float)
+    fit.add_argument("--max-epochs", dest="max_epochs", type=int, help="Newton passes (ple-naive / ple-bipartition)")
+    fit.add_argument("--tol", type=float, help="stop when the mean gradient norm is at most this")
     fit.add_argument("--eta", type=float, help="online SGD learning rate")
     fit.add_argument("--iters", type=int, help="online SGD iterations")
     fit.add_argument("--time-limit-s", dest="time_limit_s", type=float)
@@ -1071,10 +1062,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sel.add_argument("--seed", type=int)
     sel.add_argument("--splits", type=int, help="random designs averaged per spec (default 9)")
-    sel.add_argument("--max-epochs", dest="max_epochs", type=int)
-    sel.add_argument("--lr0", type=float)
-    sel.add_argument("--decay", type=float)
-    sel.add_argument("--tol", type=float)
+    sel.add_argument(
+        "--max-epochs",
+        dest="max_epochs",
+        type=int,
+        help=f"Newton passes per fit (default {SELECT_GD_CONFIG.max_epochs})",
+    )
+    sel.add_argument("--tol", type=float, help=f"mean gradient norm tolerance (default {SELECT_GD_CONFIG.tol:g})")
     sel.add_argument("--out", help="ranked CSV path")
     sel.set_defaults(func=cmd_select)
 

@@ -8,9 +8,15 @@ fitting reduces to intercept-free, penalty-free logistic regression.
 
 Three fitters:
 
-* ``fit_naive``       full-batch gradient ascent over all C(m, 2) pairs,
+* ``fit_naive``       all C(m, 2) pairs,
 * ``fit_bipartition`` one random perfect matching of the interior (O(n) pairs),
 * ``fit_online_sgd``  single-pair stochastic updates with a fixed budget.
+
+The first two (and ``fit_pairs``, on an explicit pair list) share one
+solver: damped Newton ascent with a minimum-norm step.  The objective is
+concave with a K x K Hessian, and binary columns can make monomials
+collinear, so the step solves the Newton system in the least-squares sense
+and theta stays in the row space of the pair matrix.
 
 Pairs are generated in a deterministic order (lexicographic, or derived from
 the seed), so runs are reproducible and memory stays bounded regardless of n.
@@ -22,6 +28,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -76,14 +83,24 @@ class PairStatistic:
         object.__setattr__(self, "x", x)
 
 
+# Singular values of the Fisher matrix below this fraction of the largest
+# are treated as zero when solving for the Newton step.
+_RCOND = 1e-10
+# Smallest fraction of a Newton step the line search tries.
+_MIN_STEP = 2.0**-30
+
+
 @dataclass(frozen=True)
 class GdConfig:
-    """Full-batch ascent settings: inverse-time-decay learning schedule
-    lr_t = lr0 / (1 + decay * t) on the per-pair-averaged gradient."""
+    """Full-batch pseudo-likelihood solver settings.
+
+    The solver is damped Newton ascent with a minimum-norm step; one epoch
+    is one Newton pass over the pairs.  It stops when the norm of the
+    per-pair-averaged gradient is at most ``tol``, after ``max_epochs``
+    passes, or when the norm of theta exceeds ``theta_cap``.
+    """
 
     max_epochs: int = 500
-    lr0: float = 1.0
-    decay: float = 0.01
     tol: float = 1e-6
     theta_cap: float = 1e3
     chunk_pairs: int = 500_000
@@ -91,10 +108,6 @@ class GdConfig:
     track_objective: bool = False  # record the per-epoch objective (costs a pass)
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be > 0, got {self.lr0}")
-        if self.decay < 0:
-            raise ValueError(f"decay must be >= 0, got {self.decay}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.tol <= 0:
@@ -117,7 +130,13 @@ class SgdConfig:
 @dataclass(frozen=True, eq=False)
 class PleResult:
     """Fit summary; ``log_pl`` is evaluated on the pair set the fitter used
-    (all pairs for the naive fitter, so AIC/PIC are only filled in there)."""
+    (all pairs for the naive fitter, so AIC/PIC are only filled in there).
+
+    ``iterations`` counts Newton passes (epochs) or, for online SGD, updates.
+    ``grad_norm`` is the final per-pair-averaged gradient norm of the Newton
+    fitters.  Online SGD has no convergence test, so its ``converged`` and
+    ``grad_norm`` are None.
+    """
 
     theta: np.ndarray
     log_pl: float
@@ -125,9 +144,11 @@ class PleResult:
     pic: float | None
     n_pairs_used: int
     wall_time_s: float
-    converged: bool
+    converged: bool | None
     method: str
     objective_trace: tuple[float, ...] | None = None
+    iterations: int | None = None
+    grad_norm: float | None = None
 
     def __post_init__(self):
         if self.log_pl > 1e-12:
@@ -142,8 +163,10 @@ class PleResult:
             "pic": None if self.pic is None else float(self.pic),
             "n_pairs_used": int(self.n_pairs_used),
             "wall_time_s": float(self.wall_time_s),
-            "converged": bool(self.converged),
+            "converged": None if self.converged is None else bool(self.converged),
             "method": self.method,
+            "iterations": None if self.iterations is None else int(self.iterations),
+            "grad_norm": None if self.grad_norm is None else float(self.grad_norm),
         }
 
 
@@ -217,24 +240,82 @@ def _iter_pair_chunks(lo: int, hi: int, chunk: int):
         yield np.concatenate(buf1), np.concatenate(buf2)
 
 
-def _ascent_on_matrix(X: np.ndarray, config: GdConfig):
-    """Gradient ascent on the mean log pseudo-likelihood with all pair
-    statistics in memory.  Returns (theta, converged, objective trace)."""
-    n_pairs, K = X.shape
+class _Ascent(NamedTuple):
+    theta: np.ndarray
+    log_pl: float
+    converged: bool
+    iterations: int
+    grad_norm: float
+    trace: tuple[float, ...] | None
+
+
+def _newton_pass(blocks, theta):
+    """Gradient of :func:`log_pl` at theta and the Fisher matrix
+    X' diag(p (1 - p)) X, summed block by block (one ``expit`` call each)."""
+    K = len(theta)
+    grad = np.zeros(K)
+    info = np.zeros((K, K))
+    for X in blocks():
+        p = expit(X @ theta)
+        q = 1.0 - p
+        grad += q @ X
+        info += (X.T * (p * q)) @ X
+    return grad, info
+
+
+def _newton_ascent(blocks, n_pairs: int, K: int, config: GdConfig) -> _Ascent:
+    """Damped Newton ascent on the log pseudo-likelihood from theta = 0.
+
+    ``blocks()`` yields the pair-statistic blocks afresh on every call: one
+    call is one pass over the pairs, and one Newton pass is one epoch.  The
+    step is the minimum-norm least-squares solution of  info step = grad,
+    which keeps theta in the row space of the pair matrix when columns are
+    collinear.  A full step is kept when the slope grad(theta + step) . step
+    is still >= 0, since by concavity the objective cannot then have
+    decreased; otherwise the step is halved until the objective is no lower
+    than at theta.
+    """
+
+    def objective(theta):
+        return sum(log_pl(theta, X) for X in blocks())
+
     theta = np.zeros(K)
-    trace: list[float] | None = [] if config.track_objective else None
+    grad, info = _newton_pass(blocks, theta)
+    epochs = 1
+    value = objective(theta) if config.track_objective else None
+    trace = [value] if config.track_objective else None
     converged = False
-    for epoch in range(config.max_epochs):
-        margins = X @ theta
+    while True:
+        if np.linalg.norm(grad) / n_pairs <= config.tol:
+            converged = True
+            break
+        if epochs >= config.max_epochs:
+            break
+        step = np.linalg.lstsq(info, grad, rcond=_RCOND)[0]
+        new_grad, new_info = _newton_pass(blocks, theta + step)
+        epochs += 1
+        t, new_value = 1.0, None
+        if new_grad @ step < 0.0:
+            # past the maximum along the step: backtrack on the objective
+            if value is None:
+                value = objective(theta)
+            new_value = objective(theta + step)
+            while new_value < value and t > _MIN_STEP:
+                t *= 0.5
+                new_value = objective(theta + t * step)
+            if new_value < value:
+                break  # no ascent along the step
+            if t < 1.0:
+                if epochs >= config.max_epochs:
+                    break  # no pass left for the gradient at the damped point
+                new_grad, new_info = _newton_pass(blocks, theta + t * step)
+                epochs += 1
+        theta = theta + t * step
+        grad, info, value = new_grad, new_info, new_value
         if trace is not None:
-            trace.append(float(-np.logaddexp(0.0, -margins).sum()))
-        grad = (1.0 - expit(margins)) @ X / n_pairs
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= config.tol:
-            converged = True
-            break
-        lr = config.lr0 / (1.0 + config.decay * epoch)
-        theta = theta + lr * grad
+            if value is None:
+                value = objective(theta)
+            trace.append(value)
         if np.linalg.norm(theta) > config.theta_cap:
             warnings.warn(
                 "theta norm exceeded the divergence cap; data may be separable",
@@ -242,43 +323,41 @@ def _ascent_on_matrix(X: np.ndarray, config: GdConfig):
                 stacklevel=3,
             )
             break
-    return theta, converged, trace
+    if value is None:
+        value = objective(theta)
+    return _Ascent(
+        theta=theta,
+        log_pl=value,
+        converged=converged,
+        iterations=epochs,
+        grad_norm=float(np.linalg.norm(grad)) / n_pairs,
+        trace=None if trace is None else tuple(trace),
+    )
 
 
-def _ascent_streaming(spec, series, ws, lo, hi, config: GdConfig):
-    """Same ascent with pair statistics recomputed chunk by chunk per epoch."""
-    K = spec.n_terms
-    n_pairs = n_interior_pairs(series.n, spec.order)
-    theta = np.zeros(K)
-    converged = False
-    for epoch in range(config.max_epochs):
-        grad = np.zeros(K)
-        for s1, s2 in _iter_pair_chunks(lo, hi, config.chunk_pairs):
-            X = -swap_deltas(spec, series, s1, s2, window_stats=ws)
-            grad += (1.0 - expit(X @ theta)) @ X
-        grad /= n_pairs
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= config.tol:
-            converged = True
-            break
-        lr = config.lr0 / (1.0 + config.decay * epoch)
-        theta = theta + lr * grad
-        if np.linalg.norm(theta) > config.theta_cap:
-            warnings.warn(
-                "theta norm exceeded the divergence cap; data may be separable",
-                SeparationWarning,
-                stacklevel=3,
-            )
-            break
-    return theta, converged
+def _result(fit: _Ascent, method: str, n_pairs: int, start: float, aic=None, pic=None) -> PleResult:
+    return PleResult(
+        theta=fit.theta,
+        log_pl=fit.log_pl,
+        aic=aic,
+        pic=pic,
+        n_pairs_used=n_pairs,
+        wall_time_s=time.perf_counter() - start,
+        converged=fit.converged,
+        method=method,
+        objective_trace=fit.trace,
+        iterations=fit.iterations,
+        grad_norm=fit.grad_norm,
+    )
 
 
 def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdConfig()) -> PleResult:
-    """Full-batch gradient ascent over all interior pairs, theta0 = 0.
+    """Newton ascent with minimum-norm steps over all interior pairs,
+    theta0 = 0.
 
     The (n_pairs, K) statistic matrix is materialized when it fits the
-    configured memory budget, otherwise pairs are streamed chunk by chunk per
-    epoch and never held at once.
+    configured memory budget, otherwise pairs are regenerated chunk by chunk
+    on every pass and never held at once.
     """
     start = time.perf_counter()
     lo, hi = _interior_bounds(spec, series)
@@ -286,34 +365,17 @@ def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdCon
     n_pairs = n_interior_pairs(series.n, spec.order)
     ws = window_statistics(spec, series)
 
-    if n_pairs * K <= config.materialize_limit:
-        blocks = [
-            -swap_deltas(spec, series, s1, s2, window_stats=ws)
-            for s1, s2 in _iter_pair_chunks(lo, hi, config.chunk_pairs)
-        ]
-        X = np.vstack(blocks)
-        theta, converged, trace = _ascent_on_matrix(X, config)
-        final_log_pl = log_pl(theta, X)
-    else:
-        theta, converged = _ascent_streaming(spec, series, ws, lo, hi, config)
-        trace = None
-        final_log_pl = 0.0
+    def stream():
         for s1, s2 in _iter_pair_chunks(lo, hi, config.chunk_pairs):
-            X = -swap_deltas(spec, series, s1, s2, window_stats=ws)
-            final_log_pl += log_pl(theta, X)
+            yield -swap_deltas(spec, series, s1, s2, window_stats=ws)
 
-    aic, pic = aic_pic(final_log_pl, K, series.n, spec.order)
-    return PleResult(
-        theta=theta,
-        log_pl=final_log_pl,
-        aic=aic,
-        pic=pic,
-        n_pairs_used=n_pairs,
-        wall_time_s=time.perf_counter() - start,
-        converged=converged,
-        method="ple-naive",
-        objective_trace=None if trace is None else tuple(trace),
-    )
+    if n_pairs * K <= config.materialize_limit:
+        X = np.vstack(list(stream()))
+        fit = _newton_ascent(lambda: (X,), n_pairs, K, config)
+    else:
+        fit = _newton_ascent(stream, n_pairs, K, config)
+    aic, pic = aic_pic(fit.log_pl, K, series.n, spec.order)
+    return _result(fit, "ple-naive", n_pairs, start, aic, pic)
 
 
 def fit_bipartition(
@@ -323,7 +385,8 @@ def fit_bipartition(
     config: GdConfig = GdConfig(),
 ) -> PleResult:
     """Pseudo-likelihood on a uniformly random perfect matching of the
-    interior: floor(m / 2) disjoint pairs, O(n) statistics.
+    interior: floor(m / 2) disjoint pairs, O(n) statistics, fitted by the
+    same minimum-norm Newton ascent as :func:`fit_naive`.
 
     With an odd interior one position is left unpaired.
     """
@@ -333,23 +396,9 @@ def fit_bipartition(
     interior = rng.permutation(np.arange(lo, hi, dtype=np.intp))
     n_pairs = (hi - lo) // 2
     paired = interior[: 2 * n_pairs].reshape(n_pairs, 2)
-    s1 = paired.min(axis=1)
-    s2 = paired.max(axis=1)
-
-    X = -swap_deltas(spec, series, s1, s2)
-    theta, converged, trace = _ascent_on_matrix(X, config)
-    final_log_pl = log_pl(theta, X)
-    return PleResult(
-        theta=theta,
-        log_pl=final_log_pl,
-        aic=None,
-        pic=None,
-        n_pairs_used=n_pairs,
-        wall_time_s=time.perf_counter() - start,
-        converged=converged,
-        method="ple-bipartition",
-        objective_trace=None if trace is None else tuple(trace),
-    )
+    X = -swap_deltas(spec, series, paired.min(axis=1), paired.max(axis=1))
+    fit = _newton_ascent(lambda: (X,), n_pairs, spec.n_terms, config)
+    return _result(fit, "ple-bipartition", n_pairs, start)
 
 
 def fit_pairs(
@@ -369,18 +418,8 @@ def fit_pairs(
     start = time.perf_counter()
     _interior_bounds(spec, series)
     X = -swap_deltas(spec, series, s1, s2)
-    theta, converged, trace = _ascent_on_matrix(X, config)
-    return PleResult(
-        theta=theta,
-        log_pl=log_pl(theta, X),
-        aic=None,
-        pic=None,
-        n_pairs_used=X.shape[0],
-        wall_time_s=time.perf_counter() - start,
-        converged=converged,
-        method="ple-pairs",
-        objective_trace=None if trace is None else tuple(trace),
-    )
+    fit = _newton_ascent(lambda: (X,), X.shape[0], spec.n_terms, config)
+    return _result(fit, "ple-pairs", X.shape[0], start)
 
 
 def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig = SgdConfig()) -> PleResult:
@@ -408,7 +447,6 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     eta = config.eta
     used = np.empty((config.n_iters, K))
     chunk = 200_000
-    pos = 0
     for startrow in range(0, config.n_iters, chunk):
         stop = min(startrow + chunk, config.n_iters)
         X = -swap_deltas(spec, series, s1[startrow:stop], s2[startrow:stop], window_stats=ws)
@@ -423,7 +461,6 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
                 w = eta * (1.0 - 1.0 / (1.0 + math.exp(-margin)))
             for k in range(K):
                 theta[k] += w * row[k]
-            pos += 1
 
     theta_arr = np.asarray(theta)
     final_log_pl = log_pl(theta_arr, used)
@@ -434,8 +471,9 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
         pic=None,
         n_pairs_used=config.n_iters,
         wall_time_s=time.perf_counter() - start,
-        converged=True,
+        converged=None,
         method="ple-sgd",
+        iterations=config.n_iters,
     )
 
 

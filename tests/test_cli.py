@@ -115,6 +115,48 @@ class TestFit:
         assert lines[0] == "iter,theta_0,score_norm,acceptance_rate"
         assert len(lines) == result["iterations"] + 1
 
+    @pytest.mark.parametrize(
+        "estimator, flag",
+        [
+            ("ple-sgd", "--eta"),
+            ("ple-sgd", "--iters"),
+            ("mcle", "--thin"),
+            ("ple-naive", "--max-epochs"),
+            ("ple-naive", "--tol"),
+            ("mle", "--order"),
+        ],
+    )
+    def test_zero_valued_option_exits_validation(self, workspace, estimator, flag):
+        out = workspace["tmp"] / "zero.json"
+        rc, _ = run_cli(
+            "fit", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]),
+            "--estimator", estimator, flag, "0", "--out", str(out),
+        )
+        assert rc == cli.EXIT_VALIDATION
+
+    def test_result_reports_solver_end(self, workspace):
+        out = workspace["tmp"] / "solver.json"
+        rc, _ = run_cli(
+            "fit", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]),
+            "--estimator", "ple-bipartition", "--max-epochs", "3", "--out", str(out),
+        )
+        assert rc == 0
+        result = json.loads(out.read_text())
+        assert result["config"]["max_epochs"] == 3
+        assert 1 <= result["iterations"] <= 3
+        assert result["grad_norm"] >= 0.0 and isinstance(result["converged"], bool)
+
+    def test_sgd_result_has_null_convergence(self, workspace):
+        out = workspace["tmp"] / "sgd.json"
+        rc, _ = run_cli(
+            "fit", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]),
+            "--estimator", "ple-sgd", "--iters", "300", "--out", str(out),
+        )
+        assert rc == 0
+        result = json.loads(out.read_text())
+        assert result["converged"] is None and result["grad_norm"] is None
+        assert result["iterations"] == 300
+
     def test_mle_requires_order(self, workspace):
         rc, _ = run_cli("fit", "--data", str(workspace["data"]), "--estimator", "mle")
         assert rc == cli.EXIT_VALIDATION
@@ -174,6 +216,14 @@ class TestSelect:
         assert rc == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert rows[0][1:5] == rows[1][1:5]
+
+    @pytest.mark.parametrize("option", [["--max-epochs", "0"], ["--tol", "0"], ["--lr0", "1.0"]])
+    def test_invalid_or_removed_solver_option_exits_validation(self, workspace, option):
+        rc, _ = run_cli(
+            "select", "--data", str(workspace["data"]),
+            "--spec", str(workspace["spec1"]), "--spec", str(workspace["spec2"]), *option,
+        )
+        assert rc == cli.EXIT_VALIDATION
 
     def test_requires_two_specs(self, workspace):
         rc, _ = run_cli("select", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]))

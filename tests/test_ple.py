@@ -1,13 +1,18 @@
 """Pseudo-likelihood estimation: pair statistics, the three fitters, and
 information criteria."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from mimm import core, gaussian, ple
-from mimm.exceptions import InsufficientInteriorError
+from mimm.exceptions import InsufficientInteriorError, SeparationWarning
 
 AR1 = gaussian.ClassicalARParams([0.5], 0.5)
 SPEC1 = core.ar_spec(1)
@@ -123,10 +128,50 @@ class TestFitNaive:
         fit = ple.fit_naive(
             SPEC1,
             series,
-            ple.GdConfig(max_epochs=80, lr0=0.2, decay=0.0, track_objective=True),
+            ple.GdConfig(max_epochs=80, track_objective=True),
         )
         diffs = np.diff(np.asarray(fit.objective_trace))
         assert np.all(diffs >= -1e-12)
+
+    def test_damped_steps_keep_the_objective_monotone(self, monkeypatch):
+        # heavy-tailed data with cubic monomials: some full Newton steps pass
+        # the maximum along their direction and the line search halves them
+        spec = core.DependenceSpec(
+            order=1,
+            dim=1,
+            terms=(
+                core.MonomialTerm(((0, 0, 1), (1, 0, 1))),
+                core.MonomialTerm(((0, 0, 2), (1, 0, 1))),
+                core.MonomialTerm(((0, 0, 1), (1, 0, 3))),
+            ),
+        )
+        series = core.TimeSeries(3.0 * np.random.default_rng(64).standard_t(2, size=20))
+        calls = []
+        log_pl = ple.log_pl
+        monkeypatch.setattr(ple, "log_pl", lambda *args: calls.append(1) or log_pl(*args))
+        fit = ple.fit_naive(spec, series, ple.GdConfig(track_objective=True))
+        assert fit.converged
+        # one objective per trace entry; anything beyond is the line search
+        assert len(calls) > len(fit.objective_trace)
+        assert np.all(np.diff(np.asarray(fit.objective_trace)) >= -1e-12)
+
+    def test_streamed_fit_pass_count(self, monkeypatch):
+        # a 2-epoch streamed fit reads the pairs three times: two Newton
+        # passes and the final objective
+        series = gaussian.simulate_ar(AR1, 60, seed=17)
+        rows = []
+        swap_deltas = ple.swap_deltas
+
+        def counting(spec, series, s1, s2, **kwargs):
+            rows.append(len(s1))
+            return swap_deltas(spec, series, s1, s2, **kwargs)
+
+        monkeypatch.setattr(ple, "swap_deltas", counting)
+        cfg = ple.GdConfig(max_epochs=2, materialize_limit=0, chunk_pairs=400)
+        fit = ple.fit_naive(SPEC1, series, cfg)
+        assert fit.iterations == 2 and not fit.converged
+        assert len(rows) > 3  # streamed in several chunks
+        assert sum(rows) == 3 * ple.n_interior_pairs(60, 1)
 
     def test_streaming_matches_materialized(self):
         series = gaussian.simulate_ar(AR1, 300, seed=16)
@@ -140,6 +185,117 @@ class TestFitNaive:
     def test_interior_too_small(self):
         with pytest.raises(InsufficientInteriorError):
             ple.fit_naive(core.ar_spec(2), core.TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0]))
+
+
+def all_pairs_matrix(spec, series):
+    lo, hi = spec.order, series.n - spec.order
+    s1, s2 = np.triu_indices(hi - lo, 1)
+    return -core.swap_deltas(spec, series, s1 + lo, s2 + lo)
+
+
+def binary_real_series(n, seed):
+    """Binary column driven by the lagged real column of an AR(1)."""
+    z_seed, b_seed = np.random.SeedSequence(seed).spawn(2)
+    z = gaussian.simulate_ar(gaussian.ClassicalARParams([0.6], 0.5), n, seed=z_seed).data[:, 0]
+    b = np.random.default_rng(b_seed).random(n) < 1.0 / (1.0 + np.exp(-np.roll(z, 1)))
+    return core.TimeSeries(np.column_stack([b.astype(float), z]), kinds=("binary", "real"))
+
+
+@st.composite
+def ar_designs(draw):
+    """AR(1)/AR(2) data with lag monomials x_t^a x_{t-l}^b, a, b <= 3."""
+    d = draw(st.integers(1, 2))
+    exponents = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=d, max_size=d))
+    terms = tuple(
+        core.MonomialTerm(((0, 0, a), (lag, 0, b))) for lag, (a, b) in enumerate(exponents, start=1)
+    )
+    params = gaussian.ClassicalARParams([0.5] if d == 1 else [0.5, 0.3], 0.5)
+    series = gaussian.simulate_ar(params, draw(st.integers(30, 70)), seed=draw(st.integers(0, 2**32 - 1)))
+    return core.DependenceSpec(order=d, dim=1, terms=terms), series
+
+
+@st.composite
+def binary_kron_designs(draw):
+    """p = 2 kron specs on a binary/real series; any squared block makes
+    columns collinear (b**2 == b)."""
+    extra = draw(st.lists(st.sampled_from([(1, 1, 2), (1, 2, 1), (1, 2, 2)]), unique=True))
+    spec = core.kron_spec(2, [(1, 1, 1), *extra])
+    return spec, binary_real_series(draw(st.integers(40, 80)), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestNewtonAgainstBfgs:
+    """The Newton fit against scipy BFGS from theta = 0 on -log_pl.  BFGS
+    from 0 stays in the row space of the pair matrix, so on rank-deficient
+    designs both land on the same (minimum-norm) maximizer."""
+
+    @staticmethod
+    def check(spec, series):
+        # tight tol: the comparison is about the maximizer, not the stopping rule
+        fit = ple.fit_naive(spec, series, ple.GdConfig(tol=1e-9))
+        X = all_pairs_matrix(spec, series)
+        oracle = minimize(
+            lambda t: -ple.log_pl(t, X),
+            np.zeros(spec.n_terms),
+            jac=lambda t: -ple.log_pl_gradient(t, X),
+            method="BFGS",
+            options={"gtol": 1e-10 * len(X), "maxiter": 10_000},
+        )
+        assert fit.converged
+        assert np.linalg.norm(fit.theta - oracle.x) <= 1e-5 * (1.0 + np.linalg.norm(fit.theta))
+        assert fit.log_pl == pytest.approx(-oracle.fun, rel=1e-8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ar_designs())
+    def test_ar_specs(self, design):
+        self.check(*design)
+
+    @settings(max_examples=25, deadline=None)
+    @given(binary_kron_designs())
+    def test_binary_kron_specs(self, design):
+        self.check(*design)
+
+    def test_rank_deficient_design_gives_finite_min_norm_theta(self):
+        spec = core.kron_spec(2, [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)])
+        series = binary_real_series(120, 9)
+        X = all_pairs_matrix(spec, series)
+        assert np.linalg.matrix_rank(X) < spec.n_terms
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SeparationWarning)
+            fit = ple.fit_naive(spec, series)
+        assert fit.converged and np.all(np.isfinite(fit.theta))
+        # no component along the null space of X
+        row_space = np.linalg.pinv(X) @ X
+        np.testing.assert_allclose(row_space @ fit.theta, fit.theta, atol=1e-8)
+
+
+class TestTelemetry:
+    def test_newton_fit_reports_passes_and_gradient(self):
+        series = gaussian.simulate_ar(AR1, 300, seed=18)
+        fit = ple.fit_naive(SPEC1, series)
+        X = all_pairs_matrix(SPEC1, series)
+        expected = np.linalg.norm(ple.log_pl_gradient(fit.theta, X)) / len(X)
+        assert fit.converged and 2 <= fit.iterations <= 20
+        assert fit.grad_norm == pytest.approx(expected, rel=1e-6, abs=1e-15)
+        assert fit.grad_norm <= ple.GdConfig().tol
+        record = fit.to_dict()
+        assert record["iterations"] == fit.iterations
+        assert record["grad_norm"] == fit.grad_norm
+
+    def test_epoch_budget_bounds_iterations(self):
+        series = gaussian.simulate_ar(AR1, 300, seed=18)
+        fit = ple.fit_bipartition(SPEC1, series, seed=1, config=ple.GdConfig(max_epochs=1))
+        # the one pass is the gradient at theta = 0; no step is left to check
+        assert fit.iterations == 1 and not fit.converged
+        assert fit.grad_norm > ple.GdConfig().tol
+        assert fit.theta[0] == 0.0
+
+    def test_sgd_reports_no_convergence_verdict(self):
+        series = gaussian.simulate_ar(AR1, 300, seed=19)
+        fit = ple.fit_online_sgd(SPEC1, series, ple.SgdConfig(n_iters=500, seed=2))
+        assert fit.converged is None and fit.grad_norm is None
+        assert fit.iterations == 500
+        record = json.loads(json.dumps(fit.to_dict()))
+        assert record["converged"] is None and record["iterations"] == 500
 
 
 class TestFitBipartition:
@@ -198,9 +354,9 @@ class TestFitOnlineSgd:
 class TestConfigs:
     def test_gd_config_validation(self):
         with pytest.raises(ValueError):
-            ple.GdConfig(lr0=0.0)
+            ple.GdConfig(max_epochs=0)
         with pytest.raises(ValueError):
-            ple.GdConfig(decay=-0.1)
+            ple.GdConfig(tol=0.0)
 
     def test_sgd_config_validation(self):
         with pytest.raises(ValueError):
