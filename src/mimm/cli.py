@@ -539,7 +539,9 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                     theta, _ = _run_estimator(
                         estimator, series, spec, opts, est_seed.generate_state(1)[0]
                     )
-                except Exception as err:
+                except (MimmError, np.linalg.LinAlgError, FloatingPointError) as err:
+                    # numerical and data failures become a row; programming
+                    # errors propagate
                     status = f"failed: {err}"
                     break
                 elapsed = time.perf_counter() - t0
@@ -728,6 +730,29 @@ def _check_swap_recompute() -> CheckResult:
         )
         worst = max(worst, float(np.abs(delta - brute).max()))
     return CheckResult("swap_delta_recompute", worst < 1e-12, worst, 1e-12)
+
+
+def _check_swap_deltas_batch() -> CheckResult:
+    """Batched swap deltas (factored far pairs, direct near pairs) against
+    the scalar window re-evaluation on a binary/real kron spec."""
+    rng = np.random.default_rng(4)
+    spec = core.kron_spec(2, [(1, 1, 1), (2, 2, 1), (2, 1, 2)])
+    n = 40
+    data = np.column_stack([rng.integers(0, 2, size=n), rng.standard_normal(n)])
+    series = core.TimeSeries(data, kinds=("binary", "real"))
+    d = spec.order
+    s1 = np.arange(d, n - d - 1)
+    gaps = rng.integers(1, 2 * d + 3, size=len(s1))  # near (<= d) and far
+    s2 = np.minimum(s1 + gaps, n - d - 1)
+    scalar = np.array([core.swap_delta(spec, series, int(a), int(b)) for a, b in zip(s1, s2)])
+    worst = 0.0
+    # every pair (tables over the whole span) and a sparse subset (tables
+    # at the touched positions only)
+    for rows in (slice(None), slice(None, None, 7)):
+        batch = core.swap_deltas(spec, series, s1[rows], s2[rows])
+        err = np.abs(batch - scalar[rows]) / (1.0 + np.abs(scalar[rows]))
+        worst = max(worst, float(err.max()))
+    return CheckResult("swap_deltas_batch", worst < 1e-12, worst, 1e-12)
 
 
 def _check_multilinearity() -> CheckResult:
@@ -948,6 +973,7 @@ def run_verify_checks(riccati_rtol: float = 1e-13):
     yield _check_pythagorean()
     yield _check_divergence_nonneg()
     yield _check_swap_recompute()
+    yield _check_swap_deltas_batch()
     yield _check_multilinearity()
     yield _check_reversal()
     yield _check_remainder_invariance()

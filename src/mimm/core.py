@@ -7,6 +7,23 @@ swappable interior of a series of length ``n`` under a spec of order ``d`` is
 the position range ``d <= i <= n - d - 1``: the first ``d`` and last ``d``
 positions stay frozen under conditional inference.
 
+Every vectorized monomial evaluation goes through one compiled table per
+spec (:class:`MonomialTable`): the distinct ``(component, exponent)`` powers
+are computed once per row and each term multiplies its power columns.
+
+Batched swap deltas use the factored ("local-energy") form.  Write the sum
+of the statistics of the windows touching position ``i``, with value ``v``
+placed at ``i``, as ``E_i(v) = sum_g S_g[i] * Phi_g(v)``: ``Phi_g`` is the
+product of the factors a term takes from one lag and ``S_g[i]`` the summed
+products of its other factors, read off the neighbours of ``i``.  When
+``s2 - s1 > d`` the windows of the two positions are disjoint, so
+
+    delta = sum_g (S_g[s1] - S_g[s2]) * (Phi_g(x_{s2}) - Phi_g(x_{s1})),
+
+with ``S`` and ``Phi`` tabulated once per position instead of gathered once
+per pair.  The O(m d) near pairs re-evaluate their at most 2d + 1 windows
+directly.
+
 All containers are immutable after construction and safe to share across
 threads; every operation is a pure function.  Statistic summation relies on
 numpy's pairwise accumulation, which keeps totals reproducible to ~1e-12
@@ -15,6 +32,7 @@ regardless of how callers shard the work.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -139,6 +157,10 @@ class DependenceSpec:
     def n_terms(self) -> int:
         return len(self.terms)
 
+    @functools.cached_property
+    def _table(self) -> "MonomialTable":
+        return MonomialTable(self)
+
     def evaluate(self, window) -> np.ndarray:
         """Evaluate all K monomials on one window (row 0 = current value)."""
         win = np.asarray(window, dtype=float)
@@ -151,14 +173,7 @@ class DependenceSpec:
                 f"window shape {win.shape} does not match (order+1, dim) = "
                 f"({self.order + 1}, {self.dim})"
             )
-        out = np.empty(self.n_terms)
-        for k, term in enumerate(self.terms):
-            value = 1.0
-            for lag, comp, exp in term.factors:
-                base = win[lag, comp]
-                value *= base if exp == 1 else base**exp
-            out[k] = value
-        return out
+        return self._table.evaluate(self._table.powers(win))
 
     def to_text(self) -> str:
         """Line-oriented serialization: one term per line."""
@@ -188,6 +203,71 @@ class DependenceSpec:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_text())
+
+
+def _product(lagged, factors) -> np.ndarray:
+    """Product of ``lagged[..., lag, q]`` over the (lag, q) pairs in ``factors``."""
+    (lag, q), *others = factors
+    acc = lagged[..., lag, q]
+    for lag, q in others:
+        acc = acc * lagged[..., lag, q]
+    return acc
+
+
+class MonomialTable:
+    """A spec compiled for vectorized evaluation; built once per spec and
+    cached on it.
+
+    ``comps``/``exps`` list the distinct (component, exponent) powers the
+    terms use, and ``terms[k]`` lists term k's factors as (lag, power
+    column).  For the factored swap delta, ``owns`` lists the distinct
+    products of one lag's factors of a term, as (0, column) pairs on a
+    one-row window, and ``groups`` holds ``(k, own index, ((lag, rest),
+    ...))``: the lags at which term k takes that product, each with the
+    term's remaining factors.  A term touching a single lag is left out,
+    since a swap of interior positions only permutes its summands.
+    """
+
+    def __init__(self, spec: DependenceSpec):
+        powers = sorted({(comp, exp) for term in spec.terms for _, comp, exp in term.factors})
+        column = {power: q for q, power in enumerate(powers)}
+        self.order = spec.order
+        self.comps = np.array([comp for comp, _ in powers], dtype=np.intp)
+        self.exps = tuple(exp for _, exp in powers)
+        self.terms = tuple(
+            tuple((lag, column[(comp, exp)]) for lag, comp, exp in term.factors)
+            for term in spec.terms
+        )
+        owns: dict[tuple, int] = {}
+        groups = []
+        for k, factors in enumerate(self.terms):
+            lags = sorted({lag for lag, _ in factors})
+            if len(lags) < 2:
+                continue
+            by_own: dict[tuple, list] = {}
+            for lag in lags:
+                own = tuple((0, q) for l, q in factors if l == lag)
+                rest = tuple(f for f in factors if f[0] != lag)
+                by_own.setdefault(own, []).append((lag, rest))
+            for own, slots in by_own.items():
+                groups.append((k, owns.setdefault(own, len(owns)), tuple(slots)))
+        self.owns = tuple(owns)
+        self.groups = tuple(groups)
+
+    def powers(self, values: np.ndarray) -> np.ndarray:
+        """Power columns of the values: (..., p) -> (..., Q)."""
+        out = values[..., self.comps]
+        for q, exp in enumerate(self.exps):
+            if exp != 1:
+                out[..., q] **= exp
+        return out
+
+    def evaluate(self, lagged: np.ndarray) -> np.ndarray:
+        """Monomial values of windows given as powers: (..., d+1, Q) -> (..., K)."""
+        out = np.empty(lagged.shape[:-2] + (len(self.terms),))
+        for k, factors in enumerate(self.terms):
+            out[..., k] = _product(lagged, factors)
+        return out
 
 
 def ar_spec(order: int) -> DependenceSpec:
@@ -324,19 +404,10 @@ def window_statistics(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:
     """Per-window dependence values, shape (n - d, K); row i is the window at
     time t = d + i."""
     _check_series(spec, series)
-    X = series.data
-    n = series.n
     d = spec.order
-    t = np.arange(d, n)
-    win = X[t[:, None] - np.arange(d + 1)[None, :], :]  # (n-d, d+1, p)
-    out = np.empty((n - d, spec.n_terms))
-    for k, term in enumerate(spec.terms):
-        acc = np.ones(n - d)
-        for lag, comp, exp in term.factors:
-            col = win[:, lag, comp]
-            acc = acc * (col if exp == 1 else col**exp)
-        out[:, k] = acc
-    return out
+    table = spec._table
+    t = np.arange(d, series.n)
+    return table.evaluate(table.powers(series.data)[t[:, None] - np.arange(d + 1)])
 
 
 def total_statistic(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:
@@ -424,13 +495,61 @@ def swap_delta(spec: DependenceSpec, series: TimeSeries, s1: int, s2: int, order
     return np.asarray(delta)
 
 
-def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2, window_stats=None) -> np.ndarray:
+def _factored_tables(table: MonomialTable, X: np.ndarray, positions: np.ndarray, pad: int):
+    """Per-position tables of the factored swap delta at ``positions``,
+    each preceded by ``pad`` unused entries: ``phi[j]`` is own product j,
+    and ``S[g]`` sums group g's remaining factors over the windows
+    t = i + lag of its lags."""
+    d = table.order
+    # column d + j holds the powers of row i + j
+    G = table.powers(X[positions[:, None] + np.arange(-d, d + 1)])
+    # window t = i + lag, as rows i + lag, i + lag - 1, ..., i + lag - d
+    windows = [G[:, lag : lag + d + 1][:, ::-1] for lag in range(d + 1)]
+
+    def padded(values):
+        out = np.zeros(pad + len(positions))
+        out[pad:] = values
+        return out
+
+    phi = [padded(_product(G[:, d : d + 1], own)) for own in table.owns]
+    S = [
+        padded(sum(_product(windows[lag], rest) for lag, rest in slots))
+        for _, _, slots in table.groups
+    ]
+    return phi, S
+
+
+# pairs per block of the far-pair sweep: its temporaries stay in cache
+_SWAP_BLOCK = 1 << 14
+
+
+def _near_deltas(table: MonomialTable, X: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Direct swap deltas, shape (B, K), for pairs with s2 - s1 <= d: the
+    windows t = s1 .. s2 + d (at most 2d + 1) are evaluated before and after
+    the swap."""
+    d = table.order
+    last = (s2 + d)[:, None]
+    times = s1[:, None] + np.arange(2 * d + 1)
+    valid = times <= last
+    rows = np.minimum(times, last)[:, :, None] - np.arange(d + 1)  # (B, 2d+1, d+1)
+    a, b = s1[:, None, None], s2[:, None, None]
+    swapped = np.where(rows == a, b, np.where(rows == b, a, rows))
+    after = table.evaluate(table.powers(X[swapped]))
+    before = table.evaluate(table.powers(X[rows]))
+    return ((after - before) * valid[:, :, None]).sum(axis=1)
+
+
+def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
     """Vectorized swap deltas for identity ordering: row b is
     H(swap s1[b], s2[b]) - H(identity), shape (B, K).
 
-    Precomputed ``window_statistics`` may be passed to amortize repeated
-    calls.  Used by the pseudo-likelihood fitters; agrees with
-    :func:`swap_delta` to ~1e-12 (summation order differs).
+    Far pairs (s2 - s1 > d) use the factored form of the module docstring:
+    the tables S and Phi are built once per call, over every position in
+    the pairs' span when the batch is dense in it and over the touched
+    positions otherwise, and each pair row costs a few 1-d ``take``s per
+    term.  Near pairs re-evaluate their overlapping windows directly.  Used
+    by the pseudo-likelihood fitters; agrees with :func:`swap_delta` to
+    ~1e-12 (summation order differs).
     """
     _check_series(spec, series)
     d = spec.order
@@ -440,35 +559,39 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2, window_stats=N
     s2 = np.atleast_1d(np.asarray(s2, dtype=np.intp))
     if s1.shape != s2.shape or s1.ndim != 1:
         raise ShapeMismatchError("s1 and s2 must be 1-d arrays of equal length")
-    if np.any(s1 >= s2):
-        raise BoundaryViolationError("need s1 < s2 elementwise")
-    if np.any(s1 < d) or np.any(s2 > n - d - 1):
+
+    table = spec._table
+    B, K = len(s1), spec.n_terms
+    out = np.empty((B, K))
+    if B == 0:
+        return out
+    first, last = int(s1.min()), int(s2.max())
+    if first < d or last > n - d - 1:
         raise BoundaryViolationError("swap indices outside the swappable interior")
-    if window_stats is None:
-        window_stats = window_statistics(spec, series)
+    if last - first < 2 * B:
+        # tables over the whole span, indexed by position
+        positions, pad, i1, i2 = np.arange(first, last + 1), first, s1, s2
+    else:
+        positions, inverse = np.unique(np.concatenate([s1, s2]), return_inverse=True)
+        pad, i1, i2 = 0, inverse[:B], inverse[B:]
+    phi, S = _factored_tables(table, X, positions, pad)
 
-    lags = np.arange(d + 1)
-    t1 = s1[:, None] + lags[None, :]
-    t2 = s2[:, None] + lags[None, :]
-    valid2 = t2 > (s1[:, None] + d)  # drop windows already counted around s1
-    times = np.concatenate([t1, t2], axis=1)  # (B, 2(d+1))
-    valid = np.concatenate([np.ones_like(t1, dtype=bool), valid2], axis=1)
-
-    pos = times[:, :, None] - lags[None, None, :]  # (B, W, d+1)
-    vals = X[pos]  # (B, W, d+1, p)
-    m1 = (pos == s1[:, None, None])[..., None]
-    m2 = (pos == s2[:, None, None])[..., None]
-    swapped = np.where(m1, X[s2][:, None, None, :], vals)
-    swapped = np.where(m2, X[s1][:, None, None, :], swapped)
-
-    ident = window_stats[times - d]  # (B, W, K)
-    out = np.empty((len(s1), spec.n_terms))
-    for k, term in enumerate(spec.terms):
-        acc = np.ones(times.shape)
-        for lag, comp, exp in term.factors:
-            col = swapped[:, :, lag, comp]
-            acc = acc * (col if exp == 1 else col**exp)
-        out[:, k] = ((acc - ident[:, :, k]) * valid).sum(axis=1)
+    near = []
+    for lo in range(0, B, _SWAP_BLOCK):
+        hi = min(lo + _SWAP_BLOCK, B)
+        gap = s2[lo:hi] - s1[lo:hi]
+        if gap.min() < 1:
+            raise BoundaryViolationError("need s1 < s2 elementwise")
+        near.append(lo + np.flatnonzero(gap <= d))
+        a, b = i1[lo:hi], i2[lo:hi]
+        dphi = [p.take(b) - p.take(a) for p in phi]
+        block = np.zeros((K, hi - lo))
+        for (k, own, _), s in zip(table.groups, S):
+            block[k] += (s.take(a) - s.take(b)) * dphi[own]
+        out[lo:hi] = block.T
+    near = np.concatenate(near)
+    if near.size:
+        out[near] = _near_deltas(table, X, s1[near], s2[near])
     return out
 
 

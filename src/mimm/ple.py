@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit
 
-from .core import (
+from .core import (  # noqa: F401  window_statistics: bench/tracing.py wraps it here
     DependenceSpec,
     TimeSeries,
     swap_delta,
@@ -136,6 +136,11 @@ class PleResult:
     ``grad_norm`` is the final per-pair-averaged gradient norm of the Newton
     fitters.  Online SGD has no convergence test, so its ``converged`` and
     ``grad_norm`` are None.
+
+    ``stages`` gives seconds per fit stage: ``pairs_s`` builds the pair
+    statistics (summed over passes when they are regenerated), ``solver_s``
+    is the Newton or SGD loop without pair building, and ``log_pl_s`` the
+    final log-PL evaluation without pair building.
     """
 
     theta: np.ndarray
@@ -149,6 +154,7 @@ class PleResult:
     objective_trace: tuple[float, ...] | None = None
     iterations: int | None = None
     grad_norm: float | None = None
+    stages: dict[str, float] | None = None
 
     def __post_init__(self):
         if self.log_pl > 1e-12:
@@ -167,6 +173,7 @@ class PleResult:
             "method": self.method,
             "iterations": None if self.iterations is None else int(self.iterations),
             "grad_norm": None if self.grad_norm is None else float(self.grad_norm),
+            "stages": None if self.stages is None else {k: float(v) for k, v in self.stages.items()},
         }
 
 
@@ -199,7 +206,8 @@ def log_pl(theta, pairs) -> float:
     if X.shape[0] == 0:
         raise ValueError("pairs must be nonempty")
     margins = X @ theta
-    return float(-np.logaddexp(0.0, -margins).sum())
+    np.negative(margins, out=margins)
+    return float(-np.logaddexp(0.0, margins, out=margins).sum())
 
 
 def log_pl_gradient(theta, pairs) -> np.ndarray:
@@ -247,6 +255,35 @@ class _Ascent(NamedTuple):
     iterations: int
     grad_norm: float
     trace: tuple[float, ...] | None
+    stages: dict[str, float]
+
+
+class _PairBlocks:
+    """Pair-statistic blocks for the Newton solver.  Calling the object
+    yields one pass over the pairs: one block held in memory when
+    ``materialize`` is set, otherwise blocks regenerated from ``chunks()``.
+    ``seconds`` sums the time spent in :func:`swap_deltas`."""
+
+    def __init__(self, spec: DependenceSpec, series: TimeSeries, chunks, materialize: bool):
+        self._spec = spec
+        self._series = series
+        self._chunks = chunks
+        self.seconds = 0.0
+        self._held = None
+        if materialize:
+            held = list(self._generate())
+            self._held = (held[0] if len(held) == 1 else np.vstack(held),)
+
+    def _generate(self):
+        for s1, s2 in self._chunks():
+            start = time.perf_counter()
+            X = swap_deltas(self._spec, self._series, s1, s2)
+            np.negative(X, out=X)
+            self.seconds += time.perf_counter() - start
+            yield X
+
+    def __call__(self):
+        return self._held if self._held is not None else self._generate()
 
 
 def _newton_pass(blocks, theta):
@@ -259,11 +296,12 @@ def _newton_pass(blocks, theta):
         p = expit(X @ theta)
         q = 1.0 - p
         grad += q @ X
-        info += (X.T * (p * q)) @ X
+        p *= q
+        info += (X.T * p) @ X
     return grad, info
 
 
-def _newton_ascent(blocks, n_pairs: int, K: int, config: GdConfig) -> _Ascent:
+def _newton_ascent(blocks: _PairBlocks, n_pairs: int, K: int, config: GdConfig) -> _Ascent:
     """Damped Newton ascent on the log pseudo-likelihood from theta = 0.
 
     ``blocks()`` yields the pair-statistic blocks afresh on every call: one
@@ -279,6 +317,7 @@ def _newton_ascent(blocks, n_pairs: int, K: int, config: GdConfig) -> _Ascent:
     def objective(theta):
         return sum(log_pl(theta, X) for X in blocks())
 
+    start, pairs_start = time.perf_counter(), blocks.seconds
     theta = np.zeros(K)
     grad, info = _newton_pass(blocks, theta)
     epochs = 1
@@ -323,8 +362,14 @@ def _newton_ascent(blocks, n_pairs: int, K: int, config: GdConfig) -> _Ascent:
                 stacklevel=3,
             )
             break
+    solved, pairs_solved = time.perf_counter(), blocks.seconds
     if value is None:
         value = objective(theta)
+    stages = {
+        "pairs_s": blocks.seconds,
+        "solver_s": solved - start - (pairs_solved - pairs_start),
+        "log_pl_s": time.perf_counter() - solved - (blocks.seconds - pairs_solved),
+    }
     return _Ascent(
         theta=theta,
         log_pl=value,
@@ -332,6 +377,7 @@ def _newton_ascent(blocks, n_pairs: int, K: int, config: GdConfig) -> _Ascent:
         iterations=epochs,
         grad_norm=float(np.linalg.norm(grad)) / n_pairs,
         trace=None if trace is None else tuple(trace),
+        stages=stages,
     )
 
 
@@ -348,6 +394,7 @@ def _result(fit: _Ascent, method: str, n_pairs: int, start: float, aic=None, pic
         objective_trace=fit.trace,
         iterations=fit.iterations,
         grad_norm=fit.grad_norm,
+        stages=fit.stages,
     )
 
 
@@ -363,17 +410,13 @@ def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdCon
     lo, hi = _interior_bounds(spec, series)
     K = spec.n_terms
     n_pairs = n_interior_pairs(series.n, spec.order)
-    ws = window_statistics(spec, series)
-
-    def stream():
-        for s1, s2 in _iter_pair_chunks(lo, hi, config.chunk_pairs):
-            yield -swap_deltas(spec, series, s1, s2, window_stats=ws)
-
-    if n_pairs * K <= config.materialize_limit:
-        X = np.vstack(list(stream()))
-        fit = _newton_ascent(lambda: (X,), n_pairs, K, config)
-    else:
-        fit = _newton_ascent(stream, n_pairs, K, config)
+    blocks = _PairBlocks(
+        spec,
+        series,
+        lambda: _iter_pair_chunks(lo, hi, config.chunk_pairs),
+        materialize=n_pairs * K <= config.materialize_limit,
+    )
+    fit = _newton_ascent(blocks, n_pairs, K, config)
     aic, pic = aic_pic(fit.log_pl, K, series.n, spec.order)
     return _result(fit, "ple-naive", n_pairs, start, aic, pic)
 
@@ -396,8 +439,10 @@ def fit_bipartition(
     interior = rng.permutation(np.arange(lo, hi, dtype=np.intp))
     n_pairs = (hi - lo) // 2
     paired = interior[: 2 * n_pairs].reshape(n_pairs, 2)
-    X = -swap_deltas(spec, series, paired.min(axis=1), paired.max(axis=1))
-    fit = _newton_ascent(lambda: (X,), n_pairs, spec.n_terms, config)
+    blocks = _PairBlocks(
+        spec, series, lambda: ((paired.min(axis=1), paired.max(axis=1)),), materialize=True
+    )
+    fit = _newton_ascent(blocks, n_pairs, spec.n_terms, config)
     return _result(fit, "ple-bipartition", n_pairs, start)
 
 
@@ -417,9 +462,11 @@ def fit_pairs(
     """
     start = time.perf_counter()
     _interior_bounds(spec, series)
-    X = -swap_deltas(spec, series, s1, s2)
-    fit = _newton_ascent(lambda: (X,), X.shape[0], spec.n_terms, config)
-    return _result(fit, "ple-pairs", X.shape[0], start)
+    blocks = _PairBlocks(spec, series, lambda: ((s1, s2),), materialize=True)
+    (X,) = blocks()
+    n_pairs = X.shape[0]
+    fit = _newton_ascent(blocks, n_pairs, spec.n_terms, config)
+    return _result(fit, "ple-pairs", n_pairs, start)
 
 
 def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig = SgdConfig()) -> PleResult:
@@ -442,14 +489,17 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     s1 = np.minimum(a, b).astype(np.intp) + lo
     s2 = np.maximum(a, b).astype(np.intp) + lo
 
-    ws = window_statistics(spec, series)
     theta = [0.0] * K
     eta = config.eta
     used = np.empty((config.n_iters, K))
     chunk = 200_000
+    pairs_s = 0.0
+    loop_start = time.perf_counter()
     for startrow in range(0, config.n_iters, chunk):
         stop = min(startrow + chunk, config.n_iters)
-        X = -swap_deltas(spec, series, s1[startrow:stop], s2[startrow:stop], window_stats=ws)
+        pairs_start = time.perf_counter()
+        X = -swap_deltas(spec, series, s1[startrow:stop], s2[startrow:stop])
+        pairs_s += time.perf_counter() - pairs_start
         used[startrow:stop] = X
         for row in X:
             margin = 0.0
@@ -463,7 +513,13 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
                 theta[k] += w * row[k]
 
     theta_arr = np.asarray(theta)
+    solved = time.perf_counter()
     final_log_pl = log_pl(theta_arr, used)
+    stages = {
+        "pairs_s": pairs_s,
+        "solver_s": solved - loop_start - pairs_s,
+        "log_pl_s": time.perf_counter() - solved,
+    }
     return PleResult(
         theta=theta_arr,
         log_pl=final_log_pl,
@@ -474,6 +530,7 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
         converged=None,
         method="ple-sgd",
         iterations=config.n_iters,
+        stages=stages,
     )
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mimm import cli, core, gaussian, ple
+from mimm.exceptions import NoSolutionFoundError
 
 
 def run_cli(*argv):
@@ -145,6 +146,19 @@ class TestFit:
         assert result["config"]["max_epochs"] == 3
         assert 1 <= result["iterations"] <= 3
         assert result["grad_norm"] >= 0.0 and isinstance(result["converged"], bool)
+
+    def test_result_reports_stage_times(self, workspace):
+        out = workspace["tmp"] / "stages.json"
+        rc, _ = run_cli(
+            "fit", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]),
+            "--estimator", "ple-naive", "--out", str(out),
+        )
+        assert rc == 0
+        result = json.loads(out.read_text())
+        stages = result["stages"]
+        assert set(stages) == {"pairs_s", "solver_s", "log_pl_s"}
+        assert all(v >= 0.0 for v in stages.values())
+        assert sum(stages.values()) <= result["wall_time_s"]
 
     def test_sgd_result_has_null_convergence(self, workspace):
         out = workspace["tmp"] / "sgd.json"
@@ -408,6 +422,50 @@ class TestBenchmark:
         assert rc == 0
         rows = (prefix.parent / "bench_var.csv").read_text().splitlines()[1:]
         assert all(row.split(",")[6] == '"ok"' for row in rows)
+
+    @staticmethod
+    def one_cell_manifest(path):
+        path.write_text(
+            json.dumps(
+                {
+                    "seed": 3,
+                    "repetitions": 1,
+                    "cells": [
+                        {
+                            "label": "AR(1)",
+                            "model": {"kind": "ar", "phi": [0.5], "sigma2": 0.5},
+                            "n": 100,
+                            "estimators": ["ple-bipartition"],
+                        }
+                    ],
+                }
+            )
+        )
+        return path
+
+    def test_numerical_failure_becomes_failed_row(self, workspace, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NoSolutionFoundError("no maximizer")
+
+        monkeypatch.setattr(ple, "fit_bipartition", fail)
+        man = self.one_cell_manifest(workspace["tmp"] / "man_fail.json")
+        prefix = workspace["tmp"] / "bench_fail"
+        rc, _ = run_cli("benchmark", "--manifest", str(man), "--out", str(prefix))
+        assert rc == 0
+        row = (prefix.parent / "bench_fail.csv").read_text().splitlines()[1]
+        assert "failed: no maximizer" in row
+
+    def test_programming_error_is_not_a_failed_row(self, workspace, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(ple, "fit_bipartition", broken)
+        man = self.one_cell_manifest(workspace["tmp"] / "man_bug.json")
+        prefix = workspace["tmp"] / "bench_bug"
+        # uncaught, so the process exits non-zero with the traceback
+        with pytest.raises(TypeError, match="bad call"):
+            run_cli("benchmark", "--manifest", str(man), "--out", str(prefix))
+        assert not (prefix.parent / "bench_bug.csv").exists()
 
 
 class TestVerify:

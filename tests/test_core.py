@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimm import core
 from mimm.exceptions import (
@@ -246,6 +248,107 @@ class TestSwapDelta:
         for i in range(len(lo)):
             scalar = core.swap_delta(spec, series, int(lo[i]), int(hi[i]))
             np.testing.assert_allclose(batch[i], scalar, atol=1e-12)
+
+
+@st.composite
+def random_specs(draw):
+    """Specs with d in {1, 2, 3}, p in {1, 2} and exponents 1-3.  Each term
+    has a lag-0 factor plus up to two more anywhere in the window, so terms
+    may hold several components at one lag, skip lags or use lag 0 only;
+    one lag-0-only term and one term with two components at one lag are
+    added on request."""
+    d = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 2))
+    comps, exps = st.integers(0, p - 1), st.integers(1, 3)
+    factor = st.tuples(st.integers(0, d), comps, exps)
+    terms = [
+        core.MonomialTerm(((0, c, e), *rest))
+        for c, e, rest in draw(
+            st.lists(st.tuples(comps, exps, st.lists(factor, max_size=2)), min_size=1, max_size=4)
+        )
+    ]
+    if draw(st.booleans()):
+        terms.append(core.MonomialTerm(((0, draw(comps), draw(exps)),)))
+    if draw(st.booleans()):
+        lag = draw(st.integers(1, d))
+        factors = ((0, 0, draw(exps)), (lag, 0, draw(exps)), (lag, p - 1, draw(exps)))
+        terms.append(core.MonomialTerm(factors))
+    return core.DependenceSpec(order=d, dim=p, terms=tuple(terms))
+
+
+@st.composite
+def kron_binary_specs(draw):
+    """``kron_spec`` on two components; column 0 of the series is binary."""
+    d = draw(st.integers(1, 3))
+    block = st.tuples(st.integers(1, d), st.integers(1, 3), st.integers(1, 3))
+    blocks = draw(st.lists(block, min_size=1, max_size=3))
+    return core.kron_spec(2, blocks)
+
+
+@st.composite
+def swap_batches(draw, specs):
+    """A spec, a series and pairs that include adjacent (gap 1), near
+    (gap d) and far (gap > d) swaps alongside random ones."""
+    spec = draw(specs)
+    d = spec.order
+    n = draw(st.integers(2 * d + 2, 2 * d + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # values in [-1.5, 1.5] keep the largest monomial (a ninth power) near
+    # 40, so the 1e-12 tolerance is ~100 ulps of a summand
+    data = rng.uniform(-1.5, 1.5, size=(n, spec.dim))
+    kinds = ["real"] * spec.dim
+    if spec.dim == 2 and draw(st.booleans()):
+        data[:, 0] = rng.integers(0, 2, size=n)
+        kinds[0] = "binary"
+    series = core.TimeSeries(data, kinds=kinds)
+    lo, hi = d, n - d  # interior [lo, hi)
+    pairs = draw(st.lists(st.tuples(st.integers(lo, hi - 1), st.integers(lo, hi - 1)), max_size=40))
+    pairs = [(a, b) for a, b in pairs if a != b]
+    for gap in (1, d, d + 1, hi - lo - 1):
+        if 1 <= gap < hi - lo:
+            start = draw(st.integers(lo, hi - 1 - gap))
+            pairs.append((start, start + gap))
+    s1 = np.array([min(a, b) for a, b in pairs])
+    s2 = np.array([max(a, b) for a, b in pairs])
+    return spec, series, s1, s2
+
+
+class TestSwapDeltasAgainstScalar:
+    """The factored batch path against the direct scalar re-evaluation of
+    the at most 2(d + 1) affected windows."""
+
+    @staticmethod
+    def check(spec, series, s1, s2):
+        batch = core.swap_deltas(spec, series, s1, s2)
+        assert batch.shape == (len(s1), spec.n_terms)
+        for i in range(len(s1)):
+            scalar = core.swap_delta(spec, series, int(s1[i]), int(s2[i]))
+            assert np.all(np.abs(batch[i] - scalar) <= 1e-12 * (1.0 + np.abs(scalar)))
+        single = core.swap_deltas(spec, series, int(s1[-1]), int(s2[-1]))
+        assert single.shape == (1, spec.n_terms)
+        scalar = core.swap_delta(spec, series, int(s1[-1]), int(s2[-1]))
+        assert np.all(np.abs(single[0] - scalar) <= 1e-12 * (1.0 + np.abs(scalar)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(swap_batches(random_specs()))
+    def test_random_specs(self, case):
+        self.check(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(swap_batches(kron_binary_specs()))
+    def test_kron_specs_with_binary_column(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("s1, s2", [([3, 5], [4, 5]), ([3, 6], [4, 5]), ([1], [4]), ([3], [6])])
+    def test_boundary_violations(self, s1, s2):
+        series = core.TimeSeries(np.arange(8.0))
+        with pytest.raises(BoundaryViolationError):
+            core.swap_deltas(core.ar_spec(2), series, s1, s2)
+
+    def test_empty_batch(self):
+        series = core.TimeSeries(np.arange(10.0))
+        out = core.swap_deltas(core.ar_spec(2), series, [], [])
+        assert out.shape == (0, 2)
 
 
 class TestKronSpec:

@@ -3,6 +3,7 @@ information criteria."""
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -134,8 +135,9 @@ class TestFitNaive:
         assert np.all(diffs >= -1e-12)
 
     def test_damped_steps_keep_the_objective_monotone(self, monkeypatch):
-        # heavy-tailed data with cubic monomials: some full Newton steps pass
-        # the maximum along their direction and the line search halves them
+        # a near-unit-root series with cubic monomials: theta runs to ~300,
+        # a full Newton step passes the maximum along its direction and the
+        # line search halves it
         spec = core.DependenceSpec(
             order=1,
             dim=1,
@@ -145,14 +147,17 @@ class TestFitNaive:
                 core.MonomialTerm(((0, 0, 1), (1, 0, 3))),
             ),
         )
-        series = core.TimeSeries(3.0 * np.random.default_rng(64).standard_t(2, size=20))
+        series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.97], 0.1), 16, seed=29)
         calls = []
         log_pl = ple.log_pl
-        monkeypatch.setattr(ple, "log_pl", lambda *args: calls.append(1) or log_pl(*args))
+        monkeypatch.setattr(ple, "log_pl", lambda *args: calls.append(log_pl(*args)) or calls[-1])
         fit = ple.fit_naive(spec, series, ple.GdConfig(track_objective=True))
         assert fit.converged
         # one objective per trace entry; anything beyond is the line search
         assert len(calls) > len(fit.objective_trace)
+        # ... and it rejected a step well below the optimum, not roundoff there
+        rejected = [v for v in calls if v not in fit.objective_trace]
+        assert min(rejected) < fit.objective_trace[-1] - 1.0
         assert np.all(np.diff(np.asarray(fit.objective_trace)) >= -1e-12)
 
     def test_streamed_fit_pass_count(self, monkeypatch):
@@ -296,6 +301,37 @@ class TestTelemetry:
         assert fit.iterations == 500
         record = json.loads(json.dumps(fit.to_dict()))
         assert record["converged"] is None and record["iterations"] == 500
+
+    def test_stages_are_nonnegative_and_within_wall_time(self):
+        series = gaussian.simulate_ar(AR1, 200, seed=20)
+        fits = [
+            ple.fit_naive(SPEC1, series),
+            ple.fit_naive(SPEC1, series, ple.GdConfig(materialize_limit=0, chunk_pairs=3000)),
+            ple.fit_bipartition(SPEC1, series, seed=1),
+            ple.fit_pairs(SPEC1, series, *ple.spaced_matching(200, 1, seed=2)),
+            ple.fit_online_sgd(SPEC1, series, ple.SgdConfig(n_iters=500, seed=3)),
+        ]
+        for fit in fits:
+            assert set(fit.stages) == {"pairs_s", "solver_s", "log_pl_s"}
+            assert all(v >= 0.0 for v in fit.stages.values())
+            assert sum(fit.stages.values()) <= fit.wall_time_s
+            assert json.loads(json.dumps(fit.to_dict()))["stages"] == fit.stages
+
+    def test_streamed_pair_time_is_summed_over_passes(self, monkeypatch):
+        series = gaussian.simulate_ar(AR1, 60, seed=17)
+        calls = []
+        swap_deltas = ple.swap_deltas
+
+        def slow(*args):
+            calls.append(1)
+            time.sleep(0.005)
+            return swap_deltas(*args)
+
+        monkeypatch.setattr(ple, "swap_deltas", slow)
+        cfg = ple.GdConfig(max_epochs=2, materialize_limit=0, chunk_pairs=400)
+        fit = ple.fit_naive(SPEC1, series, cfg)
+        assert fit.stages["pairs_s"] >= 0.005 * len(calls)
+        assert sum(fit.stages.values()) <= fit.wall_time_s
 
 
 class TestFitBipartition:
