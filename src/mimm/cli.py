@@ -211,6 +211,8 @@ def _run_estimator(estimator, series, spec, conf, seed):
             "acceptance_rate": fit.final_acceptance_rate,
             "converged": fit.converged,
             "score_norm_trace": list(fit.score_norm_trace),
+            "n_steps": fit.n_steps,
+            "stages": fit.stages,
             "_mcle_result": fit,
         }
         return fit.theta, extras
@@ -295,13 +297,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if conf["diagnostics"] and mcle_result is not None:
         with open(conf["diagnostics"], "w", encoding="utf-8") as fh:
             K = len(mcle_result.theta)
-            head = ["iter"] + [f"theta_{k}" for k in range(K)] + ["score_norm", "acceptance_rate"]
+            head = ["iter"] + [f"theta_{k}" for k in range(K)]
+            head += ["score_norm", "acceptance_rate", "ess", "split_rhat"]
             fh.write(",".join(head) + "\n")
-            for i, (th, sn, ac) in enumerate(
-                zip(mcle_result.theta_trace, mcle_result.score_norm_trace, mcle_result.acceptance_trace),
-                start=1,
-            ):
-                row = [str(i)] + [repr(v) for v in th] + [repr(sn), repr(ac)]
+            traces = zip(
+                mcle_result.theta_trace,
+                mcle_result.score_norm_trace,
+                mcle_result.acceptance_trace,
+                mcle_result.ess_trace,
+                mcle_result.split_rhat_trace,
+            )
+            for i, (th, sn, ac, ess, rhat) in enumerate(traces, start=1):
+                # the worst statistic: smallest ESS, largest split-R-hat (nan if any is)
+                row = [str(i)] + [repr(v) for v in th] + [repr(sn), repr(ac), repr(float(np.min(ess))), repr(float(np.max(rhat)))]
                 fh.write(",".join(row) + "\n")
 
     _write_json(conf["out"], result)
@@ -755,6 +763,37 @@ def _check_swap_deltas_batch() -> CheckResult:
     return CheckResult("swap_deltas_batch", worst < 1e-12, worst, 1e-12)
 
 
+def _check_exchange_step_factored() -> CheckResult:
+    """The exchange sampler's factored far-pair step against the scalar
+    window re-evaluation under a permuted ordering, on AR(2) and on a
+    binary/real kron spec."""
+    rng = np.random.default_rng(9)
+    n = 40
+    mixed = np.column_stack([rng.integers(0, 2, size=n), rng.standard_normal(n)])
+    cases = (
+        (core.ar_spec(2), core.TimeSeries(rng.standard_normal(n))),
+        (
+            core.kron_spec(2, [(1, 1, 1), (2, 2, 1), (2, 1, 2)]),
+            core.TimeSeries(mixed, kinds=("binary", "real")),
+        ),
+    )
+    worst = 0.0
+    for spec, series in cases:
+        d, table = spec.order, spec._table
+        keys = [k for k, _, _ in table.scalar_plan[1]]
+        order = np.concatenate([np.arange(d), d + rng.permutation(n - 2 * d), np.arange(n - d, n)])
+        powers = list(map(tuple, table.powers(series.data[order]).tolist()))
+        for _ in range(30):
+            s1 = int(rng.integers(d, n - 2 * d - 1))
+            s2 = int(rng.integers(s1 + d + 1, n - d))
+            factored = np.zeros(spec.n_terms)
+            np.add.at(factored, keys, core._far_swap_terms(table.scalar_plan, powers, s1, s2))
+            scalar = core.swap_delta(spec, series, s1, s2, order=order)
+            err = np.abs(factored - scalar) / (1.0 + np.abs(scalar))
+            worst = max(worst, float(err.max()))
+    return CheckResult("exchange_step_factored", worst < 1e-12, worst, 1e-12)
+
+
 def _check_multilinearity() -> CheckResult:
     rng = np.random.default_rng(5)
     spec = core.DependenceSpec(
@@ -974,6 +1013,7 @@ def run_verify_checks(riccati_rtol: float = 1e-13):
     yield _check_divergence_nonneg()
     yield _check_swap_recompute()
     yield _check_swap_deltas_batch()
+    yield _check_exchange_step_factored()
     yield _check_multilinearity()
     yield _check_reversal()
     yield _check_remainder_invariance()

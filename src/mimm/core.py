@@ -22,7 +22,9 @@ products of its other factors, read off the neighbours of ``i``.  When
 
 with ``S`` and ``Phi`` tabulated once per position instead of gathered once
 per pair.  The O(m d) near pairs re-evaluate their at most 2d + 1 windows
-directly.
+directly.  The exchange sampler, one pair at a time under a changing
+ordering, sums ``S`` for the two positions on the fly instead
+(:func:`_far_swap_terms`).
 
 All containers are immutable after construction and safe to share across
 threads; every operation is a pure function.  Statistic summation relies on
@@ -254,6 +256,20 @@ class MonomialTable:
         self.owns = tuple(owns)
         self.groups = tuple(groups)
 
+    @functools.cached_property
+    def scalar_plan(self):
+        """The factored swap delta for one pair at a time: ``(owns,
+        groups)`` with ``owns[j]`` the power columns of own product j and
+        ``groups[g] = (k, j, slots)``, each slot a tuple of (offset, power
+        column) factors read at position i + offset (see
+        :func:`_far_swap_terms`)."""
+        owns = tuple(tuple(q for _, q in own) for own in self.owns)
+        groups = tuple(
+            (k, j, tuple(tuple((lag - l, q) for l, q in rest) for lag, rest in slots))
+            for k, j, slots in self.groups
+        )
+        return owns, groups
+
     def powers(self, values: np.ndarray) -> np.ndarray:
         """Power columns of the values: (..., p) -> (..., Q)."""
         out = values[..., self.comps]
@@ -434,10 +450,11 @@ def _affected_windows(d: int, s1: int, s2: int):
 def _swap_delta_rows(rows, order, d, terms, s1, s2):
     """Scalar-path swap delta on tuple rows.
 
-    ``rows`` is the cached tuple view of the data, ``order`` a list mapping
+    ``rows`` is a sequence of data rows (tuples), ``order`` a list mapping
     position -> data index (or None for identity).  Returns the list
-    H(swapped) - H(current) re-evaluating only affected windows.  Shared by
-    the public wrapper, the pair statistics, and the exchange sampler.
+    H(swapped) - H(current) re-evaluating only affected windows.  Behind the
+    public wrapper (the oracle of every faster path) and the exchange
+    sampler's near pairs, which it gets with ``rows`` already permuted.
     """
     if order is None:
         i1, i2 = s1, s2
@@ -469,6 +486,41 @@ def _swap_delta_rows(rows, order, d, terms, s1, s2):
                     after *= swapped[comp] ** exp
             delta[k] += after - before
     return delta
+
+
+def _far_swap_terms(plan, powers, s1, s2):
+    """Factored swap delta of one far pair (s2 - s1 > d), per group of
+    ``plan`` (:attr:`MonomialTable.scalar_plan`):
+    ``(S_g(s1) - S_g(s2)) * (Phi_g(x_{s2}) - Phi_g(x_{s1}))``, to be added
+    to the statistic of group g's term.
+
+    ``powers[i]`` is the power row of the value at position i of the
+    current ordering.  ``S_g`` is summed on the fly from the neighbours'
+    rows, so a swap costs one list exchange and no table update.  The
+    reverse swap negates ``Phi_g`` exactly and leaves ``S_g`` alone, so its
+    terms are the exact negatives of the forward ones.
+    """
+    owns, groups = plan
+    r1, r2 = powers[s1], powers[s2]
+    dphi = []
+    for qs in owns:
+        a = b = 1.0
+        for q in qs:
+            a *= r1[q]
+            b *= r2[q]
+        dphi.append(b - a)
+    out = []
+    for _, j, slots in groups:
+        S1 = S2 = 0.0
+        for factors in slots:
+            u = v = 1.0
+            for off, q in factors:
+                u *= powers[s1 + off][q]
+                v *= powers[s2 + off][q]
+            S1 += u
+            S2 += v
+        out.append((S1 - S2) * dphi[j])
+    return out
 
 
 def _term_factor_tuples(spec: DependenceSpec):

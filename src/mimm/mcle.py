@@ -10,17 +10,34 @@ the chain's moment estimates of the sufficient statistic.
 One chain is strictly sequential; independent chains with different seeds
 may run in parallel.  Fisher scoring consumes one chain per iteration, with
 per-sample statistics retained instead of permutations (memory O(L K)).
+
+Each step is scalar Python, so its cost is interpreter overhead per
+proposal.  A far pair (s2 - s1 > d) takes the factored form of
+:mod:`mimm.core` with the neighbour sums ``S_g`` read on the fly from the
+power rows of the current ordering, and an accepted swap exchanges two
+rows; a near pair re-evaluates its windows directly.  Both give the swap
+delta of the direct path to rounding, so the chain makes the same moves.
+Every chain reports its effective sample size and split-R-hat per
+statistic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DependenceSpec, TimeSeries, _swap_delta_rows, _term_factor_tuples, total_statistic
+from .core import (
+    DependenceSpec,
+    TimeSeries,
+    _far_swap_terms,
+    _swap_delta_rows,
+    _term_factor_tuples,
+    total_statistic,
+)
 from .exceptions import (
     IllConditionedError,
     InsufficientInteriorError,
@@ -34,6 +51,8 @@ __all__ = [
     "ExchangeResult",
     "McleResult",
     "log_ratio_swap",
+    "effective_sample_size",
+    "split_rhat",
     "exchange_sample",
     "fisher_scoring",
 ]
@@ -109,15 +128,94 @@ class ScoringConfig:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
 
 
+def effective_sample_size(samples) -> np.ndarray:
+    """Effective sample size of each column of a chain, shape (L, K) or (L,)
+    -> (K,), by Geyer's initial monotone sequence estimator (Statist. Sci.
+    7:473, 1992).
+
+    The autocorrelations rho_t come from one FFT per column.  Their adjacent
+    pair sums rho_2m + rho_2m+1 are kept up to the first one that is not
+    positive and made non-increasing; with tau = -1 + 2 * (their sum), the
+    effective size is L / tau.  As in Stan, tau is floored at 1 / log10(L),
+    which keeps an antithetic chain (negative rho_1, as in a chain that
+    alternates between two states) finite and positive.  A constant
+    column, or a chain of fewer than 4 samples, gives nan.
+    """
+    x = np.asarray(samples, dtype=float).reshape(len(samples), -1)
+    L, K = x.shape
+    out = np.full(K, np.nan)
+    if L < 4:
+        return out
+    # at least 2L - 1 points, so the circular correlation does not wrap
+    # around; rounded up to a multiple of 2^(bits - 4), so the length has
+    # small factors (fast) while padding by at most 1/8, not the up to 2x of
+    # the next power of two
+    step = 1 << max(0, (2 * L - 1).bit_length() - 4)
+    size = -(-(2 * L - 1) // step) * step
+    f = np.fft.rfft(x - x.mean(axis=0), n=size, axis=0)
+    acov = np.fft.irfft(f.real**2 + f.imag**2, n=size, axis=0)[: L - L % 2]
+    for k in range(K):
+        if x[:, k].min() == x[:, k].max():
+            continue
+        pairs = (acov[:, k] / acov[0, k]).reshape(-1, 2).sum(axis=1)
+        stop = np.flatnonzero(pairs <= 0.0)
+        if stop.size:
+            pairs = pairs[: stop[0]]
+        tau = -1.0 + 2.0 * np.minimum.accumulate(pairs).sum()
+        out[k] = L / max(tau, 1.0 / math.log10(L))
+    return out
+
+
+def split_rhat(samples) -> np.ndarray:
+    """Split potential scale reduction of each column of a chain, shape
+    (L, K) or (L,) -> (K,): the Gelman-Rubin statistic (Statist. Sci. 7:457,
+    1992) of the chain's first and second halves (the middle sample of an
+    odd-length chain is dropped).  Near 1 when the halves agree; a chain
+    still drifting reads above 1.  A column constant within both halves,
+    or a chain of fewer than 4 samples, gives nan (inf when the two
+    constants differ).
+    """
+    x = np.asarray(samples, dtype=float).reshape(len(samples), -1)
+    h = len(x) // 2
+    if h < 2:
+        return np.full(x.shape[1], np.nan)
+    halves = np.stack([x[:h], x[len(x) - h :]])
+    within = halves.var(axis=1, ddof=1).mean(axis=0)
+    between = halves.mean(axis=1).var(axis=0, ddof=1)  # B / h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sqrt(((h - 1) / h * within + between) / within)
+
+
 @dataclass(frozen=True, eq=False)
 class ExchangeResult:
+    """One exchange chain; ``ess`` and ``split_rhat`` are its per-statistic
+    mixing diagnostics (:func:`effective_sample_size`, :func:`split_rhat`),
+    computed on first access."""
+
     stats: np.ndarray  # (L, K) sufficient statistics of the sampled orderings
     acceptance_rate: float
     n_steps: int
 
+    @functools.cached_property
+    def ess(self) -> np.ndarray:
+        return effective_sample_size(self.stats)
+
+    @functools.cached_property
+    def split_rhat(self) -> np.ndarray:
+        return split_rhat(self.stats)
+
 
 @dataclass(frozen=True, eq=False)
 class McleResult:
+    """Fisher-scoring summary.  The traces hold one entry per iteration;
+    ``ess_trace`` and ``split_rhat_trace`` give the chain's per-statistic
+    diagnostics (nan when the moments came from ``moment_fn``).
+    ``n_steps`` counts the MH steps of all chains.  ``stages`` gives seconds
+    spent obtaining the moments (``sampler_s``: the chains, or
+    ``moment_fn``), computing the chain diagnostics (``diagnostics_s``) and
+    in the scoring updates (``solve_s``: moments, covariance and the linear
+    solve); the rest of ``wall_time_s`` is set-up."""
+
     theta: np.ndarray
     iterations: int
     final_acceptance_rate: float
@@ -126,6 +224,10 @@ class McleResult:
     acceptance_trace: tuple[float, ...]
     converged: bool
     wall_time_s: float
+    n_steps: int = 0
+    stages: dict[str, float] | None = None
+    ess_trace: tuple[tuple[float, ...], ...] = ()
+    split_rhat_trace: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self):
         if not (0.0 <= self.final_acceptance_rate <= 1.0):
@@ -172,6 +274,11 @@ def exchange_sample(
     statistic of the current ordering is recorded every ``thin`` steps (the
     statistic, not the permutation, is retained).  The acceptance rate is
     reported over all proposals including burn-in.
+
+    A far pair (s2 - s1 > d) takes the factored step
+    (:func:`core._far_swap_terms`) on the power rows of the current
+    ordering; a near pair re-evaluates its windows on the permuted data
+    rows (:func:`core._swap_delta_rows`).
     """
     theta = _validate_theta(spec, theta)
     d = spec.order
@@ -184,58 +291,60 @@ def exchange_sample(
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
-    rows = series.rows()
+    table = spec._table
+    plan = table.scalar_plan
     terms = _term_factor_tuples(spec)
     K = spec.n_terms
     th = [float(v) for v in theta]
-    order = list(range(n))
+    group_k = [k for k, _, _ in plan[1]]
+    group_th = [th[k] for k in group_k]
+    every_k = range(K)
+    # data row and power row at each position of the current ordering
+    rows = list(series.rows())
+    powers = list(map(tuple, table.powers(series.data).tolist()))
     current = [float(v) for v in total_statistic(spec, series)]
 
     burn = config.effective_burn_in
     total_steps = burn + config.n_samples * config.thin
-    stats = np.empty((config.n_samples, K))
+    recorded: list[float] = []  # the recorded statistics, row after row
+    next_record = burn + config.thin  # step count at the next record
     accepted = 0
-    recorded = 0
+    for first in range(0, total_steps, _PROPOSAL_BLOCK):
+        block_a = rng.integers(0, m, size=_PROPOSAL_BLOCK).tolist()
+        block_b = rng.integers(0, m - 1, size=_PROPOSAL_BLOCK).tolist()
+        block_logu = np.log(rng.random(size=_PROPOSAL_BLOCK)).tolist()
+        steps = range(first + 1, min(first + _PROPOSAL_BLOCK, total_steps) + 1)
+        for step, a, b, logu in zip(steps, block_a, block_b, block_logu):
+            if b >= a:
+                b += 1
+            s1, s2 = (a + d, b + d) if a < b else (b + d, a + d)
+            if s2 - s1 > d:
+                parts = _far_swap_terms(plan, powers, s1, s2)
+                weights, keys = group_th, group_k
+            else:
+                parts = _swap_delta_rows(rows, None, d, terms, s1, s2)
+                weights, keys = th, every_k
+            logr = 0.0
+            for w, v in zip(weights, parts):
+                logr += w * v
+            if logu <= logr:
+                for k, v in zip(keys, parts):
+                    current[k] += v
+                rows[s1], rows[s2] = rows[s2], rows[s1]
+                powers[s1], powers[s2] = powers[s2], powers[s1]
+                accepted += 1
 
-    block_a = block_b = block_logu = None
-    block_pos = _PROPOSAL_BLOCK  # force refill on first step
-    for step in range(total_steps):
-        if block_pos == _PROPOSAL_BLOCK:
-            block_a = rng.integers(0, m, size=_PROPOSAL_BLOCK)
-            block_b = rng.integers(0, m - 1, size=_PROPOSAL_BLOCK)
-            block_logu = np.log(rng.random(size=_PROPOSAL_BLOCK))
-            block_pos = 0
-        a = block_a[block_pos]
-        b = block_b[block_pos]
-        logu = block_logu[block_pos]
-        block_pos += 1
-        if b >= a:
-            b += 1
-        s1, s2 = (a, b) if a < b else (b, a)
-        s1 += d
-        s2 += d
-
-        delta = _swap_delta_rows(rows, order, d, terms, s1, s2)
-        logr = 0.0
-        for k in range(K):
-            logr += th[k] * delta[k]
-        if logu <= logr:
-            order[s1], order[s2] = order[s2], order[s1]
-            for k in range(K):
-                current[k] += delta[k]
-            accepted += 1
-
-        if (step + 1) % _RECOMPUTE_EVERY == 0:
-            permuted = TimeSeries(series.data[order], kinds=series.kinds)
-            current = [float(v) for v in total_statistic(spec, permuted)]
-
-        offset = step + 1 - burn
-        if offset >= 1 and offset % config.thin == 0 and recorded < config.n_samples:
-            stats[recorded] = current
-            recorded += 1
+            if step % _RECOMPUTE_EVERY == 0:
+                permuted = TimeSeries(rows, kinds=series.kinds)
+                current = [float(v) for v in total_statistic(spec, permuted)]
+            if step == next_record:
+                recorded.extend(current)
+                next_record += config.thin
 
     return ExchangeResult(
-        stats=stats, acceptance_rate=accepted / total_steps, n_steps=total_steps
+        stats=np.array(recorded).reshape(config.n_samples, K),
+        acceptance_rate=accepted / total_steps,
+        n_steps=total_steps,
     )
 
 
@@ -268,25 +377,40 @@ def fisher_scoring(
     score_norms: list[float] = []
     thetas: list[tuple[float, ...]] = []
     acc_rates: list[float] = []
+    ess_trace: list[tuple[float, ...]] = []
+    rhat_trace: list[tuple[float, ...]] = []
     converged = False
     damping = scoring_config.step_damping
     prev_norm = math.inf
     h_scale = 1.0 + float(np.linalg.norm(h_obs))
     iterations = 0
+    n_steps = 0
+    stages = {"sampler_s": 0.0, "diagnostics_s": 0.0, "solve_s": 0.0}
 
     for _ in range(scoring_config.max_iters):
         iterations += 1
+        tick = time.perf_counter()
         if moment_fn is not None:
             mu, cov = moment_fn(theta)
+            sampled = diagnosed = time.perf_counter()
             mu = np.asarray(mu, dtype=float)
             cov = np.atleast_2d(np.asarray(cov, dtype=float))
             acc = 1.0
+            ess_trace.append((math.nan,) * K)
+            rhat_trace.append((math.nan,) * K)
         else:
             chain = exchange_sample(spec, series, theta, exchange_config, rng=rng)
+            sampled = time.perf_counter()
+            ess_trace.append(tuple(float(v) for v in chain.ess))
+            rhat_trace.append(tuple(float(v) for v in chain.split_rhat))
+            diagnosed = time.perf_counter()
+            n_steps += chain.n_steps
             mu = chain.stats.mean(axis=0)
             centered = chain.stats - mu
             cov = centered.T @ centered / len(chain.stats)
             acc = chain.acceptance_rate
+        stages["sampler_s"] += sampled - tick
+        stages["diagnostics_s"] += diagnosed - sampled
 
         score = h_obs - mu
         snorm = float(np.linalg.norm(score))
@@ -296,6 +420,7 @@ def fisher_scoring(
 
         if snorm < scoring_config.grad_tol * h_scale:
             converged = True
+            stages["solve_s"] += time.perf_counter() - diagnosed
             break
 
         ridge = scoring_config.ridge
@@ -321,6 +446,7 @@ def fisher_scoring(
             damping = min(scoring_config.step_damping, damping * 1.5)
         theta = theta + damping * step
         prev_norm = snorm
+        stages["solve_s"] += time.perf_counter() - diagnosed
 
     return McleResult(
         theta=theta,
@@ -331,4 +457,8 @@ def fisher_scoring(
         acceptance_trace=tuple(acc_rates),
         converged=converged,
         wall_time_s=time.perf_counter() - start,
+        n_steps=n_steps,
+        stages=stages,
+        ess_trace=tuple(ess_trace),
+        split_rhat_trace=tuple(rhat_trace),
     )

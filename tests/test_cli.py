@@ -112,9 +112,15 @@ class TestFit:
         assert rc == 0
         result = json.loads(out.read_text())
         assert 0.0 <= result["acceptance_rate"] <= 1.0
+        assert result["n_steps"] == result["iterations"] * (2000 + 200)
+        assert set(result["stages"]) == {"sampler_s", "diagnostics_s", "solve_s"}
+        assert sum(result["stages"].values()) <= result["wall_time_s"]
         lines = diag.read_text().splitlines()
-        assert lines[0] == "iter,theta_0,score_norm,acceptance_rate"
+        assert lines[0] == "iter,theta_0,score_norm,acceptance_rate,ess,split_rhat"
         assert len(lines) == result["iterations"] + 1
+        for line in lines[1:]:
+            ess, rhat = (float(v) for v in line.split(",")[-2:])
+            assert ess > 0.0 and rhat > 0.0
 
     @pytest.mark.parametrize(
         "estimator, flag",

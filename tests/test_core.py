@@ -351,6 +351,75 @@ class TestSwapDeltasAgainstScalar:
         assert out.shape == (0, 2)
 
 
+@st.composite
+def permuted_swaps(draw, specs):
+    """A swap batch (as :func:`swap_batches`) on a random interior
+    permutation of the series."""
+    spec, series, s1, s2 = draw(swap_batches(specs))
+    d, n = spec.order, series.n
+    order = np.arange(n)
+    order[d : n - d] = d + np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(n - 2 * d)
+    return spec, series, order, s1, s2
+
+
+def _weighted_sum(weights, parts):
+    """theta . delta summed term by term, as the exchange sampler does."""
+    total = 0.0
+    for w, v in zip(weights, parts):
+        total += w * v
+    return total
+
+
+class TestExchangeStepAgainstScalar:
+    """The exchange sampler's swap step on a permuted ordering against
+    ``swap_delta(order=...)``: the factored scalar step for far pairs, the
+    direct re-evaluation of the permuted rows for near ones."""
+
+    @staticmethod
+    def check(spec, series, order, s1, s2):
+        d, K = spec.order, spec.n_terms
+        plan = spec._table.scalar_plan
+        keys = [k for k, _, _ in plan[1]]
+        weights = [float(w) for w in np.linspace(-1.0, 1.5, K)]
+        group_weights = [weights[k] for k in keys]
+        powers = list(map(tuple, spec._table.powers(series.data[order]).tolist()))
+        rows = [series.rows()[i] for i in order]
+        terms = core._term_factor_tuples(spec)
+        for a, b in zip(s1.tolist(), s2.tolist()):
+            scalar = core.swap_delta(spec, series, a, b, order=order)
+            if b - a <= d:
+                near = core._swap_delta_rows(rows, None, d, terms, a, b)
+                np.testing.assert_array_equal(near, scalar)
+                continue
+            forward = core._far_swap_terms(plan, powers, a, b)
+            step = np.zeros(K)
+            np.add.at(step, keys, forward)
+            assert np.all(np.abs(step - scalar) <= 1e-12 * (1.0 + np.abs(scalar)))
+            powers[a], powers[b] = powers[b], powers[a]
+            reverse = core._far_swap_terms(plan, powers, a, b)
+            powers[a], powers[b] = powers[b], powers[a]
+            assert all(r == -f for f, r in zip(forward, reverse))
+            assert _weighted_sum(group_weights, reverse) == -_weighted_sum(group_weights, forward)
+
+    @settings(max_examples=60, deadline=None)
+    @given(permuted_swaps(random_specs()))
+    def test_random_specs(self, case):
+        self.check(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(permuted_swaps(kron_binary_specs()))
+    def test_kron_specs_with_binary_column(self, case):
+        self.check(*case)
+
+    def test_plan_is_compiled_once_per_spec(self):
+        spec = core.ar_spec(2)
+        assert spec._table.scalar_plan is spec._table.scalar_plan
+        owns, groups = spec._table.scalar_plan
+        # x_t * x_{t-k}: one own product x, read at the neighbours i -+ k
+        assert owns == ((0,),)
+        assert groups == ((0, 0, (((-1, 0),), ((1, 0),))), (1, 0, (((-2, 0),), ((2, 0),))))
+
+
 class TestKronSpec:
     def test_scalar_reduces_to_ar1(self):
         assert core.kron_spec(1, [(1, 1, 1)]) == core.ar_spec(1)

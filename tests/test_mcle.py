@@ -131,6 +131,140 @@ class TestExchangeSampler:
             assert np.min(np.abs(stats[:, 0] - value)) < 1e-9
 
 
+def reference_chain(spec, series, theta, config, rng):
+    """The exchange sampler with every step re-evaluated by the scalar
+    window path under a position -> data index map; returns the recorded
+    statistics and the accepted count."""
+    d, n = spec.order, series.n
+    m = n - 2 * d
+    rows = series.rows()
+    terms = core._term_factor_tuples(spec)
+    K = spec.n_terms
+    th = [float(v) for v in theta]
+    order = list(range(n))
+    current = [float(v) for v in core.total_statistic(spec, series)]
+    burn = config.effective_burn_in
+    total_steps = burn + config.n_samples * config.thin
+    stats = np.empty((config.n_samples, K))
+    accepted = recorded = 0
+    block = mcle._PROPOSAL_BLOCK
+    for step in range(total_steps):
+        if step % block == 0:
+            block_a = rng.integers(0, m, size=block)
+            block_b = rng.integers(0, m - 1, size=block)
+            block_logu = np.log(rng.random(size=block))
+        a, b, logu = block_a[step % block], block_b[step % block], block_logu[step % block]
+        if b >= a:
+            b += 1
+        s1, s2 = (a, b) if a < b else (b, a)
+        s1 += d
+        s2 += d
+        delta = core._swap_delta_rows(rows, order, d, terms, s1, s2)
+        logr = 0.0
+        for k in range(K):
+            logr += th[k] * delta[k]
+        if logu <= logr:
+            order[s1], order[s2] = order[s2], order[s1]
+            for k in range(K):
+                current[k] += delta[k]
+            accepted += 1
+        if (step + 1) % mcle._RECOMPUTE_EVERY == 0:
+            permuted = core.TimeSeries(series.data[order], kinds=series.kinds)
+            current = [float(v) for v in core.total_statistic(spec, permuted)]
+        offset = step + 1 - burn
+        if offset >= 1 and offset % config.thin == 0 and recorded < config.n_samples:
+            stats[recorded] = current
+            recorded += 1
+    return stats, accepted
+
+
+def _kron_binary_case():
+    rng = np.random.default_rng(21)
+    data = np.column_stack([rng.integers(0, 2, size=40), rng.standard_normal(40)])
+    series = core.TimeSeries(data, kinds=("binary", "real"))
+    spec = core.kron_spec(2, [(1, 1, 1), (2, 1, 2)])
+    return spec, series, 0.3 * rng.standard_normal(spec.n_terms)
+
+
+def _ar_case(phi, n, seed):
+    params = gaussian.ClassicalARParams(phi, 0.5)
+    series = gaussian.simulate_ar(params, n, seed=seed)
+    return core.ar_spec(len(phi)), series, gaussian.ard_to_mininfo(params).theta
+
+
+class TestChainEquivalence:
+    """Factored far-pair steps take the same accept/reject decisions as the
+    scalar reference chain, so the chains agree to rounding."""
+
+    @pytest.mark.parametrize(
+        "case, config",
+        [
+            (_ar_case([0.5], 60, 1), mcle.ExchangeConfig(n_samples=3000, seed=11)),
+            (_ar_case([0.5, 0.3], 60, 2), mcle.ExchangeConfig(n_samples=3000, seed=12)),
+            (_kron_binary_case(), mcle.ExchangeConfig(n_samples=2000, seed=13)),
+            (_ar_case([0.5], 40, 3), mcle.ExchangeConfig(n_samples=1500, burn_in=0, thin=3, seed=14)),
+            # 9900 steps: past the running-statistic refresh at 8192 and
+            # across two proposal-block boundaries
+            (_ar_case([0.5], 100, 4), mcle.ExchangeConfig(n_samples=9000, seed=15)),
+        ],
+        ids=["ar1", "ar2", "kron-binary", "thin3-no-burn-in", "long"],
+    )
+    def test_same_chain_as_scalar_reference(self, case, config):
+        spec, series, theta = case
+        ref_stats, ref_accepted = reference_chain(spec, series, theta, config, np.random.default_rng(config.seed))
+        res = mcle.exchange_sample(spec, series, theta, config)
+        assert res.n_steps == config.effective_burn_in + config.n_samples * config.thin
+        assert round(res.acceptance_rate * res.n_steps) == ref_accepted
+        assert 0 < ref_accepted < res.n_steps
+        assert res.stats.shape == ref_stats.shape
+        np.testing.assert_allclose(res.stats, ref_stats, rtol=0.0, atol=1e-9)
+
+
+def _ar1_sequence(rho, n, seed):
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(n)
+    x = np.empty(n)
+    x[0] = noise[0] / math.sqrt(1.0 - rho**2)
+    for t in range(1, n):
+        x[t] = rho * x[t - 1] + noise[t]
+    return x
+
+
+class TestChainDiagnostics:
+    def test_ess_of_ar1_sequence(self):
+        rho, n = 0.5, 20_000
+        ess = mcle.effective_sample_size(_ar1_sequence(rho, n, seed=3))
+        assert ess.shape == (1,)
+        assert ess[0] == pytest.approx(n * (1 - rho) / (1 + rho), rel=0.15)
+
+    def test_ess_per_column(self):
+        rng = np.random.default_rng(4)
+        x = np.column_stack([rng.standard_normal(5000), _ar1_sequence(0.9, 5000, seed=5), np.ones(5000)])
+        ess = mcle.effective_sample_size(x)
+        assert ess[0] == pytest.approx(5000, rel=0.15)
+        assert ess[1] < 0.1 * 5000
+        assert math.isnan(ess[2])
+        # too short to estimate: nan, not a division by log10(1) = 0
+        assert np.isnan(mcle.effective_sample_size(np.arange(3.0))).all()
+        assert np.isnan(mcle.split_rhat(np.arange(3.0))).all()
+
+    def test_split_rhat(self):
+        rng = np.random.default_rng(6)
+        stationary = rng.standard_normal(20_000)
+        trending = stationary + np.linspace(0.0, 3.0, 20_000)
+        rhat = mcle.split_rhat(np.column_stack([stationary, trending]))
+        assert rhat[0] == pytest.approx(1.0, abs=0.01)
+        assert rhat[1] > 1.1
+
+    def test_exchange_result_reports_diagnostics(self):
+        series = gaussian.simulate_ar(AR1, 60, seed=7)
+        res = mcle.exchange_sample(SPEC1, series, [1.0], mcle.ExchangeConfig(n_samples=4000, seed=8))
+        np.testing.assert_array_equal(res.ess, mcle.effective_sample_size(res.stats))
+        np.testing.assert_array_equal(res.split_rhat, mcle.split_rhat(res.stats))
+        assert 0.0 < res.ess[0] < 4000
+        assert np.isfinite(res.split_rhat[0]) and res.split_rhat[0] > 0.0
+
+
 class TestConfigs:
     def test_exchange_config_validation(self):
         with pytest.raises(ValueError):
@@ -195,3 +329,29 @@ class TestFisherScoring:
         assert 0.0 <= fit.final_acceptance_rate <= 1.0
         assert abs(fit.theta[0] - 1.0) < 0.8
         assert len(fit.score_norm_trace) == fit.iterations
+
+    def test_telemetry(self):
+        series = gaussian.simulate_ar(AR1, 80, seed=9)
+        config = mcle.ExchangeConfig(n_samples=1500, seed=10)
+        fit = mcle.fisher_scoring(
+            SPEC1, series, exchange_config=config, scoring_config=mcle.ScoringConfig(max_iters=4, grad_tol=1e-12)
+        )
+        assert fit.iterations == 4
+        assert fit.n_steps == 4 * (150 + 1500)
+        assert set(fit.stages) == {"sampler_s", "diagnostics_s", "solve_s"}
+        assert all(v >= 0.0 for v in fit.stages.values())
+        assert sum(fit.stages.values()) <= fit.wall_time_s
+        assert len(fit.ess_trace) == len(fit.split_rhat_trace) == 4
+        assert all(0.0 < ess[0] <= 1500 * math.log10(1500) for ess in fit.ess_trace)
+
+    def test_exact_moments_have_no_chain_telemetry(self):
+        series = gaussian.simulate_ar(AR1, 7, seed=5)
+        fit = mcle.fisher_scoring(
+            SPEC1,
+            series,
+            scoring_config=mcle.ScoringConfig(max_iters=3, grad_tol=1e-12),
+            moment_fn=lambda th: oracle.enumeration_moments(SPEC1, series, th),
+        )
+        assert fit.n_steps == 0
+        assert all(math.isnan(ess[0]) for ess in fit.ess_trace)
+        assert sum(fit.stages.values()) <= fit.wall_time_s
