@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import core, gaussian, mcle, oracle, ple
 from .exceptions import (
@@ -958,6 +959,28 @@ def _check_logpl_gradient() -> CheckResult:
     return CheckResult("logpl_gradient_fd", worst < 1e-6, worst, 1e-6)
 
 
+def _check_logistic_pass_blocked() -> CheckResult:
+    """The sliced Newton pass and log-PL over a pair matrix of three slices,
+    cut into two blocks, against the single-shot expit / logaddexp formulas;
+    sums are compared relative to the largest value they could take."""
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((2 * ple._SLICE_ROWS + 3, 3))
+    theta = rng.standard_normal(3)
+    theta *= 60.0 / np.abs(X @ theta).max()  # margins up to +-60
+    margins = X @ theta
+    grad, info = ple._newton_pass(lambda: (X[:1000], X[1000:]), theta)
+    p = expit(margins)
+    q = 1.0 - p
+    A = np.abs(X)
+    ref = -np.logaddexp(0.0, -margins).sum()
+    worst = max(
+        float((np.abs(grad - q @ X) / A.sum(axis=0)).max()),
+        float((np.abs(info - (X.T * (p * q)) @ X) / (A.T @ A)).max()),
+        abs(ple.log_pl(theta, X) - ref) / abs(ref),
+    )
+    return CheckResult("logistic_pass_blocked", worst < 1e-12, worst, 1e-12)
+
+
 def _check_pair_sign() -> CheckResult:
     rng = np.random.default_rng(14)
     spec = core.ar_spec(2)
@@ -1024,6 +1047,7 @@ def run_verify_checks(riccati_rtol: float = 1e-13):
     yield _check_enumeration_equivalence()
     yield _check_logpl_zero()
     yield _check_logpl_gradient()
+    yield _check_logistic_pass_blocked()
     yield _check_pair_sign()
     yield _check_monotone_ascent()
     yield _check_consistency_ordering()

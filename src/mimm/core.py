@@ -359,9 +359,10 @@ class TimeSeries:
         return self.data.shape[1]
 
     def rows(self):
-        """Tuple-of-tuples view cached for scalar hot loops."""
+        """Tuple-of-tuples view of Python floats, cached for scalar hot loops
+        (arithmetic on numpy scalars is several times slower)."""
         if self._rows is None:
-            object.__setattr__(self, "_rows", tuple(map(tuple, self.data)))
+            object.__setattr__(self, "_rows", tuple(map(tuple, self.data.tolist())))
         return self._rows
 
     def __len__(self) -> int:

@@ -16,7 +16,11 @@ The first two (and ``fit_pairs``, on an explicit pair list) share one
 solver: damped Newton ascent with a minimum-norm step.  The objective is
 concave with a K x K Hessian, and binary columns can make monomials
 collinear, so the step solves the Newton system in the least-squares sense
-and theta stays in the row space of the pair matrix.
+and theta stays in the row space of the pair matrix.  The Newton pass and
+the log pseudo-likelihood walk the pair matrix in cache-sized row slices
+with plain numpy ufuncs (logistic weights from ``exp`` with the margin
+clipped, the log-PL in softplus form), so no temporary grows with the pair
+matrix.
 
 Pairs are generated in a deterministic order (lexicographic, or derived from
 the seed), so runs are reproducible and memory stays bounded regardless of n.
@@ -88,6 +92,11 @@ class PairStatistic:
 _RCOND = 1e-10
 # Smallest fraction of a Newton step the line search tries.
 _MIN_STEP = 2.0**-30
+# Rows per slice in the logistic kernels: a slice's buffers (a few
+# 128 KiB vectors) stay in cache while a block may hold millions of rows.
+_SLICE_ROWS = 1 << 14
+# Rows online SGD turns into Python lists at a time.
+_SGD_LIST_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -137,10 +146,11 @@ class PleResult:
     fitters.  Online SGD has no convergence test, so its ``converged`` and
     ``grad_norm`` are None.
 
-    ``stages`` gives seconds per fit stage: ``pairs_s`` builds the pair
-    statistics (summed over passes when they are regenerated), ``solver_s``
-    is the Newton or SGD loop without pair building, and ``log_pl_s`` the
-    final log-PL evaluation without pair building.
+    ``stages`` gives seconds per fit stage: ``pairs_s`` draws the pair
+    indices and builds their statistics (summed over passes when they are
+    regenerated), ``solver_s`` is the Newton or SGD loop without pair
+    building, and ``log_pl_s`` the final log-PL evaluation without pair
+    building.
     """
 
     theta: np.ndarray
@@ -201,13 +211,25 @@ def pair_statistic(spec: DependenceSpec, series: TimeSeries, s1: int, s2: int) -
 
 def log_pl(theta, pairs) -> float:
     """Log pseudo-likelihood: sum over pairs of -log(1 + exp(-theta . x)),
-    in the overflow-safe softplus form."""
+    in the overflow-safe softplus form min(m, 0) - log1p(exp(-|m|)) of the
+    margin m = theta . x, evaluated slice by slice."""
     theta, X = _as_matrix(theta, pairs)
     if X.shape[0] == 0:
         raise ValueError("pairs must be nonempty")
-    margins = X @ theta
-    np.negative(margins, out=margins)
-    return float(-np.logaddexp(0.0, margins, out=margins).sum())
+    total, rows = 0.0, 0
+    for start in range(0, X.shape[0], _SLICE_ROWS):
+        Xb = X[start : start + _SLICE_ROWS]
+        if Xb.shape[0] != rows:
+            rows = Xb.shape[0]
+            m, a = np.empty(rows), np.empty(rows)
+        np.dot(Xb, theta, out=m)
+        np.copysign(m, -1.0, out=a)  # -|m|
+        np.exp(a, out=a)
+        np.log1p(a, out=a)
+        np.minimum(m, 0.0, out=m)
+        m -= a
+        total += m.sum()
+    return float(total)
 
 
 def log_pl_gradient(theta, pairs) -> np.ndarray:
@@ -232,20 +254,26 @@ def _as_matrix(theta, pairs):
 
 
 def _iter_pair_chunks(lo: int, hi: int, chunk: int):
-    """All interior pairs (s1 < s2) in lexicographic order, in bounded chunks."""
-    buf1: list[np.ndarray] = []
-    buf2: list[np.ndarray] = []
-    count = 0
-    for s1 in range(lo, hi - 1):
-        s2 = np.arange(s1 + 1, hi, dtype=np.intp)
-        buf1.append(np.full(len(s2), s1, dtype=np.intp))
-        buf2.append(s2)
-        count += len(s2)
-        if count >= chunk:
-            yield np.concatenate(buf1), np.concatenate(buf2)
-            buf1, buf2, count = [], [], 0
-    if count:
-        yield np.concatenate(buf1), np.concatenate(buf2)
+    """All interior pairs (s1 < s2) in lexicographic order, in bounded chunks.
+
+    A chunk holds whole rows (one s1 with every s2 > s1) and closes at the
+    first row that brings it to at least ``chunk`` pairs."""
+    first = np.arange(lo, hi - 1, dtype=np.intp)  # s1 of each row
+    counts = hi - 1 - first  # pairs in each row
+    ends = np.cumsum(counts)  # pairs up to and including each row
+    r0 = 0
+    while r0 < len(first):
+        done = ends[r0 - 1] if r0 else 0
+        r1 = min(r0 + 1 + int(np.searchsorted(ends[r0:], done + chunk)), len(first))
+        s1 = np.repeat(first[r0:r1], counts[r0:r1])
+        # s2 as a running sum of steps: +1 within a row, and at each row's
+        # start the jump from the last row's hi - 1 down to s1 + 1
+        s2 = np.ones(ends[r1 - 1] - done, dtype=np.intp)
+        s2[ends[r0 : r1 - 1] - done] = first[r0 + 1 : r1] + 2 - hi
+        s2[0] = first[r0] + 1
+        np.cumsum(s2, out=s2)
+        yield s1, s2
+        r0 = r1
 
 
 class _Ascent(NamedTuple):
@@ -262,7 +290,8 @@ class _PairBlocks:
     """Pair-statistic blocks for the Newton solver.  Calling the object
     yields one pass over the pairs: one block held in memory when
     ``materialize`` is set, otherwise blocks regenerated from ``chunks()``.
-    ``seconds`` sums the time spent in :func:`swap_deltas`."""
+    ``seconds`` sums the time spent building blocks: drawing pair indices
+    from ``chunks()`` and their statistics from :func:`swap_deltas`."""
 
     def __init__(self, spec: DependenceSpec, series: TimeSeries, chunks, materialize: bool):
         self._spec = spec
@@ -275,12 +304,14 @@ class _PairBlocks:
             self._held = (held[0] if len(held) == 1 else np.vstack(held),)
 
     def _generate(self):
+        start = time.perf_counter()
         for s1, s2 in self._chunks():
-            start = time.perf_counter()
             X = swap_deltas(self._spec, self._series, s1, s2)
             np.negative(X, out=X)
             self.seconds += time.perf_counter() - start
             yield X
+            start = time.perf_counter()
+        self.seconds += time.perf_counter() - start
 
     def __call__(self):
         return self._held if self._held is not None else self._generate()
@@ -288,17 +319,39 @@ class _PairBlocks:
 
 def _newton_pass(blocks, theta):
     """Gradient of :func:`log_pl` at theta and the Fisher matrix
-    X' diag(p (1 - p)) X, summed block by block (one ``expit`` call each)."""
+    X' diag(p (1 - p)) X, with p = 1 / (1 + exp(-theta . x)).
+
+    Each block is walked in slices of ``_SLICE_ROWS`` rows through buffers
+    reused from slice to slice, so no temporary grows with the block.  Per
+    slice q = 1 - p is taken as 1 / (1 + exp(m)), with the margin m clipped
+    at 700 so exp stays finite, and one product of [q; X' diag(p q)] with
+    the slice gives the gradient and Fisher rows together.
+    """
     K = len(theta)
-    grad = np.zeros(K)
-    info = np.zeros((K, K))
+    acc, rows = None, 0
     for X in blocks():
-        p = expit(X @ theta)
-        q = 1.0 - p
-        grad += q @ X
-        p *= q
-        info += (X.T * p) @ X
-    return grad, info
+        for start in range(0, X.shape[0], _SLICE_ROWS):
+            Xb = X[start : start + _SLICE_ROWS]
+            if Xb.shape[0] != rows:
+                rows = Xb.shape[0]
+                m, Z = np.empty(rows), np.empty((K + 1, rows))
+                q, XW = Z[0], Z[1:]
+            np.dot(Xb, theta, out=m)
+            np.minimum(m, 700.0, out=m)
+            np.exp(m, out=m)
+            m += 1.0
+            np.divide(1.0, m, out=q)
+            np.subtract(1.0, q, out=m)
+            m *= q
+            np.multiply(Xb.T, m, out=XW)
+            part = np.dot(Z, Xb)
+            if acc is None:
+                acc = part
+            else:
+                acc += part
+    if acc is None:
+        acc = np.zeros((K + 1, K))
+    return acc[0], acc[1:]
 
 
 def _newton_ascent(blocks: _PairBlocks, n_pairs: int, K: int, config: GdConfig) -> _Ascent:
@@ -325,7 +378,7 @@ def _newton_ascent(blocks: _PairBlocks, n_pairs: int, K: int, config: GdConfig) 
     trace = [value] if config.track_objective else None
     converged = False
     while True:
-        if np.linalg.norm(grad) / n_pairs <= config.tol:
+        if math.sqrt(grad @ grad) / n_pairs <= config.tol:
             converged = True
             break
         if epochs >= config.max_epochs:
@@ -355,7 +408,7 @@ def _newton_ascent(blocks: _PairBlocks, n_pairs: int, K: int, config: GdConfig) 
             if value is None:
                 value = objective(theta)
             trace.append(value)
-        if np.linalg.norm(theta) > config.theta_cap:
+        if math.sqrt(theta @ theta) > config.theta_cap:
             warnings.warn(
                 "theta norm exceeded the divergence cap; data may be separable",
                 SeparationWarning,
@@ -375,7 +428,7 @@ def _newton_ascent(blocks: _PairBlocks, n_pairs: int, K: int, config: GdConfig) 
         log_pl=value,
         converged=converged,
         iterations=epochs,
-        grad_norm=float(np.linalg.norm(grad)) / n_pairs,
+        grad_norm=math.sqrt(grad @ grad) / n_pairs,
         trace=None if trace is None else tuple(trace),
         stages=stages,
     )
@@ -501,16 +554,20 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
         X = -swap_deltas(spec, series, s1[startrow:stop], s2[startrow:stop])
         pairs_s += time.perf_counter() - pairs_start
         used[startrow:stop] = X
-        for row in X:
-            margin = 0.0
-            for k in range(K):
-                margin += theta[k] * row[k]
-            if margin < -36.0:  # sigmoid underflow; also keeps exp() in range
-                w = eta
-            else:
-                w = eta * (1.0 - 1.0 / (1.0 + math.exp(-margin)))
-            for k in range(K):
-                theta[k] += w * row[k]
+        # the scalar loop reads Python floats far faster than numpy
+        # scalars; rows are converted a few at a time so that few list
+        # objects are alive at once (16384 at a time raised peak RSS 2 MiB)
+        for sl in range(0, stop - startrow, _SGD_LIST_ROWS):
+            for row in X[sl : sl + _SGD_LIST_ROWS].tolist():
+                margin = 0.0
+                for k in range(K):
+                    margin += theta[k] * row[k]
+                if margin < -36.0:  # sigmoid underflow; also keeps exp() in range
+                    w = eta
+                else:
+                    w = eta * (1.0 - 1.0 / (1.0 + math.exp(-margin)))
+                for k in range(K):
+                    theta[k] += w * row[k]
 
     theta_arr = np.asarray(theta)
     solved = time.perf_counter()

@@ -122,6 +122,14 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             core.TimeSeries([[0.5]], kinds=("binary",))
 
+    def test_rows_hold_python_floats(self):
+        data = np.column_stack([np.arange(6) % 2, np.linspace(-1.0, 1.5, 6)])
+        series = core.TimeSeries(data, kinds=("binary", "real"))
+        rows = series.rows()
+        assert all(type(v) is float for row in rows for v in row)
+        assert rows == tuple(map(tuple, series.data))
+        assert series.rows() is rows  # cached
+
     def test_csv_round_trip(self, tmp_path):
         series = core.TimeSeries(np.random.default_rng(1).standard_normal((17, 2)))
         path = tmp_path / "series.csv"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.special import expit
 
 from mimm import core, gaussian, ple
 from mimm.exceptions import InsufficientInteriorError, SeparationWarning
@@ -93,6 +94,112 @@ class TestLogPl:
             dn[k] -= h
             fd = (ple.log_pl(up, X) - ple.log_pl(dn, X)) / (2 * h)
             assert grad[k] == pytest.approx(fd, rel=1e-6)
+
+
+def reference_newton_pass(X, theta):
+    """The single-shot pass the sliced kernel replaced: gradient and Fisher
+    matrix from one ``expit`` over all rows."""
+    p = expit(X @ theta)
+    q = 1.0 - p
+    return q @ X, (X.T * (p * q)) @ X
+
+
+def reference_log_pl(X, theta):
+    return float(-np.logaddexp(0.0, -(X @ theta)).sum())
+
+
+def reference_pair_chunks(lo, hi, chunk):
+    """The row-by-row pair generator the vectorized one replaced."""
+    buf1, buf2, count = [], [], 0
+    for s1 in range(lo, hi - 1):
+        s2 = np.arange(s1 + 1, hi, dtype=np.intp)
+        buf1.append(np.full(len(s2), s1, dtype=np.intp))
+        buf2.append(s2)
+        count += len(s2)
+        if count >= chunk:
+            yield np.concatenate(buf1), np.concatenate(buf2)
+            buf1, buf2, count = [], [], 0
+    if count:
+        yield np.concatenate(buf1), np.concatenate(buf2)
+
+
+B = ple._SLICE_ROWS
+
+
+@st.composite
+def logistic_designs(draw):
+    """A pair matrix cut into 1-3 blocks and a theta whose largest margin
+    is ``scale``; row counts sit on and around the slice boundaries."""
+    K = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 2, B - 1, B, B + 1, 2 * B + 3]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 40.0, 800.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, K))
+    theta = rng.standard_normal(K)
+    theta *= scale / max(np.abs(X @ theta).max(), 1e-300)
+    cuts = np.sort(rng.integers(0, n + 1, size=draw(st.integers(0, 2))))
+    return X, theta, np.split(X, cuts)
+
+
+class TestSlicedKernels:
+    """The sliced Newton pass and log-PL against the single-shot formulas.
+
+    q = 1 - p and p q are known to the reference only up to ~1e-16 per row
+    (1 - expit(m) cancels for large m), so the gradient and Fisher sums are
+    compared relative to the largest value they could take, sum |x| and
+    sum |x| |x|'.  Every log-PL term has the same sign, so the log-PL is
+    compared relative to itself.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(logistic_designs())
+    def test_matches_single_shot_formulas(self, design):
+        X, theta, blocks = design
+        grad, info = ple._newton_pass(lambda: blocks, theta)
+        ref_grad, ref_info = reference_newton_pass(X, theta)
+        A = np.abs(X)
+        assert np.all(np.abs(grad - ref_grad) <= 1e-12 * A.sum(axis=0))
+        assert np.all(np.abs(info - ref_info) <= 1e-12 * (A.T @ A))
+        ref = reference_log_pl(X, theta)
+        assert abs(ple.log_pl(theta, X) - ref) <= 1e-12 * abs(ref)
+
+    def test_extreme_margins_raise_no_warning(self):
+        X = np.array([[800.0, 1.0], [-800.0, 2.0], [1e6, 0.0], [-1e6, 0.5], [0.0, -1.0]])
+        theta = np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad, info = ple._newton_pass(lambda: (X,), theta)
+            value = ple.log_pl(theta, X)
+            ref_grad, ref_info = reference_newton_pass(X, theta)
+        A = np.abs(X)
+        assert np.all(np.abs(grad - ref_grad) <= 1e-12 * A.sum(axis=0))
+        assert np.all(np.abs(info - ref_info) <= 1e-12 * (A.T @ A))
+        assert value == pytest.approx(-800.0 - 1e6 + math.log(0.5), rel=1e-15)
+
+    def test_no_rows_give_zero_gradient(self):
+        grad, info = ple._newton_pass(lambda: (np.empty((0, 2)),), np.ones(2))
+        np.testing.assert_array_equal(grad, np.zeros(2))
+        np.testing.assert_array_equal(info, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "lo, hi, chunk",
+        [(1, 999, 500_000), (1, 999, 100_000), (2, 60, 7), (1, 4, 1), (3, 5, 10), (1, 50, 0), (1, 3, 1)],
+    )
+    def test_pair_chunks_match_row_loop(self, lo, hi, chunk):
+        got = list(ple._iter_pair_chunks(lo, hi, chunk))
+        ref = list(reference_pair_chunks(lo, hi, chunk))
+        assert len(got) == len(ref)
+        for (a1, a2), (b1, b2) in zip(got, ref):
+            assert a1.dtype == b1.dtype == a2.dtype == b2.dtype
+            np.testing.assert_array_equal(a1, b1)
+            np.testing.assert_array_equal(a2, b2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5), st.integers(2, 80), st.integers(1, 400))
+    def test_pair_chunks_match_row_loop_random(self, lo, m, chunk):
+        got = list(ple._iter_pair_chunks(lo, lo + m, chunk))
+        ref = list(reference_pair_chunks(lo, lo + m, chunk))
+        assert [(a.tolist(), b.tolist()) for a, b in got] == [(a.tolist(), b.tolist()) for a, b in ref]
 
 
 class TestFitNaive:
@@ -333,6 +440,26 @@ class TestTelemetry:
         assert fit.stages["pairs_s"] >= 0.005 * len(calls)
         assert sum(fit.stages.values()) <= fit.wall_time_s
 
+    def test_pair_index_time_counts_as_pair_time(self, monkeypatch):
+        series = gaussian.simulate_ar(AR1, 60, seed=17)
+        calls = []
+        iter_pair_chunks = ple._iter_pair_chunks
+
+        def slow(*args):
+            for chunk in iter_pair_chunks(*args):
+                calls.append(1)
+                time.sleep(0.05)
+                yield chunk
+
+        monkeypatch.setattr(ple, "_iter_pair_chunks", slow)
+        for cfg in (ple.GdConfig(), ple.GdConfig(max_epochs=2, materialize_limit=0)):
+            calls.clear()
+            fit = ple.fit_naive(SPEC1, series, cfg)
+            assert calls
+            assert fit.stages["pairs_s"] >= 0.05 * len(calls)
+            assert fit.stages["solver_s"] < 0.05
+            assert sum(fit.stages.values()) <= fit.wall_time_s
+
 
 class TestFitBipartition:
     def test_pair_count_even_and_odd_interior(self):
@@ -368,6 +495,30 @@ class TestFitPairs:
         assert fit.log_pl <= 0.0 and fit.converged
 
 
+def reference_sgd_theta(spec, series, config):
+    """Online SGD as first written: the same pair draws, one update per
+    numpy row of the pair matrix."""
+    d = spec.order
+    m = series.n - 2 * d
+    rng = np.random.default_rng(config.seed)
+    a = rng.integers(0, m, size=config.n_iters)
+    b = rng.integers(0, m - 1, size=config.n_iters)
+    b = b + (b >= a)
+    X = -core.swap_deltas(spec, series, np.minimum(a, b) + d, np.maximum(a, b) + d)
+    theta = [0.0] * spec.n_terms
+    for row in X:
+        margin = 0.0
+        for k in range(spec.n_terms):
+            margin += theta[k] * row[k]
+        if margin < -36.0:
+            w = config.eta
+        else:
+            w = config.eta * (1.0 - 1.0 / (1.0 + math.exp(-margin)))
+        for k in range(spec.n_terms):
+            theta[k] += w * row[k]
+    return np.asarray(theta)
+
+
 class TestFitOnlineSgd:
     def test_estimate_close_to_truth(self):
         series = gaussian.simulate_ar(AR1, 1000, seed=24)
@@ -379,6 +530,20 @@ class TestFitOnlineSgd:
         series = core.TimeSeries(np.ones(50) * 2.5)
         fit = ple.fit_online_sgd(SPEC1, series, ple.SgdConfig(eta=0.1, n_iters=500, seed=7))
         assert fit.theta[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "spec, n_iters",
+        [
+            (SPEC1, 3 * ple._SGD_LIST_ROWS + 5),
+            (core.ar_spec(2), 3000),
+            (core.kron_spec(2, [(1, 1, 1), (2, 2, 1), (2, 1, 2)]), 3000),
+        ],
+    )
+    def test_theta_bitwise_equal_to_numpy_row_loop(self, spec, n_iters):
+        series = binary_real_series(300, 26) if spec.dim == 2 else gaussian.simulate_ar(AR1, 300, seed=26)
+        config = ple.SgdConfig(eta=0.01, n_iters=n_iters, seed=9)
+        fit = ple.fit_online_sgd(spec, series, config)
+        np.testing.assert_array_equal(fit.theta, reference_sgd_theta(spec, series, config))
 
     def test_deterministic_given_seed(self):
         series = gaussian.simulate_ar(AR1, 400, seed=25)
