@@ -54,17 +54,20 @@ _SGD_OPTIONS = {"eta": "eta", "iters": "n_iters"}
 # option handling
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults."""
-    effective = dict(defaults)
-    if getattr(args, "config", None):
+def _merge_config(args: argparse.Namespace, **builtin) -> dict:
+    """flags > config file > ``builtin`` defaults, over every option of the
+    command's parser; an option with neither a flag, a file value nor a
+    built-in default is None."""
+    keys = [key for key in vars(args) if key not in ("command", "func", "config")]
+    effective = {key: builtin.get(key) for key in keys}
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_conf = json.load(fh)
         for key, value in file_conf.items():
             if key in effective:
                 effective[key] = value
-    for key in defaults:
-        flag_val = getattr(args, key, None)
+    for key in keys:
+        flag_val = getattr(args, key)
         if flag_val is not None:
             effective[key] = flag_val
     return effective
@@ -137,22 +140,14 @@ def _params_from_args(conf) -> object:
     return gaussian.ClassicalVARParams(A=A[None], Sigma=Sigma)
 
 
+def _simulate(params, n: int, burn_in: int = 0, seed=None) -> core.TimeSeries:
+    if isinstance(params, gaussian.ClassicalARParams):
+        return gaussian.simulate_ar(params, n, burn_in=burn_in, seed=seed)
+    return gaussian.simulate_var(params, n, burn_in=burn_in, seed=seed)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    conf = _merge_config(
-        args,
-        {
-            "params": None,
-            "ar": None,
-            "sigma2": None,
-            "theta": None,
-            "tau2": None,
-            "var1": None,
-            "n": None,
-            "burn_in": 0,
-            "seed": 0,
-            "out": None,
-        },
-    )
+    conf = _merge_config(args, burn_in=0, seed=0)
     if conf["n"] is None or conf["out"] is None:
         raise MimmError("simulate requires --n and --out")
     params = _params_from_args(conf)
@@ -160,10 +155,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         params = gaussian.mininfo_to_ar(params)
     if isinstance(params, gaussian.MinInfoVARParams):
         params = gaussian.mininfo_to_var1(params)
-    if isinstance(params, gaussian.ClassicalARParams):
-        series = gaussian.simulate_ar(params, conf["n"], burn_in=conf["burn_in"], seed=conf["seed"])
-    else:
-        series = gaussian.simulate_var(params, conf["n"], burn_in=conf["burn_in"], seed=conf["seed"])
+    series = _simulate(params, conf["n"], burn_in=conf["burn_in"], seed=conf["seed"])
     series.to_csv(conf["out"])
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -231,28 +223,7 @@ def _run_estimator(estimator, series, spec, conf, seed):
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    conf = _merge_config(
-        args,
-        {
-            "data": None,
-            "spec": None,
-            "estimator": None,
-            "order": None,
-            "seed": 0,
-            "samples": None,
-            "burn_in": None,
-            "thin": None,
-            "max_iters": None,
-            "grad_tol": None,
-            "max_epochs": None,
-            "tol": None,
-            "eta": None,
-            "iters": None,
-            "time_limit_s": None,
-            "out": None,
-            "diagnostics": None,
-        },
-    )
+    conf = _merge_config(args, seed=0)
     if conf["data"] is None or conf["estimator"] is None:
         raise MimmError("fit requires --data and --estimator")
     if conf["estimator"] not in ESTIMATORS:
@@ -339,19 +310,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     positions instead (their overlapping factors inflate apparent gains of
     larger specs; reported for comparison only).
     """
-    conf = _merge_config(
-        args,
-        {
-            "data": None,
-            "spec": None,
-            "estimator": "ple-spaced",
-            "seed": 0,
-            "splits": 9,
-            "max_epochs": None,
-            "tol": None,
-            "out": None,
-        },
-    )
+    conf = _merge_config(args, estimator="ple-spaced", seed=0, splits=9)
     if conf["data"] is None or not conf["spec"] or len(conf["spec"]) < 2:
         raise MimmError("select requires --data and at least two --spec files")
     if conf["splits"] < 1:
@@ -415,7 +374,9 @@ def cmd_select(args: argparse.Namespace) -> int:
                     "error": None,
                 }
             )
-        except Exception as err:  # record per-row, keep selecting
+        except (MimmError, np.linalg.LinAlgError, FloatingPointError) as err:
+            # numerical and data failures become a row; programming errors
+            # propagate
             row.update({"K": None, "log_pl": None, "aic": None, "pic": None, "theta": None, "error": str(err)})
         rows.append(row)
 
@@ -468,46 +429,32 @@ def cmd_select(args: argparse.Namespace) -> int:
 # benchmark
 
 
-def _true_theta(model: dict) -> np.ndarray:
+def _model_params(model: dict):
+    """The classical parameters of a manifest's ``model`` entry."""
     kind = model.get("kind")
     if kind == "ar":
-        params = gaussian.ClassicalARParams(phi=model["phi"], sigma2=model["sigma2"])
-        return np.asarray(gaussian.ard_to_mininfo(params).theta)
+        return gaussian.ClassicalARParams(phi=model["phi"], sigma2=model["sigma2"])
     if kind == "var":
-        A = np.asarray(model["A"], dtype=float)
-        if A.ndim == 2:
-            A = A[None]
-        params = gaussian.ClassicalVARParams(A=A, Sigma=np.asarray(model["Sigma"], dtype=float))
-        if params.order != 1:
-            raise MimmError("benchmark truth supports VAR order 1 only")
-        return gaussian.var1_to_mininfo(params).Theta.reshape(-1, order="F")
+        return gaussian.ClassicalVARParams(A=model["A"], Sigma=model["Sigma"])
     raise MimmError(f"unknown model kind {kind!r}")
 
 
-def _model_spec(model: dict) -> core.DependenceSpec:
-    if model.get("kind") == "ar":
-        return core.ar_spec(len(model["phi"]))
-    A = np.asarray(model["A"], dtype=float)
-    if A.ndim == 2:
-        A = A[None]
-    return core.kron_spec(A.shape[1], [(lag + 1, 1, 1) for lag in range(A.shape[0])])
+def _true_theta(params) -> np.ndarray:
+    if isinstance(params, gaussian.ClassicalARParams):
+        return np.asarray(gaussian.ard_to_mininfo(params).theta)
+    if params.order != 1:
+        raise MimmError("benchmark truth supports VAR order 1 only")
+    return gaussian.var1_to_mininfo(params).Theta.reshape(-1, order="F")
 
 
-def _simulate_model(model: dict, n: int, seed) -> core.TimeSeries:
-    if model.get("kind") == "ar":
-        params = gaussian.ClassicalARParams(phi=model["phi"], sigma2=model["sigma2"])
-        return gaussian.simulate_ar(params, n, seed=seed)
-    A = np.asarray(model["A"], dtype=float)
-    if A.ndim == 2:
-        A = A[None]
-    params = gaussian.ClassicalVARParams(A=A, Sigma=np.asarray(model["Sigma"], dtype=float))
-    return gaussian.simulate_var(params, n, seed=seed)
+def _model_spec(params) -> core.DependenceSpec:
+    if isinstance(params, gaussian.ClassicalARParams):
+        return core.ar_spec(params.order)
+    return core.kron_spec(params.dim, [(lag + 1, 1, 1) for lag in range(params.order)])
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    conf = _merge_config(
-        args, {"manifest": None, "out": None, "seed": None, "reps": None, "time_limit_s": None}
-    )
+    conf = _merge_config(args)
     if conf["manifest"] is None or conf["out"] is None:
         raise MimmError("benchmark requires --manifest and --out")
     with open(conf["manifest"], "r", encoding="utf-8") as fh:
@@ -529,11 +476,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             if conf["time_limit_s"] is not None
             else cell.get("time_limit_s", default_limit)
         )
-        model = cell["model"]
+        params = _model_params(cell["model"])
         n = cell["n"]
         label = cell.get("label", f"cell{cell_idx}")
-        theta_star = _true_theta(model)
-        spec = _model_spec(model)
+        theta_star = _true_theta(params)
+        spec = _model_spec(params)
         options = cell.get("estimator_options", {})
         for estimator in cell["estimators"]:
             opts = dict(options.get(estimator, {}))
@@ -542,7 +489,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             for rep in range(reps):
                 seq = np.random.SeedSequence((base_seed, cell_idx, rep))
                 data_seed, est_seed = seq.spawn(2)
-                series = _simulate_model(model, n, seed=data_seed)
+                series = _simulate(params, n, seed=data_seed)
                 t0 = time.perf_counter()
                 try:
                     theta, _ = _run_estimator(
@@ -932,22 +879,20 @@ def _check_logpl_zero() -> CheckResult:
     rng = np.random.default_rng(10)
     spec = core.ar_spec(1)
     series = core.TimeSeries(rng.standard_normal(40))
-    lo, hi = 1, 39
-    pairs = [
-        ple.pair_statistic(spec, series, s1, s2)
-        for s1 in range(lo, 6)
-        for s2 in range(s1 + 1, 10)
-    ]
+    s1, s2 = np.array([(a, b) for a in range(1, 6) for b in range(a + 1, 10)]).T
+    pairs = -core.swap_deltas(spec, series, s1, s2)
     value = ple.log_pl(np.zeros(1), pairs)
     gap = abs(value - len(pairs) * math.log(0.5))
     return CheckResult("logpl_zero_value", gap < 1e-12, gap, 1e-12)
 
 
 def _check_logpl_gradient() -> CheckResult:
+    """Central differences of log_pl against the gradient of the Newton
+    pass the fitters use."""
     rng = np.random.default_rng(12)
     X = rng.standard_normal((50, 3))
     theta = rng.standard_normal(3)
-    grad = ple.log_pl_gradient(theta, X)
+    grad, _ = ple._newton_pass(lambda: (X,), theta)
     worst = 0.0
     for k in range(3):
         h = 1e-6 * (1 + abs(theta[k]))
@@ -982,16 +927,17 @@ def _check_logistic_pass_blocked() -> CheckResult:
 
 
 def _check_pair_sign() -> CheckResult:
+    """The fitters' pair matrix holds minus the swap delta of each pair."""
     rng = np.random.default_rng(14)
     spec = core.ar_spec(2)
     series = core.TimeSeries(rng.standard_normal(30))
-    worst = 0.0
-    for _ in range(20):
-        s1, s2 = sorted(rng.choice(range(2, 28), size=2, replace=False))
-        x = ple.pair_statistic(spec, series, int(s1), int(s2)).x
-        delta = core.swap_delta(spec, series, int(s1), int(s2))
-        worst = max(worst, float(np.abs(x + delta).max()))
-    return CheckResult("pair_statistic_sign", worst == 0.0, worst, 0.0)
+    s1, s2 = np.sort([rng.choice(range(2, 28), size=2, replace=False) for _ in range(20)]).T
+    (X,) = ple._PairBlocks(spec, series, lambda: ((s1, s2),), materialize=True)()
+    worst = max(
+        float(np.abs(x + core.swap_delta(spec, series, int(a), int(b))).max())
+        for x, a, b in zip(X, s1, s2)
+    )
+    return CheckResult("pair_statistic_sign", worst < 1e-12, worst, 1e-12)
 
 
 def _check_monotone_ascent() -> CheckResult:
@@ -1028,7 +974,7 @@ def _check_consistency_ordering() -> CheckResult:
     )
 
 
-def run_verify_checks(riccati_rtol: float = 1e-13):
+def run_verify_checks(riccati_rtol: float = gaussian.RICCATI_RTOL):
     yield _check_transform_anchors()
     yield from _check_roundtrips(riccati_rtol)
     yield from _check_fisher()
@@ -1054,8 +1000,8 @@ def run_verify_checks(riccati_rtol: float = 1e-13):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    conf = _merge_config(args, {"out": None, "riccati_rtol": None})
-    rtol = conf["riccati_rtol"] if conf["riccati_rtol"] is not None else 1e-13
+    conf = _merge_config(args)
+    rtol = conf["riccati_rtol"] if conf["riccati_rtol"] is not None else gaussian.RICCATI_RTOL
     results = []
     failed = 0
     for check in run_verify_checks(riccati_rtol=rtol):

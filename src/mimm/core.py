@@ -53,7 +53,6 @@ __all__ = [
     "TimeSeries",
     "ar_spec",
     "kron_spec",
-    "interior_range",
     "window_statistics",
     "total_statistic",
     "swap_delta",
@@ -399,11 +398,6 @@ class TimeSeries:
                 fh.write(",".join(header) + "\n")
             for row in self.data:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def interior_range(n: int, d: int) -> range:
-    """Swappable interior positions: d <= i <= n - d - 1 (0-based)."""
-    return range(d, n - d)
 
 
 def _check_series(spec: DependenceSpec, series: TimeSeries) -> None:

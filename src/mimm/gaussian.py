@@ -692,11 +692,15 @@ def _floor_pd(mat: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     return (vecs * vals) @ vecs.T
 
 
+# Relative residual tolerance of the VAR(1) Riccati solve in mininfo_to_var1.
+RICCATI_RTOL = 1e-13
+
+
 def mininfo_to_var1(
     params: MinInfoVARParams,
     max_fixed_point: int = 10_000,
     max_newton: int = 100,
-    rtol: float = 1e-13,
+    rtol: float = RICCATI_RTOL,
 ) -> ClassicalVARParams:
     """VAR(1) inverse: recover (A, Sigma) from (Theta, B).
 

@@ -45,7 +45,6 @@ from .exceptions import (
 )
 
 __all__ = [
-    "InteriorPermutation",
     "ExchangeConfig",
     "ScoringConfig",
     "ExchangeResult",
@@ -56,36 +55,6 @@ __all__ = [
     "exchange_sample",
     "fisher_scoring",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class InteriorPermutation:
-    """A permutation of {0..n-1} fixing the first and last d positions."""
-
-    order: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        order = np.asarray(self.order, dtype=np.intp)
-        n = len(order)
-        if self.d < 0 or n < 2 * self.d:
-            raise ShapeMismatchError(f"invalid frozen margin d={self.d} for n={n}")
-        if not np.array_equal(np.sort(order), np.arange(n)):
-            raise ValueError("order is not a permutation of 0..n-1")
-        fixed = np.concatenate([np.arange(self.d), np.arange(n - self.d, n)])
-        if not np.array_equal(order[fixed], fixed):
-            raise ValueError("first/last d positions must stay fixed")
-        order = order.copy()
-        order.setflags(write=False)
-        object.__setattr__(self, "order", order)
-
-    @classmethod
-    def identity(cls, n: int, d: int) -> "InteriorPermutation":
-        return cls(order=np.arange(n), d=d)
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
 
 
 @dataclass(frozen=True)
@@ -112,20 +81,18 @@ class ExchangeConfig:
 
 @dataclass(frozen=True)
 class ScoringConfig:
+    """Fisher-scoring stopping rule: at most ``max_iters`` iterations, or
+    convergence once ||H_obs - mu|| < grad_tol * (1 + ||H_obs||).  The step
+    damping and the covariance ridge are fixed; see :func:`fisher_scoring`."""
+
     max_iters: int = 30
     grad_tol: float = 0.01
-    step_damping: float = 1.0
-    ridge: float | None = None  # None: 1e-8 * tr(G) / K
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.grad_tol <= 0:
             raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
-        if not (0.0 < self.step_damping <= 1.0):
-            raise ValueError(f"step_damping must be in (0, 1], got {self.step_damping}")
-        if self.ridge is not None and self.ridge < 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
 
 
 def effective_sample_size(samples) -> np.ndarray:
@@ -361,10 +328,13 @@ def fisher_scoring(
     Each iteration estimates the mean and covariance of the sufficient
     statistic under the current weights (from one exchange chain, or from
     ``moment_fn(theta) -> (mu, cov)`` when supplied, e.g. exact enumeration)
-    and updates theta by (cov + ridge I)^{-1} (H_obs - mu): the score of the
-    conditional log-likelihood is the observed statistic minus its model
-    expectation.  The step is damped by halving whenever the score norm
-    increased relative to the previous iteration.
+    and updates theta by damping * (cov + ridge I)^{-1} (H_obs - mu): the
+    score of the conditional log-likelihood is the observed statistic minus
+    its model expectation.  The ridge is 1e-8 * tr(cov) / K; while the solve
+    fails it is raised tenfold (to at least 1e-12), six tries in all.  The
+    damping starts at 1; it halves, down to 1/16, whenever the score norm
+    increased relative to the previous iteration, and otherwise grows by
+    1.5x back up to 1.
 
     Stops when ||H_obs - mu|| < grad_tol * (1 + ||H_obs||) or at max_iters.
     """
@@ -380,7 +350,7 @@ def fisher_scoring(
     ess_trace: list[tuple[float, ...]] = []
     rhat_trace: list[tuple[float, ...]] = []
     converged = False
-    damping = scoring_config.step_damping
+    damping = 1.0
     prev_norm = math.inf
     h_scale = 1.0 + float(np.linalg.norm(h_obs))
     iterations = 0
@@ -423,9 +393,7 @@ def fisher_scoring(
             stages["solve_s"] += time.perf_counter() - diagnosed
             break
 
-        ridge = scoring_config.ridge
-        if ridge is None:
-            ridge = 1e-8 * float(np.trace(cov)) / K
+        ridge = 1e-8 * float(np.trace(cov)) / K
         step = None
         bump = ridge
         for _ in range(6):
@@ -441,9 +409,9 @@ def fisher_scoring(
             )
 
         if snorm > prev_norm:
-            damping = max(damping * 0.5, scoring_config.step_damping / 16.0)
+            damping = max(damping * 0.5, 1.0 / 16.0)
         else:
-            damping = min(scoring_config.step_damping, damping * 1.5)
+            damping = min(1.0, damping * 1.5)
         theta = theta + damping * step
         prev_norm = snorm
         stages["solve_s"] += time.perf_counter() - diagnosed

@@ -35,12 +35,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit  # noqa: F401  bench/tracing.py counts calls to mimm.ple.expit
 
 from .core import (  # noqa: F401  window_statistics: bench/tracing.py wraps it here
     DependenceSpec,
     TimeSeries,
-    swap_delta,
     swap_deltas,
     window_statistics,
 )
@@ -51,14 +50,11 @@ from .exceptions import (
 )
 
 __all__ = [
-    "PairStatistic",
     "GdConfig",
     "SgdConfig",
     "PleResult",
-    "pair_statistic",
     "n_interior_pairs",
     "log_pl",
-    "log_pl_gradient",
     "fit_naive",
     "fit_bipartition",
     "fit_pairs",
@@ -66,25 +62,6 @@ __all__ = [
     "spaced_matching",
     "aic_pic",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class PairStatistic:
-    """Explanatory vector of one pseudo-likelihood factor: the statistic of
-    the observed ordering minus the statistic after swapping (s1, s2)."""
-
-    s1: int
-    s2: int
-    x: np.ndarray
-
-    def __post_init__(self):
-        if self.s1 >= self.s2:
-            raise ValueError(f"need s1 < s2, got ({self.s1}, {self.s2})")
-        x = np.asarray(self.x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("pair statistic contains non-finite values")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
 
 
 # Singular values of the Fisher matrix below this fraction of the largest
@@ -97,6 +74,13 @@ _MIN_STEP = 2.0**-30
 _SLICE_ROWS = 1 << 14
 # Rows online SGD turns into Python lists at a time.
 _SGD_LIST_ROWS = 2048
+# fit_naive holds the all-pairs matrix in memory up to this many pairs * K
+# entries; past it, every pass regenerates the pairs this many at a time.
+# Both are read at call time, so a test can force the streamed path.
+_MATERIALIZE_LIMIT = 20_000_000
+_CHUNK_PAIRS = 500_000
+# The Newton ascent stops with a SeparationWarning once |theta| exceeds this.
+_THETA_CAP = 1e3
 
 
 @dataclass(frozen=True)
@@ -106,14 +90,12 @@ class GdConfig:
     The solver is damped Newton ascent with a minimum-norm step; one epoch
     is one Newton pass over the pairs.  It stops when the norm of the
     per-pair-averaged gradient is at most ``tol``, after ``max_epochs``
-    passes, or when the norm of theta exceeds ``theta_cap``.
+    passes, or, with a :class:`SeparationWarning`, when the norm of theta
+    exceeds a fixed divergence cap of 1e3.
     """
 
     max_epochs: int = 500
     tol: float = 1e-6
-    theta_cap: float = 1e3
-    chunk_pairs: int = 500_000
-    materialize_limit: int = 20_000_000  # max pairs * K kept in memory
     track_objective: bool = False  # record the per-epoch objective (costs a pass)
 
     def __post_init__(self):
@@ -202,18 +184,16 @@ def n_interior_pairs(n: int, d: int) -> int:
     return m * (m - 1) // 2 if m >= 2 else 0
 
 
-def pair_statistic(spec: DependenceSpec, series: TimeSeries, s1: int, s2: int) -> PairStatistic:
-    """Explanatory vector for the pair (s1, s2): minus the swap delta of the
-    sufficient statistic (shared implementation with the swap machinery)."""
-    delta = swap_delta(spec, series, s1, s2)
-    return PairStatistic(s1=s1, s2=s2, x=-delta)
-
-
 def log_pl(theta, pairs) -> float:
-    """Log pseudo-likelihood: sum over pairs of -log(1 + exp(-theta . x)),
-    in the overflow-safe softplus form min(m, 0) - log1p(exp(-|m|)) of the
-    margin m = theta . x, evaluated slice by slice."""
-    theta, X = _as_matrix(theta, pairs)
+    """Log pseudo-likelihood of the (N, K) pair matrix ``pairs``, whose rows
+    are the explanatory vectors x = -swap_delta: the sum over rows of
+    -log(1 + exp(-theta . x)), in the overflow-safe softplus form
+    min(m, 0) - log1p(exp(-|m|)) of the margin m = theta . x, evaluated
+    slice by slice."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    X = np.atleast_2d(pairs)
+    if X.shape[1] != len(theta):
+        raise ShapeMismatchError(f"pair width {X.shape[1]} != len(theta) {len(theta)}")
     if X.shape[0] == 0:
         raise ValueError("pairs must be nonempty")
     total, rows = 0.0, 0
@@ -230,27 +210,6 @@ def log_pl(theta, pairs) -> float:
         m -= a
         total += m.sum()
     return float(total)
-
-
-def log_pl_gradient(theta, pairs) -> np.ndarray:
-    """Gradient of :func:`log_pl`: sum of (1 - sigmoid(theta . x)) x."""
-    theta, X = _as_matrix(theta, pairs)
-    if X.shape[0] == 0:
-        raise ValueError("pairs must be nonempty")
-    margins = X @ theta
-    return (1.0 - expit(margins)) @ X
-
-
-def _as_matrix(theta, pairs):
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if isinstance(pairs, np.ndarray):
-        X = np.atleast_2d(pairs)
-    else:
-        rows = [p.x if isinstance(p, PairStatistic) else np.asarray(p, float) for p in pairs]
-        X = np.vstack(rows) if rows else np.empty((0, len(theta)))
-    if X.shape[1] != len(theta):
-        raise ShapeMismatchError(f"pair width {X.shape[1]} != len(theta) {len(theta)}")
-    return theta, X
 
 
 def _iter_pair_chunks(lo: int, hi: int, chunk: int):
@@ -408,7 +367,7 @@ def _newton_ascent(blocks: _PairBlocks, n_pairs: int, K: int, config: GdConfig) 
             if value is None:
                 value = objective(theta)
             trace.append(value)
-        if math.sqrt(theta @ theta) > config.theta_cap:
+        if math.sqrt(theta @ theta) > _THETA_CAP:
             warnings.warn(
                 "theta norm exceeded the divergence cap; data may be separable",
                 SeparationWarning,
@@ -455,9 +414,9 @@ def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdCon
     """Newton ascent with minimum-norm steps over all interior pairs,
     theta0 = 0.
 
-    The (n_pairs, K) statistic matrix is materialized when it fits the
-    configured memory budget, otherwise pairs are regenerated chunk by chunk
-    on every pass and never held at once.
+    The (n_pairs, K) statistic matrix is held in memory when n_pairs * K is
+    at most 2e7 entries; past that, pairs are regenerated 5e5 at a time on
+    every pass and never held at once.
     """
     start = time.perf_counter()
     lo, hi = _interior_bounds(spec, series)
@@ -466,8 +425,8 @@ def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdCon
     blocks = _PairBlocks(
         spec,
         series,
-        lambda: _iter_pair_chunks(lo, hi, config.chunk_pairs),
-        materialize=n_pairs * K <= config.materialize_limit,
+        lambda: _iter_pair_chunks(lo, hi, _CHUNK_PAIRS),
+        materialize=n_pairs * K <= _MATERIALIZE_LIMIT,
     )
     fit = _newton_ascent(blocks, n_pairs, K, config)
     aic, pic = aic_pic(fit.log_pl, K, series.n, spec.order)

@@ -267,6 +267,20 @@ class TestSelect:
         failed_row = lines[3].split(",")
         assert failed_row[1] == "" and "too large" in lines[3]
 
+    def test_programming_error_is_not_a_failed_row(self, workspace, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(ple, "fit_pairs", broken)
+        out = workspace["tmp"] / "select_bug.csv"
+        with pytest.raises(TypeError, match="bad call"):
+            run_cli(
+                "select", "--data", str(workspace["data"]),
+                "--spec", str(workspace["spec1"]), "--spec", str(workspace["spec2"]),
+                "--out", str(out),
+            )
+        assert not out.exists()
+
     def test_bivariate_binary_real_four_specs(self, workspace, tmp_path):
         rng = np.random.default_rng(42)
         n = 400

@@ -12,22 +12,6 @@ AR1 = gaussian.ClassicalARParams([0.5], 0.5)
 SPEC1 = core.ar_spec(1)
 
 
-class TestInteriorPermutation:
-    def test_identity(self):
-        perm = mcle.InteriorPermutation.identity(10, 2)
-        np.testing.assert_array_equal(perm.order, np.arange(10))
-
-    def test_rejects_moved_boundary(self):
-        order = np.arange(10)
-        order[[0, 5]] = order[[5, 0]]
-        with pytest.raises(ValueError):
-            mcle.InteriorPermutation(order, d=1)
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            mcle.InteriorPermutation(np.zeros(5, dtype=int), d=1)
-
-
 class TestLogRatio:
     def test_null_swap(self):
         assert mcle.log_ratio_swap([1.5], [0.0]) == 0.0
@@ -129,6 +113,26 @@ class TestExchangeSampler:
         )
         for value in res.stats[:, 0]:
             assert np.min(np.abs(stats[:, 0] - value)) < 1e-9
+
+    def test_running_statistic_is_refreshed_every_8192_steps(self, monkeypatch):
+        # call j of total_statistic (j = 0 is the chain's start) reads 1000 j
+        # high; moves do not depend on the running statistic, so the chain
+        # records exactly 1000 more from each refresh on
+        series = gaussian.simulate_ar(AR1, 100, seed=5)
+        config = mcle.ExchangeConfig(n_samples=19_800, burn_in=0, seed=6)
+        plain = mcle.exchange_sample(SPEC1, series, [0.5], config)
+        calls = []
+        total_statistic = mcle.total_statistic
+
+        def drifting(*args):
+            calls.append(1)
+            return total_statistic(*args) + 1000.0 * (len(calls) - 1)
+
+        monkeypatch.setattr(mcle, "total_statistic", drifting)
+        shifted = mcle.exchange_sample(SPEC1, series, [0.5], config)
+        offset = 1000.0 * (np.arange(1, config.n_samples + 1) // 8192)
+        assert len(calls) == 3 and offset[-1] == 2000.0
+        np.testing.assert_allclose(shifted.stats[:, 0] - plain.stats[:, 0], offset, rtol=0.0, atol=1e-9)
 
 
 def reference_chain(spec, series, theta, config, rng):
@@ -277,7 +281,7 @@ class TestConfigs:
         with pytest.raises(ValueError):
             mcle.ScoringConfig(grad_tol=0.0)
         with pytest.raises(ValueError):
-            mcle.ScoringConfig(step_damping=0.0)
+            mcle.ScoringConfig(max_iters=0)
 
     def test_result_validates_acceptance_rate(self):
         with pytest.raises(ValueError):

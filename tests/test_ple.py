@@ -21,34 +21,37 @@ SPEC1 = core.ar_spec(1)
 
 
 class TestPairStatistic:
+    """The explanatory vector of a pseudo-likelihood factor is minus the
+    swap delta of its pair."""
+
     def test_equal_values_give_zero(self):
         series = core.TimeSeries([1.0, 4.0, 4.0, 2.0])
-        np.testing.assert_array_equal(ple.pair_statistic(SPEC1, series, 1, 2).x, [0.0])
+        np.testing.assert_array_equal(core.swap_delta(SPEC1, series, 1, 2), [0.0])
 
     def test_worked_example(self):
         series = core.TimeSeries([1.0, 2.0, 3.0, 4.0])
-        assert ple.pair_statistic(SPEC1, series, 1, 2).x == pytest.approx([3.0])
+        assert core.swap_delta(SPEC1, series, 1, 2) == pytest.approx([-3.0])
 
     def test_sign_antisymmetry_under_swapped_series(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal(12)
         series = core.TimeSeries(data)
         s1, s2 = 3, 7
-        x = ple.pair_statistic(SPEC1, series, s1, s2).x
+        delta = core.swap_delta(SPEC1, series, s1, s2)
         swapped = data.copy()
         swapped[[s1, s2]] = swapped[[s2, s1]]
-        x_rev = ple.pair_statistic(SPEC1, core.TimeSeries(swapped), s1, s2).x
-        np.testing.assert_array_equal(x_rev, -x)
+        delta_rev = core.swap_delta(SPEC1, core.TimeSeries(swapped), s1, s2)
+        np.testing.assert_array_equal(delta_rev, -delta)
 
     def test_equals_negated_swap_delta_exactly(self):
         rng = np.random.default_rng(1)
         spec = core.ar_spec(2)
         series = core.TimeSeries(rng.standard_normal(25))
-        for _ in range(15):
-            s1, s2 = sorted(rng.choice(range(2, 23), size=2, replace=False))
-            x = ple.pair_statistic(spec, series, int(s1), int(s2)).x
-            delta = core.swap_delta(spec, series, int(s1), int(s2))
-            np.testing.assert_array_equal(x, -delta)
+        s1, s2 = np.sort([rng.choice(range(2, 23), size=2, replace=False) for _ in range(15)]).T
+        (X,) = ple._PairBlocks(spec, series, lambda: ((s1, s2),), materialize=True)()
+        np.testing.assert_array_equal(X, -core.swap_deltas(spec, series, s1, s2))
+        scalar = np.array([core.swap_delta(spec, series, int(a), int(b)) for a, b in zip(s1, s2)])
+        np.testing.assert_allclose(X, -scalar, rtol=0.0, atol=1e-12)
 
 
 class TestLogPl:
@@ -86,7 +89,7 @@ class TestLogPl:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((60, 3))
         theta = rng.standard_normal(3)
-        grad = ple.log_pl_gradient(theta, X)
+        grad, _ = ple._newton_pass(lambda: (X,), theta)
         for k in range(3):
             h = 1e-6 * (1 + abs(theta[k]))
             up, dn = theta.copy(), theta.copy()
@@ -279,18 +282,20 @@ class TestFitNaive:
             return swap_deltas(spec, series, s1, s2, **kwargs)
 
         monkeypatch.setattr(ple, "swap_deltas", counting)
-        cfg = ple.GdConfig(max_epochs=2, materialize_limit=0, chunk_pairs=400)
-        fit = ple.fit_naive(SPEC1, series, cfg)
+        monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", 0)
+        monkeypatch.setattr(ple, "_CHUNK_PAIRS", 400)
+        fit = ple.fit_naive(SPEC1, series, ple.GdConfig(max_epochs=2))
         assert fit.iterations == 2 and not fit.converged
         assert len(rows) > 3  # streamed in several chunks
         assert sum(rows) == 3 * ple.n_interior_pairs(60, 1)
 
-    def test_streaming_matches_materialized(self):
+    def test_streaming_matches_materialized(self, monkeypatch):
         series = gaussian.simulate_ar(AR1, 300, seed=16)
-        cfg_mat = ple.GdConfig(max_epochs=40)
-        cfg_stream = ple.GdConfig(max_epochs=40, materialize_limit=0, chunk_pairs=5000)
-        a = ple.fit_naive(SPEC1, series, cfg_mat)
-        b = ple.fit_naive(SPEC1, series, cfg_stream)
+        cfg = ple.GdConfig(max_epochs=40)
+        a = ple.fit_naive(SPEC1, series, cfg)
+        monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", 0)
+        monkeypatch.setattr(ple, "_CHUNK_PAIRS", 5000)
+        b = ple.fit_naive(SPEC1, series, cfg)
         assert a.theta[0] == pytest.approx(b.theta[0], abs=1e-10)
         assert a.log_pl == pytest.approx(b.log_pl, rel=1e-10)
 
@@ -348,7 +353,7 @@ class TestNewtonAgainstBfgs:
         oracle = minimize(
             lambda t: -ple.log_pl(t, X),
             np.zeros(spec.n_terms),
-            jac=lambda t: -ple.log_pl_gradient(t, X),
+            jac=lambda t: -reference_newton_pass(X, t)[0],
             method="BFGS",
             options={"gtol": 1e-10 * len(X), "maxiter": 10_000},
         )
@@ -385,7 +390,7 @@ class TestTelemetry:
         series = gaussian.simulate_ar(AR1, 300, seed=18)
         fit = ple.fit_naive(SPEC1, series)
         X = all_pairs_matrix(SPEC1, series)
-        expected = np.linalg.norm(ple.log_pl_gradient(fit.theta, X)) / len(X)
+        expected = np.linalg.norm(reference_newton_pass(X, fit.theta)[0]) / len(X)
         assert fit.converged and 2 <= fit.iterations <= 20
         assert fit.grad_norm == pytest.approx(expected, rel=1e-6, abs=1e-15)
         assert fit.grad_norm <= ple.GdConfig().tol
@@ -409,15 +414,17 @@ class TestTelemetry:
         record = json.loads(json.dumps(fit.to_dict()))
         assert record["converged"] is None and record["iterations"] == 500
 
-    def test_stages_are_nonnegative_and_within_wall_time(self):
+    def test_stages_are_nonnegative_and_within_wall_time(self, monkeypatch):
         series = gaussian.simulate_ar(AR1, 200, seed=20)
         fits = [
             ple.fit_naive(SPEC1, series),
-            ple.fit_naive(SPEC1, series, ple.GdConfig(materialize_limit=0, chunk_pairs=3000)),
             ple.fit_bipartition(SPEC1, series, seed=1),
             ple.fit_pairs(SPEC1, series, *ple.spaced_matching(200, 1, seed=2)),
             ple.fit_online_sgd(SPEC1, series, ple.SgdConfig(n_iters=500, seed=3)),
         ]
+        monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", 0)
+        monkeypatch.setattr(ple, "_CHUNK_PAIRS", 3000)
+        fits.append(ple.fit_naive(SPEC1, series))
         for fit in fits:
             assert set(fit.stages) == {"pairs_s", "solver_s", "log_pl_s"}
             assert all(v >= 0.0 for v in fit.stages.values())
@@ -435,8 +442,9 @@ class TestTelemetry:
             return swap_deltas(*args)
 
         monkeypatch.setattr(ple, "swap_deltas", slow)
-        cfg = ple.GdConfig(max_epochs=2, materialize_limit=0, chunk_pairs=400)
-        fit = ple.fit_naive(SPEC1, series, cfg)
+        monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", 0)
+        monkeypatch.setattr(ple, "_CHUNK_PAIRS", 400)
+        fit = ple.fit_naive(SPEC1, series, ple.GdConfig(max_epochs=2))
         assert fit.stages["pairs_s"] >= 0.005 * len(calls)
         assert sum(fit.stages.values()) <= fit.wall_time_s
 
@@ -452,7 +460,8 @@ class TestTelemetry:
                 yield chunk
 
         monkeypatch.setattr(ple, "_iter_pair_chunks", slow)
-        for cfg in (ple.GdConfig(), ple.GdConfig(max_epochs=2, materialize_limit=0)):
+        for limit, cfg in ((ple._MATERIALIZE_LIMIT, ple.GdConfig()), (0, ple.GdConfig(max_epochs=2))):
+            monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", limit)
             calls.clear()
             fit = ple.fit_naive(SPEC1, series, cfg)
             assert calls
