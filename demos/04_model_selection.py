@@ -15,36 +15,17 @@ four product-form dependence functions on a mixed binary/real pair.
 import numpy as np
 
 from mimm import core, gaussian, ple
-from mimm.cli import SELECT_GD_CONFIG
-from mimm.ple import spaced_matching
 
 rng = np.random.default_rng(11)
 
 
-def score_candidates(series, specs, seed, splits=9):
-    items = list(specs.items())
-    max_d = max(spec.order for _, spec in items)
-    designs = [
-        spaced_matching(series.n, max_d, child)
-        for child in np.random.SeedSequence(seed).spawn(splits)
-    ]
-    rows = []
-    for name, spec in items:
-        padded = core.DependenceSpec(order=max_d, dim=spec.dim, terms=spec.terms)
-        log_pls = [
-            ple.fit_pairs(padded, series, s1, s2, SELECT_GD_CONFIG).log_pl for s1, s2 in designs
-        ]
-        aic, pic = ple.aic_pic(float(np.mean(log_pls)), padded.n_terms, series.n, max_d)
-        rows.append((name, padded.n_terms, float(np.mean(log_pls)), aic, pic))
-    return rows
-
-
-def show(rows):
-    best = min(r[3] for r in rows)
+def show(series, candidates, seed):
+    rows = ple.select_specs(series, list(candidates.values()), seed=seed)
+    best = min(r.aic for r in rows)
     print(f"{'candidate':<26} {'K':>3} {'log_pl':>10} {'AIC':>10} {'PIC':>10}")
-    for name, k, lpl, aic, pic in rows:
-        mark = "  <- AIC best" if aic == best else ""
-        print(f"{str(name):<26} {k:>3} {lpl:>10.2f} {aic:>10.2f} {pic:>10.2f}{mark}")
+    for name, r in zip(candidates, rows):
+        mark = "  <- AIC best" if r.aic == best else ""
+        print(f"{str(name):<26} {r.K:>3} {r.log_pl:>10.2f} {r.aic:>10.2f} {r.pic:>10.2f}{mark}")
 
 
 # --- part 1: order selection on univariate AR(1) data -----------------------
@@ -55,7 +36,7 @@ candidates = {
     "pairwise lags 1-2": core.ar_spec(2),
     "pairwise lags 1-3": core.ar_spec(3),
 }
-show(score_candidates(series, candidates, seed=1))
+show(series, candidates, seed=1)
 
 # --- part 2: mixed binary/real pair ------------------------------------------
 print("\nbivariate series: binary spikes driven by a latent AR(1) signal, n = 1007\n")
@@ -70,7 +51,7 @@ products = {
     "+ current squares (K=8)": core.kron_spec(2, [(1, 1, 1), (1, 2, 1)]),
     "full quadratic (K=16)": core.kron_spec(2, [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]),
 }
-show(score_candidates(bi, products, seed=2))
+show(bi, products, seed=2)
 
 print(
     "\nbinary columns pass through products unchanged (0/1 powers), so the"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -39,10 +40,6 @@ EXIT_TIMEOUT = 4
 
 ESTIMATORS = ("mle", "mcle", "ple-naive", "ple-bipartition", "ple-sgd")
 
-# model selection compares log-PL values across candidate specs, so every
-# candidate is fitted to a tighter tolerance than the single-fit default
-SELECT_GD_CONFIG = ple.GdConfig(max_epochs=2000, tol=1e-8)
-
 # option name -> field of the config dataclass it sets
 _EXCHANGE_OPTIONS = {"samples": "n_samples", "burn_in": "burn_in", "thin": "thin"}
 _SCORING_OPTIONS = {"max_iters": "max_iters", "grad_tol": "grad_tol"}
@@ -57,15 +54,22 @@ _SGD_OPTIONS = {"eta": "eta", "iters": "n_iters"}
 def _merge_config(args: argparse.Namespace, **builtin) -> dict:
     """flags > config file > ``builtin`` defaults, over every option of the
     command's parser; an option with neither a flag, a file value nor a
-    built-in default is None."""
+    built-in default is None.  A config-file key that names no option of
+    the command is an error."""
     keys = [key for key in vars(args) if key not in ("command", "func", "config")]
     effective = {key: builtin.get(key) for key in keys}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_conf = json.load(fh)
-        for key, value in file_conf.items():
-            if key in effective:
-                effective[key] = value
+        if not isinstance(file_conf, dict):
+            raise MimmError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(file_conf) - set(effective))
+        if unknown:
+            raise MimmError(
+                f"config file {args.config} has keys that name no option of "
+                f"{args.command}: {', '.join(unknown)}"
+            )
+        effective.update(file_conf)
     for key in keys:
         flag_val = getattr(args, key)
         if flag_val is not None:
@@ -175,7 +179,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_estimator(estimator, series, spec, conf, seed):
-    """Dispatch one estimator run; returns (theta, extras)."""
+    """Dispatch one estimator run; returns (theta, extras, fit), where
+    ``fit`` is the library's result object (None for mle)."""
     if estimator == "mle":
         order = conf.get("order")
         if order is None and spec is not None:
@@ -187,12 +192,12 @@ def _run_estimator(estimator, series, spec, conf, seed):
         if series.p == 1:
             classical, mininfo = oracle.mle_ols_ar(series, order)
             extras = {"phi": [float(v) for v in classical.phi], "sigma2": classical.sigma2}
-            return np.asarray(mininfo.theta), extras
+            return np.asarray(mininfo.theta), extras, None
         classical, mininfo = oracle.mle_ols_var(series, order)
         if mininfo is None:
             raise MimmError("mle reports minimum-information weights only for order 1")
         theta = mininfo.Theta.reshape(-1, order="F")
-        return theta, {"Sigma": classical.Sigma.tolist()}
+        return theta, {"Sigma": classical.Sigma.tolist()}, None
     if spec is None:
         raise MimmError(f"{estimator} requires --spec")
     if estimator == "mcle":
@@ -206,9 +211,8 @@ def _run_estimator(estimator, series, spec, conf, seed):
             "score_norm_trace": list(fit.score_norm_trace),
             "n_steps": fit.n_steps,
             "stages": fit.stages,
-            "_mcle_result": fit,
         }
-        return fit.theta, extras
+        return fit.theta, extras, fit
     if estimator in ("ple-naive", "ple-bipartition"):
         gd = _configure(ple.GdConfig(), conf, _GD_OPTIONS)
         if estimator == "ple-naive":
@@ -219,7 +223,7 @@ def _run_estimator(estimator, series, spec, conf, seed):
         fit = ple.fit_online_sgd(spec, series, _configure(ple.SgdConfig(seed=seed), conf, _SGD_OPTIONS))
     else:
         raise MimmError(f"unknown estimator {estimator!r}")
-    return fit.theta, {"_ple_result": fit, **fit.to_dict()}
+    return fit.theta, fit.to_dict(), fit
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -251,33 +255,31 @@ def cmd_fit(args: argparse.Namespace) -> int:
         )
 
     start = time.perf_counter()
-    theta, extras = _run_estimator(conf["estimator"], series, spec, conf, conf["seed"])
+    theta, extras, fit = _run_estimator(conf["estimator"], series, spec, conf, conf["seed"])
     wall = time.perf_counter() - start
 
-    mcle_result = extras.pop("_mcle_result", None)
-    extras.pop("_ple_result", None)
     result = {
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
         "estimator": conf["estimator"],
         "config": {k: v for k, v in conf.items() if k not in ("out", "diagnostics")},
     }
-    result.update({k: v for k, v in extras.items()})
+    result.update(extras)
     result["theta"] = [float(v) for v in np.atleast_1d(theta)]
     result["wall_time_s"] = wall
 
-    if conf["diagnostics"] and mcle_result is not None:
+    if conf["diagnostics"] and isinstance(fit, mcle.McleResult):
         with open(conf["diagnostics"], "w", encoding="utf-8") as fh:
-            K = len(mcle_result.theta)
+            K = len(fit.theta)
             head = ["iter"] + [f"theta_{k}" for k in range(K)]
             head += ["score_norm", "acceptance_rate", "ess", "split_rhat"]
             fh.write(",".join(head) + "\n")
             traces = zip(
-                mcle_result.theta_trace,
-                mcle_result.score_norm_trace,
-                mcle_result.acceptance_trace,
-                mcle_result.ess_trace,
-                mcle_result.split_rhat_trace,
+                fit.theta_trace,
+                fit.score_norm_trace,
+                fit.acceptance_trace,
+                fit.ess_trace,
+                fit.split_rhat_trace,
             )
             for i, (th, sn, ac, ess, rhat) in enumerate(traces, start=1):
                 # the worst statistic: smallest ESS, largest split-R-hat (nan if any is)
@@ -296,89 +298,23 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    """Rank dependence specs by AIC/PIC on one shared pseudo-likelihood
-    design.
-
-    All candidates are evaluated over the interior of the largest candidate
-    order (smaller-order specs are padded), on the same pair sets: otherwise
-    per-spec pair counts differ and the resulting baseline offset in the log
-    pseudo-likelihood swamps the information-criterion penalties.  The
-    default design averages the criteria over --splits independent spaced
-    disjoint-window matchings, which concentrates the chance fitting gain of
-    an overparametrized candidate near its mean and keeps the AIC penalty
-    calibrated.  --estimator ple-bipartition / ple-naive use all interior
-    positions instead (their overlapping factors inflate apparent gains of
-    larger specs; reported for comparison only).
-    """
-    conf = _merge_config(args, estimator="ple-spaced", seed=0, splits=9)
+    """Rank dependence specs by AIC/PIC with :func:`ple.select_specs`, print
+    the table and write the ranked CSV.  --seed and --splits are passed on
+    only when given, so their defaults are the library's."""
+    conf = _merge_config(args)
     if conf["data"] is None or not conf["spec"] or len(conf["spec"]) < 2:
         raise MimmError("select requires --data and at least two --spec files")
-    if conf["splits"] < 1:
-        raise MimmError("--splits must be >= 1")
     series = _load_series(conf["data"])
-    gd = _configure(SELECT_GD_CONFIG, conf, _GD_OPTIONS)
     specs = []
     for path in conf["spec"]:
         try:
             specs.append(core.DependenceSpec.load(path))
         except Exception as err:
             raise MimmError(f"cannot load spec {path}: {err}") from err
-
-    def feasible(spec: core.DependenceSpec) -> bool:
-        # a spec can join the shared design only if the thinned interior of
-        # its order still yields at least one matched pair
-        return len(np.arange(spec.order, series.n - spec.order, 2 * spec.order + 1)) >= 2
-
-    usable = [spec for spec in specs if feasible(spec)]
-    if not usable:
-        raise MimmError("every spec order is too large for this series length")
-    max_d = max(spec.order for spec in usable)
-
-    designs = []
-    if conf["estimator"] == "ple-spaced":
-        for child in np.random.SeedSequence(conf["seed"]).spawn(conf["splits"]):
-            designs.append(ple.spaced_matching(series.n, max_d, child))
-    elif conf["estimator"] == "ple-bipartition":
-        designs = list(np.random.SeedSequence(conf["seed"]).spawn(conf["splits"]))
-    else:
-        designs = [None]  # naive: one deterministic all-pairs design
-
-    rows = []
-    for path, spec in zip(conf["spec"], specs):
-        row = {"spec": str(path)}
-        try:
-            if not feasible(spec):
-                raise MimmError(
-                    f"order {spec.order} is too large for series length {series.n}"
-                )
-            padded = core.DependenceSpec(order=max_d, dim=spec.dim, terms=spec.terms)
-            log_pls, thetas = [], []
-            for design in designs:
-                if conf["estimator"] == "ple-spaced":
-                    fit = ple.fit_pairs(padded, series, design[0], design[1], gd)
-                elif conf["estimator"] == "ple-bipartition":
-                    fit = ple.fit_bipartition(padded, series, seed=design, config=gd)
-                else:
-                    fit = ple.fit_naive(padded, series, gd)
-                log_pls.append(fit.log_pl)
-                thetas.append(fit.theta)
-            mean_log_pl = float(np.mean(log_pls))
-            aic, pic = ple.aic_pic(mean_log_pl, padded.n_terms, series.n, max_d)
-            row.update(
-                {
-                    "K": padded.n_terms,
-                    "log_pl": mean_log_pl,
-                    "aic": aic,
-                    "pic": pic,
-                    "theta": [float(v) for v in np.mean(thetas, axis=0)],
-                    "error": None,
-                }
-            )
-        except (MimmError, np.linalg.LinAlgError, FloatingPointError) as err:
-            # numerical and data failures become a row; programming errors
-            # propagate
-            row.update({"K": None, "log_pl": None, "aic": None, "pic": None, "theta": None, "error": str(err)})
-        rows.append(row)
+    given = {key: conf[key] for key in ("seed", "splits") if conf[key] is not None}
+    gd = _configure(ple.SELECT_CONFIG, conf, _GD_OPTIONS)
+    scores = ple.select_specs(series, specs, config=gd, **given)
+    rows = [{"spec": str(path), **row._asdict()} for path, row in zip(conf["spec"], scores)]
 
     ok = [r for r in rows if r["error"] is None]
     if not ok:
@@ -492,7 +428,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                 series = _simulate(params, n, seed=data_seed)
                 t0 = time.perf_counter()
                 try:
-                    theta, _ = _run_estimator(
+                    theta, _, _ = _run_estimator(
                         estimator, series, spec, opts, est_seed.generate_state(1)[0]
                     )
                 except (MimmError, np.linalg.LinAlgError, FloatingPointError) as err:
@@ -506,30 +442,18 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                     break
                 errors.append(float(np.linalg.norm(np.atleast_1d(theta) - theta_star)))
                 times.append(elapsed)
-            if status == "ok":
-                rows.append(
-                    {
-                        "label": label,
-                        "estimator": estimator,
-                        "n": n,
-                        "reps": reps,
-                        "mean_error": float(np.mean(errors)),
-                        "mean_time_s": float(np.mean(times)),
-                        "status": "ok",
-                    }
-                )
-            else:
-                rows.append(
-                    {
-                        "label": label,
-                        "estimator": estimator,
-                        "n": n,
-                        "reps": len(errors),
-                        "mean_error": "--",
-                        "mean_time_s": "--",
-                        "status": status,
-                    }
-                )
+            ok = status == "ok"
+            rows.append(
+                {
+                    "label": label,
+                    "estimator": estimator,
+                    "n": n,
+                    "reps": len(errors),  # all of them when ok
+                    "mean_error": float(np.mean(errors)) if ok else "--",
+                    "mean_time_s": float(np.mean(times)) if ok else "--",
+                    "status": status,
+                }
+            )
 
     csv_path = str(conf["out"]) + ".csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -539,18 +463,15 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                 f"{r['label']},{r['estimator']},{r['n']},{r['reps']},"
                 f"{r['mean_error']},{r['mean_time_s']},{json.dumps(r['status'])}\n"
             )
-    txt_path = str(conf["out"]) + ".txt"
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        head = f"{'label':<24} {'estimator':<16} {'n':>8} {'reps':>5} {'mean_error':>12} {'mean_time_s':>12}"
-        fh.write(head + "\n" + "-" * len(head) + "\n")
-        for r in rows:
-            err = r["mean_error"] if isinstance(r["mean_error"], str) else f"{r['mean_error']:.4g}"
-            tms = r["mean_time_s"] if isinstance(r["mean_time_s"], str) else f"{r['mean_time_s']:.4g}"
-            fh.write(
-                f"{r['label']:<24} {r['estimator']:<16} {r['n']:>8} {r['reps']:>5} {err:>12} {tms:>12}\n"
-            )
-    with open(txt_path, "r", encoding="utf-8") as fh:
-        print(fh.read(), end="")
+    head = f"{'label':<24} {'estimator':<16} {'n':>8} {'reps':>5} {'mean_error':>12} {'mean_time_s':>12}"
+    table = head + "\n" + "-" * len(head) + "\n"
+    for r in rows:
+        err = r["mean_error"] if isinstance(r["mean_error"], str) else f"{r['mean_error']:.4g}"
+        tms = r["mean_time_s"] if isinstance(r["mean_time_s"], str) else f"{r['mean_time_s']:.4g}"
+        table += f"{r['label']:<24} {r['estimator']:<16} {r['n']:>8} {r['reps']:>5} {err:>12} {tms:>12}\n"
+    with open(str(conf["out"]) + ".txt", "w", encoding="utf-8") as fh:
+        fh.write(table)
+    print(table, end="")
     return EXIT_OK
 
 
@@ -1091,20 +1012,16 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--config", help="JSON file with option defaults")
     sel.add_argument("--data", help="input CSV")
     sel.add_argument("--spec", action="append", help="spec file (repeat >= 2 times)")
-    sel.add_argument(
-        "--estimator",
-        choices=("ple-spaced", "ple-bipartition", "ple-naive"),
-        help="pseudo-likelihood design used for scoring (default ple-spaced)",
-    )
+    splits = inspect.signature(ple.select_specs).parameters["splits"].default
     sel.add_argument("--seed", type=int)
-    sel.add_argument("--splits", type=int, help="random designs averaged per spec (default 9)")
+    sel.add_argument("--splits", type=int, help=f"random designs averaged per spec (default {splits})")
     sel.add_argument(
         "--max-epochs",
         dest="max_epochs",
         type=int,
-        help=f"Newton passes per fit (default {SELECT_GD_CONFIG.max_epochs})",
+        help=f"Newton passes per fit (default {ple.SELECT_CONFIG.max_epochs})",
     )
-    sel.add_argument("--tol", type=float, help=f"mean gradient norm tolerance (default {SELECT_GD_CONFIG.tol:g})")
+    sel.add_argument("--tol", type=float, help=f"mean gradient norm tolerance (default {ple.SELECT_CONFIG.tol:g})")
     sel.add_argument("--out", help="ranked CSV path")
     sel.set_defaults(func=cmd_select)
 

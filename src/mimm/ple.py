@@ -24,6 +24,11 @@ matrix.
 
 Pairs are generated in a deterministic order (lexicographic, or derived from
 the seed), so runs are reproducible and memory stays bounded regardless of n.
+
+Model selection: ``select_specs`` ranks candidate dependence specs by
+``aic_pic`` on one shared design, every spec padded to the largest order and
+fitted by ``fit_pairs`` on ``spaced_matching`` pair sets whose swap
+neighborhoods are disjoint; ``SELECT_CONFIG`` holds its solver defaults.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +51,7 @@ from .core import (  # noqa: F401  window_statistics: bench/tracing.py wraps it 
 )
 from .exceptions import (
     InsufficientInteriorError,
+    MimmError,
     SeparationWarning,
     ShapeMismatchError,
 )
@@ -61,6 +68,9 @@ __all__ = [
     "fit_online_sgd",
     "spaced_matching",
     "aic_pic",
+    "SELECT_CONFIG",
+    "SelectRow",
+    "select_specs",
 ]
 
 
@@ -447,13 +457,9 @@ def fit_bipartition(
     """
     start = time.perf_counter()
     lo, hi = _interior_bounds(spec, series)
-    rng = np.random.default_rng(seed)
-    interior = rng.permutation(np.arange(lo, hi, dtype=np.intp))
-    n_pairs = (hi - lo) // 2
-    paired = interior[: 2 * n_pairs].reshape(n_pairs, 2)
-    blocks = _PairBlocks(
-        spec, series, lambda: ((paired.min(axis=1), paired.max(axis=1)),), materialize=True
-    )
+    s1, s2 = _matching(np.random.default_rng(seed), np.arange(lo, hi, dtype=np.intp))
+    n_pairs = len(s1)
+    blocks = _PairBlocks(spec, series, lambda: ((s1, s2),), materialize=True)
     fit = _newton_ascent(blocks, n_pairs, spec.n_terms, config)
     return _result(fit, "ple-bipartition", n_pairs, start)
 
@@ -467,9 +473,9 @@ def fit_pairs(
 ) -> PleResult:
     """Pseudo-likelihood restricted to an explicit list of interior pairs.
 
-    Used by model selection, which evaluates every candidate spec on one
-    shared pair set (swap neighborhoods kept disjoint) so that the logistic
-    factors are close to independent and information criteria stay
+    Used by :func:`select_specs`, which evaluates every candidate spec on
+    one shared pair set (swap neighborhoods kept disjoint) so that the
+    logistic factors are close to independent and information criteria stay
     calibrated across candidates.
     """
     start = time.perf_counter()
@@ -550,6 +556,19 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     )
 
 
+def _matching(rng: np.random.Generator, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A uniformly random matching of ``positions``: one permutation, paired
+    off in order, as (smaller, larger) index arrays.  With an odd count the
+    last permuted position stays unpaired."""
+    paired = rng.permutation(positions)[: len(positions) // 2 * 2].reshape(-1, 2)
+    return paired.min(axis=1), paired.max(axis=1)
+
+
+def _spaced_positions(n: int, d: int) -> np.ndarray:
+    """Interior positions d, 3d + 1, 5d + 2, ... of a length-n series."""
+    return np.arange(d, n - d, 2 * d + 1, dtype=np.intp)
+
+
 def spaced_matching(n: int, d: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Random matching of interior positions thinned to spacing 2d + 1.
 
@@ -557,18 +576,14 @@ def spaced_matching(n: int, d: int, seed) -> tuple[np.ndarray, np.ndarray]:
     touched by its windows) is disjoint from every other retained position's,
     so the pseudo-likelihood factors built from the matched pairs are nearly
     independent.  This keeps information-criterion penalties calibrated when
-    ranking dependence specs; see :func:`fit_pairs`.
+    ranking dependence specs; see :func:`select_specs`.
     """
-    rng = np.random.default_rng(seed)
-    positions = np.arange(d, n - d, 2 * d + 1, dtype=np.intp)
+    positions = _spaced_positions(n, d)
     if len(positions) < 2:
         raise InsufficientInteriorError(
             f"series too short for a spaced matching (n={n}, d={d})"
         )
-    perm = rng.permutation(positions)
-    k = len(perm) // 2
-    paired = perm[: 2 * k].reshape(k, 2)
-    return paired.min(axis=1), paired.max(axis=1)
+    return _matching(np.random.default_rng(seed), positions)
 
 
 def aic_pic(log_pl_at_opt: float, K: int, n: int, d: int) -> tuple[float, float]:
@@ -586,3 +601,68 @@ def aic_pic(log_pl_at_opt: float, K: int, n: int, d: int) -> tuple[float, float]
     aic = -2.0 * log_pl_at_opt + 2.0 * K
     pic = -2.0 * log_pl_at_opt + K * math.log(n_pairs)
     return aic, pic
+
+
+# model selection compares log-PL values across candidate specs, so every
+# candidate is fitted to a tighter tolerance than the single-fit default
+SELECT_CONFIG = GdConfig(max_epochs=2000, tol=1e-8)
+
+
+class SelectRow(NamedTuple):
+    """One spec's scores from :func:`select_specs`; a spec that could not
+    be scored has only ``error`` set."""
+
+    K: int | None = None
+    log_pl: float | None = None
+    aic: float | None = None
+    pic: float | None = None
+    error: str | None = None
+
+
+def select_specs(
+    series: TimeSeries,
+    specs: Sequence[DependenceSpec],
+    seed=0,
+    splits: int = 9,
+    config: GdConfig = SELECT_CONFIG,
+) -> list[SelectRow]:
+    """Score dependence specs for AIC/PIC ranking on one shared
+    pseudo-likelihood design; one row per spec, in input order.
+
+    Log-PL values are comparable across specs only over the same pairs:
+    pair counts that differ with the spec order shift the baseline by far
+    more than any penalty.  So every spec is padded to the largest feasible
+    order and fitted by :func:`fit_pairs` on the same ``splits``
+    :func:`spaced_matching` designs, one per child of
+    ``SeedSequence(seed)``.  The disjoint swap neighborhoods keep an
+    overparametrized spec from buying spurious fit, and averaging the
+    log-PL over the designs concentrates its chance gain near the mean.
+
+    A spec whose order leaves fewer than two spaced positions, or whose fit
+    fails with a library, linear-algebra or floating-point error, gets an
+    error row; any other exception propagates.  Raises
+    :class:`InsufficientInteriorError` when no spec is feasible.
+    """
+    if splits < 1:
+        raise ValueError(f"splits must be >= 1, got {splits}")
+    feasible = [len(_spaced_positions(series.n, spec.order)) >= 2 for spec in specs]
+    if not any(feasible):
+        raise InsufficientInteriorError("every spec order is too large for this series length")
+    max_d = max(spec.order for spec, ok in zip(specs, feasible) if ok)
+    designs = [
+        spaced_matching(series.n, max_d, child)
+        for child in np.random.SeedSequence(seed).spawn(splits)
+    ]
+    rows = []
+    for spec, ok in zip(specs, feasible):
+        if not ok:
+            rows.append(SelectRow(error=f"order {spec.order} is too large for series length {series.n}"))
+            continue
+        try:
+            padded = DependenceSpec(order=max_d, dim=spec.dim, terms=spec.terms)
+            # fit_pairs is looked up here at call time: bench/ wraps it
+            mean = float(np.mean([fit_pairs(padded, series, s1, s2, config).log_pl for s1, s2 in designs]))
+            rows.append(SelectRow(padded.n_terms, mean, *aic_pic(mean, padded.n_terms, series.n, max_d)))
+        except (MimmError, np.linalg.LinAlgError, FloatingPointError) as err:
+            rows.append(SelectRow(error=str(err)))
+    return rows

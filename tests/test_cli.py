@@ -225,6 +225,23 @@ class TestFit:
         assert result["config"]["iters"] == 500
 
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [({"lr0": 1.0, "max_epoch": 0}, "lr0, max_epoch"), ([1, 2], "JSON object")],
+    )
+    def test_config_file_without_such_option_exits_validation(self, workspace, capsys, content, named):
+        conf = workspace["tmp"] / "unknown_conf.json"
+        conf.write_text(json.dumps(content))
+        out = workspace["tmp"] / "unknown_conf_fit.json"
+        rc, _ = run_cli(
+            "fit", "--config", str(conf), "--data", str(workspace["data"]),
+            "--spec", str(workspace["spec1"]), "--estimator", "ple-naive", "--out", str(out),
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSelect:
     def test_duplicate_spec_gets_identical_scores(self, workspace):
         out = workspace["tmp"] / "dup.csv"
@@ -237,13 +254,26 @@ class TestSelect:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert rows[0][1:5] == rows[1][1:5]
 
-    @pytest.mark.parametrize("option", [["--max-epochs", "0"], ["--tol", "0"], ["--lr0", "1.0"]])
+    @pytest.mark.parametrize(
+        "option",
+        [["--max-epochs", "0"], ["--tol", "0"], ["--lr0", "1.0"], ["--estimator", "ple-naive"]],
+    )
     def test_invalid_or_removed_solver_option_exits_validation(self, workspace, option):
         rc, _ = run_cli(
             "select", "--data", str(workspace["data"]),
             "--spec", str(workspace["spec1"]), "--spec", str(workspace["spec2"]), *option,
         )
         assert rc == cli.EXIT_VALIDATION
+
+    def test_removed_option_in_config_file_exits_validation(self, workspace, capsys):
+        conf = workspace["tmp"] / "select_conf.json"
+        conf.write_text(json.dumps({"estimator": "ple-naive"}))
+        rc, _ = run_cli(
+            "select", "--config", str(conf), "--data", str(workspace["data"]),
+            "--spec", str(workspace["spec1"]), "--spec", str(workspace["spec2"]),
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert "estimator" in capsys.readouterr().err
 
     def test_requires_two_specs(self, workspace):
         rc, _ = run_cli("select", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]))

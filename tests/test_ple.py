@@ -608,3 +608,60 @@ class TestAicPic:
     def test_pic_penalty_uses_interior_pair_count(self):
         _, pic = ple.aic_pic(-50.0, K=2, n=100, d=2)
         assert pic == pytest.approx(100.0 + 2 * math.log(math.comb(96, 2)))
+
+
+class TestSelectSpecs:
+    SERIES = gaussian.simulate_ar(AR1, 300, seed=41)
+
+    def test_row_is_the_mean_log_pl_over_spaced_designs(self):
+        (row1, row2) = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2)], seed=4, splits=3)
+        padded = core.DependenceSpec(order=2, dim=1, terms=SPEC1.terms)
+        log_pls = [
+            ple.fit_pairs(padded, self.SERIES, *ple.spaced_matching(300, 2, child), ple.SELECT_CONFIG).log_pl
+            for child in np.random.SeedSequence(4).spawn(3)
+        ]
+        assert row1.K == 1 and row2.K == 2
+        assert row1.log_pl == float(np.mean(log_pls))
+        assert (row1.aic, row1.pic) == ple.aic_pic(row1.log_pl, 1, 300, 2)
+        assert row1.error is None and row2.error is None
+
+    def test_duplicate_spec_gets_identical_rows(self):
+        rows = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2), SPEC1], seed=1, splits=2)
+        assert rows[0] == rows[2]
+        assert rows[0] != rows[1]
+
+    def test_infeasible_spec_becomes_error_row(self):
+        # order 75 leaves one spaced position on n=300: 75 + 151 >= 300 - 75
+        rows = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(75)], splits=1)
+        assert rows[0].error is None and np.isfinite(rows[0].aic)
+        assert "too large" in rows[1].error
+        assert rows[1][:4] == (None, None, None, None)
+
+    def test_all_specs_infeasible_raises(self):
+        with pytest.raises(InsufficientInteriorError):
+            ple.select_specs(self.SERIES, [core.ar_spec(75), core.ar_spec(80)])
+
+    def test_zero_splits_raises(self):
+        with pytest.raises(ValueError, match="splits"):
+            ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2)], splits=0)
+
+    def test_numerical_failure_becomes_error_row(self, monkeypatch):
+        fit_pairs = ple.fit_pairs
+
+        def failing_for_k2(spec, *args, **kwargs):
+            if spec.n_terms == 2:
+                raise np.linalg.LinAlgError("singular")
+            return fit_pairs(spec, *args, **kwargs)
+
+        monkeypatch.setattr(ple, "fit_pairs", failing_for_k2)
+        rows = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2)], splits=1)
+        assert rows[0].error is None
+        assert rows[1] == ple.SelectRow(error="singular")
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(ple, "fit_pairs", broken)
+        with pytest.raises(TypeError, match="bad call"):
+            ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2)], splits=1)
