@@ -55,8 +55,9 @@ def _merge_config(args: argparse.Namespace, **builtin) -> dict:
     """flags > config file > ``builtin`` defaults, over every option of the
     command's parser; an option with neither a flag, a file value nor a
     built-in default is None.  A config-file key that names no option of
-    the command is an error."""
-    keys = [key for key in vars(args) if key not in ("command", "func", "config")]
+    the command, or a value that fails the option's type or choices, is an
+    error."""
+    keys = [key for key in vars(args) if key not in ("command", "func", "config", "options")]
     effective = {key: builtin.get(key) for key in keys}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -69,12 +70,31 @@ def _merge_config(args: argparse.Namespace, **builtin) -> dict:
                 f"config file {args.config} has keys that name no option of "
                 f"{args.command}: {', '.join(unknown)}"
             )
+        for key, value in file_conf.items():
+            _check_file_value(args.config, args.options[key], value)
         effective.update(file_conf)
     for key in keys:
         flag_val = getattr(args, key)
         if flag_val is not None:
             effective[key] = flag_val
     return effective
+
+
+def _check_file_value(path, action: argparse.Action, value) -> None:
+    """The option's own type and choices checks, applied to a config-file
+    value or to each item of a list value: an int option takes a JSON
+    integer, a float option any JSON number and other options a string.
+    null leaves the option unset."""
+    kind = action.type or str
+    accepted = (int, float) if kind is float else kind
+    name = action.option_strings[0]
+    for item in value if isinstance(value, list) else [value]:
+        if item is None:
+            continue
+        if isinstance(item, bool) or not isinstance(item, accepted):
+            raise MimmError(f"config file {path}: {name} takes {kind.__name__} values, got {item!r}")
+        if action.choices is not None and item not in action.choices:
+            raise MimmError(f"config file {path}: {name} must be one of {', '.join(action.choices)}, got {item!r}")
 
 
 def _configure(base, conf: dict, options: dict):
@@ -649,14 +669,14 @@ def _check_exchange_step_factored() -> CheckResult:
     worst = 0.0
     for spec, series in cases:
         d, table = spec.order, spec._table
-        keys = [k for k, _, _ in table.scalar_plan[1]]
+        keys = [k for k, _, _ in table.groups]
         order = np.concatenate([np.arange(d), d + rng.permutation(n - 2 * d), np.arange(n - d, n)])
         powers = list(map(tuple, table.powers(series.data[order]).tolist()))
         for _ in range(30):
             s1 = int(rng.integers(d, n - 2 * d - 1))
             s2 = int(rng.integers(s1 + d + 1, n - d))
             factored = np.zeros(spec.n_terms)
-            np.add.at(factored, keys, core._far_swap_terms(table.scalar_plan, powers, s1, s2))
+            np.add.at(factored, keys, core._far_swap_terms(table, powers, s1, s2))
             scalar = core.swap_delta(spec, series, s1, s2, order=order)
             err = np.abs(factored - scalar) / (1.0 + np.abs(scalar))
             worst = max(worst, float(err.max()))
@@ -853,7 +873,7 @@ def _check_pair_sign() -> CheckResult:
     spec = core.ar_spec(2)
     series = core.TimeSeries(rng.standard_normal(30))
     s1, s2 = np.sort([rng.choice(range(2, 28), size=2, replace=False) for _ in range(20)]).T
-    (X,) = ple._PairBlocks(spec, series, lambda: ((s1, s2),), materialize=True)()
+    (X,) = ple._PairBlocks(spec, series, lambda: ((s1, s2),), len(s1))()
     worst = max(
         float(np.abs(x + core.swap_delta(spec, series, int(a), int(b))).max())
         for x, a, b in zip(X, s1, s2)
@@ -1046,6 +1066,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the Riccati solver tolerance (fault injection)",
     )
     ver.set_defaults(func=cmd_verify)
+    for command in sub.choices.values():
+        # _merge_config checks config-file values against these
+        command.set_defaults(options={action.dest: action for action in command._actions})
     return parser
 
 

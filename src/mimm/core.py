@@ -221,12 +221,13 @@ class MonomialTable:
 
     ``comps``/``exps`` list the distinct (component, exponent) powers the
     terms use, and ``terms[k]`` lists term k's factors as (lag, power
-    column).  For the factored swap delta, ``owns`` lists the distinct
-    products of one lag's factors of a term, as (0, column) pairs on a
-    one-row window, and ``groups`` holds ``(k, own index, ((lag, rest),
-    ...))``: the lags at which term k takes that product, each with the
-    term's remaining factors.  A term touching a single lag is left out,
-    since a swap of interior positions only permutes its summands.
+    column).  The plan of the factored swap delta at position i: ``owns``
+    lists the distinct products of one lag's factors of a term, each as a
+    tuple of power columns, and ``groups`` holds ``(k, own index, slots)``:
+    one slot per lag at which term k takes that product, listing the
+    term's remaining factors as (offset, power column), read at position
+    i + offset.  A term touching a single lag is left out, since a swap of
+    interior positions only permutes its summands.
     """
 
     def __init__(self, spec: DependenceSpec):
@@ -247,27 +248,13 @@ class MonomialTable:
                 continue
             by_own: dict[tuple, list] = {}
             for lag in lags:
-                own = tuple((0, q) for l, q in factors if l == lag)
-                rest = tuple(f for f in factors if f[0] != lag)
-                by_own.setdefault(own, []).append((lag, rest))
+                own = tuple(q for l, q in factors if l == lag)
+                rest = tuple((lag - l, q) for l, q in factors if l != lag)
+                by_own.setdefault(own, []).append(rest)
             for own, slots in by_own.items():
                 groups.append((k, owns.setdefault(own, len(owns)), tuple(slots)))
         self.owns = tuple(owns)
         self.groups = tuple(groups)
-
-    @functools.cached_property
-    def scalar_plan(self):
-        """The factored swap delta for one pair at a time: ``(owns,
-        groups)`` with ``owns[j]`` the power columns of own product j and
-        ``groups[g] = (k, j, slots)``, each slot a tuple of (offset, power
-        column) factors read at position i + offset (see
-        :func:`_far_swap_terms`)."""
-        owns = tuple(tuple(q for _, q in own) for own in self.owns)
-        groups = tuple(
-            (k, j, tuple(tuple((lag - l, q) for l, q in rest) for lag, rest in slots))
-            for k, j, slots in self.groups
-        )
-        return owns, groups
 
     def powers(self, values: np.ndarray) -> np.ndarray:
         """Power columns of the values: (..., p) -> (..., Q)."""
@@ -442,20 +429,15 @@ def _affected_windows(d: int, s1: int, s2: int):
     )
 
 
-def _swap_delta_rows(rows, order, d, terms, s1, s2):
+def _swap_delta_rows(rows, d, terms, s1, s2):
     """Scalar-path swap delta on tuple rows.
 
-    ``rows`` is a sequence of data rows (tuples), ``order`` a list mapping
-    position -> data index (or None for identity).  Returns the list
-    H(swapped) - H(current) re-evaluating only affected windows.  Behind the
-    public wrapper (the oracle of every faster path) and the exchange
-    sampler's near pairs, which it gets with ``rows`` already permuted.
+    ``rows`` is the sequence of data rows (tuples) of the current ordering.
+    Returns the list H(swapped) - H(current) re-evaluating only affected
+    windows.  Behind the public wrapper (the oracle of every faster path)
+    and the exchange sampler's near pairs.
     """
-    if order is None:
-        i1, i2 = s1, s2
-    else:
-        i1, i2 = order[s1], order[s2]
-    r1, r2 = rows[i1], rows[i2]
+    r1, r2 = rows[s1], rows[s2]
     delta = [0.0] * len(terms)
     for t in _affected_windows(d, s1, s2):
         for k, factors in enumerate(terms):
@@ -463,10 +445,7 @@ def _swap_delta_rows(rows, order, d, terms, s1, s2):
             after = 1.0
             for lag, comp, exp in factors:
                 pos = t - lag
-                if order is None:
-                    row = rows[pos]
-                else:
-                    row = rows[order[pos]]
+                row = rows[pos]
                 if pos == s1:
                     swapped = r2
                 elif pos == s2:
@@ -483,9 +462,9 @@ def _swap_delta_rows(rows, order, d, terms, s1, s2):
     return delta
 
 
-def _far_swap_terms(plan, powers, s1, s2):
-    """Factored swap delta of one far pair (s2 - s1 > d), per group of
-    ``plan`` (:attr:`MonomialTable.scalar_plan`):
+def _far_swap_terms(table: MonomialTable, powers, s1, s2):
+    """Factored swap delta of one far pair (s2 - s1 > d), per group of the
+    ``table`` plan:
     ``(S_g(s1) - S_g(s2)) * (Phi_g(x_{s2}) - Phi_g(x_{s1}))``, to be added
     to the statistic of group g's term.
 
@@ -495,17 +474,16 @@ def _far_swap_terms(plan, powers, s1, s2):
     reverse swap negates ``Phi_g`` exactly and leaves ``S_g`` alone, so its
     terms are the exact negatives of the forward ones.
     """
-    owns, groups = plan
     r1, r2 = powers[s1], powers[s2]
     dphi = []
-    for qs in owns:
+    for qs in table.owns:
         a = b = 1.0
         for q in qs:
             a *= r1[q]
             b *= r2[q]
         dphi.append(b - a)
     out = []
-    for _, j, slots in groups:
+    for _, j, slots in table.groups:
         S1 = S2 = 0.0
         for factors in slots:
             u = v = 1.0
@@ -526,41 +504,36 @@ def swap_delta(spec: DependenceSpec, series: TimeSeries, s1: int, s2: int, order
     """Change of the sufficient statistic under the transposition of interior
     positions s1 < s2, evaluated against the current ordering.
 
-    Only the at most 2(d+1) windows containing s1 or s2 are re-evaluated;
-    the series itself is never permuted.  ``order`` is a position -> data
-    index map (None means identity).
+    Only the at most 2(d+1) windows containing s1 or s2 are re-evaluated.
+    ``order`` is a position -> data index map (None means identity), applied
+    once to the list of data rows.
     """
     _check_series(spec, series)
     _check_swap_indices(series.n, spec.order, s1, s2)
+    rows = series.rows()
     if order is not None:
-        order = [int(i) for i in order]
-        if len(order) != series.n:
+        rows = [rows[int(i)] for i in order]
+        if len(rows) != series.n:
             raise ShapeMismatchError("order length does not match series length")
-    delta = _swap_delta_rows(
-        series.rows(), order, spec.order, _term_factor_tuples(spec), s1, s2
-    )
-    return np.asarray(delta)
+    return np.asarray(_swap_delta_rows(rows, spec.order, _term_factor_tuples(spec), s1, s2))
 
 
 def _factored_tables(table: MonomialTable, X: np.ndarray, positions: np.ndarray, pad: int):
     """Per-position tables of the factored swap delta at ``positions``,
     each preceded by ``pad`` unused entries: ``phi[j]`` is own product j,
-    and ``S[g]`` sums group g's remaining factors over the windows
-    t = i + lag of its lags."""
+    and ``S[g]`` sums the products over group g's slots."""
     d = table.order
     # column d + j holds the powers of row i + j
     G = table.powers(X[positions[:, None] + np.arange(-d, d + 1)])
-    # window t = i + lag, as rows i + lag, i + lag - 1, ..., i + lag - d
-    windows = [G[:, lag : lag + d + 1][:, ::-1] for lag in range(d + 1)]
 
     def padded(values):
         out = np.zeros(pad + len(positions))
         out[pad:] = values
         return out
 
-    phi = [padded(_product(G[:, d : d + 1], own)) for own in table.owns]
+    phi = [padded(_product(G, [(d, q) for q in own])) for own in table.owns]
     S = [
-        padded(sum(_product(windows[lag], rest) for lag, rest in slots))
+        padded(sum(_product(G, [(d + off, q) for off, q in slot]) for slot in slots))
         for _, _, slots in table.groups
     ]
     return phi, S

@@ -259,11 +259,10 @@ def exchange_sample(
         rng = np.random.default_rng(config.seed)
 
     table = spec._table
-    plan = table.scalar_plan
     terms = _term_factor_tuples(spec)
     K = spec.n_terms
     th = [float(v) for v in theta]
-    group_k = [k for k, _, _ in plan[1]]
+    group_k = [k for k, _, _ in table.groups]
     group_th = [th[k] for k in group_k]
     every_k = range(K)
     # data row and power row at each position of the current ordering
@@ -286,10 +285,10 @@ def exchange_sample(
                 b += 1
             s1, s2 = (a + d, b + d) if a < b else (b + d, a + d)
             if s2 - s1 > d:
-                parts = _far_swap_terms(plan, powers, s1, s2)
+                parts = _far_swap_terms(table, powers, s1, s2)
                 weights, keys = group_th, group_k
             else:
-                parts = _swap_delta_rows(rows, None, d, terms, s1, s2)
+                parts = _swap_delta_rows(rows, d, terms, s1, s2)
                 weights, keys = th, every_k
             logr = 0.0
             for w, v in zip(weights, parts):

@@ -6,24 +6,27 @@ transposed.  Each factor is a logistic term with constant response 1 and
 explanatory vector equal to the statistic drop caused by the swap, so
 fitting reduces to intercept-free, penalty-free logistic regression.
 
-Three fitters:
+Four fitters:
 
 * ``fit_naive``       all C(m, 2) pairs,
 * ``fit_bipartition`` one random perfect matching of the interior (O(n) pairs),
+* ``fit_pairs``       an explicit pair list,
 * ``fit_online_sgd``  single-pair stochastic updates with a fixed budget.
 
-The first two (and ``fit_pairs``, on an explicit pair list) share one
-solver: damped Newton ascent with a minimum-norm step.  The objective is
-concave with a K x K Hessian, and binary columns can make monomials
-collinear, so the step solves the Newton system in the least-squares sense
-and theta stays in the row space of the pair matrix.  The Newton pass and
-the log pseudo-likelihood walk the pair matrix in cache-sized row slices
-with plain numpy ufuncs (logistic weights from ``exp`` with the margin
-clipped, the log-PL in softplus form), so no temporary grows with the pair
-matrix.
+The first three differ only in the pairs they draw: one body builds the
+pair statistics and fits them by damped Newton ascent with a minimum-norm
+step.  The objective is concave with a K x K Hessian, and binary columns
+can make monomials collinear, so the step solves the Newton system in the
+least-squares sense and theta stays in the row space of the pair matrix.
+The Newton pass and the log pseudo-likelihood walk the pair blocks in
+cache-sized row slices with plain numpy ufuncs (logistic weights from
+``exp`` with the margin clipped, the log-PL in softplus form), so no
+temporary grows with the pair matrix.
 
 Pairs are generated in a deterministic order (lexicographic, or derived from
-the seed), so runs are reproducible and memory stays bounded regardless of n.
+the seed), so runs are reproducible.  A design small enough is held in
+memory as one block per chunk of pairs; a larger one is regenerated chunk by
+chunk on every pass, so memory stays bounded regardless of n.
 
 Model selection: ``select_specs`` ranks candidate dependence specs by
 ``aic_pic`` on one shared design, every spec padded to the largest order and
@@ -37,7 +40,7 @@ import math
 import time
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +53,7 @@ from .core import (  # noqa: F401  window_statistics: bench/tracing.py wraps it 
     window_statistics,
 )
 from .exceptions import (
+    InsufficientDataError,
     InsufficientInteriorError,
     MimmError,
     SeparationWarning,
@@ -84,9 +88,10 @@ _MIN_STEP = 2.0**-30
 _SLICE_ROWS = 1 << 14
 # Rows online SGD turns into Python lists at a time.
 _SGD_LIST_ROWS = 2048
-# fit_naive holds the all-pairs matrix in memory up to this many pairs * K
-# entries; past it, every pass regenerates the pairs this many at a time.
-# Both are read at call time, so a test can force the streamed path.
+# A pair design is held in memory up to this many pairs * K statistics;
+# past it, every pass regenerates it.  fit_naive draws its pairs this many
+# at a time.  Both are read at call time, so a test can force the streamed
+# path.
 _MATERIALIZE_LIMIT = 20_000_000
 _CHUNK_PAIRS = 500_000
 # The Newton ascent stops with a SeparationWarning once |theta| exceeds this.
@@ -242,40 +247,32 @@ def _iter_pair_chunks(lo: int, hi: int, chunk: int):
         s2[0] = first[r0] + 1
         np.cumsum(s2, out=s2)
         yield s1, s2
+        del s1, s2  # a chunk's index arrays are as large as its block
         r0 = r1
 
 
-class _Ascent(NamedTuple):
-    theta: np.ndarray
-    log_pl: float
-    converged: bool
-    iterations: int
-    grad_norm: float
-    trace: tuple[float, ...] | None
-    stages: dict[str, float]
-
-
 class _PairBlocks:
-    """Pair-statistic blocks for the Newton solver.  Calling the object
-    yields one pass over the pairs: one block held in memory when
-    ``materialize`` is set, otherwise blocks regenerated from ``chunks()``.
-    ``seconds`` sums the time spent building blocks: drawing pair indices
-    from ``chunks()`` and their statistics from :func:`swap_deltas`."""
+    """Pair-statistic blocks for the Newton solver, one per chunk of
+    ``chunks()``.  Calling the object yields one pass over the pairs.  A
+    design of at most ``_MATERIALIZE_LIMIT`` statistics (n_pairs * K) is
+    built once and its blocks held; a larger one is regenerated on every
+    pass.  ``seconds`` sums the time spent building blocks: drawing pair
+    indices from ``chunks()`` and their statistics from :func:`swap_deltas`."""
 
-    def __init__(self, spec: DependenceSpec, series: TimeSeries, chunks, materialize: bool):
+    def __init__(self, spec: DependenceSpec, series: TimeSeries, chunks, n_pairs: int):
         self._spec = spec
         self._series = series
         self._chunks = chunks
         self.seconds = 0.0
         self._held = None
-        if materialize:
-            held = list(self._generate())
-            self._held = (held[0] if len(held) == 1 else np.vstack(held),)
+        if n_pairs * spec.n_terms <= _MATERIALIZE_LIMIT:
+            self._held = tuple(self._generate())
 
     def _generate(self):
         start = time.perf_counter()
         for s1, s2 in self._chunks():
             X = swap_deltas(self._spec, self._series, s1, s2)
+            del s1, s2  # freed before the next chunk's indices are drawn
             np.negative(X, out=X)
             self.seconds += time.perf_counter() - start
             yield X
@@ -323,24 +320,35 @@ def _newton_pass(blocks, theta):
     return acc[0], acc[1:]
 
 
-def _newton_ascent(blocks: _PairBlocks, n_pairs: int, K: int, config: GdConfig) -> _Ascent:
-    """Damped Newton ascent on the log pseudo-likelihood from theta = 0.
+def _fit(
+    spec: DependenceSpec,
+    series: TimeSeries,
+    chunks,
+    n_pairs: int,
+    config: GdConfig,
+    method: str,
+) -> PleResult:
+    """Pseudo-likelihood fit on the ``n_pairs`` pairs that ``chunks()``
+    yields as (s1, s2) index arrays, by damped Newton ascent from theta = 0;
+    an empty design raises :class:`InsufficientDataError`.
 
-    ``blocks()`` yields the pair-statistic blocks afresh on every call: one
-    call is one pass over the pairs, and one Newton pass is one epoch.  The
-    step is the minimum-norm least-squares solution of  info step = grad,
-    which keeps theta in the row space of the pair matrix when columns are
-    collinear.  A full step is kept when the slope grad(theta + step) . step
-    is still >= 0, since by concavity the objective cannot then have
-    decreased; otherwise the step is halved until the objective is no lower
-    than at theta.
+    One Newton pass over the pairs is one epoch.  The step is the
+    minimum-norm least-squares solution of  info step = grad, which keeps
+    theta in the row space of the pair matrix when columns are collinear.
+    A full step is kept when the slope grad(theta + step) . step is still
+    >= 0, since by concavity the objective cannot then have decreased;
+    otherwise the step is halved until the objective is no lower than at
+    theta.
     """
+    start = time.perf_counter()
+    if n_pairs == 0:
+        raise InsufficientDataError("the pair design is empty")
+    blocks = _PairBlocks(spec, series, chunks, n_pairs)
 
     def objective(theta):
         return sum(log_pl(theta, X) for X in blocks())
 
-    start, pairs_start = time.perf_counter(), blocks.seconds
-    theta = np.zeros(K)
+    theta = np.zeros(spec.n_terms)
     grad, info = _newton_pass(blocks, theta)
     epochs = 1
     value = objective(theta) if config.track_objective else None
@@ -389,58 +397,39 @@ def _newton_ascent(blocks: _PairBlocks, n_pairs: int, K: int, config: GdConfig) 
         value = objective(theta)
     stages = {
         "pairs_s": blocks.seconds,
-        "solver_s": solved - start - (pairs_solved - pairs_start),
+        "solver_s": solved - start - pairs_solved,
         "log_pl_s": time.perf_counter() - solved - (blocks.seconds - pairs_solved),
     }
-    return _Ascent(
+    return PleResult(
         theta=theta,
         log_pl=value,
-        converged=converged,
-        iterations=epochs,
-        grad_norm=math.sqrt(grad @ grad) / n_pairs,
-        trace=None if trace is None else tuple(trace),
-        stages=stages,
-    )
-
-
-def _result(fit: _Ascent, method: str, n_pairs: int, start: float, aic=None, pic=None) -> PleResult:
-    return PleResult(
-        theta=fit.theta,
-        log_pl=fit.log_pl,
-        aic=aic,
-        pic=pic,
+        aic=None,
+        pic=None,
         n_pairs_used=n_pairs,
         wall_time_s=time.perf_counter() - start,
-        converged=fit.converged,
+        converged=converged,
         method=method,
-        objective_trace=fit.trace,
-        iterations=fit.iterations,
-        grad_norm=fit.grad_norm,
-        stages=fit.stages,
+        objective_trace=None if trace is None else tuple(trace),
+        iterations=epochs,
+        grad_norm=math.sqrt(grad @ grad) / n_pairs,
+        stages=stages,
     )
 
 
 def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdConfig()) -> PleResult:
     """Newton ascent with minimum-norm steps over all interior pairs,
-    theta0 = 0.
+    theta0 = 0, with AIC/PIC filled in.
 
-    The (n_pairs, K) statistic matrix is held in memory when n_pairs * K is
-    at most 2e7 entries; past that, pairs are regenerated 5e5 at a time on
-    every pass and never held at once.
+    Pairs are drawn in lexicographic chunks of about 5e5.  Up to 2e7
+    statistics (n_pairs * K) the chunks' blocks are built once and held;
+    past that, every pass regenerates them one chunk at a time, and the
+    pair matrix is never held at once.
     """
-    start = time.perf_counter()
     lo, hi = _interior_bounds(spec, series)
-    K = spec.n_terms
     n_pairs = n_interior_pairs(series.n, spec.order)
-    blocks = _PairBlocks(
-        spec,
-        series,
-        lambda: _iter_pair_chunks(lo, hi, _CHUNK_PAIRS),
-        materialize=n_pairs * K <= _MATERIALIZE_LIMIT,
-    )
-    fit = _newton_ascent(blocks, n_pairs, K, config)
-    aic, pic = aic_pic(fit.log_pl, K, series.n, spec.order)
-    return _result(fit, "ple-naive", n_pairs, start, aic, pic)
+    fit = _fit(spec, series, lambda: _iter_pair_chunks(lo, hi, _CHUNK_PAIRS), n_pairs, config, "ple-naive")
+    aic, pic = aic_pic(fit.log_pl, spec.n_terms, series.n, spec.order)
+    return replace(fit, aic=aic, pic=pic)
 
 
 def fit_bipartition(
@@ -455,13 +444,9 @@ def fit_bipartition(
 
     With an odd interior one position is left unpaired.
     """
-    start = time.perf_counter()
     lo, hi = _interior_bounds(spec, series)
     s1, s2 = _matching(np.random.default_rng(seed), np.arange(lo, hi, dtype=np.intp))
-    n_pairs = len(s1)
-    blocks = _PairBlocks(spec, series, lambda: ((s1, s2),), materialize=True)
-    fit = _newton_ascent(blocks, n_pairs, spec.n_terms, config)
-    return _result(fit, "ple-bipartition", n_pairs, start)
+    return _fit(spec, series, lambda: ((s1, s2),), len(s1), config, "ple-bipartition")
 
 
 def fit_pairs(
@@ -476,15 +461,11 @@ def fit_pairs(
     Used by :func:`select_specs`, which evaluates every candidate spec on
     one shared pair set (swap neighborhoods kept disjoint) so that the
     logistic factors are close to independent and information criteria stay
-    calibrated across candidates.
+    calibrated across candidates.  An empty list raises
+    :class:`InsufficientDataError`.
     """
-    start = time.perf_counter()
     _interior_bounds(spec, series)
-    blocks = _PairBlocks(spec, series, lambda: ((s1, s2),), materialize=True)
-    (X,) = blocks()
-    n_pairs = X.shape[0]
-    fit = _newton_ascent(blocks, n_pairs, spec.n_terms, config)
-    return _result(fit, "ple-pairs", n_pairs, start)
+    return _fit(spec, series, lambda: ((s1, s2),), np.size(s1), config, "ple-pairs")
 
 
 def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig = SgdConfig()) -> PleResult:
@@ -492,8 +473,9 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     theta += eta * (1 - sigmoid(theta . x)) * x (the logistic gradient for a
     constant response of 1).  Fixed iteration budget, no convergence test.
 
-    Pair statistics do not depend on theta, so they are precomputed in
-    vectorized chunks; the update sweep itself is strictly sequential.
+    Pair statistics do not depend on theta, so the whole budget's are
+    computed in one vectorized call; the update sweep itself is strictly
+    sequential.
     """
     start = time.perf_counter()
     lo, hi = _interior_bounds(spec, series)
@@ -509,37 +491,31 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
 
     theta = [0.0] * K
     eta = config.eta
-    used = np.empty((config.n_iters, K))
-    chunk = 200_000
-    pairs_s = 0.0
+    pairs_start = time.perf_counter()
+    X = swap_deltas(spec, series, s1, s2)
+    np.negative(X, out=X)
     loop_start = time.perf_counter()
-    for startrow in range(0, config.n_iters, chunk):
-        stop = min(startrow + chunk, config.n_iters)
-        pairs_start = time.perf_counter()
-        X = -swap_deltas(spec, series, s1[startrow:stop], s2[startrow:stop])
-        pairs_s += time.perf_counter() - pairs_start
-        used[startrow:stop] = X
-        # the scalar loop reads Python floats far faster than numpy
-        # scalars; rows are converted a few at a time so that few list
-        # objects are alive at once (16384 at a time raised peak RSS 2 MiB)
-        for sl in range(0, stop - startrow, _SGD_LIST_ROWS):
-            for row in X[sl : sl + _SGD_LIST_ROWS].tolist():
-                margin = 0.0
-                for k in range(K):
-                    margin += theta[k] * row[k]
-                if margin < -36.0:  # sigmoid underflow; also keeps exp() in range
-                    w = eta
-                else:
-                    w = eta * (1.0 - 1.0 / (1.0 + math.exp(-margin)))
-                for k in range(K):
-                    theta[k] += w * row[k]
+    # the scalar loop reads Python floats far faster than numpy scalars;
+    # rows are converted a few at a time so that few list objects are alive
+    # at once (16384 at a time raised peak RSS 2 MiB)
+    for sl in range(0, config.n_iters, _SGD_LIST_ROWS):
+        for row in X[sl : sl + _SGD_LIST_ROWS].tolist():
+            margin = 0.0
+            for k in range(K):
+                margin += theta[k] * row[k]
+            if margin < -36.0:  # sigmoid underflow; also keeps exp() in range
+                w = eta
+            else:
+                w = eta * (1.0 - 1.0 / (1.0 + math.exp(-margin)))
+            for k in range(K):
+                theta[k] += w * row[k]
 
     theta_arr = np.asarray(theta)
     solved = time.perf_counter()
-    final_log_pl = log_pl(theta_arr, used)
+    final_log_pl = log_pl(theta_arr, X)
     stages = {
-        "pairs_s": pairs_s,
-        "solver_s": solved - loop_start - pairs_s,
+        "pairs_s": loop_start - pairs_start,
+        "solver_s": solved - loop_start,
         "log_pl_s": time.perf_counter() - solved,
     }
     return PleResult(

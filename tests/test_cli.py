@@ -227,7 +227,13 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "content, named",
-        [({"lr0": 1.0, "max_epoch": 0}, "lr0, max_epoch"), ([1, 2], "JSON object")],
+        [
+            ({"lr0": 1.0, "max_epoch": 0}, "lr0, max_epoch"),
+            ([1, 2], "JSON object"),
+            ({"max_epochs": "5"}, "--max-epochs"),
+            ({"tol": "x"}, "--tol"),
+            ({"estimator": "ple-fast"}, "--estimator"),
+        ],
     )
     def test_config_file_without_such_option_exits_validation(self, workspace, capsys, content, named):
         conf = workspace["tmp"] / "unknown_conf.json"

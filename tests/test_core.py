@@ -386,25 +386,25 @@ class TestExchangeStepAgainstScalar:
     @staticmethod
     def check(spec, series, order, s1, s2):
         d, K = spec.order, spec.n_terms
-        plan = spec._table.scalar_plan
-        keys = [k for k, _, _ in plan[1]]
+        table = spec._table
+        keys = [k for k, _, _ in table.groups]
         weights = [float(w) for w in np.linspace(-1.0, 1.5, K)]
         group_weights = [weights[k] for k in keys]
-        powers = list(map(tuple, spec._table.powers(series.data[order]).tolist()))
+        powers = list(map(tuple, table.powers(series.data[order]).tolist()))
         rows = [series.rows()[i] for i in order]
         terms = core._term_factor_tuples(spec)
         for a, b in zip(s1.tolist(), s2.tolist()):
             scalar = core.swap_delta(spec, series, a, b, order=order)
             if b - a <= d:
-                near = core._swap_delta_rows(rows, None, d, terms, a, b)
+                near = core._swap_delta_rows(rows, d, terms, a, b)
                 np.testing.assert_array_equal(near, scalar)
                 continue
-            forward = core._far_swap_terms(plan, powers, a, b)
+            forward = core._far_swap_terms(table, powers, a, b)
             step = np.zeros(K)
             np.add.at(step, keys, forward)
             assert np.all(np.abs(step - scalar) <= 1e-12 * (1.0 + np.abs(scalar)))
             powers[a], powers[b] = powers[b], powers[a]
-            reverse = core._far_swap_terms(plan, powers, a, b)
+            reverse = core._far_swap_terms(table, powers, a, b)
             powers[a], powers[b] = powers[b], powers[a]
             assert all(r == -f for f, r in zip(forward, reverse))
             assert _weighted_sum(group_weights, reverse) == -_weighted_sum(group_weights, forward)
@@ -421,11 +421,10 @@ class TestExchangeStepAgainstScalar:
 
     def test_plan_is_compiled_once_per_spec(self):
         spec = core.ar_spec(2)
-        assert spec._table.scalar_plan is spec._table.scalar_plan
-        owns, groups = spec._table.scalar_plan
+        assert spec._table is spec._table
         # x_t * x_{t-k}: one own product x, read at the neighbours i -+ k
-        assert owns == ((0,),)
-        assert groups == ((0, 0, (((-1, 0),), ((1, 0),))), (1, 0, (((-2, 0),), ((2, 0),))))
+        assert spec._table.owns == ((0,),)
+        assert spec._table.groups == ((0, 0, (((-1, 0),), ((1, 0),))), (1, 0, (((-2, 0),), ((2, 0),))))
 
 
 class TestKronSpec:

@@ -141,8 +141,6 @@ def reference_chain(spec, series, theta, config, rng):
     statistics and the accepted count."""
     d, n = spec.order, series.n
     m = n - 2 * d
-    rows = series.rows()
-    terms = core._term_factor_tuples(spec)
     K = spec.n_terms
     th = [float(v) for v in theta]
     order = list(range(n))
@@ -163,7 +161,7 @@ def reference_chain(spec, series, theta, config, rng):
         s1, s2 = (a, b) if a < b else (b, a)
         s1 += d
         s2 += d
-        delta = core._swap_delta_rows(rows, order, d, terms, s1, s2)
+        delta = core.swap_delta(spec, series, s1, s2, order=order).tolist()
         logr = 0.0
         for k in range(K):
             logr += th[k] * delta[k]

@@ -14,7 +14,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from mimm import core, gaussian, ple
-from mimm.exceptions import InsufficientInteriorError, SeparationWarning
+from mimm.exceptions import InsufficientInteriorError, MimmError, SeparationWarning
 
 AR1 = gaussian.ClassicalARParams([0.5], 0.5)
 SPEC1 = core.ar_spec(1)
@@ -48,7 +48,7 @@ class TestPairStatistic:
         spec = core.ar_spec(2)
         series = core.TimeSeries(rng.standard_normal(25))
         s1, s2 = np.sort([rng.choice(range(2, 23), size=2, replace=False) for _ in range(15)]).T
-        (X,) = ple._PairBlocks(spec, series, lambda: ((s1, s2),), materialize=True)()
+        (X,) = ple._PairBlocks(spec, series, lambda: ((s1, s2),), len(s1))()
         np.testing.assert_array_equal(X, -core.swap_deltas(spec, series, s1, s2))
         scalar = np.array([core.swap_delta(spec, series, int(a), int(b)) for a, b in zip(s1, s2)])
         np.testing.assert_allclose(X, -scalar, rtol=0.0, atol=1e-12)
@@ -299,6 +299,20 @@ class TestFitNaive:
         assert a.theta[0] == pytest.approx(b.theta[0], abs=1e-10)
         assert a.log_pl == pytest.approx(b.log_pl, rel=1e-10)
 
+    def test_held_chunks_match_streamed_fit_bitwise(self, monkeypatch):
+        # a held design keeps one block per chunk, so the Newton passes and
+        # the log-PL visit the same rows in the same order as a streamed fit
+        series = gaussian.simulate_ar(AR1, 300, seed=16)
+        monkeypatch.setattr(ple, "_CHUNK_PAIRS", 400)
+        held = ple.fit_naive(SPEC1, series)
+        monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", 0)
+        streamed = ple.fit_naive(SPEC1, series)
+        assert held.iterations == streamed.iterations and held.converged == streamed.converged
+        np.testing.assert_array_equal(held.theta, streamed.theta)
+        assert (held.log_pl, held.aic, held.pic, held.grad_norm) == (
+            streamed.log_pl, streamed.aic, streamed.pic, streamed.grad_norm
+        )
+
     def test_interior_too_small(self):
         with pytest.raises(InsufficientInteriorError):
             ple.fit_naive(core.ar_spec(2), core.TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0]))
@@ -502,6 +516,11 @@ class TestFitPairs:
         fit = ple.fit_pairs(SPEC1, series, s1, s2)
         assert fit.n_pairs_used == 200
         assert fit.log_pl <= 0.0 and fit.converged
+
+    def test_empty_design_rejected(self):
+        series = gaussian.simulate_ar(AR1, 50, seed=31)
+        with pytest.raises(MimmError, match="empty"):
+            ple.fit_pairs(SPEC1, series, [], [])
 
 
 def reference_sgd_theta(spec, series, config):
