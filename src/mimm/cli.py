@@ -81,16 +81,27 @@ def _merge_config(args: argparse.Namespace, **builtin) -> dict:
 
 
 def _check_file_value(path, action: argparse.Action, value) -> None:
-    """The option's own type and choices checks, applied to a config-file
-    value or to each item of a list value: an int option takes a JSON
-    integer, a float option any JSON number and other options a string.
+    """The option's own shape, type and choices checks, applied to a
+    config-file value: an option that takes several values (``nargs`` "+",
+    "*" or a count, or ``action="append"``) takes a JSON list, of that count
+    if fixed, and any other option a single value.  An int option takes JSON
+    integers, a float option any JSON number and other options strings.
     null leaves the option unset."""
+    if value is None:
+        return
+    name = action.option_strings[0]
+    many = (
+        action.nargs in ("+", "*")
+        or isinstance(action.nargs, int)
+        or isinstance(action, argparse._AppendAction)
+    )
+    if isinstance(value, list) != many:
+        raise MimmError(f"config file {path}: {name} takes {'a list' if many else 'one value'}, got {value!r}")
+    if isinstance(action.nargs, int) and len(value) != action.nargs:
+        raise MimmError(f"config file {path}: {name} takes {action.nargs} values, got {value!r}")
     kind = action.type or str
     accepted = (int, float) if kind is float else kind
-    name = action.option_strings[0]
-    for item in value if isinstance(value, list) else [value]:
-        if item is None:
-            continue
+    for item in value if many else [value]:
         if isinstance(item, bool) or not isinstance(item, accepted):
             raise MimmError(f"config file {path}: {name} takes {kind.__name__} values, got {item!r}")
         if action.choices is not None and item not in action.choices:

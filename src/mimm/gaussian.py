@@ -9,12 +9,19 @@ transform are implemented here; the VAR(1) inverse runs through a quadratic
 matrix equation solved by a damped fixed-point iteration with a Newton
 fallback.
 
+Every stationary covariance (AR(d) variance, VAR(1) covariance, the
+variance residual of the AR(d) inverse) comes from one route: the block
+companion matrix of :func:`companion_matrix` and
+``scipy.linalg.solve_discrete_lyapunov``.  Parameter records serialize to a
+flat ``name.i.j=value`` text format driven by their dataclass fields.
+
 All functions are pure; simulators take explicit seeds and return
 bit-identical output for identical inputs on one platform.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -53,7 +60,6 @@ __all__ = [
     "stationary_variance",
     "stationary_cov_var1",
     "kernel_from_ar1",
-    "kernel_from_var1",
     "params_to_text",
     "params_from_text",
 ]
@@ -65,14 +71,26 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def companion_matrix(phi: np.ndarray) -> np.ndarray:
-    """Companion form of a scalar AR(d) recursion."""
-    d = len(phi)
-    F = np.zeros((d, d))
-    F[0, :] = phi
-    if d > 1:
-        F[1:, :-1] = np.eye(d - 1)
+def companion_matrix(coef: np.ndarray) -> np.ndarray:
+    """Block companion matrix of an AR(d) recursion (``coef`` of shape (d,))
+    or a VAR(d) recursion (coefficient blocks of shape (d, p, p))."""
+    coef = np.asarray(coef, dtype=float)
+    if coef.ndim == 1:
+        coef = coef[:, None, None]
+    d, p, _ = coef.shape
+    F = np.eye(d * p, k=-p)
+    F[:p] = coef.transpose(1, 0, 2).reshape(p, d * p)
     return F
+
+
+def _stationary_state_cov(coef: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Stationary covariance of the companion state of an AR/VAR recursion
+    with noise covariance ``noise``: solves G = F G F' + Q, where F is the
+    block companion matrix and Q carries ``noise`` in its leading block."""
+    F = companion_matrix(coef)
+    Q = np.zeros_like(F)
+    Q[: len(noise), : len(noise)] = noise
+    return scipy.linalg.solve_discrete_lyapunov(F, Q)
 
 
 def _spectral_radius(mat: np.ndarray) -> float:
@@ -135,11 +153,7 @@ class ClassicalVARParams:
         if Sigma.shape != (p, p):
             raise ShapeMismatchError(f"Sigma shape {Sigma.shape} does not match p={p}")
         _check_spd(Sigma, "Sigma")
-        comp = np.zeros((d * p, d * p))
-        comp[:p, :] = np.concatenate(list(A), axis=1)
-        if d > 1:
-            comp[p:, : (d - 1) * p] = np.eye((d - 1) * p)
-        rho = _spectral_radius(comp)
+        rho = _spectral_radius(companion_matrix(A))
         if rho >= 1.0:
             raise StationarityError(
                 f"VAR coefficients are non-stationary (companion spectral radius {rho:.6g})"
@@ -348,28 +362,12 @@ def simulate_ar(params: ClassicalARParams, n: int, burn_in: int = 0, seed=None) 
 
 
 def stationary_cov_var1(A: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
-    """Stationary covariance of a VAR(1): solves B = A B A' + Sigma.
-
-    Dense Kronecker solve for p <= 8; truncated power accumulation of
-    sum_k A**k Sigma (A')**k otherwise.
-    """
+    """Stationary covariance of a VAR(1): solves B = A B A' + Sigma."""
     A = np.asarray(A, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
-    p = A.shape[0]
     rho = _spectral_radius(A)
     if rho >= 1.0:
         raise StationarityError(f"spectral radius {rho:.6g} >= 1")
-    if p <= 8:
-        eye = np.eye(p * p)
-        vecB = np.linalg.solve(eye - np.kron(A, A), Sigma.reshape(-1, order="F"))
-        B = vecB.reshape(p, p, order="F")
-    else:
-        depth = max(10, int(math.ceil(math.log(1e-16) / math.log(max(rho, 1e-12)))))
-        B = np.zeros_like(Sigma)
-        term = Sigma.copy()
-        for _ in range(depth):
-            B += term
-            term = A @ term @ A.T
+    B = _stationary_state_cov(A[None], np.asarray(Sigma, dtype=float))
     return (B + B.T) / 2.0
 
 
@@ -411,12 +409,7 @@ def simulate_var(params: ClassicalVARParams, n: int, burn_in: int = 0, seed=None
 
 def stationary_variance(params: ClassicalARParams) -> float:
     """Stationary variance of an AR(d) via the companion-form Lyapunov solve."""
-    d = params.order
-    F = companion_matrix(params.phi)
-    Q = np.zeros((d, d))
-    Q[0, 0] = params.sigma2
-    gamma = scipy.linalg.solve_discrete_lyapunov(F, Q)
-    return float(gamma[0, 0])
+    return float(_stationary_state_cov(params.phi, [[params.sigma2]])[0, 0])
 
 
 def ar1_to_mininfo(params: ClassicalARParams) -> MinInfoARParams:
@@ -577,13 +570,19 @@ def ard_to_mininfo(params: ClassicalARParams) -> MinInfoARParams:
     return MinInfoARParams(theta=theta, tau2=stationary_variance(params))
 
 
-def mininfo_to_ard(params: MinInfoARParams, max_iters: int = 200, tol: float = 1e-9) -> ClassicalARParams:
+# Newton iteration cap and residual tolerance of mininfo_to_ard.
+_ARD_MAX_ITERS = 200
+_ARD_TOL = 1e-9
+
+
+def mininfo_to_ard(params: MinInfoARParams) -> ClassicalARParams:
     """Numerical inverse of :func:`ard_to_mininfo` for d >= 3.
 
     Damped Newton on the d+1 residuals (theta definitions plus the
     stationary-variance equation, the latter scaled by 1/tau2) with a
     finite-difference Jacobian.  Best effort: the result is returned only if
-    the residual drops below ``tol`` and the coefficients are stationary.
+    the residual drops below 1e-9 within 200 iterations and the coefficients
+    are stationary.
     """
     d = params.order
     if d < 3:
@@ -599,11 +598,7 @@ def mininfo_to_ard(params: MinInfoARParams, max_iters: int = 200, tol: float = 1
             return None
         r = np.empty(d + 1)
         r[:d] = _theta_from_phi(phi, s2) - theta
-        F = companion_matrix(phi)
-        Q = np.zeros((d, d))
-        Q[0, 0] = s2
-        gamma = scipy.linalg.solve_discrete_lyapunov(F, Q)
-        r[d] = (gamma[0, 0] - tau2) / tau2
+        r[d] = (_stationary_state_cov(phi, [[s2]])[0, 0] - tau2) / tau2
         return r
 
     # AR(1)-style shrinkage sets the scale of the initial guess
@@ -617,26 +612,21 @@ def mininfo_to_ard(params: MinInfoARParams, max_iters: int = 200, tol: float = 1
         x = np.concatenate([np.zeros(d), [tau2]])
         r = residual(x)
 
-    for _ in range(max_iters):
+    for _ in range(_ARD_MAX_ITERS):
         norm_r = float(np.linalg.norm(r, np.inf))
-        if norm_r < tol:
+        if norm_r < _ARD_TOL:
             break
         jac = np.empty((d + 1, d + 1))
         for j in range(d + 1):
-            h = 1e-7 * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            xm = x.copy()
-            xm[j] -= h
-            rp, rm = residual(xp), residual(xm)
-            if rp is None or rm is None:
-                h *= 0.01
-                xp, xm = x.copy(), x.copy()
-                xp[j] += h
-                xm[j] -= h
-                rp, rm = residual(xp), residual(xm)
-                if rp is None or rm is None:
-                    raise NoSolutionFoundError("AR(d) inverse: Jacobian left the feasible region")
+            h0 = 1e-7 * (1.0 + abs(x[j]))
+            for h in (h0, h0 * 0.01):  # a smaller step if the first leaves the domain
+                shift = np.zeros(d + 1)
+                shift[j] = h
+                rp, rm = residual(x + shift), residual(x - shift)
+                if rp is not None and rm is not None:
+                    break
+            else:
+                raise NoSolutionFoundError("AR(d) inverse: Jacobian left the feasible region")
             jac[:, j] = (rp - rm) / (2.0 * h)
         try:
             step = np.linalg.solve(jac, -r)
@@ -654,7 +644,7 @@ def mininfo_to_ard(params: MinInfoARParams, max_iters: int = 200, tol: float = 1
             raise NoSolutionFoundError("AR(d) inverse: damped Newton stalled")
     else:
         raise NoSolutionFoundError(
-            f"AR(d) inverse: no convergence after {max_iters} iterations"
+            f"AR(d) inverse: no convergence after {_ARD_MAX_ITERS} iterations"
         )
     return ClassicalARParams(phi=x[:d], sigma2=float(x[d]))
 
@@ -692,16 +682,14 @@ def _floor_pd(mat: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     return (vecs * vals) @ vecs.T
 
 
-# Relative residual tolerance of the VAR(1) Riccati solve in mininfo_to_var1.
+# Relative residual tolerance of the VAR(1) Riccati solve in mininfo_to_var1,
+# and the iteration caps of its fixed-point stage and its Newton fallback.
 RICCATI_RTOL = 1e-13
+_FIXED_POINT_ITERS = 10_000
+_NEWTON_ITERS = 100
 
 
-def mininfo_to_var1(
-    params: MinInfoVARParams,
-    max_fixed_point: int = 10_000,
-    max_newton: int = 100,
-    rtol: float = RICCATI_RTOL,
-) -> ClassicalVARParams:
+def mininfo_to_var1(params: MinInfoVARParams, rtol: float = RICCATI_RTOL) -> ClassicalVARParams:
     """VAR(1) inverse: recover (A, Sigma) from (Theta, B).
 
     Solves the quadratic matrix equation B = Sigma Theta' B Theta Sigma + Sigma
@@ -710,7 +698,7 @@ def mininfo_to_var1(
     starting at Sigma = B, symmetrizing each iterate and flooring eigenvalues
     at 1e-12; gamma is halved whenever the residual fails to decrease.  A
     damped Newton on the residual map takes over if the fixed point has not
-    converged after ``max_fixed_point`` iterations.  Then A = Sigma Theta'.
+    converged after 10 000 iterations.  Then A = Sigma Theta'.
 
     The default ``rtol`` of 1e-13 pushes the residual to near machine level
     so that classical -> minimum-information -> classical round trips land
@@ -729,16 +717,13 @@ def mininfo_to_var1(
 
     Sigma = B.copy()
     gamma = 1.0
-    res = resid_mat(Sigma)
-    res_norm = np.linalg.norm(res, "fro")
-    for _ in range(max_fixed_point):
+    res_norm = np.linalg.norm(resid_mat(Sigma), "fro")
+    for _ in range(_FIXED_POINT_ITERS):
         if res_norm < tol:
-            A = Sigma @ Theta.T
-            return ClassicalVARParams(A=A[None], Sigma=Sigma)
+            break
         cand = (1.0 - gamma) * Sigma + gamma * (B - Sigma @ C @ Sigma)
         cand = _floor_pd(cand)
-        cand_res = resid_mat(cand)
-        cand_norm = np.linalg.norm(cand_res, "fro")
+        cand_norm = np.linalg.norm(resid_mat(cand), "fro")
         if cand_norm < res_norm:
             Sigma, res_norm = cand, cand_norm
             gamma = min(1.0, gamma * 1.2)
@@ -747,14 +732,14 @@ def mininfo_to_var1(
             if gamma < 1e-8:
                 break
 
-    # Newton fallback on R(Sigma) = Sigma + Sigma C Sigma - B = 0
+    # Newton fallback on R(Sigma) = Sigma + Sigma C Sigma - B = 0; it stops
+    # at once when the fixed point has converged
     eye = np.eye(p * p)
-    for _ in range(max_newton):
+    for _ in range(_NEWTON_ITERS):
         res = resid_mat(Sigma)
         res_norm = np.linalg.norm(res, "fro")
         if res_norm < tol:
-            A = Sigma @ Theta.T
-            return ClassicalVARParams(A=A[None], Sigma=Sigma)
+            break
         SC = Sigma @ C
         jac = eye + np.kron(SC, np.eye(p)) + np.kron(np.eye(p), SC)
         try:
@@ -771,10 +756,11 @@ def mininfo_to_var1(
             lam *= 0.5
         else:
             if res_norm < 1e-10 * norm_b:  # stalled at numerical floor
-                A = Sigma @ Theta.T
-                return ClassicalVARParams(A=A[None], Sigma=Sigma)
+                break
             raise NoSolutionFoundError("VAR(1) inverse: Newton stalled")
-    raise NoSolutionFoundError("VAR(1) inverse: no convergence")
+    else:
+        raise NoSolutionFoundError("VAR(1) inverse: no convergence")
+    return ClassicalVARParams(A=(Sigma @ Theta.T)[None], Sigma=Sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -803,14 +789,6 @@ def kernel_from_ar1(params: ClassicalARParams, stationary: bool = True) -> Gauss
     phi = float(params.phi[0])
     cov = [[params.sigma2 / (1.0 - phi**2)]] if stationary else None
     return GaussianKernel(mean_map=[[phi]], noise_cov=[[params.sigma2]], stationary_cov=cov)
-
-
-def kernel_from_var1(params: ClassicalVARParams, stationary: bool = True) -> GaussianKernel:
-    if params.order != 1:
-        raise ShapeMismatchError(f"expected VAR(1), got order {params.order}")
-    A = params.A[0]
-    cov = stationary_cov_var1(A, params.Sigma) if stationary else None
-    return GaussianKernel(mean_map=A, noise_cov=params.Sigma, stationary_cov=cov)
 
 
 def divergence_rate(p: GaussianKernel, q: GaussianKernel) -> float:
@@ -842,89 +820,67 @@ def divergence_rate(p: GaussianKernel, q: GaussianKernel) -> float:
 # flat key-value serialization (consumed by the command line tools)
 
 
+_RECORDS = (ClassicalARParams, MinInfoARParams, ClassicalVARParams, MinInfoVARParams)
+
+
+def _text_key(name: str, idx: tuple) -> str:
+    return ".".join([name, *(str(i + 1) for i in idx)])
+
+
 def params_to_text(params) -> str:
-    """Serialize a parameter record to flat `key=value` lines (1-based indices)."""
-    lines = []
-    if isinstance(params, ClassicalARParams):
-        for i, v in enumerate(params.phi, start=1):
-            lines.append(f"phi.{i}={float(v)!r}")
-        lines.append(f"sigma2={float(params.sigma2)!r}")
-    elif isinstance(params, MinInfoARParams):
-        for i, v in enumerate(params.theta, start=1):
-            lines.append(f"theta.{i}={float(v)!r}")
-        lines.append(f"tau2={float(params.tau2)!r}")
-    elif isinstance(params, ClassicalVARParams):
-        d, p, _ = params.A.shape
-        for k in range(d):
-            for i in range(p):
-                for j in range(p):
-                    lines.append(f"A.{k + 1}.{i + 1}.{j + 1}={float(params.A[k, i, j])!r}")
-        for i in range(p):
-            for j in range(p):
-                lines.append(f"Sigma.{i + 1}.{j + 1}={float(params.Sigma[i, j])!r}")
-    elif isinstance(params, MinInfoVARParams):
-        p = params.dim
-        for i in range(p):
-            for j in range(p):
-                lines.append(f"Theta.{i + 1}.{j + 1}={float(params.Theta[i, j])!r}")
-        for i in range(p):
-            for j in range(p):
-                lines.append(f"B.{i + 1}.{j + 1}={float(params.B[i, j])!r}")
-    else:
+    """Serialize a parameter record to flat lines, one per entry of each
+    dataclass field in field order: ``name.i.j=value`` with 1-based indices,
+    ``name=value`` for a scalar field."""
+    if type(params) not in _RECORDS:
         raise TypeError(f"cannot serialize {type(params)!r}")
+    lines = []
+    for field in dataclasses.fields(params):
+        value = np.asarray(getattr(params, field.name))
+        for idx in np.ndindex(value.shape):
+            lines.append(f"{_text_key(field.name, idx)}={float(value[idx])!r}")
     return "\n".join(lines) + "\n"
 
 
 def params_from_text(text: str):
-    """Parse the flat key-value format back into the matching record."""
-    entries: dict[str, float] = {}
+    """Parse :func:`params_to_text` output back into its record.
+
+    The keys must name exactly the fields of one record; a scalar field takes
+    one bare key and an array field one key per entry of its full index grid.
+    Anything else raises ValueError naming the keys or the field.
+    """
+    grids: dict[str, dict[tuple, float]] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        entries[key.strip()] = float(value)
+        key, sep, value = (part.strip() for part in line.partition("="))
+        name, *tokens = key.split(".")
+        if not sep or not all(tok.isdigit() and int(tok) >= 1 for tok in tokens):
+            raise ValueError(f"parameter line {line!r} is not name.i.j=value with 1-based indices")
+        grid = grids.setdefault(name, {})
+        idx = tuple(int(tok) - 1 for tok in tokens)
+        if idx in grid:
+            raise ValueError(f"parameter key {key!r} appears twice")
+        grid[idx] = float(value)
+    for cls in _RECORDS:
+        fields = dataclasses.fields(cls)
+        if {field.name for field in fields} == set(grids):
+            return cls(**{field.name: _grid_value(field, grids[field.name]) for field in fields})
+    records = " | ".join(", ".join(f.name for f in dataclasses.fields(cls)) for cls in _RECORDS)
+    raise ValueError(f"parameter names {', '.join(sorted(grids))} match no record ({records})")
 
-    def collect(prefix, rank):
-        found = {}
-        for key, value in entries.items():
-            if not key.startswith(prefix + "."):
-                continue
-            idx = tuple(int(tok) for tok in key[len(prefix) + 1 :].split("."))
-            if len(idx) != rank:
-                raise ValueError(f"bad index arity in {key!r}")
-            found[idx] = value
-        return found
 
-    if "sigma2" in entries and any(k.startswith("phi.") for k in entries):
-        phis = collect("phi", 1)
-        phi = [phis[(i,)] for i in range(1, len(phis) + 1)]
-        return ClassicalARParams(phi=phi, sigma2=entries["sigma2"])
-    if "tau2" in entries and any(k.startswith("theta.") for k in entries):
-        thetas = collect("theta", 1)
-        theta = [thetas[(i,)] for i in range(1, len(thetas) + 1)]
-        return MinInfoARParams(theta=theta, tau2=entries["tau2"])
-    if any(k.startswith("A.") for k in entries):
-        avals = collect("A", 3)
-        sv = collect("Sigma", 2)
-        d = max(idx[0] for idx in avals)
-        p = max(idx[1] for idx in avals)
-        A = np.empty((d, p, p))
-        for (k, i, j), v in avals.items():
-            A[k - 1, i - 1, j - 1] = v
-        Sigma = np.empty((p, p))
-        for (i, j), v in sv.items():
-            Sigma[i - 1, j - 1] = v
-        return ClassicalVARParams(A=A, Sigma=Sigma)
-    if any(k.startswith("Theta.") for k in entries):
-        tv = collect("Theta", 2)
-        bv = collect("B", 2)
-        p = max(idx[0] for idx in tv)
-        Theta = np.empty((p, p))
-        for (i, j), v in tv.items():
-            Theta[i - 1, j - 1] = v
-        B = np.empty((p, p))
-        for (i, j), v in bv.items():
-            B[i - 1, j - 1] = v
-        return MinInfoVARParams(Theta=Theta, B=B)
-    raise ValueError("unrecognized parameter record")
+def _grid_value(field: dataclasses.Field, grid: dict) -> np.ndarray:
+    """The full array (0-d for a scalar field) that ``grid`` maps 0-based
+    indices to."""
+    ranks = {len(idx) for idx in grid}
+    if len(ranks) != 1 or (ranks == {0}) != (field.type == "float"):
+        raise ValueError(f"parameter field {field.name} has keys of the wrong rank")
+    shape = tuple(int(n) + 1 for n in np.max(list(grid), axis=0))
+    for idx in np.ndindex(shape):
+        if idx not in grid:
+            raise ValueError(f"parameter field {field.name} has no entry {_text_key(field.name, idx)}")
+    arr = np.empty(shape)
+    for idx, value in grid.items():
+        arr[idx] = value
+    return arr

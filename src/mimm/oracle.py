@@ -1,7 +1,7 @@
 """Independent reference implementations used for testing and benchmarking:
 ordinary-least-squares maximum likelihood for AR/VAR, exact conditional
-likelihood by full permutation enumeration at tiny n, and quadrature Fisher
-information.
+likelihood by full permutation enumeration at tiny n (at most 8 interior
+positions, 8! = 40320 orderings), and quadrature Fisher information.
 
 Every oracle keeps its own code path: enumeration physically permutes the
 data and recomputes totals, OLS goes through plain linear algebra, and the
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -30,7 +29,6 @@ from .exceptions import (
 )
 
 __all__ = [
-    "EnumerationBudget",
     "mle_ols_ar",
     "mle_ols_var",
     "permutation_statistics",
@@ -41,11 +39,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Cap on the interior size for exhaustive enumeration (8! = 40320)."""
-
-    max_interior: int = 8
+# Largest interior size enumerated exhaustively (8! = 40320 orderings).
+_MAX_INTERIOR = 8
+# Score tolerance (relative to 1 + |H_id|) and iteration cap of exact_cle.
+_CLE_TOL = 1e-10
+_CLE_MAX_ITERS = 200
 
 
 def mle_ols_ar(series: TimeSeries, d: int):
@@ -89,27 +87,19 @@ def mle_ols_var(series: TimeSeries, d: int):
     return classical, mininfo
 
 
-def _check_budget(series: TimeSeries, d: int, budget: EnumerationBudget) -> int:
-    m = series.n - 2 * d
-    if m < 1:
-        raise InsufficientDataError(f"no interior positions (n={series.n}, d={d})")
-    if m > budget.max_interior:
-        raise EnumerationBudgetError(
-            f"interior size {m} exceeds the enumeration budget {budget.max_interior}"
-        )
-    return m
-
-
-def permutation_statistics(
-    spec: DependenceSpec, series: TimeSeries, budget: EnumerationBudget = EnumerationBudget()
-) -> np.ndarray:
-    """Sufficient statistics of every interior ordering, shape (m!, K).
+def permutation_statistics(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:
+    """Sufficient statistics of every interior ordering, shape (m!, K), for
+    an interior of at most 8 positions (:class:`EnumerationBudgetError`
+    beyond).
 
     Row 0 is the identity ordering.  Each row physically permutes the data
     and recomputes the total from scratch (deliberately brute force)."""
-    d = spec.order
-    m = _check_budget(series, d, budget)
-    n = series.n
+    d, n = spec.order, series.n
+    m = n - 2 * d
+    if m < 1:
+        raise InsufficientDataError(f"no interior positions (n={n}, d={d})")
+    if m > _MAX_INTERIOR:
+        raise EnumerationBudgetError(f"interior size {m} exceeds the enumeration budget {_MAX_INTERIOR}")
     base = np.arange(n)
     rows = []
     for perm in itertools.permutations(range(d, n - d)):
@@ -120,36 +110,22 @@ def permutation_statistics(
     return np.vstack(rows)
 
 
-def exact_conditional_likelihood(
-    spec: DependenceSpec,
-    series: TimeSeries,
-    theta,
-    budget: EnumerationBudget = EnumerationBudget(),
-    stats: np.ndarray | None = None,
-) -> float:
+def exact_conditional_likelihood(spec: DependenceSpec, series: TimeSeries, theta) -> float:
     """Probability of the observed ordering among all interior orderings,
     exp(theta . H_id) / sum over orderings of exp(theta . H), stabilized by
     log-sum-exp."""
     theta = np.asarray(theta, dtype=float)
-    if stats is None:
-        stats = permutation_statistics(spec, series, budget)
-    logits = stats @ theta
+    logits = permutation_statistics(spec, series) @ theta
     h_id = total_statistic(spec, series)
     return float(np.exp(float(h_id @ theta) - logsumexp(logits)))
 
 
-def enumeration_moments(
-    spec: DependenceSpec,
-    series: TimeSeries,
-    theta,
-    budget: EnumerationBudget = EnumerationBudget(),
-    stats: np.ndarray | None = None,
-):
+def enumeration_moments(spec: DependenceSpec, series: TimeSeries, theta, stats: np.ndarray | None = None):
     """Exact mean and covariance of the sufficient statistic under the
     conditional law with weights theta."""
     theta = np.asarray(theta, dtype=float)
     if stats is None:
-        stats = permutation_statistics(spec, series, budget)
+        stats = permutation_statistics(spec, series)
     logits = stats @ theta
     w = np.exp(logits - logsumexp(logits))
     mu = w @ stats
@@ -158,22 +134,15 @@ def enumeration_moments(
     return mu, cov
 
 
-def exact_cle(
-    spec: DependenceSpec,
-    series: TimeSeries,
-    budget: EnumerationBudget = EnumerationBudget(),
-    theta0=None,
-    tol: float = 1e-10,
-    max_iters: int = 200,
-) -> np.ndarray:
+def exact_cle(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:
     """Maximizer of the exact conditional likelihood by Newton iteration on
-    enumeration moments.
+    enumeration moments, from theta = 0.
 
     Raises :class:`NoSolutionFoundError` carrying the divergence direction
     when the observed statistic is extreme and the maximizer runs off to
     infinity."""
     K = spec.n_terms
-    stats = permutation_statistics(spec, series, budget)
+    stats = permutation_statistics(spec, series)
     h_id = total_statistic(spec, series)
     if K == 1:
         # exact extremeness check: when the observed statistic is the overall
@@ -194,12 +163,12 @@ def exact_cle(
                     "conditional likelihood is unbounded",
                     direction=np.array([-1.0]),
                 )
-    theta = np.zeros(K) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    theta = np.zeros(K)
     scale = 1.0 + float(np.linalg.norm(h_id))
-    for _ in range(max_iters):
+    for _ in range(_CLE_MAX_ITERS):
         mu, cov = enumeration_moments(spec, series, theta, stats=stats)
         score = h_id - mu
-        if np.linalg.norm(score) < tol * scale:
+        if np.linalg.norm(score) < _CLE_TOL * scale:
             return theta
         try:
             step = np.linalg.solve(cov + 1e-12 * np.eye(K), score)

@@ -85,6 +85,44 @@ class TestSimulate:
         assert rc == 0
 
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            ({"n": [50], "ar": [0.5], "sigma2": 1.0}, "--n"),
+            ({"n": 50, "ar": 0.5, "sigma2": 1.0}, "--ar"),
+            ({"n": 50, "var1": "A.csv"}, "--var1"),
+            ({"n": 50, "var1": ["A.csv"]}, "--var1"),
+        ],
+    )
+    def test_config_file_value_shape_exits_validation(self, workspace, capsys, content, named):
+        conf = workspace["tmp"] / "shape_conf.json"
+        conf.write_text(json.dumps(content))
+        out = workspace["tmp"] / "shape_conf.csv"
+        rc, _ = run_cli("simulate", "--config", str(conf), "--out", str(out))
+        assert rc == cli.EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("A.1.1.1=0.5\n", "A"),
+            ("phi.1=0.5\nphi.3=0.1\nsigma2=1.0\n", "phi.2"),
+            ("phi.1=0.5\nsigma2=1.0\nbogus=3\n", "bogus"),
+            ("phi.1=0.5\ntheta.1=0.5\nsigma2=1.0\n", "theta"),
+        ],
+        ids=["var-without-sigma", "phi-gap", "unknown-name", "two-records"],
+    )
+    def test_malformed_params_file_exits_validation(self, workspace, capsys, text, named):
+        pfile = workspace["tmp"] / "bad_params.txt"
+        pfile.write_text(text)
+        out = workspace["tmp"] / "bad_params.csv"
+        rc, _ = run_cli("simulate", "--params", str(pfile), "--n", "20", "--out", str(out))
+        assert rc == cli.EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFit:
     def test_ple_naive_matches_library(self, workspace):
         out = workspace["tmp"] / "fit.json"
@@ -233,6 +271,7 @@ class TestFit:
             ({"max_epochs": "5"}, "--max-epochs"),
             ({"tol": "x"}, "--tol"),
             ({"estimator": "ple-fast"}, "--estimator"),
+            ({"seed": [1]}, "--seed"),
         ],
     )
     def test_config_file_without_such_option_exits_validation(self, workspace, capsys, content, named):
@@ -280,6 +319,13 @@ class TestSelect:
         )
         assert rc == cli.EXIT_VALIDATION
         assert "estimator" in capsys.readouterr().err
+
+    def test_config_file_spec_must_be_a_list(self, workspace, capsys):
+        conf = workspace["tmp"] / "select_spec_conf.json"
+        conf.write_text(json.dumps({"spec": str(workspace["spec1"])}))
+        rc, _ = run_cli("select", "--config", str(conf), "--data", str(workspace["data"]))
+        assert rc == cli.EXIT_VALIDATION
+        assert "--spec takes a list" in capsys.readouterr().err
 
     def test_requires_two_specs(self, workspace):
         rc, _ = run_cli("select", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]))

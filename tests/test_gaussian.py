@@ -1,10 +1,13 @@
 """Gaussian ground truth: simulation, parameter transforms, Fisher
 information, kernels, and divergence rates."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimm import gaussian
 from mimm.exceptions import (
@@ -99,6 +102,34 @@ class TestSimulation:
             x = series.data[:, j]
             assert x.var() == pytest.approx(2.0 / 3.0, rel=0.03)
             assert np.corrcoef(x[:-1], x[1:])[0, 1] == pytest.approx(0.5, abs=0.02)
+
+
+class TestStationaryCovariance:
+    def test_large_nonnormal_var1_solves_the_lyapunov_equation(self):
+        # strongly non-normal A: a truncated power series of A^k Sigma A'^k
+        # leaves a 1.9e-7 relative residual here
+        p = 16
+        A = 0.6 * np.eye(p) + 3.0 * np.eye(p, k=1)
+        Sigma = np.eye(p)
+        B = gaussian.stationary_cov_var1(A, Sigma)
+        resid = np.linalg.norm(B - A @ B @ A.T - Sigma, "fro")
+        assert resid <= 1e-12 * np.linalg.norm(B, "fro")
+        kernel = gaussian.GaussianKernel(A, Sigma, B)
+        assert kernel.dim == p
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
+    def test_ar_companion_is_the_one_by_one_block_case(self, phi):
+        phi = np.asarray(phi)
+        np.testing.assert_array_equal(
+            gaussian.companion_matrix(phi), gaussian.companion_matrix(phi[:, None, None])
+        )
+
+    def test_var2_companion_blocks(self):
+        A = np.arange(8.0).reshape(2, 2, 2)
+        F = gaussian.companion_matrix(A)
+        np.testing.assert_array_equal(F[:2], np.hstack([A[0], A[1]]))
+        np.testing.assert_array_equal(F[2:], [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 
 class TestAr1Transform:
@@ -378,6 +409,33 @@ class TestPythagoreanIdentity:
             assert abs(gap) < 1e-8
 
 
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def parameter_records(draw):
+    """Any of the four records: AR d = 1-5, VAR d = 1-3 and p = 1-4, with
+    stationary coefficients (sum of row-sum norms below 1) and SPD
+    covariances."""
+    kind = draw(st.sampled_from(["ar", "mininfo-ar", "var", "mininfo-var"]))
+    positive = draw(st.floats(1e-3, 1e3))
+    if kind in ("ar", "mininfo-ar"):
+        d = draw(st.integers(1, 5))
+        coef = np.asarray(draw(st.lists(_unit, min_size=d, max_size=d)))
+        if kind == "ar":
+            return gaussian.ClassicalARParams(coef * (0.9 / d), positive)
+        return gaussian.MinInfoARParams(coef * 50.0, positive)
+    d = 1 if kind == "mininfo-var" else draw(st.integers(1, 3))
+    p = draw(st.integers(1, 4))
+    coef = np.asarray(draw(st.lists(_unit, min_size=d * p * p, max_size=d * p * p)))
+    Z = np.asarray(draw(st.lists(_unit, min_size=p * p, max_size=p * p))).reshape(p, p)
+    cov = (Z @ Z.T + 0.5 * np.eye(p)) * positive
+    cov = (cov + cov.T) / 2.0
+    if kind == "var":
+        return gaussian.ClassicalVARParams(coef.reshape(d, p, p) * (0.9 / (d * p)), cov)
+    return gaussian.MinInfoVARParams(coef.reshape(p, p) * 10.0, cov)
+
+
 class TestParamSerialization:
     @pytest.mark.parametrize(
         "params",
@@ -402,3 +460,37 @@ class TestParamSerialization:
                 np.testing.assert_array_equal(
                     np.asarray(getattr(params, field)), np.asarray(getattr(back, field))
                 )
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("A.1.1.1=0.5\n", "A"),
+            ("phi.1=0.5\nphi.3=0.1\nsigma2=1.0\n", "phi.2"),
+            ("phi.1=0.5\nsigma2=1.0\nbogus=3\n", "bogus"),
+            ("phi.1=0.5\ntheta.1=0.5\nsigma2=1.0\n", "theta"),
+            ("Theta.1.1=0.5\nTheta.2.2=0.5\nB.1.1=1.0\nB.1.2=0.0\nB.2.1=0.0\nB.2.2=1.0\n", "Theta.1.2"),
+            ("phi.1=0.5\nsigma2.1=1.0\n", "sigma2"),
+            ("phi=0.5\nsigma2=1.0\n", "phi"),
+            ("phi.0=0.5\nsigma2=1.0\n", "phi.0"),
+            ("phi.1=0.5\nphi.1=0.4\nsigma2=1.0\n", "phi.1"),
+        ],
+        ids=[
+            "var-without-sigma", "phi-gap", "unknown-name", "two-records", "theta-gap",
+            "indexed-scalar", "unindexed-array", "zero-index", "duplicate-key",
+        ],
+    )
+    def test_malformed_records_are_rejected(self, text, named):
+        with pytest.raises(ValueError, match=named.replace(".", r"\.")):
+            gaussian.params_from_text(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(parameter_records())
+    def test_text_round_trip_is_exact(self, params):
+        text = gaussian.params_to_text(params)
+        back = gaussian.params_from_text(text)
+        assert type(back) is type(params)
+        for field in dataclasses.fields(params):
+            a, b = getattr(params, field.name), getattr(back, field.name)
+            assert type(a) is type(b)
+            np.testing.assert_array_equal(a, b)
+        assert gaussian.params_to_text(back) == text
