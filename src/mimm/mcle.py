@@ -82,8 +82,10 @@ class ExchangeConfig:
 @dataclass(frozen=True)
 class ScoringConfig:
     """Fisher-scoring stopping rule: at most ``max_iters`` iterations, or
-    convergence once ||H_obs - mu|| < grad_tol * (1 + ||H_obs||).  The step
-    damping and the covariance ridge are fixed; see :func:`fisher_scoring`."""
+    convergence once ||H_obs - mu|| < grad_tol * (1 + ||H_obs||).
+    ``max_iters`` must be >= 1 and ``grad_tol`` finite and > 0, or
+    construction raises ``ValueError``.  The step damping and the covariance
+    ridge are fixed; see :func:`fisher_scoring`."""
 
     max_iters: int = 30
     grad_tol: float = 0.01
@@ -91,8 +93,8 @@ class ScoringConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol <= 0:
-            raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
 
 
 def effective_sample_size(samples) -> np.ndarray:

@@ -23,6 +23,13 @@ cache-sized row slices with plain numpy ufuncs (logistic weights from
 ``exp`` with the margin clipped, the log-PL in softplus form), so no
 temporary grows with the pair matrix.
 
+Online SGD builds its whole budget's pair statistics in one vectorized
+call; only the update sweep is sequential, and it runs on Python floats:
+one float swept over the flat column when K = 1, a row sweep otherwise.
+Both do the operations of a plain per-row loop over the numpy pair matrix
+in the same order, so theta is bitwise equal to that loop's (see
+``fit_online_sgd``).
+
 Pairs are generated in a deterministic order (lexicographic, or derived from
 the seed), so runs are reproducible.  A design small enough is held in
 memory as one block per chunk of pairs; a larger one is regenerated chunk by
@@ -106,7 +113,8 @@ class GdConfig:
     is one Newton pass over the pairs.  It stops when the norm of the
     per-pair-averaged gradient is at most ``tol``, after ``max_epochs``
     passes, or, with a :class:`SeparationWarning`, when the norm of theta
-    exceeds a fixed divergence cap of 1e3.
+    exceeds a fixed divergence cap of 1e3.  ``max_epochs`` must be >= 1 and
+    ``tol`` finite and > 0, or construction raises ``ValueError``.
     """
 
     max_epochs: int = 500
@@ -116,19 +124,24 @@ class GdConfig:
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
 class SgdConfig:
+    """Online SGD settings: the fixed step size ``eta``, the update budget
+    ``n_iters`` (one uniformly drawn pair per update) and the pair-draw
+    ``seed``.  ``eta`` must be finite and > 0 and ``n_iters`` >= 1, or
+    construction raises ``ValueError``; there is no convergence test."""
+
     eta: float = 0.01
     n_iters: int = 10_000
     seed: int | None = None
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if self.n_iters < 1:
             raise ValueError(f"n_iters must be >= 1, got {self.n_iters}")
 
@@ -475,40 +488,63 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
 
     Pair statistics do not depend on theta, so the whole budget's are
     computed in one vectorized call; the update sweep itself is strictly
-    sequential.
+    sequential and runs on Python floats, which the interpreter reads far
+    faster than numpy scalars.  With one statistic (K = 1, the univariate
+    AR(1) case) theta is a single float updated from a flat list of the
+    column; otherwise each row is a list and the margin is summed term by
+    term from 0.0.  Both sweeps do the same floating-point operations in the
+    same order: the one-term margin th * x differs from 0.0 + th * x at
+    most in the sign of a zero, which neither the -36 test nor exp(-margin)
+    can see, so theta is bitwise the same either way.
     """
     start = time.perf_counter()
     lo, hi = _interior_bounds(spec, series)
     m = hi - lo
     K = spec.n_terms
-    rng = np.random.default_rng(config.seed)
+    eta = config.eta
 
+    pairs_start = time.perf_counter()
+    rng = np.random.default_rng(config.seed)
+    # a uniform unordered pair of distinct interior positions, built in place
     a = rng.integers(0, m, size=config.n_iters)
     b = rng.integers(0, m - 1, size=config.n_iters)
-    b = b + (b >= a)
-    s1 = np.minimum(a, b).astype(np.intp) + lo
-    s2 = np.maximum(a, b).astype(np.intp) + lo
-
-    theta = [0.0] * K
-    eta = config.eta
-    pairs_start = time.perf_counter()
+    b += b >= a
+    s1 = np.minimum(a, b)
+    s2 = np.maximum(a, b, out=b)
+    del a
+    s1 += lo
+    s2 += lo
     X = swap_deltas(spec, series, s1, s2)
+    del s1, s2
     np.negative(X, out=X)
     loop_start = time.perf_counter()
-    # the scalar loop reads Python floats far faster than numpy scalars;
-    # rows are converted a few at a time so that few list objects are alive
-    # at once (16384 at a time raised peak RSS 2 MiB)
-    for sl in range(0, config.n_iters, _SGD_LIST_ROWS):
-        for row in X[sl : sl + _SGD_LIST_ROWS].tolist():
-            margin = 0.0
-            for k in range(K):
-                margin += theta[k] * row[k]
-            if margin < -36.0:  # sigmoid underflow; also keeps exp() in range
-                w = eta
-            else:
-                w = eta * (1.0 - 1.0 / (1.0 + math.exp(-margin)))
-            for k in range(K):
-                theta[k] += w * row[k]
+    # rows are turned into lists a few at a time so that few list objects
+    # are alive at once (16384 at a time raised peak RSS 2 MiB)
+    exp = math.exp
+    if K == 1:
+        th = 0.0
+        for sl in range(0, config.n_iters, _SGD_LIST_ROWS):
+            for x in X[sl : sl + _SGD_LIST_ROWS, 0].tolist():
+                margin = th * x
+                if margin < -36.0:  # sigmoid underflow; also keeps exp() in range
+                    th += eta * x
+                else:
+                    th += eta * (1.0 - 1.0 / (1.0 + exp(-margin))) * x
+        theta = [th]
+    else:
+        theta = [0.0] * K
+        terms = range(K)
+        for sl in range(0, config.n_iters, _SGD_LIST_ROWS):
+            for row in X[sl : sl + _SGD_LIST_ROWS].tolist():
+                margin = 0.0
+                for k in terms:
+                    margin += theta[k] * row[k]
+                if margin < -36.0:
+                    w = eta
+                else:
+                    w = eta * (1.0 - 1.0 / (1.0 + exp(-margin)))
+                for k in terms:
+                    theta[k] += w * row[k]
 
     theta_arr = np.asarray(theta)
     solved = time.perf_counter()

@@ -160,24 +160,36 @@ class TestFit:
             ess, rhat = (float(v) for v in line.split(",")[-2:])
             assert ess > 0.0 and rhat > 0.0
 
+    INVALID_OPTIONS = [
+        ("ple-sgd", "--eta", "0"),
+        ("ple-sgd", "--eta", "nan"),
+        ("ple-sgd", "--eta", "inf"),
+        ("ple-sgd", "--iters", "0"),
+        ("mcle", "--thin", "0"),
+        ("mcle", "--grad-tol", "0"),
+        ("mcle", "--grad-tol", "nan"),
+        ("mcle", "--grad-tol", "inf"),
+        ("ple-naive", "--max-epochs", "0"),
+        ("ple-naive", "--tol", "0"),
+        ("ple-naive", "--tol", "nan"),
+        ("ple-naive", "--tol", "inf"),
+        ("mle", "--order", "0"),
+    ]
+
     @pytest.mark.parametrize(
-        "estimator, flag",
-        [
-            ("ple-sgd", "--eta"),
-            ("ple-sgd", "--iters"),
-            ("mcle", "--thin"),
-            ("ple-naive", "--max-epochs"),
-            ("ple-naive", "--tol"),
-            ("mle", "--order"),
-        ],
+        "estimator, flag, value",
+        INVALID_OPTIONS,
+        # a zero value keeps the id "estimator-flag"; others append the value
+        ids=[f"{e}-{f}" if v == "0" else f"{e}-{f}-{v}" for e, f, v in INVALID_OPTIONS],
     )
-    def test_zero_valued_option_exits_validation(self, workspace, estimator, flag):
-        out = workspace["tmp"] / "zero.json"
+    def test_zero_valued_option_exits_validation(self, workspace, estimator, flag, value):
+        out = workspace["tmp"] / f"invalid{flag}-{value}.json"
         rc, _ = run_cli(
             "fit", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]),
-            "--estimator", estimator, flag, "0", "--out", str(out),
+            "--estimator", estimator, flag, value, "--out", str(out),
         )
         assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
 
     def test_result_reports_solver_end(self, workspace):
         out = workspace["tmp"] / "solver.json"

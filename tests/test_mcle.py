@@ -276,8 +276,9 @@ class TestConfigs:
         assert mcle.ExchangeConfig(n_samples=1000).effective_burn_in == 100
 
     def test_scoring_config_validation(self):
-        with pytest.raises(ValueError):
-            mcle.ScoringConfig(grad_tol=0.0)
+        for grad_tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="grad_tol"):
+                mcle.ScoringConfig(grad_tol=grad_tol)
         with pytest.raises(ValueError):
             mcle.ScoringConfig(max_iters=0)
 

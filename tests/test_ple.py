@@ -445,6 +445,27 @@ class TestTelemetry:
             assert sum(fit.stages.values()) <= fit.wall_time_s
             assert json.loads(json.dumps(fit.to_dict()))["stages"] == fit.stages
 
+    def test_sgd_pair_draw_time_counts_as_pair_time(self, monkeypatch):
+        series = gaussian.simulate_ar(AR1, 60, seed=17)
+        calls = []
+        default_rng = np.random.default_rng
+
+        class SlowDraws:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                calls.append(1)
+                time.sleep(0.05)
+                return self._rng.integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", SlowDraws)
+        fit = ple.fit_online_sgd(SPEC1, series, ple.SgdConfig(n_iters=200, seed=3))
+        assert calls
+        assert fit.stages["pairs_s"] >= 0.05 * len(calls)
+        assert fit.stages["solver_s"] < 0.05
+        assert sum(fit.stages.values()) <= fit.wall_time_s
+
     def test_streamed_pair_time_is_summed_over_passes(self, monkeypatch):
         series = gaussian.simulate_ar(AR1, 60, seed=17)
         calls = []
@@ -523,9 +544,10 @@ class TestFitPairs:
             ple.fit_pairs(SPEC1, series, [], [])
 
 
-def reference_sgd_theta(spec, series, config):
+def reference_sgd_theta(spec, series, config, margins=None):
     """Online SGD as first written: the same pair draws, one update per
-    numpy row of the pair matrix."""
+    numpy row of the pair matrix.  Each update's margin is appended to
+    ``margins`` when a list is given."""
     d = spec.order
     m = series.n - 2 * d
     rng = np.random.default_rng(config.seed)
@@ -538,6 +560,8 @@ def reference_sgd_theta(spec, series, config):
         margin = 0.0
         for k in range(spec.n_terms):
             margin += theta[k] * row[k]
+        if margins is not None:
+            margins.append(margin)
         if margin < -36.0:
             w = config.eta
         else:
@@ -545,6 +569,38 @@ def reference_sgd_theta(spec, series, config):
         for k in range(spec.n_terms):
             theta[k] += w * row[k]
     return np.asarray(theta)
+
+
+@st.composite
+def sgd_designs(draw):
+    """An online SGD run: AR(1) (K = 1), AR(2) (K = 2) or a binary/real kron
+    spec; budgets on both sides of the list-chunk boundaries; step sizes
+    log-uniform up to 50, large enough for margins below -36; univariate
+    series rounded to a coarse grid with some values zeroed, so pair
+    statistics repeat and vanish."""
+    kind = draw(st.sampled_from(["ar1", "ar2", "kron"]))
+    n = draw(st.integers(12, 120))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "kron":
+        spec = core.kron_spec(2, [(1, 1, 1), (2, 2, 1), (2, 1, 2)])
+        series = binary_real_series(n, seed)
+    else:
+        spec = core.ar_spec(1 if kind == "ar1" else 2)
+        x = gaussian.simulate_ar(AR1, n, seed=seed).data[:, 0].copy()
+        grid = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        if grid:
+            x = np.round(x / grid) * grid
+        x[np.random.default_rng(seed).random(n) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = 0.0
+        series = core.TimeSeries(x)
+    rows = ple._SGD_LIST_ROWS
+    n_iters = draw(
+        st.one_of(
+            st.integers(1, 3 * rows + 5),
+            st.sampled_from([rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 1]),
+        )
+    )
+    eta = 10.0 ** draw(st.floats(-4.0, math.log10(50.0)))
+    return spec, series, ple.SgdConfig(eta=eta, n_iters=n_iters, seed=draw(st.integers(0, 2**32 - 1)))
 
 
 class TestFitOnlineSgd:
@@ -573,6 +629,22 @@ class TestFitOnlineSgd:
         fit = ple.fit_online_sgd(spec, series, config)
         np.testing.assert_array_equal(fit.theta, reference_sgd_theta(spec, series, config))
 
+    @settings(max_examples=40, deadline=None)
+    @given(sgd_designs())
+    def test_theta_bitwise_equal_to_numpy_row_loop_random(self, design):
+        spec, series, config = design
+        fit = ple.fit_online_sgd(spec, series, config)
+        np.testing.assert_array_equal(fit.theta, reference_sgd_theta(spec, series, config))
+        assert fit.n_pairs_used == fit.iterations == config.n_iters
+
+    def test_theta_bitwise_equal_past_sigmoid_underflow(self):
+        series = gaussian.simulate_ar(AR1, 60, seed=27)
+        config = ple.SgdConfig(eta=50.0, n_iters=2 * ple._SGD_LIST_ROWS + 7, seed=11)
+        margins = []
+        expected = reference_sgd_theta(SPEC1, series, config, margins)
+        assert min(margins) < -36.0 < max(margins)
+        np.testing.assert_array_equal(ple.fit_online_sgd(SPEC1, series, config).theta, expected)
+
     def test_deterministic_given_seed(self):
         series = gaussian.simulate_ar(AR1, 400, seed=25)
         a = ple.fit_online_sgd(SPEC1, series, ple.SgdConfig(eta=0.01, n_iters=2000, seed=8))
@@ -584,12 +656,14 @@ class TestConfigs:
     def test_gd_config_validation(self):
         with pytest.raises(ValueError):
             ple.GdConfig(max_epochs=0)
-        with pytest.raises(ValueError):
-            ple.GdConfig(tol=0.0)
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                ple.GdConfig(tol=tol)
 
     def test_sgd_config_validation(self):
-        with pytest.raises(ValueError):
-            ple.SgdConfig(eta=0.0)
+        for eta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eta"):
+                ple.SgdConfig(eta=eta)
         with pytest.raises(ValueError):
             ple.SgdConfig(n_iters=0)
 
