@@ -108,6 +108,15 @@ def _check_file_value(path, action: argparse.Action, value) -> None:
             raise MimmError(f"config file {path}: {name} must be one of {', '.join(action.choices)}, got {item!r}")
 
 
+def _check_time_limit(value, source: str) -> None:
+    """A time limit, when set, must be a finite number of seconds > 0
+    (NaN or an infinity would also make the result JSON invalid)."""
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < math.inf:
+        raise MimmError(f"{source} must be finite and > 0, got {value!r}")
+
+
 def _configure(base, conf: dict, options: dict):
     """``base`` with every option set in ``conf`` (by flag, config file or
     manifest) written to its field.  Unset options keep the dataclass
@@ -263,6 +272,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise MimmError("fit requires --data and --estimator")
     if conf["estimator"] not in ESTIMATORS:
         raise MimmError(f"estimator must be one of {ESTIMATORS}")
+    _check_time_limit(conf["time_limit_s"], "--time-limit-s")
     series = _load_series(conf["data"])
     spec = None
     if conf["spec"] is not None:
@@ -432,6 +442,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     cells = manifest.get("cells", [])
     if not cells:
         raise MimmError("manifest has no cells")
+    _check_time_limit(conf["time_limit_s"], "--time-limit-s")
+    _check_time_limit(default_limit, "manifest time_limit_s")
+    for cell_idx, cell in enumerate(cells):
+        _check_time_limit(cell.get("time_limit_s"), f"cell {cell_idx} time_limit_s")
 
     rows = []
     for cell_idx, cell in enumerate(cells):
@@ -664,9 +678,10 @@ def _check_swap_deltas_batch() -> CheckResult:
 
 
 def _check_exchange_step_factored() -> CheckResult:
-    """The exchange sampler's factored far-pair step against the scalar
-    window re-evaluation under a permuted ordering, on AR(2) and on a
-    binary/real kron spec."""
+    """The exchange sampler's compiled far-pair step (the ``far_step`` of
+    :func:`mcle._exchange_kernel`, generated from the lines the chain runs)
+    against the scalar window re-evaluation under a permuted ordering, on
+    AR(2) and on a binary/real kron spec."""
     rng = np.random.default_rng(9)
     n = 40
     mixed = np.column_stack([rng.integers(0, 2, size=n), rng.standard_normal(n)])
@@ -680,6 +695,7 @@ def _check_exchange_step_factored() -> CheckResult:
     worst = 0.0
     for spec, series in cases:
         d, table = spec.order, spec._table
+        far_step = mcle._exchange_kernel(spec).far_step
         keys = [k for k, _, _ in table.groups]
         order = np.concatenate([np.arange(d), d + rng.permutation(n - 2 * d), np.arange(n - d, n)])
         powers = list(map(tuple, table.powers(series.data[order]).tolist()))
@@ -687,7 +703,7 @@ def _check_exchange_step_factored() -> CheckResult:
             s1 = int(rng.integers(d, n - 2 * d - 1))
             s2 = int(rng.integers(s1 + d + 1, n - d))
             factored = np.zeros(spec.n_terms)
-            np.add.at(factored, keys, core._far_swap_terms(table, powers, s1, s2))
+            np.add.at(factored, keys, far_step(powers, s1, s2))
             scalar = core.swap_delta(spec, series, s1, s2, order=order)
             err = np.abs(factored - scalar) / (1.0 + np.abs(scalar))
             worst = max(worst, float(err.max()))

@@ -23,8 +23,8 @@ products of its other factors, read off the neighbours of ``i``.  When
 with ``S`` and ``Phi`` tabulated once per position instead of gathered once
 per pair.  The O(m d) near pairs re-evaluate their at most 2d + 1 windows
 directly.  The exchange sampler, one pair at a time under a changing
-ordering, sums ``S`` for the two positions on the fly instead
-(:func:`_far_swap_terms`).
+ordering, sums ``S`` for the two positions on the fly instead, in code
+generated from the same plan (:func:`mimm.mcle._exchange_kernel`).
 
 All containers are immutable after construction and safe to share across
 threads; every operation is a pure function.  Statistic summation relies on
@@ -460,40 +460,6 @@ def _swap_delta_rows(rows, d, terms, s1, s2):
                     after *= swapped[comp] ** exp
             delta[k] += after - before
     return delta
-
-
-def _far_swap_terms(table: MonomialTable, powers, s1, s2):
-    """Factored swap delta of one far pair (s2 - s1 > d), per group of the
-    ``table`` plan:
-    ``(S_g(s1) - S_g(s2)) * (Phi_g(x_{s2}) - Phi_g(x_{s1}))``, to be added
-    to the statistic of group g's term.
-
-    ``powers[i]`` is the power row of the value at position i of the
-    current ordering.  ``S_g`` is summed on the fly from the neighbours'
-    rows, so a swap costs one list exchange and no table update.  The
-    reverse swap negates ``Phi_g`` exactly and leaves ``S_g`` alone, so its
-    terms are the exact negatives of the forward ones.
-    """
-    r1, r2 = powers[s1], powers[s2]
-    dphi = []
-    for qs in table.owns:
-        a = b = 1.0
-        for q in qs:
-            a *= r1[q]
-            b *= r2[q]
-        dphi.append(b - a)
-    out = []
-    for _, j, slots in table.groups:
-        S1 = S2 = 0.0
-        for factors in slots:
-            u = v = 1.0
-            for off, q in factors:
-                u *= powers[s1 + off][q]
-                v *= powers[s2 + off][q]
-            S1 += u
-            S2 += v
-        out.append((S1 - S2) * dphi[j])
-    return out
 
 
 def _term_factor_tuples(spec: DependenceSpec):

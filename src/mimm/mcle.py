@@ -11,14 +11,17 @@ One chain is strictly sequential; independent chains with different seeds
 may run in parallel.  Fisher scoring consumes one chain per iteration, with
 per-sample statistics retained instead of permutations (memory O(L K)).
 
-Each step is scalar Python, so its cost is interpreter overhead per
-proposal.  A far pair (s2 - s1 > d) takes the factored form of
-:mod:`mimm.core` with the neighbour sums ``S_g`` read on the fly from the
-power rows of the current ordering, and an accepted swap exchanges two
-rows; a near pair re-evaluates its windows directly.  Both give the swap
-delta of the direct path to rounding, so the chain makes the same moves.
-Every chain reports its effective sample size and split-R-hat per
-statistic.
+Each step is scalar Python, so its cost is the interpreter's per
+proposal.  To keep that small, the step is compiled once per spec into
+straight-line source generated from the spec's ``MonomialTable`` plan
+(:func:`_exchange_kernel`): no loops over terms or factors remain, and the
+running statistic is held in K local floats.  A far pair (s2 - s1 > d)
+takes the factored form of :mod:`mimm.core` with the neighbour sums
+``S_g`` read on the fly from the power rows of the current ordering, and an
+accepted swap exchanges two rows; a near pair re-evaluates its windows
+directly.  Both give the swap delta of the direct path to rounding, so the
+chain makes the same moves.  Every chain reports its effective sample
+size and split-R-hat per statistic.
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ import functools
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import (
     DependenceSpec,
     TimeSeries,
-    _far_swap_terms,
     _swap_delta_rows,
     _term_factor_tuples,
     total_statistic,
@@ -225,7 +228,132 @@ def _validate_theta(spec: DependenceSpec, theta) -> np.ndarray:
 
 
 _RECOMPUTE_EVERY = 8192  # refresh the running statistic to kill float drift
-_PROPOSAL_BLOCK = 4096
+_PROPOSAL_BLOCK = 4096  # divides _RECOMPUTE_EVERY: refreshes fall on block ends
+
+
+class _ExchangeKernel(NamedTuple):
+    """The exchange step of one spec, compiled from its ``MonomialTable``
+    plan (see :func:`_exchange_kernel`)."""
+
+    segment: Callable  # runs the MH steps of one proposal block
+    far_step: Callable  # far_step(powers, s1, s2) -> per-group swap terms
+
+
+def _row_name(side: str, off: int) -> str:
+    return f"{side}_{'m' if off < 0 else 'p'}{abs(off)}"
+
+
+def _far_step_lines(table) -> list[str]:
+    """Straight-line source of the factored far-pair step (s2 - s1 > d) on
+    the power rows ``powers`` of the current ordering: ``f_j`` is the change
+    of own product j, Phi_j(x_s2) - Phi_j(x_s1), and ``v_g`` group g's term
+    (S_g(s1) - S_g(s2)) * f_j, the neighbour sums S_g read from the rows at
+    s1 + offset and s2 + offset.  The products and sums run in plan order.
+    The reverse swap negates ``f_j`` exactly and leaves ``S_g`` alone, so its
+    terms are the exact negatives of the forward ones.  Only the plan's
+    integers (power columns and offsets) enter the text."""
+    offsets = sorted({int(off) for _, _, slots in table.groups for slot in slots for off, _ in slot})
+    lines = ["a_0 = powers[s1]", "b_0 = powers[s2]"]
+    for off in offsets:
+        for side, pos in (("a", "s1"), ("b", "s2")):
+            lines.append(f"{_row_name(side, off)} = powers[{pos} {'-' if off < 0 else '+'} {abs(off)}]")
+
+    def own(row, qs):
+        return " * ".join(f"{row}[{int(q)}]" for q in qs)
+
+    def neighbour_sum(side, slots):
+        return " + ".join(
+            " * ".join(f"{_row_name(side, off)}[{int(q)}]" for off, q in slot) for slot in slots
+        )
+
+    for j, qs in enumerate(table.owns):
+        lines.append(f"f_{j} = {own('b_0', qs)} - {own('a_0', qs)}")
+    for g, (_, j, slots) in enumerate(table.groups):
+        lines.append(f"v_{g} = (({neighbour_sum('a', slots)}) - ({neighbour_sum('b', slots)})) * f_{int(j)}")
+    return lines
+
+
+def _sum_lines(name: str, terms: list[str], chunk: int = 256) -> list[str]:
+    """Lines that set ``name`` to the left-to-right sum of ``terms`` (0.0
+    when empty), at most ``chunk`` terms per line: the compiler recurses
+    once per ``+`` of one expression."""
+    if not terms:
+        return [f"{name} = 0.0"]
+    lines = [f"{name} = {' + '.join(terms[:chunk])}"]
+    for lo in range(chunk, len(terms), chunk):
+        lines.append(f"{name} = {' + '.join([name, *terms[lo : lo + chunk]])}")
+    return lines
+
+
+def _kernel_source(spec: DependenceSpec) -> str:
+    """Source of the factory that returns the compiled ``segment`` and
+    ``far_step`` of ``spec``."""
+    table, d, K = spec._table, int(spec.order), int(spec.n_terms)
+    far = _far_step_lines(table)
+    ths, cs, ns = (", ".join(f"{name}_{k}" for k in range(K)) + "," for name in ("TH", "c", "n"))
+    far_logr = _sum_lines("logr", [f"TH_{int(k)} * v_{g}" for g, (k, _, _) in enumerate(table.groups)])
+    near_logr = _sum_lines("logr", [f"TH_{k} * n_{k}" for k in range(K)])
+    swap = ["rows[s1], rows[s2] = rows[s2], rows[s1]", "powers[s1], powers[s2] = b_0, a_0", "accepted += 1"]
+    seg = [
+        "def segment(rows, powers, current, th, block_a, block_b, block_logu, first, end, next_record, thin, record):",
+        f"    {ths} = th",
+        f"    {cs} = current",
+        "    accepted = 0",
+        "    for step, a, b, logu in zip(range(first + 1, end + 1), block_a, block_b, block_logu):",
+        "        if b >= a:",
+        f"            s1 = a + {d}",
+        f"            s2 = b + {d + 1}",
+        "        else:",
+        f"            s1 = b + {d}",
+        f"            s2 = a + {d}",
+        f"        if s2 - s1 > {d}:",
+        *(f"            {line}" for line in far + far_logr),
+        "            if logu <= logr:",
+        *(f"                c_{int(k)} += v_{g}" for g, (k, _, _) in enumerate(table.groups)),
+        *(f"                {line}" for line in swap),
+        "        else:",
+        "            a_0 = powers[s1]",
+        "            b_0 = powers[s2]",
+        f"            {ns} = swap_delta_rows(rows, {d}, terms, s1, s2)",
+        *(f"            {line}" for line in near_logr),
+        "            if logu <= logr:",
+        *(f"                c_{k} += n_{k}" for k in range(K)),
+        *(f"                {line}" for line in swap),
+        "        if step == next_record:",
+        f"            record(({cs}))",
+        "            next_record += thin",
+        f"    return [{cs}], accepted, next_record",
+    ]
+    step = [
+        "def far_step(powers, s1, s2):",
+        *(f"    {line}" for line in far),
+        f"    return [{', '.join(f'v_{g}' for g in range(len(table.groups)))}]",
+    ]
+    body = seg + [""] + step + ["", "return segment, far_step"]
+    return "def __create_fn__(swap_delta_rows, terms):\n" + "\n".join(f"    {line}" if line else "" for line in body) + "\n"
+
+
+@functools.lru_cache(maxsize=64)
+def _exchange_kernel(spec: DependenceSpec) -> _ExchangeKernel:
+    """The exchange step of ``spec`` as straight-line Python, compiled once
+    per spec (as :mod:`dataclasses` generates methods).
+
+    ``segment(rows, powers, current, th, block_a, block_b, block_logu,
+    first, end, next_record, thin, record)`` runs steps ``first + 1 ..
+    end`` on the proposals of one block and returns the running statistic,
+    the accepted count and the next record step.  The statistic lives in K
+    local floats and ``record`` (``list.extend``) receives it at each record
+    step.  A far pair runs the lines of ``far_step``, its log-ratio is the
+    theta-weighted sum of the group terms and an accepted move adds each
+    term to its statistic in group order; a near pair calls
+    :func:`core._swap_delta_rows` on the permuted data rows.  The source
+    holds only integers of the spec's ``MonomialTable`` plan (power columns,
+    offsets, term indices) and its order; theta arrives as an argument.
+    """
+    source = _kernel_source(spec)
+    namespace: dict = {}
+    exec(compile(source, f"<mimm exchange kernel K={spec.n_terms}>", "exec"), {}, namespace)
+    return _ExchangeKernel(*namespace["__create_fn__"](_swap_delta_rows, _term_factor_tuples(spec)))
 
 
 def exchange_sample(
@@ -244,10 +372,12 @@ def exchange_sample(
     statistic, not the permutation, is retained).  The acceptance rate is
     reported over all proposals including burn-in.
 
-    A far pair (s2 - s1 > d) takes the factored step
-    (:func:`core._far_swap_terms`) on the power rows of the current
-    ordering; a near pair re-evaluates its windows on the permuted data
-    rows (:func:`core._swap_delta_rows`).
+    The steps run in the spec's compiled kernel (:func:`_exchange_kernel`),
+    one call per block of ``_PROPOSAL_BLOCK`` proposals: a far pair
+    (s2 - s1 > d) takes the factored step on the power rows of the current
+    ordering, a near pair re-evaluates its windows on the permuted data rows
+    (:func:`core._swap_delta_rows`).  Every ``_RECOMPUTE_EVERY`` steps the
+    running statistic is recomputed from the permuted rows.
     """
     theta = _validate_theta(spec, theta)
     d = spec.order
@@ -260,54 +390,34 @@ def exchange_sample(
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
-    table = spec._table
-    terms = _term_factor_tuples(spec)
+    segment = _exchange_kernel(spec).segment
     K = spec.n_terms
     th = [float(v) for v in theta]
-    group_k = [k for k, _, _ in table.groups]
-    group_th = [th[k] for k in group_k]
-    every_k = range(K)
     # data row and power row at each position of the current ordering
     rows = list(series.rows())
-    powers = list(map(tuple, table.powers(series.data).tolist()))
+    powers = list(map(tuple, spec._table.powers(series.data).tolist()))
     current = [float(v) for v in total_statistic(spec, series)]
 
-    burn = config.effective_burn_in
-    total_steps = burn + config.n_samples * config.thin
+    burn, thin = config.effective_burn_in, config.thin
+    total_steps = burn + config.n_samples * thin
     recorded: list[float] = []  # the recorded statistics, row after row
-    next_record = burn + config.thin  # step count at the next record
+    next_record = burn + thin  # step count at the next record
     accepted = 0
     for first in range(0, total_steps, _PROPOSAL_BLOCK):
         block_a = rng.integers(0, m, size=_PROPOSAL_BLOCK).tolist()
         block_b = rng.integers(0, m - 1, size=_PROPOSAL_BLOCK).tolist()
         block_logu = np.log(rng.random(size=_PROPOSAL_BLOCK)).tolist()
-        steps = range(first + 1, min(first + _PROPOSAL_BLOCK, total_steps) + 1)
-        for step, a, b, logu in zip(steps, block_a, block_b, block_logu):
-            if b >= a:
-                b += 1
-            s1, s2 = (a + d, b + d) if a < b else (b + d, a + d)
-            if s2 - s1 > d:
-                parts = _far_swap_terms(table, powers, s1, s2)
-                weights, keys = group_th, group_k
-            else:
-                parts = _swap_delta_rows(rows, d, terms, s1, s2)
-                weights, keys = th, every_k
-            logr = 0.0
-            for w, v in zip(weights, parts):
-                logr += w * v
-            if logu <= logr:
-                for k, v in zip(keys, parts):
-                    current[k] += v
-                rows[s1], rows[s2] = rows[s2], rows[s1]
-                powers[s1], powers[s2] = powers[s2], powers[s1]
-                accepted += 1
-
-            if step % _RECOMPUTE_EVERY == 0:
-                permuted = TimeSeries(rows, kinds=series.kinds)
-                current = [float(v) for v in total_statistic(spec, permuted)]
-            if step == next_record:
-                recorded.extend(current)
-                next_record += config.thin
+        end = min(first + _PROPOSAL_BLOCK, total_steps)
+        current, block_accepted, next_record = segment(
+            rows, powers, current, th, block_a, block_b, block_logu, first, end, next_record, thin, recorded.extend
+        )
+        accepted += block_accepted
+        if end % _RECOMPUTE_EVERY == 0:
+            permuted = TimeSeries(rows, kinds=series.kinds)
+            current = [float(v) for v in total_statistic(spec, permuted)]
+            if end > burn and (end - burn) % thin == 0:
+                # step `end` records the refreshed statistic
+                recorded[-K:] = current
 
     return ExchangeResult(
         stats=np.array(recorded).reshape(config.n_samples, K),

@@ -174,6 +174,10 @@ class TestFit:
         ("ple-naive", "--tol", "nan"),
         ("ple-naive", "--tol", "inf"),
         ("mle", "--order", "0"),
+        ("ple-naive", "--time-limit-s", "0"),
+        ("ple-naive", "--time-limit-s", "-1"),
+        ("ple-naive", "--time-limit-s", "nan"),
+        ("ple-naive", "--time-limit-s", "inf"),
     ]
 
     @pytest.mark.parametrize(
@@ -284,6 +288,11 @@ class TestFit:
             ({"tol": "x"}, "--tol"),
             ({"estimator": "ple-fast"}, "--estimator"),
             ({"seed": [1]}, "--seed"),
+            # json writes and reads NaN and Infinity
+            ({"time_limit_s": float("nan")}, "--time-limit-s must be finite and > 0"),
+            ({"time_limit_s": float("inf")}, "--time-limit-s must be finite and > 0"),
+            ({"time_limit_s": 0}, "--time-limit-s must be finite and > 0"),
+            ({"time_limit_s": -1}, "--time-limit-s must be finite and > 0"),
         ],
     )
     def test_config_file_without_such_option_exits_validation(self, workspace, capsys, content, named):
@@ -464,6 +473,24 @@ class TestBenchmark:
         assert rc == 0
         body = (prefix.parent / "bench_slow.csv").read_text()
         assert "--,--" in body and "timeout" in body
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("where", ["flag", "manifest", "cell"])
+    def test_invalid_time_limit_exits_validation(self, workspace, capsys, where, value):
+        cell = {"label": "x", "model": {"kind": "ar", "phi": [0.5], "sigma2": 0.5}, "n": 100, "estimators": ["mle"]}
+        manifest = {"repetitions": 1, "cells": [cell]}
+        if where == "manifest":
+            manifest["time_limit_s"] = float(value)
+        elif where == "cell":
+            cell["time_limit_s"] = float(value)
+        man = workspace["tmp"] / f"man_limit_{where}{value}.json"
+        man.write_text(json.dumps(manifest))  # writes NaN / Infinity, which json reads back
+        prefix = workspace["tmp"] / f"bench_limit_{where}{value}"
+        flag = ["--time-limit-s", value] if where == "flag" else []
+        rc, _ = run_cli("benchmark", "--manifest", str(man), *flag, "--out", str(prefix))
+        assert rc == cli.EXIT_VALIDATION
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not (prefix.parent / f"{prefix.name}.csv").exists()
 
     def test_reps_flag_overrides_manifest(self, workspace):
         man = workspace["tmp"] / "man_reps.json"

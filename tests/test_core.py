@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimm import core
+from mimm import core, mcle
 from mimm.exceptions import (
     BoundaryViolationError,
     DegenerateScaleError,
@@ -387,6 +387,7 @@ class TestExchangeStepAgainstScalar:
     def check(spec, series, order, s1, s2):
         d, K = spec.order, spec.n_terms
         table = spec._table
+        far_step = mcle._exchange_kernel(spec).far_step
         keys = [k for k, _, _ in table.groups]
         weights = [float(w) for w in np.linspace(-1.0, 1.5, K)]
         group_weights = [weights[k] for k in keys]
@@ -399,12 +400,12 @@ class TestExchangeStepAgainstScalar:
                 near = core._swap_delta_rows(rows, d, terms, a, b)
                 np.testing.assert_array_equal(near, scalar)
                 continue
-            forward = core._far_swap_terms(table, powers, a, b)
+            forward = far_step(powers, a, b)
             step = np.zeros(K)
             np.add.at(step, keys, forward)
             assert np.all(np.abs(step - scalar) <= 1e-12 * (1.0 + np.abs(scalar)))
             powers[a], powers[b] = powers[b], powers[a]
-            reverse = core._far_swap_terms(table, powers, a, b)
+            reverse = far_step(powers, a, b)
             powers[a], powers[b] = powers[b], powers[a]
             assert all(r == -f for f, r in zip(forward, reverse))
             assert _weighted_sum(group_weights, reverse) == -_weighted_sum(group_weights, forward)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_core import kron_binary_specs, random_specs
 
 from mimm import core, gaussian, mcle, oracle
 from mimm.exceptions import InsufficientInteriorError, ShapeMismatchError
@@ -194,6 +197,31 @@ def _ar_case(phi, n, seed):
     return core.ar_spec(len(phi)), series, gaussian.ard_to_mininfo(params).theta
 
 
+@st.composite
+def chain_cases(draw, specs):
+    """A spec, a series of values in [-1.5, 1.5] (column 0 binary on
+    request when p = 2), weights and a chain config.  Every chain crosses a
+    proposal-block boundary; with thin = 2 most also pass the refresh at
+    step 8192."""
+    spec = draw(specs)
+    d = spec.order
+    n = draw(st.integers(2 * d + 2, 2 * d + 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.uniform(-1.5, 1.5, size=(n, spec.dim))
+    kinds = ["real"] * spec.dim
+    if spec.dim == 2 and draw(st.booleans()):
+        data[:, 0] = rng.integers(0, 2, size=n)
+        kinds[0] = "binary"
+    theta = 0.3 * rng.standard_normal(spec.n_terms)
+    config = mcle.ExchangeConfig(
+        n_samples=draw(st.integers(3800, 4600)),
+        thin=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    assert config.effective_burn_in + config.n_samples * config.thin > mcle._PROPOSAL_BLOCK
+    return spec, core.TimeSeries(data, kinds=kinds), theta, config
+
+
 class TestChainEquivalence:
     """Factored far-pair steps take the same accept/reject decisions as the
     scalar reference chain, so the chains agree to rounding."""
@@ -220,6 +248,32 @@ class TestChainEquivalence:
         assert 0 < ref_accepted < res.n_steps
         assert res.stats.shape == ref_stats.shape
         np.testing.assert_allclose(res.stats, ref_stats, rtol=0.0, atol=1e-9)
+
+    @staticmethod
+    def check_against_reference(spec, series, theta, config):
+        ref_stats, ref_accepted = reference_chain(spec, series, theta, config, np.random.default_rng(config.seed))
+        res = mcle.exchange_sample(spec, series, theta, config)
+        assert round(res.acceptance_rate * res.n_steps) == ref_accepted
+        np.testing.assert_allclose(res.stats, ref_stats, rtol=0.0, atol=1e-9)
+
+    # several components at one lag, exponents 1-3, lag-0-only terms (fewer
+    # far-step groups than terms, or none), p = 2
+    @settings(max_examples=12, deadline=None)
+    @given(chain_cases(random_specs()))
+    def test_random_specs(self, case):
+        self.check_against_reference(*case)
+
+    @settings(max_examples=8, deadline=None)
+    @given(chain_cases(kron_binary_specs()))
+    def test_kron_specs_with_binary_column(self, case):
+        self.check_against_reference(*case)
+
+    def test_kernel_is_compiled_once_per_spec(self):
+        spec = core.ar_spec(2)
+        kernel = mcle._exchange_kernel(spec)
+        assert mcle._exchange_kernel(spec) is kernel
+        assert mcle._exchange_kernel(core.ar_spec(2)) is kernel  # equal specs share it
+        assert mcle._exchange_kernel(core.ar_spec(1)) is not kernel
 
 
 def _ar1_sequence(rho, n, seed):
