@@ -308,6 +308,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     result.update(extras)
     result["theta"] = [float(v) for v in np.atleast_1d(theta)]
     result["wall_time_s"] = wall
+    # the limit is checked after the run, which is not cut short; a fit
+    # that ran past it has no convergence verdict to report
+    timed_out = conf["time_limit_s"] is not None and wall > conf["time_limit_s"]
+    result["status"] = "timeout" if timed_out else "ok"
+    if timed_out:
+        result["converged"] = None
 
     if conf["diagnostics"] and isinstance(fit, mcle.McleResult):
         with open(conf["diagnostics"], "w", encoding="utf-8") as fh:
@@ -328,7 +334,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 fh.write(",".join(row) + "\n")
 
     _write_json(conf["out"], result)
-    if conf["time_limit_s"] is not None and wall > conf["time_limit_s"]:
+    if timed_out:
         print(f"fit exceeded the time limit ({wall:.1f}s > {conf['time_limit_s']}s)", file=sys.stderr)
         return EXIT_TIMEOUT
     return EXIT_OK
@@ -677,6 +683,30 @@ def _check_swap_deltas_batch() -> CheckResult:
     return CheckResult("swap_deltas_batch", worst < 1e-12, worst, 1e-12)
 
 
+def _check_all_pairs_design() -> CheckResult:
+    """The all-pairs design built by row tiles (``fit_naive``'s block
+    builder) against the scalar window re-evaluation on a binary/real kron
+    spec with d = 2, over more than three tiles and in two row ranges."""
+    rng = np.random.default_rng(15)
+    spec = core.kron_spec(2, [(1, 1, 1), (2, 2, 1), (2, 1, 2)])
+    d = spec.order
+    n = 3 * core._PAIR_TILE_ROWS + 2 * d + 8
+    data = np.column_stack([rng.integers(0, 2, size=n), rng.standard_normal(n)])
+    series = core.TimeSeries(data, kinds=("binary", "real"))
+    hi = n - d
+    mid = d + core._PAIR_TILE_ROWS + 3
+    design = np.concatenate(
+        [core._all_pairs_deltas(spec, series, d, mid), core._all_pairs_deltas(spec, series, mid, hi - 1)]
+    )
+    pairs = [(a, b) for a in range(d, hi - 1) for b in range(a + 1, hi)]
+    worst = 0.0
+    for row, (a, b) in zip(design, pairs):
+        scalar = core.swap_delta(spec, series, a, b)
+        worst = max(worst, float((np.abs(row - scalar) / (1.0 + np.abs(scalar))).max()))
+    ok = len(design) == len(pairs) and worst < 1e-12
+    return CheckResult("all_pairs_design", ok, worst, 1e-12)
+
+
 def _check_exchange_step_factored() -> CheckResult:
     """The exchange sampler's compiled far-pair step (the ``far_step`` of
     :func:`mcle._exchange_kernel`, generated from the lines the chain runs)
@@ -900,7 +930,7 @@ def _check_pair_sign() -> CheckResult:
     spec = core.ar_spec(2)
     series = core.TimeSeries(rng.standard_normal(30))
     s1, s2 = np.sort([rng.choice(range(2, 28), size=2, replace=False) for _ in range(20)]).T
-    (X,) = ple._PairBlocks(spec, series, lambda: ((s1, s2),), len(s1))()
+    (X,) = ple._PairBlocks(lambda: (core.swap_deltas(spec, series, s1, s2),), len(s1), spec.n_terms)()
     worst = max(
         float(np.abs(x + core.swap_delta(spec, series, int(a), int(b))).max())
         for x, a, b in zip(X, s1, s2)
@@ -950,6 +980,7 @@ def run_verify_checks(riccati_rtol: float = gaussian.RICCATI_RTOL):
     yield _check_divergence_nonneg()
     yield _check_swap_recompute()
     yield _check_swap_deltas_batch()
+    yield _check_all_pairs_design()
     yield _check_exchange_step_factored()
     yield _check_multilinearity()
     yield _check_reversal()

@@ -26,6 +26,12 @@ directly.  The exchange sampler, one pair at a time under a changing
 ordering, sums ``S`` for the two positions on the fly instead, in code
 generated from the same plan (:func:`mimm.mcle._exchange_kernel`).
 
+The all-pairs design (every interior pair in lexicographic order) needs no
+pair indices at all: for a tile of rows s1 the far pairs of every s2 > s1
+are one broadcast per group of the same tables, ``(S_g[s1] - S_g[s2]) *
+(Phi_g[s2] - Phi_g[s1])``, and the tile's upper triangle is compressed
+into the design (:func:`_all_pairs_deltas`).
+
 All containers are immutable after construction and safe to share across
 threads; every operation is a pure function.  Statistic summation relies on
 numpy's pairwise accumulation, which keeps totals reproducible to ~1e-12
@@ -534,8 +540,10 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
     the pairs' span when the batch is dense in it and over the touched
     positions otherwise, and each pair row costs a few 1-d ``take``s per
     term.  Near pairs re-evaluate their overlapping windows directly.  Used
-    by the pseudo-likelihood fitters; agrees with :func:`swap_delta` to
-    ~1e-12 (summation order differs).
+    by ``fit_bipartition``, ``fit_pairs`` (and so ``select_specs``) and
+    ``fit_online_sgd``; ``fit_naive`` builds its all-pairs design with
+    :func:`_all_pairs_deltas` instead, bitwise equal on the same pairs.
+    Agrees with :func:`swap_delta` to ~1e-12 (summation order differs).
     """
     _check_series(spec, series)
     d = spec.order
@@ -578,6 +586,59 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
     near = np.concatenate(near)
     if near.size:
         out[near] = _near_deltas(table, X, s1[near], s2[near])
+    return out
+
+
+# rows per tile of the all-pairs build: with n - 2d ~ 1000 a tile's
+# temporaries (32 x 1000 floats each) stay in cache
+_PAIR_TILE_ROWS = 32
+
+
+def _all_pairs_deltas(spec: DependenceSpec, series: TimeSeries, r0: int, r1: int) -> np.ndarray:
+    """Swap deltas of every interior pair (s1, s2) with r0 <= s1 < r1 and
+    s1 < s2 <= n - d - 1, in lexicographic order: rows r0 .. r1 - 1 of the
+    all-pairs design, shape (N, K).
+
+    The tables S and Phi are taken once over positions [r0, n - d).  For a
+    tile of rows the far pairs are one broadcast per group, accumulated
+    from zeros in ``MonomialTable.groups`` order, so every entry equals
+    :func:`swap_deltas` on the same pair list bitwise; the tile's upper
+    triangle (s2 > s1) is then compressed into the output.  The near pairs,
+    the first d entries of each row, are overwritten by the direct
+    re-evaluation.  No per-pair index array is built.
+    """
+    _check_series(spec, series)
+    d, hi = spec.order, series.n - spec.order
+    if not d <= r0 <= r1 <= hi - 1:
+        raise BoundaryViolationError(f"rows [{r0}, {r1}) outside the interior rows [{d}, {hi - 1})")
+    table = spec._table
+    K = spec.n_terms
+    X = series.data
+    if r1 == r0:
+        return np.empty((0, K))
+    s1 = np.arange(r0, r1, dtype=np.intp)
+    ends = np.cumsum(hi - 1 - s1)  # pairs up to and including each row
+    out = np.empty((int(ends[-1]), K))
+    phi, S = _factored_tables(table, X, np.arange(r0, hi), r0)
+    # tile entry (t, c) is the pair (a + t, a + 1 + c), kept when c >= t
+    upper = np.arange(hi - r0 - 1) >= np.arange(_PAIR_TILE_ROWS)[:, None]
+    start = 0
+    for a in range(r0, r1, _PAIR_TILE_ROWS):
+        b = min(a + _PAIR_TILE_ROWS, r1)
+        rows, cols, width = slice(a, b), slice(a + 1, hi), hi - a - 1
+        dphi = [p[None, cols] - p[rows, None] for p in phi]
+        tile = np.zeros((K, b - a, width))
+        for (k, own, _), s in zip(table.groups, S):
+            tile[k] += (s[rows, None] - s[None, cols]) * dphi[own]
+        kept = upper[: b - a, :width].ravel()
+        end = int(ends[b - 1 - r0])
+        out[start:end] = np.compress(kept, tile.reshape(K, -1), axis=1).T
+        start = end
+    # near pairs (s1, s1 + j), j = 1 .. d, sit at the start of each row
+    s2 = s1[:, None] + np.arange(1, d + 1)
+    near = s2 < hi
+    at = (ends - (hi - 1 - s1))[:, None] + np.arange(d)
+    out[at[near]] = _near_deltas(table, X, np.broadcast_to(s1[:, None], s2.shape)[near], s2[near])
     return out
 
 

@@ -31,8 +31,12 @@ in the same order, so theta is bitwise equal to that loop's (see
 ``fit_online_sgd``).
 
 Pairs are generated in a deterministic order (lexicographic, or derived from
-the seed), so runs are reproducible.  A design small enough is held in
-memory as one block per chunk of pairs; a larger one is regenerated chunk by
+the seed), so runs are reproducible.  ``fit_naive`` cuts its pairs into
+chunks of whole rows (one s1 with every s2 > s1) and builds each chunk's
+block by row tiles from the factored swap-delta tables
+(``core._all_pairs_deltas``), with no pair index arrays; the other fitters
+pass their index arrays to ``swap_deltas``.  A design small enough is held
+in memory as one block per chunk; a larger one is regenerated chunk by
 chunk on every pass, so memory stays bounded regardless of n.
 
 Model selection: ``select_specs`` ranks candidate dependence specs by
@@ -56,6 +60,7 @@ from scipy.special import expit  # noqa: F401  bench/tracing.py counts calls to 
 from .core import (  # noqa: F401  window_statistics: bench/tracing.py wraps it here
     DependenceSpec,
     TimeSeries,
+    _all_pairs_deltas,
     swap_deltas,
     window_statistics,
 )
@@ -156,8 +161,8 @@ class PleResult:
     fitters.  Online SGD has no convergence test, so its ``converged`` and
     ``grad_norm`` are None.
 
-    ``stages`` gives seconds per fit stage: ``pairs_s`` draws the pair
-    indices and builds their statistics (summed over passes when they are
+    ``stages`` gives seconds per fit stage: ``pairs_s`` draws the pairs
+    and builds their statistics (summed over passes when they are
     regenerated), ``solver_s`` is the Newton or SGD loop without pair
     building, and ``log_pl_s`` the final log-PL evaluation without pair
     building.
@@ -241,51 +246,39 @@ def log_pl(theta, pairs) -> float:
 
 
 def _iter_pair_chunks(lo: int, hi: int, chunk: int):
-    """All interior pairs (s1 < s2) in lexicographic order, in bounded chunks.
+    """Row ranges (r0, r1) that cut the interior pairs (s1 < s2) of
+    [lo, hi), taken in lexicographic order, into bounded chunks.
 
     A chunk holds whole rows (one s1 with every s2 > s1) and closes at the
     first row that brings it to at least ``chunk`` pairs."""
-    first = np.arange(lo, hi - 1, dtype=np.intp)  # s1 of each row
-    counts = hi - 1 - first  # pairs in each row
-    ends = np.cumsum(counts)  # pairs up to and including each row
-    r0 = 0
-    while r0 < len(first):
-        done = ends[r0 - 1] if r0 else 0
-        r1 = min(r0 + 1 + int(np.searchsorted(ends[r0:], done + chunk)), len(first))
-        s1 = np.repeat(first[r0:r1], counts[r0:r1])
-        # s2 as a running sum of steps: +1 within a row, and at each row's
-        # start the jump from the last row's hi - 1 down to s1 + 1
-        s2 = np.ones(ends[r1 - 1] - done, dtype=np.intp)
-        s2[ends[r0 : r1 - 1] - done] = first[r0 + 1 : r1] + 2 - hi
-        s2[0] = first[r0] + 1
-        np.cumsum(s2, out=s2)
-        yield s1, s2
-        del s1, s2  # a chunk's index arrays are as large as its block
-        r0 = r1
+    r0, count = lo, 0
+    for s1 in range(lo, hi - 1):
+        count += hi - 1 - s1
+        if count >= chunk:
+            yield r0, s1 + 1
+            r0, count = s1 + 1, 0
+    if count:
+        yield r0, hi - 1
 
 
 class _PairBlocks:
-    """Pair-statistic blocks for the Newton solver, one per chunk of
-    ``chunks()``.  Calling the object yields one pass over the pairs.  A
-    design of at most ``_MATERIALIZE_LIMIT`` statistics (n_pairs * K) is
-    built once and its blocks held; a larger one is regenerated on every
-    pass.  ``seconds`` sums the time spent building blocks: drawing pair
-    indices from ``chunks()`` and their statistics from :func:`swap_deltas`."""
+    """Pair-statistic blocks for the Newton solver: minus each swap-delta
+    block that ``deltas()`` yields.  Calling the object yields one pass
+    over the pairs.  A design of at most ``_MATERIALIZE_LIMIT`` statistics
+    (n_pairs * K) is built once and its blocks held; a larger one is
+    regenerated on every pass.  ``seconds`` sums the time spent building
+    blocks."""
 
-    def __init__(self, spec: DependenceSpec, series: TimeSeries, chunks, n_pairs: int):
-        self._spec = spec
-        self._series = series
-        self._chunks = chunks
+    def __init__(self, deltas, n_pairs: int, n_terms: int):
+        self._deltas = deltas
         self.seconds = 0.0
         self._held = None
-        if n_pairs * spec.n_terms <= _MATERIALIZE_LIMIT:
+        if n_pairs * n_terms <= _MATERIALIZE_LIMIT:
             self._held = tuple(self._generate())
 
     def _generate(self):
         start = time.perf_counter()
-        for s1, s2 in self._chunks():
-            X = swap_deltas(self._spec, self._series, s1, s2)
-            del s1, s2  # freed before the next chunk's indices are drawn
+        for X in self._deltas():
             np.negative(X, out=X)
             self.seconds += time.perf_counter() - start
             yield X
@@ -335,15 +328,14 @@ def _newton_pass(blocks, theta):
 
 def _fit(
     spec: DependenceSpec,
-    series: TimeSeries,
-    chunks,
+    deltas,
     n_pairs: int,
     config: GdConfig,
     method: str,
 ) -> PleResult:
-    """Pseudo-likelihood fit on the ``n_pairs`` pairs that ``chunks()``
-    yields as (s1, s2) index arrays, by damped Newton ascent from theta = 0;
-    an empty design raises :class:`InsufficientDataError`.
+    """Pseudo-likelihood fit on the ``n_pairs`` pairs whose swap deltas
+    ``deltas()`` yields block by block, by damped Newton ascent from
+    theta = 0; an empty design raises :class:`InsufficientDataError`.
 
     One Newton pass over the pairs is one epoch.  The step is the
     minimum-norm least-squares solution of  info step = grad, which keeps
@@ -356,7 +348,7 @@ def _fit(
     start = time.perf_counter()
     if n_pairs == 0:
         raise InsufficientDataError("the pair design is empty")
-    blocks = _PairBlocks(spec, series, chunks, n_pairs)
+    blocks = _PairBlocks(deltas, n_pairs, spec.n_terms)
 
     def objective(theta):
         return sum(log_pl(theta, X) for X in blocks())
@@ -433,14 +425,21 @@ def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdCon
     """Newton ascent with minimum-norm steps over all interior pairs,
     theta0 = 0, with AIC/PIC filled in.
 
-    Pairs are drawn in lexicographic chunks of about 5e5.  Up to 2e7
-    statistics (n_pairs * K) the chunks' blocks are built once and held;
-    past that, every pass regenerates them one chunk at a time, and the
-    pair matrix is never held at once.
+    Pairs are taken in lexicographic chunks of whole rows (one s1 with
+    every s2 > s1), about 5e5 pairs each, and each chunk's block is built
+    by row tiles straight from the factored tables, with no pair index
+    arrays.  Up to 2e7 statistics (n_pairs * K) the blocks are built once
+    and held; past that, every pass regenerates them one chunk at a time,
+    and the pair matrix is never held at once.
     """
     lo, hi = _interior_bounds(spec, series)
     n_pairs = n_interior_pairs(series.n, spec.order)
-    fit = _fit(spec, series, lambda: _iter_pair_chunks(lo, hi, _CHUNK_PAIRS), n_pairs, config, "ple-naive")
+
+    def deltas():
+        for r0, r1 in _iter_pair_chunks(lo, hi, _CHUNK_PAIRS):
+            yield _all_pairs_deltas(spec, series, r0, r1)
+
+    fit = _fit(spec, deltas, n_pairs, config, "ple-naive")
     aic, pic = aic_pic(fit.log_pl, spec.n_terms, series.n, spec.order)
     return replace(fit, aic=aic, pic=pic)
 
@@ -459,7 +458,7 @@ def fit_bipartition(
     """
     lo, hi = _interior_bounds(spec, series)
     s1, s2 = _matching(np.random.default_rng(seed), np.arange(lo, hi, dtype=np.intp))
-    return _fit(spec, series, lambda: ((s1, s2),), len(s1), config, "ple-bipartition")
+    return _fit(spec, lambda: (swap_deltas(spec, series, s1, s2),), len(s1), config, "ple-bipartition")
 
 
 def fit_pairs(
@@ -478,7 +477,7 @@ def fit_pairs(
     :class:`InsufficientDataError`.
     """
     _interior_bounds(spec, series)
-    return _fit(spec, series, lambda: ((s1, s2),), np.size(s1), config, "ple-pairs")
+    return _fit(spec, lambda: (swap_deltas(spec, series, s1, s2),), np.size(s1), config, "ple-pairs")
 
 
 def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig = SgdConfig()) -> PleResult:

@@ -263,6 +263,16 @@ class TestFit:
             "--estimator", "ple-naive", "--time-limit-s", "1e-9", "--out", str(out),
         )
         assert rc == cli.EXIT_TIMEOUT
+        result = json.loads(out.read_text())
+        assert result["status"] == "timeout" and result["converged"] is None
+        ok = workspace["tmp"] / "in_time.json"
+        rc, _ = run_cli(
+            "fit", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]),
+            "--estimator", "ple-naive", "--time-limit-s", "600", "--out", str(ok),
+        )
+        assert rc == cli.EXIT_OK
+        result = json.loads(ok.read_text())
+        assert result["status"] == "ok" and result["converged"] is True
 
     def test_config_file_precedence(self, workspace):
         conf = workspace["tmp"] / "conf.json"

@@ -1,5 +1,7 @@
 """Dependence functions, sufficient statistics, and swap deltas."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -357,6 +359,67 @@ class TestSwapDeltasAgainstScalar:
         series = core.TimeSeries(np.arange(10.0))
         out = core.swap_deltas(core.ar_spec(2), series, [], [])
         assert out.shape == (0, 2)
+
+
+@st.composite
+def design_rows(draw, specs):
+    """A spec, a series, a tile height and the rows [r0, r1) of its
+    all-pairs design.  The interior spans up to two tiles and a few rows,
+    so rows fall on both sides of a tile edge and near pairs straddle it;
+    half the draws take every row, the rest a random sub-range."""
+    spec = draw(specs)
+    d = spec.order
+    tile = draw(st.sampled_from([1, 2, 3, core._PAIR_TILE_ROWS]))
+    n = 2 * d + 2 + draw(st.integers(0, 2 * tile + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.uniform(-1.5, 1.5, size=(n, spec.dim))
+    kinds = ["real"] * spec.dim
+    if spec.dim == 2 and draw(st.booleans()):
+        data[:, 0] = rng.integers(0, 2, size=n)
+        kinds[0] = "binary"
+    last = n - d - 1  # rows s1 = d .. last - 1
+    r0, r1 = d, last
+    if draw(st.booleans()):
+        r0 = draw(st.integers(d, last))
+        r1 = draw(st.integers(r0, last))
+    return spec, core.TimeSeries(data, kinds=kinds), tile, r0, r1
+
+
+class TestAllPairsDesign:
+    """The row-tile build of the all-pairs design against the batch path on
+    the explicit lexicographic pair list (bitwise) and the scalar window
+    re-evaluation (1e-12)."""
+
+    @staticmethod
+    def check(spec, series, tile, r0, r1):
+        hi = series.n - spec.order
+        pairs = [(a, b) for a in range(r0, r1) for b in range(a + 1, hi)]
+        s1 = np.array([a for a, _ in pairs], dtype=np.intp)
+        s2 = np.array([b for _, b in pairs], dtype=np.intp)
+        with mock.patch.object(core, "_PAIR_TILE_ROWS", tile):
+            design = core._all_pairs_deltas(spec, series, r0, r1)
+        assert design.shape == (len(pairs), spec.n_terms)
+        np.testing.assert_array_equal(design, core.swap_deltas(spec, series, s1, s2))
+        for row, (a, b) in zip(design, pairs):
+            scalar = core.swap_delta(spec, series, a, b)
+            assert np.all(np.abs(row - scalar) <= 1e-12 * (1.0 + np.abs(scalar)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(design_rows(random_specs()))
+    def test_random_specs(self, case):
+        self.check(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(design_rows(kron_binary_specs()))
+    def test_kron_specs_with_binary_column(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("r0, r1", [(1, 3), (2, 6), (4, 3), (5, 6)])
+    def test_rows_outside_the_interior_rejected(self, r0, r1):
+        # n = 8, d = 2: interior [2, 6), rows s1 = 2 .. 4
+        series = core.TimeSeries(np.arange(8.0))
+        with pytest.raises(BoundaryViolationError):
+            core._all_pairs_deltas(core.ar_spec(2), series, r0, r1)
 
 
 @st.composite

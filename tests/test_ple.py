@@ -4,6 +4,7 @@ information criteria."""
 import json
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,7 +49,7 @@ class TestPairStatistic:
         spec = core.ar_spec(2)
         series = core.TimeSeries(rng.standard_normal(25))
         s1, s2 = np.sort([rng.choice(range(2, 23), size=2, replace=False) for _ in range(15)]).T
-        (X,) = ple._PairBlocks(spec, series, lambda: ((s1, s2),), len(s1))()
+        (X,) = ple._PairBlocks(lambda: (core.swap_deltas(spec, series, s1, s2),), len(s1), spec.n_terms)()
         np.testing.assert_array_equal(X, -core.swap_deltas(spec, series, s1, s2))
         scalar = np.array([core.swap_delta(spec, series, int(a), int(b)) for a, b in zip(s1, s2)])
         np.testing.assert_allclose(X, -scalar, rtol=0.0, atol=1e-12)
@@ -126,6 +127,14 @@ def reference_pair_chunks(lo, hi, chunk):
         yield np.concatenate(buf1), np.concatenate(buf2)
 
 
+def expand_rows(r0, r1, hi):
+    """The pairs (s1, s2), s1 < s2 < hi, of the rows s1 in [r0, r1)."""
+    rows = range(r0, r1)
+    s1 = np.array([a for a in rows for _ in range(a + 1, hi)], dtype=np.intp)
+    s2 = np.array([b for a in rows for b in range(a + 1, hi)], dtype=np.intp)
+    return s1, s2
+
+
 B = ple._SLICE_ROWS
 
 
@@ -189,18 +198,17 @@ class TestSlicedKernels:
         [(1, 999, 500_000), (1, 999, 100_000), (2, 60, 7), (1, 4, 1), (3, 5, 10), (1, 50, 0), (1, 3, 1)],
     )
     def test_pair_chunks_match_row_loop(self, lo, hi, chunk):
-        got = list(ple._iter_pair_chunks(lo, hi, chunk))
+        got = [expand_rows(r0, r1, hi) for r0, r1 in ple._iter_pair_chunks(lo, hi, chunk)]
         ref = list(reference_pair_chunks(lo, hi, chunk))
         assert len(got) == len(ref)
         for (a1, a2), (b1, b2) in zip(got, ref):
-            assert a1.dtype == b1.dtype == a2.dtype == b2.dtype
             np.testing.assert_array_equal(a1, b1)
             np.testing.assert_array_equal(a2, b2)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 5), st.integers(2, 80), st.integers(1, 400))
     def test_pair_chunks_match_row_loop_random(self, lo, m, chunk):
-        got = list(ple._iter_pair_chunks(lo, lo + m, chunk))
+        got = [expand_rows(r0, r1, lo + m) for r0, r1 in ple._iter_pair_chunks(lo, lo + m, chunk)]
         ref = list(reference_pair_chunks(lo, lo + m, chunk))
         assert [(a.tolist(), b.tolist()) for a, b in got] == [(a.tolist(), b.tolist()) for a, b in ref]
 
@@ -275,13 +283,14 @@ class TestFitNaive:
         # passes and the final objective
         series = gaussian.simulate_ar(AR1, 60, seed=17)
         rows = []
-        swap_deltas = ple.swap_deltas
+        all_pairs_deltas = ple._all_pairs_deltas
 
-        def counting(spec, series, s1, s2, **kwargs):
-            rows.append(len(s1))
-            return swap_deltas(spec, series, s1, s2, **kwargs)
+        def counting(*args):
+            block = all_pairs_deltas(*args)
+            rows.append(len(block))
+            return block
 
-        monkeypatch.setattr(ple, "swap_deltas", counting)
+        monkeypatch.setattr(ple, "_all_pairs_deltas", counting)
         monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", 0)
         monkeypatch.setattr(ple, "_CHUNK_PAIRS", 400)
         fit = ple.fit_naive(SPEC1, series, ple.GdConfig(max_epochs=2))
@@ -316,6 +325,20 @@ class TestFitNaive:
     def test_interior_too_small(self):
         with pytest.raises(InsufficientInteriorError):
             ple.fit_naive(core.ar_spec(2), core.TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0]))
+
+    def test_held_fit_peak_memory_under_twice_the_pair_matrix(self):
+        # the held design is built by row tiles: no pair index arrays as
+        # large as the matrix sit beside it
+        series = gaussian.simulate_ar(AR1, 1000, seed=21)
+        tracemalloc.start()
+        try:
+            fit = ple.fit_naive(SPEC1, series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = fit.n_pairs_used * SPEC1.n_terms * 8
+        assert fit.converged
+        assert peak <= 2 * matrix_bytes
 
 
 def all_pairs_matrix(spec, series):
@@ -469,14 +492,14 @@ class TestTelemetry:
     def test_streamed_pair_time_is_summed_over_passes(self, monkeypatch):
         series = gaussian.simulate_ar(AR1, 60, seed=17)
         calls = []
-        swap_deltas = ple.swap_deltas
+        all_pairs_deltas = ple._all_pairs_deltas
 
         def slow(*args):
             calls.append(1)
             time.sleep(0.005)
-            return swap_deltas(*args)
+            return all_pairs_deltas(*args)
 
-        monkeypatch.setattr(ple, "swap_deltas", slow)
+        monkeypatch.setattr(ple, "_all_pairs_deltas", slow)
         monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", 0)
         monkeypatch.setattr(ple, "_CHUNK_PAIRS", 400)
         fit = ple.fit_naive(SPEC1, series, ple.GdConfig(max_epochs=2))
@@ -486,15 +509,14 @@ class TestTelemetry:
     def test_pair_index_time_counts_as_pair_time(self, monkeypatch):
         series = gaussian.simulate_ar(AR1, 60, seed=17)
         calls = []
-        iter_pair_chunks = ple._iter_pair_chunks
+        all_pairs_deltas = ple._all_pairs_deltas
 
         def slow(*args):
-            for chunk in iter_pair_chunks(*args):
-                calls.append(1)
-                time.sleep(0.05)
-                yield chunk
+            calls.append(1)
+            time.sleep(0.05)
+            return all_pairs_deltas(*args)
 
-        monkeypatch.setattr(ple, "_iter_pair_chunks", slow)
+        monkeypatch.setattr(ple, "_all_pairs_deltas", slow)
         for limit, cfg in ((ple._MATERIALIZE_LIMIT, ple.GdConfig()), (0, ple.GdConfig(max_epochs=2))):
             monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", limit)
             calls.clear()
