@@ -553,7 +553,7 @@ def _check_transform_anchors() -> CheckResult:
     return CheckResult("transform_anchor_values", worst < 1e-15, worst, 1e-15)
 
 
-def _check_roundtrips(riccati_rtol: float):
+def _check_roundtrips():
     rng = np.random.default_rng(20240501)
     worst1 = worst2 = worstv = worstr = 0.0
     for _ in range(100):
@@ -580,12 +580,23 @@ def _check_roundtrips(riccati_rtol: float):
         Sig = Z @ Z.T / pdim + 0.1 * np.eye(pdim)
         p = gaussian.ClassicalVARParams(A=A[None], Sigma=Sig)
         mi = gaussian.var1_to_mininfo(p)
-        b = gaussian.mininfo_to_var1(mi, rtol=riccati_rtol)
+        b = gaussian.mininfo_to_var1(mi)
         worstv = max(worstv, float(np.abs(b.A[0] - A).max()), float(np.abs(b.Sigma - Sig).max()))
         resid = np.linalg.norm(mi.B - b.A[0] @ mi.B @ b.A[0].T - b.Sigma, "fro")
         worstr = max(worstr, resid / np.linalg.norm(mi.B, "fro"))
+    worstd = 0.0
+    for _ in range(30):
+        # AR(d), d = 3-8, whose characteristic roots have modulus in [1.05, 5]
+        d = int(rng.integers(3, 9))
+        radius = 1.0 / rng.uniform(1.05, 5.0, size=(d + 1) // 2)
+        pairs = radius[: d // 2] * np.exp(1j * rng.uniform(0.0, np.pi, size=d // 2))
+        poles = np.concatenate([pairs, pairs.conj(), radius[d // 2 :] * rng.choice([-1.0, 1.0])])
+        p = gaussian.ClassicalARParams(-np.poly(poles).real[1:], rng.uniform(0.05, 4.0))
+        b = gaussian.mininfo_to_ard(gaussian.ard_to_mininfo(p))
+        worstd = max(worstd, float(np.abs(b.phi - p.phi).max()), abs(b.sigma2 - p.sigma2))
     yield CheckResult("roundtrip_ar1", worst1 < 1e-10, worst1, 1e-10)
     yield CheckResult("roundtrip_ar2", worst2 < 1e-10, worst2, 1e-10)
+    yield CheckResult("roundtrip_ard", worstd < 1e-9, worstd, 1e-9, detail="d = 3-8")
     yield CheckResult("roundtrip_var1", worstv < 1e-10, worstv, 1e-10)
     yield CheckResult("riccati_residual", worstr < 1e-8, worstr, 1e-8)
 
@@ -972,9 +983,9 @@ def _check_consistency_ordering() -> CheckResult:
     )
 
 
-def run_verify_checks(riccati_rtol: float = gaussian.RICCATI_RTOL):
+def run_verify_checks():
     yield _check_transform_anchors()
-    yield from _check_roundtrips(riccati_rtol)
+    yield from _check_roundtrips()
     yield from _check_fisher()
     yield _check_pythagorean()
     yield _check_divergence_nonneg()
@@ -1000,10 +1011,9 @@ def run_verify_checks(riccati_rtol: float = gaussian.RICCATI_RTOL):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     conf = _merge_config(args)
-    rtol = conf["riccati_rtol"] if conf["riccati_rtol"] is not None else gaussian.RICCATI_RTOL
     results = []
     failed = 0
-    for check in run_verify_checks(riccati_rtol=rtol):
+    for check in run_verify_checks():
         results.append(check)
         tag = "PASS" if check.passed else "FAIL"
         if not check.passed:
@@ -1027,7 +1037,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 }
                 for c in results
             ],
-            "config": {"riccati_rtol": rtol},
         }
         _write_json(conf["out"], payload)
     return EXIT_OK if failed == 0 else EXIT_NUMERICAL
@@ -1117,12 +1126,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the invariant verification gate")
     ver.add_argument("--config", help="JSON file with option defaults")
     ver.add_argument("--out", help="machine-readable JSON report path")
-    ver.add_argument(
-        "--riccati-rtol",
-        dest="riccati_rtol",
-        type=float,
-        help="override the Riccati solver tolerance (fault injection)",
-    )
     ver.set_defaults(func=cmd_verify)
     for command in sub.choices.values():
         # _merge_config checks config-file values against these

@@ -4,13 +4,16 @@ divergence rates between conditionally Gaussian kernels.
 
 The minimum-information parametrization of a stationary AR/VAR process pairs
 the dependence weights (theta) with the stationary variance, replacing the
-classical (coefficients, noise variance) pair.  Both directions of the
-transform are implemented here; the VAR(1) inverse runs through a quadratic
-matrix equation solved by a damped fixed-point iteration with a Newton
-fallback.
+classical (coefficients, noise variance) pair.  Both directions are
+implemented here; every minimum-information pair has exactly one stationary
+inverse.  The VAR(1) inverse is a closed form.  The AR(d) inverse is the
+closed form for d = 1 and, for every d >= 2, a spectral factor whose
+constant term Brent's method picks to match the variance; it refuses, with
+:class:`ParameterDomainError`, the pairs whose inverse double precision
+cannot resolve to 1e-8.
 
 Every stationary covariance (AR(d) variance, VAR(1) covariance, the
-variance residual of the AR(d) inverse) comes from one route: the block
+variance the AR(d) inverse matches) comes from one route: the block
 companion matrix of :func:`companion_matrix` and
 ``scipy.linalg.solve_discrete_lyapunov``.  Parameter records serialize to a
 flat ``name.i.j=value`` text format driven by their dataclass fields.
@@ -27,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial import chebyshev
 
 from .core import TimeSeries
 from .exceptions import (
     ContractError,
-    NoSolutionFoundError,
     ParameterDomainError,
     ShapeMismatchError,
     StationarityError,
@@ -52,6 +55,7 @@ __all__ = [
     "mininfo_to_ar2",
     "ard_to_mininfo",
     "mininfo_to_ard",
+    "mininfo_to_ar",
     "var1_to_mininfo",
     "mininfo_to_var1",
     "ar1_fisher_info",
@@ -173,7 +177,8 @@ class ClassicalVARParams:
 @dataclass(frozen=True, eq=False)
 class MinInfoARParams:
     """Dependence weights plus stationary variance; the domain is all of
-    R^d x (0, inf) for d <= 2 (no stationarity-style constraint)."""
+    R^d x (0, inf) for every d (no stationarity-style constraint): each
+    point maps to exactly one stationary AR(d)."""
 
     theta: np.ndarray
     tau2: float
@@ -447,215 +452,131 @@ def ar2_to_mininfo(params: ClassicalARParams) -> MinInfoARParams:
     return MinInfoARParams(theta=[theta1, theta2], tau2=tau2)
 
 
-def _ar2_t_max(theta1: float, theta2: float) -> float:
-    """Largest admissible noise variance t: the first boundary hit of the
-    stationarity triangle along t -> (theta1 t / (1 - theta2 t), theta2 t).
-
-    Candidate hits are the first positive roots of the three side margins,
-    written through q2(t) = (1 - theta2 t)**2 - theta1 t and
-    q3(t) = (1 - theta2 t)**2 + theta1 t, plus the pole at 1/theta2 for
-    theta2 > 0 and the side 1 + phi2 = 0 for theta2 < 0.
-    """
-    candidates = []
-    if theta2 < 0.0:
-        candidates.append(-1.0 / theta2)
-    elif theta2 > 0.0:
-        candidates.append(1.0 / theta2)
-
-    def quad_roots(a, b, c):
-        # a t**2 + b t + c = 0, smallest positive root if any
-        if a == 0.0:
-            if b == 0.0:
-                return
-            r = -c / b
-            if r > 0.0:
-                yield r
-            return
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return
-        sq = math.sqrt(disc)
-        for r in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
-            if r > 0.0:
-                yield r
-
-    a = theta2**2
-    candidates.extend(quad_roots(a, -(2.0 * theta2 + theta1), 1.0))  # q2
-    candidates.extend(quad_roots(a, -(2.0 * theta2 - theta1), 1.0))  # q3
-    return min(candidates) if candidates else math.inf
-
-
 def mininfo_to_ar2(params: MinInfoARParams) -> ClassicalARParams:
-    """AR(2) inverse: solve 1/tau2 = g(t) for the noise variance t.
-
-    g(t) = (1 - theta2**2 t**2)/t - (1 + theta2 t) theta1**2 t / (1 - theta2 t)**3
-    is strictly decreasing from +inf to 0 on (0, t_max), so bracketed
-    bisection converges unconditionally; then phi1 = theta1 t / (1 - theta2 t)
-    and phi2 = theta2 t.
-    """
+    """AR(2) inverse: :func:`mininfo_to_ar` for two dependence weights."""
     if params.order != 2:
         raise ShapeMismatchError(f"expected 2 dependence weights, got {params.order}")
-    theta1, theta2 = (float(v) for v in params.theta)
-    tau2 = params.tau2
-
-    if theta1 == 0.0 and theta2 == 0.0:
-        return ClassicalARParams(phi=[0.0, 0.0], sigma2=tau2)
-
-    def g(t):
-        return (1.0 - theta2**2 * t**2) / t - (
-            (1.0 + theta2 * t) * theta1**2 * t / (1.0 - theta2 * t) ** 3
-        )
-
-    target = 1.0 / tau2
-    t_max = _ar2_t_max(theta1, theta2)
-    hi_cap = t_max if math.isfinite(t_max) else max(tau2 * 4.0, 1.0)
-
-    lo = min(tau2, hi_cap) * 0.5
-    while g(lo) <= target:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise NoSolutionFoundError("AR(2) inverse: failed to bracket from below")
-    if math.isfinite(t_max):
-        hi = lo
-        gap = t_max - lo
-        while True:
-            cand = t_max - gap * 0.5
-            gap *= 0.5
-            if cand > lo and g(cand) < target:
-                hi = cand
-                break
-            if gap < 1e-300:
-                raise NoSolutionFoundError("AR(2) inverse: failed to bracket from above")
-    else:
-        hi = max(lo * 2.0, tau2 * 2.0)
-        while g(hi) >= target:
-            hi *= 2.0
-            if hi > 1e300:
-                raise NoSolutionFoundError("AR(2) inverse: failed to bracket from above")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if g(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    phi1 = theta1 * t / (1.0 - theta2 * t)
-    phi2 = theta2 * t
-    return ClassicalARParams(phi=[phi1, phi2], sigma2=t)
+    return mininfo_to_ar(params)
 
 
-def _theta_from_phi(phi: np.ndarray, sigma2: float) -> np.ndarray:
-    """Dependence weights of an AR(d): theta_i collects the x_t x_{t-i}
-    coefficient of the kernel exponent,
-    (phi_i - sum_{j<k, k-j=i} phi_j phi_k) / sigma2."""
-    d = len(phi)
-    theta = np.empty(d)
-    for i in range(1, d + 1):
-        cross = 0.0
-        for j in range(1, d + 1):
-            k = j + i
-            if k <= d:
-                cross += phi[j - 1] * phi[k - 1]
-        theta[i - 1] = (phi[i - 1] - cross) / sigma2
-    return theta
+def _autocorr(a: np.ndarray) -> np.ndarray:
+    """r_i = sum_j a_j a_{j+i} for lags i = 0..len(a)-1."""
+    return np.correlate(a, a, "full")[len(a) - 1 :]
 
 
 def ard_to_mininfo(params: ClassicalARParams) -> MinInfoARParams:
-    """General AR(d) forward transform; the stationary variance comes from
-    the companion-form Lyapunov solve."""
-    theta = _theta_from_phi(params.phi, params.sigma2)
+    """General AR(d) forward transform.  With a = (1, -phi_1, ..., -phi_d),
+    theta_i = -(sum_j a_j a_{j+i}) / sigma2 is the x_t x_{t-i} coefficient of
+    the kernel exponent; the stationary variance comes from the
+    companion-form Lyapunov solve."""
+    theta = -_autocorr(np.concatenate([[1.0], -params.phi]))[1:] / params.sigma2
     return MinInfoARParams(theta=theta, tau2=stationary_variance(params))
 
 
-# Newton iteration cap and residual tolerance of mininfo_to_ard.
-_ARD_MAX_ITERS = 200
-_ARD_TOL = 1e-9
-
-
 def mininfo_to_ard(params: MinInfoARParams) -> ClassicalARParams:
-    """Numerical inverse of :func:`ard_to_mininfo` for d >= 3.
+    """AR(d) inverse for d >= 3: :func:`mininfo_to_ar` with the order checked."""
+    if params.order < 3:
+        raise ShapeMismatchError(f"expected at least 3 dependence weights, got {params.order}")
+    return mininfo_to_ar(params)
 
-    Damped Newton on the d+1 residuals (theta definitions plus the
-    stationary-variance equation, the latter scaled by 1/tau2) with a
-    finite-difference Jacobian.  Best effort: the result is returned only if
-    the residual drops below 1e-9 within 200 iterations and the coefficients
-    are stationary.
-    """
-    d = params.order
-    if d < 3:
-        raise ShapeMismatchError(f"use the closed-form inverses for d <= 2, got d={d}")
-    theta = params.theta
-    tau2 = params.tau2
 
-    def residual(x):
-        phi, s2 = x[:d], x[d]
-        if s2 <= 0.0:
-            return None
-        if _spectral_radius(companion_matrix(phi)) >= 1.0 - 1e-10:
-            return None
-        r = np.empty(d + 1)
-        r[:d] = _theta_from_phi(phi, s2) - theta
-        r[d] = (_stationary_state_cov(phi, [[s2]])[0, 0] - tau2) / tau2
-        return r
+def _ar_factor(theta: np.ndarray, peak: float, x_peak: float, delta: float) -> ClassicalARParams | None:
+    """The stationary AR(d) whose inverse spectral density is
+    b0 - 2 sum_i theta_i cos(i w) with b0 = peak + delta, where the cosine
+    sum peaks at cos(w) = x_peak; None if none is found.
 
-    # AR(1)-style shrinkage sets the scale of the initial guess
-    shrink = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * float(theta @ theta) * tau2**2))
-    phi0 = theta * tau2 * shrink
-    while _spectral_radius(companion_matrix(phi0)) >= 0.95:
-        phi0 = phi0 * 0.9
-    x = np.concatenate([phi0, [tau2]])
-    r = residual(x)
-    if r is None:
-        x = np.concatenate([np.zeros(d), [tau2]])
-        r = residual(x)
-
-    for _ in range(_ARD_MAX_ITERS):
-        norm_r = float(np.linalg.norm(r, np.inf))
-        if norm_r < _ARD_TOL:
-            break
-        jac = np.empty((d + 1, d + 1))
-        for j in range(d + 1):
-            h0 = 1e-7 * (1.0 + abs(x[j]))
-            for h in (h0, h0 * 0.01):  # a smaller step if the first leaves the domain
-                shift = np.zeros(d + 1)
-                shift[j] = h
-                rp, rm = residual(x + shift), residual(x - shift)
-                if rp is not None and rm is not None:
-                    break
-            else:
-                raise NoSolutionFoundError("AR(d) inverse: Jacobian left the feasible region")
-            jac[:, j] = (rp - rm) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as err:
-            raise NoSolutionFoundError(f"AR(d) inverse: singular Jacobian ({err})") from err
-        lam = 1.0
-        for _ in range(40):
-            cand = x + lam * step
-            rc = residual(cand)
-            if rc is not None and np.linalg.norm(rc, np.inf) < norm_r:
-                x, r = cand, rc
-                break
-            lam *= 0.5
-        else:
-            raise NoSolutionFoundError("AR(d) inverse: damped Newton stalled")
-    else:
-        raise NoSolutionFoundError(
-            f"AR(d) inverse: no convergence after {_ARD_MAX_ITERS} iterations"
-        )
-    return ClassicalARParams(phi=x[:d], sigma2=float(x[d]))
+    Each root x_k of the density in x = cos(w), a Chebyshev series (tail
+    weights below rounding dropped), gives a pole z_k = x_k - sqrt(x_k^2 - 1)
+    inside the unit circle; alpha is prod_k (1 - z_k L) scaled to
+    |alpha|^2 = b0.  Three Newton steps (Wilson 1969) on the autocorrelation
+    equations r_i(alpha) = -theta_i, i >= 1, polish it; their first equation
+    is not r_0 = b0, which rounds delta away near a unit root, but
+    |alpha(e^{i w_peak})|^2 = delta.  The Jacobian is Toeplitz plus Hankel
+    with J alpha = 2 r.  Then phi = -alpha[1:] / alpha_0, sigma2 = 1 / alpha_0^2."""
+    d = len(theta)
+    b0 = peak + delta
+    series = chebyshev.chebtrim(np.concatenate([[b0], -2.0 * theta]), 1e-15 * b0)
+    x = chebyshev.chebroots(series).astype(complex)
+    w = np.sqrt((x - 1.0) * (x + 1.0))
+    poles = 1.0 / np.where(np.abs(x + w) >= np.abs(x - w), x + w, x - w)
+    if not np.all(np.abs(poles) < 1.0):
+        return None
+    a = np.zeros(d + 1)
+    a[: poles.size + 1] = np.poly(poles).real
+    alpha = a * math.sqrt(b0 / (a @ a))
+    wave = np.exp(1j * math.acos(x_peak) * np.arange(d + 1))
+    for _ in range(3):
+        jac = scipy.linalg.toeplitz(np.eye(d + 1)[0] * alpha[0], alpha) + scipy.linalg.hankel(alpha)
+        rhs = _autocorr(alpha) - np.concatenate([[0.0], theta])
+        at_peak = alpha @ wave
+        jac[0] = 2.0 * (at_peak.conjugate() * wave).real
+        rhs[0] = delta + abs(at_peak) ** 2
+        alpha = np.linalg.solve(jac, rhs)
+    if not np.abs(_autocorr(alpha)[1:] + theta).max() <= 1e-8 * b0:
+        return None  # the steps did not converge, as when delta is lost in rounding
+    try:
+        return ClassicalARParams(phi=-alpha[1:] / alpha[0], sigma2=1.0 / alpha[0] ** 2)
+    except (StationarityError, ParameterDomainError):
+        return None
 
 
 def mininfo_to_ar(params: MinInfoARParams) -> ClassicalARParams:
-    """Dispatch to the closed forms for d <= 2 and the Newton inverse beyond."""
+    """Inverse of :func:`ard_to_mininfo`: the closed form for d = 1 and, for
+    every d >= 2, the AR whose inverse spectral density is
+    b0 - 2 sum_i theta_i cos(i w) (see :func:`ard_to_mininfo`).  Its variance
+    falls strictly from +inf to 0 as b0 rises from the peak of the cosine
+    sum, so each (theta, tau2 > 0) has one stationary inverse.  Solved at unit
+    variance (theta * tau2, then sigma2 * tau2) by Brent's method on
+    log(b0 - peak) and :func:`_ar_factor`.  Raises
+    :class:`ParameterDomainError` where the result's forward map misses
+    (theta, tau2) by more than 1e-8 relative, as for 1 - rho below about
+    1e-7, which double precision does not resolve."""
     if params.order == 1:
         return mininfo_to_ar1(params)
-    if params.order == 2:
-        return mininfo_to_ar2(params)
-    return mininfo_to_ard(params)
+    tau2 = params.tau2
+    theta = params.theta * tau2
+    unresolved = ParameterDomainError(f"no stationary AR resolves tau2 = {tau2} for theta = {params.theta}")
+    if not np.isfinite(theta).all():
+        raise unresolved
+    if not theta.any():
+        return ClassicalARParams(phi=np.zeros(params.order), sigma2=tau2)
+    # the peak of 2 sum_i theta_i cos(i w), a Chebyshev series in x = cos(w),
+    # lies at x = +-1 or at a critical point
+    series = chebyshev.chebtrim(np.concatenate([[0.0], 2.0 * theta]), 2e-15 * np.abs(theta).max())
+    critical = np.clip(chebyshev.chebroots(chebyshev.chebder(series)).real, -1.0, 1.0)
+    candidates = np.concatenate([critical, [-1.0, 1.0]])
+    values = chebyshev.chebval(candidates, series)
+    peak, x_peak = float(values.max()), float(candidates[values.argmax()])
+
+    def log_variance(x):
+        ar = _ar_factor(theta, peak, x_peak, math.exp(x))
+        var = math.nan if ar is None else stationary_variance(ar)
+        # no factor counts as an infinite variance, capped for brentq
+        return min(math.log(var), 1e3) if var > 0.0 else 1e3
+
+    # at b0 = 2 sum_i |theta_i| + 2 the density is >= 2 and the variance
+    # <= 1/2; step down until the variance exceeds 1, but not below b0 - peak
+    # of ulp size, where the factor is lost in rounding
+    total = 2.0 * float(np.abs(theta).sum())
+    floor = math.log(1e-16 * (total + 2.0))
+    hi = math.log(max(total - peak, 0.0) + 2.0)
+    lo = hi - 1.0
+    while log_variance(lo) <= 0.0:
+        if lo <= floor:
+            raise unresolved
+        hi, lo = lo, max(lo - 2.0 * (hi - lo), floor)
+    # imported here: scipy.optimize takes ~0.2 s to load, which every CLI
+    # command would pay at module level
+    from scipy.optimize import brentq
+
+    delta = math.exp(brentq(log_variance, lo, hi, xtol=1e-14))
+    ar = _ar_factor(theta, peak, x_peak, delta)
+    back = None if ar is None else ard_to_mininfo(ar)
+    if back is None or not (
+        abs(math.log(back.tau2)) <= 1e-8 and np.abs(back.theta - theta).max() <= 1e-8 * (peak + delta)
+    ):
+        raise unresolved
+    return ClassicalARParams(phi=ar.phi, sigma2=ar.sigma2 * tau2)
 
 
 # ---------------------------------------------------------------------------
@@ -674,92 +595,28 @@ def var1_to_mininfo(params: ClassicalVARParams) -> MinInfoVARParams:
     return MinInfoVARParams(Theta=Theta, B=B)
 
 
-def _floor_pd(mat: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    if vals[0] > floor:
-        return (mat + mat.T) / 2.0
-    vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
+def mininfo_to_var1(params: MinInfoVARParams) -> ClassicalVARParams:
+    """VAR(1) inverse in closed form: recover (A, Sigma) from (Theta, B).
 
-
-# Relative residual tolerance of the VAR(1) Riccati solve in mininfo_to_var1,
-# and the iteration caps of its fixed-point stage and its Newton fallback.
-RICCATI_RTOL = 1e-13
-_FIXED_POINT_ITERS = 10_000
-_NEWTON_ITERS = 100
-
-
-def mininfo_to_var1(params: MinInfoVARParams, rtol: float = RICCATI_RTOL) -> ClassicalVARParams:
-    """VAR(1) inverse: recover (A, Sigma) from (Theta, B).
-
-    Solves the quadratic matrix equation B = Sigma Theta' B Theta Sigma + Sigma
-    for Sigma by a damped fixed-point iteration
-    Sigma <- (1-gamma) Sigma + gamma (B - Sigma Theta' B Theta Sigma),
-    starting at Sigma = B, symmetrizing each iterate and flooring eigenvalues
-    at 1e-12; gamma is halved whenever the residual fails to decrease.  A
-    damped Newton on the residual map takes over if the fixed point has not
-    converged after 10 000 iterations.  Then A = Sigma Theta'.
-
-    The default ``rtol`` of 1e-13 pushes the residual to near machine level
-    so that classical -> minimum-information -> classical round trips land
-    within 1e-10 in parameter space; a stalled line search still returns the
-    iterate when its residual is below 1e-10 * ||B||.
+    A = Sigma Theta' turns B = A B A' + Sigma into Sigma + Sigma C Sigma = B
+    with C = Theta' B Theta.  Let N = B^{1/2} and D = N C N.  Then
+    Y = N^{-1} Sigma N^{-1} solves Y + Y D Y = I, so Y^{-1} = I + D Y commutes
+    with D and Y = g(D) for g(lam) = 2 / (1 + sqrt(1 + 4 lam)) on the
+    eigenvalues of D.  So the SPD solution is unique, and B, Sigma > 0 make A
+    stable: every (Theta, B > 0) has exactly one stationary inverse.  At
+    p = 1 this is :func:`mininfo_to_ar1`'s formula.  One Newton step on
+    R(Sigma) = Sigma + Sigma C Sigma - B, a Sylvester solve, takes out the
+    rounding of the two eigendecompositions.
     """
-    Theta = params.Theta
-    B = params.B
-    p = params.dim
-    C = Theta.T @ B @ Theta  # PSD
-    norm_b = np.linalg.norm(B, "fro")
-    tol = rtol * norm_b
-
-    def resid_mat(S):
-        return B - S - S @ C @ S
-
-    Sigma = B.copy()
-    gamma = 1.0
-    res_norm = np.linalg.norm(resid_mat(Sigma), "fro")
-    for _ in range(_FIXED_POINT_ITERS):
-        if res_norm < tol:
-            break
-        cand = (1.0 - gamma) * Sigma + gamma * (B - Sigma @ C @ Sigma)
-        cand = _floor_pd(cand)
-        cand_norm = np.linalg.norm(resid_mat(cand), "fro")
-        if cand_norm < res_norm:
-            Sigma, res_norm = cand, cand_norm
-            gamma = min(1.0, gamma * 1.2)
-        else:
-            gamma *= 0.5
-            if gamma < 1e-8:
-                break
-
-    # Newton fallback on R(Sigma) = Sigma + Sigma C Sigma - B = 0; it stops
-    # at once when the fixed point has converged
-    eye = np.eye(p * p)
-    for _ in range(_NEWTON_ITERS):
-        res = resid_mat(Sigma)
-        res_norm = np.linalg.norm(res, "fro")
-        if res_norm < tol:
-            break
-        SC = Sigma @ C
-        jac = eye + np.kron(SC, np.eye(p)) + np.kron(np.eye(p), SC)
-        try:
-            step = np.linalg.solve(jac, res.reshape(-1, order="F"))
-        except np.linalg.LinAlgError as err:
-            raise NoSolutionFoundError(f"VAR(1) inverse: singular Jacobian ({err})") from err
-        step = step.reshape(p, p, order="F")
-        lam = 1.0
-        for _ in range(40):
-            cand = _floor_pd(Sigma + lam * step)
-            if np.linalg.norm(resid_mat(cand), "fro") < res_norm:
-                Sigma = cand
-                break
-            lam *= 0.5
-        else:
-            if res_norm < 1e-10 * norm_b:  # stalled at numerical floor
-                break
-            raise NoSolutionFoundError("VAR(1) inverse: Newton stalled")
-    else:
-        raise NoSolutionFoundError("VAR(1) inverse: no convergence")
+    Theta, B = params.Theta, params.B
+    C = Theta.T @ B @ Theta
+    vals, vecs = np.linalg.eigh(B)
+    N = (vecs * np.sqrt(vals)) @ vecs.T
+    lam, U = np.linalg.eigh(N @ C @ N)
+    Sigma = N @ (U * (2.0 / (1.0 + np.sqrt(1.0 + 4.0 * lam)))) @ U.T @ N
+    resid = Sigma + Sigma @ C @ Sigma - B
+    Sigma = Sigma + scipy.linalg.solve_sylvester(np.eye(params.dim) + Sigma @ C, C @ Sigma, -resid)
+    Sigma = (Sigma + Sigma.T) / 2.0
     return ClassicalVARParams(A=(Sigma @ Theta.T)[None], Sigma=Sigma)
 
 

@@ -3,12 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mimm import cli, core, gaussian, ple
 from mimm.exceptions import NoSolutionFoundError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -59,6 +65,32 @@ class TestSimulate:
         a = np.loadtxt(workspace["data"], delimiter=",")
         b = np.loadtxt(out, delimiter=",")
         np.testing.assert_allclose(a, b, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "theta, tau2", [([1.5, -0.9, 0.6, 0.4], 50.0), ([0.5], 1e8), ([0.5, 0.2], 1e6)]
+    )
+    def test_mininfo_input_maps_back(self, workspace, theta, tau2):
+        # the last two sit near a unit root (1 - rho about 1e-8 and 4e-7)
+        out = workspace["tmp"] / "mi.csv"
+        rc, _ = run_cli(
+            "simulate", "--theta", *map(str, theta), "--tau2", str(tau2),
+            "--n", "200", "--seed", "3", "--out", str(out),
+        )
+        assert rc == 0
+        meta = json.loads((workspace["tmp"] / "mi.csv.meta.json").read_text())
+        params = gaussian.params_from_text("\n".join(meta["params"]))
+        assert isinstance(params, gaussian.ClassicalARParams) and params.order == len(theta)
+        back = gaussian.ard_to_mininfo(params)
+        np.testing.assert_allclose(back.theta, theta, rtol=1e-8)
+        assert back.tau2 == pytest.approx(tau2, rel=1e-8)
+
+    def test_mininfo_input_beyond_double_precision_exits_2(self, workspace):
+        out = workspace["tmp"] / "unreachable.csv"
+        rc, _ = run_cli(
+            "simulate", "--theta", "0.5", "0.2", "--tau2", "1e12", "--n", "50", "--out", str(out),
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
 
     def test_var1_writes_two_columns(self, workspace):
         a_csv = workspace["tmp"] / "A.csv"
@@ -620,10 +652,42 @@ class TestBenchmark:
 
 
 class TestVerify:
-    def test_fault_injection_breaks_roundtrip(self, workspace):
+    def test_fault_injection_breaks_roundtrip(self, workspace, monkeypatch):
+        exact = gaussian.mininfo_to_var1
+
+        def perturbed(params):
+            good = exact(params)
+            Sigma = good.Sigma * (1.0 + 1e-6)
+            return gaussian.ClassicalVARParams(A=good.A, Sigma=Sigma)
+
+        monkeypatch.setattr(gaussian, "mininfo_to_var1", perturbed)
         out = workspace["tmp"] / "verify_bad.json"
-        rc, text = run_cli("verify", "--riccati-rtol", "1e-2", "--out", str(out))
+        rc, text = run_cli("verify", "--out", str(out))
         assert rc == cli.EXIT_NUMERICAL
         report = json.loads(out.read_text())
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "roundtrip_var1" in failed
+        assert len(report["checks"]) == 28
+        assert "roundtrip_ard" in {c["name"] for c in report["checks"]}
+
+    def test_riccati_rtol_flag_is_gone(self, workspace):
+        out = workspace["tmp"] / "verify_flag.json"
+        rc, _ = run_cli("verify", "--riccati-rtol", "1e-2", "--out", str(out))
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_riccati_rtol_config_key_is_gone(self, workspace, capsys):
+        conf = workspace["tmp"] / "verify_conf.json"
+        conf.write_text(json.dumps({"riccati_rtol": 1e-2}))
+        out = workspace["tmp"] / "verify_conf_out.json"
+        rc, _ = run_cli("verify", "--config", str(conf), "--out", str(out))
+        assert rc == cli.EXIT_VALIDATION
+        assert "riccati_rtol" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # every benchmark job's setup time includes importing the CLI
+    code = "import sys, mimm.cli; sys.exit('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
