@@ -436,6 +436,24 @@ def _model_spec(params) -> core.DependenceSpec:
     return core.kron_spec(params.dim, [(lag + 1, 1, 1) for lag in range(params.order)])
 
 
+# per-stage seconds of the fit results (``PleResult.stages`` for the pair
+# fitters, ``McleResult.stages`` for mcle), reported per cell as medians
+_STAGE_COLUMNS = ("pairs_s", "solver_s", "log_pl_s", "sampler_s", "diagnostics_s", "solve_s")
+
+
+def _stage_medians(stages: list[dict], ok: bool) -> dict[str, str | float]:
+    """Median seconds of each stage over a cell's completed runs: "" for a
+    stage the estimator does not have (all of them for mle) or when no run
+    completed, "--" when the cell stopped after some did."""
+    out: dict[str, str | float] = {}
+    for name in _STAGE_COLUMNS:
+        if not stages or name not in stages[0]:
+            out[name] = ""
+        else:
+            out[name] = float(np.median([s[name] for s in stages])) if ok else "--"
+    return out
+
+
 def cmd_benchmark(args: argparse.Namespace) -> int:
     conf = _merge_config(args)
     if conf["manifest"] is None or conf["out"] is None:
@@ -471,7 +489,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         options = cell.get("estimator_options", {})
         for estimator in cell["estimators"]:
             opts = dict(options.get(estimator, {}))
-            errors, times = [], []
+            errors, times, stages = [], [], []
             status = "ok"
             for rep in range(reps):
                 seq = np.random.SeedSequence((base_seed, cell_idx, rep))
@@ -479,7 +497,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                 series = _simulate(params, n, seed=data_seed)
                 t0 = time.perf_counter()
                 try:
-                    theta, _, _ = _run_estimator(
+                    theta, _, fit = _run_estimator(
                         estimator, series, spec, opts, est_seed.generate_state(1)[0]
                     )
                 except (MimmError, np.linalg.LinAlgError, FloatingPointError) as err:
@@ -493,6 +511,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                     break
                 errors.append(float(np.linalg.norm(np.atleast_1d(theta) - theta_star)))
                 times.append(elapsed)
+                if fit is not None and fit.stages is not None:
+                    stages.append(fit.stages)
             ok = status == "ok"
             rows.append(
                 {
@@ -503,23 +523,34 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                     "mean_error": float(np.mean(errors)) if ok else "--",
                     "mean_time_s": float(np.mean(times)) if ok else "--",
                     "status": status,
+                    **_stage_medians(stages, ok),
                 }
             )
 
     csv_path = str(conf["out"]) + ".csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("label,estimator,n,reps,mean_error,mean_time_s,status\n")
+        fh.write(",".join(["label,estimator,n,reps,mean_error,mean_time_s,status", *_STAGE_COLUMNS]) + "\n")
         for r in rows:
             fh.write(
                 f"{r['label']},{r['estimator']},{r['n']},{r['reps']},"
-                f"{r['mean_error']},{r['mean_time_s']},{json.dumps(r['status'])}\n"
+                f"{r['mean_error']},{r['mean_time_s']},{json.dumps(r['status'])},"
+                + ",".join(str(r[name]) for name in _STAGE_COLUMNS)
+                + "\n"
             )
+
+    def cell(value):
+        return value if isinstance(value, str) else f"{value:.4g}"
+
     head = f"{'label':<24} {'estimator':<16} {'n':>8} {'reps':>5} {'mean_error':>12} {'mean_time_s':>12}"
+    head += "".join(f" {name:>13}" for name in _STAGE_COLUMNS)
     table = head + "\n" + "-" * len(head) + "\n"
     for r in rows:
-        err = r["mean_error"] if isinstance(r["mean_error"], str) else f"{r['mean_error']:.4g}"
-        tms = r["mean_time_s"] if isinstance(r["mean_time_s"], str) else f"{r['mean_time_s']:.4g}"
-        table += f"{r['label']:<24} {r['estimator']:<16} {r['n']:>8} {r['reps']:>5} {err:>12} {tms:>12}\n"
+        table += (
+            f"{r['label']:<24} {r['estimator']:<16} {r['n']:>8} {r['reps']:>5}"
+            f" {cell(r['mean_error']):>12} {cell(r['mean_time_s']):>12}"
+            + "".join(f" {cell(r[name]):>13}" for name in _STAGE_COLUMNS).rstrip()
+            + "\n"
+        )
     with open(str(conf["out"]) + ".txt", "w", encoding="utf-8") as fh:
         fh.write(table)
     print(table, end="")
@@ -718,12 +749,9 @@ def _check_all_pairs_design() -> CheckResult:
     return CheckResult("all_pairs_design", ok, worst, 1e-12)
 
 
-def _check_exchange_step_factored() -> CheckResult:
-    """The exchange sampler's compiled far-pair step (the ``far_step`` of
-    :func:`mcle._exchange_kernel`, generated from the lines the chain runs)
-    against the scalar window re-evaluation under a permuted ordering, on
-    AR(2) and on a binary/real kron spec."""
-    rng = np.random.default_rng(9)
+def _exchange_step_cases(rng):
+    """AR(2) on real data and a binary/real kron spec with d = 2, n = 40,
+    each under a random interior permutation (position -> data index)."""
     n = 40
     mixed = np.column_stack([rng.integers(0, 2, size=n), rng.standard_normal(n)])
     cases = (
@@ -733,22 +761,50 @@ def _check_exchange_step_factored() -> CheckResult:
             core.TimeSeries(mixed, kinds=("binary", "real")),
         ),
     )
-    worst = 0.0
     for spec, series in cases:
-        d, table = spec.order, spec._table
-        far_step = mcle._exchange_kernel(spec).far_step
-        keys = [k for k, _, _ in table.groups]
+        d = spec.order
         order = np.concatenate([np.arange(d), d + rng.permutation(n - 2 * d), np.arange(n - d, n)])
-        powers = list(map(tuple, table.powers(series.data[order]).tolist()))
+        yield spec, series, order, mcle._chain_columns(spec, series.data[order])
+
+
+def _check_exchange_step_factored() -> CheckResult:
+    """The exchange sampler's compiled far-pair step (the ``far_step`` of
+    :func:`mcle._exchange_kernel`, generated from the lines the chain runs)
+    on the column lists of a permuted ordering against the scalar window
+    re-evaluation, on AR(2) and on a binary/real kron spec."""
+    rng = np.random.default_rng(9)
+    worst = 0.0
+    for spec, series, order, columns in _exchange_step_cases(rng):
+        n, d = series.n, spec.order
+        far_step = mcle._exchange_kernel(spec).far_step
+        keys = [k for k, _, _ in spec._table.groups]
         for _ in range(30):
             s1 = int(rng.integers(d, n - 2 * d - 1))
             s2 = int(rng.integers(s1 + d + 1, n - d))
             factored = np.zeros(spec.n_terms)
-            np.add.at(factored, keys, far_step(powers, s1, s2))
+            np.add.at(factored, keys, far_step(columns, s1, s2))
             scalar = core.swap_delta(spec, series, s1, s2, order=order)
             err = np.abs(factored - scalar) / (1.0 + np.abs(scalar))
             worst = max(worst, float(err.max()))
     return CheckResult("exchange_step_factored", worst < 1e-12, worst, 1e-12)
+
+
+def _check_exchange_step_near() -> CheckResult:
+    """The exchange sampler's compiled near-pair step (the ``near_step`` of
+    :func:`mcle._exchange_kernel`) against the scalar window re-evaluation
+    under a permuted ordering, for every gap 1 .. d on AR(2) and a
+    binary/real kron spec.  It unrolls that path, so it must match bitwise:
+    the value is the number of pairs that differ."""
+    rng = np.random.default_rng(16)
+    mismatches = 0
+    for spec, series, order, columns in _exchange_step_cases(rng):
+        n, d = series.n, spec.order
+        near_step = mcle._exchange_kernel(spec).near_step
+        for gap in range(1, d + 1):
+            for s1 in rng.choice(np.arange(d, n - d - gap), size=10, replace=False).tolist():
+                scalar = core.swap_delta(spec, series, s1, s1 + gap, order=order)
+                mismatches += np.array(near_step(columns, s1, s1 + gap)).tobytes() != scalar.tobytes()
+    return CheckResult("exchange_step_near", mismatches == 0, float(mismatches), 0.0)
 
 
 def _check_multilinearity() -> CheckResult:
@@ -993,6 +1049,7 @@ def run_verify_checks():
     yield _check_swap_deltas_batch()
     yield _check_all_pairs_design()
     yield _check_exchange_step_factored()
+    yield _check_exchange_step_near()
     yield _check_multilinearity()
     yield _check_reversal()
     yield _check_remainder_invariance()

@@ -23,8 +23,9 @@ products of its other factors, read off the neighbours of ``i``.  When
 with ``S`` and ``Phi`` tabulated once per position instead of gathered once
 per pair.  The O(m d) near pairs re-evaluate their at most 2d + 1 windows
 directly.  The exchange sampler, one pair at a time under a changing
-ordering, sums ``S`` for the two positions on the fly instead, in code
-generated from the same plan (:func:`mimm.mcle._exchange_kernel`).
+ordering, sums ``S`` for the two positions on the fly instead, reading
+per-column lists of the ordering, in code generated from the same plan
+(:func:`mimm.mcle._exchange_kernel`).
 
 The all-pairs design (every interior pair in lexicographic order) needs no
 pair indices at all: for a tile of rows s1 the far pairs of every s2 > s1
@@ -440,8 +441,10 @@ def _swap_delta_rows(rows, d, terms, s1, s2):
 
     ``rows`` is the sequence of data rows (tuples) of the current ordering.
     Returns the list H(swapped) - H(current) re-evaluating only affected
-    windows.  Behind the public wrapper (the oracle of every faster path)
-    and the exchange sampler's near pairs.
+    windows.  Serves only :func:`swap_delta`, the oracle of every faster
+    path; the exchange sampler's near step is this loop unrolled per spec
+    and gap (:func:`mimm.mcle._near_step_lines`), checked bitwise against
+    it.
     """
     r1, r2 = rows[s1], rows[s2]
     delta = [0.0] * len(terms)

@@ -9,24 +9,29 @@ the chain's moment estimates of the sufficient statistic.
 
 One chain is strictly sequential; independent chains with different seeds
 may run in parallel.  Fisher scoring consumes one chain per iteration, with
-per-sample statistics retained instead of permutations (memory O(L K)).
+statistics retained instead of permutations: the chain logs the running
+statistic at each accepted move and the recorded samples are read off that
+log (memory O((L + accepted moves) K)).
 
 Each step is scalar Python, so its cost is the interpreter's per
-proposal.  To keep that small, the step is compiled once per spec into
-straight-line source generated from the spec's ``MonomialTable`` plan
-(:func:`_exchange_kernel`): no loops over terms or factors remain, and the
-running statistic is held in K local floats.  A far pair (s2 - s1 > d)
-takes the factored form of :mod:`mimm.core` with the neighbour sums
-``S_g`` read on the fly from the power rows of the current ordering, and an
-accepted swap exchanges two rows; a near pair re-evaluates its windows
-directly.  Both give the swap delta of the direct path to rounding, so the
-chain makes the same moves.  Every chain reports its effective sample
-size and split-R-hat per statistic.
+proposal.  To keep that small, the proposals of a block are drawn and
+decoded to position pairs in numpy, and the step is compiled once per spec
+into straight-line source generated from the spec's ``MonomialTable`` plan
+(:func:`_exchange_kernel`): no loops over terms or factors remain, the
+running statistic is held in K local floats and the ordering in one Python
+list per power column.  A far pair (s2 - s1 > d) takes the factored form of
+:mod:`mimm.core`, the neighbour sums ``S_g`` read straight from the column
+lists, and an accepted swap exchanges two entries of each list; a near pair
+runs :func:`core._swap_delta_rows` unrolled for its gap, which gives the
+same floats.  The far step gives the swap delta of the direct path to
+rounding, so the chain makes the same moves.  Every chain reports its
+effective sample size and split-R-hat per statistic.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -37,8 +42,6 @@ import numpy as np
 from .core import (
     DependenceSpec,
     TimeSeries,
-    _swap_delta_rows,
-    _term_factor_tuples,
     total_statistic,
 )
 from .exceptions import (
@@ -236,40 +239,106 @@ class _ExchangeKernel(NamedTuple):
     plan (see :func:`_exchange_kernel`)."""
 
     segment: Callable  # runs the MH steps of one proposal block
-    far_step: Callable  # far_step(powers, s1, s2) -> per-group swap terms
+    far_step: Callable  # far_step(columns, s1, s2) -> per-group swap terms
+    near_step: Callable  # near_step(columns, s1, s2) -> per-term swap delta
 
 
-def _row_name(side: str, off: int) -> str:
-    return f"{side}_{'m' if off < 0 else 'p'}{abs(off)}"
+def _value_columns(table) -> tuple[int, ...]:
+    """Components the chain keeps a raw-value list of, after the power
+    columns: those raised only to exponents != 1 (a component with an
+    exponent-1 power column reads its values from that column)."""
+    plain = {int(c) for c, e in zip(table.comps, table.exps) if e == 1}
+    return tuple(sorted({int(c) for c in table.comps} - plain))
+
+
+def _chain_columns(spec: DependenceSpec, data: np.ndarray) -> list[list[float]]:
+    """The chain's per-position column lists of the ordering ``data``: one
+    list per power column of the spec's ``MonomialTable``, then one per
+    component of :func:`_value_columns`."""
+    table = spec._table
+    powers = table.powers(data)
+    return [powers[:, q].tolist() for q in range(powers.shape[1])] + [
+        data[:, c].tolist() for c in _value_columns(table)
+    ]
+
+
+def _column_names(table) -> tuple[list[str], dict[int, str]]:
+    """Names of the column lists in the generated source, and the list each
+    component's raw values are read from."""
+    names = [f"P_{q}" for q in range(len(table.exps))]
+    values = {int(c): f"P_{q}" for q, (c, e) in enumerate(zip(table.comps, table.exps)) if e == 1}
+    for c in _value_columns(table):
+        values[c] = f"X_{c}"
+        names.append(f"X_{c}")
+    return names, values
+
+
+def _at(side: str, off: int) -> str:
+    """Source text of the position ``side`` + ``off``."""
+    return side if off == 0 else f"{side} {'-' if off < 0 else '+'} {abs(off)}"
+
+
+def _read_name(side: str, q: int, off: int) -> str:
+    """Local holding P_q at position s1 + off (side "a") or s2 + off ("b")."""
+    return f"{side}{q}" if off == 0 else f"{side}{q}_{'m' if off < 0 else 'p'}{abs(off)}"
 
 
 def _far_step_lines(table) -> list[str]:
     """Straight-line source of the factored far-pair step (s2 - s1 > d) on
-    the power rows ``powers`` of the current ordering: ``f_j`` is the change
+    the power columns ``P_q`` of the current ordering: ``f_j`` is the change
     of own product j, Phi_j(x_s2) - Phi_j(x_s1), and ``v_g`` group g's term
-    (S_g(s1) - S_g(s2)) * f_j, the neighbour sums S_g read from the rows at
-    s1 + offset and s2 + offset.  The products and sums run in plan order.
-    The reverse swap negates ``f_j`` exactly and leaves ``S_g`` alone, so its
-    terms are the exact negatives of the forward ones.  Only the plan's
-    integers (power columns and offsets) enter the text."""
-    offsets = sorted({int(off) for _, _, slots in table.groups for slot in slots for off, _ in slot})
-    lines = ["a_0 = powers[s1]", "b_0 = powers[s2]"]
-    for off in offsets:
-        for side, pos in (("a", "s1"), ("b", "s2")):
-            lines.append(f"{_row_name(side, off)} = powers[{pos} {'-' if off < 0 else '+'} {abs(off)}]")
+    (S_g(s1) - S_g(s2)) * f_j, the neighbour sums S_g read at s1 + offset
+    and s2 + offset.  Each entry the step uses is read once into a local
+    (``a{q}`` is P_q[s1], ``b{q}_m1`` is P_q[s2 - 1], ...).  The products and
+    sums run in plan order.  The reverse swap negates ``f_j`` exactly and
+    leaves ``S_g`` alone, so its terms are the exact negatives of the
+    forward ones.  Only the plan's integers (power columns and offsets)
+    enter the text."""
+    reads: dict[str, str] = {}  # local name -> its read, in order of first use
 
-    def own(row, qs):
-        return " * ".join(f"{row}[{int(q)}]" for q in qs)
+    def read(side, q, off):
+        name = _read_name(side, int(q), int(off))
+        reads.setdefault(name, f"P_{int(q)}[{_at('s1' if side == 'a' else 's2', int(off))}]")
+        return name
+
+    def own(side, qs):
+        return " * ".join(read(side, q, 0) for q in qs)
 
     def neighbour_sum(side, slots):
-        return " + ".join(
-            " * ".join(f"{_row_name(side, off)}[{int(q)}]" for off, q in slot) for slot in slots
-        )
+        return " + ".join(" * ".join(read(side, q, off) for off, q in slot) for slot in slots)
 
-    for j, qs in enumerate(table.owns):
-        lines.append(f"f_{j} = {own('b_0', qs)} - {own('a_0', qs)}")
+    lines = [f"f_{j} = {own('b', qs)} - {own('a', qs)}" for j, qs in enumerate(table.owns)]
     for g, (_, j, slots) in enumerate(table.groups):
         lines.append(f"v_{g} = (({neighbour_sum('a', slots)}) - ({neighbour_sum('b', slots)})) * f_{int(j)}")
+    return [f"{name} = {value}" for name, value in reads.items()] + lines
+
+
+def _near_step_lines(spec: DependenceSpec, values: dict[int, str], gap: int) -> list[str]:
+    """Straight-line source of the direct swap delta ``n_k`` of a near pair
+    with s2 - s1 = ``gap`` <= d: :func:`core._swap_delta_rows` unrolled, so
+    it gives the same floats.  Windows t = s1 .. s2 + d in order, each term's
+    products before and after the swap started from 1.0 and taken factor
+    by factor (a power by Python ``**`` on the raw values, as the rows
+    path does), and n_k = 0.0 plus after - before window by window."""
+    d = int(spec.order)
+
+    def factor(rel, comp, exp):
+        side = "s1" if rel == 0 else "s2" if rel == gap else _at("s1", rel)
+        value = f"{values[comp]}[{side}]"
+        return value if exp == 1 else f"{value} ** {exp}"
+
+    def product(t, factors, swapped):
+        rels = [(t - lag, comp, exp) for lag, comp, exp in factors]
+        if swapped:  # position s1 holds x_s2 and s2 holds x_s1
+            rels = [({0: gap, gap: 0}.get(rel, rel), comp, exp) for rel, comp, exp in rels]
+        return " * ".join(["1.0", *(factor(*f) for f in rels)])
+
+    lines = []
+    for k, term in enumerate(spec.terms):
+        changes = [
+            f"({product(t, term.factors, True)} - {product(t, term.factors, False)})" for t in range(gap + d + 1)
+        ]
+        lines.extend(_sum_lines(f"n_{k}", ["0.0", *changes]))
     return lines
 
 
@@ -286,51 +355,73 @@ def _sum_lines(name: str, terms: list[str], chunk: int = 256) -> list[str]:
 
 
 def _kernel_source(spec: DependenceSpec) -> str:
-    """Source of the factory that returns the compiled ``segment`` and
-    ``far_step`` of ``spec``."""
+    """Source of the factory that returns the compiled ``segment``,
+    ``far_step`` and ``near_step`` of ``spec``."""
     table, d, K = spec._table, int(spec.order), int(spec.n_terms)
+    names, values = _column_names(table)
+    unpack = f"{', '.join(names)}, = columns"
     far = _far_step_lines(table)
-    ths, cs, ns = (", ".join(f"{name}_{k}" for k in range(K)) + "," for name in ("TH", "c", "n"))
+    near = {gap: _near_step_lines(spec, values, gap) for gap in range(1, d + 1)}
+    ths, cs = (", ".join(f"{name}_{k}" for k in range(K)) + "," for name in ("TH", "c"))
     far_logr = _sum_lines("logr", [f"TH_{int(k)} * v_{g}" for g, (k, _, _) in enumerate(table.groups)])
     near_logr = _sum_lines("logr", [f"TH_{k} * n_{k}" for k in range(K)])
-    swap = ["rows[s1], rows[s2] = rows[s2], rows[s1]", "powers[s1], powers[s2] = b_0, a_0", "accepted += 1"]
+    # the far step holds P_q[s1] and P_q[s2] of each own power column in locals
+    held = {f"P_{q}": (_read_name("a", q, 0), _read_name("b", q, 0)) for qs in table.owns for q in map(int, qs)}
+
+    def accept(held):
+        """An accepted move: swap two entries of every list, writing back
+        the locals ``held`` where the step read them, and log the event."""
+        swaps = []
+        for name in names:
+            at_s1, at_s2 = held.get(name, (f"{name}[s1]", f"{name}[s2]"))
+            swaps.append(f"{name}[s1], {name}[s2] = {at_s2}, {at_s1}")
+        return [*swaps, "order[s1], order[s2] = order[s2], order[s1]", f"record((step, {cs}))"]
+
+    def near_branches(indent, body):
+        out = []
+        for gap in range(1, d + 1):
+            out.append(f"{indent}elif s2 - s1 == {gap}:")
+            out.extend(f"{indent}    {line}" for line in near[gap] + body)
+        return out
+
     seg = [
-        "def segment(rows, powers, current, th, block_a, block_b, block_logu, first, end, next_record, thin, record):",
+        "def segment(columns, order, current, th, proposals, record):",
+        f"    {unpack}",
         f"    {ths} = th",
         f"    {cs} = current",
-        "    accepted = 0",
-        "    for step, a, b, logu in zip(range(first + 1, end + 1), block_a, block_b, block_logu):",
-        "        if b >= a:",
-        f"            s1 = a + {d}",
-        f"            s2 = b + {d + 1}",
-        "        else:",
-        f"            s1 = b + {d}",
-        f"            s2 = a + {d}",
+        "    for step, s1, s2, logu in proposals:",
         f"        if s2 - s1 > {d}:",
         *(f"            {line}" for line in far + far_logr),
         "            if logu <= logr:",
         *(f"                c_{int(k)} += v_{g}" for g, (k, _, _) in enumerate(table.groups)),
-        *(f"                {line}" for line in swap),
-        "        else:",
-        "            a_0 = powers[s1]",
-        "            b_0 = powers[s2]",
-        f"            {ns} = swap_delta_rows(rows, {d}, terms, s1, s2)",
-        *(f"            {line}" for line in near_logr),
-        "            if logu <= logr:",
-        *(f"                c_{k} += n_{k}" for k in range(K)),
-        *(f"                {line}" for line in swap),
-        "        if step == next_record:",
-        f"            record(({cs}))",
-        "            next_record += thin",
-        f"    return [{cs}], accepted, next_record",
+        *(f"                {line}" for line in accept(held)),
+        *near_branches(
+            "        ",
+            [
+                *near_logr,
+                "if logu <= logr:",
+                *(f"    c_{k} += n_{k}" for k in range(K)),
+                *(f"    {line}" for line in accept({})),
+            ],
+        ),
+        f"    return [{cs}]",
     ]
-    step = [
-        "def far_step(powers, s1, s2):",
+    far_fn = [
+        "def far_step(columns, s1, s2):",
+        f"    {unpack}",
         *(f"    {line}" for line in far),
         f"    return [{', '.join(f'v_{g}' for g in range(len(table.groups)))}]",
     ]
-    body = seg + [""] + step + ["", "return segment, far_step"]
-    return "def __create_fn__(swap_delta_rows, terms):\n" + "\n".join(f"    {line}" if line else "" for line in body) + "\n"
+    near_fn = [
+        "def near_step(columns, s1, s2):",
+        f"    {unpack}",
+        f"    if not 1 <= s2 - s1 <= {d}:",
+        f"        raise ValueError(f'near_step needs 1 <= s2 - s1 <= {d}, got {{s2 - s1}}')",
+        *near_branches("    ", []),
+        f"    return [{', '.join(f'n_{k}' for k in range(K))}]",
+    ]
+    body = seg + [""] + far_fn + [""] + near_fn + ["", "return segment, far_step, near_step"]
+    return "def __create_fn__():\n" + "\n".join(f"    {line}" if line else "" for line in body) + "\n"
 
 
 @functools.lru_cache(maxsize=64)
@@ -338,22 +429,29 @@ def _exchange_kernel(spec: DependenceSpec) -> _ExchangeKernel:
     """The exchange step of ``spec`` as straight-line Python, compiled once
     per spec (as :mod:`dataclasses` generates methods).
 
-    ``segment(rows, powers, current, th, block_a, block_b, block_logu,
-    first, end, next_record, thin, record)`` runs steps ``first + 1 ..
-    end`` on the proposals of one block and returns the running statistic,
-    the accepted count and the next record step.  The statistic lives in K
-    local floats and ``record`` (``list.extend``) receives it at each record
-    step.  A far pair runs the lines of ``far_step``, its log-ratio is the
+    The ordering lives in column lists (:func:`_chain_columns`): one per
+    power column ``P_q``, then the raw values of components used only at
+    exponents != 1, beside the position -> data index list ``order``.
+    ``segment(columns, order, current, th, proposals, record)`` runs the
+    steps ``(step, s1, s2, logu)`` of one decoded proposal block and returns
+    the running statistic.  The statistic lives in K local floats; an
+    accepted move exchanges two entries of every list and of ``order`` and
+    hands ``record`` (``list.extend``) the event ``(step, c_0, ...,
+    c_{K-1})``.
+
+    A far pair (s2 - s1 > d) runs the lines of ``far_step``: it reads
+    ``P_q[s1 + off]`` and ``P_q[s2 + off]`` directly, its log-ratio is the
     theta-weighted sum of the group terms and an accepted move adds each
-    term to its statistic in group order; a near pair calls
-    :func:`core._swap_delta_rows` on the permuted data rows.  The source
-    holds only integers of the spec's ``MonomialTable`` plan (power columns,
-    offsets, term indices) and its order; theta arrives as an argument.
+    term to its statistic in group order.  A near pair runs the lines of
+    ``near_step`` for its gap, :func:`core._swap_delta_rows` unrolled (see
+    :func:`_near_step_lines`).  The source holds only integers of the
+    spec's ``MonomialTable`` plan (power columns, offsets, term indices,
+    exponents) and its order; theta arrives as an argument.
     """
     source = _kernel_source(spec)
     namespace: dict = {}
     exec(compile(source, f"<mimm exchange kernel K={spec.n_terms}>", "exec"), {}, namespace)
-    return _ExchangeKernel(*namespace["__create_fn__"](_swap_delta_rows, _term_factor_tuples(spec)))
+    return _ExchangeKernel(*namespace["__create_fn__"]())
 
 
 def exchange_sample(
@@ -372,12 +470,15 @@ def exchange_sample(
     statistic, not the permutation, is retained).  The acceptance rate is
     reported over all proposals including burn-in.
 
-    The steps run in the spec's compiled kernel (:func:`_exchange_kernel`),
-    one call per block of ``_PROPOSAL_BLOCK`` proposals: a far pair
-    (s2 - s1 > d) takes the factored step on the power rows of the current
-    ordering, a near pair re-evaluates its windows on the permuted data rows
-    (:func:`core._swap_delta_rows`).  Every ``_RECOMPUTE_EVERY`` steps the
-    running statistic is recomputed from the permuted rows.
+    Each block of ``_PROPOSAL_BLOCK`` proposals is drawn (a, b uniform
+    over the m interior positions and the m - 1 others, then log u) and
+    decoded in numpy: b += b >= a, s1 = min + d, s2 = max + d.  The block
+    runs in the spec's compiled kernel (:func:`_exchange_kernel`) on the
+    column lists of the current ordering, which logs an event (step,
+    statistic) per accepted move.  Every ``_RECOMPUTE_EVERY`` steps the
+    running statistic is recomputed from the permuted data and logged as
+    an event of that step, after any move of the same step.  The statistic
+    recorded at step r is that of the last event at or before r.
     """
     theta = _validate_theta(spec, theta)
     d = spec.order
@@ -393,35 +494,36 @@ def exchange_sample(
     segment = _exchange_kernel(spec).segment
     K = spec.n_terms
     th = [float(v) for v in theta]
-    # data row and power row at each position of the current ordering
-    rows = list(series.rows())
-    powers = list(map(tuple, spec._table.powers(series.data).tolist()))
+    columns = _chain_columns(spec, series.data)
+    order = list(range(n))  # data index at each position of the current ordering
     current = [float(v) for v in total_statistic(spec, series)]
+    events = [0.0, *current]  # (step, statistic) at each change, row after row
 
     burn, thin = config.effective_burn_in, config.thin
     total_steps = burn + config.n_samples * thin
-    recorded: list[float] = []  # the recorded statistics, row after row
-    next_record = burn + thin  # step count at the next record
-    accepted = 0
     for first in range(0, total_steps, _PROPOSAL_BLOCK):
-        block_a = rng.integers(0, m, size=_PROPOSAL_BLOCK).tolist()
-        block_b = rng.integers(0, m - 1, size=_PROPOSAL_BLOCK).tolist()
-        block_logu = np.log(rng.random(size=_PROPOSAL_BLOCK)).tolist()
+        a = rng.integers(0, m, size=_PROPOSAL_BLOCK)
+        b = rng.integers(0, m - 1, size=_PROPOSAL_BLOCK)
+        logu = np.log(rng.random(size=_PROPOSAL_BLOCK))
         end = min(first + _PROPOSAL_BLOCK, total_steps)
-        current, block_accepted, next_record = segment(
-            rows, powers, current, th, block_a, block_b, block_logu, first, end, next_record, thin, recorded.extend
-        )
-        accepted += block_accepted
+        a, b, logu = a[: end - first], b[: end - first], logu[: end - first]
+        b += b >= a  # uniform over the other m - 1 positions
+        s1 = (np.minimum(a, b) + d).tolist()
+        s2 = (np.maximum(a, b) + d).tolist()
+        # float step numbers: the event log converts to an array as floats
+        proposals = zip(itertools.count(first + 1.0), s1, s2, logu.tolist())
+        current = segment(columns, order, current, th, proposals, events.extend)
         if end % _RECOMPUTE_EVERY == 0:
-            permuted = TimeSeries(rows, kinds=series.kinds)
+            permuted = TimeSeries(series.data[order], kinds=series.kinds)
             current = [float(v) for v in total_statistic(spec, permuted)]
-            if end > burn and (end - burn) % thin == 0:
-                # step `end` records the refreshed statistic
-                recorded[-K:] = current
+            events.extend((float(end), *current))
 
+    table = np.array(events, dtype=float).reshape(-1, K + 1)
+    record_steps = burn + thin * np.arange(1, config.n_samples + 1)
     return ExchangeResult(
-        stats=np.array(recorded).reshape(config.n_samples, K),
-        acceptance_rate=accepted / total_steps,
+        stats=table[np.searchsorted(table[:, 0], record_steps, side="right") - 1, 1:],
+        # the log holds the start, one event per accepted move and one per refresh
+        acceptance_rate=(len(table) - 1 - total_steps // _RECOMPUTE_EVERY) / total_steps,
         n_steps=total_steps,
     )
 

@@ -486,10 +486,39 @@ class TestBenchmark:
         rc, text = run_cli("benchmark", "--manifest", str(man), "--out", str(prefix))
         assert rc == 0
         rows = (prefix.parent / "bench.csv").read_text().splitlines()
-        assert rows[0] == "label,estimator,n,reps,mean_error,mean_time_s,status"
+        assert rows[0] == (
+            "label,estimator,n,reps,mean_error,mean_time_s,status,"
+            "pairs_s,solver_s,log_pl_s,sampler_s,diagnostics_s,solve_s"
+        )
         assert len(rows) == 4
         for row in rows[1:]:
             assert float(row.split(",")[4]) < 1.0
+        # per-cell median stage seconds; empty where the estimator has no such stage
+        stages = {row.split(",")[1]: row.split(",")[7:] for row in rows[1:]}
+        assert stages["mle"] == [""] * 6
+        for estimator in ("ple-bipartition", "ple-sgd"):
+            assert all(float(v) >= 0.0 for v in stages[estimator][:3])
+            assert stages[estimator][3:] == [""] * 3
+        text = (prefix.parent / "bench.txt").read_text()
+        assert "pairs_s" in text.splitlines()[0] and "solve_s" in text.splitlines()[0]
+
+    def test_mcle_stage_columns(self, workspace):
+        man = workspace["tmp"] / "man_mcle.json"
+        cell = {
+            "label": "AR(1)",
+            "model": {"kind": "ar", "phi": [0.5], "sigma2": 0.5},
+            "n": 60,
+            "estimators": ["mcle"],
+            "estimator_options": {"mcle": {"samples": 300, "max_iters": 2}},
+        }
+        man.write_text(json.dumps({"seed": 5, "repetitions": 2, "cells": [cell]}))
+        prefix = workspace["tmp"] / "bench_mcle"
+        rc, _ = run_cli("benchmark", "--manifest", str(man), "--out", str(prefix))
+        assert rc == 0
+        header, row = (prefix.parent / "bench_mcle.csv").read_text().splitlines()
+        stages = dict(zip(header.split(",")[7:], row.split(",")[7:]))
+        assert [stages[k] for k in ("pairs_s", "solver_s", "log_pl_s")] == [""] * 3
+        assert all(float(stages[k]) >= 0.0 for k in ("sampler_s", "diagnostics_s", "solve_s"))
 
     def test_timeout_writes_dashes(self, workspace):
         man = workspace["tmp"] / "man_slow.json"
@@ -667,8 +696,8 @@ class TestVerify:
         report = json.loads(out.read_text())
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "roundtrip_var1" in failed
-        assert len(report["checks"]) == 28
-        assert "roundtrip_ard" in {c["name"] for c in report["checks"]}
+        assert len(report["checks"]) == 29
+        assert {"roundtrip_ard", "exchange_step_near"} <= {c["name"] for c in report["checks"]}
 
     def test_riccati_rtol_flag_is_gone(self, workspace):
         out = workspace["tmp"] / "verify_flag.json"

@@ -441,20 +441,25 @@ def _weighted_sum(weights, parts):
     return total
 
 
+def _swap_entries(columns, a, b):
+    for column in columns:
+        column[a], column[b] = column[b], column[a]
+
+
 class TestExchangeStepAgainstScalar:
-    """The exchange sampler's swap step on a permuted ordering against
-    ``swap_delta(order=...)``: the factored scalar step for far pairs, the
-    direct re-evaluation of the permuted rows for near ones."""
+    """The exchange sampler's swap step on the column lists of a permuted
+    ordering against ``swap_delta(order=...)``: the factored scalar step
+    for far pairs, the unrolled direct re-evaluation for near ones."""
 
     @staticmethod
     def check(spec, series, order, s1, s2):
         d, K = spec.order, spec.n_terms
         table = spec._table
-        far_step = mcle._exchange_kernel(spec).far_step
+        kernel = mcle._exchange_kernel(spec)
         keys = [k for k, _, _ in table.groups]
         weights = [float(w) for w in np.linspace(-1.0, 1.5, K)]
         group_weights = [weights[k] for k in keys]
-        powers = list(map(tuple, table.powers(series.data[order]).tolist()))
+        columns = mcle._chain_columns(spec, series.data[order])
         rows = [series.rows()[i] for i in order]
         terms = core._term_factor_tuples(spec)
         for a, b in zip(s1.tolist(), s2.tolist()):
@@ -462,14 +467,15 @@ class TestExchangeStepAgainstScalar:
             if b - a <= d:
                 near = core._swap_delta_rows(rows, d, terms, a, b)
                 np.testing.assert_array_equal(near, scalar)
+                assert _bits(kernel.near_step(columns, a, b)) == _bits(near)
                 continue
-            forward = far_step(powers, a, b)
+            forward = kernel.far_step(columns, a, b)
             step = np.zeros(K)
             np.add.at(step, keys, forward)
             assert np.all(np.abs(step - scalar) <= 1e-12 * (1.0 + np.abs(scalar)))
-            powers[a], powers[b] = powers[b], powers[a]
-            reverse = far_step(powers, a, b)
-            powers[a], powers[b] = powers[b], powers[a]
+            _swap_entries(columns, a, b)
+            reverse = kernel.far_step(columns, a, b)
+            _swap_entries(columns, a, b)
             assert all(r == -f for f, r in zip(forward, reverse))
             assert _weighted_sum(group_weights, reverse) == -_weighted_sum(group_weights, forward)
 
@@ -489,6 +495,67 @@ class TestExchangeStepAgainstScalar:
         # x_t * x_{t-k}: one own product x, read at the neighbours i -+ k
         assert spec._table.owns == ((0,),)
         assert spec._table.groups == ((0, 0, (((-1, 0),), ((1, 0),))), (1, 0, (((-2, 0),), ((2, 0),))))
+
+
+def _bits(values):
+    """Bit patterns of a sequence of floats (tells -0.0 from 0.0)."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def near_swaps(draw, specs):
+    """A spec, a series on a random interior permutation and, for every
+    gap 1 .. d, a few near pairs (s1, s1 + gap) across the interior, the
+    first and last positions included."""
+    spec = draw(specs)
+    d = spec.order
+    n = draw(st.integers(3 * d + 1, 3 * d + 30))  # every gap 1 .. d fits
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.uniform(-1.5, 1.5, size=(n, spec.dim))
+    kinds = ["real"] * spec.dim
+    if spec.dim == 2 and draw(st.booleans()):
+        data[:, 0] = rng.integers(0, 2, size=n)
+        kinds[0] = "binary"
+    order = np.arange(n)
+    order[d : n - d] = d + rng.permutation(n - 2 * d)
+    pairs = []
+    for gap in range(1, d + 1):
+        last = n - d - 1 - gap
+        starts = {d, last, *draw(st.lists(st.integers(d, last), min_size=1, max_size=4))}
+        pairs.extend((a, a + gap) for a in sorted(starts))
+    return spec, core.TimeSeries(data, kinds=kinds), order, pairs
+
+
+class TestNearStepAgainstRows:
+    """The compiled near step unrolls ``core._swap_delta_rows``: on the
+    column lists of a permuted ordering it gives the same floats, bit for
+    bit, for every gap 1 .. d."""
+
+    @staticmethod
+    def check(spec, series, order, pairs):
+        near_step = mcle._exchange_kernel(spec).near_step
+        columns = mcle._chain_columns(spec, series.data[order])
+        rows = [series.rows()[i] for i in order]
+        terms = core._term_factor_tuples(spec)
+        assert {b - a for a, b in pairs} == set(range(1, spec.order + 1))
+        for a, b in pairs:
+            assert _bits(near_step(columns, a, b)) == _bits(core._swap_delta_rows(rows, spec.order, terms, a, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(near_swaps(random_specs()))
+    def test_random_specs(self, case):
+        self.check(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(near_swaps(kron_binary_specs()))
+    def test_kron_specs_with_binary_column(self, case):
+        self.check(*case)
+
+    def test_far_gap_rejected(self):
+        spec = core.ar_spec(2)
+        columns = mcle._chain_columns(spec, np.arange(10.0)[:, None])
+        with pytest.raises(ValueError, match="near_step"):
+            mcle._exchange_kernel(spec).near_step(columns, 2, 5)
 
 
 class TestKronSpec:

@@ -138,10 +138,11 @@ class TestExchangeSampler:
         np.testing.assert_allclose(shifted.stats[:, 0] - plain.stats[:, 0], offset, rtol=0.0, atol=1e-9)
 
 
-def reference_chain(spec, series, theta, config, rng):
+def reference_chain(spec, series, theta, config, rng, moves=None):
     """The exchange sampler with every step re-evaluated by the scalar
     window path under a position -> data index map; returns the recorded
-    statistics and the accepted count."""
+    statistics and the accepted count.  ``moves``, when given, receives the
+    step number (from 1) of every accepted move."""
     d, n = spec.order, series.n
     m = n - 2 * d
     K = spec.n_terms
@@ -173,6 +174,8 @@ def reference_chain(spec, series, theta, config, rng):
             for k in range(K):
                 current[k] += delta[k]
             accepted += 1
+            if moves is not None:
+                moves.append(step + 1)
         if (step + 1) % mcle._RECOMPUTE_EVERY == 0:
             permuted = core.TimeSeries(series.data[order], kinds=series.kinds)
             current = [float(v) for v in core.total_statistic(spec, permuted)]
@@ -236,8 +239,11 @@ class TestChainEquivalence:
             # 9900 steps: past the running-statistic refresh at 8192 and
             # across two proposal-block boundaries
             (_ar_case([0.5], 100, 4), mcle.ExchangeConfig(n_samples=9000, seed=15)),
+            # past the refresh at 8192, burn-in not a multiple of thin
+            (_ar_case([0.5], 60, 5), mcle.ExchangeConfig(n_samples=4200, burn_in=7, thin=2, seed=16)),
+            (_ar_case([0.5, 0.3], 60, 6), mcle.ExchangeConfig(n_samples=2800, burn_in=5, thin=3, seed=17)),
         ],
-        ids=["ar1", "ar2", "kron-binary", "thin3-no-burn-in", "long"],
+        ids=["ar1", "ar2", "kron-binary", "thin3-no-burn-in", "long", "thin2-odd-burn-in", "thin3-burn-in-5"],
     )
     def test_same_chain_as_scalar_reference(self, case, config):
         spec, series, theta = case
@@ -248,6 +254,42 @@ class TestChainEquivalence:
         assert 0 < ref_accepted < res.n_steps
         assert res.stats.shape == ref_stats.shape
         np.testing.assert_allclose(res.stats, ref_stats, rtol=0.0, atol=1e-9)
+
+    def test_zero_theta_records_every_step(self):
+        # every move is accepted, so the event log holds one event per step
+        spec, series, _ = _ar_case([0.5], 60, 7)
+        config = mcle.ExchangeConfig(n_samples=8500, burn_in=3, seed=18)
+        ref_stats, ref_accepted = reference_chain(spec, series, [0.0], config, np.random.default_rng(config.seed))
+        res = mcle.exchange_sample(spec, series, [0.0], config)
+        assert res.acceptance_rate == 1.0 and ref_accepted == res.n_steps
+        np.testing.assert_allclose(res.stats, ref_stats, rtol=0.0, atol=1e-9)
+
+    def test_accepted_move_on_the_refresh_step(self, monkeypatch):
+        # the move accepted at step 8192 and the refresh after it share a
+        # step; the record of step 8192 must read the refreshed statistic,
+        # here made 1000 high by a drifting total_statistic
+        spec, series, theta = _ar_case([0.5], 100, 8)
+        config = mcle.ExchangeConfig(n_samples=9000, seed=2)
+        moves = []
+        ref_stats, ref_accepted = reference_chain(
+            spec, series, theta, config, np.random.default_rng(config.seed), moves
+        )
+        assert mcle._RECOMPUTE_EVERY in moves
+        res = mcle.exchange_sample(spec, series, theta, config)
+        assert round(res.acceptance_rate * res.n_steps) == ref_accepted
+        np.testing.assert_allclose(res.stats, ref_stats, rtol=0.0, atol=1e-9)
+        calls = []
+        total_statistic = mcle.total_statistic
+
+        def drifting(*args):
+            calls.append(1)
+            return total_statistic(*args) + 1000.0 * (len(calls) - 1)
+
+        monkeypatch.setattr(mcle, "total_statistic", drifting)
+        shifted = mcle.exchange_sample(spec, series, theta, config)
+        at = mcle._RECOMPUTE_EVERY - config.effective_burn_in - 1  # the record of step 8192
+        shift = shifted.stats[:, 0] - res.stats[:, 0]
+        np.testing.assert_allclose(shift[at - 1 : at + 1], [0.0, 1000.0], rtol=0.0, atol=1e-9)
 
     @staticmethod
     def check_against_reference(spec, series, theta, config):
