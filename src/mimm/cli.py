@@ -126,14 +126,20 @@ def _configure(base, conf: dict, options: dict):
 
 
 def _load_series(path) -> core.TimeSeries:
-    kinds = None
+    """The CSV series at ``path``, with the column kinds of its
+    ``.meta.json`` sidecar when there is one: a JSON object whose optional
+    ``kinds`` is a list of strings."""
     meta_path = str(path) + ".meta.json"
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-        kinds = meta.get("kinds")
     except FileNotFoundError:
-        pass
+        meta = {}
+    if not isinstance(meta, dict):
+        raise MimmError(f"sidecar {meta_path} must hold a JSON object, got {meta!r}")
+    kinds = meta.get("kinds")
+    if kinds is not None and not (isinstance(kinds, list) and all(isinstance(k, str) for k in kinds)):
+        raise MimmError(f"sidecar {meta_path}: kinds takes a list of strings, got {kinds!r}")
     return core.TimeSeries.from_csv(path, kinds=kinds)
 
 
@@ -454,34 +460,71 @@ def _stage_medians(stages: list[dict], ok: bool) -> dict[str, str | float]:
     return out
 
 
+def _check_count(value, source: str, least: int = 1) -> None:
+    """A count must be a JSON integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise MimmError(f"{source} takes an integer >= {least}, got {value!r}")
+
+
+def _check_manifest(manifest) -> None:
+    """Check a benchmark manifest before any run: a JSON object with a
+    non-empty ``cells`` list of objects; ``seed`` an integer >= 0; ``n`` and
+    ``repetitions`` integers >= 1; ``model`` and ``estimator_options``
+    objects; ``estimators`` a non-empty list of names from ESTIMATORS;
+    time limits finite and > 0."""
+    if not isinstance(manifest, dict):
+        raise MimmError(f"manifest must hold a JSON object, got {manifest!r}")
+    cells = manifest.get("cells")
+    if not isinstance(cells, list) or not cells:
+        raise MimmError(f"manifest has no cells (cells takes a non-empty list, got {cells!r})")
+    _check_count(manifest.get("seed", 0), "manifest seed", least=0)
+    _check_count(manifest.get("repetitions", 30), "manifest repetitions")
+    _check_time_limit(manifest.get("time_limit_s", 900.0), "manifest time_limit_s")
+    for cell_idx, cell in enumerate(cells):
+        where = f"cell {cell_idx}"
+        if not isinstance(cell, dict):
+            raise MimmError(f"{where} must be a JSON object, got {cell!r}")
+        _check_count(cell.get("n"), f"{where} n")
+        if "repetitions" in cell:
+            _check_count(cell["repetitions"], f"{where} repetitions")
+        _check_time_limit(cell.get("time_limit_s"), f"{where} time_limit_s")
+        if not isinstance(cell.get("model"), dict):
+            raise MimmError(f"{where} model must be a JSON object, got {cell.get('model')!r}")
+        options = cell.get("estimator_options", {})
+        if not isinstance(options, dict) or not all(isinstance(v, dict) for v in options.values()):
+            raise MimmError(f"{where} estimator_options must map estimators to JSON objects, got {options!r}")
+        estimators = cell.get("estimators")
+        if not isinstance(estimators, list) or not estimators or any(e not in ESTIMATORS for e in estimators):
+            raise MimmError(
+                f"{where} estimators takes a non-empty list of names from "
+                f"{', '.join(ESTIMATORS)}, got {estimators!r}"
+            )
+
+
 def cmd_benchmark(args: argparse.Namespace) -> int:
     conf = _merge_config(args)
     if conf["manifest"] is None or conf["out"] is None:
         raise MimmError("benchmark requires --manifest and --out")
     with open(conf["manifest"], "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    _check_manifest(manifest)
+    _check_time_limit(conf["time_limit_s"], "--time-limit-s")
+    if conf["reps"] is not None:
+        _check_count(conf["reps"], "--reps")
     base_seed = conf["seed"] if conf["seed"] is not None else manifest.get("seed", 0)
     default_reps = manifest.get("repetitions", 30)
     default_limit = manifest.get("time_limit_s", 900.0)
-    cells = manifest.get("cells", [])
-    if not cells:
-        raise MimmError("manifest has no cells")
-    _check_time_limit(conf["time_limit_s"], "--time-limit-s")
-    _check_time_limit(default_limit, "manifest time_limit_s")
-    for cell_idx, cell in enumerate(cells):
-        _check_time_limit(cell.get("time_limit_s"), f"cell {cell_idx} time_limit_s")
+    cells = manifest["cells"]
+    models = [_model_params(cell["model"]) for cell in cells]
 
     rows = []
-    for cell_idx, cell in enumerate(cells):
+    for cell_idx, (cell, params) in enumerate(zip(cells, models)):
         reps = conf["reps"] if conf["reps"] is not None else cell.get("repetitions", default_reps)
-        if reps < 1:
-            raise MimmError(f"cell {cell_idx}: repetitions must be >= 1")
         limit = (
             conf["time_limit_s"]
             if conf["time_limit_s"] is not None
             else cell.get("time_limit_s", default_limit)
         )
-        params = _model_params(cell["model"])
         n = cell["n"]
         label = cell.get("label", f"cell{cell_idx}")
         theta_star = _true_theta(params)
@@ -1126,7 +1169,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--tau2", type=float, help="stationary variance (with --theta)")
     sim.add_argument("--var1", nargs=2, metavar=("A_CSV", "SIGMA_CSV"), help="VAR(1) matrices")
     sim.add_argument("--n", type=int, help="series length")
-    sim.add_argument("--burn-in", dest="burn_in", type=int, help="burn-in steps")
+    sim.add_argument(
+        "--burn-in",
+        dest="burn_in",
+        type=int,
+        help="steps run and discarded before the first row (default 0; every order starts from its stationary law)",
+    )
     sim.add_argument("--seed", type=int, help="random seed")
     sim.add_argument("--out", help="output CSV path")
     sim.set_defaults(func=cmd_simulate)

@@ -13,8 +13,8 @@ constant term Brent's method picks to match the variance; it refuses, with
 cannot resolve to 1e-8.
 
 Every stationary covariance (AR(d) variance, VAR(1) covariance, the
-variance the AR(d) inverse matches) comes from one route: the block
-companion matrix of :func:`companion_matrix` and
+variance the AR(d) inverse matches, the law the simulators start from) comes
+from one route: the block companion matrix of :func:`companion_matrix` and
 ``scipy.linalg.solve_discrete_lyapunov``.  Parameter records serialize to a
 flat ``name.i.j=value`` text format driven by their dataclass fields.
 
@@ -323,47 +323,19 @@ def dependence_kernel(theta: float, decay: float) -> DependenceKernel:
 
 
 def simulate_ar(params: ClassicalARParams, n: int, burn_in: int = 0, seed=None) -> TimeSeries:
-    """Simulate n observations of the AR(d) recursion.
+    """Simulate n observations of the AR(d) recursion after discarding
+    ``burn_in`` steps; the chain starts from its exact stationary law for
+    every order (see :func:`_simulate`).
 
-    For d <= 2 the initial state is drawn from the exact stationary law
-    (closed-form variance); for d >= 3 the chain starts at zero and a burn-in
-    of at least 500 steps is enforced.
+    Known limit: the start covariance comes from the same Lyapunov solve as
+    :func:`stationary_variance`, which loses about four digits on repeated
+    poles (an AR(8) with fourfold poles 0.95 e^{+-0.5i} starts with a
+    ``LinAlgWarning``; the draws stay finite).  A state covariance with a
+    condition number near 1e16, such as that of an AR(8) with an eightfold
+    root 0.9 (variance 1.1e14 sigma2), has no Cholesky factor in double
+    precision, and ``numpy.linalg.LinAlgError`` is raised.
     """
-    if n < 1:
-        raise ParameterDomainError(f"n must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ParameterDomainError(f"burn_in must be >= 0, got {burn_in}")
-    rng = np.random.default_rng(seed)
-    phi = params.phi
-    d = params.order
-    sig = math.sqrt(params.sigma2)
-
-    if d == 1:
-        tau2 = params.sigma2 / (1.0 - phi[0] ** 2)
-        state = [math.sqrt(tau2) * rng.standard_normal()]
-    elif d == 2:
-        tau2 = ar2_to_mininfo(params).tau2
-        rho1 = phi[0] / (1.0 - phi[1])
-        cov = tau2 * np.array([[1.0, rho1], [rho1, 1.0]])
-        chol = np.linalg.cholesky(cov)
-        init = chol @ rng.standard_normal(2)
-        state = [init[1], init[0]]  # state[0] = most recent
-    else:
-        burn_in = max(burn_in, 500)
-        state = [0.0] * d
-
-    steps = burn_in + n
-    eps = rng.standard_normal(steps) * sig
-    phis = [float(v) for v in phi]
-    out = np.empty(steps)
-    for t in range(steps):
-        val = eps[t]
-        for i in range(d):
-            val += phis[i] * state[i]
-        out[t] = val
-        state.insert(0, val)
-        state.pop()
-    return TimeSeries(out[burn_in:])
+    return _simulate(params.phi[:, None, None], np.array([[params.sigma2]]), n, burn_in, seed)
 
 
 def stationary_cov_var1(A: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
@@ -377,26 +349,46 @@ def stationary_cov_var1(A: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
 
 
 def simulate_var(params: ClassicalVARParams, n: int, burn_in: int = 0, seed=None) -> TimeSeries:
-    """Simulate n observations of the VAR(d) recursion; exact stationary
-    initial state for d = 1, zero start with burn-in >= 500 otherwise."""
-    if n < 1:
-        raise ParameterDomainError(f"n must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ParameterDomainError(f"burn_in must be >= 0, got {burn_in}")
-    rng = np.random.default_rng(seed)
-    A = params.A
+    """Simulate n observations of the VAR(d) recursion after discarding
+    ``burn_in`` steps; the chain starts from its exact stationary law for
+    every order (see :func:`_simulate`).  The known limit of
+    :func:`simulate_ar` applies."""
+    return _simulate(params.A, params.Sigma, n, burn_in, seed)
+
+
+def _simulate(A: np.ndarray, Sigma: np.ndarray, n: int, burn_in: int, seed) -> TimeSeries:
+    """The one simulator of x_t = sum_k A[k] x_{t-k} + e_t, e_t ~ N(0, Sigma),
+    for coefficient blocks ``A`` of shape (d, p, p).
+
+    The companion state (x_0, x_{-1}, ..., x_{1-d}) is drawn from its exact
+    stationary law, N(0, G) with G the Lyapunov solve of
+    :func:`_stationary_state_cov`; then ``burn_in + n`` steps run and the
+    first ``burn_in`` are discarded, so a run equals the tail of a longer
+    run from the same seed.  For p = 1 the recursion runs on Python floats.
+    """
+    if n < 1 or burn_in < 0:
+        raise ParameterDomainError(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
     d, p, _ = A.shape
-    chol_noise = np.linalg.cholesky(params.Sigma)
-
-    if d == 1:
-        B = stationary_cov_var1(A[0], params.Sigma)
-        state = [np.linalg.cholesky(B) @ rng.standard_normal(p)]
-    else:
-        burn_in = max(burn_in, 500)
-        state = [np.zeros(p) for _ in range(d)]
-
+    rng = np.random.default_rng(seed)
+    G = _stationary_state_cov(A, Sigma)
+    try:
+        start = np.linalg.cholesky((G + G.T) / 2.0) @ rng.standard_normal(d * p)
+    except np.linalg.LinAlgError as err:
+        raise np.linalg.LinAlgError(
+            "the stationary state covariance is not positive definite in double "
+            "precision (clustered near-unit roots)"
+        ) from err
     steps = burn_in + n
-    eps = rng.standard_normal((steps, p)) @ chol_noise.T
+    eps = rng.standard_normal((steps, p)) @ np.linalg.cholesky(Sigma).T
+    if p == 1:
+        xs = start[::-1].tolist()  # oldest first: x_{t-j} is xs[-j] when x_t is formed
+        lags = [(float(a), -1 - k) for k, a in enumerate(A[:, 0, 0])]
+        for val in eps[:, 0].tolist():
+            for a, k in lags:
+                val += a * xs[k]
+            xs.append(val)
+        return TimeSeries(xs[d + burn_in :])
+    state = list(start.reshape(d, p))  # state[0] = most recent
     out = np.empty((steps, p))
     for t in range(steps):
         val = eps[t].copy()

@@ -55,6 +55,17 @@ class TestSimulate:
         assert meta["n"] == 600 and meta["seed"] == 7
         assert meta["kinds"] == ["real"]
 
+    def test_sidecar_burn_in_is_the_steps_discarded(self, workspace):
+        tmp = workspace["tmp"]
+        ar3 = ["simulate", "--ar", "0.5", "0.3", "0.1", "--sigma2", "0.5", "--seed", "4"]
+        assert run_cli(*ar3, "--n", "80", "--burn-in", "0", "--out", str(tmp / "ar3_long.csv"))[0] == 0
+        assert run_cli(*ar3, "--n", "50", "--burn-in", "30", "--out", str(tmp / "ar3_tail.csv"))[0] == 0
+        long_meta = json.loads((tmp / "ar3_long.csv.meta.json").read_text())
+        meta = json.loads((tmp / "ar3_tail.csv.meta.json").read_text())
+        assert long_meta["burn_in"] == 0 and meta["burn_in"] == 30
+        long = (tmp / "ar3_long.csv").read_text().splitlines()
+        assert (tmp / "ar3_tail.csv").read_text().splitlines() == long[meta["burn_in"]:]
+
     def test_mininfo_input_matches_classical(self, workspace):
         out = workspace["tmp"] / "mi.csv"
         rc, _ = run_cli(
@@ -287,6 +298,25 @@ class TestFit:
             "--estimator", "ple-naive",
         )
         assert rc == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "meta, named",
+        [([1, 2], "must hold a JSON object"), ({"kinds": "real"}, "kinds takes a list of strings")],
+        ids=["list", "kinds-string"],
+    )
+    def test_malformed_sidecar_exits_validation(self, workspace, capsys, meta, named):
+        data = workspace["tmp"] / "sidecar.csv"
+        data.write_text(workspace["data"].read_text())
+        Path(f"{data}.meta.json").write_text(json.dumps(meta))
+        out = workspace["tmp"] / "sidecar_fit.json"
+        rc, _ = run_cli(
+            "fit", "--data", str(data), "--spec", str(workspace["spec1"]),
+            "--estimator", "ple-naive", "--out", str(out),
+        )
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{data}.meta.json" in err and named in err
+        assert not out.exists()
 
     def test_time_limit_exit_code(self, workspace):
         out = workspace["tmp"] / "slow.json"
@@ -562,6 +592,42 @@ class TestBenchmark:
         assert rc == cli.EXIT_VALIDATION
         assert "must be finite and > 0" in capsys.readouterr().err
         assert not (prefix.parent / f"{prefix.name}.csv").exists()
+
+    GOOD_CELL = {"label": "x", "model": {"kind": "ar", "phi": [0.5], "sigma2": 0.5}, "n": 100, "estimators": ["mle"]}
+
+    @pytest.mark.parametrize(
+        "manifest, named",
+        [
+            ([GOOD_CELL], "manifest must hold a JSON object"),
+            ({"cells": [GOOD_CELL, [1]]}, "cell 1 must be a JSON object"),
+            ({"repetitions": "3", "cells": [GOOD_CELL]}, "manifest repetitions takes an integer >= 1"),
+            ({"cells": [{**GOOD_CELL, "repetitions": 0}]}, "cell 0 repetitions takes an integer >= 1"),
+            ({"cells": [{**GOOD_CELL, "n": "50"}]}, "cell 0 n takes an integer >= 1"),
+            ({"cells": [{**GOOD_CELL, "n": True}]}, "cell 0 n takes an integer >= 1"),
+            ({"cells": [GOOD_CELL, {**GOOD_CELL, "estimators": ["mle", "nope"]}]}, "cell 1 estimators"),
+            ({"cells": [{**GOOD_CELL, "estimators": []}]}, "cell 0 estimators"),
+            ({"cells": [{**GOOD_CELL, "model": [0.5]}]}, "cell 0 model"),
+            ({"cells": [{**GOOD_CELL, "estimator_options": {"mle": 3}}]}, "cell 0 estimator_options"),
+            ({"seed": "7", "cells": [GOOD_CELL]}, "manifest seed"),
+            ({"cells": []}, "manifest has no cells"),
+        ],
+        ids=[
+            "not-an-object", "cell-not-an-object", "repetitions-string", "cell-repetitions-zero",
+            "n-string", "n-bool", "unknown-estimator", "no-estimators", "model-list",
+            "options-not-objects", "seed-string", "no-cells",
+        ],
+    )
+    def test_invalid_manifest_exits_validation_before_any_run(self, tmp_path, capsys, monkeypatch, manifest, named):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "_run_estimator", no_run)
+        man = tmp_path / "man.json"
+        man.write_text(json.dumps(manifest))
+        rc, _ = run_cli("benchmark", "--manifest", str(man), "--out", str(tmp_path / "bench"))
+        assert rc == cli.EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_reps_flag_overrides_manifest(self, workspace):
         man = workspace["tmp"] / "man_reps.json"

@@ -3,10 +3,12 @@ information, kernels, and divergence rates."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mimm import gaussian
@@ -102,6 +104,175 @@ class TestSimulation:
             x = series.data[:, j]
             assert x.var() == pytest.approx(2.0 / 3.0, rel=0.03)
             assert np.corrcoef(x[:-1], x[1:])[0, 1] == pytest.approx(0.5, abs=0.02)
+
+
+def ar_from_roots(roots, sigma2=1.0):
+    """The AR(d) whose characteristic polynomial has these roots."""
+    return gaussian.ClassicalARParams(-np.poly(roots).real[1:], sigma2)
+
+
+@st.composite
+def stationary_ar(draw, max_order=4):
+    """AR(d), d = 1..max_order, from real roots and conjugate pairs of
+    modulus at most 0.98."""
+    d = draw(st.integers(1, max_order))
+    roots = []
+    while len(roots) < d:
+        r = draw(st.floats(0.0, 0.98))
+        if d - len(roots) >= 2 and draw(st.booleans()):
+            w = draw(st.floats(0.0, math.pi))
+            roots += [r * np.exp(1j * w), r * np.exp(-1j * w)]
+        else:
+            roots.append(r * draw(st.sampled_from([-1.0, 1.0])))
+    return ar_from_roots(roots, draw(st.floats(1e-2, 1e2)))
+
+
+@st.composite
+def stationary_var(draw, orders=(1, 2)):
+    """VAR(d), p = 2-3, with companion spectral radius 0.2-0.95: scaling
+    block k by c**k scales every companion eigenvalue by c."""
+    p = draw(st.integers(2, 3))
+    d = draw(st.sampled_from(orders))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((d, p, p))
+    rho = np.max(np.abs(np.linalg.eigvals(gaussian.companion_matrix(A))))
+    c = draw(st.floats(0.2, 0.95)) / max(rho, 1e-12)
+    A *= (c ** np.arange(1, d + 1))[:, None, None]
+    Z = rng.standard_normal((p, p))
+    return gaussian.ClassicalVARParams(A=A, Sigma=Z @ Z.T / p + 0.1 * np.eye(p))
+
+
+def simulate(params, n, **kwargs):
+    if isinstance(params, gaussian.ClassicalARParams):
+        return gaussian.simulate_ar(params, n, **kwargs).data
+    return gaussian.simulate_var(params, n, **kwargs).data
+
+
+def reference_ar1(params, n, burn_in, seed):
+    """The AR(1) simulator before the shared one: closed-form stationary
+    start, noise drawn as one vector."""
+    rng = np.random.default_rng(seed)
+    phi = params.phi
+    tau2 = params.sigma2 / (1.0 - phi[0] ** 2)
+    state = math.sqrt(tau2) * rng.standard_normal()
+    steps = burn_in + n
+    eps = rng.standard_normal(steps) * math.sqrt(params.sigma2)
+    out = np.empty(steps)
+    for t in range(steps):
+        state = eps[t] + float(phi[0]) * state
+        out[t] = state
+    return out[burn_in:, None]
+
+
+def reference_var1(params, n, burn_in, seed):
+    """The VAR(1) simulator before the shared one."""
+    rng = np.random.default_rng(seed)
+    A = params.A[0]
+    B = gaussian.stationary_cov_var1(A, params.Sigma)
+    state = np.linalg.cholesky(B) @ rng.standard_normal(params.dim)
+    steps = burn_in + n
+    eps = rng.standard_normal((steps, params.dim)) @ np.linalg.cholesky(params.Sigma).T
+    out = np.empty((steps, params.dim))
+    for t in range(steps):
+        state = eps[t] + A @ state
+        out[t] = state
+    return out[burn_in:]
+
+
+class TestOneSimulator:
+    """Every AR(d)/VAR(d) starts from its exact stationary law and discards
+    exactly ``burn_in`` steps."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        params=st.one_of(stationary_ar(), stationary_var()),
+        n=st.integers(1, 40),
+        burn_in=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_burn_in_is_the_head_of_a_longer_run(self, params, n, burn_in, seed):
+        short = simulate(params, n, burn_in=burn_in, seed=seed)
+        long = simulate(params, n + burn_in, seed=seed)
+        assert short.tobytes() == long[burn_in:].tobytes()
+
+    def test_ar3_near_unit_root_starts_stationary(self):
+        params = ar_from_roots([0.999, 0.5, -0.3])
+        x0 = [gaussian.simulate_ar(params, 1, seed=s).data[0, 0] for s in range(2000)]
+        ratio = np.mean(np.square(x0)) / gaussian.stationary_variance(params)
+        assert abs(ratio - 1.0) <= 0.15
+
+    def test_var2_slow_component_starts_stationary(self):
+        # two uncoupled AR(2) components, roots (0.999, 0.2) and (0.5, 0.3)
+        A = np.array([np.diag([1.199, 0.8]), np.diag([-0.1998, -0.15])])
+        params = gaussian.ClassicalVARParams(A=A, Sigma=np.eye(2))
+        tau2 = [gaussian.ar2_to_mininfo(gaussian.ClassicalARParams(A[:, j, j], 1.0)).tau2 for j in range(2)]
+        x0 = np.array([gaussian.simulate_var(params, 1, seed=s).data[0] for s in range(2000)])
+        ratio = np.mean(np.square(x0), axis=0) / tau2
+        assert np.all(np.abs(ratio - 1.0) <= 0.15)
+
+    @pytest.mark.parametrize("phi, sigma2", [(0.5, 0.5), (0.6, 0.5), (0.0, 1.0), (0.4, 1.0)])
+    def test_ar1_is_the_reference_on_fixed_inputs(self, phi, sigma2):
+        # the parameter values the benchmark workloads, demos and CLI tests simulate
+        params = gaussian.ClassicalARParams([phi], sigma2)
+        seeds = list(range(40)) + np.random.SeedSequence(1401).spawn(20)
+        for seed, n, burn_in in zip(seeds, [1, 100, 1000, 37] * 15, [0, 0, 7, 0, 3] * 12):
+            got = gaussian.simulate_ar(params, n, burn_in=burn_in, seed=seed).data
+            assert got.tobytes() == reference_ar1(params, n, burn_in, seed).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        phi=st.floats(-0.999, 0.999),
+        sigma2=st.floats(1e-3, 1e3),
+        n=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(phi=-0.7746980094690843, sigma2=2.6245965343097484, n=20, seed=198)
+    def test_ar1_is_the_reference(self, phi, sigma2, n, seed):
+        params = gaussian.ClassicalARParams([phi], sigma2)
+        got = gaussian.simulate_ar(params, n, seed=seed).data
+        want = reference_ar1(params, n, 0, seed)
+        if phi**2 == phi * phi:
+            assert got.tobytes() == want.tobytes()
+        else:
+            # the reference squares with pow, which can be one ulp off
+            # phi * phi; the Lyapunov solve's 1 - phi * phi then moves the
+            # start by about an ulp
+            tau = math.sqrt(sigma2 / (1.0 - phi * phi))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * tau)
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=stationary_var(orders=(1,)), n=st.integers(1, 60), burn_in=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_var1_is_the_reference(self, params, n, burn_in, seed):
+        got = gaussian.simulate_var(params, n, burn_in=burn_in, seed=seed).data
+        assert got.tobytes() == reference_var1(params, n, burn_in, seed).tobytes()
+
+    @pytest.mark.parametrize(
+        "roots",
+        [[0.95 * np.exp(0.5j)] * 4 + [0.95 * np.exp(-0.5j)] * 4, [0.99] * 4],
+        ids=["ar8-fourfold-pairs", "ar4-fourfold-root"],
+    )
+    def test_repeated_poles_simulate_finite_values(self, roots):
+        # known limit: the Lyapunov solve loses about four digits on
+        # repeated poles and warns, yet the start is drawn and finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            x = gaussian.simulate_ar(ar_from_roots(roots), 200, seed=1).data
+        assert x.shape == (200, 1) and np.all(np.isfinite(x))
+
+    def test_numerically_singular_start_raises(self):
+        # an eightfold root 0.9: the state covariance has condition number
+        # 2.5e16, so even its exact value has no Cholesky factor in doubles
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                gaussian.simulate_ar(ar_from_roots([0.9] * 8), 10, seed=0)
+
+    @pytest.mark.parametrize("n, burn_in", [(0, 0), (5, -1)])
+    def test_rejects_bad_lengths(self, n, burn_in):
+        with pytest.raises(ParameterDomainError):
+            gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 1.0), n, burn_in=burn_in)
+        with pytest.raises(ParameterDomainError):
+            gaussian.simulate_var(gaussian.ClassicalVARParams(A=0.5 * np.eye(2), Sigma=np.eye(2)), n, burn_in=burn_in)
 
 
 class TestStationaryCovariance:
