@@ -444,7 +444,7 @@ def _model_spec(params) -> core.DependenceSpec:
 
 # per-stage seconds of the fit results (``PleResult.stages`` for the pair
 # fitters, ``McleResult.stages`` for mcle), reported per cell as medians
-_STAGE_COLUMNS = ("pairs_s", "solver_s", "log_pl_s", "sampler_s", "diagnostics_s", "solve_s")
+_STAGE_COLUMNS = ("pairs_s", "solver_s", "log_pl_s", "pilot_s", "sampler_s", "diagnostics_s", "solve_s")
 
 
 def _stage_medians(stages: list[dict], ok: bool) -> dict[str, str | float]:
@@ -1060,6 +1060,57 @@ def _check_monotone_ascent() -> CheckResult:
     return CheckResult("objective_monotone_ascent", worst >= -1e-12, worst, -1e-12)
 
 
+def _check_newton_pilot_start() -> CheckResult:
+    """An all-pairs AR(1) fit started from its pilot against the same fit
+    from theta = 0 (pilot threshold raised past the design), both at tol
+    1e-10.  Every full step the self-concordance certificate accepted, in
+    the pilots and both fits, is re-checked with log_pl on its own design:
+    it must not lower the log-PL by more than 1e-12 (1 + |log_pl|)."""
+    spec = core.ar_spec(1)
+    series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 800, seed=3)
+    config = ple.GdConfig(tol=1e-10)
+    newton_pass, certified, min_pairs = ple._newton_pass, ple._certified, ple._PILOT_MIN_PAIRS
+    last, drops = [], []
+
+    def recording_pass(blocks, theta):
+        last[:] = [blocks, theta]
+        return newton_pass(blocks, theta)
+
+    def rechecked(grad, info, step, max_row_norm):
+        ok = certified(grad, info, step, max_row_norm)
+        if ok:
+            # the step ends where the last Newton pass was taken
+            blocks, end = last
+            before = sum(ple.log_pl(end - step, X) for X in blocks())
+            after = sum(ple.log_pl(end, X) for X in blocks())
+            drops.append((before - after) / (1.0 + abs(before)))
+        return ok
+
+    ple._newton_pass, ple._certified = recording_pass, rechecked
+    try:
+        warm = ple.fit_naive(spec, series, config)
+        ple._PILOT_MIN_PAIRS = math.inf
+        cold = ple.fit_naive(spec, series, config)
+    finally:
+        ple._newton_pass, ple._certified, ple._PILOT_MIN_PAIRS = newton_pass, certified, min_pairs
+    gap = float(np.abs(warm.theta - cold.theta).max())
+    worst = max(drops, default=math.nan)
+    ok = (
+        warm.converged and cold.converged and warm.stages["pilot_s"] > 0.0
+        and gap <= 1e-9 and len(drops) > 0 and worst <= 1e-12
+    )
+    return CheckResult(
+        "newton_pilot_start",
+        bool(ok),
+        gap,
+        1e-9,
+        detail=(
+            f"passes {warm.iterations} from the pilot, {cold.iterations} from zero; "
+            f"certified steps {len(drops)}, largest relative log-PL drop {worst:.1e}"
+        ),
+    )
+
+
 def _check_consistency_ordering() -> CheckResult:
     # reduced desk-scale version of the error-vs-n trend (5 seeds per size)
     spec = core.ar_spec(1)
@@ -1106,6 +1157,7 @@ def run_verify_checks():
     yield _check_logistic_pass_blocked()
     yield _check_pair_sign()
     yield _check_monotone_ascent()
+    yield _check_newton_pilot_start()
     yield _check_consistency_ordering()
 
 

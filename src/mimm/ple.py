@@ -18,6 +18,11 @@ pair statistics and fits them by damped Newton ascent with a minimum-norm
 step.  The objective is concave with a K x K Hessian, and binary columns
 can make monomials collinear, so the step solves the Newton system in the
 least-squares sense and theta stays in the row space of the pair matrix.
+Theta starts at zero, except on a design of at least 64 * 4096 pairs: that
+one first fits every 64th of its pairs and starts from the result if that
+pilot converged.  A full step past the maximum along its direction is kept
+without evaluating the objective when a self-concordance bound proves it
+ascends (``_certified``); only the others are backtracked.
 The Newton pass and the log pseudo-likelihood walk the pair blocks in
 cache-sized row slices with plain numpy ufuncs (logistic weights from
 ``exp`` with the margin clipped, the log-PL in softplus form), so no
@@ -108,6 +113,10 @@ _MATERIALIZE_LIMIT = 20_000_000
 _CHUNK_PAIRS = 500_000
 # The Newton ascent stops with a SeparationWarning once |theta| exceeds this.
 _THETA_CAP = 1e3
+# A design of at least _PILOT_STRIDE * _PILOT_MIN_PAIRS pairs first fits
+# every _PILOT_STRIDE-th of its pairs and starts its Newton ascent there.
+_PILOT_STRIDE = 64
+_PILOT_MIN_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,9 @@ class GdConfig:
     """Full-batch pseudo-likelihood solver settings.
 
     The solver is damped Newton ascent with a minimum-norm step; one epoch
-    is one Newton pass over the pairs.  It stops when the norm of the
+    is one Newton pass over the pairs.  It starts at theta = 0, or, on a
+    design of at least 64 * 4096 pairs, where a pilot fit on every 64th
+    pair with these same settings converged.  It stops when the norm of the
     per-pair-averaged gradient is at most ``tol``, after ``max_epochs``
     passes, or, with a :class:`SeparationWarning`, when the norm of theta
     exceeds a fixed divergence cap of 1e3.  ``max_epochs`` must be >= 1 and
@@ -165,7 +176,9 @@ class PleResult:
     and builds their statistics (summed over passes when they are
     regenerated), ``solver_s`` is the Newton or SGD loop without pair
     building, and ``log_pl_s`` the final log-PL evaluation without pair
-    building.
+    building.  The Newton fitters also report ``pilot_s``: gathering every
+    64th pair and fitting them for the start on a large design, 0.0 when
+    the design is too small for a pilot.
     """
 
     theta: np.ndarray
@@ -271,8 +284,10 @@ class _PairBlocks:
 
     def __init__(self, deltas, n_pairs: int, n_terms: int):
         self._deltas = deltas
+        self.n_pairs, self.n_terms = n_pairs, n_terms
         self.seconds = 0.0
         self._held = None
+        self._max_row_norm = None
         if n_pairs * n_terms <= _MATERIALIZE_LIMIT:
             self._held = tuple(self._generate())
 
@@ -287,6 +302,32 @@ class _PairBlocks:
 
     def __call__(self):
         return self._held if self._held is not None else self._generate()
+
+    def every(self, stride: int) -> np.ndarray:
+        """Rows 0, stride, 2 stride, ... of the design, counted across
+        blocks, copied into one array: one strided copy per held block, or
+        one regeneration sweep that carries the stride's phase from chunk
+        to chunk."""
+        out = np.empty((-(-self.n_pairs // stride), self.n_terms))
+        pos = phase = 0
+        for X in self():
+            part = X[phase::stride]
+            out[pos : pos + len(part)] = part
+            pos += len(part)
+            phase = (phase - len(X)) % stride
+        return out
+
+    def max_row_norm(self) -> float:
+        """Largest Euclidean norm of a pair row, computed slice by slice on
+        the first call (a regeneration sweep if the design is streamed)."""
+        if self._max_row_norm is None:
+            top = 0.0
+            for X in self():
+                for start in range(0, X.shape[0], _SLICE_ROWS):
+                    Xb = X[start : start + _SLICE_ROWS]
+                    top = max(top, float(np.einsum("ij,ij->i", Xb, Xb).max()))
+            self._max_row_norm = math.sqrt(top)
+        return self._max_row_norm
 
 
 def _newton_pass(blocks, theta):
@@ -326,6 +367,38 @@ def _newton_pass(blocks, theta):
     return acc[0], acc[1:]
 
 
+def _psi(rho: float) -> float:
+    """(e^rho - 1 - rho) / rho^2 for rho >= 0: 1/2 at 0, increasing, 1 at
+    rho ~ 1.7933; its series near 0, infinite past exp's range."""
+    if rho < 1e-3:
+        return 0.5 + rho * (1.0 / 6.0 + rho * (1.0 / 24.0 + rho / 120.0))
+    if rho > 700.0:
+        return math.inf
+    return (math.expm1(rho) - rho) / (rho * rho)
+
+
+def _certified(grad, info, step, max_row_norm: float) -> bool:
+    """Whether the step s from theta provably does not lower the log-PL,
+    given the gradient g and Fisher matrix at theta and the largest pair
+    row norm of the design.
+
+    Each pair's term l(m) = -log(1 + exp(-m)) has |l'''| <= |l''|, so the
+    log-PL is generalized self-concordant (Bach 2010, Electron. J. Statist.
+    4:384).  Along s each margin moves by x . s, at most
+    rho = |s| max |x| in size, and summing Bach's bound over the pairs gives
+
+        log_pl(theta + s) >= log_pl(theta) + g . s - psi(rho) s' info s.
+
+    The step is certified when that guaranteed gain is at least 1e-8 g . s,
+    which leaves room for the rounding of g . s and s' info s.  For a
+    Newton step (g . s = s' info s) that holds for rho below about 1.7933.
+    """
+    gain = float(grad @ step)
+    curvature = float(step @ info @ step)
+    rho = math.sqrt(step @ step) * max_row_norm
+    return gain - _psi(rho) * curvature >= 1e-8 * gain
+
+
 def _fit(
     spec: DependenceSpec,
     deltas,
@@ -334,16 +407,23 @@ def _fit(
     method: str,
 ) -> PleResult:
     """Pseudo-likelihood fit on the ``n_pairs`` pairs whose swap deltas
-    ``deltas()`` yields block by block, by damped Newton ascent from
-    theta = 0; an empty design raises :class:`InsufficientDataError`.
+    ``deltas()`` yields block by block, by damped Newton ascent; an empty
+    design raises :class:`InsufficientDataError`.
 
-    One Newton pass over the pairs is one epoch.  The step is the
-    minimum-norm least-squares solution of  info step = grad, which keeps
-    theta in the row space of the pair matrix when columns are collinear.
-    A full step is kept when the slope grad(theta + step) . step is still
-    >= 0, since by concavity the objective cannot then have decreased;
-    otherwise the step is halved until the objective is no lower than at
-    theta.
+    A design of at least ``_PILOT_STRIDE * _PILOT_MIN_PAIRS`` pairs first
+    runs a pilot: this same fit, on every ``_PILOT_STRIDE``-th of its pairs,
+    with the caller's ``tol`` and ``max_epochs``, no objective tracking and
+    no warning let out.  The ascent starts from the pilot's theta if the
+    pilot converged, and from theta = 0 otherwise (and on smaller designs).
+
+    One Newton pass over the pairs is one epoch; the pilot's passes are not
+    counted.  The step is the minimum-norm least-squares solution of
+    info step = grad, which keeps theta in the row space of the pair matrix
+    when columns are collinear.  A full step is kept when the slope
+    grad(theta + step) . step is still >= 0, since by concavity the
+    objective cannot then have decreased, or when :func:`_certified` proves
+    it does not lower the objective; otherwise the step is halved until the
+    objective is no lower than at theta.
     """
     start = time.perf_counter()
     if n_pairs == 0:
@@ -354,6 +434,17 @@ def _fit(
         return sum(log_pl(theta, X) for X in blocks())
 
     theta = np.zeros(spec.n_terms)
+    pilot_s = pilot_pairs_s = 0.0
+    if n_pairs >= _PILOT_STRIDE * _PILOT_MIN_PAIRS:
+        pilot_start, built = time.perf_counter(), blocks.seconds
+        rows = blocks.every(_PILOT_STRIDE)
+        pilot_config = replace(config, track_objective=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pilot = _fit(spec, lambda: (np.negative(rows),), len(rows), pilot_config, method)
+        if pilot.converged:
+            theta = pilot.theta
+        pilot_s, pilot_pairs_s = time.perf_counter() - pilot_start, blocks.seconds - built
     grad, info = _newton_pass(blocks, theta)
     epochs = 1
     value = objective(theta) if config.track_objective else None
@@ -369,7 +460,7 @@ def _fit(
         new_grad, new_info = _newton_pass(blocks, theta + step)
         epochs += 1
         t, new_value = 1.0, None
-        if new_grad @ step < 0.0:
+        if new_grad @ step < 0.0 and not _certified(grad, info, step, blocks.max_row_norm()):
             # past the maximum along the step: backtrack on the objective
             if value is None:
                 value = objective(theta)
@@ -401,9 +492,10 @@ def _fit(
     if value is None:
         value = objective(theta)
     stages = {
-        "pairs_s": blocks.seconds,
-        "solver_s": solved - start - pairs_solved,
+        "pairs_s": blocks.seconds - pilot_pairs_s,
+        "solver_s": solved - start - pilot_s - (pairs_solved - pilot_pairs_s),
         "log_pl_s": time.perf_counter() - solved - (blocks.seconds - pairs_solved),
+        "pilot_s": pilot_s,
     }
     return PleResult(
         theta=theta,
@@ -422,8 +514,10 @@ def _fit(
 
 
 def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdConfig()) -> PleResult:
-    """Newton ascent with minimum-norm steps over all interior pairs,
-    theta0 = 0, with AIC/PIC filled in.
+    """Newton ascent with minimum-norm steps over all interior pairs, with
+    AIC/PIC filled in.  From 64 * 4096 pairs (n of about 726 at order 1)
+    the ascent starts from a converged pilot fit on every 64th pair,
+    otherwise from theta = 0.
 
     Pairs are taken in lexicographic chunks of whole rows (one s1 with
     every s2 > s1), about 5e5 pairs each, and each chunk's block is built

@@ -259,7 +259,7 @@ class TestFit:
         assert rc == 0
         result = json.loads(out.read_text())
         stages = result["stages"]
-        assert set(stages) == {"pairs_s", "solver_s", "log_pl_s"}
+        assert set(stages) == {"pairs_s", "solver_s", "log_pl_s", "pilot_s"}
         assert all(v >= 0.0 for v in stages.values())
         assert sum(stages.values()) <= result["wall_time_s"]
 
@@ -518,17 +518,17 @@ class TestBenchmark:
         rows = (prefix.parent / "bench.csv").read_text().splitlines()
         assert rows[0] == (
             "label,estimator,n,reps,mean_error,mean_time_s,status,"
-            "pairs_s,solver_s,log_pl_s,sampler_s,diagnostics_s,solve_s"
+            "pairs_s,solver_s,log_pl_s,pilot_s,sampler_s,diagnostics_s,solve_s"
         )
         assert len(rows) == 4
         for row in rows[1:]:
             assert float(row.split(",")[4]) < 1.0
         # per-cell median stage seconds; empty where the estimator has no such stage
         stages = {row.split(",")[1]: row.split(",")[7:] for row in rows[1:]}
-        assert stages["mle"] == [""] * 6
-        for estimator in ("ple-bipartition", "ple-sgd"):
-            assert all(float(v) >= 0.0 for v in stages[estimator][:3])
-            assert stages[estimator][3:] == [""] * 3
+        assert stages["mle"] == [""] * 7
+        for estimator, n_stages in (("ple-bipartition", 4), ("ple-sgd", 3)):
+            assert all(float(v) >= 0.0 for v in stages[estimator][:n_stages])
+            assert stages[estimator][n_stages:] == [""] * (7 - n_stages)
         text = (prefix.parent / "bench.txt").read_text()
         assert "pairs_s" in text.splitlines()[0] and "solve_s" in text.splitlines()[0]
 
@@ -547,7 +547,7 @@ class TestBenchmark:
         assert rc == 0
         header, row = (prefix.parent / "bench_mcle.csv").read_text().splitlines()
         stages = dict(zip(header.split(",")[7:], row.split(",")[7:]))
-        assert [stages[k] for k in ("pairs_s", "solver_s", "log_pl_s")] == [""] * 3
+        assert [stages[k] for k in ("pairs_s", "solver_s", "log_pl_s", "pilot_s")] == [""] * 4
         assert all(float(stages[k]) >= 0.0 for k in ("sampler_s", "diagnostics_s", "solve_s"))
 
     def test_timeout_writes_dashes(self, workspace):
@@ -762,8 +762,8 @@ class TestVerify:
         report = json.loads(out.read_text())
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "roundtrip_var1" in failed
-        assert len(report["checks"]) == 29
-        assert {"roundtrip_ard", "exchange_step_near"} <= {c["name"] for c in report["checks"]}
+        assert len(report["checks"]) == 30
+        assert {"roundtrip_ard", "exchange_step_near", "newton_pilot_start"} <= {c["name"] for c in report["checks"]}
 
     def test_riccati_rtol_flag_is_gone(self, workspace):
         out = workspace["tmp"] / "verify_flag.json"

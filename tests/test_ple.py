@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 from scipy.special import expit
 
 from mimm import core, gaussian, ple
@@ -427,6 +427,16 @@ class TestNewtonAgainstBfgs:
         assert np.sum(all_pairs_matrix(spec, series)[:, 0] < 0) == negative
         assert not self.check(spec, series).success
 
+    def test_full_step_below_the_objective_rounding_converges(self):
+        # the full Newton step (4.2e-9) raises the log-PL by about 3e-15,
+        # below the rounding of the two sums a line search compares: halved
+        # steps crawled through all 500 passes at gradient 1.16e-9 > tol;
+        # the certificate keeps the full step
+        spec = core.DependenceSpec(order=1, dim=1, terms=(core.MonomialTerm(((0, 0, 2), (1, 0, 2))),))
+        series = gaussian.simulate_ar(AR1, 53, seed=127729)
+        self.check(spec, series)
+        assert ple.fit_naive(spec, series, ple.GdConfig(tol=1e-9)).iterations <= 10
+
     def test_rank_deficient_design_gives_finite_min_norm_theta(self):
         spec = core.kron_spec(2, [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)])
         series = binary_real_series(120, 9)
@@ -482,7 +492,8 @@ class TestTelemetry:
         monkeypatch.setattr(ple, "_CHUNK_PAIRS", 3000)
         fits.append(ple.fit_naive(SPEC1, series))
         for fit in fits:
-            assert set(fit.stages) == {"pairs_s", "solver_s", "log_pl_s"}
+            newton = {"pilot_s"} if fit.method != "ple-sgd" else set()
+            assert set(fit.stages) == {"pairs_s", "solver_s", "log_pl_s"} | newton
             assert all(v >= 0.0 for v in fit.stages.values())
             assert sum(fit.stages.values()) <= fit.wall_time_s
             assert json.loads(json.dumps(fit.to_dict()))["stages"] == fit.stages
@@ -544,6 +555,196 @@ class TestTelemetry:
             assert fit.stages["pairs_s"] >= 0.05 * len(calls)
             assert fit.stages["solver_s"] < 0.05
             assert sum(fit.stages.values()) <= fit.wall_time_s
+
+
+def spy_fits(monkeypatch):
+    """Record every result ``ple._fit`` returns, pilots included."""
+    results, fit = [], ple._fit
+
+    def recording(*args):
+        results.append(fit(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ple, "_fit", recording)
+    return results
+
+
+def assert_same_fit(a, b):
+    assert (a.iterations, a.converged, a.log_pl, a.grad_norm) == (b.iterations, b.converged, b.log_pl, b.grad_norm)
+    np.testing.assert_array_equal(a.theta, b.theta)
+
+
+class TestPilotStart:
+    """A design of at least _PILOT_STRIDE * _PILOT_MIN_PAIRS pairs starts
+    its Newton ascent from a converged fit on every 64th pair."""
+
+    @pytest.mark.parametrize("chunk", [400, 5000])
+    def test_every_matches_strided_rows_held_and_streamed(self, monkeypatch, chunk):
+        series = gaussian.simulate_ar(AR1, 120, seed=5)
+        X = all_pairs_matrix(SPEC1, series)
+        monkeypatch.setattr(ple, "_CHUNK_PAIRS", chunk)
+        lo, hi = 1, series.n - 1
+
+        def deltas():
+            for r0, r1 in ple._iter_pair_chunks(lo, hi, chunk):
+                yield ple._all_pairs_deltas(SPEC1, series, r0, r1)
+
+        for limit in (ple._MATERIALIZE_LIMIT, 0):
+            monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", limit)
+            blocks = ple._PairBlocks(deltas, len(X), 1)
+            for stride in (1, 7, 64):
+                np.testing.assert_array_equal(blocks.every(stride), X[::stride])
+
+    def test_held_and_streamed_fits_bitwise_equal_with_the_pilot(self, monkeypatch):
+        # 400-pair chunks are no multiple of the stride, so the pilot's rows
+        # straddle chunk edges; the 692-pair pilot runs a pilot of its own
+        series = gaussian.simulate_ar(AR1, 300, seed=16)
+        monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 8)
+        monkeypatch.setattr(ple, "_CHUNK_PAIRS", 400)
+        results = spy_fits(monkeypatch)
+        held = ple.fit_naive(SPEC1, series, ple.GdConfig(tol=1e-10))
+        assert [r.n_pairs_used for r in results] == [11, 692, 44253]
+        assert held.stages["pilot_s"] > 0.0 and held.converged
+        monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", 0)
+        streamed = ple.fit_naive(SPEC1, series, ple.GdConfig(tol=1e-10))
+        assert_same_fit(held, streamed)
+        for a, b in zip(results[:3], results[3:]):
+            assert_same_fit(a, b)
+
+    @pytest.mark.parametrize("design", ["ar1", "ar2", "binary-kron"])
+    def test_pilot_start_agrees_with_cold_start(self, monkeypatch, design):
+        config = ple.GdConfig(tol=1e-10)
+        spec, series = {
+            "ar1": lambda: (SPEC1, gaussian.simulate_ar(AR1, 800, seed=31)),
+            "ar2": lambda: (
+                core.ar_spec(2),
+                gaussian.simulate_ar(gaussian.ClassicalARParams([0.5, 0.3], 0.5), 800, seed=32),
+            ),
+            "binary-kron": lambda: (core.kron_spec(2, [(1, 1, 1)]), binary_real_series(800, 33)),
+        }[design]()
+        warm = ple.fit_naive(spec, series, config)
+        monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 10**12)
+        cold = ple.fit_naive(spec, series, config)
+        assert warm.stages["pilot_s"] > 0.0 and cold.stages["pilot_s"] == 0.0
+        assert min(warm.stages.values()) >= 0.0 and sum(warm.stages.values()) <= warm.wall_time_s
+        assert warm.converged and cold.converged
+        assert warm.iterations < cold.iterations
+        np.testing.assert_allclose(warm.theta, cold.theta, rtol=0.0, atol=1e-9)
+
+    def test_unconverged_pilot_is_discarded(self, monkeypatch):
+        series = gaussian.simulate_ar(AR1, 300, seed=16)
+        config = ple.GdConfig(max_epochs=2)
+        monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 64)
+        results = spy_fits(monkeypatch)
+        fit = ple.fit_naive(SPEC1, series, config)
+        pilot = results[0]
+        assert pilot.n_pairs_used == 692 and pilot.iterations == 2 and not pilot.converged
+        monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 10**12)
+        assert_same_fit(fit, ple.fit_naive(SPEC1, series, config))
+
+    def test_pilot_stopped_at_the_divergence_cap_is_discarded_silently(self, monkeypatch):
+        # every 64th pair has x = 1e-3, so the pilot design is separable and
+        # its theta runs past the cap while the mean gradient is still about
+        # 1e-4; the rest (x = +-1, three to one) bound the full fit's theta
+        x = np.where(np.arange(4096) % 4 == 3, -1.0, 1.0)
+        x[::64] = 1e-3
+
+        def deltas():
+            return (-x[:, None],)
+
+        monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 64)
+        results = spy_fits(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = ple._fit(SPEC1, deltas, len(x), ple.GdConfig(), "ple-test")
+        pilot = results[0]
+        assert pilot.n_pairs_used == 64 and not pilot.converged
+        assert np.linalg.norm(pilot.theta) > ple._THETA_CAP
+        assert fit.converged
+        monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 10**12)
+        assert_same_fit(fit, ple._fit(SPEC1, deltas, len(x), ple.GdConfig(), "ple-test"))
+
+
+@st.composite
+def certificate_cases(draw):
+    """A pair design of K = 1-4 columns, real or with binary-monomial
+    values in {-1, 0, 1}; theta with margins up to +-40; a step along the
+    Newton direction or a random one, scaled to rho = |s| max |x| from 1e-3
+    to 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    K, N = draw(st.integers(1, 4)), draw(st.integers(2, 40))
+    columns = []
+    for _ in range(K):
+        if draw(st.booleans()):
+            columns.append(rng.integers(-1, 2, N).astype(float))
+        else:
+            columns.append(draw(st.floats(0.1, 10.0)) * rng.standard_normal(N) + draw(st.floats(-1.0, 1.0)))
+    X = np.column_stack(columns)
+    theta = rng.standard_normal(K)
+    top = np.abs(X @ theta).max()
+    theta *= draw(st.floats(0.0, 40.0)) / top if top > 0.0 else 0.0
+    grad, info = ple._newton_pass(lambda: (X,), theta)
+    if draw(st.booleans()):
+        step = np.linalg.lstsq(info, grad, rcond=ple._RCOND)[0]
+    else:
+        step = rng.standard_normal(K)
+    row_norm = float(np.sqrt((X * X).sum(axis=1)).max())
+    length = float(np.linalg.norm(step)) * row_norm
+    if length > 0.0:
+        step *= 10.0 ** draw(st.floats(-3.0, math.log10(3.0))) / length
+    return X, theta, step, grad, info, row_norm
+
+
+class TestCertifiedStep:
+    """The self-concordance certificate never accepts a step that lowers the log-PL."""
+
+    @staticmethod
+    def assert_no_descent(X, theta, step):
+        before = ple.log_pl(theta, X)
+        assert ple.log_pl(theta + step, X) >= before - 1e-12 * (1.0 + abs(before))
+
+    @settings(max_examples=300, deadline=None)
+    @given(certificate_cases())
+    def test_certified_steps_never_lower_the_log_pl(self, case):
+        X, theta, step, grad, info, row_norm = case
+        if ple._certified(grad, info, step, row_norm):
+            self.assert_no_descent(X, theta, step)
+
+    def test_psi(self):
+        assert ple._psi(0.0) == 0.5
+        assert ple._psi(1e-3 * (1 - 1e-12)) == pytest.approx(ple._psi(1e-3), rel=1e-12)
+        grid = np.linspace(0.0, 5.0, 501)
+        assert np.all(np.diff([ple._psi(r) for r in grid]) > 0.0)
+        assert brentq(lambda r: ple._psi(r) - 1.0, 1.0, 3.0) == pytest.approx(1.7933, abs=1e-4)
+        assert ple._psi(1e4) == math.inf
+
+    def test_zero_rho(self):
+        X = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 1.0]])
+        theta = np.array([0.3, -0.2])
+        grad, info = ple._newton_pass(lambda: (X,), theta)
+        assert ple._certified(grad, info, np.zeros(2), 3.2)
+        # a design of zero rows: no step moves a margin
+        Z = np.zeros((4, 2))
+        grad, info = ple._newton_pass(lambda: (Z,), theta)
+        assert ple._certified(grad, info, np.array([5.0, -1.0]), 0.0)
+        self.assert_no_descent(Z, theta, np.array([5.0, -1.0]))
+
+    @pytest.mark.parametrize("side", [-0.01, 0.01])
+    def test_newton_step_on_either_side_of_rho_star(self, side):
+        # x = +1 on three pairs in four, -1 on the rest: the Newton step from
+        # theta0 < log 3 has rho = |s|, which falls as theta0 rises
+        X = np.array([[1.0], [1.0], [1.0], [-1.0]])
+
+        def newton(theta0):
+            grad, info = ple._newton_pass(lambda: (X,), np.array([theta0]))
+            return grad, info, grad / info[0]
+
+        rho_star = brentq(lambda r: ple._psi(r) - 1.0, 1.0, 3.0)
+        theta0 = brentq(lambda t: abs(newton(t)[2][0]) - (rho_star + side), -3.0, math.log(3.0) - 1e-6)
+        grad, info, step = newton(theta0)
+        assert ple._certified(grad, info, step, 1.0) == (side < 0)
+        if side < 0:
+            self.assert_no_descent(X, np.array([theta0]), step)
 
 
 class TestFitBipartition:
