@@ -1049,13 +1049,11 @@ def _check_pair_sign() -> CheckResult:
 
 
 def _check_monotone_ascent() -> CheckResult:
+    spec = core.ar_spec(1)
     series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 120, seed=15)
-    fit = ple.fit_naive(
-        core.ar_spec(1),
-        series,
-        ple.GdConfig(track_objective=True),
-    )
-    diffs = np.diff(np.asarray(fit.objective_trace))
+    fit = ple.fit_naive(spec, series)
+    X = -core._all_pairs_deltas(spec, series, 1, series.n - 2)
+    diffs = np.diff([ple.log_pl(theta, X) for theta in fit.theta_trace])
     worst = float(diffs.min()) if len(diffs) else 0.0
     return CheckResult("objective_monotone_ascent", worst >= -1e-12, worst, -1e-12)
 

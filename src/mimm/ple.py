@@ -42,7 +42,9 @@ block by row tiles from the factored swap-delta tables
 (``core._all_pairs_deltas``), with no pair index arrays; the other fitters
 pass their index arrays to ``swap_deltas``.  A design small enough is held
 in memory as one block per chunk; a larger one is regenerated chunk by
-chunk on every pass, so memory stays bounded regardless of n.
+chunk on every pass, so memory stays bounded regardless of n.  A pilot
+builds its own rows, every 64th pair of its fitter's pair list, as the
+fitter builds the design's.
 
 Model selection: ``select_specs`` ranks candidate dependence specs by
 ``aic_pic`` on one shared design, every spec padded to the largest order and
@@ -135,7 +137,6 @@ class GdConfig:
 
     max_epochs: int = 500
     tol: float = 1e-6
-    track_objective: bool = False  # record the per-epoch objective (costs a pass)
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -170,15 +171,17 @@ class PleResult:
     ``iterations`` counts Newton passes (epochs) or, for online SGD, updates.
     ``grad_norm`` is the final per-pair-averaged gradient norm of the Newton
     fitters.  Online SGD has no convergence test, so its ``converged`` and
-    ``grad_norm`` are None.
+    ``grad_norm`` are None.  ``theta_trace`` holds the Newton fitters'
+    iterates, from the start point to the returned theta, one per accepted
+    step; online SGD records none.
 
     ``stages`` gives seconds per fit stage: ``pairs_s`` draws the pairs
     and builds their statistics (summed over passes when they are
     regenerated), ``solver_s`` is the Newton or SGD loop without pair
     building, and ``log_pl_s`` the final log-PL evaluation without pair
-    building.  The Newton fitters also report ``pilot_s``: gathering every
-    64th pair and fitting them for the start on a large design, 0.0 when
-    the design is too small for a pilot.
+    building.  The Newton fitters also report ``pilot_s``: building the
+    statistics of every 64th pair and fitting them for the start on a large
+    design, 0.0 when the design is too small for a pilot.
     """
 
     theta: np.ndarray
@@ -189,7 +192,7 @@ class PleResult:
     wall_time_s: float
     converged: bool | None
     method: str
-    objective_trace: tuple[float, ...] | None = None
+    theta_trace: tuple[tuple[float, ...], ...] | None = None
     iterations: int | None = None
     grad_norm: float | None = None
     stages: dict[str, float] | None = None
@@ -276,15 +279,14 @@ def _iter_pair_chunks(lo: int, hi: int, chunk: int):
 
 class _PairBlocks:
     """Pair-statistic blocks for the Newton solver: minus each swap-delta
-    block that ``deltas()`` yields.  Calling the object yields one pass
-    over the pairs.  A design of at most ``_MATERIALIZE_LIMIT`` statistics
-    (n_pairs * K) is built once and its blocks held; a larger one is
-    regenerated on every pass.  ``seconds`` sums the time spent building
-    blocks."""
+    block that ``deltas()`` yields at its default stride of 1.  Calling the
+    object yields one pass over the pairs.  A design of at most
+    ``_MATERIALIZE_LIMIT`` statistics (n_pairs * K) is built once and its
+    blocks held; a larger one is regenerated on every pass.  ``seconds``
+    sums the time spent building blocks."""
 
     def __init__(self, deltas, n_pairs: int, n_terms: int):
         self._deltas = deltas
-        self.n_pairs, self.n_terms = n_pairs, n_terms
         self.seconds = 0.0
         self._held = None
         self._max_row_norm = None
@@ -302,20 +304,6 @@ class _PairBlocks:
 
     def __call__(self):
         return self._held if self._held is not None else self._generate()
-
-    def every(self, stride: int) -> np.ndarray:
-        """Rows 0, stride, 2 stride, ... of the design, counted across
-        blocks, copied into one array: one strided copy per held block, or
-        one regeneration sweep that carries the stride's phase from chunk
-        to chunk."""
-        out = np.empty((-(-self.n_pairs // stride), self.n_terms))
-        pos = phase = 0
-        for X in self():
-            part = X[phase::stride]
-            out[pos : pos + len(part)] = part
-            pos += len(part)
-            phase = (phase - len(X)) % stride
-        return out
 
     def max_row_norm(self) -> float:
         """Largest Euclidean norm of a pair row, computed slice by slice on
@@ -408,13 +396,16 @@ def _fit(
 ) -> PleResult:
     """Pseudo-likelihood fit on the ``n_pairs`` pairs whose swap deltas
     ``deltas()`` yields block by block, by damped Newton ascent; an empty
-    design raises :class:`InsufficientDataError`.
+    design raises :class:`InsufficientDataError`.  ``deltas(stride)``
+    yields the swap deltas of pairs 0, stride, 2 stride, ... of the same
+    pair list, in the same order.
 
     A design of at least ``_PILOT_STRIDE * _PILOT_MIN_PAIRS`` pairs first
-    runs a pilot: this same fit, on every ``_PILOT_STRIDE``-th of its pairs,
-    with the caller's ``tol`` and ``max_epochs``, no objective tracking and
-    no warning let out.  The ascent starts from the pilot's theta if the
-    pilot converged, and from theta = 0 otherwise (and on smaller designs).
+    runs a pilot: this same fit, on ``deltas(_PILOT_STRIDE)``, with the
+    caller's ``tol`` and ``max_epochs`` and no warning let out (a pilot
+    large enough runs a pilot of its own).  The ascent starts from the
+    pilot's theta if the pilot converged, and from theta = 0 otherwise (and
+    on smaller designs).
 
     One Newton pass over the pairs is one epoch; the pilot's passes are not
     counted.  The step is the minimum-norm least-squares solution of
@@ -434,21 +425,19 @@ def _fit(
         return sum(log_pl(theta, X) for X in blocks())
 
     theta = np.zeros(spec.n_terms)
-    pilot_s = pilot_pairs_s = 0.0
+    pilot_s = 0.0
     if n_pairs >= _PILOT_STRIDE * _PILOT_MIN_PAIRS:
-        pilot_start, built = time.perf_counter(), blocks.seconds
-        rows = blocks.every(_PILOT_STRIDE)
-        pilot_config = replace(config, track_objective=False)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            pilot = _fit(spec, lambda: (np.negative(rows),), len(rows), pilot_config, method)
+            pilot = _fit(
+                spec, lambda k=1: deltas(k * _PILOT_STRIDE), -(-n_pairs // _PILOT_STRIDE), config, method
+            )
         if pilot.converged:
             theta = pilot.theta
-        pilot_s, pilot_pairs_s = time.perf_counter() - pilot_start, blocks.seconds - built
+        pilot_s = pilot.wall_time_s
     grad, info = _newton_pass(blocks, theta)
     epochs = 1
-    value = objective(theta) if config.track_objective else None
-    trace = [value] if config.track_objective else None
+    thetas, value = [tuple(theta.tolist())], None
     converged = False
     while True:
         if math.sqrt(grad @ grad) / n_pairs <= config.tol:
@@ -476,11 +465,8 @@ def _fit(
                 new_grad, new_info = _newton_pass(blocks, theta + t * step)
                 epochs += 1
         theta = theta + t * step
+        thetas.append(tuple(theta.tolist()))
         grad, info, value = new_grad, new_info, new_value
-        if trace is not None:
-            if value is None:
-                value = objective(theta)
-            trace.append(value)
         if math.sqrt(theta @ theta) > _THETA_CAP:
             warnings.warn(
                 "theta norm exceeded the divergence cap; data may be separable",
@@ -492,8 +478,8 @@ def _fit(
     if value is None:
         value = objective(theta)
     stages = {
-        "pairs_s": blocks.seconds - pilot_pairs_s,
-        "solver_s": solved - start - pilot_s - (pairs_solved - pilot_pairs_s),
+        "pairs_s": blocks.seconds,
+        "solver_s": solved - start - pilot_s - pairs_solved,
         "log_pl_s": time.perf_counter() - solved - (blocks.seconds - pairs_solved),
         "pilot_s": pilot_s,
     }
@@ -506,7 +492,7 @@ def _fit(
         wall_time_s=time.perf_counter() - start,
         converged=converged,
         method=method,
-        objective_trace=None if trace is None else tuple(trace),
+        theta_trace=tuple(thetas),
         iterations=epochs,
         grad_norm=math.sqrt(grad @ grad) / n_pairs,
         stages=stages,
@@ -524,14 +510,21 @@ def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdCon
     by row tiles straight from the factored tables, with no pair index
     arrays.  Up to 2e7 statistics (n_pairs * K) the blocks are built once
     and held; past that, every pass regenerates them one chunk at a time,
-    and the pair matrix is never held at once.
+    and the pair matrix is never held at once.  A pilot's every
+    stride-th pair in lexicographic order is mapped from its number to
+    (s1, s2) and built by one ``swap_deltas`` call.
     """
     lo, hi = _interior_bounds(spec, series)
     n_pairs = n_interior_pairs(series.n, spec.order)
 
-    def deltas():
-        for r0, r1 in _iter_pair_chunks(lo, hi, _CHUNK_PAIRS):
-            yield _all_pairs_deltas(spec, series, r0, r1)
+    def deltas(stride=1):
+        if stride == 1:
+            return (_all_pairs_deltas(spec, series, r0, r1) for r0, r1 in _iter_pair_chunks(lo, hi, _CHUNK_PAIRS))
+        rows = np.arange(lo, hi - 1, dtype=np.intp)
+        ends = np.cumsum(hi - 1 - rows)  # one past each row's last pair number
+        counts = np.diff(-(-ends // stride), prepend=0)  # pair numbers taken per row
+        s2 = np.arange(0, n_pairs, stride, dtype=np.intp) + np.repeat(hi - ends, counts)
+        return (swap_deltas(spec, series, np.repeat(rows, counts), s2),)
 
     fit = _fit(spec, deltas, n_pairs, config, "ple-naive")
     aic, pic = aic_pic(fit.log_pl, spec.n_terms, series.n, spec.order)
@@ -552,7 +545,9 @@ def fit_bipartition(
     """
     lo, hi = _interior_bounds(spec, series)
     s1, s2 = _matching(np.random.default_rng(seed), np.arange(lo, hi, dtype=np.intp))
-    return _fit(spec, lambda: (swap_deltas(spec, series, s1, s2),), len(s1), config, "ple-bipartition")
+    return _fit(
+        spec, lambda k=1: (swap_deltas(spec, series, s1[::k], s2[::k]),), len(s1), config, "ple-bipartition"
+    )
 
 
 def fit_pairs(
@@ -571,7 +566,7 @@ def fit_pairs(
     :class:`InsufficientDataError`.
     """
     _interior_bounds(spec, series)
-    return _fit(spec, lambda: (swap_deltas(spec, series, s1, s2),), np.size(s1), config, "ple-pairs")
+    return _fit(spec, lambda k=1: (swap_deltas(spec, series, s1[::k], s2[::k]),), np.size(s1), config, "ple-pairs")
 
 
 def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig = SgdConfig()) -> PleResult:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mimm import cli, core, gaussian, ple
-from mimm.exceptions import NoSolutionFoundError
+from mimm.exceptions import IllConditionedError, NoSolutionFoundError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -127,6 +127,20 @@ class TestSimulate:
         rc, _ = run_cli("simulate", "--params", str(pfile), "--n", "20", "--out", str(out))
         assert rc == 0
 
+    def test_mininfo_var1_params_file_simulates_its_classical_form(self, workspace):
+        params = gaussian.MinInfoVARParams(Theta=[[0.3, 0.1], [0.05, 0.2]], B=[[1.0, 0.2], [0.2, 0.8]])
+        pfile = workspace["tmp"] / "mi_var1.txt"
+        pfile.write_text(gaussian.params_to_text(params))
+        out = workspace["tmp"] / "mi_var1.csv"
+        rc, _ = run_cli("simulate", "--params", str(pfile), "--n", "30", "--out", str(out))
+        assert rc == 0
+        assert np.loadtxt(out, delimiter=",").shape == (30, 2)
+        meta = json.loads((workspace["tmp"] / "mi_var1.csv.meta.json").read_text())
+        written = gaussian.params_from_text("\n".join(meta["params"]))
+        expected = gaussian.mininfo_to_var1(params)
+        assert isinstance(written, gaussian.ClassicalVARParams)
+        np.testing.assert_array_equal(written.A, expected.A)
+        np.testing.assert_array_equal(written.Sigma, expected.Sigma)
 
     @pytest.mark.parametrize(
         "content, named",
@@ -167,6 +181,29 @@ class TestSimulate:
 
 
 class TestFit:
+    @pytest.mark.parametrize(
+        "error",
+        [
+            IllConditionedError("singular Fisher matrix"),
+            np.linalg.LinAlgError("SVD did not converge"),
+            NoSolutionFoundError("no maximizer"),
+        ],
+        ids=["ill-conditioned", "linalg", "no-solution"],
+    )
+    def test_numerical_failure_exits_3_without_a_result(self, workspace, monkeypatch, capsys, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(ple, "fit_naive", failing)
+        out = workspace["tmp"] / "numerical_failure.json"
+        rc, _ = run_cli(
+            "fit", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]),
+            "--estimator", "ple-naive", "--out", str(out),
+        )
+        assert rc == cli.EXIT_NUMERICAL == 3
+        assert f"numerical failure: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ple_naive_matches_library(self, workspace):
         out = workspace["tmp"] / "fit.json"
         rc, _ = run_cli(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from test_core import kron_binary_specs, random_specs
 
 from mimm import core, gaussian, mcle, oracle
-from mimm.exceptions import InsufficientInteriorError, ShapeMismatchError
+from mimm.exceptions import IllConditionedError, InsufficientInteriorError, ShapeMismatchError
 
 AR1 = gaussian.ClassicalARParams([0.5], 0.5)
 SPEC1 = core.ar_spec(1)
@@ -442,6 +442,31 @@ class TestFisherScoring:
         assert sum(fit.stages.values()) <= fit.wall_time_s
         assert len(fit.ess_trace) == len(fit.split_rhat_trace) == 4
         assert all(0.0 < ess[0] <= 1500 * math.log10(1500) for ess in fit.ess_trace)
+
+    def test_zero_covariance_takes_a_finite_step_after_the_ridge_bump(self):
+        # tr(cov) = 0 gives a zero ridge, so the first solve is singular and
+        # the ridge is raised to its floor of 1e-12: one unit of score moves
+        # theta by 1e12
+        series = gaussian.simulate_ar(AR1, 30, seed=5)
+        h_obs = mcle.total_statistic(SPEC1, series)
+        fit = mcle.fisher_scoring(
+            SPEC1,
+            series,
+            scoring_config=mcle.ScoringConfig(max_iters=1),
+            moment_fn=lambda th: (h_obs - 1.0, np.zeros((1, 1))),
+        )
+        assert np.all(np.isfinite(fit.theta))
+        assert fit.theta[0] == pytest.approx(1e12, rel=1e-12)
+
+    def test_nan_covariance_raises_ill_conditioned(self):
+        series = gaussian.simulate_ar(AR1, 30, seed=5)
+        h_obs = mcle.total_statistic(SPEC1, series)
+        with pytest.raises(IllConditionedError, match="not invertible"):
+            mcle.fisher_scoring(
+                SPEC1,
+                series,
+                moment_fn=lambda th: (h_obs - 1.0, np.full((1, 1), np.nan)),
+            )
 
     def test_exact_moments_have_no_chain_telemetry(self):
         series = gaussian.simulate_ar(AR1, 7, seed=5)

@@ -244,39 +244,62 @@ class TestFitNaive:
 
     def test_objective_never_decreases_with_small_rate(self):
         series = gaussian.simulate_ar(AR1, 150, seed=15)
-        fit = ple.fit_naive(
-            SPEC1,
-            series,
-            ple.GdConfig(max_epochs=80, track_objective=True),
-        )
-        diffs = np.diff(np.asarray(fit.objective_trace))
-        assert np.all(diffs >= -1e-12)
+        fit = ple.fit_naive(SPEC1, series, ple.GdConfig(max_epochs=80))
+        X = all_pairs_matrix(SPEC1, series)
+        trace = [ple.log_pl(theta, X) for theta in fit.theta_trace]
+        assert fit.theta_trace[-1] == tuple(fit.theta)
+        assert trace[-1] == pytest.approx(fit.log_pl, rel=1e-12)
+        assert np.all(np.diff(trace) >= -1e-12)
+
+    # a near-unit-root series with cubic monomials: theta runs to ~300,
+    # a full Newton step passes the maximum along its direction and the
+    # line search halves it
+    CUBIC_SPEC = core.DependenceSpec(
+        order=1,
+        dim=1,
+        terms=(
+            core.MonomialTerm(((0, 0, 1), (1, 0, 1))),
+            core.MonomialTerm(((0, 0, 2), (1, 0, 1))),
+            core.MonomialTerm(((0, 0, 1), (1, 0, 3))),
+        ),
+    )
+
+    @staticmethod
+    def cubic_series():
+        return gaussian.simulate_ar(gaussian.ClassicalARParams([0.97], 0.1), 16, seed=29)
 
     def test_damped_steps_keep_the_objective_monotone(self, monkeypatch):
-        # a near-unit-root series with cubic monomials: theta runs to ~300,
-        # a full Newton step passes the maximum along its direction and the
-        # line search halves it
-        spec = core.DependenceSpec(
-            order=1,
-            dim=1,
-            terms=(
-                core.MonomialTerm(((0, 0, 1), (1, 0, 1))),
-                core.MonomialTerm(((0, 0, 2), (1, 0, 1))),
-                core.MonomialTerm(((0, 0, 1), (1, 0, 3))),
-            ),
-        )
-        series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.97], 0.1), 16, seed=29)
+        series = self.cubic_series()
         calls = []
         log_pl = ple.log_pl
         monkeypatch.setattr(ple, "log_pl", lambda *args: calls.append(log_pl(*args)) or calls[-1])
-        fit = ple.fit_naive(spec, series, ple.GdConfig(track_objective=True))
+        fit = ple.fit_naive(self.CUBIC_SPEC, series)
         assert fit.converged
-        # one objective per trace entry; anything beyond is the line search
-        assert len(calls) > len(fit.objective_trace)
-        # ... and it rejected a step well below the optimum, not roundoff there
-        rejected = [v for v in calls if v not in fit.objective_trace]
-        assert min(rejected) < fit.objective_trace[-1] - 1.0
-        assert np.all(np.diff(np.asarray(fit.objective_trace)) >= -1e-12)
+        X = all_pairs_matrix(self.CUBIC_SPEC, series)
+        trace = [log_pl(theta, X) for theta in fit.theta_trace]
+        # the line search rejected a step well below the optimum, not
+        # roundoff there
+        rejected = [v for v in calls if v not in trace]
+        assert min(rejected) < trace[-1] - 1.0
+        assert np.all(np.diff(trace) >= -1e-12)
+
+    def test_budget_spent_on_a_damped_step_keeps_the_last_iterate(self, monkeypatch):
+        # the first backtrack follows pass 10, so with a 10-pass budget no
+        # pass is left for the gradient at the damped point: the fit
+        # returns the iterate before the step, with its gradient
+        series = self.cubic_series()
+        calls = []
+        log_pl = ple.log_pl
+        monkeypatch.setattr(ple, "log_pl", lambda *args: calls.append(log_pl(*args)) or calls[-1])
+        config = ple.GdConfig(max_epochs=10)
+        fit = ple.fit_naive(self.CUBIC_SPEC, series, config)
+        assert fit.iterations == config.max_epochs and not fit.converged
+        # the line search ran before the final log-PL and stepped back
+        assert len(calls) > 2 and len(fit.theta_trace) == config.max_epochs - 1
+        assert fit.theta_trace[-1] == tuple(fit.theta)
+        X = all_pairs_matrix(self.CUBIC_SPEC, series)
+        grad = X.T @ expit(-(X @ fit.theta))
+        assert fit.grad_norm == pytest.approx(np.linalg.norm(grad) / len(X), rel=1e-9)
 
     def test_streamed_fit_pass_count(self, monkeypatch):
         # a 2-epoch streamed fit reads the pairs three times: two Newton
@@ -579,25 +602,44 @@ class TestPilotStart:
     its Newton ascent from a converged fit on every 64th pair."""
 
     @pytest.mark.parametrize("chunk", [400, 5000])
-    def test_every_matches_strided_rows_held_and_streamed(self, monkeypatch, chunk):
-        series = gaussian.simulate_ar(AR1, 120, seed=5)
-        X = all_pairs_matrix(SPEC1, series)
+    def test_deltas_stride_matches_strided_rows_held_and_streamed(self, monkeypatch, chunk):
+        # each fitter's deltas(stride) is every stride-th row of its design
         monkeypatch.setattr(ple, "_CHUNK_PAIRS", chunk)
-        lo, hi = 1, series.n - 1
+        captured, fit = [], ple._fit
 
-        def deltas():
-            for r0, r1 in ple._iter_pair_chunks(lo, hi, chunk):
-                yield ple._all_pairs_deltas(SPEC1, series, r0, r1)
+        def capturing(spec, deltas, n_pairs, *rest):
+            captured.append((deltas, n_pairs))
+            return fit(spec, deltas, n_pairs, *rest)
 
-        for limit in (ple._MATERIALIZE_LIMIT, 0):
-            monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", limit)
-            blocks = ple._PairBlocks(deltas, len(X), 1)
-            for stride in (1, 7, 64):
-                np.testing.assert_array_equal(blocks.every(stride), X[::stride])
+        monkeypatch.setattr(ple, "_fit", capturing)
+        for spec, series in (
+            (SPEC1, gaussian.simulate_ar(AR1, 120, seed=5)),
+            (core.ar_spec(2), gaussian.simulate_ar(gaussian.ClassicalARParams([0.5, 0.3], 0.5), 120, seed=6)),
+            (core.kron_spec(2, [(1, 1, 1)]), binary_real_series(120, 7)),
+        ):
+            X = all_pairs_matrix(spec, series)
+            s1, s2 = np.triu_indices(series.n - 2 * spec.order, 1)
+            s1, s2 = s1[::3] + spec.order, s2[::3] + spec.order
+            captured.clear()
+            ple.fit_naive(spec, series)
+            ple.fit_pairs(spec, series, s1, s2)
+            ple.fit_bipartition(spec, series, seed=4)
+            designs = (X, X[::3], None)
+            for limit in (ple._MATERIALIZE_LIMIT, 0):
+                monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", limit)
+                for (deltas, n_pairs), design in zip(captured, designs):
+                    full = np.vstack(tuple(ple._PairBlocks(deltas, n_pairs, spec.n_terms)()))
+                    if design is not None:
+                        np.testing.assert_array_equal(full, design)
+                    for stride in (1, 7, 64):
+                        rows = -(-n_pairs // stride)
+                        blocks = ple._PairBlocks(lambda: deltas(stride), rows, spec.n_terms)
+                        np.testing.assert_array_equal(np.vstack(tuple(blocks())), full[::stride])
 
     def test_held_and_streamed_fits_bitwise_equal_with_the_pilot(self, monkeypatch):
-        # 400-pair chunks are no multiple of the stride, so the pilot's rows
-        # straddle chunk edges; the 692-pair pilot runs a pilot of its own
+        # 400-pair chunks are no multiple of the stride, so the pilot's
+        # pairs fall at every offset within the design's chunks; the
+        # 692-pair pilot runs a pilot of its own
         series = gaussian.simulate_ar(AR1, 300, seed=16)
         monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 8)
         monkeypatch.setattr(ple, "_CHUNK_PAIRS", 400)
@@ -649,8 +691,8 @@ class TestPilotStart:
         x = np.where(np.arange(4096) % 4 == 3, -1.0, 1.0)
         x[::64] = 1e-3
 
-        def deltas():
-            return (-x[:, None],)
+        def deltas(stride=1):
+            return (-x[::stride, None],)
 
         monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 64)
         results = spy_fits(monkeypatch)
