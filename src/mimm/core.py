@@ -365,23 +365,19 @@ class TimeSeries:
         return f"TimeSeries(n={self.n}, p={self.p}, kinds={self.kinds})"
 
     @classmethod
-    def from_csv(cls, path, kinds=None, header="auto") -> "TimeSeries":
+    def from_csv(cls, path, kinds=None) -> "TimeSeries":
         """Load a CSV with one row per time step and p numeric columns.
 
-        ``header='auto'`` skips the first line when it does not parse as
+        The first line is skipped as a header when it does not parse as
         numbers.  Column kinds come from the caller (e.g. a sidecar config);
         the default is all-real.
         """
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline()
         skip = 0
-        if header == "auto":
-            tokens = [tok for tok in first.strip().split(",") if tok != ""]
-            try:
-                [float(tok) for tok in tokens]
-            except ValueError:
-                skip = 1
-        elif header is True:
+        try:
+            [float(tok) for tok in first.strip().split(",") if tok != ""]
+        except ValueError:
             skip = 1
         data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
         return cls(data, kinds=kinds)

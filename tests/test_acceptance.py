@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from mimm import cli, core, gaussian, mcle, oracle, ple
+from mimm import cli, core, gaussian, mcle, oracle, ple, verify
 
 AR1 = gaussian.ClassicalARParams([0.5], 0.5)
 SPEC1 = core.ar_spec(1)
@@ -338,7 +338,7 @@ def test_criterion_09_information_criteria_and_selection(tmp_path):
 
 def test_criterion_10_verify_gate():
     start = time.perf_counter()
-    results = list(cli.run_verify_checks())
+    results = list(verify.run_checks())
     elapsed = time.perf_counter() - start
     failures = [c.name for c in results if not c.passed]
     names = {c.name for c in results}

@@ -1,6 +1,7 @@
 """Command-line surface: simulate, fit, select, benchmark, verify."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -159,6 +160,19 @@ class TestSimulate:
         assert rc == cli.EXIT_VALIDATION
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_file_null_keeps_the_default(self, workspace):
+        conf = workspace["tmp"] / "null_sim.json"
+        conf.write_text(json.dumps({"burn_in": None, "seed": None}))
+        out = workspace["tmp"] / "null_sim.csv"
+        ar = ["simulate", "--ar", "0.5", "--sigma2", "0.5", "--n", "600"]
+        assert run_cli(*ar, "--config", str(conf), "--out", str(out))[0] == 0
+        meta = json.loads((workspace["tmp"] / "null_sim.csv.meta.json").read_text())
+        assert meta["burn_in"] == 0 and meta["seed"] == 0
+        # the run of the built-in seed 0 and burn-in 0
+        again = workspace["tmp"] / "null_sim_flags.csv"
+        assert run_cli(*ar, "--seed", "0", "--out", str(again))[0] == 0
+        assert out.read_text() == again.read_text()
 
     @pytest.mark.parametrize(
         "text, named",
@@ -387,6 +401,18 @@ class TestFit:
         assert result["config"]["eta"] == 0.01  # flag wins over file
         assert result["config"]["iters"] == 500
 
+    def test_config_file_null_seed_keeps_the_default(self, workspace):
+        conf = workspace["tmp"] / "null_seed.json"
+        conf.write_text(json.dumps({"seed": None}))
+        fit = ["fit", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"])]
+        fit += ["--estimator", "ple-bipartition"]
+        results = []
+        for i, extra in enumerate((["--config", str(conf)], ["--config", str(conf)], ["--seed", "0"])):
+            out = workspace["tmp"] / f"null_seed_{i}.json"
+            assert run_cli(*fit, *extra, "--out", str(out))[0] == 0
+            results.append(json.loads(out.read_text()))
+        assert [r["config"]["seed"] for r in results] == [0, 0, 0]
+        assert results[0]["theta"] == results[1]["theta"] == results[2]["theta"]
 
     @pytest.mark.parametrize(
         "content, named",
@@ -428,6 +454,23 @@ class TestSelect:
         assert rc == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert rows[0][1:5] == rows[1][1:5]
+
+    def test_csv_quotes_a_spec_path_with_a_comma(self, workspace):
+        odd = workspace["tmp"] / 'a,1 "x".spec'
+        odd.write_text(workspace["spec1"].read_text())
+        out = workspace["tmp"] / "quoted.csv"
+        rc, _ = run_cli(
+            "select", "--data", str(workspace["data"]),
+            "--spec", str(workspace["spec1"]), "--spec", str(odd), "--seed", "1", "--out", str(out),
+        )
+        assert rc == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            plain, quoted = csv.DictReader(fh)
+        assert quoted["spec"] == str(odd)
+        assert quoted["error"] == "" and quoted["best_aic"] in ("True", "False")
+        # the same spec, so the same scores, read from the same columns
+        for key in ("K", "log_pl", "aic", "pic"):
+            assert quoted[key] == plain[key] != ""
 
     @pytest.mark.parametrize(
         "option",
@@ -735,8 +778,22 @@ class TestBenchmark:
         prefix = workspace["tmp"] / "bench_var"
         rc, _ = run_cli("benchmark", "--manifest", str(man), "--out", str(prefix))
         assert rc == 0
-        rows = (prefix.parent / "bench_var.csv").read_text().splitlines()[1:]
-        assert all(row.split(",")[6] == '"ok"' for row in rows)
+        with open(prefix.parent / "bench_var.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 and all(row["status"] == "ok" for row in rows)
+
+    def test_csv_quotes_a_label_with_a_comma(self, workspace):
+        label = 'AR(1), "short"'
+        cell = {"label": label, "model": {"kind": "ar", "phi": [0.5], "sigma2": 0.5}, "n": 100, "estimators": ["mle"]}
+        man = workspace["tmp"] / "man_label.json"
+        man.write_text(json.dumps({"seed": 1, "repetitions": 2, "cells": [cell]}))
+        prefix = workspace["tmp"] / "bench_label"
+        rc, _ = run_cli("benchmark", "--manifest", str(man), "--out", str(prefix))
+        assert rc == 0
+        with open(prefix.parent / "bench_label.csv", newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["label"] == label and row["estimator"] == "mle" and row["status"] == "ok"
+        assert row["reps"] == "2" and 0.0 <= float(row["mean_error"]) < 1.0 and row["pairs_s"] == ""
 
     @staticmethod
     def one_cell_manifest(path):
@@ -783,6 +840,19 @@ class TestBenchmark:
         assert not (prefix.parent / "bench_bug.csv").exists()
 
 
+# every check of ``mimm verify``, in report order
+VERIFY_CHECKS = [
+    "transform_anchor_values", "roundtrip_ar1", "roundtrip_ar2", "roundtrip_ard", "roundtrip_var1",
+    "riccati_residual", "fisher_info_quadrature", "fisher_orthogonality", "pythagorean_identity",
+    "divergence_nonnegative", "swap_delta_recompute", "swap_deltas_batch", "all_pairs_design",
+    "exchange_step_factored", "exchange_step_near", "eval_multilinearity", "statistic_reversal_invariance",
+    "permutation_invariant_remainder", "conditional_law_normalization", "detailed_balance_log_ratio",
+    "zero_theta_acceptance", "score_zero_mean_at_truth", "enumeration_equivalence", "logpl_zero_value",
+    "logpl_gradient_fd", "logistic_pass_blocked", "pair_statistic_sign", "objective_monotone_ascent",
+    "newton_pilot_start", "estimator_consistency_ordering",
+]
+
+
 class TestVerify:
     def test_fault_injection_breaks_roundtrip(self, workspace, monkeypatch):
         exact = gaussian.mininfo_to_var1
@@ -799,8 +869,7 @@ class TestVerify:
         report = json.loads(out.read_text())
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "roundtrip_var1" in failed
-        assert len(report["checks"]) == 30
-        assert {"roundtrip_ard", "exchange_step_near", "newton_pilot_start"} <= {c["name"] for c in report["checks"]}
+        assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
 
     def test_riccati_rtol_flag_is_gone(self, workspace):
         out = workspace["tmp"] / "verify_flag.json"
@@ -821,5 +890,12 @@ class TestVerify:
 def test_cli_import_does_not_load_scipy_optimize():
     # every benchmark job's setup time includes importing the CLI
     code = "import sys, mimm.cli; sys.exit('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_does_not_load_verify():
+    # only `mimm verify` runs the checks; the other commands skip their import
+    code = "import sys, mimm.cli; sys.exit('mimm.verify' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
