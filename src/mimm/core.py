@@ -51,6 +51,7 @@ from .exceptions import (
     BoundaryViolationError,
     DegenerateScaleError,
     InsufficientDataError,
+    InsufficientInteriorError,
     ShapeMismatchError,
 )
 
@@ -188,8 +189,8 @@ class DependenceSpec:
         return "\n".join(term.label() for term in self.terms) + "\n"
 
     @classmethod
-    def from_text(cls, text: str, order: int | None = None, dim: int | None = None) -> "DependenceSpec":
-        """Parse the line format; order/dim default to the smallest valid values."""
+    def from_text(cls, text: str) -> "DependenceSpec":
+        """Parse the line format; order and dim are the smallest valid values."""
         terms = tuple(
             MonomialTerm.parse(line)
             for line in text.splitlines()
@@ -197,16 +198,14 @@ class DependenceSpec:
         )
         if not terms:
             raise ValueError("no terms found in spec text")
-        if order is None:
-            order = max(term.max_lag for term in terms)
-        if dim is None:
-            dim = 1 + max(comp for term in terms for _, comp, _ in term.factors)
+        order = max(term.max_lag for term in terms)
+        dim = 1 + max(comp for term in terms for _, comp, _ in term.factors)
         return cls(order=order, dim=dim, terms=terms)
 
     @classmethod
-    def load(cls, path, order=None, dim=None) -> "DependenceSpec":
+    def load(cls, path) -> "DependenceSpec":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read(), order=order, dim=dim)
+            return cls.from_text(fh.read())
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -382,10 +381,8 @@ class TimeSeries:
         data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
         return cls(data, kinds=kinds)
 
-    def to_csv(self, path, header=None) -> None:
+    def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            if header:
-                fh.write(",".join(header) + "\n")
             for row in self.data:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
@@ -399,6 +396,16 @@ def _check_series(spec: DependenceSpec, series: TimeSeries) -> None:
         raise InsufficientDataError(
             f"series length {series.n} < order + 1 = {spec.order + 1}"
         )
+
+
+def _interior_bounds(spec: DependenceSpec, series: TimeSeries) -> tuple[int, int]:
+    d = spec.order
+    m = series.n - 2 * d
+    if m < 2:
+        raise InsufficientInteriorError(
+            f"need at least 2 interior positions, got {m} (n={series.n}, d={d})"
+        )
+    return d, series.n - d  # half-open [lo, hi)
 
 
 def window_statistics(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:

@@ -631,12 +631,12 @@ def ar1_fisher_info(theta: float, tau2: float) -> np.ndarray:
     return np.array([[g_theta, 0.0], [0.0, g_tau2]])
 
 
-def kernel_from_ar1(params: ClassicalARParams, stationary: bool = True) -> GaussianKernel:
-    """Package an AR(1) as a conditionally Gaussian kernel."""
+def kernel_from_ar1(params: ClassicalARParams) -> GaussianKernel:
+    """Package a stationary AR(1) as a conditionally Gaussian kernel."""
     if params.order != 1:
         raise ShapeMismatchError(f"expected AR(1), got order {params.order}")
     phi = float(params.phi[0])
-    cov = [[params.sigma2 / (1.0 - phi**2)]] if stationary else None
+    cov = [[params.sigma2 / (1.0 - phi**2)]]
     return GaussianKernel(mean_map=[[phi]], noise_cov=[[params.sigma2]], stationary_cov=cov)
 
 

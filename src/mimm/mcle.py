@@ -42,11 +42,11 @@ import numpy as np
 from .core import (
     DependenceSpec,
     TimeSeries,
+    _interior_bounds,
     total_statistic,
 )
 from .exceptions import (
     IllConditionedError,
-    InsufficientInteriorError,
     ShapeMismatchError,
 )
 
@@ -481,13 +481,9 @@ def exchange_sample(
     recorded at step r is that of the last event at or before r.
     """
     theta = _validate_theta(spec, theta)
-    d = spec.order
+    d, hi = _interior_bounds(spec, series)
     n = series.n
-    m = n - 2 * d
-    if m < 2:
-        raise InsufficientInteriorError(
-            f"need at least 2 interior positions, got {m} (n={n}, d={d})"
-        )
+    m = hi - d
     if rng is None:
         rng = np.random.default_rng(config.seed)
 

@@ -46,23 +46,29 @@ _CLE_TOL = 1e-10
 _CLE_MAX_ITERS = 200
 
 
+def _lag_regression(X: np.ndarray, d: int):
+    """Least squares of X[d:] on its d lags with the first d observations
+    held fixed: the coefficients (lag k's block in rows (k-1) p to k p) and
+    the residuals.  X is the 1-D series or the (n, p) data."""
+    n = len(X)
+    if n < 2 * d + 2:
+        raise InsufficientDataError(f"need n >= 2d + 2 = {2 * d + 2}, got {n}")
+    Y = X[d:]
+    design = np.column_stack([X[d - k : n - k] for k in range(1, d + 1)])
+    if np.linalg.matrix_rank(design) < design.shape[1]:
+        raise RankError("lag design matrix is rank deficient")
+    coef, _, _, _ = np.linalg.lstsq(design, Y, rcond=None)
+    return coef, Y - design @ coef
+
+
 def mle_ols_ar(series: TimeSeries, d: int):
     """Conditional maximum likelihood for a zero-mean AR(d): least squares of
     x_t on its d lags with the first d observations held fixed, noise variance
     RSS / (n - d).  Returns classical and minimum-information records."""
     if series.p != 1:
         raise ShapeMismatchError(f"univariate series expected, got p={series.p}")
-    n = series.n
-    if n < 2 * d + 2:
-        raise InsufficientDataError(f"need n >= 2d + 2 = {2 * d + 2}, got {n}")
-    x = series.data[:, 0]
-    y = x[d:]
-    design = np.column_stack([x[d - i : n - i] for i in range(1, d + 1)])
-    if np.linalg.matrix_rank(design) < d:
-        raise RankError("lag design matrix is rank deficient")
-    phi, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    rss = float(np.sum((y - design @ phi) ** 2))
-    sigma2 = rss / (n - d)
+    phi, resid = _lag_regression(series.data[:, 0], d)
+    sigma2 = float(np.sum(resid**2)) / (series.n - d)
     classical = gaussian.ClassicalARParams(phi=phi, sigma2=sigma2)
     return classical, gaussian.ard_to_mininfo(classical)
 
@@ -70,17 +76,9 @@ def mle_ols_ar(series: TimeSeries, d: int):
 def mle_ols_var(series: TimeSeries, d: int):
     """Multivariate analog of :func:`mle_ols_ar`; the minimum-information
     record is filled for d = 1 (None otherwise)."""
-    n, p = series.n, series.p
-    if n < 2 * d + 2:
-        raise InsufficientDataError(f"need n >= 2d + 2 = {2 * d + 2}, got {n}")
-    X = series.data
-    Y = X[d:]
-    design = np.concatenate([X[d - k : n - k] for k in range(1, d + 1)], axis=1)
-    if np.linalg.matrix_rank(design) < d * p:
-        raise RankError("lag design matrix is rank deficient")
-    coef, _, _, _ = np.linalg.lstsq(design, Y, rcond=None)
-    resid = Y - design @ coef
-    Sigma = resid.T @ resid / (n - d)
+    p = series.p
+    coef, resid = _lag_regression(series.data, d)
+    Sigma = resid.T @ resid / (series.n - d)
     A = np.stack([coef[k * p : (k + 1) * p].T for k in range(d)])
     classical = gaussian.ClassicalVARParams(A=A, Sigma=Sigma)
     mininfo = gaussian.var1_to_mininfo(classical) if d == 1 else None

@@ -68,6 +68,7 @@ from .core import (  # noqa: F401  window_statistics: bench/tracing.py wraps it 
     DependenceSpec,
     TimeSeries,
     _all_pairs_deltas,
+    _interior_bounds,
     swap_deltas,
     window_statistics,
 )
@@ -216,16 +217,6 @@ class PleResult:
             "grad_norm": None if self.grad_norm is None else float(self.grad_norm),
             "stages": None if self.stages is None else {k: float(v) for k, v in self.stages.items()},
         }
-
-
-def _interior_bounds(spec: DependenceSpec, series: TimeSeries) -> tuple[int, int]:
-    d = spec.order
-    m = series.n - 2 * d
-    if m < 2:
-        raise InsufficientInteriorError(
-            f"need at least 2 interior positions, got {m} (n={series.n}, d={d})"
-        )
-    return d, series.n - d  # half-open [lo, hi)
 
 
 def n_interior_pairs(n: int, d: int) -> int:

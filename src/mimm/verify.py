@@ -138,7 +138,7 @@ def _check_divergence_nonneg() -> CheckResult:
         phi_p, phi_q = rng.uniform(-0.9, 0.9, size=2)
         s_p, s_q = rng.uniform(0.1, 2.0, size=2)
         p = gaussian.kernel_from_ar1(gaussian.ClassicalARParams([phi_p], s_p))
-        q = gaussian.kernel_from_ar1(gaussian.ClassicalARParams([phi_q], s_q), stationary=False)
+        q = gaussian.kernel_from_ar1(gaussian.ClassicalARParams([phi_q], s_q))
         worst = min(worst, gaussian.divergence_rate(p, q))
     self_div = gaussian.divergence_rate(p, p)
     ok = worst >= -1e-12 and abs(self_div) < 1e-12

@@ -135,7 +135,7 @@ class TestTimeSeries:
     def test_csv_round_trip(self, tmp_path):
         series = core.TimeSeries(np.random.default_rng(1).standard_normal((17, 2)))
         path = tmp_path / "series.csv"
-        series.to_csv(path, header=("a", "b"))
+        series.to_csv(path)
         loaded = core.TimeSeries.from_csv(path)
         np.testing.assert_array_equal(loaded.data, series.data)
 

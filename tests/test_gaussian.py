@@ -548,13 +548,12 @@ class TestDivergenceRate:
                 gaussian.ClassicalARParams([rng.uniform(-0.9, 0.9)], rng.uniform(0.1, 2.0))
             )
             qk = gaussian.kernel_from_ar1(
-                gaussian.ClassicalARParams([rng.uniform(-0.9, 0.9)], rng.uniform(0.1, 2.0)),
-                stationary=False,
+                gaussian.ClassicalARParams([rng.uniform(-0.9, 0.9)], rng.uniform(0.1, 2.0))
             )
             assert gaussian.divergence_rate(pk, qk) >= -1e-12
 
     def test_missing_stationary_law_rejected(self):
-        p = gaussian.kernel_from_ar1(gaussian.ClassicalARParams([0.5], 0.5), stationary=False)
+        p = gaussian.GaussianKernel([[0.5]], [[0.5]])
         with pytest.raises(ContractError):
             gaussian.divergence_rate(p, p)
 

@@ -194,6 +194,15 @@ def _kron_binary_case():
     return spec, series, 0.3 * rng.standard_normal(spec.n_terms)
 
 
+def _wide_kron_case():
+    # K = 289 terms: the generated kernel's log-ratio sums run past one
+    # line (at most 256 terms a line)
+    rng = np.random.default_rng(22)
+    spec = core.kron_spec(17, [(1, 1, 1)])
+    series = core.TimeSeries(rng.standard_normal((12, 17)))
+    return spec, series, 0.05 * rng.standard_normal(spec.n_terms)
+
+
 def _ar_case(phi, n, seed):
     params = gaussian.ClassicalARParams(phi, 0.5)
     series = gaussian.simulate_ar(params, n, seed=seed)
@@ -242,8 +251,12 @@ class TestChainEquivalence:
             # past the refresh at 8192, burn-in not a multiple of thin
             (_ar_case([0.5], 60, 5), mcle.ExchangeConfig(n_samples=4200, burn_in=7, thin=2, seed=16)),
             (_ar_case([0.5, 0.3], 60, 6), mcle.ExchangeConfig(n_samples=2800, burn_in=5, thin=3, seed=17)),
+            (_wide_kron_case(), mcle.ExchangeConfig(n_samples=300, seed=19)),
         ],
-        ids=["ar1", "ar2", "kron-binary", "thin3-no-burn-in", "long", "thin2-odd-burn-in", "thin3-burn-in-5"],
+        ids=[
+            "ar1", "ar2", "kron-binary", "thin3-no-burn-in", "long", "thin2-odd-burn-in", "thin3-burn-in-5",
+            "kron-289-terms",
+        ],
     )
     def test_same_chain_as_scalar_reference(self, case, config):
         spec, series, theta = case

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, linprog, minimize
 from scipy.special import expit
 
 from mimm import core, gaussian, ple
@@ -301,6 +301,33 @@ class TestFitNaive:
         grad = X.T @ expit(-(X @ fit.theta))
         assert fit.grad_norm == pytest.approx(np.linalg.norm(grad) / len(X), rel=1e-9)
 
+    def test_no_ascent_along_the_step_keeps_the_last_iterate(self, monkeypatch):
+        # with no certificate and every trial point read below the base,
+        # the line search after the first overshoot (pass 8 here, pass 10
+        # with the certificate) halves down to its smallest step and gives
+        # up: the fit returns the iterate before the step, unconverged,
+        # with its log-PL and gradient
+        series = self.cubic_series()
+        log_pl = ple.log_pl
+        seen = []  # the base value is read first
+
+        def lowered(theta, X):
+            seen.append(theta.copy())
+            return log_pl(theta, X) if np.array_equal(theta, seen[0]) else -math.inf
+
+        monkeypatch.setattr(ple, "_certified", lambda *args: False)
+        monkeypatch.setattr(ple, "log_pl", lowered)
+        fit = ple.fit_naive(self.CUBIC_SPEC, series)
+        assert not fit.converged
+        # one pass per accepted iterate, then the overshoot's pass
+        assert fit.iterations == len(fit.theta_trace) + 1 < ple.GdConfig().max_epochs
+        assert len(seen) > 2  # the base and at least two trial points
+        assert fit.theta_trace[-1] == tuple(fit.theta) == tuple(seen[0])
+        X = all_pairs_matrix(self.CUBIC_SPEC, series)
+        assert fit.log_pl == pytest.approx(log_pl(fit.theta, X), rel=1e-12)
+        grad = X.T @ expit(-(X @ fit.theta))
+        assert fit.grad_norm == pytest.approx(np.linalg.norm(grad) / len(X), rel=1e-9)
+
     def test_streamed_fit_pass_count(self, monkeypatch):
         # a 2-epoch streamed fit reads the pairs three times: two Newton
         # passes and the final objective
@@ -378,36 +405,60 @@ def binary_real_series(n, seed):
     return core.TimeSeries(np.column_stack([b.astype(float), z]), kinds=("binary", "real"))
 
 
+def ar_series(d, n, seed):
+    params = gaussian.ClassicalARParams([0.5] if d == 1 else [0.5, 0.3], 0.5)
+    return gaussian.simulate_ar(params, n, seed=seed)
+
+
+def separable(X):
+    """Whether some e has X e >= 0 on every row and 1'X e = 1, so that the
+    log-PL rises along e without bound and has no maximizer; decided by an
+    LP (HiGHS)."""
+    N, K = X.shape
+    lp = linprog(
+        np.zeros(K), A_ub=-X, b_ub=np.zeros(N), A_eq=X.sum(axis=0)[None], b_eq=[1.0],
+        bounds=(None, None), method="highs",
+    )
+    assert lp.status in (0, 2), lp.message  # feasible or infeasible, nothing else
+    return lp.status == 0
+
+
+# The design strategies return the length and seed they drew, not the
+# series, so that a falsifying example names a reproducible input.
+
+
 @st.composite
 def ar_designs(draw):
-    """AR(1)/AR(2) data with lag monomials x_t^a x_{t-l}^b, a, b <= 3."""
+    """AR(1)/AR(2) lag monomials x_t^a x_{t-l}^b, a, b <= 3, with the length
+    and seed of an :func:`ar_series`."""
     d = draw(st.integers(1, 2))
     exponents = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=d, max_size=d))
     terms = tuple(
         core.MonomialTerm(((0, 0, a), (lag, 0, b))) for lag, (a, b) in enumerate(exponents, start=1)
     )
-    params = gaussian.ClassicalARParams([0.5] if d == 1 else [0.5, 0.3], 0.5)
-    series = gaussian.simulate_ar(params, draw(st.integers(30, 70)), seed=draw(st.integers(0, 2**32 - 1)))
-    return core.DependenceSpec(order=d, dim=1, terms=terms), series
+    spec = core.DependenceSpec(order=d, dim=1, terms=terms)
+    return spec, draw(st.integers(30, 70)), draw(st.integers(0, 2**32 - 1))
 
 
 @st.composite
 def binary_kron_designs(draw):
-    """p = 2 kron specs on a binary/real series; any squared block makes
-    columns collinear (b**2 == b)."""
+    """p = 2 kron specs with the length and seed of a
+    :func:`binary_real_series`; any squared block makes columns collinear
+    (b**2 == b)."""
     extra = draw(st.lists(st.sampled_from([(1, 1, 2), (1, 2, 1), (1, 2, 2)]), unique=True))
     spec = core.kron_spec(2, [(1, 1, 1), *extra])
-    return spec, binary_real_series(draw(st.integers(40, 80)), draw(st.integers(0, 2**32 - 1)))
+    return spec, draw(st.integers(40, 80)), draw(st.integers(0, 2**32 - 1))
 
 
 class TestNewtonAgainstBfgs:
     """The Newton fit against scipy BFGS from theta = 0 on -log_pl.  BFGS
     from 0 stays in the row space of the pair matrix, so on rank-deficient
-    designs both land on the same (minimum-norm) maximizer.  A BFGS run
-    that reports failure only bounds the supremum from below: the log-PL is
-    concave, so the Newton fit must reach its value, up to what the
-    stopping rule leaves (on a separable design the log-PL still rises along
-    the separating direction by about the stopping gradient, N * tol)."""
+    designs both land on the same (minimum-norm) maximizer.  On a separable
+    design there is no maximizer, and on any design a BFGS run that reports
+    failure only bounds the supremum from below: the log-PL is concave, so
+    the Newton fit must reach the BFGS value, up to what the stopping rule
+    leaves (on a separable design the log-PL still rises along the
+    separating direction by about the stopping gradient, N * tol)."""
 
     @staticmethod
     def check(spec, series):
@@ -422,7 +473,7 @@ class TestNewtonAgainstBfgs:
             options={"gtol": 1e-10 * len(X), "maxiter": 10_000},
         )
         assert fit.converged
-        if oracle.success:
+        if oracle.success and not separable(X):
             assert np.linalg.norm(fit.theta - oracle.x) <= 1e-5 * (1.0 + np.linalg.norm(fit.theta))
             assert fit.log_pl == pytest.approx(-oracle.fun, rel=1e-8)
         else:
@@ -432,12 +483,14 @@ class TestNewtonAgainstBfgs:
     @settings(max_examples=25, deadline=None)
     @given(ar_designs())
     def test_ar_specs(self, design):
-        self.check(*design)
+        spec, n, seed = design
+        self.check(spec, ar_series(spec.order, n, seed))
 
     @settings(max_examples=25, deadline=None)
     @given(binary_kron_designs())
     def test_binary_kron_specs(self, design):
-        self.check(*design)
+        spec, n, seed = design
+        self.check(spec, binary_real_series(n, seed))
 
     @pytest.mark.parametrize("seed, negative", [(99, 12), (209, 0)], ids=["near-separable", "separable"])
     def test_binary_kron_design_where_bfgs_fails(self, seed, negative):
@@ -447,8 +500,21 @@ class TestNewtonAgainstBfgs:
         # precision loss in both.
         spec = core.kron_spec(2, [(1, 1, 1)])
         series = binary_real_series(40, seed)
-        assert np.sum(all_pairs_matrix(spec, series)[:, 0] < 0) == negative
+        X = all_pairs_matrix(spec, series)
+        assert np.sum(X[:, 0] < 0) == negative
+        assert separable(X) == (negative == 0)
         assert not self.check(spec, series).success
+
+    def test_separable_binary_kron_design_where_bfgs_succeeds(self):
+        # column 0 is >= 0 on all 703 pairs, so theta_0 has no finite
+        # maximizer; BFGS reports success at 36.2 where Newton stops at
+        # 20.2, and only the log-PL bound holds
+        spec = core.kron_spec(2, [(1, 1, 1)])
+        series = binary_real_series(40, 1035)
+        assert separable(all_pairs_matrix(spec, series))
+        oracle = self.check(spec, series)
+        assert oracle.success
+        assert oracle.x[0] > ple.fit_naive(spec, series, ple.GdConfig(tol=1e-9)).theta[0] + 10.0
 
     def test_full_step_below_the_objective_rounding_converges(self):
         # the full Newton step (4.2e-9) raises the log-PL by about 3e-15,
