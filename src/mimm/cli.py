@@ -625,8 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
             "estimate dependence weights (OLS reference, exchange-MCMC "
             "conditional likelihood, pseudo-likelihood variants), select "
             "dependence functions by AIC/PIC, and reproduce benchmark tables. "
-            "Standard scaling, where used, follows the population (divide by n) "
-            "convention."
+            "Fits use the data as given; no command rescales it."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

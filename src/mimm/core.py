@@ -31,7 +31,10 @@ The all-pairs design (every interior pair in lexicographic order) needs no
 pair indices at all: for a tile of rows s1 the far pairs of every s2 > s1
 are one broadcast per group of the same tables, ``(S_g[s1] - S_g[s2]) *
 (Phi_g[s2] - Phi_g[s1])``, and the tile's upper triangle is compressed
-into the design (:func:`_all_pairs_deltas`).
+into the design (:func:`_all_pairs_deltas`).  Interior pairs are numbered
+and drawn here alone: :func:`_all_pairs_blocks` cuts that design into
+blocks, and :func:`_uniform_pairs` draws online SGD's and the exchange
+sampler's pairs.
 
 All containers are immutable after construction and safe to share across
 threads; every operation is a pure function.  Statistic summation relies on
@@ -518,6 +521,7 @@ def _factored_tables(table: MonomialTable, X: np.ndarray, positions: np.ndarray,
 
 
 # pairs per block of the far-pair sweep: its temporaries stay in cache
+# (unblocked, 1e5 SGD pairs at n = 1e4 took 3.7 ms against 1.9 ms)
 _SWAP_BLOCK = 1 << 14
 
 
@@ -545,10 +549,11 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
     the tables S and Phi are built once per call, over every position in
     the pairs' span when the batch is dense in it and over the touched
     positions otherwise, and each pair row costs a few 1-d ``take``s per
-    term.  Near pairs re-evaluate their overlapping windows directly.  Used
-    by ``fit_bipartition``, ``fit_pairs`` (and so ``select_specs``) and
-    ``fit_online_sgd``; ``fit_naive`` builds its all-pairs design with
-    :func:`_all_pairs_deltas` instead, bitwise equal on the same pairs.
+    term (whole-span tables made ``select_specs`` 2.4x slower at n = 2e4).
+    Near pairs re-evaluate their overlapping windows directly.  Used by
+    ``fit_bipartition``, ``fit_pairs``, ``fit_online_sgd`` and pilots;
+    ``fit_naive``'s full design is built by :func:`_all_pairs_deltas`
+    instead, bitwise equal on the same pairs.
     Agrees with :func:`swap_delta` to ~1e-12 (summation order differs).
     """
     _check_series(spec, series)
@@ -646,6 +651,41 @@ def _all_pairs_deltas(spec: DependenceSpec, series: TimeSeries, r0: int, r1: int
     at = (ends - (hi - 1 - s1))[:, None] + np.arange(d)
     out[at[near]] = _near_deltas(table, X, np.broadcast_to(s1[:, None], s2.shape)[near], s2[near])
     return out
+
+
+def _all_pairs_blocks(spec: DependenceSpec, series: TimeSeries, chunk: int, stride: int = 1):
+    """Lazily, the swap-delta blocks of pairs 0, stride, 2 stride, ... of
+    the all-pairs design.  At stride 1 a block is a chunk of whole rows (one
+    s1 with every s2 > s1), closed at the first row that brings it to at
+    least ``chunk`` pairs and built by :func:`_all_pairs_deltas`; a larger
+    stride maps the kept pair numbers to (s1, s2) for one :func:`swap_deltas`
+    call."""
+    lo, hi = _interior_bounds(spec, series)
+    if stride == 1:
+        r0, count = lo, 0
+        for s1 in range(lo, hi - 1):
+            count += hi - 1 - s1
+            if count >= chunk:
+                yield _all_pairs_deltas(spec, series, r0, s1 + 1)
+                r0, count = s1 + 1, 0
+        if count:
+            yield _all_pairs_deltas(spec, series, r0, hi - 1)
+        return
+    rows = np.arange(lo, hi - 1, dtype=np.intp)
+    ends = np.cumsum(hi - 1 - rows)  # one past each row's last pair number
+    counts = np.diff(-(-ends // stride), prepend=0)  # pair numbers taken per row
+    s2 = np.arange(0, int(ends[-1]), stride, dtype=np.intp) + np.repeat(hi - ends, counts)
+    yield swap_deltas(spec, series, np.repeat(rows, counts), s2)
+
+
+def _uniform_pairs(rng: np.random.Generator, lo: int, hi: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` independent uniform unordered pairs of distinct positions in
+    [lo, hi), as (smaller, larger) arrays: a uniform over the m = hi - lo
+    positions, then b uniform over the m - 1 others, built in place."""
+    a = rng.integers(lo, hi, size=size)
+    b = rng.integers(lo, hi - 1, size=size)
+    b += b >= a
+    return np.minimum(a, b), np.maximum(a, b, out=b)
 
 
 def standard_scale(series: TimeSeries) -> TimeSeries:

@@ -68,6 +68,8 @@ __all__ = [
     "params_from_text",
 ]
 
+_SYM_TOL = 1e-12  # largest |M - M'| of a covariance, relative to max(1, max |M|)
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)
@@ -101,12 +103,12 @@ def _spectral_radius(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
-def _check_spd(mat: np.ndarray, name: str, sym_tol: float = 1e-12) -> None:
+def _check_spd(mat: np.ndarray, name: str) -> None:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(f"{name} must be square, got shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.T).max() > sym_tol * scale:
-        raise ParameterDomainError(f"{name} is not symmetric within {sym_tol}")
+    if np.abs(mat - mat.T).max() > _SYM_TOL * scale:
+        raise ParameterDomainError(f"{name} is not symmetric within {_SYM_TOL}")
     if np.min(np.linalg.eigvalsh((mat + mat.T) / 2.0)) <= 0.0:
         raise ParameterDomainError(f"{name} is not positive definite")
 

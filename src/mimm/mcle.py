@@ -14,18 +14,19 @@ statistic at each accepted move and the recorded samples are read off that
 log (memory O((L + accepted moves) K)).
 
 Each step is scalar Python, so its cost is the interpreter's per
-proposal.  To keep that small, the proposals of a block are drawn and
-decoded to position pairs in numpy, and the step is compiled once per spec
-into straight-line source generated from the spec's ``MonomialTable`` plan
-(:func:`_exchange_kernel`): no loops over terms or factors remain, the
-running statistic is held in K local floats and the ordering in one Python
-list per power column.  A far pair (s2 - s1 > d) takes the factored form of
-:mod:`mimm.core`, the neighbour sums ``S_g`` read straight from the column
-lists, and an accepted swap exchanges two entries of each list; a near pair
-runs :func:`core._swap_delta_rows` unrolled for its gap, which gives the
-same floats.  The far step gives the swap delta of the direct path to
-rounding, so the chain makes the same moves.  Every chain reports its
-effective sample size and split-R-hat per statistic.
+proposal.  To keep that small, the proposals of a block are drawn as
+position pairs in numpy (``core._uniform_pairs``), and the step is compiled
+once per spec into straight-line source generated from the spec's
+``MonomialTable`` plan (:func:`_exchange_kernel`): no loops over terms or
+factors remain, the running statistic is held in K local floats and the
+ordering in one Python list per power column.  A far pair (s2 - s1 > d)
+takes the factored form of :mod:`mimm.core`, the neighbour sums ``S_g``
+read straight from the column lists, and an accepted swap exchanges two
+entries of each list; a near pair runs :func:`core._swap_delta_rows`
+unrolled for its gap, which gives the same floats.  The far step gives the
+swap delta of the direct path to rounding, so the chain makes the same
+moves.  Every chain reports its effective sample size and split-R-hat per
+statistic.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .core import (
     DependenceSpec,
     TimeSeries,
     _interior_bounds,
+    _uniform_pairs,
     total_statistic,
 )
 from .exceptions import (
@@ -232,6 +234,7 @@ def _validate_theta(spec: DependenceSpec, theta) -> np.ndarray:
 
 _RECOMPUTE_EVERY = 8192  # refresh the running statistic to kill float drift
 _PROPOSAL_BLOCK = 4096  # divides _RECOMPUTE_EVERY: refreshes fall on block ends
+_SUM_CHUNK = 256  # terms per line of a generated sum: the compiler recurses per +
 
 
 class _ExchangeKernel(NamedTuple):
@@ -342,15 +345,14 @@ def _near_step_lines(spec: DependenceSpec, values: dict[int, str], gap: int) -> 
     return lines
 
 
-def _sum_lines(name: str, terms: list[str], chunk: int = 256) -> list[str]:
+def _sum_lines(name: str, terms: list[str]) -> list[str]:
     """Lines that set ``name`` to the left-to-right sum of ``terms`` (0.0
-    when empty), at most ``chunk`` terms per line: the compiler recurses
-    once per ``+`` of one expression."""
+    when empty), at most ``_SUM_CHUNK`` terms per line."""
     if not terms:
         return [f"{name} = 0.0"]
-    lines = [f"{name} = {' + '.join(terms[:chunk])}"]
-    for lo in range(chunk, len(terms), chunk):
-        lines.append(f"{name} = {' + '.join([name, *terms[lo : lo + chunk]])}")
+    lines = [f"{name} = {' + '.join(terms[:_SUM_CHUNK])}"]
+    for lo in range(_SUM_CHUNK, len(terms), _SUM_CHUNK):
+        lines.append(f"{name} = {' + '.join([name, *terms[lo : lo + _SUM_CHUNK]])}")
     return lines
 
 
@@ -470,20 +472,19 @@ def exchange_sample(
     statistic, not the permutation, is retained).  The acceptance rate is
     reported over all proposals including burn-in.
 
-    Each block of ``_PROPOSAL_BLOCK`` proposals is drawn (a, b uniform
-    over the m interior positions and the m - 1 others, then log u) and
-    decoded in numpy: b += b >= a, s1 = min + d, s2 = max + d.  The block
-    runs in the spec's compiled kernel (:func:`_exchange_kernel`) on the
-    column lists of the current ordering, which logs an event (step,
-    statistic) per accepted move.  Every ``_RECOMPUTE_EVERY`` steps the
-    running statistic is recomputed from the permuted data and logged as
-    an event of that step, after any move of the same step.  The statistic
-    recorded at step r is that of the last event at or before r.
+    Each block of ``_PROPOSAL_BLOCK`` proposals is drawn in numpy: the
+    pairs by ``core._uniform_pairs`` (the draw online SGD makes), then
+    log u.  The block runs in the spec's compiled kernel
+    (:func:`_exchange_kernel`) on the column lists of the current ordering,
+    which logs an event (step, statistic) per accepted move.  Every
+    ``_RECOMPUTE_EVERY`` steps the running statistic is recomputed from the
+    permuted data and logged as an event of that step, after any move of the
+    same step.  The statistic recorded at step r is that of the last event
+    at or before r.
     """
     theta = _validate_theta(spec, theta)
     d, hi = _interior_bounds(spec, series)
     n = series.n
-    m = hi - d
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
@@ -498,16 +499,12 @@ def exchange_sample(
     burn, thin = config.effective_burn_in, config.thin
     total_steps = burn + config.n_samples * thin
     for first in range(0, total_steps, _PROPOSAL_BLOCK):
-        a = rng.integers(0, m, size=_PROPOSAL_BLOCK)
-        b = rng.integers(0, m - 1, size=_PROPOSAL_BLOCK)
+        s1, s2 = _uniform_pairs(rng, d, hi, _PROPOSAL_BLOCK)
         logu = np.log(rng.random(size=_PROPOSAL_BLOCK))
         end = min(first + _PROPOSAL_BLOCK, total_steps)
-        a, b, logu = a[: end - first], b[: end - first], logu[: end - first]
-        b += b >= a  # uniform over the other m - 1 positions
-        s1 = (np.minimum(a, b) + d).tolist()
-        s2 = (np.maximum(a, b) + d).tolist()
+        s1, s2, logu = (v[: end - first].tolist() for v in (s1, s2, logu))
         # float step numbers: the event log converts to an array as floats
-        proposals = zip(itertools.count(first + 1.0), s1, s2, logu.tolist())
+        proposals = zip(itertools.count(first + 1.0), s1, s2, logu)
         current = segment(columns, order, current, th, proposals, events.extend)
         if end % _RECOMPUTE_EVERY == 0:
             permuted = TimeSeries(series.data[order], kinds=series.kinds)

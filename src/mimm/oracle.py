@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import gaussian
-from .core import DependenceSpec, TimeSeries, total_statistic, window_statistics
+from .core import DependenceSpec, TimeSeries, total_statistic
 from .exceptions import (
     EnumerationBudgetError,
     InsufficientDataError,

@@ -36,15 +36,15 @@ in the same order, so theta is bitwise equal to that loop's (see
 ``fit_online_sgd``).
 
 Pairs are generated in a deterministic order (lexicographic, or derived from
-the seed), so runs are reproducible.  ``fit_naive`` cuts its pairs into
-chunks of whole rows (one s1 with every s2 > s1) and builds each chunk's
-block by row tiles from the factored swap-delta tables
-(``core._all_pairs_deltas``), with no pair index arrays; the other fitters
-pass their index arrays to ``swap_deltas``.  A design small enough is held
-in memory as one block per chunk; a larger one is regenerated chunk by
-chunk on every pass, so memory stays bounded regardless of n.  A pilot
-builds its own rows, every 64th pair of its fitter's pair list, as the
-fitter builds the design's.
+the seed), so runs are reproducible.  Pairs are numbered and drawn in
+:mod:`mimm.core`: ``fit_naive`` takes its chunks of whole rows (one s1 with
+every s2 > s1) from ``core._all_pairs_blocks``, built by row tiles with no
+pair index arrays, and ``fit_online_sgd`` its pairs from
+``core._uniform_pairs``.  The memory policy is this module's: a design
+within ``_MATERIALIZE_LIMIT`` is held as one block per chunk of
+``_CHUNK_PAIRS``; a larger one is regenerated chunk by chunk on every pass,
+so memory stays bounded regardless of n.  A pilot builds its own rows,
+every 64th pair of its fitter's pair list, as the fitter builds the design's.
 
 Model selection: ``select_specs`` ranks candidate dependence specs by
 ``aic_pic`` on one shared design, every spec padded to the largest order and
@@ -67,8 +67,9 @@ from scipy.special import expit  # noqa: F401  bench/tracing.py counts calls to 
 from .core import (  # noqa: F401  window_statistics: bench/tracing.py wraps it here
     DependenceSpec,
     TimeSeries,
-    _all_pairs_deltas,
+    _all_pairs_blocks,
     _interior_bounds,
+    _uniform_pairs,
     swap_deltas,
     window_statistics,
 )
@@ -250,22 +251,6 @@ def log_pl(theta, pairs) -> float:
         m -= a
         total += m.sum()
     return float(total)
-
-
-def _iter_pair_chunks(lo: int, hi: int, chunk: int):
-    """Row ranges (r0, r1) that cut the interior pairs (s1 < s2) of
-    [lo, hi), taken in lexicographic order, into bounded chunks.
-
-    A chunk holds whole rows (one s1 with every s2 > s1) and closes at the
-    first row that brings it to at least ``chunk`` pairs."""
-    r0, count = lo, 0
-    for s1 in range(lo, hi - 1):
-        count += hi - 1 - s1
-        if count >= chunk:
-            yield r0, s1 + 1
-            r0, count = s1 + 1, 0
-    if count:
-        yield r0, hi - 1
 
 
 class _PairBlocks:
@@ -496,28 +481,15 @@ def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdCon
     the ascent starts from a converged pilot fit on every 64th pair,
     otherwise from theta = 0.
 
-    Pairs are taken in lexicographic chunks of whole rows (one s1 with
-    every s2 > s1), about 5e5 pairs each, and each chunk's block is built
-    by row tiles straight from the factored tables, with no pair index
-    arrays.  Up to 2e7 statistics (n_pairs * K) the blocks are built once
-    and held; past that, every pass regenerates them one chunk at a time,
-    and the pair matrix is never held at once.  A pilot's every
-    stride-th pair in lexicographic order is mapped from its number to
-    (s1, s2) and built by one ``swap_deltas`` call.
+    The design, in chunks of whole rows of about 5e5 pairs, and the
+    pilot's rows come from ``core._all_pairs_blocks``.  Up to 2e7
+    statistics (n_pairs * K) the blocks are built once and held; past that,
+    every pass regenerates them one chunk at a time, and the pair matrix is
+    never held at once.
     """
-    lo, hi = _interior_bounds(spec, series)
+    _interior_bounds(spec, series)  # the blocks are built lazily, inside the fit
     n_pairs = n_interior_pairs(series.n, spec.order)
-
-    def deltas(stride=1):
-        if stride == 1:
-            return (_all_pairs_deltas(spec, series, r0, r1) for r0, r1 in _iter_pair_chunks(lo, hi, _CHUNK_PAIRS))
-        rows = np.arange(lo, hi - 1, dtype=np.intp)
-        ends = np.cumsum(hi - 1 - rows)  # one past each row's last pair number
-        counts = np.diff(-(-ends // stride), prepend=0)  # pair numbers taken per row
-        s2 = np.arange(0, n_pairs, stride, dtype=np.intp) + np.repeat(hi - ends, counts)
-        return (swap_deltas(spec, series, np.repeat(rows, counts), s2),)
-
-    fit = _fit(spec, deltas, n_pairs, config, "ple-naive")
+    fit = _fit(spec, lambda k=1: _all_pairs_blocks(spec, series, _CHUNK_PAIRS, k), n_pairs, config, "ple-naive")
     aic, pic = aic_pic(fit.log_pl, spec.n_terms, series.n, spec.order)
     return replace(fit, aic=aic, pic=pic)
 
@@ -564,6 +536,7 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     """Online SGD: per iteration one uniform interior pair and the update
     theta += eta * (1 - sigmoid(theta . x)) * x (the logistic gradient for a
     constant response of 1).  Fixed iteration budget, no convergence test.
+    The pairs come from ``core._uniform_pairs``, as the exchange chain's do.
 
     Pair statistics do not depend on theta, so the whole budget's are
     computed in one vectorized call; the update sweep itself is strictly
@@ -578,21 +551,11 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     """
     start = time.perf_counter()
     lo, hi = _interior_bounds(spec, series)
-    m = hi - lo
     K = spec.n_terms
     eta = config.eta
 
     pairs_start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    # a uniform unordered pair of distinct interior positions, built in place
-    a = rng.integers(0, m, size=config.n_iters)
-    b = rng.integers(0, m - 1, size=config.n_iters)
-    b += b >= a
-    s1 = np.minimum(a, b)
-    s2 = np.maximum(a, b, out=b)
-    del a
-    s1 += lo
-    s2 += lo
+    s1, s2 = _uniform_pairs(np.random.default_rng(config.seed), lo, hi, config.n_iters)
     X = swap_deltas(spec, series, s1, s2)
     del s1, s2
     np.negative(X, out=X)
@@ -685,10 +648,9 @@ def aic_pic(log_pl_at_opt: float, K: int, n: int, d: int) -> tuple[float, float]
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    m = n - 2 * d
-    if m < 2:
-        raise ValueError(f"need n - 2d >= 2, got {m}")
-    n_pairs = math.comb(m, 2)
+    n_pairs = n_interior_pairs(n, d)
+    if n_pairs == 0:
+        raise ValueError(f"need n - 2d >= 2, got {n - 2 * d}")
     aic = -2.0 * log_pl_at_opt + 2.0 * K
     pic = -2.0 * log_pl_at_opt + K * math.log(n_pairs)
     return aic, pic

@@ -333,16 +333,22 @@ def _check_remainder_invariance() -> CheckResult:
     return CheckResult("permutation_invariant_remainder", spread < 1e-8, spread, 1e-8)
 
 
-def _check_conditional_normalization() -> CheckResult:
+def _ordering_law(seed):
+    """Per theta in (-1, 0, 0.7, 2), on AR(1) data at n = 7 (120 orderings):
+    the oracle's probability p_j of each ordering as its own observed series,
+    the library's statistic H_j of it and the oracle's mean mu for the data."""
     spec = core.ar_spec(1)
-    series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 8, seed=5)
-    stats = oracle.permutation_statistics(spec, series)
-    worst = 0.0
+    series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 7, seed=seed)
+    orderings = [core.TimeSeries(series.data[[0, *perm, 6]]) for perm in itertools.permutations(range(1, 6))]
+    H = np.array([core.total_statistic(spec, x) for x in orderings])
     for th in (-1.0, 0.0, 0.7, 2.0):
-        logits = stats @ np.array([th])
-        total = float(np.exp(logits - logits.max()).sum())
-        probs = np.exp(logits - logits.max()) / total
-        worst = max(worst, abs(probs.sum() - 1.0))
+        p = np.array([oracle.exact_conditional_likelihood(spec, x, [th]) for x in orderings])
+        mu, _ = oracle.enumeration_moments(spec, series, [th])
+        yield p, H, mu
+
+
+def _check_conditional_normalization() -> CheckResult:
+    worst = max(abs(float(p.sum()) - 1.0) for p, _, _ in _ordering_law(5))
     return CheckResult("conditional_law_normalization", worst < 1e-12, worst, 1e-12)
 
 
@@ -377,16 +383,8 @@ def _check_zero_theta_acceptance() -> CheckResult:
 
 
 def _check_score_zero_mean() -> CheckResult:
-    spec = core.ar_spec(1)
-    series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 8, seed=19)
-    stats = oracle.permutation_statistics(spec, series)
-    theta = np.array([1.0])
-    logits = stats @ theta
-    w = np.exp(logits - logits.max())
-    w /= w.sum()
-    mu = w @ stats
-    mean_score = float(np.abs(w @ (stats - mu)).max())
-    return CheckResult("score_zero_mean_at_truth", mean_score < 1e-12, mean_score, 1e-12)
+    worst = max(float(np.abs(p @ (H - mu)).max()) for p, H, mu in _ordering_law(19))
+    return CheckResult("score_zero_mean_at_truth", worst < 1e-12, worst, 1e-12)
 
 
 def _check_enumeration_equivalence() -> CheckResult:
@@ -473,7 +471,7 @@ def _check_monotone_ascent() -> CheckResult:
     spec = core.ar_spec(1)
     series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 120, seed=15)
     fit = ple.fit_naive(spec, series)
-    X = -core._all_pairs_deltas(spec, series, 1, series.n - 2)
+    X = -np.concatenate(list(core._all_pairs_blocks(spec, series, ple._CHUNK_PAIRS)))
     diffs = np.diff([ple.log_pl(theta, X) for theta in fit.theta_trace])
     worst = float(diffs.min()) if len(diffs) else 0.0
     return CheckResult("objective_monotone_ascent", worst >= -1e-12, worst, -1e-12)

@@ -871,6 +871,17 @@ class TestVerify:
         assert "roundtrip_var1" in failed
         assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
 
+    def test_ordering_law_checks_see_a_missing_ordering(self, monkeypatch):
+        # both checks read the oracle's enumeration, so one ordering fewer
+        # must show in each of them
+        from mimm import oracle, verify
+
+        enumerate_all = oracle.permutation_statistics
+        monkeypatch.setattr(oracle, "permutation_statistics", lambda spec, series: enumerate_all(spec, series)[:-1])
+        for check in (verify._check_conditional_normalization, verify._check_score_zero_mean):
+            result = check()
+            assert not result.passed and result.measured > 1e-4
+
     def test_riccati_rtol_flag_is_gone(self, workspace):
         out = workspace["tmp"] / "verify_flag.json"
         rc, _ = run_cli("verify", "--riccati-rtol", "1e-2", "--out", str(out))

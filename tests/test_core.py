@@ -12,6 +12,7 @@ from mimm.exceptions import (
     BoundaryViolationError,
     DegenerateScaleError,
     InsufficientDataError,
+    InsufficientInteriorError,
     ShapeMismatchError,
 )
 
@@ -420,6 +421,50 @@ class TestAllPairsDesign:
         series = core.TimeSeries(np.arange(8.0))
         with pytest.raises(BoundaryViolationError):
             core._all_pairs_deltas(core.ar_spec(2), series, r0, r1)
+
+
+class TestAllPairsBlocks:
+    """The all-pairs generator: its blocks, at any chunk size and stride,
+    are every stride-th row of the lexicographic design, bitwise."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(design_rows(random_specs()), st.integers(0, 300), st.sampled_from([1, 2, 7, 64]))
+    def test_blocks_are_every_stride_th_row(self, case, chunk, stride):
+        spec, series, _, _, _ = case
+        lo, hi = spec.order, series.n - spec.order
+        s1, s2 = np.triu_indices(hi - lo, 1)
+        design = core.swap_deltas(spec, series, s1 + lo, s2 + lo)
+        blocks = list(core._all_pairs_blocks(spec, series, chunk, stride))
+        np.testing.assert_array_equal(np.concatenate(blocks), design[::stride])
+        if stride == 1:
+            # whole rows, each block closed once it holds ``chunk`` pairs
+            assert all(len(b) >= chunk for b in blocks[:-1])
+
+    def test_interior_checked_on_the_first_block(self):
+        blocks = core._all_pairs_blocks(core.ar_spec(2), core.TimeSeries(np.arange(5.0)), 10)
+        with pytest.raises(InsufficientInteriorError):
+            next(blocks)
+
+
+class TestUniformPairs:
+    def test_same_draw_as_offsets_from_zero(self):
+        # a over the m positions, b over the m - 1 others, b += b >= a
+        s1, s2 = core._uniform_pairs(np.random.default_rng(7), 3, 20, 5000)
+        rng = np.random.default_rng(7)
+        a, b = rng.integers(0, 17, size=5000), rng.integers(0, 16, size=5000)
+        b += b >= a
+        np.testing.assert_array_equal(s1, np.minimum(a, b) + 3)
+        np.testing.assert_array_equal(s2, np.maximum(a, b) + 3)
+
+    def test_pairs_are_distinct_and_uniform(self):
+        lo, hi, size = 2, 7, 100_000
+        s1, s2 = core._uniform_pairs(np.random.default_rng(11), lo, hi, size)
+        assert np.all((lo <= s1) & (s1 < s2) & (s2 < hi))
+        counts = np.bincount((s1 - lo) * (hi - lo) + (s2 - lo), minlength=(hi - lo) ** 2)
+        counts = counts[counts > 0]
+        assert len(counts) == 10  # every one of the C(5, 2) pairs
+        expected = size / 10
+        assert np.all(np.abs(counts - expected) <= 5.0 * np.sqrt(expected))
 
 
 @st.composite

@@ -127,12 +127,16 @@ def reference_pair_chunks(lo, hi, chunk):
         yield np.concatenate(buf1), np.concatenate(buf2)
 
 
-def expand_rows(r0, r1, hi):
-    """The pairs (s1, s2), s1 < s2 < hi, of the rows s1 in [r0, r1)."""
-    rows = range(r0, r1)
-    s1 = np.array([a for a in rows for _ in range(a + 1, hi)], dtype=np.intp)
-    s2 = np.array([b for a in rows for b in range(a + 1, hi)], dtype=np.intp)
-    return s1, s2
+def chunk_case(lo, hi):
+    """An AR(lo) spec and a series whose interior is [lo, hi)."""
+    rng = np.random.default_rng(1000 * lo + hi)
+    return core.ar_spec(lo), core.TimeSeries(rng.standard_normal(hi + lo))
+
+
+def reference_chunk_deltas(lo, hi, chunk):
+    """Swap deltas of the row-by-row generator's chunks, from ``swap_deltas``."""
+    spec, series = chunk_case(lo, hi)
+    return [core.swap_deltas(spec, series, s1, s2) for s1, s2 in reference_pair_chunks(lo, hi, chunk)]
 
 
 B = ple._SLICE_ROWS
@@ -198,19 +202,18 @@ class TestSlicedKernels:
         [(1, 999, 500_000), (1, 999, 100_000), (2, 60, 7), (1, 4, 1), (3, 5, 10), (1, 50, 0), (1, 3, 1)],
     )
     def test_pair_chunks_match_row_loop(self, lo, hi, chunk):
-        got = [expand_rows(r0, r1, hi) for r0, r1 in ple._iter_pair_chunks(lo, hi, chunk)]
-        ref = list(reference_pair_chunks(lo, hi, chunk))
+        got = list(core._all_pairs_blocks(*chunk_case(lo, hi), chunk))
+        ref = reference_chunk_deltas(lo, hi, chunk)
         assert len(got) == len(ref)
-        for (a1, a2), (b1, b2) in zip(got, ref):
-            np.testing.assert_array_equal(a1, b1)
-            np.testing.assert_array_equal(a2, b2)
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 5), st.integers(2, 80), st.integers(1, 400))
+    @given(st.integers(1, 5), st.integers(2, 80), st.integers(1, 400))
     def test_pair_chunks_match_row_loop_random(self, lo, m, chunk):
-        got = [expand_rows(r0, r1, lo + m) for r0, r1 in ple._iter_pair_chunks(lo, lo + m, chunk)]
-        ref = list(reference_pair_chunks(lo, lo + m, chunk))
-        assert [(a.tolist(), b.tolist()) for a, b in got] == [(a.tolist(), b.tolist()) for a, b in ref]
+        got = list(core._all_pairs_blocks(*chunk_case(lo, lo + m), chunk))
+        ref = reference_chunk_deltas(lo, lo + m, chunk)
+        assert [a.tolist() for a in got] == [b.tolist() for b in ref]
 
 
 class TestFitNaive:
@@ -333,14 +336,14 @@ class TestFitNaive:
         # passes and the final objective
         series = gaussian.simulate_ar(AR1, 60, seed=17)
         rows = []
-        all_pairs_deltas = ple._all_pairs_deltas
+        all_pairs_deltas = core._all_pairs_deltas
 
         def counting(*args):
             block = all_pairs_deltas(*args)
             rows.append(len(block))
             return block
 
-        monkeypatch.setattr(ple, "_all_pairs_deltas", counting)
+        monkeypatch.setattr(core, "_all_pairs_deltas", counting)
         monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", 0)
         monkeypatch.setattr(ple, "_CHUNK_PAIRS", 400)
         fit = ple.fit_naive(SPEC1, series, ple.GdConfig(max_epochs=2))
@@ -611,14 +614,14 @@ class TestTelemetry:
     def test_streamed_pair_time_is_summed_over_passes(self, monkeypatch):
         series = gaussian.simulate_ar(AR1, 60, seed=17)
         calls = []
-        all_pairs_deltas = ple._all_pairs_deltas
+        all_pairs_deltas = core._all_pairs_deltas
 
         def slow(*args):
             calls.append(1)
             time.sleep(0.005)
             return all_pairs_deltas(*args)
 
-        monkeypatch.setattr(ple, "_all_pairs_deltas", slow)
+        monkeypatch.setattr(core, "_all_pairs_deltas", slow)
         monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", 0)
         monkeypatch.setattr(ple, "_CHUNK_PAIRS", 400)
         fit = ple.fit_naive(SPEC1, series, ple.GdConfig(max_epochs=2))
@@ -628,14 +631,14 @@ class TestTelemetry:
     def test_pair_index_time_counts_as_pair_time(self, monkeypatch):
         series = gaussian.simulate_ar(AR1, 60, seed=17)
         calls = []
-        all_pairs_deltas = ple._all_pairs_deltas
+        all_pairs_deltas = core._all_pairs_deltas
 
         def slow(*args):
             calls.append(1)
             time.sleep(0.05)
             return all_pairs_deltas(*args)
 
-        monkeypatch.setattr(ple, "_all_pairs_deltas", slow)
+        monkeypatch.setattr(core, "_all_pairs_deltas", slow)
         for limit, cfg in ((ple._MATERIALIZE_LIMIT, ple.GdConfig()), (0, ple.GdConfig(max_epochs=2))):
             monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", limit)
             calls.clear()
