@@ -276,6 +276,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise MimmError("fit requires --data and --estimator")
     if conf["estimator"] not in ESTIMATORS:
         raise MimmError(f"estimator must be one of {ESTIMATORS}")
+    if conf["diagnostics"] is not None and conf["estimator"] != "mcle":
+        raise MimmError(f"--diagnostics applies only to --estimator mcle, not {conf['estimator']}")
     _check_time_limit(conf["time_limit_s"], "--time-limit-s")
     series = _load_series(conf["data"])
     spec = None
@@ -319,7 +321,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if timed_out:
         result["converged"] = None
 
-    if conf["diagnostics"] and isinstance(fit, mcle.McleResult):
+    if conf["diagnostics"] is not None:
         with open(conf["diagnostics"], "w", encoding="utf-8") as fh:
             K = len(fit.theta)
             head = ["iter"] + [f"theta_{k}" for k in range(K)]

@@ -448,9 +448,9 @@ def _swap_delta_rows(rows, d, terms, s1, s2):
     ``rows`` is the sequence of data rows (tuples) of the current ordering.
     Returns the list H(swapped) - H(current) re-evaluating only affected
     windows.  Serves only :func:`swap_delta`, the oracle of every faster
-    path; the exchange sampler's near step is this loop unrolled per spec
-    and gap (:func:`mimm.mcle._near_step_lines`), checked bitwise against
-    it.
+    path; the exchange chain's near-pair lines are this loop unrolled per
+    spec and gap (:func:`mimm.mcle._near_pair_lines`), reading the same
+    rows, and its compiled step is checked bitwise against it.
     """
     r1, r2 = rows[s1], rows[s2]
     delta = [0.0] * len(terms)

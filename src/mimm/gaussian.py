@@ -330,12 +330,12 @@ def simulate_ar(params: ClassicalARParams, n: int, burn_in: int = 0, seed=None) 
     every order (see :func:`_simulate`).
 
     Known limit: the start covariance comes from the same Lyapunov solve as
-    :func:`stationary_variance`, which loses about four digits on repeated
-    poles (an AR(8) with fourfold poles 0.95 e^{+-0.5i} starts with a
-    ``LinAlgWarning``; the draws stay finite).  A state covariance with a
-    condition number near 1e16, such as that of an AR(8) with an eightfold
-    root 0.9 (variance 1.1e14 sigma2), has no Cholesky factor in double
-    precision, and ``numpy.linalg.LinAlgError`` is raised.
+    :func:`stationary_variance`, which can lose all its digits when the
+    poles cluster near the unit circle (see there).  An AR(8) with fourfold
+    poles 0.95 e^{+-0.5i} starts with a ``LinAlgWarning``, and the draws
+    stay finite; an AR(8) with an eightfold root 0.9 has no Cholesky factor
+    in double precision, and ``numpy.linalg.LinAlgError`` is raised.
+    ROADMAP item 10 replaces the solve.
     """
     return _simulate(params.phi[:, None, None], np.array([[params.sigma2]]), n, burn_in, seed)
 
@@ -407,7 +407,13 @@ def _simulate(A: np.ndarray, Sigma: np.ndarray, n: int, burn_in: int, seed) -> T
 
 
 def stationary_variance(params: ClassicalARParams) -> float:
-    """Stationary variance of an AR(d) via the companion-form Lyapunov solve."""
+    """Stationary variance of an AR(d) via the companion-form Lyapunov solve.
+
+    Known limit: the solve can lose all its digits when the poles cluster
+    near the unit circle.  With sigma2 = 1, an eightfold root 0.9 gives
+    8.08e12 where the true variance is 1.104e14, and the seven roots
+    ``linspace(0.9, 0.99, 7)`` give -8.98e11, a negative variance.
+    ROADMAP item 10 replaces the solve."""
     return float(_stationary_state_cov(params.phi, [[params.sigma2]])[0, 0])
 
 
@@ -462,7 +468,10 @@ def ard_to_mininfo(params: ClassicalARParams) -> MinInfoARParams:
     """General AR(d) forward transform.  With a = (1, -phi_1, ..., -phi_d),
     theta_i = -(sum_j a_j a_{j+i}) / sigma2 is the x_t x_{t-i} coefficient of
     the kernel exponent; the stationary variance comes from the
-    companion-form Lyapunov solve."""
+    companion-form Lyapunov solve, so tau2 inherits the known limit of
+    :func:`stationary_variance` on poles clustered near the unit circle:
+    seven roots ``linspace(0.9, 0.99, 7)`` raise ``ParameterDomainError``
+    for a negative tau2 (ROADMAP item 10)."""
     theta = -_autocorr(np.concatenate([[1.0], -params.phi]))[1:] / params.sigma2
     return MinInfoARParams(theta=theta, tau2=stationary_variance(params))
 

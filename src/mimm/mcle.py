@@ -19,11 +19,12 @@ position pairs in numpy (``core._uniform_pairs``), and the step is compiled
 once per spec into straight-line source generated from the spec's
 ``MonomialTable`` plan (:func:`_exchange_kernel`): no loops over terms or
 factors remain, the running statistic is held in K local floats and the
-ordering in one Python list per power column.  A far pair (s2 - s1 > d)
-takes the factored form of :mod:`mimm.core`, the neighbour sums ``S_g``
-read straight from the column lists, and an accepted swap exchanges two
-entries of each list; a near pair runs :func:`core._swap_delta_rows`
-unrolled for its gap, which gives the same floats.  The far step gives the
+ordering in one Python list per power column beside the position -> data
+index list.  A far pair (s2 - s1 > d) takes the factored form of
+:mod:`mimm.core`, the neighbour sums ``S_g`` read straight from the column
+lists, and an accepted swap exchanges two entries of each list; a near pair
+runs :func:`core._swap_delta_rows` unrolled for its gap on the data rows of
+the current ordering, which gives the same floats.  The far step gives the
 swap delta of the direct path to rounding, so the chain makes the same
 moves.  Every chain reports its effective sample size and split-R-hat per
 statistic.
@@ -36,7 +37,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -237,43 +238,11 @@ _PROPOSAL_BLOCK = 4096  # divides _RECOMPUTE_EVERY: refreshes fall on block ends
 _SUM_CHUNK = 256  # terms per line of a generated sum: the compiler recurses per +
 
 
-class _ExchangeKernel(NamedTuple):
-    """The exchange step of one spec, compiled from its ``MonomialTable``
-    plan (see :func:`_exchange_kernel`)."""
-
-    segment: Callable  # runs the MH steps of one proposal block
-    far_step: Callable  # far_step(columns, s1, s2) -> per-group swap terms
-    near_step: Callable  # near_step(columns, s1, s2) -> per-term swap delta
-
-
-def _value_columns(table) -> tuple[int, ...]:
-    """Components the chain keeps a raw-value list of, after the power
-    columns: those raised only to exponents != 1 (a component with an
-    exponent-1 power column reads its values from that column)."""
-    plain = {int(c) for c, e in zip(table.comps, table.exps) if e == 1}
-    return tuple(sorted({int(c) for c in table.comps} - plain))
-
-
 def _chain_columns(spec: DependenceSpec, data: np.ndarray) -> list[list[float]]:
     """The chain's per-position column lists of the ordering ``data``: one
-    list per power column of the spec's ``MonomialTable``, then one per
-    component of :func:`_value_columns`."""
-    table = spec._table
-    powers = table.powers(data)
-    return [powers[:, q].tolist() for q in range(powers.shape[1])] + [
-        data[:, c].tolist() for c in _value_columns(table)
-    ]
-
-
-def _column_names(table) -> tuple[list[str], dict[int, str]]:
-    """Names of the column lists in the generated source, and the list each
-    component's raw values are read from."""
-    names = [f"P_{q}" for q in range(len(table.exps))]
-    values = {int(c): f"P_{q}" for q, (c, e) in enumerate(zip(table.comps, table.exps)) if e == 1}
-    for c in _value_columns(table):
-        values[c] = f"X_{c}"
-        names.append(f"X_{c}")
-    return names, values
+    list per power column of the spec's ``MonomialTable``."""
+    powers = spec._table.powers(data)
+    return [powers[:, q].tolist() for q in range(powers.shape[1])]
 
 
 def _at(side: str, off: int) -> str:
@@ -286,7 +255,7 @@ def _read_name(side: str, q: int, off: int) -> str:
     return f"{side}{q}" if off == 0 else f"{side}{q}_{'m' if off < 0 else 'p'}{abs(off)}"
 
 
-def _far_step_lines(table) -> list[str]:
+def _far_pair_lines(table) -> list[str]:
     """Straight-line source of the factored far-pair step (s2 - s1 > d) on
     the power columns ``P_q`` of the current ordering: ``f_j`` is the change
     of own product j, Phi_j(x_s2) - Phi_j(x_s1), and ``v_g`` group g's term
@@ -316,19 +285,23 @@ def _far_step_lines(table) -> list[str]:
     return [f"{name} = {value}" for name, value in reads.items()] + lines
 
 
-def _near_step_lines(spec: DependenceSpec, values: dict[int, str], gap: int) -> list[str]:
+def _near_pair_lines(spec: DependenceSpec, gap: int) -> list[str]:
     """Straight-line source of the direct swap delta ``n_k`` of a near pair
     with s2 - s1 = ``gap`` <= d: :func:`core._swap_delta_rows` unrolled, so
-    it gives the same floats.  Windows t = s1 .. s2 + d in order, each term's
-    products before and after the swap started from 1.0 and taken factor
-    by factor (a power by Python ``**`` on the raw values, as the rows
-    path does), and n_k = 0.0 plus after - before window by window."""
+    it gives the same floats.  It reads the data rows of the current
+    ordering, ``rows[order[s1 + off]]``, each once into a local (``r_m1`` is
+    the row at s1 - 1, ``r_0`` at s1, ``r_p1`` at s1 + 1, ...).  Windows
+    t = s1 .. s2 + d in order, each term's products before and after the
+    swap started from 1.0 and taken factor by factor (``r[c]``, or
+    ``r[c] ** e`` for an exponent e != 1, as the rows path does), and
+    n_k = 0.0 plus after - before window by window."""
     d = int(spec.order)
+    reads: dict[str, str] = {}  # local name -> its read, in order of first use
 
     def factor(rel, comp, exp):
-        side = "s1" if rel == 0 else "s2" if rel == gap else _at("s1", rel)
-        value = f"{values[comp]}[{side}]"
-        return value if exp == 1 else f"{value} ** {exp}"
+        name = "r_0" if rel == 0 else f"r_{'m' if rel < 0 else 'p'}{abs(rel)}"
+        reads.setdefault(name, f"rows[order[{'s2' if rel == gap else _at('s1', rel)}]]")
+        return f"{name}[{comp}]" if exp == 1 else f"{name}[{comp}] ** {exp}"
 
     def product(t, factors, swapped):
         rels = [(t - lag, comp, exp) for lag, comp, exp in factors]
@@ -342,7 +315,7 @@ def _near_step_lines(spec: DependenceSpec, values: dict[int, str], gap: int) -> 
             f"({product(t, term.factors, True)} - {product(t, term.factors, False)})" for t in range(gap + d + 1)
         ]
         lines.extend(_sum_lines(f"n_{k}", ["0.0", *changes]))
-    return lines
+    return [f"{name} = {value}" for name, value in reads.items()] + lines
 
 
 def _sum_lines(name: str, terms: list[str]) -> list[str]:
@@ -357,13 +330,9 @@ def _sum_lines(name: str, terms: list[str]) -> list[str]:
 
 
 def _kernel_source(spec: DependenceSpec) -> str:
-    """Source of the factory that returns the compiled ``segment``,
-    ``far_step`` and ``near_step`` of ``spec``."""
+    """Source of the compiled ``segment`` of ``spec``."""
     table, d, K = spec._table, int(spec.order), int(spec.n_terms)
-    names, values = _column_names(table)
-    unpack = f"{', '.join(names)}, = columns"
-    far = _far_step_lines(table)
-    near = {gap: _near_step_lines(spec, values, gap) for gap in range(1, d + 1)}
+    names = [f"P_{q}" for q in range(len(table.exps))]
     ths, cs = (", ".join(f"{name}_{k}" for k in range(K)) + "," for name in ("TH", "c"))
     far_logr = _sum_lines("logr", [f"TH_{int(k)} * v_{g}" for g, (k, _, _) in enumerate(table.groups)])
     near_logr = _sum_lines("logr", [f"TH_{k} * n_{k}" for k in range(K)])
@@ -379,81 +348,56 @@ def _kernel_source(spec: DependenceSpec) -> str:
             swaps.append(f"{name}[s1], {name}[s2] = {at_s2}, {at_s1}")
         return [*swaps, "order[s1], order[s2] = order[s2], order[s1]", f"record((step, {cs}))"]
 
-    def near_branches(indent, body):
-        out = []
-        for gap in range(1, d + 1):
-            out.append(f"{indent}elif s2 - s1 == {gap}:")
-            out.extend(f"{indent}    {line}" for line in near[gap] + body)
-        return out
-
-    seg = [
-        "def segment(columns, order, current, th, proposals, record):",
-        f"    {unpack}",
+    lines = [
+        "def segment(columns, order, rows, current, th, proposals, record):",
+        f"    {', '.join(names)}, = columns",
         f"    {ths} = th",
         f"    {cs} = current",
         "    for step, s1, s2, logu in proposals:",
         f"        if s2 - s1 > {d}:",
-        *(f"            {line}" for line in far + far_logr),
+        *(f"            {line}" for line in _far_pair_lines(table) + far_logr),
         "            if logu <= logr:",
         *(f"                c_{int(k)} += v_{g}" for g, (k, _, _) in enumerate(table.groups)),
         *(f"                {line}" for line in accept(held)),
-        *near_branches(
-            "        ",
-            [
-                *near_logr,
-                "if logu <= logr:",
-                *(f"    c_{k} += n_{k}" for k in range(K)),
-                *(f"    {line}" for line in accept({})),
-            ],
-        ),
-        f"    return [{cs}]",
     ]
-    far_fn = [
-        "def far_step(columns, s1, s2):",
-        f"    {unpack}",
-        *(f"    {line}" for line in far),
-        f"    return [{', '.join(f'v_{g}' for g in range(len(table.groups)))}]",
-    ]
-    near_fn = [
-        "def near_step(columns, s1, s2):",
-        f"    {unpack}",
-        f"    if not 1 <= s2 - s1 <= {d}:",
-        f"        raise ValueError(f'near_step needs 1 <= s2 - s1 <= {d}, got {{s2 - s1}}')",
-        *near_branches("    ", []),
-        f"    return [{', '.join(f'n_{k}' for k in range(K))}]",
-    ]
-    body = seg + [""] + far_fn + [""] + near_fn + ["", "return segment, far_step, near_step"]
-    return "def __create_fn__():\n" + "\n".join(f"    {line}" if line else "" for line in body) + "\n"
+    for gap in range(1, d + 1):
+        lines.append(f"        elif s2 - s1 == {gap}:")
+        lines.extend(f"            {line}" for line in _near_pair_lines(spec, gap) + near_logr)
+        lines.append("            if logu <= logr:")
+        lines.extend(f"                c_{k} += n_{k}" for k in range(K))
+        lines.extend(f"                {line}" for line in accept({}))
+    lines.append(f"    return [{cs}]")
+    return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=64)
-def _exchange_kernel(spec: DependenceSpec) -> _ExchangeKernel:
+def _exchange_kernel(spec: DependenceSpec) -> Callable:
     """The exchange step of ``spec`` as straight-line Python, compiled once
-    per spec (as :mod:`dataclasses` generates methods).
+    per spec (as :mod:`dataclasses` generates methods): one function,
+    ``segment(columns, order, rows, current, th, proposals, record)``, which
+    runs the steps ``(step, s1, s2, logu)`` of one decoded proposal block
+    and returns the running statistic.
 
-    The ordering lives in column lists (:func:`_chain_columns`): one per
-    power column ``P_q``, then the raw values of components used only at
-    exponents != 1, beside the position -> data index list ``order``.
-    ``segment(columns, order, current, th, proposals, record)`` runs the
-    steps ``(step, s1, s2, logu)`` of one decoded proposal block and returns
-    the running statistic.  The statistic lives in K local floats; an
-    accepted move exchanges two entries of every list and of ``order`` and
-    hands ``record`` (``list.extend``) the event ``(step, c_0, ...,
-    c_{K-1})``.
+    The ordering lives in one column list per power column ``P_q``
+    (:func:`_chain_columns`) and in the position -> data index list
+    ``order``; ``rows`` is the data's row tuples (``TimeSeries.rows``).
+    The statistic lives in K local floats; an accepted move exchanges two
+    entries of every column list and of ``order`` and hands ``record``
+    (``list.extend``) the event ``(step, c_0, ..., c_{K-1})``.
 
-    A far pair (s2 - s1 > d) runs the lines of ``far_step``: it reads
+    A far pair (s2 - s1 > d) runs :func:`_far_pair_lines`: it reads
     ``P_q[s1 + off]`` and ``P_q[s2 + off]`` directly, its log-ratio is the
     theta-weighted sum of the group terms and an accepted move adds each
-    term to its statistic in group order.  A near pair runs the lines of
-    ``near_step`` for its gap, :func:`core._swap_delta_rows` unrolled (see
-    :func:`_near_step_lines`).  The source holds only integers of the
-    spec's ``MonomialTable`` plan (power columns, offsets, term indices,
+    term to its statistic in group order.  A near pair runs
+    :func:`_near_pair_lines` for its gap, :func:`core._swap_delta_rows`
+    unrolled on ``rows[order[...]]``.  The source holds only integers of
+    the spec's ``MonomialTable`` plan (power columns, offsets, term indices,
     exponents) and its order; theta arrives as an argument.
     """
     source = _kernel_source(spec)
     namespace: dict = {}
     exec(compile(source, f"<mimm exchange kernel K={spec.n_terms}>", "exec"), {}, namespace)
-    return _ExchangeKernel(*namespace["__create_fn__"]())
+    return namespace["segment"]
 
 
 def exchange_sample(
@@ -488,11 +432,12 @@ def exchange_sample(
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
-    segment = _exchange_kernel(spec).segment
+    segment = _exchange_kernel(spec)
     K = spec.n_terms
     th = [float(v) for v in theta]
     columns = _chain_columns(spec, series.data)
     order = list(range(n))  # data index at each position of the current ordering
+    rows = series.rows()
     current = [float(v) for v in total_statistic(spec, series)]
     events = [0.0, *current]  # (step, statistic) at each change, row after row
 
@@ -505,7 +450,7 @@ def exchange_sample(
         s1, s2, logu = (v[: end - first].tolist() for v in (s1, s2, logu))
         # float step numbers: the event log converts to an array as floats
         proposals = zip(itertools.count(first + 1.0), s1, s2, logu)
-        current = segment(columns, order, current, th, proposals, events.extend)
+        current = segment(columns, order, rows, current, th, proposals, events.extend)
         if end % _RECOMPUTE_EVERY == 0:
             permuted = TimeSeries(series.data[order], kinds=series.kinds)
             current = [float(v) for v in total_statistic(spec, permuted)]
@@ -625,7 +570,7 @@ def fisher_scoring(
     return McleResult(
         theta=theta,
         iterations=iterations,
-        final_acceptance_rate=acc_rates[-1] if acc_rates else 1.0,
+        final_acceptance_rate=acc_rates[-1],
         score_norm_trace=tuple(score_norms),
         theta_trace=tuple(thetas),
         acceptance_trace=tuple(acc_rates),

@@ -228,25 +228,35 @@ def _exchange_step_cases(rng):
     for spec, series in cases:
         d = spec.order
         order = np.concatenate([np.arange(d), d + rng.permutation(n - 2 * d), np.arange(n - d, n)])
-        yield spec, series, order, mcle._chain_columns(spec, series.data[order])
+        yield spec, series, order
+
+
+def _exchange_step(spec, series, order, s1, s2) -> np.ndarray:
+    """The statistic change of the move (s1, s2) on the ordering ``order``,
+    run by the chain's own compiled ``segment``: theta 0 and log u = -inf
+    accept the move, and the running statistic starts at -0.0, so it comes
+    back as the step's delta bit for bit (-0.0 + x == x)."""
+    K = spec.n_terms
+    columns = mcle._chain_columns(spec, series.data[order])
+    proposal = [(1.0, s1, s2, -math.inf)]
+    after = mcle._exchange_kernel(spec)(
+        columns, order.tolist(), series.rows(), [-0.0] * K, [0.0] * K, proposal, [].extend
+    )
+    return np.array(after)
 
 
 def _check_exchange_step_factored() -> CheckResult:
-    """The exchange sampler's compiled far-pair step (the ``far_step`` of
-    :func:`mcle._exchange_kernel`, generated from the lines the chain runs)
-    on the column lists of a permuted ordering against the scalar window
+    """The exchange chain's compiled step (:func:`mcle._exchange_kernel`) on
+    far pairs of a permuted ordering against the scalar window
     re-evaluation, on AR(2) and on a binary/real kron spec."""
     rng = np.random.default_rng(9)
     worst = 0.0
-    for spec, series, order, columns in _exchange_step_cases(rng):
+    for spec, series, order in _exchange_step_cases(rng):
         n, d = series.n, spec.order
-        far_step = mcle._exchange_kernel(spec).far_step
-        keys = [k for k, _, _ in spec._table.groups]
         for _ in range(30):
             s1 = int(rng.integers(d, n - 2 * d - 1))
             s2 = int(rng.integers(s1 + d + 1, n - d))
-            factored = np.zeros(spec.n_terms)
-            np.add.at(factored, keys, far_step(columns, s1, s2))
+            factored = _exchange_step(spec, series, order, s1, s2)
             scalar = core.swap_delta(spec, series, s1, s2, order=order)
             err = np.abs(factored - scalar) / (1.0 + np.abs(scalar))
             worst = max(worst, float(err.max()))
@@ -254,20 +264,18 @@ def _check_exchange_step_factored() -> CheckResult:
 
 
 def _check_exchange_step_near() -> CheckResult:
-    """The exchange sampler's compiled near-pair step (the ``near_step`` of
-    :func:`mcle._exchange_kernel`) against the scalar window re-evaluation
-    under a permuted ordering, for every gap 1 .. d on AR(2) and a
-    binary/real kron spec.  It unrolls that path, so it must match bitwise:
-    the value is the number of pairs that differ."""
+    """The exchange chain's compiled step on near pairs against the scalar
+    window re-evaluation under a permuted ordering, for every gap 1 .. d on
+    AR(2) and a binary/real kron spec.  It unrolls that path, so it must
+    match bitwise: the value is the number of pairs that differ."""
     rng = np.random.default_rng(16)
     mismatches = 0
-    for spec, series, order, columns in _exchange_step_cases(rng):
+    for spec, series, order in _exchange_step_cases(rng):
         n, d = series.n, spec.order
-        near_step = mcle._exchange_kernel(spec).near_step
         for gap in range(1, d + 1):
             for s1 in rng.choice(np.arange(d, n - d - gap), size=10, replace=False).tolist():
                 scalar = core.swap_delta(spec, series, s1, s1 + gap, order=order)
-                mismatches += np.array(near_step(columns, s1, s1 + gap)).tobytes() != scalar.tobytes()
+                mismatches += _exchange_step(spec, series, order, s1, s1 + gap).tobytes() != scalar.tobytes()
     return CheckResult("exchange_step_near", mismatches == 0, float(mismatches), 0.0)
 
 
@@ -335,14 +343,16 @@ def _check_remainder_invariance() -> CheckResult:
 
 def _ordering_law(seed):
     """Per theta in (-1, 0, 0.7, 2), on AR(1) data at n = 7 (120 orderings):
-    the oracle's probability p_j of each ordering as its own observed series,
-    the library's statistic H_j of it and the oracle's mean mu for the data."""
+    the probability p_j of each ordering, the library's statistic H_j of it
+    and the oracle's mean mu for the data.  p_0, of the observed ordering,
+    is the oracle's; the law's exponential form gives the others,
+    p_j = p_0 exp(theta (H_j - H_0))."""
     spec = core.ar_spec(1)
     series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 7, seed=seed)
     orderings = [core.TimeSeries(series.data[[0, *perm, 6]]) for perm in itertools.permutations(range(1, 6))]
-    H = np.array([core.total_statistic(spec, x) for x in orderings])
+    H = np.array([core.total_statistic(spec, x) for x in orderings])  # H[0]: the observed ordering
     for th in (-1.0, 0.0, 0.7, 2.0):
-        p = np.array([oracle.exact_conditional_likelihood(spec, x, [th]) for x in orderings])
+        p = oracle.exact_conditional_likelihood(spec, series, [th]) * np.exp((H - H[0]) @ [th])
         mu, _ = oracle.enumeration_moments(spec, series, [th])
         yield p, H, mu
 

@@ -254,6 +254,22 @@ class TestFit:
             ess, rhat = (float(v) for v in line.split(",")[-2:])
             assert ess > 0.0 and rhat > 0.0
 
+    @pytest.mark.parametrize("estimator", ["ple-naive", "ple-sgd", "mle"])
+    @pytest.mark.parametrize("by_file", [False, True], ids=["flag", "config"])
+    def test_diagnostics_of_other_estimators_exits_validation(self, workspace, capsys, estimator, by_file):
+        tmp = workspace["tmp"]
+        out, diag = tmp / f"nodiag-{estimator}.json", tmp / f"nodiag-{estimator}.csv"
+        conf = tmp / f"nodiag-{estimator}.conf.json"
+        conf.write_text(json.dumps({"diagnostics": str(diag)}))
+        given = ["--config", str(conf)] if by_file else ["--diagnostics", str(diag)]
+        rc, _ = run_cli(
+            "fit", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]),
+            "--estimator", estimator, "--order", "1", "--out", str(out), *given,
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert "--diagnostics" in capsys.readouterr().err
+        assert not out.exists() and not diag.exists()
+
     INVALID_OPTIONS = [
         ("ple-sgd", "--eta", "0"),
         ("ple-sgd", "--eta", "nan"),

@@ -331,6 +331,38 @@ class TestChainEquivalence:
         assert mcle._exchange_kernel(core.ar_spec(1)) is not kernel
 
 
+class TestSegmentState:
+    def test_column_lists_follow_the_ordering(self):
+        # p = 2, d = 2, component 1 only cubed: the near lines read it from
+        # the data rows, the far lines from its power column
+        T = core.MonomialTerm
+        spec = core.DependenceSpec(
+            2, 2, (T(((0, 0, 1), (1, 0, 1))), T(((0, 0, 1), (1, 1, 3))), T(((0, 0, 2), (2, 1, 3))))
+        )
+        d, n = spec.order, 40
+        rng = np.random.default_rng(3)
+        series = core.TimeSeries(rng.uniform(-1.2, 1.2, size=(n, 2)))
+        s1, s2 = core._uniform_pairs(rng, d, n - d, mcle._PROPOSAL_BLOCK)
+        logu = np.log(rng.random(mcle._PROPOSAL_BLOCK))
+        proposals = list(zip(range(1, mcle._PROPOSAL_BLOCK + 1), s1.tolist(), s2.tolist(), logu.tolist()))
+        columns = mcle._chain_columns(spec, series.data)
+        order = list(range(n))
+        start = [float(v) for v in core.total_statistic(spec, series)]
+        events = []
+        current = mcle._exchange_kernel(spec)(
+            columns, order, series.rows(), start, [0.3, -0.2, 0.1], proposals, events.extend
+        )
+        accepted = [proposals[int(step) - 1] for step in events[:: spec.n_terms + 1]]
+        near = sum(b - a <= d for _, a, b, _ in accepted)
+        assert near >= 200 and len(accepted) - near >= 1000
+        expected = mcle._chain_columns(spec, series.data[order])
+        assert np.array(columns).tobytes() == np.array(expected).tobytes()
+        assert order[:d] + order[n - d :] == [0, 1, n - 2, n - 1]
+        assert sorted(order) == list(range(n))
+        permuted = core.TimeSeries(series.data[order])
+        np.testing.assert_allclose(current, core.total_statistic(spec, permuted), rtol=1e-12, atol=1e-12)
+
+
 def _ar1_sequence(rho, n, seed):
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n)
