@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -43,6 +44,15 @@ _EXCHANGE_OPTIONS = {"samples": "n_samples", "burn_in": "burn_in", "thin": "thin
 _SCORING_OPTIONS = {"max_iters": "max_iters", "grad_tol": "grad_tol"}
 _GD_OPTIONS = {"max_epochs": "max_epochs", "tol": "tol"}
 _SGD_OPTIONS = {"eta": "eta", "iters": "n_iters"}
+# the options of `fit` that only some estimators read, by estimator; `fit`
+# rejects one given to an estimator that never reads it
+_ESTIMATOR_READS = {
+    "mle": {"order"},
+    "mcle": {"seed", "diagnostics", *_EXCHANGE_OPTIONS, *_SCORING_OPTIONS},
+    "ple-naive": {*_GD_OPTIONS},
+    "ple-bipartition": {"seed", *_GD_OPTIONS},
+    "ple-sgd": {"seed", *_SGD_OPTIONS},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +281,17 @@ def _run_estimator(estimator, series, spec, conf, seed):
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    conf = _merge_config(args, seed=0)
+    conf = _merge_config(args)
     if conf["data"] is None or conf["estimator"] is None:
         raise MimmError("fit requires --data and --estimator")
     if conf["estimator"] not in ESTIMATORS:
         raise MimmError(f"estimator must be one of {ESTIMATORS}")
-    if conf["diagnostics"] is not None and conf["estimator"] != "mcle":
-        raise MimmError(f"--diagnostics applies only to --estimator mcle, not {conf['estimator']}")
+    unread = set().union(*_ESTIMATOR_READS.values()) - _ESTIMATOR_READS[conf["estimator"]]
+    given = sorted(args.options[key].option_strings[0] for key in unread if conf[key] is not None)
+    if given:
+        raise MimmError(f"--estimator {conf['estimator']} never reads {', '.join(given)}")
+    if conf["seed"] is None:
+        conf["seed"] = 0
     _check_time_limit(conf["time_limit_s"], "--time-limit-s")
     series = _load_series(conf["data"])
     spec = None
@@ -619,7 +633,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `mimm` parser, built once per process: parsing reads it and
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mimm",
         description=(

@@ -31,7 +31,9 @@ temporary grows with the pair matrix.
 Online SGD builds its whole budget's pair statistics in one vectorized
 call; only the update sweep is sequential, and it runs on Python floats:
 one float swept over the flat column when K = 1, a row sweep otherwise.
-Both do the operations of a plain per-row loop over the numpy pair matrix
+Each update takes its logistic weight from one exponential,
+eta / (1 + exp(margin)), and skips only a margin past exp's range.  Both
+sweeps do the operations of a plain per-row loop over the numpy pair matrix
 in the same order, so theta is bitwise equal to that loop's (see
 ``fit_online_sgd``).
 
@@ -109,6 +111,10 @@ _MIN_STEP = 2.0**-30
 _SLICE_ROWS = 1 << 14
 # Rows online SGD turns into Python lists at a time.
 _SGD_LIST_ROWS = 2048
+# Largest argument this module passes to exp (and _psi to expm1): e^700 is
+# about 1e304, so the result stays finite, and past it a logistic weight
+# 1 / (1 + e^m) is below e^-700, too small to move theta.
+_EXP_MAX = 700.0
 # A pair design is held in memory up to this many pairs * K statistics;
 # past it, every pass regenerates it.  fit_naive draws its pairs this many
 # at a time.  Both are read at call time, so a test can force the streamed
@@ -301,8 +307,9 @@ def _newton_pass(blocks, theta):
     Each block is walked in slices of ``_SLICE_ROWS`` rows through buffers
     reused from slice to slice, so no temporary grows with the block.  Per
     slice q = 1 - p is taken as 1 / (1 + exp(m)), with the margin m clipped
-    at 700 so exp stays finite, and one product of [q; X' diag(p q)] with
-    the slice gives the gradient and Fisher rows together.
+    at ``_EXP_MAX`` so exp stays finite, and one product of
+    [q; X' diag(p q)] with the slice gives the gradient and Fisher rows
+    together.
     """
     K = len(theta)
     acc, rows = None, 0
@@ -314,7 +321,7 @@ def _newton_pass(blocks, theta):
                 m, Z = np.empty(rows), np.empty((K + 1, rows))
                 q, XW = Z[0], Z[1:]
             np.dot(Xb, theta, out=m)
-            np.minimum(m, 700.0, out=m)
+            np.minimum(m, _EXP_MAX, out=m)
             np.exp(m, out=m)
             m += 1.0
             np.divide(1.0, m, out=q)
@@ -336,7 +343,7 @@ def _psi(rho: float) -> float:
     rho ~ 1.7933; its series near 0, infinite past exp's range."""
     if rho < 1e-3:
         return 0.5 + rho * (1.0 / 6.0 + rho * (1.0 / 24.0 + rho / 120.0))
-    if rho > 700.0:
+    if rho > _EXP_MAX:
         return math.inf
     return (math.expm1(rho) - rho) / (rho * rho)
 
@@ -538,6 +545,13 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     constant response of 1).  Fixed iteration budget, no convergence test.
     The pairs come from ``core._uniform_pairs``, as the exchange chain's do.
 
+    The weight eta * (1 - sigmoid(m)) of margin m = theta . x is taken from
+    one exponential, eta / (1 + exp(m)): a few roundings from the exact
+    value at every margin, and exactly eta once exp(m) is below half an ulp
+    of 1 (m below about -36.7), with no branch for it.
+    An update with m at or past ``_EXP_MAX`` is skipped; its weight is below
+    eta * e^-700, and exp would overflow further on.
+
     Pair statistics do not depend on theta, so the whole budget's are
     computed in one vectorized call; the update sweep itself is strictly
     sequential and runs on Python floats, which the interpreter reads far
@@ -546,8 +560,8 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     column; otherwise each row is a list and the margin is summed term by
     term from 0.0.  Both sweeps do the same floating-point operations in the
     same order: the one-term margin th * x differs from 0.0 + th * x at
-    most in the sign of a zero, which neither the -36 test nor exp(-margin)
-    can see, so theta is bitwise the same either way.
+    most in the sign of a zero, which neither the ``_EXP_MAX`` test nor
+    exp(margin) can see, so theta is bitwise the same either way.
     """
     start = time.perf_counter()
     lo, hi = _interior_bounds(spec, series)
@@ -562,16 +576,14 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     loop_start = time.perf_counter()
     # rows are turned into lists a few at a time so that few list objects
     # are alive at once (16384 at a time raised peak RSS 2 MiB)
-    exp = math.exp
+    exp, limit = math.exp, _EXP_MAX
     if K == 1:
         th = 0.0
         for sl in range(0, config.n_iters, _SGD_LIST_ROWS):
             for x in X[sl : sl + _SGD_LIST_ROWS, 0].tolist():
                 margin = th * x
-                if margin < -36.0:  # sigmoid underflow; also keeps exp() in range
-                    th += eta * x
-                else:
-                    th += eta * (1.0 - 1.0 / (1.0 + exp(-margin))) * x
+                if margin < limit:
+                    th += eta / (1.0 + exp(margin)) * x
         theta = [th]
     else:
         theta = [0.0] * K
@@ -581,12 +593,10 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
                 margin = 0.0
                 for k in terms:
                     margin += theta[k] * row[k]
-                if margin < -36.0:
-                    w = eta
-                else:
-                    w = eta * (1.0 - 1.0 / (1.0 + exp(-margin)))
-                for k in terms:
-                    theta[k] += w * row[k]
+                if margin < limit:
+                    w = eta / (1.0 + exp(margin))
+                    for k in terms:
+                        theta[k] += w * row[k]
 
     theta_arr = np.asarray(theta)
     solved = time.perf_counter()

@@ -270,6 +270,56 @@ class TestFit:
         assert "--diagnostics" in capsys.readouterr().err
         assert not out.exists() and not diag.exists()
 
+    UNREAD_OPTIONS = [
+        ("ple-naive", {"samples": 5, "eta": 0.3, "order": 4}, "--eta, --order, --samples"),
+        ("ple-naive", {"seed": 3}, "--seed"),
+        ("ple-bipartition", {"iters": 100}, "--iters"),
+        ("ple-sgd", {"max_epochs": 3, "thin": 2}, "--max-epochs, --thin"),
+        ("mcle", {"tol": 1e-3}, "--tol"),
+        ("mle", {"seed": 1, "grad_tol": 1e-3}, "--grad-tol, --seed"),
+    ]
+
+    @pytest.mark.parametrize("estimator, options, named", UNREAD_OPTIONS)
+    @pytest.mark.parametrize("by_file", [False, True], ids=["flag", "config"])
+    def test_option_the_estimator_never_reads_exits_validation(
+        self, workspace, monkeypatch, capsys, estimator, options, named, by_file
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(cli, "_run_estimator", no_run)
+        tmp = workspace["tmp"]
+        out, conf = tmp / f"unread-{estimator}.json", tmp / f"unread-{estimator}.conf.json"
+        conf.write_text(json.dumps(options))
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in options.items()]
+        rc, _ = run_cli(
+            "fit", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]),
+            "--estimator", estimator, "--out", str(out), *(["--config", str(conf)] if by_file else flags),
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert f"--estimator {estimator} never reads {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("estimator", cli.ESTIMATORS)
+    def test_estimator_reads_are_the_options_its_run_reads(self, workspace, estimator):
+        read = set()
+
+        class Recording(dict):
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        series = core.TimeSeries.from_csv(workspace["data"])
+        conf = Recording(order=1, samples=300, max_iters=2, iters=100)
+        cli._run_estimator(estimator, series, core.ar_spec(1), conf, 0)
+        # the seed is an argument of the run, and cmd_fit writes the diagnostics
+        checked = set().union(*cli._ESTIMATOR_READS.values()) - {"seed", "diagnostics"}
+        assert read & checked == cli._ESTIMATOR_READS[estimator] - {"seed", "diagnostics"}
+
     INVALID_OPTIONS = [
         ("ple-sgd", "--eta", "0"),
         ("ple-sgd", "--eta", "nan"),
@@ -585,6 +635,39 @@ class TestSelect:
         aics = [float(r[3]) for r in rows]
         assert all(np.isfinite(aics))
         assert len({r[1] for r in rows}) >= 2  # K column distinguishes the specs
+
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_write_what_fresh_parsers_write(self, workspace, tmp_path):
+        data, spec1, spec2 = (str(workspace[key]) for key in ("data", "spec1", "spec2"))
+        calls = [
+            ["select", "--data", data, "--spec", spec1, "--spec", spec2, "--seed", "3"],
+            ["select", "--data", data, "--spec", spec2, "--spec", spec1, "--spec", spec1, "--splits", "2"],
+            ["fit", "--data", data, "--estimator", "ple-fast"],  # a failed parse
+            ["select", "--data", data, "--spec", spec1, "--spec", spec2],
+            ["fit", "--data", data, "--spec", spec1, "--estimator", "ple-bipartition", "--seed", "2"],
+        ]
+
+        def outputs(fresh):
+            written = []
+            for i, argv in enumerate(calls):
+                if fresh:
+                    cli.build_parser.cache_clear()
+                out = tmp_path / f"{'fresh' if fresh else 'kept'}-{i}.out"
+                rc, text = run_cli(*argv, "--out", str(out))
+                body = out.read_text() if out.exists() else None
+                if body is not None and argv[0] == "fit":
+                    body = json.loads(body)
+                    del body["wall_time_s"], body["stages"]  # the run's own timings
+                written.append((rc, text, body))
+            return written
+
+        kept = outputs(fresh=False)
+        assert [rc for rc, _, _ in kept] == [0, 0, cli.EXIT_VALIDATION, 0, 0]
+        assert kept == outputs(fresh=True)
 
 
 class TestBenchmark:

@@ -897,24 +897,47 @@ class TestFitPairs:
             ple.fit_pairs(SPEC1, series, [], [])
 
 
-def reference_sgd_theta(spec, series, config, margins=None):
-    """Online SGD as first written: the same pair draws, one update per
-    numpy row of the pair matrix.  Each update's margin is appended to
-    ``margins`` when a list is given."""
+def _reference_pair_rows(spec, series, config):
+    """Online SGD's pair matrix, drawn as first written: the same uniform
+    interior pairs as ``core._uniform_pairs``, as numpy rows of -swap_delta."""
     d = spec.order
     m = series.n - 2 * d
     rng = np.random.default_rng(config.seed)
     a = rng.integers(0, m, size=config.n_iters)
     b = rng.integers(0, m - 1, size=config.n_iters)
     b = b + (b >= a)
-    X = -core.swap_deltas(spec, series, np.minimum(a, b) + d, np.maximum(a, b) + d)
+    return -core.swap_deltas(spec, series, np.minimum(a, b) + d, np.maximum(a, b) + d)
+
+
+def reference_sgd_theta(spec, series, config, margins=None, weights=None):
+    """Online SGD as a plain loop: one update per numpy row of the pair
+    matrix, with the weight eta / (1 + exp(margin)) and no update at a
+    margin of 700 or more.  Each update's margin is appended to ``margins``
+    and its weight (None when skipped) to ``weights`` when lists are given."""
     theta = [0.0] * spec.n_terms
-    for row in X:
+    for row in _reference_pair_rows(spec, series, config):
         margin = 0.0
         for k in range(spec.n_terms):
             margin += theta[k] * row[k]
+        w = config.eta / (1.0 + math.exp(margin)) if margin < 700.0 else None
         if margins is not None:
             margins.append(margin)
+        if weights is not None:
+            weights.append(w)
+        if w is not None:
+            for k in range(spec.n_terms):
+                theta[k] += w * row[k]
+    return np.asarray(theta)
+
+
+def reference_sgd_theta_first_written(spec, series, config):
+    """Online SGD with the weight as first written,
+    eta * (1 - 1 / (1 + exp(-margin))), and eta itself below a margin of -36."""
+    theta = [0.0] * spec.n_terms
+    for row in _reference_pair_rows(spec, series, config):
+        margin = 0.0
+        for k in range(spec.n_terms):
+            margin += theta[k] * row[k]
         if margin < -36.0:
             w = config.eta
         else:
@@ -928,7 +951,7 @@ def reference_sgd_theta(spec, series, config, margins=None):
 def sgd_designs(draw):
     """An online SGD run: AR(1) (K = 1), AR(2) (K = 2) or a binary/real kron
     spec; budgets on both sides of the list-chunk boundaries; step sizes
-    log-uniform up to 50, large enough for margins below -36; univariate
+    log-uniform up to 50, large enough for margins below -36.7; univariate
     series rounded to a coarse grid with some values zeroed, so pair
     statistics repeat and vanish."""
     kind = draw(st.sampled_from(["ar1", "ar2", "kron"]))
@@ -968,19 +991,36 @@ class TestFitOnlineSgd:
         fit = ple.fit_online_sgd(SPEC1, series, ple.SgdConfig(eta=0.1, n_iters=500, seed=7))
         assert fit.theta[0] == 0.0
 
-    @pytest.mark.parametrize(
-        "spec, n_iters",
-        [
-            (SPEC1, 3 * ple._SGD_LIST_ROWS + 5),
-            (core.ar_spec(2), 3000),
-            (core.kron_spec(2, [(1, 1, 1), (2, 2, 1), (2, 1, 2)]), 3000),
-        ],
-    )
-    def test_theta_bitwise_equal_to_numpy_row_loop(self, spec, n_iters):
+    SGD_ROW_LOOP_CASES = [
+        (SPEC1, 3 * ple._SGD_LIST_ROWS + 5),
+        (core.ar_spec(2), 3000),
+        (core.kron_spec(2, [(1, 1, 1), (2, 2, 1), (2, 1, 2)]), 3000),
+    ]
+
+    @staticmethod
+    def row_loop_case(spec, n_iters):
         series = binary_real_series(300, 26) if spec.dim == 2 else gaussian.simulate_ar(AR1, 300, seed=26)
-        config = ple.SgdConfig(eta=0.01, n_iters=n_iters, seed=9)
+        return series, ple.SgdConfig(eta=0.01, n_iters=n_iters, seed=9)
+
+    @pytest.mark.parametrize("spec, n_iters", SGD_ROW_LOOP_CASES)
+    def test_theta_bitwise_equal_to_numpy_row_loop(self, spec, n_iters):
+        series, config = self.row_loop_case(spec, n_iters)
         fit = ple.fit_online_sgd(spec, series, config)
         np.testing.assert_array_equal(fit.theta, reference_sgd_theta(spec, series, config))
+
+    @pytest.mark.parametrize("spec, n_iters", SGD_ROW_LOOP_CASES)
+    def test_theta_close_to_first_written_weight(self, spec, n_iters):
+        series, config = self.row_loop_case(spec, n_iters)
+        theta = ple.fit_online_sgd(spec, series, config).theta
+        first = reference_sgd_theta_first_written(spec, series, config)
+        np.testing.assert_array_less(np.abs(theta - first), 1e-12 * (1.0 + np.abs(first)))
+
+    def test_theta_close_to_first_written_weight_at_criterion_7_budget(self):
+        series = gaussian.simulate_ar(AR1, 10_000, seed=28)
+        config = ple.SgdConfig(eta=0.001, n_iters=100_000, seed=12)
+        theta = ple.fit_online_sgd(SPEC1, series, config).theta
+        first = reference_sgd_theta_first_written(SPEC1, series, config)
+        np.testing.assert_array_less(np.abs(theta - first), 1e-12 * (1.0 + np.abs(first)))
 
     @settings(max_examples=40, deadline=None)
     @given(sgd_designs())
@@ -990,12 +1030,15 @@ class TestFitOnlineSgd:
         np.testing.assert_array_equal(fit.theta, reference_sgd_theta(spec, series, config))
         assert fit.n_pairs_used == fit.iterations == config.n_iters
 
-    def test_theta_bitwise_equal_past_sigmoid_underflow(self):
+    def test_theta_bitwise_equal_past_both_ends_of_the_weight(self):
         series = gaussian.simulate_ar(AR1, 60, seed=27)
         config = ple.SgdConfig(eta=50.0, n_iters=2 * ple._SGD_LIST_ROWS + 7, seed=11)
-        margins = []
-        expected = reference_sgd_theta(SPEC1, series, config, margins)
-        assert min(margins) < -36.0 < max(margins)
+        margins, weights = [], []
+        expected = reference_sgd_theta(SPEC1, series, config, margins, weights)
+        assert min(margins) < -36.8 and max(margins) > 700.0
+        # 1 + exp(m) rounds to 1 below m = log(2**-53) ~ -36.74, so the weight is eta itself
+        assert {w for m, w in zip(margins, weights) if m < -36.8} == {config.eta}
+        assert all(w is None for m, w in zip(margins, weights) if m >= 700.0)
         np.testing.assert_array_equal(ple.fit_online_sgd(SPEC1, series, config).theta, expected)
 
     def test_deterministic_given_seed(self):
