@@ -5,7 +5,8 @@ Subcommands: simulate | fit | select | benchmark | verify.
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 timeout.
 
 Option precedence is flags > config file (--config, JSON) > built-in
-defaults; the effective configuration is echoed into every result file.
+defaults.  `fit` and `benchmark` build every estimator's configs from one
+table before any run, and a fit result echoes the configuration that ran.
 Every command is deterministic given its inputs and seed.
 """
 
@@ -39,20 +40,25 @@ EXIT_TIMEOUT = 4
 
 ESTIMATORS = ("mle", "mcle", "ple-naive", "ple-bipartition", "ple-sgd")
 
-# option name -> field of the config dataclass it sets
-_EXCHANGE_OPTIONS = {"samples": "n_samples", "burn_in": "burn_in", "thin": "thin"}
-_SCORING_OPTIONS = {"max_iters": "max_iters", "grad_tol": "grad_tol"}
-_GD_OPTIONS = {"max_epochs": "max_epochs", "tol": "tol"}
-_SGD_OPTIONS = {"eta": "eta", "iters": "n_iters"}
-# the options of `fit` that only some estimators read, by estimator; `fit`
-# rejects one given to an estimator that never reads it
-_ESTIMATOR_READS = {
-    "mle": {"order"},
-    "mcle": {"seed", "diagnostics", *_EXCHANGE_OPTIONS, *_SCORING_OPTIONS},
-    "ple-naive": {*_GD_OPTIONS},
-    "ple-bipartition": {"seed", *_GD_OPTIONS},
-    "ple-sgd": {"seed", *_SGD_OPTIONS},
+# The options of `fit` that only some estimators read, by estimator, each to
+# the (config dataclass, field) it sets, or None when the run reads it as is
+_NEWTON = {"max_epochs": (ple.GdConfig, "max_epochs"), "tol": (ple.GdConfig, "tol")}
+_ESTIMATOR_OPTIONS = {
+    "mle": {"order": None},
+    "mcle": {
+        "seed": (mcle.ExchangeConfig, "seed"),
+        "samples": (mcle.ExchangeConfig, "n_samples"),
+        "burn_in": (mcle.ExchangeConfig, "burn_in"),
+        "thin": (mcle.ExchangeConfig, "thin"),
+        "max_iters": (mcle.ScoringConfig, "max_iters"),
+        "grad_tol": (mcle.ScoringConfig, "grad_tol"),
+        "diagnostics": None,
+    },
+    "ple-naive": _NEWTON,
+    "ple-bipartition": {"seed": None, **_NEWTON},
+    "ple-sgd": {"seed": (ple.SgdConfig, "seed"), "eta": (ple.SgdConfig, "eta"), "iters": (ple.SgdConfig, "n_iters")},
 }
+_ESTIMATOR_SPECIFIC = frozenset().union(*_ESTIMATOR_OPTIONS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +85,7 @@ def _merge_config(args: argparse.Namespace, **builtin) -> dict:
                 f"{args.command}: {', '.join(unknown)}"
             )
         for key, value in file_conf.items():
-            _check_file_value(args.config, args.options[key], value)
+            _check_file_value(f"config file {args.config}", args.options[key], value)
         effective.update((key, value) for key, value in file_conf.items() if value is not None)
     for key in keys:
         flag_val = getattr(args, key)
@@ -88,13 +94,12 @@ def _merge_config(args: argparse.Namespace, **builtin) -> dict:
     return effective
 
 
-def _check_file_value(path, action: argparse.Action, value) -> None:
-    """The option's own shape, type and choices checks, applied to a
-    config-file value: an option that takes several values (``nargs`` "+",
-    "*" or a count, or ``action="append"``) takes a JSON list, of that count
-    if fixed, and any other option a single value.  An int option takes JSON
-    integers, a float option any JSON number and other options strings.
-    null leaves the option unset."""
+def _check_file_value(source: str, action: argparse.Action, value) -> None:
+    """The option's own shape, type and choices checks, on a JSON value: an
+    option that takes several values (``nargs`` "+", "*" or a count, or
+    ``action="append"``) takes a list, of that count if fixed, and any other
+    option one value.  An int option takes JSON integers, a float option any
+    JSON number and other options strings.  null leaves the option unset."""
     if value is None:
         return
     name = action.option_strings[0]
@@ -104,16 +109,16 @@ def _check_file_value(path, action: argparse.Action, value) -> None:
         or isinstance(action, argparse._AppendAction)
     )
     if isinstance(value, list) != many:
-        raise MimmError(f"config file {path}: {name} takes {'a list' if many else 'one value'}, got {value!r}")
+        raise MimmError(f"{source}: {name} takes {'a list' if many else 'one value'}, got {value!r}")
     if isinstance(action.nargs, int) and len(value) != action.nargs:
-        raise MimmError(f"config file {path}: {name} takes {action.nargs} values, got {value!r}")
+        raise MimmError(f"{source}: {name} takes {action.nargs} values, got {value!r}")
     kind = action.type or str
     accepted = (int, float) if kind is float else kind
     for item in value if many else [value]:
         if isinstance(item, bool) or not isinstance(item, accepted):
-            raise MimmError(f"config file {path}: {name} takes {kind.__name__} values, got {item!r}")
+            raise MimmError(f"{source}: {name} takes {kind.__name__} values, got {item!r}")
         if action.choices is not None and item not in action.choices:
-            raise MimmError(f"config file {path}: {name} must be one of {', '.join(action.choices)}, got {item!r}")
+            raise MimmError(f"{source}: {name} must be one of {', '.join(action.choices)}, got {item!r}")
 
 
 def _check_time_limit(value, source: str) -> None:
@@ -125,12 +130,35 @@ def _check_time_limit(value, source: str) -> None:
         raise MimmError(f"{source} must be finite and > 0, got {value!r}")
 
 
-def _configure(base, conf: dict, options: dict):
-    """``base`` with every option set in ``conf`` (by flag, config file or
-    manifest) written to its field.  Unset options keep the dataclass
-    default, and the dataclass validates what was set."""
-    given = {field: conf[opt] for opt, field in options.items() if conf.get(opt) is not None}
-    return dataclasses.replace(base, **given)
+def _check_count(value, source: str, least: int = 1) -> None:
+    """A count must be a JSON integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise MimmError(f"{source} takes an integer >= {least}, got {value!r}")
+
+
+def _estimator_configs(estimator: str, conf: dict, who: str, seed=None) -> dict:
+    """What a run of ``estimator`` reads, from the options set in ``conf``
+    (``seed`` if it sets none): its config records by dataclass, unset fields
+    at their defaults, and by name the value of each option it reads.  Errors,
+    after ``who``: a set option only other estimators read, a refused value."""
+    table = _ESTIMATOR_OPTIONS[estimator]
+    if "seed" in table and conf.get("seed") is None:
+        conf = conf | {"seed": seed}
+    unread = [key for key in _ESTIMATOR_SPECIFIC - table.keys() if conf.get(key) is not None]
+    if unread:
+        raise MimmError(f"{who} never reads {', '.join(sorted('--' + key.replace('_', '-') for key in unread))}")
+    if conf.get("order") is not None:
+        _check_count(conf["order"], f"{who}: --order")
+    given = {dest[0]: {} for dest in table.values() if dest is not None}
+    for key, dest in table.items():
+        if dest is not None and conf.get(key) is not None:
+            given[dest[0]][dest[1]] = conf[key]
+    try:
+        built = {cls: cls(**fields) for cls, fields in given.items()}
+    except ValueError as err:
+        raise MimmError(f"{who}: {err}") from err
+    built |= {key: conf.get(key) if dest is None else getattr(built[dest[0]], dest[1]) for key, dest in table.items()}
+    return built
 
 
 def _load_series(path) -> core.TimeSeries:
@@ -232,17 +260,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # fit
 
 
-def _run_estimator(estimator, series, spec, conf, seed):
-    """Dispatch one estimator run; returns (theta, extras, fit), where
-    ``fit`` is the library's result object (None for mle)."""
+def _run_estimator(estimator, series, spec, configs):
+    """Dispatch one estimator run on its :func:`_estimator_configs`; returns
+    (theta, extras, fit), ``fit`` the library's result object (None for mle)."""
     if estimator == "mle":
-        order = conf.get("order")
+        order = configs["order"]
         if order is None and spec is not None:
             order = spec.order
         if order is None:
             raise MimmError("mle requires --order (or a spec to derive it from)")
-        if order < 1:
-            raise MimmError(f"--order must be >= 1, got {order}")
         if series.p == 1:
             classical, mininfo = oracle.mle_ols_ar(series, order)
             extras = {"phi": [float(v) for v in classical.phi], "sigma2": classical.sigma2}
@@ -255,8 +281,7 @@ def _run_estimator(estimator, series, spec, conf, seed):
     if spec is None:
         raise MimmError(f"{estimator} requires --spec")
     if estimator == "mcle":
-        exch = _configure(mcle.ExchangeConfig(seed=seed), conf, _EXCHANGE_OPTIONS)
-        scor = _configure(mcle.ScoringConfig(), conf, _SCORING_OPTIONS)
+        exch, scor = configs[mcle.ExchangeConfig], configs[mcle.ScoringConfig]
         fit = mcle.fisher_scoring(spec, series, exchange_config=exch, scoring_config=scor)
         extras = {
             "iterations": fit.iterations,
@@ -267,16 +292,12 @@ def _run_estimator(estimator, series, spec, conf, seed):
             "stages": fit.stages,
         }
         return fit.theta, extras, fit
-    if estimator in ("ple-naive", "ple-bipartition"):
-        gd = _configure(ple.GdConfig(), conf, _GD_OPTIONS)
-        if estimator == "ple-naive":
-            fit = ple.fit_naive(spec, series, gd)
-        else:
-            fit = ple.fit_bipartition(spec, series, seed=seed, config=gd)
-    elif estimator == "ple-sgd":
-        fit = ple.fit_online_sgd(spec, series, _configure(ple.SgdConfig(seed=seed), conf, _SGD_OPTIONS))
+    if estimator == "ple-naive":
+        fit = ple.fit_naive(spec, series, configs[ple.GdConfig])
+    elif estimator == "ple-bipartition":
+        fit = ple.fit_bipartition(spec, series, seed=configs["seed"], config=configs[ple.GdConfig])
     else:
-        raise MimmError(f"unknown estimator {estimator!r}")
+        fit = ple.fit_online_sgd(spec, series, configs[ple.SgdConfig])
     return fit.theta, fit.to_dict(), fit
 
 
@@ -284,14 +305,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     conf = _merge_config(args)
     if conf["data"] is None or conf["estimator"] is None:
         raise MimmError("fit requires --data and --estimator")
-    if conf["estimator"] not in ESTIMATORS:
-        raise MimmError(f"estimator must be one of {ESTIMATORS}")
-    unread = set().union(*_ESTIMATOR_READS.values()) - _ESTIMATOR_READS[conf["estimator"]]
-    given = sorted(args.options[key].option_strings[0] for key in unread if conf[key] is not None)
-    if given:
-        raise MimmError(f"--estimator {conf['estimator']} never reads {', '.join(given)}")
-    if conf["seed"] is None:
-        conf["seed"] = 0
+    configs = _estimator_configs(conf["estimator"], conf, f"--estimator {conf['estimator']}", seed=0)
     _check_time_limit(conf["time_limit_s"], "--time-limit-s")
     series = _load_series(conf["data"])
     spec = None
@@ -316,14 +330,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
         )
 
     start = time.perf_counter()
-    theta, extras, fit = _run_estimator(conf["estimator"], series, spec, conf, conf["seed"])
+    theta, extras, fit = _run_estimator(conf["estimator"], series, spec, configs)
     wall = time.perf_counter() - start
 
+    # the shared options but the output path, then the estimator's as they ran
+    ran = {key: configs[key] for key in _ESTIMATOR_OPTIONS[conf["estimator"]]}
     result = {
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
         "estimator": conf["estimator"],
-        "config": {k: v for k, v in conf.items() if k not in ("out", "diagnostics")},
+        "config": {key: value for key, value in conf.items() if key not in _ESTIMATOR_SPECIFIC | {"out"}} | ran,
     }
     result.update(extras)
     result["theta"] = [float(v) for v in np.atleast_1d(theta)]
@@ -379,8 +395,8 @@ def cmd_select(args: argparse.Namespace) -> int:
         except Exception as err:
             raise MimmError(f"cannot load spec {path}: {err}") from err
     given = {key: conf[key] for key in ("seed", "splits") if conf[key] is not None}
-    gd = _configure(ple.SELECT_CONFIG, conf, _GD_OPTIONS)
-    scores = ple.select_specs(series, specs, config=gd, **given)
+    newton = {field: conf[key] for key, (_, field) in _ESTIMATOR_OPTIONS["ple-naive"].items() if conf[key] is not None}
+    scores = ple.select_specs(series, specs, config=dataclasses.replace(ple.SELECT_CONFIG, **newton), **given)
     rows = [{"spec": str(path), **row._asdict()} for path, row in zip(conf["spec"], scores)]
 
     ok = [r for r in rows if r["error"] is None]
@@ -467,18 +483,12 @@ def _stage_medians(stages: list[dict], ok: bool) -> dict[str, str | float]:
 _MANIFEST_SEED, _MANIFEST_REPETITIONS, _MANIFEST_TIME_LIMIT_S = 0, 30, 900.0
 
 
-def _check_count(value, source: str, least: int = 1) -> None:
-    """A count must be a JSON integer (not a bool) >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise MimmError(f"{source} takes an integer >= {least}, got {value!r}")
-
-
 def _check_manifest(manifest) -> None:
     """Check a benchmark manifest before any run: a JSON object with a
     non-empty ``cells`` list of objects; ``seed`` an integer >= 0; ``n`` and
-    ``repetitions`` integers >= 1; ``model`` and ``estimator_options``
-    objects; ``estimators`` a non-empty list of names from ESTIMATORS;
-    time limits finite and > 0."""
+    ``repetitions`` integers >= 1; ``label`` a string; ``model`` an object;
+    ``estimators`` a non-empty list of names from ESTIMATORS; time limits
+    finite and > 0; ``estimator_options`` its estimators' `fit` options."""
     if not isinstance(manifest, dict):
         raise MimmError(f"manifest must hold a JSON object, got {manifest!r}")
     cells = manifest.get("cells")
@@ -487,6 +497,7 @@ def _check_manifest(manifest) -> None:
     _check_count(manifest.get("seed", _MANIFEST_SEED), "manifest seed", least=0)
     _check_count(manifest.get("repetitions", _MANIFEST_REPETITIONS), "manifest repetitions")
     _check_time_limit(manifest.get("time_limit_s", _MANIFEST_TIME_LIMIT_S), "manifest time_limit_s")
+    fit_actions = build_parser().parse_args(["fit"]).options
     for cell_idx, cell in enumerate(cells):
         where = f"cell {cell_idx}"
         if not isinstance(cell, dict):
@@ -495,17 +506,27 @@ def _check_manifest(manifest) -> None:
         if "repetitions" in cell:
             _check_count(cell["repetitions"], f"{where} repetitions")
         _check_time_limit(cell.get("time_limit_s"), f"{where} time_limit_s")
+        if not isinstance(cell.get("label", ""), str):
+            raise MimmError(f"{where} label takes a string, got {cell['label']!r}")
         if not isinstance(cell.get("model"), dict):
             raise MimmError(f"{where} model must be a JSON object, got {cell.get('model')!r}")
-        options = cell.get("estimator_options", {})
-        if not isinstance(options, dict) or not all(isinstance(v, dict) for v in options.values()):
-            raise MimmError(f"{where} estimator_options must map estimators to JSON objects, got {options!r}")
         estimators = cell.get("estimators")
         if not isinstance(estimators, list) or not estimators or any(e not in ESTIMATORS for e in estimators):
             raise MimmError(
                 f"{where} estimators takes a non-empty list of names from "
                 f"{', '.join(ESTIMATORS)}, got {estimators!r}"
             )
+        options = cell.get("estimator_options", {})
+        if not isinstance(options, dict) or not all(e in estimators and isinstance(v, dict) for e, v in options.items()):
+            raise MimmError(f"{where} estimator_options must map its estimators to JSON objects, got {options!r}")
+        for estimator, opts in options.items():
+            who = f"{where} estimator {estimator}"
+            for key, value in opts.items():
+                # benchmark derives each run's seed, and writes no diagnostics
+                if key not in _ESTIMATOR_SPECIFIC - {"seed", "diagnostics"}:
+                    raise MimmError(f"{who} has no option {key!r}")
+                _check_file_value(f"{who} option {key}", fit_actions[key], value)
+            _estimator_configs(estimator, opts, who)
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
@@ -536,20 +557,19 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         label = cell.get("label", f"cell{cell_idx}")
         theta_star = _true_theta(params)
         spec = _model_spec(params)
-        options = cell.get("estimator_options", {})
         for estimator in cell["estimators"]:
-            opts = dict(options.get(estimator, {}))
+            opts = cell.get("estimator_options", {}).get(estimator, {})
+            who = f"cell {cell_idx} estimator {estimator}"
             errors, times, stages = [], [], []
             status = "ok"
             for rep in range(reps):
                 seq = np.random.SeedSequence((base_seed, cell_idx, rep))
                 data_seed, est_seed = seq.spawn(2)
                 series = _simulate(params, n, seed=data_seed)
+                configs = _estimator_configs(estimator, opts, who, est_seed.generate_state(1)[0])
                 t0 = time.perf_counter()
                 try:
-                    theta, _, fit = _run_estimator(
-                        estimator, series, spec, opts, est_seed.generate_state(1)[0]
-                    )
+                    theta, _, fit = _run_estimator(estimator, series, spec, configs)
                 except (MimmError, np.linalg.LinAlgError, FloatingPointError) as err:
                     # numerical and data failures become a row; programming
                     # errors propagate

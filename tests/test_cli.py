@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -23,6 +24,12 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(out):
         rc = cli.main(list(argv))
     return rc, out.getvalue()
+
+
+def options_cell(estimator, options):
+    """A one-estimator AR(1) cell that sets ``options`` for its estimator."""
+    cell = {"label": "x", "model": {"kind": "ar", "phi": [0.5], "sigma2": 0.5}, "n": 100, "estimators": [estimator]}
+    return {**cell, "estimator_options": {estimator: options}}
 
 
 @pytest.fixture(scope="module")
@@ -300,25 +307,37 @@ class TestFit:
         assert f"--estimator {estimator} never reads {named}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_option_table_names_fit_options_and_config_fields(self):
+        actions = cli.build_parser().parse_args(["fit"]).options
+        assert set(cli._ESTIMATOR_OPTIONS) == set(cli.ESTIMATORS)
+        for table in cli._ESTIMATOR_OPTIONS.values():
+            for key, dest in table.items():
+                # errors name an option by its flag, spelled from its key
+                assert actions[key].option_strings == [f"--{key.replace('_', '-')}"]
+                if dest is not None:
+                    cls, field = dest
+                    assert field in {f.name for f in dataclasses.fields(cls)}
+
+    @pytest.mark.parametrize("value", [1, 0, -1, 0.5])
+    @pytest.mark.parametrize("option", sorted(cli._ESTIMATOR_SPECIFIC - {"seed", "diagnostics"}))
     @pytest.mark.parametrize("estimator", cli.ESTIMATORS)
-    def test_estimator_reads_are_the_options_its_run_reads(self, workspace, estimator):
-        read = set()
+    def test_fit_and_manifest_take_the_same_options(self, workspace, tmp_path, monkeypatch, estimator, option, value):
+        runs = []
 
-        class Recording(dict):
-            def get(self, key, default=None):
-                read.add(key)
-                return super().get(key, default)
+        def stub(estimator, series, spec, configs):
+            runs.append(estimator)
+            return np.zeros(1), {}, None
 
-            def __getitem__(self, key):
-                read.add(key)
-                return super().__getitem__(key)
-
-        series = core.TimeSeries.from_csv(workspace["data"])
-        conf = Recording(order=1, samples=300, max_iters=2, iters=100)
-        cli._run_estimator(estimator, series, core.ar_spec(1), conf, 0)
-        # the seed is an argument of the run, and cmd_fit writes the diagnostics
-        checked = set().union(*cli._ESTIMATOR_READS.values()) - {"seed", "diagnostics"}
-        assert read & checked == cli._ESTIMATOR_READS[estimator] - {"seed", "diagnostics"}
+        monkeypatch.setattr(cli, "_run_estimator", stub)
+        rc_fit, _ = run_cli(
+            "fit", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]), "--estimator", estimator,
+            f"--{option.replace('_', '-')}={value}", "--out", str(tmp_path / "fit.json"),
+        )
+        manifest = {"repetitions": 1, "cells": [options_cell(estimator, {option: value})]}
+        (tmp_path / "man.json").write_text(json.dumps(manifest))
+        rc_bench, _ = run_cli("benchmark", "--manifest", str(tmp_path / "man.json"), "--out", str(tmp_path / "bench"))
+        assert rc_fit == rc_bench in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+        assert runs == ([estimator] * 2 if rc_fit == cli.EXIT_OK else [])
 
     INVALID_OPTIONS = [
         ("ple-sgd", "--eta", "0"),
@@ -379,6 +398,19 @@ class TestFit:
         assert set(stages) == {"pairs_s", "solver_s", "log_pl_s", "pilot_s"}
         assert all(v >= 0.0 for v in stages.values())
         assert sum(stages.values()) <= result["wall_time_s"]
+
+    def test_result_echoes_the_configuration_that_ran(self, workspace):
+        data, spec = str(workspace["data"]), str(workspace["spec1"])
+        naive, mle = workspace["tmp"] / "echo_naive.json", workspace["tmp"] / "echo_mle.json"
+        assert run_cli("fit", "--data", data, "--spec", spec, "--estimator", "ple-naive", "--out", str(naive))[0] == 0
+        assert run_cli("fit", "--data", data, "--estimator", "mle", "--order", "1", "--out", str(mle))[0] == 0
+        # the shared options, then only what the estimator read, as it ran
+        shared = {"data": data, "time_limit_s": None}
+        gd = ple.GdConfig()
+        assert json.loads(naive.read_text())["config"] == {
+            **shared, "spec": spec, "estimator": "ple-naive", "max_epochs": gd.max_epochs, "tol": gd.tol
+        }
+        assert json.loads(mle.read_text())["config"] == {**shared, "spec": None, "estimator": "mle", "order": 1}
 
     def test_sgd_result_has_null_convergence(self, workspace):
         out = workspace["tmp"] / "sgd.json"
@@ -789,11 +821,41 @@ class TestBenchmark:
             ({"cells": [{**GOOD_CELL, "estimator_options": {"mle": 3}}]}, "cell 0 estimator_options"),
             ({"seed": "7", "cells": [GOOD_CELL]}, "manifest seed"),
             ({"cells": []}, "manifest has no cells"),
+            (
+                {"cells": [options_cell("ple-naive", {"eta": 0.3, "samples": 5, "bogus": 1})]},
+                "cell 0 estimator ple-naive has no option 'bogus'",
+            ),
+            (
+                {"cells": [options_cell("ple-naive", {"max_epochs": "5"})]},
+                "cell 0 estimator ple-naive option max_epochs: --max-epochs takes int values, got '5'",
+            ),
+            ({"cells": [options_cell("mle", {"order": 0})]}, "cell 0 estimator mle: --order takes an integer >= 1"),
+            ({"cells": [options_cell("mle", {"max_epochs": 3})]}, "cell 0 estimator mle never reads --max-epochs"),
+            (
+                {"cells": [GOOD_CELL, options_cell("ple-sgd", {"eta": 0})]},
+                "cell 1 estimator ple-sgd: eta must be finite and > 0",
+            ),
+            (
+                {"cells": [{**GOOD_CELL, "estimator_options": {"ple-sgd": {"eta": 0.1}}}]},
+                "cell 0 estimator_options must map its estimators to JSON objects, got {'ple-sgd'",
+            ),
+            (
+                {"cells": [{**GOOD_CELL, "estimator_options": {"nope": {}}}]},
+                "cell 0 estimator_options must map its estimators to JSON objects, got {'nope'",
+            ),
+            ({"cells": [options_cell("ple-sgd", {"seed": 1})]}, "cell 0 estimator ple-sgd has no option 'seed'"),
+            (
+                {"cells": [options_cell("mcle", {"diagnostics": "d.csv"})]},
+                "cell 0 estimator mcle has no option 'diagnostics'",
+            ),
+            ({"cells": [{**GOOD_CELL, "label": ["x"]}]}, "cell 0 label takes a string, got ['x']"),
         ],
         ids=[
             "not-an-object", "cell-not-an-object", "repetitions-string", "cell-repetitions-zero",
             "n-string", "n-bool", "unknown-estimator", "no-estimators", "model-list",
-            "options-not-objects", "seed-string", "no-cells",
+            "options-not-objects", "seed-string", "no-cells", "unknown-option", "option-string",
+            "order-zero", "unread-option", "invalid-value-after-a-good-cell", "options-of-an-estimator-not-run",
+            "options-of-no-estimator", "seed-option", "diagnostics-option", "label-list",
         ],
     )
     def test_invalid_manifest_exits_validation_before_any_run(self, tmp_path, capsys, monkeypatch, manifest, named):
@@ -806,7 +868,18 @@ class TestBenchmark:
         rc, _ = run_cli("benchmark", "--manifest", str(man), "--out", str(tmp_path / "bench"))
         assert rc == cli.EXIT_VALIDATION
         assert named in capsys.readouterr().err
-        assert not (tmp_path / "bench.csv").exists()
+        assert not (tmp_path / "bench.csv").exists() and not (tmp_path / "bench.txt").exists()
+
+    def test_readme_manifest_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        after = readme.split("A benchmark manifest looks like", 1)[1]
+        man = tmp_path / "readme_manifest.json"
+        man.write_text(after.split("```json\n", 1)[1].split("```", 1)[0])
+        rc, _ = run_cli("benchmark", "--manifest", str(man), "--reps", "1", "--out", str(tmp_path / "bench"))
+        assert rc == cli.EXIT_OK
+        with open(tmp_path / "bench.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row["status"] == "ok" for row in rows)
 
     def test_reps_flag_overrides_manifest(self, workspace):
         man = workspace["tmp"] / "man_reps.json"
