@@ -318,6 +318,38 @@ class TestFit:
                     cls, field = dest
                     assert field in {f.name for f in dataclasses.fields(cls)}
 
+    @pytest.mark.parametrize("estimator", cli.ESTIMATORS)
+    def test_estimator_reads_are_the_options_its_run_reads(self, workspace, estimator):
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        def recording(record):
+            cls = type(record)
+
+            class Record(cls):
+                def __getattribute__(self, name):
+                    read.add((cls, name))
+                    return super().__getattribute__(name)
+
+            return Record(**{f.name: getattr(record, f.name) for f in dataclasses.fields(record)})
+
+        table = cli._ESTIMATOR_OPTIONS[estimator]
+        conf = {key: value for key, value in dict(order=1, samples=300, max_iters=2, iters=100).items() if key in table}
+        built = cli._estimator_configs(estimator, conf, estimator, seed=0)
+        configs = Recording((key, recording(value) if isinstance(key, type) else value) for key, value in built.items())
+        read.clear()
+        series = core.TimeSeries.from_csv(workspace["data"])
+        cli._run_estimator(estimator, series, core.ar_spec(1), configs)
+        # a record's seed travels inside it; cmd_fit writes the diagnostics
+        as_is = {key for key, dest in table.items() if dest is None} - {"diagnostics"}
+        records = {dest[0] for dest in table.values() if dest is not None}
+        assert {key for key in read if not isinstance(key, tuple)} == as_is | records
+        assert {dest for dest in table.values() if dest is not None} <= read
+
     @pytest.mark.parametrize("value", [1, 0, -1, 0.5])
     @pytest.mark.parametrize("option", sorted(cli._ESTIMATOR_SPECIFIC - {"seed", "diagnostics"}))
     @pytest.mark.parametrize("estimator", cli.ESTIMATORS)
