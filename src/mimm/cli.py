@@ -4,15 +4,16 @@ selection, benchmark tables, and the invariant verification gate.
 Subcommands: simulate | fit | select | benchmark | verify.
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 timeout.
 
-Option precedence is flags > config file (--config, JSON) > built-in
-defaults.  `fit` and `benchmark` build every estimator's configs from one
-table before any run, and a fit result echoes the configuration that ran.
-Every command is deterministic given its inputs and seed.
+Option precedence is flags > config file (--config, JSON) > defaults.
+`fit` and `benchmark` resolve every run's inputs before any run (estimator
+configs from one table, mle's order, each cell's model and true theta), and
+a fit result echoes them.  Every command is deterministic given its inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import functools
@@ -38,8 +39,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_TIMEOUT = 4
 
-ESTIMATORS = ("mle", "mcle", "ple-naive", "ple-bipartition", "ple-sgd")
-
 # The options of `fit` that only some estimators read, by estimator, each to
 # the (config dataclass, field) it sets, or None when the run reads it as is
 _NEWTON = {"max_epochs": (ple.GdConfig, "max_epochs"), "tol": (ple.GdConfig, "tol")}
@@ -58,6 +57,7 @@ _ESTIMATOR_OPTIONS = {
     "ple-bipartition": {"seed": None, **_NEWTON},
     "ple-sgd": {"seed": (ple.SgdConfig, "seed"), "eta": (ple.SgdConfig, "eta"), "iters": (ple.SgdConfig, "n_iters")},
 }
+ESTIMATORS = tuple(_ESTIMATOR_OPTIONS)
 _ESTIMATOR_SPECIFIC = frozenset().union(*_ESTIMATOR_OPTIONS.values())
 
 
@@ -136,14 +136,19 @@ def _check_count(value, source: str, least: int = 1) -> None:
         raise MimmError(f"{source} takes an integer >= {least}, got {value!r}")
 
 
-def _estimator_configs(estimator: str, conf: dict, who: str, seed=None) -> dict:
+def _estimator_configs(estimator: str, conf: dict, who: str, seed=None, spec=None) -> dict:
     """What a run of ``estimator`` reads, from the options set in ``conf``
-    (``seed`` if it sets none): its config records by dataclass, unset fields
-    at their defaults, and by name the value of each option it reads.  Errors,
-    after ``who``: a set option only other estimators read, a refused value."""
+    (``seed`` if it sets none, and ``spec``'s order if it sets no order):
+    its config records by dataclass, unset fields at their defaults, and by
+    name the value of each option it reads.  Errors, after ``who``: a set
+    option only other estimators read, a refused value, no order for mle."""
     table = _ESTIMATOR_OPTIONS[estimator]
     if "seed" in table and conf.get("seed") is None:
         conf = conf | {"seed": seed}
+    if "order" in table and conf.get("order") is None:
+        if spec is None:
+            raise MimmError(f"{who} requires --order (or a spec to derive it from)")
+        conf = conf | {"order": spec.order}
     unread = [key for key in _ESTIMATOR_SPECIFIC - table.keys() if conf.get(key) is not None]
     if unread:
         raise MimmError(f"{who} never reads {', '.join(sorted('--' + key.replace('_', '-') for key in unread))}")
@@ -265,10 +270,6 @@ def _run_estimator(estimator, series, spec, configs):
     (theta, extras, fit), ``fit`` the library's result object (None for mle)."""
     if estimator == "mle":
         order = configs["order"]
-        if order is None and spec is not None:
-            order = spec.order
-        if order is None:
-            raise MimmError("mle requires --order (or a spec to derive it from)")
         if series.p == 1:
             classical, mininfo = oracle.mle_ols_ar(series, order)
             extras = {"phi": [float(v) for v in classical.phi], "sigma2": classical.sigma2}
@@ -305,29 +306,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
     conf = _merge_config(args)
     if conf["data"] is None or conf["estimator"] is None:
         raise MimmError("fit requires --data and --estimator")
-    configs = _estimator_configs(conf["estimator"], conf, f"--estimator {conf['estimator']}", seed=0)
+    spec = None if conf["spec"] is None else core.DependenceSpec.load(conf["spec"])
+    configs = _estimator_configs(conf["estimator"], conf, f"--estimator {conf['estimator']}", seed=0, spec=spec)
     _check_time_limit(conf["time_limit_s"], "--time-limit-s")
     series = _load_series(conf["data"])
-    spec = None
-    if conf["spec"] is not None:
-        spec = core.DependenceSpec.load(conf["spec"])
+    if spec is not None:
         for term in spec.terms:
             for _, comp, _ in term.factors:
                 if comp >= series.p:
                     raise MimmError(
                         f"spec component {comp} out of range for {series.p}-column data"
                     )
-    if (
-        conf["estimator"] == "mcle"
-        and spec is not None
-        and spec.order >= 2
-        and series.n > 500
-    ):
-        print(
-            "warning: exchange MCLE with order >= 2 on long series can take "
-            "hours; consider a pseudo-likelihood estimator",
-            file=sys.stderr,
-        )
 
     start = time.perf_counter()
     theta, extras, fit = _run_estimator(conf["estimator"], series, spec, configs)
@@ -437,28 +426,19 @@ def cmd_select(args: argparse.Namespace) -> int:
 # benchmark
 
 
-def _model_params(model: dict):
-    """The classical parameters of a manifest's ``model`` entry."""
+def _model(model: dict):
+    """A manifest ``model`` entry's classical parameters, dependence spec and
+    true minimum-information weights, which a VAR has at order 1 only
+    (:func:`gaussian.var1_to_mininfo` raises ShapeMismatchError otherwise)."""
     kind = model.get("kind")
     if kind == "ar":
-        return gaussian.ClassicalARParams(phi=model["phi"], sigma2=model["sigma2"])
+        params = gaussian.ClassicalARParams(phi=model["phi"], sigma2=model["sigma2"])
+        return params, core.ar_spec(params.order), np.asarray(gaussian.ard_to_mininfo(params).theta)
     if kind == "var":
-        return gaussian.ClassicalVARParams(A=model["A"], Sigma=model["Sigma"])
+        params = gaussian.ClassicalVARParams(A=model["A"], Sigma=model["Sigma"])
+        spec = core.kron_spec(params.dim, [(lag + 1, 1, 1) for lag in range(params.order)])
+        return params, spec, gaussian.var1_to_mininfo(params).Theta.reshape(-1, order="F")
     raise MimmError(f"unknown model kind {kind!r}")
-
-
-def _true_theta(params) -> np.ndarray:
-    if isinstance(params, gaussian.ClassicalARParams):
-        return np.asarray(gaussian.ard_to_mininfo(params).theta)
-    if params.order != 1:
-        raise MimmError("benchmark truth supports VAR order 1 only")
-    return gaussian.var1_to_mininfo(params).Theta.reshape(-1, order="F")
-
-
-def _model_spec(params) -> core.DependenceSpec:
-    if isinstance(params, gaussian.ClassicalARParams):
-        return core.ar_spec(params.order)
-    return core.kron_spec(params.dim, [(lag + 1, 1, 1) for lag in range(params.order)])
 
 
 # per-stage seconds of the fit results (``PleResult.stages`` for the pair
@@ -483,21 +463,38 @@ def _stage_medians(stages: list[dict], ok: bool) -> dict[str, str | float]:
 _MANIFEST_SEED, _MANIFEST_REPETITIONS, _MANIFEST_TIME_LIMIT_S = 0, 30, 900.0
 
 
-def _check_manifest(manifest) -> None:
-    """Check a benchmark manifest before any run: a JSON object with a
-    non-empty ``cells`` list of objects; ``seed`` an integer >= 0; ``n`` and
-    ``repetitions`` integers >= 1; ``label`` a string; ``model`` an object;
-    ``estimators`` a non-empty list of names from ESTIMATORS; time limits
-    finite and > 0; ``estimator_options`` its estimators' `fit` options."""
+# A manifest cell as its runs read it, resolved before any run: the model's
+# classical parameters, its spec (which mle takes its order from) and true
+# theta, and (estimator, its `fit` options) pairs in the cell's order.
+_Cell = collections.namedtuple("_Cell", "label n reps time_limit_s params spec theta estimators")
+
+
+def _check_manifest(manifest, conf: dict) -> tuple[int, list[_Cell]]:
+    """Check a benchmark manifest and the ``conf`` of `benchmark` before any
+    run: a JSON object with a non-empty ``cells`` list of objects; ``seed``
+    an integer >= 0; ``n`` and ``repetitions`` integers >= 1; ``label`` a
+    string; ``model`` an object with a true theta (an AR, or a VAR of order
+    1); ``estimators`` a non-empty list of names from ESTIMATORS; time limits
+    finite and > 0; ``estimator_options`` its estimators' `fit` options.
+    Returns the base seed and the cells, with each value taken flag > cell >
+    manifest > default; a null time limit is unset."""
     if not isinstance(manifest, dict):
         raise MimmError(f"manifest must hold a JSON object, got {manifest!r}")
     cells = manifest.get("cells")
     if not isinstance(cells, list) or not cells:
         raise MimmError(f"manifest has no cells (cells takes a non-empty list, got {cells!r})")
-    _check_count(manifest.get("seed", _MANIFEST_SEED), "manifest seed", least=0)
-    _check_count(manifest.get("repetitions", _MANIFEST_REPETITIONS), "manifest repetitions")
-    _check_time_limit(manifest.get("time_limit_s", _MANIFEST_TIME_LIMIT_S), "manifest time_limit_s")
+    seed = manifest.get("seed", _MANIFEST_SEED)
+    reps = manifest.get("repetitions", _MANIFEST_REPETITIONS)
+    limit = manifest.get("time_limit_s")
+    _check_count(seed, "manifest seed", least=0)
+    _check_count(reps, "manifest repetitions")
+    _check_time_limit(limit, "manifest time_limit_s")
+    limit = limit or _MANIFEST_TIME_LIMIT_S
+    _check_time_limit(conf["time_limit_s"], "--time-limit-s")
+    if conf["reps"] is not None:
+        _check_count(conf["reps"], "--reps")
     fit_actions = build_parser().parse_args(["fit"]).options
+    plan = []
     for cell_idx, cell in enumerate(cells):
         where = f"cell {cell_idx}"
         if not isinstance(cell, dict):
@@ -519,14 +516,24 @@ def _check_manifest(manifest) -> None:
         options = cell.get("estimator_options", {})
         if not isinstance(options, dict) or not all(e in estimators and isinstance(v, dict) for e, v in options.items()):
             raise MimmError(f"{where} estimator_options must map its estimators to JSON objects, got {options!r}")
-        for estimator, opts in options.items():
+        try:
+            params, spec, theta = _model(cell["model"])
+        except (MimmError, KeyError, ValueError) as err:
+            raise MimmError(f"{where} model: {err}") from err
+        runs = tuple((estimator, options.get(estimator, {})) for estimator in estimators)
+        for estimator, opts in runs:
             who = f"{where} estimator {estimator}"
             for key, value in opts.items():
                 # benchmark derives each run's seed, and writes no diagnostics
                 if key not in _ESTIMATOR_SPECIFIC - {"seed", "diagnostics"}:
                     raise MimmError(f"{who} has no option {key!r}")
                 _check_file_value(f"{who} option {key}", fit_actions[key], value)
-            _estimator_configs(estimator, opts, who)
+            _estimator_configs(estimator, opts, who, spec=spec)
+        # checked above: a set count or time limit is > 0, so `or` skips only None
+        cell_reps = conf["reps"] or cell.get("repetitions") or reps
+        cell_limit = conf["time_limit_s"] or cell.get("time_limit_s") or limit
+        plan.append(_Cell(cell.get("label", f"cell{cell_idx}"), cell["n"], cell_reps, cell_limit, params, spec, theta, runs))
+    return seed if conf["seed"] is None else conf["seed"], plan
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
@@ -535,60 +542,41 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         raise MimmError("benchmark requires --manifest and --out")
     with open(conf["manifest"], "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    _check_manifest(manifest)
-    _check_time_limit(conf["time_limit_s"], "--time-limit-s")
-    if conf["reps"] is not None:
-        _check_count(conf["reps"], "--reps")
-    base_seed = conf["seed"] if conf["seed"] is not None else manifest.get("seed", _MANIFEST_SEED)
-    default_reps = manifest.get("repetitions", _MANIFEST_REPETITIONS)
-    default_limit = manifest.get("time_limit_s", _MANIFEST_TIME_LIMIT_S)
-    cells = manifest["cells"]
-    models = [_model_params(cell["model"]) for cell in cells]
+    base_seed, cells = _check_manifest(manifest, conf)
 
     rows = []
-    for cell_idx, (cell, params) in enumerate(zip(cells, models)):
-        reps = conf["reps"] if conf["reps"] is not None else cell.get("repetitions", default_reps)
-        limit = (
-            conf["time_limit_s"]
-            if conf["time_limit_s"] is not None
-            else cell.get("time_limit_s", default_limit)
-        )
-        n = cell["n"]
-        label = cell.get("label", f"cell{cell_idx}")
-        theta_star = _true_theta(params)
-        spec = _model_spec(params)
-        for estimator in cell["estimators"]:
-            opts = cell.get("estimator_options", {}).get(estimator, {})
+    for cell_idx, cell in enumerate(cells):
+        for estimator, opts in cell.estimators:
             who = f"cell {cell_idx} estimator {estimator}"
             errors, times, stages = [], [], []
             status = "ok"
-            for rep in range(reps):
+            for rep in range(cell.reps):
                 seq = np.random.SeedSequence((base_seed, cell_idx, rep))
                 data_seed, est_seed = seq.spawn(2)
-                series = _simulate(params, n, seed=data_seed)
-                configs = _estimator_configs(estimator, opts, who, est_seed.generate_state(1)[0])
+                series = _simulate(cell.params, cell.n, seed=data_seed)
+                configs = _estimator_configs(estimator, opts, who, est_seed.generate_state(1)[0], cell.spec)
                 t0 = time.perf_counter()
                 try:
-                    theta, _, fit = _run_estimator(estimator, series, spec, configs)
+                    theta, _, fit = _run_estimator(estimator, series, cell.spec, configs)
                 except (MimmError, np.linalg.LinAlgError, FloatingPointError) as err:
                     # numerical and data failures become a row; programming
                     # errors propagate
                     status = f"failed: {err}"
                     break
                 elapsed = time.perf_counter() - t0
-                if elapsed > limit:
+                if elapsed > cell.time_limit_s:
                     status = "timeout"
                     break
-                errors.append(float(np.linalg.norm(np.atleast_1d(theta) - theta_star)))
+                errors.append(float(np.linalg.norm(np.atleast_1d(theta) - cell.theta)))
                 times.append(elapsed)
                 if fit is not None and fit.stages is not None:
                     stages.append(fit.stages)
             ok = status == "ok"
             rows.append(
                 {
-                    "label": label,
+                    "label": cell.label,
                     "estimator": estimator,
-                    "n": n,
+                    "n": cell.n,
                     "reps": len(errors),  # all of them when ok
                     "mean_error": float(np.mean(errors)) if ok else "--",
                     "mean_time_s": float(np.mean(times)) if ok else "--",

@@ -31,10 +31,12 @@ The all-pairs design (every interior pair in lexicographic order) needs no
 pair indices at all: for a tile of rows s1 the far pairs of every s2 > s1
 are one broadcast per group of the same tables, ``(S_g[s1] - S_g[s2]) *
 (Phi_g[s2] - Phi_g[s1])``, and the tile's upper triangle is compressed
-into the design (:func:`_all_pairs_deltas`).  Interior pairs are numbered
-and drawn here alone: :func:`_all_pairs_blocks` cuts that design into
-blocks, and :func:`_uniform_pairs` draws online SGD's and the exchange
-sampler's pairs.
+into the design (:func:`_all_pairs_deltas`).  The all-pairs design is
+numbered here, where :func:`_all_pairs_blocks` cuts it into blocks, and
+:func:`_uniform_pairs` draws online SGD's and the exchange sampler's
+uniform pairs.  The random matchings of ``fit_bipartition`` and
+``select_specs`` are drawn in :mod:`mimm.ple` (``_matching`` and
+``spaced_matching``).
 
 All containers are immutable after construction and safe to share across
 threads; every operation is a pure function.  Statistic summation relies on

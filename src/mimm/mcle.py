@@ -68,7 +68,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExchangeConfig:
-    """Chain length, burn-in (default n_samples // 10), thinning, seed."""
+    """Chain length, burn-in, thinning, seed.  A burn-in of None is resolved
+    at construction to n_samples // 10, so the record holds the steps the
+    chain discards."""
 
     n_samples: int = 10_000
     burn_in: int | None = None
@@ -78,14 +80,17 @@ class ExchangeConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.burn_in is not None and self.burn_in < 0:
+        if self.burn_in is None:
+            object.__setattr__(self, "burn_in", self.n_samples // 10)
+        if self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thin < 1:
             raise ValueError(f"thin must be >= 1, got {self.thin}")
 
     @property
     def effective_burn_in(self) -> int:
-        return self.n_samples // 10 if self.burn_in is None else self.burn_in
+        """The burn-in, which construction has resolved."""
+        return self.burn_in
 
 
 @dataclass(frozen=True)
@@ -441,7 +446,7 @@ def exchange_sample(
     current = [float(v) for v in total_statistic(spec, series)]
     events = [0.0, *current]  # (step, statistic) at each change, row after row
 
-    burn, thin = config.effective_burn_in, config.thin
+    burn, thin = config.burn_in, config.thin
     total_steps = burn + config.n_samples * thin
     for first in range(0, total_steps, _PROPOSAL_BLOCK):
         s1, s2 = _uniform_pairs(rng, d, hi, _PROPOSAL_BLOCK)

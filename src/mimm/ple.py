@@ -38,14 +38,16 @@ in the same order, so theta is bitwise equal to that loop's (see
 ``fit_online_sgd``).
 
 Pairs are generated in a deterministic order (lexicographic, or derived from
-the seed), so runs are reproducible.  Pairs are numbered and drawn in
-:mod:`mimm.core`: ``fit_naive`` takes its chunks of whole rows (one s1 with
-every s2 > s1) from ``core._all_pairs_blocks``, built by row tiles with no
-pair index arrays, and ``fit_online_sgd`` its pairs from
-``core._uniform_pairs``.  The memory policy is this module's: a design
-within ``_MATERIALIZE_LIMIT`` is held as one block per chunk of
-``_CHUNK_PAIRS``; a larger one is regenerated chunk by chunk on every pass,
-so memory stays bounded regardless of n.  A pilot builds its own rows,
+the seed), so runs are reproducible.  ``fit_naive`` takes its chunks of
+whole rows (one s1 with every s2 > s1) from ``core._all_pairs_blocks``,
+built by row tiles with no pair index arrays, and ``fit_online_sgd`` its
+pairs from ``core._uniform_pairs``.  Matchings are drawn here
+(``_matching``, ``spaced_matching``), and ``fit_bipartition`` and
+``fit_pairs`` cut their pair list into chunks of ``_CHUNK_PAIRS`` pairs
+(``_listed_pairs``).  The memory policy is this module's: a design within
+``_MATERIALIZE_LIMIT`` is held as one block per chunk; a larger one is
+regenerated chunk by chunk on every pass, so memory stays bounded
+regardless of n for every Newton fitter.  A pilot builds its own rows,
 every 64th pair of its fitter's pair list, as the fitter builds the design's.
 
 Model selection: ``select_specs`` ranks candidate dependence specs by
@@ -116,9 +118,9 @@ _SGD_LIST_ROWS = 2048
 # 1 / (1 + e^m) is below e^-700, too small to move theta.
 _EXP_MAX = 700.0
 # A pair design is held in memory up to this many pairs * K statistics;
-# past it, every pass regenerates it.  fit_naive draws its pairs this many
-# at a time.  Both are read at call time, so a test can force the streamed
-# path.
+# past it, every pass regenerates it.  The Newton fitters build their pairs
+# about this many at a time.  Both are read at call time, so a test can
+# force the streamed path.
 _MATERIALIZE_LIMIT = 20_000_000
 _CHUNK_PAIRS = 500_000
 # The Newton ascent stops with a SeparationWarning once |theta| exceeds this.
@@ -515,9 +517,7 @@ def fit_bipartition(
     """
     lo, hi = _interior_bounds(spec, series)
     s1, s2 = _matching(np.random.default_rng(seed), np.arange(lo, hi, dtype=np.intp))
-    return _fit(
-        spec, lambda k=1: (swap_deltas(spec, series, s1[::k], s2[::k]),), len(s1), config, "ple-bipartition"
-    )
+    return _fit(spec, _listed_pairs(spec, series, s1, s2), len(s1), config, "ple-bipartition")
 
 
 def fit_pairs(
@@ -536,7 +536,20 @@ def fit_pairs(
     :class:`InsufficientDataError`.
     """
     _interior_bounds(spec, series)
-    return _fit(spec, lambda k=1: (swap_deltas(spec, series, s1[::k], s2[::k]),), np.size(s1), config, "ple-pairs")
+    return _fit(spec, _listed_pairs(spec, series, s1, s2), np.size(s1), config, "ple-pairs")
+
+
+def _listed_pairs(spec: DependenceSpec, series: TimeSeries, s1, s2):
+    """The ``deltas`` of :func:`_fit` for the pair list (s1, s2): lazily, the
+    swap deltas of pairs 0, stride, 2 stride, ... of the list, in blocks of
+    ``_CHUNK_PAIRS`` pairs, so a list shorter than one chunk is one block."""
+
+    def deltas(stride=1):
+        a, b = s1[::stride], s2[::stride]
+        for start in range(0, len(a), _CHUNK_PAIRS):
+            yield swap_deltas(spec, series, a[start : start + _CHUNK_PAIRS], b[start : start + _CHUNK_PAIRS])
+
+    return deltas
 
 
 def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig = SgdConfig()) -> PleResult:

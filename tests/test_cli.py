@@ -1,11 +1,13 @@
 """Command-line surface: simulate, fit, select, benchmark, verify."""
 
+import ast
 import contextlib
 import csv
 import dataclasses
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -459,17 +461,24 @@ class TestFit:
         rc, _ = run_cli("fit", "--data", str(workspace["data"]), "--estimator", "mle")
         assert rc == cli.EXIT_VALIDATION
 
-    def test_mcle_high_order_warns_about_runtime(self, workspace, capsys):
-        out = workspace["tmp"] / "mcle2.json"
-        rc = cli.main(
-            [
-                "fit", "--data", str(workspace["data"]), "--spec", str(workspace["spec2"]),
-                "--estimator", "mcle", "--samples", "300", "--max-iters", "2",
-                "--seed", "1", "--out", str(out),
-            ]
+    def test_mle_echoes_the_order_that_ran(self, workspace):
+        data, spec2 = str(workspace["data"]), str(workspace["spec2"])
+        derived, given = workspace["tmp"] / "mle_spec.json", workspace["tmp"] / "mle_spec_order1.json"
+        assert run_cli("fit", "--data", data, "--estimator", "mle", "--spec", spec2, "--out", str(derived))[0] == 0
+        assert run_cli("fit", "--data", data, "--estimator", "mle", "--spec", spec2, "--order", "1", "--out", str(given))[0] == 0
+        derived, given = json.loads(derived.read_text()), json.loads(given.read_text())
+        assert derived["config"]["order"] == 2 and len(derived["theta"]) == 2
+        assert given["config"]["order"] == 1 and len(given["theta"]) == 1
+
+    def test_mcle_echoes_the_burn_in_that_ran(self, workspace):
+        out = workspace["tmp"] / "mcle_burn_in.json"
+        rc, _ = run_cli(
+            "fit", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]), "--estimator", "mcle",
+            "--samples", "305", "--max-iters", "1", "--out", str(out),
         )
         assert rc == 0
-        assert "hours" in capsys.readouterr().err
+        config = json.loads(out.read_text())["config"]
+        assert config["burn_in"] == 305 // 10 and config["samples"] == 305
 
     def test_nan_data_exits_validation(self, workspace):
         bad = workspace["tmp"] / "bad.csv"
@@ -836,6 +845,18 @@ class TestBenchmark:
         assert "must be finite and > 0" in capsys.readouterr().err
         assert not (prefix.parent / f"{prefix.name}.csv").exists()
 
+    @pytest.mark.parametrize("where", ["manifest", "cell"])
+    def test_null_time_limit_is_unset(self, tmp_path, where):
+        cell = {"label": "x", "model": {"kind": "ar", "phi": [0.5], "sigma2": 0.5}, "n": 100, "estimators": ["mle"]}
+        manifest = {"repetitions": 1, "cells": [cell]}
+        (manifest if where == "manifest" else cell)["time_limit_s"] = None
+        (tmp_path / "man.json").write_text(json.dumps(manifest))
+        rc, _ = run_cli("benchmark", "--manifest", str(tmp_path / "man.json"), "--out", str(tmp_path / "bench"))
+        assert rc == cli.EXIT_OK
+        with open(tmp_path / "bench.csv", newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "ok"
+
     GOOD_CELL = {"label": "x", "model": {"kind": "ar", "phi": [0.5], "sigma2": 0.5}, "n": 100, "estimators": ["mle"]}
 
     @pytest.mark.parametrize(
@@ -881,6 +902,8 @@ class TestBenchmark:
                 "cell 0 estimator mcle has no option 'diagnostics'",
             ),
             ({"cells": [{**GOOD_CELL, "label": ["x"]}]}, "cell 0 label takes a string, got ['x']"),
+            ({"cells": [GOOD_CELL, {**GOOD_CELL, "model": {"kind": "ma"}}]}, "cell 1 model: unknown model kind 'ma'"),
+            ({"cells": [{**GOOD_CELL, "model": {"kind": "ar", "sigma2": 0.5}}]}, "cell 0 model: 'phi'"),
         ],
         ids=[
             "not-an-object", "cell-not-an-object", "repetitions-string", "cell-repetitions-zero",
@@ -888,6 +911,7 @@ class TestBenchmark:
             "options-not-objects", "seed-string", "no-cells", "unknown-option", "option-string",
             "order-zero", "unread-option", "invalid-value-after-a-good-cell", "options-of-an-estimator-not-run",
             "options-of-no-estimator", "seed-option", "diagnostics-option", "label-list",
+            "unknown-model-kind", "model-without-phi",
         ],
     )
     def test_invalid_manifest_exits_validation_before_any_run(self, tmp_path, capsys, monkeypatch, manifest, named):
@@ -900,6 +924,25 @@ class TestBenchmark:
         rc, _ = run_cli("benchmark", "--manifest", str(man), "--out", str(tmp_path / "bench"))
         assert rc == cli.EXIT_VALIDATION
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists() and not (tmp_path / "bench.txt").exists()
+
+    def test_cell_without_a_true_theta_exits_validation_before_any_run(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        run_estimator = cli._run_estimator
+
+        def counting(*args):
+            runs.append(args[0])
+            return run_estimator(*args)
+
+        monkeypatch.setattr(cli, "_run_estimator", counting)
+        var2 = {"kind": "var", "A": [[[0.3, 0.0], [0.0, 0.3]], [[0.2, 0.0], [0.0, 0.2]]], "Sigma": [[0.5, 0.0], [0.0, 0.5]]}
+        cells = [options_cell("ple-naive", {}), {"label": "VAR(2)", "model": var2, "n": 100, "estimators": ["mle"]}]
+        man = tmp_path / "man.json"
+        man.write_text(json.dumps({"repetitions": 3, "cells": cells}))
+        rc, _ = run_cli("benchmark", "--manifest", str(man), "--out", str(tmp_path / "bench"))
+        assert rc == cli.EXIT_VALIDATION
+        assert "cell 1 model: expected VAR(1), got order 2" in capsys.readouterr().err
+        assert runs == []
         assert not (tmp_path / "bench.csv").exists() and not (tmp_path / "bench.txt").exists()
 
     def test_readme_manifest_runs(self, tmp_path):
@@ -1114,3 +1157,45 @@ def test_cli_import_does_not_load_verify():
     code = "import sys, mimm.cli; sys.exit('mimm.verify' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # the sh block under "## CLI", run in order: its printf lines write the
+    # spec files and every simulate, fit and select line exits 0; the --var1
+    # simulate needs matrix files, and benchmark and verify have their own tests
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["printf"]:
+            fmt, redirect, path = argv[1:]
+            assert redirect == ">"
+            Path(path).write_text(fmt.replace("\\n", "\n"))
+        elif argv[:1] == ["mimm"] and argv[1] in ("simulate", "fit", "select") and "--var1" not in argv:
+            assert run_cli(*argv[1:])[0] == cli.EXIT_OK, line
+            ran.append(argv[1])
+    assert ran.count("simulate") == 2 and ran.count("fit") >= 4 and ran.count("select") == 1
+
+
+def test_cli_reads_no_private_library_name():
+    # the CLI uses the library through its public names only
+    library = {"core", "gaussian", "mcle", "oracle", "ple", "verify"}
+    tree = ast.parse((SRC / "mimm" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in library
+        and node.attr.startswith("_")
+    ]
+    private += [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in library
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -415,6 +415,20 @@ class TestConfigs:
         with pytest.raises(ValueError):
             mcle.ExchangeConfig(thin=0)
         assert mcle.ExchangeConfig(n_samples=1000).effective_burn_in == 100
+        with pytest.raises(ValueError):
+            mcle.ExchangeConfig(burn_in=-1)
+
+    def test_default_burn_in_is_resolved_at_construction(self):
+        # the record holds the steps the chain discards, so it echoes them
+        config = mcle.ExchangeConfig(n_samples=1005, seed=3)
+        assert config.burn_in == config.effective_burn_in == 100
+        assert config == mcle.ExchangeConfig(n_samples=1005, burn_in=100, seed=3)
+        assert mcle.ExchangeConfig(n_samples=1005, burn_in=0).burn_in == 0
+        series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 40, seed=1)
+        default = mcle.exchange_sample(SPEC1, series, [0.4], config)
+        explicit = mcle.exchange_sample(SPEC1, series, [0.4], mcle.ExchangeConfig(n_samples=1005, burn_in=100, seed=3))
+        assert default.n_steps == explicit.n_steps == 1105
+        np.testing.assert_array_equal(default.stats, explicit.stats)
 
     def test_scoring_config_validation(self):
         for grad_tol in (0.0, -1.0, math.nan, math.inf):

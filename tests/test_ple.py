@@ -897,6 +897,56 @@ class TestFitPairs:
             ple.fit_pairs(SPEC1, series, [], [])
 
 
+class TestListedPairsStreaming:
+    """fit_pairs and fit_bipartition build their pair list in chunks of
+    _CHUNK_PAIRS pairs, held or regenerated on every pass as fit_naive's."""
+
+    @staticmethod
+    def fitters(series):
+        s1 = np.arange(1, 1501)
+        s2 = s1 + np.arange(1500) % 5 + 1  # near and far pairs
+        return {
+            "bipartition": lambda: ple.fit_bipartition(SPEC1, series, seed=4),
+            "pairs": lambda: ple.fit_pairs(SPEC1, series, s1, s2),
+        }
+
+    @pytest.mark.parametrize("fitter", ["bipartition", "pairs"])
+    def test_streamed_blocks_are_chunks_and_fit_bitwise_equal_to_held(self, monkeypatch, fitter):
+        series = gaussian.simulate_ar(AR1, 3002, seed=8)
+        fit = self.fitters(series)[fitter]
+        rows, swap_deltas = [], ple.swap_deltas
+
+        def recording(spec, series, s1, s2):
+            rows.append(len(s1))
+            return swap_deltas(spec, series, s1, s2)
+
+        monkeypatch.setattr(ple, "swap_deltas", recording)
+        monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 8)  # a 24-pair pilot on every 64th pair
+        monkeypatch.setattr(ple, "_CHUNK_PAIRS", 400)
+        results = spy_fits(monkeypatch)
+        held = fit()
+        assert [r.n_pairs_used for r in results] == [24, 1500]
+        monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", 0)
+        rows.clear()
+        streamed = fit()
+        assert_same_fit(held, streamed)
+        assert_same_fit(results[0], results[2])
+        assert max(rows) == 400 and sum(rows) > 3 * 1500  # several passes, each in chunks
+
+    @pytest.mark.parametrize("fitter", ["bipartition", "pairs"])
+    def test_a_list_within_one_chunk_is_one_block(self, monkeypatch, fitter):
+        series = gaussian.simulate_ar(AR1, 3002, seed=8)
+        rows, swap_deltas = [], ple.swap_deltas
+
+        def recording(spec, series, s1, s2):
+            rows.append(len(s1))
+            return swap_deltas(spec, series, s1, s2)
+
+        monkeypatch.setattr(ple, "swap_deltas", recording)
+        self.fitters(series)[fitter]()
+        assert rows == [1500]
+
+
 def _reference_pair_rows(spec, series, config):
     """Online SGD's pair matrix, drawn as first written: the same uniform
     interior pairs as ``core._uniform_pairs``, as numpy rows of -swap_delta."""
