@@ -858,6 +858,7 @@ class TestBenchmark:
         assert row["status"] == "ok"
 
     GOOD_CELL = {"label": "x", "model": {"kind": "ar", "phi": [0.5], "sigma2": 0.5}, "n": 100, "estimators": ["mle"]}
+    VAR2_MODEL = {"kind": "var", "A": [[[0.3, 0.0], [0.0, 0.3]], [[0.2, 0.0], [0.0, 0.2]]], "Sigma": [[0.5, 0.0], [0.0, 0.5]]}
 
     @pytest.mark.parametrize(
         "manifest, named",
@@ -904,6 +905,11 @@ class TestBenchmark:
             ({"cells": [{**GOOD_CELL, "label": ["x"]}]}, "cell 0 label takes a string, got ['x']"),
             ({"cells": [GOOD_CELL, {**GOOD_CELL, "model": {"kind": "ma"}}]}, "cell 1 model: unknown model kind 'ma'"),
             ({"cells": [{**GOOD_CELL, "model": {"kind": "ar", "sigma2": 0.5}}]}, "cell 0 model: 'phi'"),
+            # an AR(1) cell, then a VAR(2) cell, which has no true theta
+            (
+                {"repetitions": 3, "cells": [options_cell("ple-naive", {}), {**GOOD_CELL, "model": VAR2_MODEL}]},
+                "cell 1 model: expected VAR(1), got order 2",
+            ),
         ],
         ids=[
             "not-an-object", "cell-not-an-object", "repetitions-string", "cell-repetitions-zero",
@@ -911,7 +917,7 @@ class TestBenchmark:
             "options-not-objects", "seed-string", "no-cells", "unknown-option", "option-string",
             "order-zero", "unread-option", "invalid-value-after-a-good-cell", "options-of-an-estimator-not-run",
             "options-of-no-estimator", "seed-option", "diagnostics-option", "label-list",
-            "unknown-model-kind", "model-without-phi",
+            "unknown-model-kind", "model-without-phi", "var2-after-a-good-cell",
         ],
     )
     def test_invalid_manifest_exits_validation_before_any_run(self, tmp_path, capsys, monkeypatch, manifest, named):
@@ -924,25 +930,6 @@ class TestBenchmark:
         rc, _ = run_cli("benchmark", "--manifest", str(man), "--out", str(tmp_path / "bench"))
         assert rc == cli.EXIT_VALIDATION
         assert named in capsys.readouterr().err
-        assert not (tmp_path / "bench.csv").exists() and not (tmp_path / "bench.txt").exists()
-
-    def test_cell_without_a_true_theta_exits_validation_before_any_run(self, tmp_path, capsys, monkeypatch):
-        runs = []
-        run_estimator = cli._run_estimator
-
-        def counting(*args):
-            runs.append(args[0])
-            return run_estimator(*args)
-
-        monkeypatch.setattr(cli, "_run_estimator", counting)
-        var2 = {"kind": "var", "A": [[[0.3, 0.0], [0.0, 0.3]], [[0.2, 0.0], [0.0, 0.2]]], "Sigma": [[0.5, 0.0], [0.0, 0.5]]}
-        cells = [options_cell("ple-naive", {}), {"label": "VAR(2)", "model": var2, "n": 100, "estimators": ["mle"]}]
-        man = tmp_path / "man.json"
-        man.write_text(json.dumps({"repetitions": 3, "cells": cells}))
-        rc, _ = run_cli("benchmark", "--manifest", str(man), "--out", str(tmp_path / "bench"))
-        assert rc == cli.EXIT_VALIDATION
-        assert "cell 1 model: expected VAR(1), got order 2" in capsys.readouterr().err
-        assert runs == []
         assert not (tmp_path / "bench.csv").exists() and not (tmp_path / "bench.txt").exists()
 
     def test_readme_manifest_runs(self, tmp_path):
