@@ -33,7 +33,7 @@ mi2 = gaussian.ar2_to_mininfo(gaussian.ClassicalARParams([0.5, 0.3], 0.5))
 print(f"\nAR(2) (0.5, 0.3, 0.5)      ->  theta={np.round(mi2.theta, 3)}")
 mi3 = gaussian.ard_to_mininfo(gaussian.ClassicalARParams([0.5, 0.3, 0.1], 0.5))
 print(f"AR(3) (0.5, 0.3, 0.1, 0.5) ->  theta={np.round(mi3.theta, 3)}")
-back3 = gaussian.mininfo_to_ard(mi3)
+back3 = gaussian.mininfo_to_ar(mi3)
 print(f"AR(3) spectral inverse     ->  phi={np.round(back3.phi, 6)}")
 
 # --- VAR(1) and the quadratic matrix equation -------------------------------
@@ -58,7 +58,7 @@ print("off-diagonal is zero: the two blocks are orthogonal parameters")
 theta, tau2 = 0.8, 1.5
 w_star = gaussian.kernel_from_ar1(gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([theta], tau2)))
 w = gaussian.GaussianKernel([[0.3]], [[tau2 * (1 - 0.09)]], [[tau2]])  # same marginal
-v = gaussian.dependence_kernel(theta, decay=2.0).as_gaussian()  # same dependence
+v = gaussian.DependenceKernel(theta, decay=2.0).as_gaussian()  # same dependence
 lhs = gaussian.divergence_rate(w, w_star) + gaussian.divergence_rate(w_star, v)
 rhs = gaussian.divergence_rate(w, v)
 print(f"\nD(w|w*) + D(w*|v) = {lhs:.12f}")

@@ -471,10 +471,11 @@ _Cell = collections.namedtuple("_Cell", "label n reps time_limit_s params spec t
 
 def _check_manifest(manifest, conf: dict) -> tuple[int, list[_Cell]]:
     """Check a benchmark manifest and the ``conf`` of `benchmark` before any
-    run: a JSON object with a non-empty ``cells`` list of objects; ``seed``
-    an integer >= 0; ``n`` and ``repetitions`` integers >= 1; ``label`` a
-    string; ``model`` an object with a true theta (an AR, or a VAR of order
-    1); ``estimators`` a non-empty list of names from ESTIMATORS; time limits
+    run: a JSON object with a non-empty ``cells`` list of objects; the base
+    seed (``--seed``, else the manifest's ``seed``, else 0) an integer >= 0;
+    ``n`` and ``repetitions`` integers >= 1; ``label`` a string; ``model``
+    an object with a true theta (an AR, or a VAR of order 1); ``estimators``
+    a non-empty list of names from ESTIMATORS; time limits
     finite and > 0; ``estimator_options`` its estimators' `fit` options.
     Returns the base seed and the cells, with each value taken flag > cell >
     manifest > default; a null time limit is unset."""
@@ -483,10 +484,13 @@ def _check_manifest(manifest, conf: dict) -> tuple[int, list[_Cell]]:
     cells = manifest.get("cells")
     if not isinstance(cells, list) or not cells:
         raise MimmError(f"manifest has no cells (cells takes a non-empty list, got {cells!r})")
-    seed = manifest.get("seed", _MANIFEST_SEED)
+    if conf["seed"] is None:
+        seed, seed_source = manifest.get("seed", _MANIFEST_SEED), "manifest seed"
+    else:
+        seed, seed_source = conf["seed"], "--seed"
     reps = manifest.get("repetitions", _MANIFEST_REPETITIONS)
     limit = manifest.get("time_limit_s")
-    _check_count(seed, "manifest seed", least=0)
+    _check_count(seed, seed_source, least=0)
     _check_count(reps, "manifest repetitions")
     _check_time_limit(limit, "manifest time_limit_s")
     limit = limit or _MANIFEST_TIME_LIMIT_S
@@ -533,7 +537,7 @@ def _check_manifest(manifest, conf: dict) -> tuple[int, list[_Cell]]:
         cell_reps = conf["reps"] or cell.get("repetitions") or reps
         cell_limit = conf["time_limit_s"] or cell.get("time_limit_s") or limit
         plan.append(_Cell(cell.get("label", f"cell{cell_idx}"), cell["n"], cell_reps, cell_limit, params, spec, theta, runs))
-    return seed if conf["seed"] is None else conf["seed"], plan
+    return seed, plan
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
@@ -591,7 +595,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         writer.writeheader()
         writer.writerows(rows)
 
-    def cell(value):
+    def shown(value):
         return value if isinstance(value, str) else f"{value:.4g}"
 
     head = f"{'label':<24} {'estimator':<16} {'n':>8} {'reps':>5} {'mean_error':>12} {'mean_time_s':>12}"
@@ -600,8 +604,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     for r in rows:
         table += (
             f"{r['label']:<24} {r['estimator']:<16} {r['n']:>8} {r['reps']:>5}"
-            f" {cell(r['mean_error']):>12} {cell(r['mean_time_s']):>12}"
-            + "".join(f" {cell(r[name]):>13}" for name in _STAGE_COLUMNS).rstrip()
+            f" {shown(r['mean_error']):>12} {shown(r['mean_time_s']):>12}"
+            + "".join(f" {shown(r[name]):>13}" for name in _STAGE_COLUMNS).rstrip()
             + "\n"
         )
     with open(str(conf["out"]) + ".txt", "w", encoding="utf-8") as fh:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -312,17 +312,21 @@ def kron_spec(dim: int, blocks) -> DependenceSpec:
     return DependenceSpec(order=order, dim=dim, terms=tuple(terms))
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class TimeSeries:
     """An n-by-p block of observations with per-column kind tags.
 
     ``data`` is stored as a read-only float array; binary-tagged columns must
-    contain only 0/1 values and every entry must be finite.
+    contain only 0/1 values and every entry must be finite.  ``kinds``
+    defaults to all-real and is stored as a tuple.
     """
 
-    __slots__ = ("data", "kinds", "_rows")
+    data: np.ndarray
+    kinds: tuple[str, ...] | None = None
+    _rows: tuple | None = field(default=None, init=False)
 
-    def __init__(self, data, kinds=None):
-        arr = np.array(data, dtype=float)
+    def __post_init__(self):
+        arr = np.array(self.data, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2:
@@ -332,9 +336,7 @@ class TimeSeries:
             raise ShapeMismatchError(f"series must be non-empty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("series contains non-finite entries")
-        if kinds is None:
-            kinds = ("real",) * p
-        kinds = tuple(kinds)
+        kinds = ("real",) * p if self.kinds is None else tuple(self.kinds)
         if len(kinds) != p:
             raise ShapeMismatchError(f"{len(kinds)} kind tags for {p} columns")
         for j, kind in enumerate(kinds):
@@ -345,7 +347,6 @@ class TimeSeries:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "kinds", kinds)
-        object.__setattr__(self, "_rows", None)
 
     @property
     def n(self) -> int:

@@ -52,14 +52,11 @@ __all__ = [
     "ar1_to_mininfo",
     "mininfo_to_ar1",
     "ar2_to_mininfo",
-    "mininfo_to_ar2",
     "ard_to_mininfo",
-    "mininfo_to_ard",
     "mininfo_to_ar",
     "var1_to_mininfo",
     "mininfo_to_var1",
     "ar1_fisher_info",
-    "dependence_kernel",
     "divergence_rate",
     "stationary_variance",
     "stationary_cov_var1",
@@ -267,14 +264,30 @@ class DependenceKernel:
 
         p(y | x) = exp(theta*x*y + cross*(y**2 - x**2) - decay*y**2 - log_norm)
 
-    ``cross`` and ``log_norm`` are determined by (theta, decay); the
-    stationary law is N(0, 1 / (2*sqrt(decay**2 - theta**2))).
+    with bilinear dependence weight ``theta`` and quadratic decay ``decay``
+    (> |theta|, else :class:`ParameterDomainError`).  Construction derives
+    the rest: ``cross`` is the root (decay - sqrt(decay**2 - theta**2)) / 2
+    that makes the kernel integrate to one for every conditioning value, and
+    ``log_norm`` equals log(2*pi*noise_var) / 2.  The stationary law is
+    N(0, 1 / (2*sqrt(decay**2 - theta**2))).
     """
 
     theta: float
     decay: float
-    cross: float
-    log_norm: float
+    cross: float = dataclasses.field(init=False)
+    log_norm: float = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        theta = float(self.theta)
+        decay = float(self.decay)
+        if not (np.isfinite(theta) and np.isfinite(decay)) or decay <= abs(theta):
+            raise ParameterDomainError(f"need decay > |theta|, got theta={theta}, decay={decay}")
+        root = math.sqrt(decay**2 - theta**2)
+        noise = 1.0 / (decay + root)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "decay", decay)
+        object.__setattr__(self, "cross", 0.5 * (decay - root))
+        object.__setattr__(self, "log_norm", 0.5 * math.log(2.0 * math.pi * noise))
 
     def log_density(self, y, x):
         y = np.asarray(y, dtype=float)
@@ -299,25 +312,6 @@ class DependenceKernel:
             noise_cov=[[noise]],
             stationary_cov=[[self.stationary_var]],
         )
-
-
-def dependence_kernel(theta: float, decay: float) -> DependenceKernel:
-    """Construct the scalar stationary kernel with bilinear dependence weight
-    ``theta`` and quadratic decay ``decay`` (> |theta|).
-
-    The cross coefficient is the root (decay - sqrt(decay**2 - theta**2)) / 2
-    that makes the kernel integrate to one for every conditioning value; the
-    log normalizer equals log(2*pi*noise_var) / 2.
-    """
-    theta = float(theta)
-    decay = float(decay)
-    if not (np.isfinite(theta) and np.isfinite(decay)) or decay <= abs(theta):
-        raise ParameterDomainError(f"need decay > |theta|, got theta={theta}, decay={decay}")
-    root = math.sqrt(decay**2 - theta**2)
-    cross = 0.5 * (decay - root)
-    noise = 1.0 / (decay + root)
-    log_norm = 0.5 * math.log(2.0 * math.pi * noise)
-    return DependenceKernel(theta=theta, decay=decay, cross=cross, log_norm=log_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +446,6 @@ def ar2_to_mininfo(params: ClassicalARParams) -> MinInfoARParams:
     return MinInfoARParams(theta=[theta1, theta2], tau2=tau2)
 
 
-def mininfo_to_ar2(params: MinInfoARParams) -> ClassicalARParams:
-    """AR(2) inverse: :func:`mininfo_to_ar` for two dependence weights."""
-    if params.order != 2:
-        raise ShapeMismatchError(f"expected 2 dependence weights, got {params.order}")
-    return mininfo_to_ar(params)
-
-
 def _autocorr(a: np.ndarray) -> np.ndarray:
     """r_i = sum_j a_j a_{j+i} for lags i = 0..len(a)-1."""
     return np.correlate(a, a, "full")[len(a) - 1 :]
@@ -474,13 +461,6 @@ def ard_to_mininfo(params: ClassicalARParams) -> MinInfoARParams:
     for a negative tau2 (ROADMAP item 10)."""
     theta = -_autocorr(np.concatenate([[1.0], -params.phi]))[1:] / params.sigma2
     return MinInfoARParams(theta=theta, tau2=stationary_variance(params))
-
-
-def mininfo_to_ard(params: MinInfoARParams) -> ClassicalARParams:
-    """AR(d) inverse for d >= 3: :func:`mininfo_to_ar` with the order checked."""
-    if params.order < 3:
-        raise ShapeMismatchError(f"expected at least 3 dependence weights, got {params.order}")
-    return mininfo_to_ar(params)
 
 
 def _ar_factor(theta: np.ndarray, peak: float, x_peak: float, delta: float) -> ClassicalARParams | None:

@@ -58,7 +58,6 @@ __all__ = [
     "ScoringConfig",
     "ExchangeResult",
     "McleResult",
-    "log_ratio_swap",
     "effective_sample_size",
     "split_rhat",
     "exchange_sample",
@@ -69,8 +68,8 @@ __all__ = [
 @dataclass(frozen=True)
 class ExchangeConfig:
     """Chain length, burn-in, thinning, seed.  A burn-in of None is resolved
-    at construction to n_samples // 10, so the record holds the steps the
-    chain discards."""
+    at construction to n_samples // 10, so ``burn_in`` always holds the
+    number of steps the chain discards."""
 
     n_samples: int = 10_000
     burn_in: int | None = None
@@ -86,11 +85,6 @@ class ExchangeConfig:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thin < 1:
             raise ValueError(f"thin must be >= 1, got {self.thin}")
-
-    @property
-    def effective_burn_in(self) -> int:
-        """The burn-in, which construction has resolved."""
-        return self.burn_in
 
 
 @dataclass(frozen=True)
@@ -215,16 +209,6 @@ class McleResult:
     def __post_init__(self):
         if not (0.0 <= self.final_acceptance_rate <= 1.0):
             raise ValueError("acceptance rate must lie in [0, 1]")
-
-
-def log_ratio_swap(theta, delta) -> float:
-    """Log conditional-likelihood ratio of a proposed transposition: the
-    normalizers cancel, leaving theta . delta."""
-    theta = np.asarray(theta, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    if theta.shape != delta.shape:
-        raise ShapeMismatchError(f"theta shape {theta.shape} != delta shape {delta.shape}")
-    return float(theta @ delta)
 
 
 def _validate_theta(spec: DependenceSpec, theta) -> np.ndarray:
@@ -474,7 +458,6 @@ def exchange_sample(
 def fisher_scoring(
     spec: DependenceSpec,
     series: TimeSeries,
-    theta0=None,
     exchange_config: ExchangeConfig = ExchangeConfig(),
     scoring_config: ScoringConfig = ScoringConfig(),
     moment_fn=None,
@@ -492,12 +475,13 @@ def fisher_scoring(
     increased relative to the previous iteration, and otherwise grows by
     1.5x back up to 1.
 
-    Stops when ||H_obs - mu|| < grad_tol * (1 + ||H_obs||) or at max_iters.
+    Starts from theta = 0 and stops when ||H_obs - mu|| < grad_tol *
+    (1 + ||H_obs||) or at max_iters.
     """
     start = time.perf_counter()
     K = spec.n_terms
     h_obs = total_statistic(spec, series)
-    theta = np.zeros(K) if theta0 is None else _validate_theta(spec, theta0).copy()
+    theta = np.zeros(K)
     rng = np.random.default_rng(exchange_config.seed)
 
     score_norms: list[float] = []

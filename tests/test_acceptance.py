@@ -69,7 +69,7 @@ def test_criterion_02_roundtrip_suite():
             if 1 + f2 > 0.02 and 1 - f1 - f2 > 0.02 and 1 + f1 - f2 > 0.02:
                 break
         p = gaussian.ClassicalARParams([f1, f2], rng.uniform(0.05, 4.0))
-        b = gaussian.mininfo_to_ar2(gaussian.ar2_to_mininfo(p))
+        b = gaussian.mininfo_to_ar(gaussian.ar2_to_mininfo(p))
         worst = max(worst, float(np.abs(b.phi - p.phi).max()), abs(b.sigma2 - p.sigma2))
     worst_resid = 0.0
     for _ in range(100):
@@ -124,7 +124,7 @@ def test_criterion_04_pythagorean_identity():
             gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([th], t2))
         )
         w = gaussian.GaussianKernel([[phi_w]], [[t2 * (1 - phi_w**2)]], [[t2]])
-        v = gaussian.dependence_kernel(th, decay).as_gaussian()
+        v = gaussian.DependenceKernel(th, decay).as_gaussian()
         gap = (
             gaussian.divergence_rate(w, w_star)
             + gaussian.divergence_rate(w_star, v)

@@ -461,6 +461,19 @@ class TestFit:
         rc, _ = run_cli("fit", "--data", str(workspace["data"]), "--estimator", "mle")
         assert rc == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("estimator", ["mle", "ple-naive"])
+    def test_spec_component_beyond_the_data_exits_validation(self, workspace, capsys, estimator):
+        spec = workspace["tmp"] / "kron2.spec"
+        spec.write_text(core.kron_spec(2, [(1, 1, 1)]).to_text())
+        out = workspace["tmp"] / f"component_{estimator}.json"
+        rc, _ = run_cli(
+            "fit", "--data", str(workspace["data"]), "--spec", str(spec),
+            "--estimator", estimator, "--out", str(out),
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert "spec component 1 out of range for 1-column data" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mle_echoes_the_order_that_ran(self, workspace):
         data, spec2 = str(workspace["data"]), str(workspace["spec2"])
         derived, given = workspace["tmp"] / "mle_spec.json", workspace["tmp"] / "mle_spec_order1.json"
@@ -930,6 +943,19 @@ class TestBenchmark:
         rc, _ = run_cli("benchmark", "--manifest", str(man), "--out", str(tmp_path / "bench"))
         assert rc == cli.EXIT_VALIDATION
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists() and not (tmp_path / "bench.txt").exists()
+
+    def test_negative_seed_flag_exits_validation_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "_simulate", no_run)
+        monkeypatch.setattr(cli, "_run_estimator", no_run)
+        man = tmp_path / "man.json"
+        man.write_text(json.dumps({"seed": 3, "cells": [self.GOOD_CELL]}))
+        rc, _ = run_cli("benchmark", "--manifest", str(man), "--seed", "-1", "--out", str(tmp_path / "bench"))
+        assert rc == cli.EXIT_VALIDATION
+        assert "--seed takes an integer >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists() and not (tmp_path / "bench.txt").exists()
 
     def test_readme_manifest_runs(self, tmp_path):

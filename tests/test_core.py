@@ -1,5 +1,6 @@
 """Dependence functions, sufficient statistics, and swap deltas."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -132,6 +133,17 @@ class TestTimeSeries:
         assert all(type(v) is float for row in rows for v in row)
         assert rows == tuple(map(tuple, series.data))
         assert series.rows() is rows  # cached
+
+    def test_fields_cannot_be_reassigned(self):
+        # a reassigned data would also leave rows() reading the old values
+        series = core.TimeSeries([[1.0, 0.0], [2.0, 1.0]], kinds=("real", "binary"))
+        rows = series.rows()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            series.data = np.zeros((2, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            series.kinds = ("real", "real")
+        assert series.kinds == ("real", "binary") and series.rows() is rows
+        assert len(series) == 2 and repr(series) == "TimeSeries(n=2, p=2, kinds=('real', 'binary'))"
 
     def test_csv_round_trip(self, tmp_path):
         series = core.TimeSeries(np.random.default_rng(1).standard_normal((17, 2)))

@@ -15,7 +15,6 @@ from mimm import gaussian
 from mimm.exceptions import (
     ContractError,
     ParameterDomainError,
-    ShapeMismatchError,
     StationarityError,
 )
 
@@ -343,7 +342,7 @@ class TestAr2Transform:
         for _ in range(100):
             f1, f2 = random_stationary_ar2(rng)
             s2 = rng.uniform(0.05, 4.0)
-            back = gaussian.mininfo_to_ar2(
+            back = gaussian.mininfo_to_ar(
                 gaussian.ar2_to_mininfo(gaussian.ClassicalARParams([f1, f2], s2))
             )
             np.testing.assert_allclose(back.phi, [f1, f2], atol=1e-10)
@@ -363,11 +362,11 @@ class TestAr2Transform:
         ]
         for f1, f2, s2 in cases:
             p = gaussian.ClassicalARParams([f1, f2], s2)
-            back = gaussian.mininfo_to_ar2(gaussian.ar2_to_mininfo(p))
+            back = gaussian.mininfo_to_ar(gaussian.ar2_to_mininfo(p))
             np.testing.assert_allclose(back.phi, [f1, f2], atol=1e-10)
 
     def test_independence_case(self):
-        back = gaussian.mininfo_to_ar2(gaussian.MinInfoARParams([0.0, 0.0], 1.7))
+        back = gaussian.mininfo_to_ar(gaussian.MinInfoARParams([0.0, 0.0], 1.7))
         np.testing.assert_array_equal(back.phi, [0.0, 0.0])
         assert back.sigma2 == 1.7
 
@@ -402,12 +401,12 @@ class TestArdTransform:
 
     def test_newton_inverse_anchor_round_trip(self):
         p = gaussian.ClassicalARParams([0.5, 0.3, 0.1], 0.5)
-        back = gaussian.mininfo_to_ard(gaussian.ard_to_mininfo(p))
+        back = gaussian.mininfo_to_ar(gaussian.ard_to_mininfo(p))
         np.testing.assert_allclose(back.phi, p.phi, atol=1e-8)
         assert back.sigma2 == pytest.approx(0.5, abs=1e-8)
 
     def test_newton_inverse_zero_theta(self):
-        back = gaussian.mininfo_to_ard(gaussian.MinInfoARParams([0.0, 0.0, 0.0], 1.3))
+        back = gaussian.mininfo_to_ar(gaussian.MinInfoARParams([0.0, 0.0, 0.0], 1.3))
         np.testing.assert_allclose(back.phi, np.zeros(3), atol=1e-10)
         assert back.sigma2 == pytest.approx(1.3, rel=1e-9)
 
@@ -421,14 +420,10 @@ class TestArdTransform:
             if rho >= 0.9:
                 continue
             p = gaussian.ClassicalARParams(phi, rng.uniform(0.1, 2.0))
-            back = gaussian.mininfo_to_ard(gaussian.ard_to_mininfo(p))
+            back = gaussian.mininfo_to_ar(gaussian.ard_to_mininfo(p))
             np.testing.assert_allclose(back.phi, phi, atol=1e-8)
             assert back.sigma2 == pytest.approx(p.sigma2, rel=1e-8)
             done += 1
-
-    def test_requires_order_three(self):
-        with pytest.raises(ShapeMismatchError):
-            gaussian.mininfo_to_ard(gaussian.MinInfoARParams([1.0], 1.0))
 
 
 class TestVar1Transform:
@@ -483,14 +478,14 @@ class TestFisherInformation:
 
 class TestDependenceKernel:
     def test_independence_case(self):
-        kern = gaussian.dependence_kernel(0.0, 0.5)
+        kern = gaussian.DependenceKernel(0.0, 0.5)
         assert kern.cross == 0.0
         assert kern.stationary_var == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_ar1_kernel(self):
         # decay chosen so the stationary variance equals 2/3
         decay = math.sqrt(1.0 + 0.5625)
-        kern = gaussian.dependence_kernel(1.0, decay).as_gaussian()
+        kern = gaussian.DependenceKernel(1.0, decay).as_gaussian()
         ar = gaussian.kernel_from_ar1(
             gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([1.0], 2.0 / 3.0))
         )
@@ -505,14 +500,19 @@ class TestDependenceKernel:
         for _ in range(20):
             th = rng.uniform(-2.0, 2.0)
             decay = abs(th) + float(np.exp(rng.uniform(-1.0, 1.5)))
-            kern = gaussian.dependence_kernel(th, decay)
+            kern = gaussian.DependenceKernel(th, decay)
             x = rng.uniform(-2.0, 2.0)
             total, _ = quad(lambda y: math.exp(kern.log_density(y, x)), -np.inf, np.inf)
             assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_domain_error(self):
         with pytest.raises(ParameterDomainError):
-            gaussian.dependence_kernel(1.0, 0.9)
+            gaussian.DependenceKernel(1.0, 0.9)
+
+    def test_derived_fields_are_not_arguments(self):
+        # cross and log_norm follow from (theta, decay), so they cannot disagree
+        with pytest.raises(TypeError):
+            gaussian.DependenceKernel(2.0, 3.0, cross=0.0)
 
 
 class TestDivergenceRate:
@@ -570,7 +570,7 @@ class TestPythagoreanIdentity:
                 gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([th], t2))
             )
             w = gaussian.GaussianKernel([[phi_w]], [[t2 * (1 - phi_w**2)]], [[t2]])
-            v = gaussian.dependence_kernel(th, decay).as_gaussian()
+            v = gaussian.DependenceKernel(th, decay).as_gaussian()
             gap = (
                 gaussian.divergence_rate(w, w_star)
                 + gaussian.divergence_rate(w_star, v)
