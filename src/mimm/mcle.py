@@ -9,31 +9,33 @@ the chain's moment estimates of the sufficient statistic.
 
 One chain is strictly sequential; independent chains with different seeds
 may run in parallel.  Fisher scoring consumes one chain per iteration, with
-statistics retained instead of permutations: the chain logs the running
-statistic at each accepted move and the recorded samples are read off that
-log (memory O((L + accepted moves) K)).
+statistics retained instead of permutations: each block of proposals
+leaves the statistic change of every accepted move in a slots x steps
+array, one cumulative sum per term turns it into the block's statistic
+path, and the recorded rows are copied out of it (memory O(L K + B S) for
+L recorded samples, a block of B = 4096 proposals and S >= K slots, one per
+group of the spec's plan).
 
 Each step is scalar Python, so its cost is the interpreter's per
 proposal.  To keep that small, the proposals of a block are drawn as
 position pairs in numpy (``core._uniform_pairs``), and the step is compiled
 once per spec into straight-line source generated from the spec's
 ``MonomialTable`` plan (:func:`_exchange_kernel`): no loops over terms or
-factors remain, the running statistic is held in K local floats and the
-ordering in one Python list per power column beside the position -> data
-index list.  A far pair (s2 - s1 > d) takes the factored form of
-:mod:`mimm.core`, the neighbour sums ``S_g`` read straight from the column
-lists, and an accepted swap exchanges two entries of each list; a near pair
-runs :func:`core._swap_delta_rows` unrolled for its gap on the data rows of
-the current ordering, which gives the same floats.  The far step gives the
-swap delta of the direct path to rounding, so the chain makes the same
-moves.  Every chain reports its effective sample size and split-R-hat per
-statistic.
+factors remain, an accepted move writes its statistic change into its
+slots and the ordering is held in one Python list per power column beside
+the position -> data index list.  A far pair (s2 - s1 > d) takes the
+factored form of :mod:`mimm.core`, the neighbour sums ``S_g`` read straight
+from the column lists, and an accepted swap exchanges two entries of each
+list; a near pair runs :func:`core._swap_delta_rows` unrolled for its gap
+on the data rows of the current ordering, which gives the same floats.  The
+far step gives the swap delta of the direct path to rounding, so the chain
+makes the same moves.  Every chain reports its effective sample size and
+split-R-hat per statistic.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -185,8 +187,9 @@ class ExchangeResult:
 @dataclass(frozen=True, eq=False)
 class McleResult:
     """Fisher-scoring summary.  The traces hold one entry per iteration;
-    ``ess_trace`` and ``split_rhat_trace`` give the chain's per-statistic
-    diagnostics (nan when the moments came from ``moment_fn``).
+    ``acceptance_trace``, ``ess_trace`` and ``split_rhat_trace`` give the
+    chain's acceptance rate and per-statistic diagnostics (nan when the
+    moments came from ``moment_fn``, as does ``final_acceptance_rate``).
     ``n_steps`` counts the MH steps of all chains.  ``stages`` gives seconds
     spent obtaining the moments (``sampler_s``: the chains, or
     ``moment_fn``), computing the chain diagnostics (``diagnostics_s``) and
@@ -207,8 +210,9 @@ class McleResult:
     split_rhat_trace: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self):
-        if not (0.0 <= self.final_acceptance_rate <= 1.0):
-            raise ValueError("acceptance rate must lie in [0, 1]")
+        rate = self.final_acceptance_rate
+        if not (math.isnan(rate) or 0.0 <= rate <= 1.0):
+            raise ValueError("acceptance rate must lie in [0, 1], or be nan when no chain ran")
 
 
 def _validate_theta(spec: DependenceSpec, theta) -> np.ndarray:
@@ -318,11 +322,58 @@ def _sum_lines(name: str, terms: list[str]) -> list[str]:
     return lines
 
 
+def _slot_plan(spec: DependenceSpec) -> tuple[tuple[int, ...], tuple[range, ...]]:
+    """The kernel's accumulation slots: group g of the spec's
+    ``MonomialTable`` plan writes slot ``group_slot[g]``, and term k owns
+    the consecutive slots ``spans[k]``, one per group of its in plan order,
+    or one for a term with no group (which only a near move writes)."""
+    group_terms = [int(k) for k, _, _ in spec._table.groups]
+    spans, lo = [], 0
+    for k in range(spec.n_terms):
+        width = max(1, group_terms.count(k))
+        spans.append(range(lo, lo + width))
+        lo += width
+    group_slot = tuple(spans[k].start + group_terms[:g].count(k) for g, k in enumerate(group_terms))
+    return group_slot, tuple(spans)
+
+
+def _statistic_path(table: np.ndarray, spans: tuple[range, ...], start) -> tuple[np.ndarray, int]:
+    """The running statistic after each step of a block, (B, K), and the
+    number of accepted moves, from the slots x steps array ``table`` the
+    kernel wrote (nan where no move wrote) and the statistic ``start``
+    before the block.
+
+    Every accepted move writes at least one slot, and never nan (a nan
+    change makes the log-ratio nan, which rejects), so the accepted moves
+    are the steps with a written slot.  The unwritten entries are set to
+    -0.0 in place, which leaves every float as it is (x + -0.0 == x).  Term
+    k runs one cumulative sum from ``start[k]`` through its slots' entries,
+    step by step and slot by slot within a step: the order in which a
+    running sum would add each group's term."""
+    B = table.shape[1]
+    unwritten = np.isnan(table)
+    accepted = B - int(np.count_nonzero(unwritten.all(axis=0)))
+    np.putmask(table, unwritten, -0.0)
+    path = np.empty((B, len(spans)))
+    for k, span in enumerate(spans):
+        width = len(span)
+        seq = np.empty(1 + B * width)
+        seq[0] = start[k]
+        seq[1:].reshape(B, width)[...] = table[span.start : span.stop].T
+        path[:, k] = np.add.accumulate(seq)[width::width]
+    return path, accepted
+
+
 def _kernel_source(spec: DependenceSpec) -> str:
     """Source of the compiled ``segment`` of ``spec``."""
     table, d, K = spec._table, int(spec.order), int(spec.n_terms)
+    group_slot, spans = _slot_plan(spec)
     names = [f"P_{q}" for q in range(len(table.exps))]
-    ths, cs = (", ".join(f"{name}_{k}" for k in range(K)) + "," for name in ("TH", "c"))
+    ths = ", ".join(f"TH_{k}" for k in range(K)) + ","
+    slots = ", ".join(f"D_{i}" for i in range(spans[-1].stop)) + ","
+    # a spec whose terms each touch one lag has no group: its far moves
+    # change nothing and mark term 0's slot with -0.0 as accepted
+    far_writes = [f"D_{group_slot[g]}[j] = v_{g}" for g in range(len(table.groups))] or ["D_0[j] = -0.0"]
     far_logr = _sum_lines("logr", [f"TH_{int(k)} * v_{g}" for g, (k, _, _) in enumerate(table.groups)])
     near_logr = _sum_lines("logr", [f"TH_{k} * n_{k}" for k in range(K)])
     # the far step holds P_q[s1] and P_q[s2] of each own power column in locals
@@ -330,32 +381,31 @@ def _kernel_source(spec: DependenceSpec) -> str:
 
     def accept(held):
         """An accepted move: swap two entries of every list, writing back
-        the locals ``held`` where the step read them, and log the event."""
+        the locals ``held`` where the step read them."""
         swaps = []
         for name in names:
             at_s1, at_s2 = held.get(name, (f"{name}[s1]", f"{name}[s2]"))
             swaps.append(f"{name}[s1], {name}[s2] = {at_s2}, {at_s1}")
-        return [*swaps, "order[s1], order[s2] = order[s2], order[s1]", f"record((step, {cs}))"]
+        return [*swaps, "order[s1], order[s2] = order[s2], order[s1]"]
 
     lines = [
-        "def segment(columns, order, rows, current, th, proposals, record):",
+        "def segment(columns, order, rows, th, proposals, deltas):",
         f"    {', '.join(names)}, = columns",
         f"    {ths} = th",
-        f"    {cs} = current",
-        "    for step, s1, s2, logu in proposals:",
+        f"    {slots} = deltas",
+        "    for j, s1, s2, logu in proposals:",
         f"        if s2 - s1 > {d}:",
         *(f"            {line}" for line in _far_pair_lines(table) + far_logr),
         "            if logu <= logr:",
-        *(f"                c_{int(k)} += v_{g}" for g, (k, _, _) in enumerate(table.groups)),
+        *(f"                {line}" for line in far_writes),
         *(f"                {line}" for line in accept(held)),
     ]
     for gap in range(1, d + 1):
         lines.append(f"        elif s2 - s1 == {gap}:")
         lines.extend(f"            {line}" for line in _near_pair_lines(spec, gap) + near_logr)
         lines.append("            if logu <= logr:")
-        lines.extend(f"                c_{k} += n_{k}" for k in range(K))
+        lines.extend(f"                D_{spans[k].start}[j] = n_{k}" for k in range(K))
         lines.extend(f"                {line}" for line in accept({}))
-    lines.append(f"    return [{cs}]")
     return "\n".join(lines) + "\n"
 
 
@@ -363,25 +413,30 @@ def _kernel_source(spec: DependenceSpec) -> str:
 def _exchange_kernel(spec: DependenceSpec) -> Callable:
     """The exchange step of ``spec`` as straight-line Python, compiled once
     per spec (as :mod:`dataclasses` generates methods): one function,
-    ``segment(columns, order, rows, current, th, proposals, record)``, which
-    runs the steps ``(step, s1, s2, logu)`` of one decoded proposal block
-    and returns the running statistic.
+    ``segment(columns, order, rows, th, proposals, deltas)``, which runs
+    the steps ``(j, s1, s2, logu)`` of one decoded proposal block, ``j``
+    the step's index within the block.
 
     The ordering lives in one column list per power column ``P_q``
     (:func:`_chain_columns`) and in the position -> data index list
     ``order``; ``rows`` is the data's row tuples (``TimeSeries.rows``).
-    The statistic lives in K local floats; an accepted move exchanges two
-    entries of every column list and of ``order`` and hands ``record``
-    (``list.extend``) the event ``(step, c_0, ..., c_{K-1})``.
+    An accepted move exchanges two entries of every column list and of
+    ``order``.  The kernel keeps no statistic and no count: it writes each
+    accepted move's statistic change at index ``j`` of ``deltas``, one
+    writable float buffer per slot (:func:`_slot_plan`), each a
+    ``memoryview`` of one row of a nan-filled slots x steps array, and
+    :func:`_statistic_path` sums that array and counts the accepted moves
+    afterwards.
 
     A far pair (s2 - s1 > d) runs :func:`_far_pair_lines`: it reads
     ``P_q[s1 + off]`` and ``P_q[s2 + off]`` directly, its log-ratio is the
-    theta-weighted sum of the group terms and an accepted move adds each
-    term to its statistic in group order.  A near pair runs
+    theta-weighted sum of the group terms ``v_g`` and an accepted move
+    writes each ``v_g`` into its group's slot.  A near pair runs
     :func:`_near_pair_lines` for its gap, :func:`core._swap_delta_rows`
-    unrolled on ``rows[order[...]]``.  The source holds only integers of
-    the spec's ``MonomialTable`` plan (power columns, offsets, term indices,
-    exponents) and its order; theta arrives as an argument.
+    unrolled on ``rows[order[...]]``, and an accepted move writes each
+    term's change ``n_k`` into the term's first slot.  The source holds only
+    integers of the spec's ``MonomialTable`` plan (power columns, offsets,
+    term indices, exponents) and its order; theta arrives as an argument.
     """
     source = _kernel_source(spec)
     namespace: dict = {}
@@ -409,11 +464,13 @@ def exchange_sample(
     pairs by ``core._uniform_pairs`` (the draw online SGD makes), then
     log u.  The block runs in the spec's compiled kernel
     (:func:`_exchange_kernel`) on the column lists of the current ordering,
-    which logs an event (step, statistic) per accepted move.  Every
-    ``_RECOMPUTE_EVERY`` steps the running statistic is recomputed from the
-    permuted data and logged as an event of that step, after any move of the
-    same step.  The statistic recorded at step r is that of the last event
-    at or before r.
+    which writes each accepted move's statistic change into a slots x steps
+    array; :func:`_statistic_path` turns it into the statistic after each
+    step of the block, by one cumulative sum per term from the statistic
+    before the block.  Every ``_RECOMPUTE_EVERY`` steps, at a block's end,
+    the statistic is recomputed from the permuted data and replaces the
+    block's last row.  The rows of the recorded steps are copied out, so
+    no array spans the whole chain.
     """
     theta = _validate_theta(spec, theta)
     d, hi = _interior_bounds(spec, series)
@@ -422,37 +479,37 @@ def exchange_sample(
         rng = np.random.default_rng(config.seed)
 
     segment = _exchange_kernel(spec)
-    K = spec.n_terms
+    _, spans = _slot_plan(spec)
+    table = np.empty((spans[-1].stop, _PROPOSAL_BLOCK))
+    deltas = [memoryview(row) for row in table]  # the kernel writes the rows of table
     th = [float(v) for v in theta]
     columns = _chain_columns(spec, series.data)
     order = list(range(n))  # data index at each position of the current ordering
     rows = series.rows()
-    current = [float(v) for v in total_statistic(spec, series)]
-    events = [0.0, *current]  # (step, statistic) at each change, row after row
+    current = total_statistic(spec, series)
 
     burn, thin = config.burn_in, config.thin
     total_steps = burn + config.n_samples * thin
+    stats = np.empty((config.n_samples, spec.n_terms))
+    accepted = 0
     for first in range(0, total_steps, _PROPOSAL_BLOCK):
         s1, s2 = _uniform_pairs(rng, d, hi, _PROPOSAL_BLOCK)
         logu = np.log(rng.random(size=_PROPOSAL_BLOCK))
         end = min(first + _PROPOSAL_BLOCK, total_steps)
         s1, s2, logu = (v[: end - first].tolist() for v in (s1, s2, logu))
-        # float step numbers: the event log converts to an array as floats
-        proposals = zip(itertools.count(first + 1.0), s1, s2, logu)
-        current = segment(columns, order, rows, current, th, proposals, events.extend)
+        table.fill(math.nan)
+        segment(columns, order, rows, th, zip(range(end - first), s1, s2, logu), deltas)
+        path, block_accepted = _statistic_path(table[:, : end - first], spans, current)
+        accepted += block_accepted
         if end % _RECOMPUTE_EVERY == 0:
             permuted = TimeSeries(series.data[order], kinds=series.kinds)
-            current = [float(v) for v in total_statistic(spec, permuted)]
-            events.extend((float(end), *current))
+            path[-1] = total_statistic(spec, permuted)
+        current = path[-1]
+        # the recorded steps burn + thin * i in (first, end], at rows step - first - 1
+        done, upto = (max(0, (step - burn) // thin) for step in (first, end))
+        stats[done:upto] = path[burn + thin * (done + 1) - first - 1 :: thin][: upto - done]
 
-    table = np.array(events, dtype=float).reshape(-1, K + 1)
-    record_steps = burn + thin * np.arange(1, config.n_samples + 1)
-    return ExchangeResult(
-        stats=table[np.searchsorted(table[:, 0], record_steps, side="right") - 1, 1:],
-        # the log holds the start, one event per accepted move and one per refresh
-        acceptance_rate=(len(table) - 1 - total_steps // _RECOMPUTE_EVERY) / total_steps,
-        n_steps=total_steps,
-    )
+    return ExchangeResult(stats=stats, acceptance_rate=accepted / total_steps, n_steps=total_steps)
 
 
 def fisher_scoring(
@@ -505,7 +562,7 @@ def fisher_scoring(
             sampled = diagnosed = time.perf_counter()
             mu = np.asarray(mu, dtype=float)
             cov = np.atleast_2d(np.asarray(cov, dtype=float))
-            acc = 1.0
+            acc = math.nan
             ess_trace.append((math.nan,) * K)
             rhat_trace.append((math.nan,) * K)
         else:

@@ -233,16 +233,18 @@ def _exchange_step_cases(rng):
 
 def _exchange_step(spec, series, order, s1, s2) -> np.ndarray:
     """The statistic change of the move (s1, s2) on the ordering ``order``,
-    run by the chain's own compiled ``segment``: theta 0 and log u = -inf
-    accept the move, and the running statistic starts at -0.0, so it comes
-    back as the step's delta bit for bit (-0.0 + x == x)."""
+    run by the chain's own compiled ``segment`` and statistic path: theta 0
+    and log u = -inf accept the move, and the path starts at -0.0, so it
+    comes back as the in-order sum of the step's slots bit for bit
+    (-0.0 + x == x, and an unwritten slot adds -0.0)."""
     K = spec.n_terms
     columns = mcle._chain_columns(spec, series.data[order])
-    proposal = [(1.0, s1, s2, -math.inf)]
-    after = mcle._exchange_kernel(spec)(
-        columns, order.tolist(), series.rows(), [-0.0] * K, [0.0] * K, proposal, [].extend
-    )
-    return np.array(after)
+    _, spans = mcle._slot_plan(spec)
+    table = np.full((spans[-1].stop, 1), math.nan)
+    deltas = [memoryview(row) for row in table]
+    mcle._exchange_kernel(spec)(columns, order.tolist(), series.rows(), [0.0] * K, [(0, s1, s2, -math.inf)], deltas)
+    path, _ = mcle._statistic_path(table, spans, [-0.0] * K)
+    return path[-1]
 
 
 def _check_exchange_step_factored() -> CheckResult:

@@ -492,14 +492,20 @@ def permuted_swaps(draw, specs):
 
 def _segment_moves(spec, series, order, pairs):
     """The running statistic after the chain's compiled ``segment`` makes the
-    moves ``pairs`` in turn on the ordering ``order``, from -0.0: theta 0 and
-    log u = -inf accept every move, and -0.0 + x == x bit for bit, so one
-    move returns its swap delta."""
+    moves ``pairs`` in turn on the ordering ``order``, read off the chain's
+    statistic path from -0.0: theta 0 and log u = -inf accept every move,
+    and -0.0 + x == x bit for bit, so one move returns the in-order sum of
+    its slots, its swap delta."""
     K = spec.n_terms
     columns = mcle._chain_columns(spec, series.data[order])
-    proposals = [(float(step), a, b, -np.inf) for step, (a, b) in enumerate(pairs, start=1)]
-    segment = mcle._exchange_kernel(spec)
-    return np.array(segment(columns, order.tolist(), series.rows(), [-0.0] * K, [0.0] * K, proposals, [].extend))
+    proposals = [(j, a, b, -np.inf) for j, (a, b) in enumerate(pairs)]
+    _, spans = mcle._slot_plan(spec)
+    table = np.full((spans[-1].stop, len(pairs)), np.nan)
+    deltas = [memoryview(row) for row in table]
+    mcle._exchange_kernel(spec)(columns, order.tolist(), series.rows(), [0.0] * K, proposals, deltas)
+    path, accepted = mcle._statistic_path(table, spans, [-0.0] * K)
+    assert accepted == len(pairs)
+    return path[-1]
 
 
 class TestExchangeStepAgainstScalar:

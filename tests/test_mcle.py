@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_core import kron_binary_specs, random_specs
+from test_core import _bits, kron_binary_specs, random_specs
 
 from mimm import core, gaussian, mcle, oracle
 from mimm.exceptions import IllConditionedError, InsufficientInteriorError
@@ -260,7 +260,7 @@ class TestChainEquivalence:
         np.testing.assert_allclose(res.stats, ref_stats, rtol=0.0, atol=1e-9)
 
     def test_zero_theta_records_every_step(self):
-        # every move is accepted, so the event log holds one event per step
+        # every move is accepted, so every step writes its slot
         spec, series, _ = _ar_case([0.5], 60, 7)
         config = mcle.ExchangeConfig(n_samples=8500, burn_in=3, seed=18)
         ref_stats, ref_accepted = reference_chain(spec, series, [0.0], config, np.random.default_rng(config.seed))
@@ -314,6 +314,38 @@ class TestChainEquivalence:
     def test_kron_specs_with_binary_column(self, case):
         self.check_against_reference(*case)
 
+    def test_one_lag_terms_count_their_far_moves(self):
+        # terms that each touch one lag leave the far step no group: its
+        # moves change nothing and are always accepted, and they must count
+        T = core.MonomialTerm
+        spec = core.DependenceSpec(2, 2, (T(((0, 0, 2),)), T(((0, 0, 1), (0, 1, 1)))))
+        assert spec._table.groups == ()
+        series = core.TimeSeries(np.random.default_rng(23).uniform(-1.5, 1.5, size=(40, 2)))
+        config = mcle.ExchangeConfig(n_samples=5000, seed=24)
+        ref_stats, ref_accepted = reference_chain(spec, series, [0.4, -0.3], config, np.random.default_rng(config.seed))
+        res = mcle.exchange_sample(spec, series, [0.4, -0.3], config)
+        assert round(res.acceptance_rate * res.n_steps) == ref_accepted
+        np.testing.assert_allclose(res.stats, ref_stats, rtol=0.0, atol=1e-9)
+
+    def test_recording_is_a_read_off_of_one_chain(self):
+        # the same seed runs the same chain whatever the thinning and
+        # burn-in, so two runs agree bit for bit at the steps both record;
+        # the terms have two far-step groups, one and none, and the chains
+        # cross the block edges at 4096 and 8192 and the refresh at 8192
+        T = core.MonomialTerm
+        spec = core.DependenceSpec(1, 1, tuple(T.parse(t) for t in ("0:0^1*1:0^2", "0:0^1*1:0^1", "0:0^2")))
+        assert [k for k, _, _ in spec._table.groups] == [0, 0, 1]
+        series = gaussian.simulate_ar(AR1, 60, seed=21)
+        theta = [0.2, 0.5, -0.1]
+
+        def run(**kwargs):
+            return mcle.exchange_sample(spec, series, theta, mcle.ExchangeConfig(seed=22, **kwargs)).stats
+
+        every = run(n_samples=9000, burn_in=0)  # steps 1 .. 9000
+        assert _bits(run(n_samples=3000, burn_in=0, thin=3)) == _bits(every[2::3])  # steps 3, 6, .. 9000
+        assert _bits(run(n_samples=9000, burn_in=7)[:-7]) == _bits(every[7:])  # steps 8 .. 9000
+        assert len(np.unique(every[:, 0])) > 1000  # the chain moves
+
     def test_kernel_is_compiled_once_per_spec(self):
         spec = core.ar_spec(2)
         kernel = mcle._exchange_kernel(spec)
@@ -333,19 +365,25 @@ class TestSegmentState:
         d, n = spec.order, 40
         rng = np.random.default_rng(3)
         series = core.TimeSeries(rng.uniform(-1.2, 1.2, size=(n, 2)))
-        s1, s2 = core._uniform_pairs(rng, d, n - d, mcle._PROPOSAL_BLOCK)
-        logu = np.log(rng.random(mcle._PROPOSAL_BLOCK))
-        proposals = list(zip(range(1, mcle._PROPOSAL_BLOCK + 1), s1.tolist(), s2.tolist(), logu.tolist()))
+        B = mcle._PROPOSAL_BLOCK
+        s1, s2 = core._uniform_pairs(rng, d, n - d, B)
+        logu = np.log(rng.random(B))
+        proposals = list(zip(range(B), s1.tolist(), s2.tolist(), logu.tolist()))
         columns = mcle._chain_columns(spec, series.data)
         order = list(range(n))
-        start = [float(v) for v in core.total_statistic(spec, series)]
-        events = []
-        current = mcle._exchange_kernel(spec)(
-            columns, order, series.rows(), start, [0.3, -0.2, 0.1], proposals, events.extend
+        start = core.total_statistic(spec, series)
+        _, spans = mcle._slot_plan(spec)
+        table = np.full((spans[-1].stop, B), np.nan)
+        mcle._exchange_kernel(spec)(
+            columns, order, series.rows(), [0.3, -0.2, 0.1], proposals, [memoryview(row) for row in table]
         )
-        accepted = [proposals[int(step) - 1] for step in events[:: spec.n_terms + 1]]
-        near = sum(b - a <= d for _, a, b, _ in accepted)
-        assert near >= 200 and len(accepted) - near >= 1000
+        # an accepted move writes its slots, a rejected one none
+        moves = [p for p, written in zip(proposals, ~np.isnan(table).all(axis=0)) if written]
+        path, accepted = mcle._statistic_path(table, spans, start)
+        current = path[-1]
+        assert len(moves) == accepted
+        near = sum(b - a <= d for _, a, b, _ in moves)
+        assert near >= 200 and len(moves) - near >= 1000
         expected = mcle._chain_columns(spec, series.data[order])
         assert np.array(columns).tobytes() == np.array(expected).tobytes()
         assert order[:d] + order[n - d :] == [0, 1, n - 2, n - 1]
@@ -429,17 +467,22 @@ class TestConfigs:
             mcle.ScoringConfig(max_iters=0)
 
     def test_result_validates_acceptance_rate(self):
-        with pytest.raises(ValueError):
-            mcle.McleResult(
+        def result(rate):
+            return mcle.McleResult(
                 theta=np.zeros(1),
                 iterations=1,
-                final_acceptance_rate=1.5,
+                final_acceptance_rate=rate,
                 score_norm_trace=(),
                 theta_trace=(),
                 acceptance_trace=(),
                 converged=True,
                 wall_time_s=0.0,
             )
+
+        with pytest.raises(ValueError):
+            result(1.5)
+        # nan: the moments came from moment_fn, and no chain ran
+        assert math.isnan(result(math.nan).final_acceptance_rate)
 
 
 class TestFisherScoring:
@@ -528,4 +571,8 @@ class TestFisherScoring:
         )
         assert fit.n_steps == 0
         assert all(math.isnan(ess[0]) for ess in fit.ess_trace)
+        # no chain ran, so there is no acceptance rate to report either
+        assert len(fit.acceptance_trace) == 3
+        assert all(math.isnan(acc) for acc in fit.acceptance_trace)
+        assert math.isnan(fit.final_acceptance_rate)
         assert sum(fit.stages.values()) <= fit.wall_time_s
