@@ -267,7 +267,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _run_estimator(estimator, series, spec, configs):
     """Dispatch one estimator run on its :func:`_estimator_configs`; returns
-    (theta, extras, fit), ``fit`` the library's result object (None for mle)."""
+    (theta, extras, fit): a library fit's ``to_dict()`` record and result,
+    or for mle, whose oracle returns no fit result, its classical parameters
+    and None."""
     if estimator == "mle":
         order = configs["order"]
         if series.p == 1:
@@ -282,18 +284,8 @@ def _run_estimator(estimator, series, spec, configs):
     if spec is None:
         raise MimmError(f"{estimator} requires --spec")
     if estimator == "mcle":
-        exch, scor = configs[mcle.ExchangeConfig], configs[mcle.ScoringConfig]
-        fit = mcle.fisher_scoring(spec, series, exchange_config=exch, scoring_config=scor)
-        extras = {
-            "iterations": fit.iterations,
-            "acceptance_rate": fit.final_acceptance_rate,
-            "converged": fit.converged,
-            "score_norm_trace": list(fit.score_norm_trace),
-            "n_steps": fit.n_steps,
-            "stages": fit.stages,
-        }
-        return fit.theta, extras, fit
-    if estimator == "ple-naive":
+        fit = mcle.fisher_scoring(spec, series, configs[mcle.ExchangeConfig], configs[mcle.ScoringConfig])
+    elif estimator == "ple-naive":
         fit = ple.fit_naive(spec, series, configs[ple.GdConfig])
     elif estimator == "ple-bipartition":
         fit = ple.fit_bipartition(spec, series, seed=configs["seed"], config=configs[ple.GdConfig])
@@ -310,13 +302,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     configs = _estimator_configs(conf["estimator"], conf, f"--estimator {conf['estimator']}", seed=0, spec=spec)
     _check_time_limit(conf["time_limit_s"], "--time-limit-s")
     series = _load_series(conf["data"])
-    if spec is not None:
-        for term in spec.terms:
-            for _, comp, _ in term.factors:
-                if comp >= series.p:
-                    raise MimmError(
-                        f"spec component {comp} out of range for {series.p}-column data"
-                    )
+    if spec is not None and spec.dim > series.p:
+        raise MimmError(f"spec component {spec.dim - 1} out of range for {series.p}-column data")
 
     start = time.perf_counter()
     theta, extras, fit = _run_estimator(conf["estimator"], series, spec, configs)
@@ -341,22 +328,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
         result["converged"] = None
 
     if conf["diagnostics"] is not None:
-        with open(conf["diagnostics"], "w", encoding="utf-8") as fh:
-            K = len(fit.theta)
-            head = ["iter"] + [f"theta_{k}" for k in range(K)]
-            head += ["score_norm", "acceptance_rate", "ess", "split_rhat"]
-            fh.write(",".join(head) + "\n")
-            traces = zip(
-                fit.theta_trace,
-                fit.score_norm_trace,
-                fit.acceptance_trace,
-                fit.ess_trace,
-                fit.split_rhat_trace,
-            )
-            for i, (th, sn, ac, ess, rhat) in enumerate(traces, start=1):
-                # the worst statistic: smallest ESS, largest split-R-hat (nan if any is)
-                row = [str(i)] + [repr(v) for v in th] + [repr(sn), repr(ac), repr(float(np.min(ess))), repr(float(np.max(rhat)))]
-                fh.write(",".join(row) + "\n")
+        head, rows = fit.diagnostics()
+        with open(conf["diagnostics"], "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(head)
+            writer.writerows(rows)
 
     _write_json(conf["out"], result)
     if timed_out:
@@ -561,7 +537,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                 configs = _estimator_configs(estimator, opts, who, est_seed.generate_state(1)[0], cell.spec)
                 t0 = time.perf_counter()
                 try:
-                    theta, _, fit = _run_estimator(estimator, series, cell.spec, configs)
+                    theta, record, _ = _run_estimator(estimator, series, cell.spec, configs)
                 except (MimmError, np.linalg.LinAlgError, FloatingPointError) as err:
                     # numerical and data failures become a row; programming
                     # errors propagate
@@ -573,8 +549,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                     break
                 errors.append(float(np.linalg.norm(np.atleast_1d(theta) - cell.theta)))
                 times.append(elapsed)
-                if fit is not None and fit.stages is not None:
-                    stages.append(fit.stages)
+                if record.get("stages") is not None:
+                    stages.append(record["stages"])
             ok = status == "ok"
             rows.append(
                 {

@@ -194,7 +194,8 @@ class McleResult:
     spent obtaining the moments (``sampler_s``: the chains, or
     ``moment_fn``), computing the chain diagnostics (``diagnostics_s``) and
     in the scoring updates (``solve_s``: moments, covariance and the linear
-    solve); the rest of ``wall_time_s`` is set-up."""
+    solve); the rest of ``wall_time_s`` is set-up.  `mimm fit` writes
+    :meth:`to_dict` and, per iteration, :meth:`diagnostics`."""
 
     theta: np.ndarray
     iterations: int
@@ -213,6 +214,30 @@ class McleResult:
         rate = self.final_acceptance_rate
         if not (math.isnan(rate) or 0.0 <= rate <= 1.0):
             raise ValueError("acceptance rate must lie in [0, 1], or be nan when no chain ran")
+
+    def to_dict(self) -> dict:
+        """The ``fit`` record's estimator keys."""
+        return {
+            "iterations": self.iterations,
+            "acceptance_rate": self.final_acceptance_rate,
+            "converged": self.converged,
+            "score_norm_trace": list(self.score_norm_trace),
+            "n_steps": self.n_steps,
+            "stages": self.stages,
+        }
+
+    def diagnostics(self) -> tuple[list[str], list[list]]:
+        """A header and one row per scoring iteration: the iteration from 1,
+        theta at its start, the score norm, the chain's acceptance rate and
+        its worst statistic, the smallest ESS and largest split-R-hat (nan
+        if any is)."""
+        head = ["iter", *(f"theta_{k}" for k in range(len(self.theta)))]
+        head += ["score_norm", "acceptance_rate", "ess", "split_rhat"]
+        traces = zip(self.theta_trace, self.score_norm_trace, self.acceptance_trace, self.ess_trace, self.split_rhat_trace)
+        return head, [
+            [i, *theta, norm, rate, float(np.min(ess)), float(np.max(rhat))]
+            for i, (theta, norm, rate, ess, rhat) in enumerate(traces, start=1)
+        ]
 
 
 def _validate_theta(spec: DependenceSpec, theta) -> np.ndarray:

@@ -62,7 +62,7 @@ import math
 import time
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -192,6 +192,9 @@ class PleResult:
     building.  The Newton fitters also report ``pilot_s``: building the
     statistics of every 64th pair and fitting them for the start on a large
     design, 0.0 when the design is too small for a pilot.
+
+    `mimm fit` writes :meth:`to_dict`, built from the fields, so a field
+    added here or in a subclass is written with no change to the CLI.
     """
 
     theta: np.ndarray
@@ -212,20 +215,11 @@ class PleResult:
             raise ValueError(f"log pseudo-likelihood must be <= 0, got {self.log_pl}")
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "theta": [float(v) for v in self.theta],
-            "log_pl": float(self.log_pl),
-            "aic": None if self.aic is None else float(self.aic),
-            "pic": None if self.pic is None else float(self.pic),
-            "n_pairs_used": int(self.n_pairs_used),
-            "wall_time_s": float(self.wall_time_s),
-            "converged": None if self.converged is None else bool(self.converged),
-            "method": self.method,
-            "iterations": None if self.iterations is None else int(self.iterations),
-            "grad_norm": None if self.grad_norm is None else float(self.grad_norm),
-            "stages": None if self.stages is None else {k: float(v) for k, v in self.stages.items()},
-        }
+        """The ``fit`` record: every field but ``theta_trace``, arrays as
+        lists, plus ``schema_version``."""
+        record = {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in asdict(self).items()}
+        del record["theta_trace"]
+        return {"schema_version": 1, **record}
 
 
 def n_interior_pairs(n: int, d: int) -> int:
@@ -387,8 +381,9 @@ def _fit(
 
     A design of at least ``_PILOT_STRIDE * _PILOT_MIN_PAIRS`` pairs first
     runs a pilot: this same fit, on ``deltas(_PILOT_STRIDE)``, with the
-    caller's ``tol`` and ``max_epochs`` and no warning let out (a pilot
-    large enough runs a pilot of its own).  The ascent starts from the
+    caller's ``tol`` and ``max_epochs`` and its :class:`SeparationWarning`
+    ignored (a pilot large enough runs a pilot of its own); any other
+    warning reaches the caller.  The ascent starts from the
     pilot's theta if the pilot converged, and from theta = 0 otherwise (and
     on smaller designs).
 
@@ -413,7 +408,7 @@ def _fit(
     pilot_s = 0.0
     if n_pairs >= _PILOT_STRIDE * _PILOT_MIN_PAIRS:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", SeparationWarning)
             pilot = _fit(
                 spec, lambda k=1: deltas(k * _PILOT_STRIDE), -(-n_pairs // _PILOT_STRIDE), config, method
             )

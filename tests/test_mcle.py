@@ -576,3 +576,23 @@ class TestFisherScoring:
         assert all(math.isnan(acc) for acc in fit.acceptance_trace)
         assert math.isnan(fit.final_acceptance_rate)
         assert sum(fit.stages.values()) <= fit.wall_time_s
+
+    def test_record_and_diagnostics_of_exact_moments(self):
+        series = gaussian.simulate_ar(AR1, 7, seed=5)
+        fit = mcle.fisher_scoring(
+            SPEC1,
+            series,
+            scoring_config=mcle.ScoringConfig(max_iters=3, grad_tol=1e-12),
+            moment_fn=lambda th: oracle.enumeration_moments(SPEC1, series, th),
+        )
+        record = fit.to_dict()
+        assert set(record) == {"iterations", "acceptance_rate", "converged", "score_norm_trace", "n_steps", "stages"}
+        assert record["iterations"] == 3 and record["n_steps"] == 0 and math.isnan(record["acceptance_rate"])
+        assert record["score_norm_trace"] == list(fit.score_norm_trace)
+        head, rows = fit.diagnostics()
+        assert head == ["iter", "theta_0", "score_norm", "acceptance_rate", "ess", "split_rhat"]
+        assert [row[0] for row in rows] == [1, 2, 3]
+        for row, theta, norm in zip(rows, fit.theta_trace, fit.score_norm_trace):
+            assert row[1:3] == [*theta, norm]
+            # no chain ran: no acceptance rate, ESS or split-R-hat
+            assert len(row) == 6 and all(math.isnan(v) for v in row[3:])

@@ -1,6 +1,7 @@
 """Pseudo-likelihood estimation: pair statistics, the three fitters, and
 information criteria."""
 
+import dataclasses
 import json
 import math
 import time
@@ -572,6 +573,23 @@ class TestTelemetry:
         record = json.loads(json.dumps(fit.to_dict()))
         assert record["converged"] is None and record["iterations"] == 500
 
+    def test_record_holds_every_field_but_the_trace(self):
+        fit = ple.fit_naive(SPEC1, gaussian.simulate_ar(AR1, 100, seed=21))
+        record = fit.to_dict()
+        fields = {field.name for field in dataclasses.fields(fit)}
+        assert set(record) == fields - {"theta_trace"} | {"schema_version"}
+        assert record["schema_version"] == 1 and record["theta"] == fit.theta.tolist()
+        assert json.loads(json.dumps(record)) == record
+
+    def test_a_field_added_in_a_subclass_is_written(self):
+        @dataclasses.dataclass(frozen=True, eq=False)
+        class RankedResult(ple.PleResult):
+            rank: int | None = None
+
+        fit = ple.fit_online_sgd(SPEC1, gaussian.simulate_ar(AR1, 100, seed=22), ple.SgdConfig(n_iters=50, seed=1))
+        ranked = RankedResult(**{field.name: getattr(fit, field.name) for field in dataclasses.fields(fit)}, rank=2)
+        assert ranked.to_dict() == fit.to_dict() | {"rank": 2}
+
     def test_stages_are_nonnegative_and_within_wall_time(self, monkeypatch):
         series = gaussian.simulate_ar(AR1, 200, seed=20)
         fits = [
@@ -752,6 +770,24 @@ class TestPilotStart:
         assert pilot.n_pairs_used == 692 and pilot.iterations == 2 and not pilot.converged
         monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 10**12)
         assert_same_fit(fit, ple.fit_naive(SPEC1, series, config))
+
+    def test_pilot_warnings_other_than_separation_reach_the_caller(self, monkeypatch):
+        # each Newton pass warns with its design's row count: the 692-pair
+        # pilot's warnings must reach the caller with the full design's
+        series = gaussian.simulate_ar(AR1, 300, seed=16)
+        monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 64)
+        newton_pass = ple._newton_pass
+
+        def warning_pass(blocks, theta):
+            warnings.warn(f"pass over {sum(len(X) for X in blocks())} rows", RuntimeWarning)
+            return newton_pass(blocks, theta)
+
+        monkeypatch.setattr(ple, "_newton_pass", warning_pass)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ple.fit_naive(SPEC1, series)
+        assert {str(w.message) for w in caught} == {"pass over 692 rows", "pass over 44253 rows"}
+        assert all(w.category is RuntimeWarning for w in caught)
 
     def test_pilot_stopped_at_the_divergence_cap_is_discarded_silently(self, monkeypatch):
         # every 64th pair has x = 1e-3, so the pilot design is separable and
