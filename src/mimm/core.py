@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -404,6 +405,12 @@ def _check_series(spec: DependenceSpec, series: TimeSeries) -> None:
         )
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """A count setting must be an integer, not a bool, and >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _interior_bounds(spec: DependenceSpec, series: TimeSeries) -> tuple[int, int]:
     d = spec.order
     m = series.n - 2 * d
@@ -563,8 +570,10 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
     d = spec.order
     X = series.data
     n = series.n
-    s1 = np.atleast_1d(np.asarray(s1, dtype=np.intp))
-    s2 = np.atleast_1d(np.asarray(s2, dtype=np.intp))
+    s1, s2 = np.atleast_1d(s1, s2)
+    if any(s.size and s.dtype.kind not in "iu" for s in (s1, s2)):
+        raise BoundaryViolationError(f"swap indices must be integers, got {s1.dtype} and {s2.dtype}")
+    s1, s2 = s1.astype(np.intp, copy=False), s2.astype(np.intp, copy=False)
     if s1.shape != s2.shape or s1.ndim != 1:
         raise ShapeMismatchError("s1 and s2 must be 1-d arrays of equal length")
 

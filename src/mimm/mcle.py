@@ -46,6 +46,7 @@ import numpy as np
 from .core import (
     DependenceSpec,
     TimeSeries,
+    _check_count,
     _interior_bounds,
     _uniform_pairs,
     total_statistic,
@@ -79,30 +80,26 @@ class ExchangeConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        _check_count("n_samples", self.n_samples)
         if self.burn_in is None:
             object.__setattr__(self, "burn_in", self.n_samples // 10)
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.thin < 1:
-            raise ValueError(f"thin must be >= 1, got {self.thin}")
+        _check_count("burn_in", self.burn_in, least=0)
+        _check_count("thin", self.thin)
 
 
 @dataclass(frozen=True)
 class ScoringConfig:
     """Fisher-scoring stopping rule: at most ``max_iters`` iterations, or
     convergence once ||H_obs - mu|| < grad_tol * (1 + ||H_obs||).
-    ``max_iters`` must be >= 1 and ``grad_tol`` finite and > 0, or
-    construction raises ``ValueError``.  The step damping and the covariance
-    ridge are fixed; see :func:`fisher_scoring`."""
+    ``max_iters`` must be an integer >= 1 and ``grad_tol`` finite and > 0,
+    or construction raises ``ValueError``.  The step damping and the
+    covariance ridge are fixed; see :func:`fisher_scoring`."""
 
     max_iters: int = 30
     grad_tol: float = 0.01
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        _check_count("max_iters", self.max_iters)
         if not 0.0 < self.grad_tol < math.inf:
             raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
 

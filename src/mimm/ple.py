@@ -38,17 +38,15 @@ in the same order, so theta is bitwise equal to that loop's (see
 ``fit_online_sgd``).
 
 Pairs are generated in a deterministic order (lexicographic, or derived from
-the seed), so runs are reproducible.  ``fit_naive`` takes its chunks of
-whole rows (one s1 with every s2 > s1) from ``core._all_pairs_blocks``,
-built by row tiles with no pair index arrays, and ``fit_online_sgd`` its
-pairs from ``core._uniform_pairs``.  Matchings are drawn here
-(``_matching``, ``spaced_matching``), and ``fit_bipartition`` and
-``fit_pairs`` cut their pair list into chunks of ``_CHUNK_PAIRS`` pairs
-(``_listed_pairs``).  The memory policy is this module's: a design within
-``_MATERIALIZE_LIMIT`` is held as one block per chunk; a larger one is
-regenerated chunk by chunk on every pass, so memory stays bounded
-regardless of n for every Newton fitter.  A pilot builds its own rows,
-every 64th pair of its fitter's pair list, as the fitter builds the design's.
+the seed), so runs are reproducible.  Each Newton fitter builds one
+``_PairDesign``: all pairs for ``fit_naive`` (chunks of whole rows from
+``core._all_pairs_blocks``, built by row tiles with no pair index arrays),
+or a pair list, cut into chunks of ``_CHUNK_PAIRS`` pairs.  The design holds
+the memory policy: within ``_MATERIALIZE_LIMIT`` it is held as one block per
+chunk, past it regenerated on every pass, so memory stays bounded regardless
+of n.  A pilot fits its ``every(64)``.  Matchings are drawn here
+(``_matching``, ``spaced_matching``); ``fit_online_sgd`` takes its pairs
+from ``core._uniform_pairs``.
 
 Model selection: ``select_specs`` ranks candidate dependence specs by
 ``aic_pic`` on one shared design, every spec padded to the largest order and
@@ -72,6 +70,7 @@ from .core import (  # noqa: F401  window_statistics: bench/tracing.py wraps it 
     DependenceSpec,
     TimeSeries,
     _all_pairs_blocks,
+    _check_count,
     _interior_bounds,
     _uniform_pairs,
     swap_deltas,
@@ -141,16 +140,16 @@ class GdConfig:
     pair with these same settings converged.  It stops when the norm of the
     per-pair-averaged gradient is at most ``tol``, after ``max_epochs``
     passes, or, with a :class:`SeparationWarning`, when the norm of theta
-    exceeds a fixed divergence cap of 1e3.  ``max_epochs`` must be >= 1 and
-    ``tol`` finite and > 0, or construction raises ``ValueError``.
+    exceeds a fixed divergence cap of 1e3.  ``max_epochs`` must be an
+    integer >= 1 and ``tol`` finite and > 0, or construction raises
+    ``ValueError``.
     """
 
     max_epochs: int = 500
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        _check_count("max_epochs", self.max_epochs)
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
@@ -159,8 +158,9 @@ class GdConfig:
 class SgdConfig:
     """Online SGD settings: the fixed step size ``eta``, the update budget
     ``n_iters`` (one uniformly drawn pair per update) and the pair-draw
-    ``seed``.  ``eta`` must be finite and > 0 and ``n_iters`` >= 1, or
-    construction raises ``ValueError``; there is no convergence test."""
+    ``seed``.  ``eta`` must be finite and > 0 and ``n_iters`` an integer
+    >= 1, or construction raises ``ValueError``; there is no convergence
+    test."""
 
     eta: float = 0.01
     n_iters: int = 10_000
@@ -169,8 +169,7 @@ class SgdConfig:
     def __post_init__(self):
         if not 0.0 < self.eta < math.inf:
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
-        if self.n_iters < 1:
-            raise ValueError(f"n_iters must be >= 1, got {self.n_iters}")
+        _check_count("n_iters", self.n_iters)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,21 +254,42 @@ def log_pl(theta, pairs) -> float:
     return float(total)
 
 
-class _PairBlocks:
-    """Pair-statistic blocks for the Newton solver: minus each swap-delta
-    block that ``deltas()`` yields at its default stride of 1.  Calling the
-    object yields one pass over the pairs.  A design of at most
-    ``_MATERIALIZE_LIMIT`` statistics (n_pairs * K) is built once and its
-    blocks held; a larger one is regenerated on every pass.  ``seconds``
-    sums the time spent building blocks."""
+class _PairDesign:
+    """The pairs of one Newton fit: every interior pair, in
+    ``core._all_pairs_blocks`` order, when ``s1`` is None, else the listed
+    pairs (s1[i], s2[i]); of those, pairs 0, stride, 2 stride, ...,
+    ``n_pairs`` in all.  Calling it yields one pass of minus-swap-delta
+    blocks of about ``_CHUNK_PAIRS`` pairs (all pairs at a stride above 1:
+    one block), built on the first pass and held up to ``_MATERIALIZE_LIMIT``
+    statistics (n_pairs * K), else regenerated on every pass; ``seconds``
+    sums the time spent building them."""
 
-    def __init__(self, deltas, n_pairs: int, n_terms: int):
-        self._deltas = deltas
+    def __init__(self, spec: DependenceSpec, series: TimeSeries, s1=None, s2=None, stride: int = 1):
+        _interior_bounds(spec, series)
+        if s1 is None:
+            count = n_interior_pairs(series.n, spec.order)
+        else:
+            s1, s2 = np.asarray(s1), np.asarray(s2)
+            if s1.ndim != 1 or s1.shape != s2.shape:
+                raise ShapeMismatchError("s1 and s2 must be 1-d arrays of equal length")
+            count = len(s1)
+        self.spec, self.series, self._s1, self._s2, self._stride = spec, series, s1, s2, stride
+        self.n_pairs = -(-count // stride)
         self.seconds = 0.0
-        self._held = None
-        self._max_row_norm = None
-        if n_pairs * n_terms <= _MATERIALIZE_LIMIT:
-            self._held = tuple(self._generate())
+        self._held = self._max_row_norm = None
+
+    def every(self, k: int) -> _PairDesign:
+        """Pairs 0, k, 2 k, ... of this design, as a new design."""
+        return type(self)(self.spec, self.series, self._s1, self._s2, self._stride * k)
+
+    def _deltas(self):
+        if self._s1 is None:
+            return _all_pairs_blocks(self.spec, self.series, _CHUNK_PAIRS, self._stride)
+        a, b = self._s1[:: self._stride], self._s2[:: self._stride]
+        return (
+            swap_deltas(self.spec, self.series, a[i : i + _CHUNK_PAIRS], b[i : i + _CHUNK_PAIRS])
+            for i in range(0, len(a), _CHUNK_PAIRS)
+        )
 
     def _generate(self):
         start = time.perf_counter()
@@ -281,6 +301,8 @@ class _PairBlocks:
         self.seconds += time.perf_counter() - start
 
     def __call__(self):
+        if self._held is None and self.n_pairs * self.spec.n_terms <= _MATERIALIZE_LIMIT:
+            self._held = tuple(self._generate())
         return self._held if self._held is not None else self._generate()
 
     def max_row_norm(self) -> float:
@@ -366,26 +388,17 @@ def _certified(grad, info, step, max_row_norm: float) -> bool:
     return gain - _psi(rho) * curvature >= 1e-8 * gain
 
 
-def _fit(
-    spec: DependenceSpec,
-    deltas,
-    n_pairs: int,
-    config: GdConfig,
-    method: str,
-) -> PleResult:
-    """Pseudo-likelihood fit on the ``n_pairs`` pairs whose swap deltas
-    ``deltas()`` yields block by block, by damped Newton ascent; an empty
-    design raises :class:`InsufficientDataError`.  ``deltas(stride)``
-    yields the swap deltas of pairs 0, stride, 2 stride, ... of the same
-    pair list, in the same order.
+def _fit(design: _PairDesign, config: GdConfig, method: str) -> PleResult:
+    """Pseudo-likelihood fit on the pairs of ``design`` by damped Newton
+    ascent; an empty design raises :class:`InsufficientDataError`.
 
     A design of at least ``_PILOT_STRIDE * _PILOT_MIN_PAIRS`` pairs first
-    runs a pilot: this same fit, on ``deltas(_PILOT_STRIDE)``, with the
-    caller's ``tol`` and ``max_epochs`` and its :class:`SeparationWarning`
-    ignored (a pilot large enough runs a pilot of its own); any other
-    warning reaches the caller.  The ascent starts from the
-    pilot's theta if the pilot converged, and from theta = 0 otherwise (and
-    on smaller designs).
+    runs a pilot: this same fit, on ``design.every(_PILOT_STRIDE)``, with
+    the caller's ``tol`` and ``max_epochs`` and its
+    :class:`SeparationWarning` ignored (a pilot large enough runs a pilot of
+    its own); any other warning reaches the caller.  The ascent starts from
+    the pilot's theta if the pilot converged, and from theta = 0 otherwise
+    (and on smaller designs).
 
     One Newton pass over the pairs is one epoch; the pilot's passes are not
     counted.  The step is the minimum-norm least-squares solution of
@@ -397,25 +410,23 @@ def _fit(
     objective is no lower than at theta.
     """
     start = time.perf_counter()
+    n_pairs = design.n_pairs
     if n_pairs == 0:
         raise InsufficientDataError("the pair design is empty")
-    blocks = _PairBlocks(deltas, n_pairs, spec.n_terms)
 
     def objective(theta):
-        return sum(log_pl(theta, X) for X in blocks())
+        return sum(log_pl(theta, X) for X in design())
 
-    theta = np.zeros(spec.n_terms)
+    theta = np.zeros(design.spec.n_terms)
     pilot_s = 0.0
     if n_pairs >= _PILOT_STRIDE * _PILOT_MIN_PAIRS:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SeparationWarning)
-            pilot = _fit(
-                spec, lambda k=1: deltas(k * _PILOT_STRIDE), -(-n_pairs // _PILOT_STRIDE), config, method
-            )
+            pilot = _fit(design.every(_PILOT_STRIDE), config, method)
         if pilot.converged:
             theta = pilot.theta
         pilot_s = pilot.wall_time_s
-    grad, info = _newton_pass(blocks, theta)
+    grad, info = _newton_pass(design, theta)
     epochs = 1
     thetas, value = [tuple(theta.tolist())], None
     converged = False
@@ -426,10 +437,10 @@ def _fit(
         if epochs >= config.max_epochs:
             break
         step = np.linalg.lstsq(info, grad, rcond=_RCOND)[0]
-        new_grad, new_info = _newton_pass(blocks, theta + step)
+        new_grad, new_info = _newton_pass(design, theta + step)
         epochs += 1
         t, new_value = 1.0, None
-        if new_grad @ step < 0.0 and not _certified(grad, info, step, blocks.max_row_norm()):
+        if new_grad @ step < 0.0 and not _certified(grad, info, step, design.max_row_norm()):
             # past the maximum along the step: backtrack on the objective
             if value is None:
                 value = objective(theta)
@@ -442,7 +453,7 @@ def _fit(
             if t < 1.0:
                 if epochs >= config.max_epochs:
                     break  # no pass left for the gradient at the damped point
-                new_grad, new_info = _newton_pass(blocks, theta + t * step)
+                new_grad, new_info = _newton_pass(design, theta + t * step)
                 epochs += 1
         theta = theta + t * step
         thetas.append(tuple(theta.tolist()))
@@ -454,13 +465,13 @@ def _fit(
                 stacklevel=3,
             )
             break
-    solved, pairs_solved = time.perf_counter(), blocks.seconds
+    solved, pairs_solved = time.perf_counter(), design.seconds
     if value is None:
         value = objective(theta)
     stages = {
-        "pairs_s": blocks.seconds,
+        "pairs_s": design.seconds,
         "solver_s": solved - start - pilot_s - pairs_solved,
-        "log_pl_s": time.perf_counter() - solved - (blocks.seconds - pairs_solved),
+        "log_pl_s": time.perf_counter() - solved - (design.seconds - pairs_solved),
         "pilot_s": pilot_s,
     }
     return PleResult(
@@ -485,15 +496,13 @@ def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdCon
     the ascent starts from a converged pilot fit on every 64th pair,
     otherwise from theta = 0.
 
-    The design, in chunks of whole rows of about 5e5 pairs, and the
-    pilot's rows come from ``core._all_pairs_blocks``.  Up to 2e7
-    statistics (n_pairs * K) the blocks are built once and held; past that,
-    every pass regenerates them one chunk at a time, and the pair matrix is
-    never held at once.
+    The design is a :class:`_PairDesign` of all pairs: chunks of whole
+    rows of about 5e5 pairs, and for the pilot one strided block.  Up to
+    2e7 statistics (n_pairs * K) the blocks are built once and held; past
+    that, every pass regenerates them one chunk at a time, and the pair
+    matrix is never held at once.
     """
-    _interior_bounds(spec, series)  # the blocks are built lazily, inside the fit
-    n_pairs = n_interior_pairs(series.n, spec.order)
-    fit = _fit(spec, lambda k=1: _all_pairs_blocks(spec, series, _CHUNK_PAIRS, k), n_pairs, config, "ple-naive")
+    fit = _fit(_PairDesign(spec, series), config, "ple-naive")
     aic, pic = aic_pic(fit.log_pl, spec.n_terms, series.n, spec.order)
     return replace(fit, aic=aic, pic=pic)
 
@@ -512,7 +521,7 @@ def fit_bipartition(
     """
     lo, hi = _interior_bounds(spec, series)
     s1, s2 = _matching(np.random.default_rng(seed), np.arange(lo, hi, dtype=np.intp))
-    return _fit(spec, _listed_pairs(spec, series, s1, s2), len(s1), config, "ple-bipartition")
+    return _fit(_PairDesign(spec, series, s1, s2), config, "ple-bipartition")
 
 
 def fit_pairs(
@@ -528,23 +537,11 @@ def fit_pairs(
     one shared pair set (swap neighborhoods kept disjoint) so that the
     logistic factors are close to independent and information criteria stay
     calibrated across candidates.  An empty list raises
-    :class:`InsufficientDataError`.
+    :class:`InsufficientDataError`, lists not 1-d and of equal length
+    :class:`ShapeMismatchError`, and non-integer positions
+    :class:`BoundaryViolationError`.
     """
-    _interior_bounds(spec, series)
-    return _fit(spec, _listed_pairs(spec, series, s1, s2), np.size(s1), config, "ple-pairs")
-
-
-def _listed_pairs(spec: DependenceSpec, series: TimeSeries, s1, s2):
-    """The ``deltas`` of :func:`_fit` for the pair list (s1, s2): lazily, the
-    swap deltas of pairs 0, stride, 2 stride, ... of the list, in blocks of
-    ``_CHUNK_PAIRS`` pairs, so a list shorter than one chunk is one block."""
-
-    def deltas(stride=1):
-        a, b = s1[::stride], s2[::stride]
-        for start in range(0, len(a), _CHUNK_PAIRS):
-            yield swap_deltas(spec, series, a[start : start + _CHUNK_PAIRS], b[start : start + _CHUNK_PAIRS])
-
-    return deltas
+    return _fit(_PairDesign(spec, series, s1, s2), config, "ple-pairs")
 
 
 def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig = SgdConfig()) -> PleResult:
@@ -714,8 +711,7 @@ def select_specs(
     error row; any other exception propagates.  Raises
     :class:`InsufficientInteriorError` when no spec is feasible.
     """
-    if splits < 1:
-        raise ValueError(f"splits must be >= 1, got {splits}")
+    _check_count("splits", splits)
     feasible = [len(_spaced_positions(series.n, spec.order)) >= 2 for spec in specs]
     if not any(feasible):
         raise InsufficientInteriorError("every spec order is too large for this series length")

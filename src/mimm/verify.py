@@ -469,7 +469,7 @@ def _check_pair_sign() -> CheckResult:
     spec = core.ar_spec(2)
     series = core.TimeSeries(rng.standard_normal(30))
     s1, s2 = np.sort([rng.choice(range(2, 28), size=2, replace=False) for _ in range(20)]).T
-    (X,) = ple._PairBlocks(lambda: (core.swap_deltas(spec, series, s1, s2),), len(s1), spec.n_terms)()
+    (X,) = ple._PairDesign(spec, series, s1, s2)()
     worst = max(
         float(np.abs(x + core.swap_delta(spec, series, int(a), int(b))).max())
         for x, a, b in zip(X, s1, s2)
@@ -481,7 +481,7 @@ def _check_monotone_ascent() -> CheckResult:
     spec = core.ar_spec(1)
     series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 120, seed=15)
     fit = ple.fit_naive(spec, series)
-    X = -np.concatenate(list(core._all_pairs_blocks(spec, series, ple._CHUNK_PAIRS)))
+    X = np.concatenate(ple._PairDesign(spec, series)())
     diffs = np.diff([ple.log_pl(theta, X) for theta in fit.theta_trace])
     worst = float(diffs.min()) if len(diffs) else 0.0
     return CheckResult("objective_monotone_ascent", worst >= -1e-12, worst, -1e-12)

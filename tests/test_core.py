@@ -373,6 +373,12 @@ class TestSwapDeltasAgainstScalar:
         out = core.swap_deltas(core.ar_spec(2), series, [], [])
         assert out.shape == (0, 2)
 
+    @pytest.mark.parametrize("s1, s2", [([1.7, 5.2], [3.9, 9.1]), ([True], [3]), ([2], np.array([True]))])
+    def test_non_integer_indices_rejected(self, s1, s2):
+        # a cast would read 1.7 as 1 and True as 1, all inside the interior
+        with pytest.raises(BoundaryViolationError, match="integers"):
+            core.swap_deltas(core.ar_spec(1), core.TimeSeries(np.arange(12.0)), s1, s2)
+
 
 @st.composite
 def design_rows(draw, specs):

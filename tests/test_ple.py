@@ -16,7 +16,13 @@ from scipy.optimize import brentq, linprog, minimize
 from scipy.special import expit
 
 from mimm import core, gaussian, ple
-from mimm.exceptions import InsufficientInteriorError, MimmError, SeparationWarning
+from mimm.exceptions import (
+    BoundaryViolationError,
+    InsufficientInteriorError,
+    MimmError,
+    SeparationWarning,
+    ShapeMismatchError,
+)
 
 AR1 = gaussian.ClassicalARParams([0.5], 0.5)
 SPEC1 = core.ar_spec(1)
@@ -50,7 +56,7 @@ class TestPairStatistic:
         spec = core.ar_spec(2)
         series = core.TimeSeries(rng.standard_normal(25))
         s1, s2 = np.sort([rng.choice(range(2, 23), size=2, replace=False) for _ in range(15)]).T
-        (X,) = ple._PairBlocks(lambda: (core.swap_deltas(spec, series, s1, s2),), len(s1), spec.n_terms)()
+        (X,) = ple._PairDesign(spec, series, s1, s2)()
         np.testing.assert_array_equal(X, -core.swap_deltas(spec, series, s1, s2))
         scalar = np.array([core.swap_delta(spec, series, int(a), int(b)) for a, b in zip(s1, s2)])
         np.testing.assert_allclose(X, -scalar, rtol=0.0, atol=1e-12)
@@ -684,19 +690,34 @@ def assert_same_fit(a, b):
     np.testing.assert_array_equal(a.theta, b.theta)
 
 
+@st.composite
+def pair_designs(draw):
+    """A spec, a series, its interior pairs (s1 None) or a random list of
+    them, a chunk size and two strides."""
+    spec = draw(st.sampled_from([SPEC1, core.ar_spec(2), core.kron_spec(2, [(1, 1, 1)])]))
+    d = spec.order
+    n = draw(st.integers(2 * d + 2, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = core.TimeSeries(rng.standard_normal((n, spec.dim)))
+    s1 = s2 = None
+    if draw(st.booleans()):
+        s1, s2 = core._uniform_pairs(rng, d, n - d, draw(st.integers(1, 200)))
+    return spec, series, s1, s2, draw(st.integers(1, 300)), draw(st.integers(1, 70)), draw(st.integers(1, 70))
+
+
 class TestPilotStart:
     """A design of at least _PILOT_STRIDE * _PILOT_MIN_PAIRS pairs starts
     its Newton ascent from a converged fit on every 64th pair."""
 
     @pytest.mark.parametrize("chunk", [400, 5000])
     def test_deltas_stride_matches_strided_rows_held_and_streamed(self, monkeypatch, chunk):
-        # each fitter's deltas(stride) is every stride-th row of its design
+        # each fitter's design.every(k) is every k-th row of its design
         monkeypatch.setattr(ple, "_CHUNK_PAIRS", chunk)
         captured, fit = [], ple._fit
 
-        def capturing(spec, deltas, n_pairs, *rest):
-            captured.append((deltas, n_pairs))
-            return fit(spec, deltas, n_pairs, *rest)
+        def capturing(design, *rest):
+            captured.append(design)
+            return fit(design, *rest)
 
         monkeypatch.setattr(ple, "_fit", capturing)
         for spec, series in (
@@ -711,17 +732,34 @@ class TestPilotStart:
             ple.fit_naive(spec, series)
             ple.fit_pairs(spec, series, s1, s2)
             ple.fit_bipartition(spec, series, seed=4)
-            designs = (X, X[::3], None)
+            expected = (X, X[::3], None)
             for limit in (ple._MATERIALIZE_LIMIT, 0):
                 monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", limit)
-                for (deltas, n_pairs), design in zip(captured, designs):
-                    full = np.vstack(tuple(ple._PairBlocks(deltas, n_pairs, spec.n_terms)()))
-                    if design is not None:
-                        np.testing.assert_array_equal(full, design)
-                    for stride in (1, 7, 64):
-                        rows = -(-n_pairs // stride)
-                        blocks = ple._PairBlocks(lambda: deltas(stride), rows, spec.n_terms)
-                        np.testing.assert_array_equal(np.vstack(tuple(blocks())), full[::stride])
+                for design, rows in zip(captured, expected):
+                    full = np.vstack(tuple(design.every(1)()))
+                    if rows is not None:
+                        np.testing.assert_array_equal(full, rows)
+                    for k in (1, 7, 64):
+                        thinned = design.every(k)
+                        assert thinned.n_pairs == -(-design.n_pairs // k)
+                        blocks = thinned()
+                        assert isinstance(blocks, tuple) == (limit > 0)
+                        np.testing.assert_array_equal(np.vstack(tuple(blocks)), full[::k])
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair_designs())
+    def test_every_keeps_every_kth_row_held_and_streamed(self, case):
+        spec, series, s1, s2, chunk, j, k = case
+        full = all_pairs_matrix(spec, series) if s1 is None else -core.swap_deltas(spec, series, s1, s2)
+        for limit in (ple._MATERIALIZE_LIMIT, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ple, "_CHUNK_PAIRS", chunk)
+                mp.setattr(ple, "_MATERIALIZE_LIMIT", limit)
+                design = ple._PairDesign(spec, series, s1, s2)
+                cases = ((design, full), (design.every(k), full[::k]), (design.every(j).every(k), full[:: j * k]))
+                for thinned, rows in cases:
+                    assert thinned.n_pairs == len(rows)
+                    np.testing.assert_array_equal(np.vstack(tuple(thinned())), rows)
 
     def test_held_and_streamed_fits_bitwise_equal_with_the_pilot(self, monkeypatch):
         # 400-pair chunks are no multiple of the stride, so the pilot's
@@ -796,20 +834,23 @@ class TestPilotStart:
         x = np.where(np.arange(4096) % 4 == 3, -1.0, 1.0)
         x[::64] = 1e-3
 
-        def deltas(stride=1):
-            return (-x[::stride, None],)
+        class SyntheticDesign(ple._PairDesign):
+            # pair i's row is x[i]; the listed positions only set the count
+            def _deltas(self):
+                return (-x[:: self._stride, None],)
 
+        design = SyntheticDesign(SPEC1, core.TimeSeries(np.zeros(4)), np.arange(len(x)), np.arange(len(x)))
         monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 64)
         results = spy_fits(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = ple._fit(SPEC1, deltas, len(x), ple.GdConfig(), "ple-test")
+            fit = ple._fit(design, ple.GdConfig(), "ple-test")
         pilot = results[0]
         assert pilot.n_pairs_used == 64 and not pilot.converged
         assert np.linalg.norm(pilot.theta) > ple._THETA_CAP
         assert fit.converged
         monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 10**12)
-        assert_same_fit(fit, ple._fit(SPEC1, deltas, len(x), ple.GdConfig(), "ple-test"))
+        assert_same_fit(fit, ple._fit(design.every(1), ple.GdConfig(), "ple-test"))
 
 
 @st.composite
@@ -931,6 +972,20 @@ class TestFitPairs:
         series = gaussian.simulate_ar(AR1, 50, seed=31)
         with pytest.raises(MimmError, match="empty"):
             ple.fit_pairs(SPEC1, series, [], [])
+
+    def test_lists_of_unequal_length_rejected(self, monkeypatch):
+        # 8 pairs are two whole chunks of 4, so chunk-wise checks miss s2's ninth
+        series = gaussian.simulate_ar(AR1, 50, seed=31)
+        monkeypatch.setattr(ple, "_CHUNK_PAIRS", 4)
+        s1 = np.arange(1, 9)
+        with pytest.raises(ShapeMismatchError):
+            ple.fit_pairs(SPEC1, series, s1, np.append(s1 + 10, 40))
+
+    @pytest.mark.parametrize("s1, s2", [([1.7, 5.2], [3.9, 9.1]), ([True], [3])])
+    def test_non_integer_positions_rejected(self, s1, s2):
+        series = gaussian.simulate_ar(AR1, 50, seed=31)
+        with pytest.raises(BoundaryViolationError, match="integers"):
+            ple.fit_pairs(SPEC1, series, s1, s2)
 
 
 class TestListedPairsStreaming:
