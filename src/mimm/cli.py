@@ -19,7 +19,6 @@ import dataclasses
 import functools
 import inspect
 import json
-import math
 import sys
 import time
 
@@ -121,21 +120,6 @@ def _check_file_value(source: str, action: argparse.Action, value) -> None:
             raise MimmError(f"{source}: {name} must be one of {', '.join(action.choices)}, got {item!r}")
 
 
-def _check_time_limit(value, source: str) -> None:
-    """A time limit, when set, must be a finite number of seconds > 0
-    (NaN or an infinity would also make the result JSON invalid)."""
-    if value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < math.inf:
-        raise MimmError(f"{source} must be finite and > 0, got {value!r}")
-
-
-def _check_count(value, source: str, least: int = 1) -> None:
-    """A count must be a JSON integer (not a bool) >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise MimmError(f"{source} takes an integer >= {least}, got {value!r}")
-
-
 def _estimator_configs(estimator: str, conf: dict, who: str, seed=None, spec=None) -> dict:
     """What a run of ``estimator`` reads, from the options set in ``conf``
     (``seed`` if it sets none, and ``spec``'s order if it sets no order):
@@ -153,7 +137,7 @@ def _estimator_configs(estimator: str, conf: dict, who: str, seed=None, spec=Non
     if unread:
         raise MimmError(f"{who} never reads {', '.join(sorted('--' + key.replace('_', '-') for key in unread))}")
     if conf.get("order") is not None:
-        _check_count(conf["order"], f"{who}: --order")
+        core._check_count(f"{who}: --order", conf["order"])
     given = {dest[0]: {} for dest in table.values() if dest is not None}
     for key, dest in table.items():
         if dest is not None and conf.get(key) is not None:
@@ -300,7 +284,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise MimmError("fit requires --data and --estimator")
     spec = None if conf["spec"] is None else core.DependenceSpec.load(conf["spec"])
     configs = _estimator_configs(conf["estimator"], conf, f"--estimator {conf['estimator']}", seed=0, spec=spec)
-    _check_time_limit(conf["time_limit_s"], "--time-limit-s")
+    if conf["time_limit_s"] is not None:
+        core._check_positive("--time-limit-s", conf["time_limit_s"])
     series = _load_series(conf["data"])
     if spec is not None and spec.dim > series.p:
         raise MimmError(f"spec component {spec.dim - 1} out of range for {series.p}-column data")
@@ -466,23 +451,25 @@ def _check_manifest(manifest, conf: dict) -> tuple[int, list[_Cell]]:
         seed, seed_source = conf["seed"], "--seed"
     reps = manifest.get("repetitions", _MANIFEST_REPETITIONS)
     limit = manifest.get("time_limit_s")
-    _check_count(seed, seed_source, least=0)
-    _check_count(reps, "manifest repetitions")
-    _check_time_limit(limit, "manifest time_limit_s")
+    core._check_count(seed_source, seed, least=0)
+    core._check_count("manifest repetitions", reps)
+    for source, value in (("manifest time_limit_s", limit), ("--time-limit-s", conf["time_limit_s"])):
+        if value is not None:
+            core._check_positive(source, value)
     limit = limit or _MANIFEST_TIME_LIMIT_S
-    _check_time_limit(conf["time_limit_s"], "--time-limit-s")
     if conf["reps"] is not None:
-        _check_count(conf["reps"], "--reps")
+        core._check_count("--reps", conf["reps"])
     fit_actions = build_parser().parse_args(["fit"]).options
     plan = []
     for cell_idx, cell in enumerate(cells):
         where = f"cell {cell_idx}"
         if not isinstance(cell, dict):
             raise MimmError(f"{where} must be a JSON object, got {cell!r}")
-        _check_count(cell.get("n"), f"{where} n")
+        core._check_count(f"{where} n", cell.get("n"))
         if "repetitions" in cell:
-            _check_count(cell["repetitions"], f"{where} repetitions")
-        _check_time_limit(cell.get("time_limit_s"), f"{where} time_limit_s")
+            core._check_count(f"{where} repetitions", cell["repetitions"])
+        if cell.get("time_limit_s") is not None:
+            core._check_positive(f"{where} time_limit_s", cell["time_limit_s"])
         if not isinstance(cell.get("label", ""), str):
             raise MimmError(f"{where} label takes a string, got {cell['label']!r}")
         if not isinstance(cell.get("model"), dict):
@@ -672,7 +659,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--tol", type=float, help="stop when the mean gradient norm is at most this")
     fit.add_argument("--eta", type=float, help="online SGD learning rate")
     fit.add_argument("--iters", type=int, help="online SGD iterations")
-    fit.add_argument("--time-limit-s", dest="time_limit_s", type=float)
+    fit.add_argument(
+        "--time-limit-s", dest="time_limit_s", type=float, help="seconds, compared after the fit (not cut short)"
+    )
     fit.add_argument("--diagnostics", help="per-iteration CSV (mcle)")
     fit.add_argument("--out", help="result JSON path (default stdout)")
     fit.set_defaults(func=cmd_fit)

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -58,6 +59,7 @@ from .exceptions import (
     DegenerateScaleError,
     InsufficientDataError,
     InsufficientInteriorError,
+    ParameterDomainError,
     ShapeMismatchError,
 )
 
@@ -81,10 +83,10 @@ VALID_KINDS = ("real", "binary")
 class MonomialTerm:
     """One entry of a dependence function: a monomial in lagged components.
 
-    ``factors`` is a tuple of ``(lag, component, exponent)`` triples.  The
-    constructor canonicalizes: factors are sorted by ``(lag, component)`` and
-    duplicates of the same ``(lag, component)`` pair are merged by adding
-    exponents, so equality and hashing are well-defined.
+    ``factors`` holds ``(lag, component, exponent)`` integers >= 0, 0 and 1
+    (else :class:`ParameterDomainError`).  The constructor canonicalizes to
+    Python ints sorted by ``(lag, component)``, merging duplicate pairs by
+    adding exponents, so equality and hashing are well-defined.
     """
 
     factors: tuple[tuple[int, int, int], ...]
@@ -96,13 +98,9 @@ class MonomialTerm:
         for factor in self.factors:
             if len(factor) != 3:
                 raise ValueError(f"factor must be (lag, component, exponent): {factor!r}")
+            for name, value, least in zip(("lag", "component", "exponent"), factor, (0, 0, 1)):
+                _check_count(name, value, least)
             lag, comp, exp = (int(v) for v in factor)
-            if lag < 0:
-                raise ValueError(f"lag must be >= 0, got {lag}")
-            if comp < 0:
-                raise ValueError(f"component must be >= 0, got {comp}")
-            if exp < 1:
-                raise ValueError(f"exponent must be >= 1, got {exp}")
             merged[(lag, comp)] = merged.get((lag, comp), 0) + exp
         canon = tuple((lag, comp, exp) for (lag, comp), exp in sorted(merged.items()))
         object.__setattr__(self, "factors", canon)
@@ -137,9 +135,9 @@ class MonomialTerm:
 class DependenceSpec:
     """A dependence function: ``order`` lags, ``dim`` components, K monomials.
 
-    Every term must touch the current observation (lag 0); a term without a
-    lag-0 factor only shifts the conditional law by a constant and is
-    rejected as unidentifiable.
+    ``order`` and ``dim`` are integers >= 1, stored as Python ints (else
+    :class:`ParameterDomainError`); a term without a lag-0 factor only shifts
+    the conditional law by a constant and is rejected as unidentifiable.
     """
 
     order: int
@@ -147,10 +145,9 @@ class DependenceSpec:
     terms: tuple[MonomialTerm, ...]
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        for name in ("order", "dim"):
+            _check_count(name, getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))
         terms = tuple(self.terms)
         if len(terms) == 0:
             raise ValueError("a dependence spec needs at least one term")
@@ -286,6 +283,7 @@ class MonomialTable:
 
 def ar_spec(order: int) -> DependenceSpec:
     """Univariate autoregressive-type dependence: terms x_t * x_{t-i}."""
+    _check_count("order", order)
     terms = tuple(MonomialTerm(((0, 0, 1), (i, 0, 1))) for i in range(1, order + 1))
     return DependenceSpec(order=order, dim=1, terms=terms)
 
@@ -296,16 +294,17 @@ def kron_spec(dim: int, blocks) -> DependenceSpec:
     Each block ``(lag, exp_now, exp_lag)`` contributes the dim**2 monomials
     ``x_{t,i}**exp_now * x_{t-lag,j}**exp_lag`` with i outer and j inner,
     matching the column-stacking vectorization of the coefficient matrix.
+    A ``dim`` or block entry not an integer >= 1 raises ParameterDomainError.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    _check_count("dim", dim)
     blocks = list(blocks)
     if not blocks:
         raise ValueError("need at least one (lag, exp_now, exp_lag) block")
+    for block in blocks:
+        for name, value in zip(("lag", "exp_now", "exp_lag"), block):
+            _check_count(name, value)
     terms = []
     for lag, exp_now, exp_lag in blocks:
-        if lag < 1 or exp_now < 1 or exp_lag < 1:
-            raise ValueError(f"invalid block {(lag, exp_now, exp_lag)!r}: all entries must be >= 1")
         for i in range(dim):
             for j in range(dim):
                 terms.append(MonomialTerm(((0, i, exp_now), (lag, j, exp_lag))))
@@ -406,9 +405,15 @@ def _check_series(spec: DependenceSpec, series: TimeSeries) -> None:
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
-    """A count setting must be an integer, not a bool, and >= ``least``."""
+    """The one rule of an integer setting: an integer, not a bool, >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ParameterDomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """The one rule of a positive real setting: a real, not a bool, finite and > 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ParameterDomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _interior_bounds(spec: DependenceSpec, series: TimeSeries) -> tuple[int, int]:
@@ -570,6 +575,9 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
     d = spec.order
     X = series.data
     n = series.n
+    # a bool among a list's ints would convert to position 0 or 1
+    if any(isinstance(s, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in s) for s in (s1, s2)):
+        raise BoundaryViolationError("swap indices must be integers, not bools")
     s1, s2 = np.atleast_1d(s1, s2)
     if any(s.size and s.dtype.kind not in "iu" for s in (s1, s2)):
         raise BoundaryViolationError(f"swap indices must be integers, got {s1.dtype} and {s2.dtype}")

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial import chebyshev
 
-from .core import TimeSeries
+from .core import TimeSeries, _check_count, _check_positive
 from .exceptions import (
     ContractError,
     ParameterDomainError,
@@ -123,8 +123,7 @@ class ClassicalARParams:
             raise ShapeMismatchError("phi must be a non-empty vector")
         if not np.all(np.isfinite(phi)):
             raise ParameterDomainError("phi contains non-finite values")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ParameterDomainError(f"sigma2 must be positive, got {self.sigma2}")
+        _check_positive("sigma2", self.sigma2)
         rho = _spectral_radius(companion_matrix(phi))
         if rho >= 1.0:
             raise StationarityError(
@@ -188,8 +187,7 @@ class MinInfoARParams:
             raise ShapeMismatchError("theta must be a non-empty vector")
         if not np.all(np.isfinite(theta)):
             raise ParameterDomainError("theta contains non-finite values")
-        if not (np.isfinite(self.tau2) and self.tau2 > 0):
-            raise ParameterDomainError(f"tau2 must be positive, got {self.tau2}")
+        _check_positive("tau2", self.tau2)
         object.__setattr__(self, "theta", _readonly(theta))
         object.__setattr__(self, "tau2", float(self.tau2))
 
@@ -321,7 +319,8 @@ class DependenceKernel:
 def simulate_ar(params: ClassicalARParams, n: int, burn_in: int = 0, seed=None) -> TimeSeries:
     """Simulate n observations of the AR(d) recursion after discarding
     ``burn_in`` steps; the chain starts from its exact stationary law for
-    every order (see :func:`_simulate`).
+    every order (see :func:`_simulate`).  ``n`` and ``burn_in`` are
+    integers >= 1 and >= 0, else :class:`ParameterDomainError`.
 
     Known limit: the start covariance comes from the same Lyapunov solve as
     :func:`stationary_variance`, which can lose all its digits when the
@@ -347,8 +346,8 @@ def stationary_cov_var1(A: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
 def simulate_var(params: ClassicalVARParams, n: int, burn_in: int = 0, seed=None) -> TimeSeries:
     """Simulate n observations of the VAR(d) recursion after discarding
     ``burn_in`` steps; the chain starts from its exact stationary law for
-    every order (see :func:`_simulate`).  The known limit of
-    :func:`simulate_ar` applies."""
+    every order (see :func:`_simulate`).  ``n`` and ``burn_in`` follow the
+    rule of :func:`simulate_ar`, and its known limit applies."""
     return _simulate(params.A, params.Sigma, n, burn_in, seed)
 
 
@@ -362,8 +361,8 @@ def _simulate(A: np.ndarray, Sigma: np.ndarray, n: int, burn_in: int, seed) -> T
     first ``burn_in`` are discarded, so a run equals the tail of a longer
     run from the same seed.  For p = 1 the recursion runs on Python floats.
     """
-    if n < 1 or burn_in < 0:
-        raise ParameterDomainError(f"need n >= 1 and burn_in >= 0, got n={n}, burn_in={burn_in}")
+    _check_count("n", n)
+    _check_count("burn_in", burn_in, least=0)
     d, p, _ = A.shape
     rng = np.random.default_rng(seed)
     G = _stationary_state_cov(A, Sigma)
@@ -613,8 +612,7 @@ def ar1_fisher_info(theta: float, tau2: float) -> np.ndarray:
     The (theta, tau2) block is diagonal: the dependence weight and the
     stationary variance are orthogonal parameters.
     """
-    if not (np.isfinite(tau2) and tau2 > 0):
-        raise ParameterDomainError(f"tau2 must be positive, got {tau2}")
+    _check_positive("tau2", tau2)
     theta = float(theta)
     root = math.sqrt(1.0 + 4.0 * theta**2 * tau2**2)
     g_theta = 2.0 * tau2**2 / (root * (1.0 + root))
@@ -711,8 +709,8 @@ def params_from_text(text: str):
 
 
 def _grid_value(field: dataclasses.Field, grid: dict) -> np.ndarray:
-    """The full array (0-d for a scalar field) that ``grid`` maps 0-based
-    indices to."""
+    """The full array (a numpy scalar for a scalar field) that ``grid`` maps
+    0-based indices to."""
     ranks = {len(idx) for idx in grid}
     if len(ranks) != 1 or (ranks == {0}) != (field.type == "float"):
         raise ValueError(f"parameter field {field.name} has keys of the wrong rank")
@@ -723,4 +721,4 @@ def _grid_value(field: dataclasses.Field, grid: dict) -> np.ndarray:
     arr = np.empty(shape)
     for idx, value in grid.items():
         arr[idx] = value
-    return arr
+    return arr[()]

@@ -47,6 +47,7 @@ from .core import (
     DependenceSpec,
     TimeSeries,
     _check_count,
+    _check_positive,
     _interior_bounds,
     _uniform_pairs,
     total_statistic,
@@ -72,7 +73,8 @@ __all__ = [
 class ExchangeConfig:
     """Chain length, burn-in, thinning, seed.  A burn-in of None is resolved
     at construction to n_samples // 10, so ``burn_in`` always holds the
-    number of steps the chain discards."""
+    number of steps the chain discards.  ``n_samples``, ``burn_in`` and
+    ``thin`` are integers >= 1, 0 and 1 (else ParameterDomainError)."""
 
     n_samples: int = 10_000
     burn_in: int | None = None
@@ -91,17 +93,16 @@ class ExchangeConfig:
 class ScoringConfig:
     """Fisher-scoring stopping rule: at most ``max_iters`` iterations, or
     convergence once ||H_obs - mu|| < grad_tol * (1 + ||H_obs||).
-    ``max_iters`` must be an integer >= 1 and ``grad_tol`` finite and > 0,
-    or construction raises ``ValueError``.  The step damping and the
-    covariance ridge are fixed; see :func:`fisher_scoring`."""
+    ``max_iters`` must be an integer >= 1 and ``grad_tol`` a real finite and
+    > 0, or construction raises :class:`ParameterDomainError`.  The step
+    damping and the covariance ridge are fixed; see :func:`fisher_scoring`."""
 
     max_iters: int = 30
     grad_tol: float = 0.01
 
     def __post_init__(self):
         _check_count("max_iters", self.max_iters)
-        if not 0.0 < self.grad_tol < math.inf:
-            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
+        _check_positive("grad_tol", self.grad_tol)
 
 
 def effective_sample_size(samples) -> np.ndarray:
@@ -284,8 +285,8 @@ def _far_pair_lines(table) -> list[str]:
     reads: dict[str, str] = {}  # local name -> its read, in order of first use
 
     def read(side, q, off):
-        name = _read_name(side, int(q), int(off))
-        reads.setdefault(name, f"P_{int(q)}[{_at('s1' if side == 'a' else 's2', int(off))}]")
+        name = _read_name(side, q, off)
+        reads.setdefault(name, f"P_{q}[{_at('s1' if side == 'a' else 's2', off)}]")
         return name
 
     def own(side, qs):
@@ -296,7 +297,7 @@ def _far_pair_lines(table) -> list[str]:
 
     lines = [f"f_{j} = {own('b', qs)} - {own('a', qs)}" for j, qs in enumerate(table.owns)]
     for g, (_, j, slots) in enumerate(table.groups):
-        lines.append(f"v_{g} = (({neighbour_sum('a', slots)}) - ({neighbour_sum('b', slots)})) * f_{int(j)}")
+        lines.append(f"v_{g} = (({neighbour_sum('a', slots)}) - ({neighbour_sum('b', slots)})) * f_{j}")
     return [f"{name} = {value}" for name, value in reads.items()] + lines
 
 
@@ -310,7 +311,7 @@ def _near_pair_lines(spec: DependenceSpec, gap: int) -> list[str]:
     swap started from 1.0 and taken factor by factor (``r[c]``, or
     ``r[c] ** e`` for an exponent e != 1, as the rows path does), and
     n_k = 0.0 plus after - before window by window."""
-    d = int(spec.order)
+    d = spec.order
     reads: dict[str, str] = {}  # local name -> its read, in order of first use
 
     def factor(rel, comp, exp):
@@ -349,7 +350,7 @@ def _slot_plan(spec: DependenceSpec) -> tuple[tuple[int, ...], tuple[range, ...]
     ``MonomialTable`` plan writes slot ``group_slot[g]``, and term k owns
     the consecutive slots ``spans[k]``, one per group of its in plan order,
     or one for a term with no group (which only a near move writes)."""
-    group_terms = [int(k) for k, _, _ in spec._table.groups]
+    group_terms = [k for k, _, _ in spec._table.groups]
     spans, lo = [], 0
     for k in range(spec.n_terms):
         width = max(1, group_terms.count(k))
@@ -388,7 +389,7 @@ def _statistic_path(table: np.ndarray, spans: tuple[range, ...], start) -> tuple
 
 def _kernel_source(spec: DependenceSpec) -> str:
     """Source of the compiled ``segment`` of ``spec``."""
-    table, d, K = spec._table, int(spec.order), int(spec.n_terms)
+    table, d, K = spec._table, spec.order, spec.n_terms
     group_slot, spans = _slot_plan(spec)
     names = [f"P_{q}" for q in range(len(table.exps))]
     ths = ", ".join(f"TH_{k}" for k in range(K)) + ","
@@ -396,10 +397,10 @@ def _kernel_source(spec: DependenceSpec) -> str:
     # a spec whose terms each touch one lag has no group: its far moves
     # change nothing and mark term 0's slot with -0.0 as accepted
     far_writes = [f"D_{group_slot[g]}[j] = v_{g}" for g in range(len(table.groups))] or ["D_0[j] = -0.0"]
-    far_logr = _sum_lines("logr", [f"TH_{int(k)} * v_{g}" for g, (k, _, _) in enumerate(table.groups)])
+    far_logr = _sum_lines("logr", [f"TH_{k} * v_{g}" for g, (k, _, _) in enumerate(table.groups)])
     near_logr = _sum_lines("logr", [f"TH_{k} * n_{k}" for k in range(K)])
     # the far step holds P_q[s1] and P_q[s2] of each own power column in locals
-    held = {f"P_{q}": (_read_name("a", q, 0), _read_name("b", q, 0)) for qs in table.owns for q in map(int, qs)}
+    held = {f"P_{q}": (_read_name("a", q, 0), _read_name("b", q, 0)) for qs in table.owns for q in qs}
 
     def accept(held):
         """An accepted move: swap two entries of every list, writing back

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import gaussian
-from .core import DependenceSpec, TimeSeries, total_statistic
+from .core import DependenceSpec, TimeSeries, _check_count, total_statistic
 from .exceptions import (
     EnumerationBudgetError,
     InsufficientDataError,
@@ -49,7 +49,8 @@ _CLE_MAX_ITERS = 200
 def _lag_regression(X: np.ndarray, d: int):
     """Least squares of X[d:] on its d lags with the first d observations
     held fixed: the coefficients (lag k's block in rows (k-1) p to k p) and
-    the residuals.  X is the 1-D series or the (n, p) data."""
+    the residuals.  X is the 1-D series or the (n, p) data, d an int >= 1."""
+    _check_count("d", d)
     n = len(X)
     if n < 2 * d + 2:
         raise InsufficientDataError(f"need n >= 2d + 2 = {2 * d + 2}, got {n}")

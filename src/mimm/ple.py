@@ -71,6 +71,7 @@ from .core import (  # noqa: F401  window_statistics: bench/tracing.py wraps it 
     TimeSeries,
     _all_pairs_blocks,
     _check_count,
+    _check_positive,
     _interior_bounds,
     _uniform_pairs,
     swap_deltas,
@@ -141,8 +142,8 @@ class GdConfig:
     per-pair-averaged gradient is at most ``tol``, after ``max_epochs``
     passes, or, with a :class:`SeparationWarning`, when the norm of theta
     exceeds a fixed divergence cap of 1e3.  ``max_epochs`` must be an
-    integer >= 1 and ``tol`` finite and > 0, or construction raises
-    ``ValueError``.
+    integer >= 1 and ``tol`` a real finite and > 0, or construction raises
+    :class:`ParameterDomainError`.
     """
 
     max_epochs: int = 500
@@ -150,25 +151,23 @@ class GdConfig:
 
     def __post_init__(self):
         _check_count("max_epochs", self.max_epochs)
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        _check_positive("tol", self.tol)
 
 
 @dataclass(frozen=True)
 class SgdConfig:
     """Online SGD settings: the fixed step size ``eta``, the update budget
     ``n_iters`` (one uniformly drawn pair per update) and the pair-draw
-    ``seed``.  ``eta`` must be finite and > 0 and ``n_iters`` an integer
-    >= 1, or construction raises ``ValueError``; there is no convergence
-    test."""
+    ``seed``.  ``eta`` must be a real finite and > 0 and ``n_iters`` an
+    integer >= 1, or construction raises :class:`ParameterDomainError`;
+    there is no convergence test."""
 
     eta: float = 0.01
     n_iters: int = 10_000
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.eta < math.inf:
-            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+        _check_positive("eta", self.eta)
         _check_count("n_iters", self.n_iters)
 
 
@@ -269,8 +268,8 @@ class _PairDesign:
         if s1 is None:
             count = n_interior_pairs(series.n, spec.order)
         else:
-            s1, s2 = np.asarray(s1), np.asarray(s2)
-            if s1.ndim != 1 or s1.shape != s2.shape:
+            # kept as given: swap_deltas checks the positions of each block
+            if np.ndim(s1) != 1 or np.shape(s1) != np.shape(s2):
                 raise ShapeMismatchError("s1 and s2 must be 1-d arrays of equal length")
             count = len(s1)
         self.spec, self.series, self._s1, self._s2, self._stride = spec, series, s1, s2, stride
@@ -538,7 +537,7 @@ def fit_pairs(
     logistic factors are close to independent and information criteria stay
     calibrated across candidates.  An empty list raises
     :class:`InsufficientDataError`, lists not 1-d and of equal length
-    :class:`ShapeMismatchError`, and non-integer positions
+    :class:`ShapeMismatchError`, and non-integer positions (a bool too)
     :class:`BoundaryViolationError`.
     """
     return _fit(_PairDesign(spec, series, s1, s2), config, "ple-pairs")
@@ -661,8 +660,7 @@ def aic_pic(log_pl_at_opt: float, K: int, n: int, d: int) -> tuple[float, float]
         AIC = -2 log L + 2 K
         PIC = -2 log L + K * log C(n - 2d, 2)
     """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    _check_count("K", K)
     n_pairs = n_interior_pairs(n, d)
     if n_pairs == 0:
         raise ValueError(f"need n - 2d >= 2, got {n - 2 * d}")

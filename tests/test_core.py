@@ -308,6 +308,20 @@ def kron_binary_specs(draw):
     return core.kron_spec(2, blocks)
 
 
+@settings(max_examples=25, deadline=None)
+@given(random_specs())
+def test_numpy_integers_build_the_same_spec(spec):
+    # the exchange kernel's cache is keyed on the spec, so a spec from
+    # numpy integers must be the same key and hold Python ints
+    terms = tuple(core.MonomialTerm(tuple(tuple(map(np.int64, f)) for f in t.factors)) for t in spec.terms)
+    wide = core.DependenceSpec(order=np.int64(spec.order), dim=np.int64(spec.dim), terms=terms)
+    assert terms == spec.terms and list(map(hash, terms)) == list(map(hash, spec.terms))
+    assert wide == spec and hash(wide) == hash(spec)
+    ints = [wide.order, wide.dim, *(v for t in terms for f in t.factors for v in f)]
+    assert all(type(v) is int for v in ints)
+    assert mcle._exchange_kernel(wide) is mcle._exchange_kernel(spec)
+
+
 @st.composite
 def swap_batches(draw, specs):
     """A spec, a series and pairs that include adjacent (gap 1), near
@@ -373,9 +387,19 @@ class TestSwapDeltasAgainstScalar:
         out = core.swap_deltas(core.ar_spec(2), series, [], [])
         assert out.shape == (0, 2)
 
-    @pytest.mark.parametrize("s1, s2", [([1.7, 5.2], [3.9, 9.1]), ([True], [3]), ([2], np.array([True]))])
+    @pytest.mark.parametrize(
+        "s1, s2",
+        [
+            ([1.7, 5.2], [3.9, 9.1]),
+            ([True], [3]),
+            ([2], np.array([True])),
+            ([True, 5], [3, 9]),
+            ((np.True_, 4), (3, 9)),
+        ],
+    )
     def test_non_integer_indices_rejected(self, s1, s2):
-        # a cast would read 1.7 as 1 and True as 1, all inside the interior
+        # a cast would read 1.7 as 1 and True as 1, all inside the interior;
+        # a bool among ints converts to an integer array
         with pytest.raises(BoundaryViolationError, match="integers"):
             core.swap_deltas(core.ar_spec(1), core.TimeSeries(np.arange(12.0)), s1, s2)
 

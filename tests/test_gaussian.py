@@ -44,8 +44,9 @@ class TestParamRecords:
             gaussian.ClassicalARParams([0.8, 0.3], 1.0)
 
     def test_ar_rejects_bad_sigma(self):
-        with pytest.raises(ParameterDomainError):
-            gaussian.ClassicalARParams([0.5], 0.0)
+        for sigma2 in (0.0, float("nan"), True, "0.5"):
+            with pytest.raises(ParameterDomainError, match="sigma2 must be finite and > 0"):
+                gaussian.ClassicalARParams([0.5], sigma2)
 
     def test_var_rejects_asymmetric_sigma(self):
         A = 0.3 * np.eye(2)

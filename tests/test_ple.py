@@ -981,7 +981,7 @@ class TestFitPairs:
         with pytest.raises(ShapeMismatchError):
             ple.fit_pairs(SPEC1, series, s1, np.append(s1 + 10, 40))
 
-    @pytest.mark.parametrize("s1, s2", [([1.7, 5.2], [3.9, 9.1]), ([True], [3])])
+    @pytest.mark.parametrize("s1, s2", [([1.7, 5.2], [3.9, 9.1]), ([True], [3]), ([True, 5], [3, 9])])
     def test_non_integer_positions_rejected(self, s1, s2):
         series = gaussian.simulate_ar(AR1, 50, seed=31)
         with pytest.raises(BoundaryViolationError, match="integers"):
