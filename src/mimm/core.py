@@ -442,6 +442,9 @@ def total_statistic(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:
 
 
 def _check_swap_indices(n: int, d: int, s1: int, s2: int) -> None:
+    # a bool would read as position 0 or 1, a float fail later as an index
+    if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in (s1, s2)):
+        raise BoundaryViolationError(f"swap indices must be integers, got {s1!r} and {s2!r}")
     if s1 >= s2:
         raise BoundaryViolationError(f"need s1 < s2, got ({s1}, {s2})")
     if s1 < d or s2 > n - d - 1:
@@ -496,22 +499,16 @@ def _term_factor_tuples(spec: DependenceSpec):
     return tuple(term.factors for term in spec.terms)
 
 
-def swap_delta(spec: DependenceSpec, series: TimeSeries, s1: int, s2: int, order=None) -> np.ndarray:
+def swap_delta(spec: DependenceSpec, series: TimeSeries, s1: int, s2: int) -> np.ndarray:
     """Change of the sufficient statistic under the transposition of interior
-    positions s1 < s2, evaluated against the current ordering.
+    positions s1 < s2 of ``series``; a permuted ordering is the series of its
+    rows, ``TimeSeries(data[order])``.
 
     Only the at most 2(d+1) windows containing s1 or s2 are re-evaluated.
-    ``order`` is a position -> data index map (None means identity), applied
-    once to the list of data rows.
     """
     _check_series(spec, series)
     _check_swap_indices(series.n, spec.order, s1, s2)
-    rows = series.rows()
-    if order is not None:
-        rows = [rows[int(i)] for i in order]
-        if len(rows) != series.n:
-            raise ShapeMismatchError("order length does not match series length")
-    return np.asarray(_swap_delta_rows(rows, spec.order, _term_factor_tuples(spec), s1, s2))
+    return np.asarray(_swap_delta_rows(series.rows(), spec.order, _term_factor_tuples(spec), s1, s2))
 
 
 def _factored_tables(table: MonomialTable, X: np.ndarray, positions: np.ndarray, pad: int):

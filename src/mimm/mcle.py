@@ -10,27 +10,26 @@ the chain's moment estimates of the sufficient statistic.
 One chain is strictly sequential; independent chains with different seeds
 may run in parallel.  Fisher scoring consumes one chain per iteration, with
 statistics retained instead of permutations: each block of proposals
-leaves the statistic change of every accepted move in a slots x steps
-array, one cumulative sum per term turns it into the block's statistic
-path, and the recorded rows are copied out of it (memory O(L K + B S) for
-L recorded samples, a block of B = 4096 proposals and S >= K slots, one per
-group of the spec's plan).
+leaves the statistic change of every accepted move in a K x steps array,
+one cumulative sum per term turns it into the block's statistic path, and
+the recorded rows are copied out of it (memory O(L K + B K) for L recorded
+samples and a block of B = 4096 proposals).
 
 Each step is scalar Python, so its cost is the interpreter's per
 proposal.  To keep that small, the proposals of a block are drawn as
 position pairs in numpy (``core._uniform_pairs``), and the step is compiled
 once per spec into straight-line source generated from the spec's
 ``MonomialTable`` plan (:func:`_exchange_kernel`): no loops over terms or
-factors remain, an accepted move writes its statistic change into its
-slots and the ordering is held in one Python list per power column beside
-the position -> data index list.  A far pair (s2 - s1 > d) takes the
+factors remain, an accepted move writes one statistic change per term and
+the ordering is held in one Python list per power column beside the list
+of data rows in the current order.  A far pair (s2 - s1 > d) takes the
 factored form of :mod:`mimm.core`, the neighbour sums ``S_g`` read straight
 from the column lists, and an accepted swap exchanges two entries of each
 list; a near pair runs :func:`core._swap_delta_rows` unrolled for its gap
-on the data rows of the current ordering, which gives the same floats.  The
-far step gives the swap delta of the direct path to rounding, so the chain
-makes the same moves.  Every chain reports its effective sample size and
-split-R-hat per statistic.
+on the row list, which gives the same floats.  The far step gives the swap
+delta of the direct path to rounding, so the chain makes the same moves.
+Every chain reports its effective sample size and split-R-hat per
+statistic.
 """
 
 from __future__ import annotations
@@ -304,8 +303,8 @@ def _far_pair_lines(table) -> list[str]:
 def _near_pair_lines(spec: DependenceSpec, gap: int) -> list[str]:
     """Straight-line source of the direct swap delta ``n_k`` of a near pair
     with s2 - s1 = ``gap`` <= d: :func:`core._swap_delta_rows` unrolled, so
-    it gives the same floats.  It reads the data rows of the current
-    ordering, ``rows[order[s1 + off]]``, each once into a local (``r_m1`` is
+    it gives the same floats.  It reads the list of data rows in the
+    current order, ``rows[s1 + off]``, each once into a local (``r_m1`` is
     the row at s1 - 1, ``r_0`` at s1, ``r_p1`` at s1 + 1, ...).  Windows
     t = s1 .. s2 + d in order, each term's products before and after the
     swap started from 1.0 and taken factor by factor (``r[c]``, or
@@ -316,7 +315,7 @@ def _near_pair_lines(spec: DependenceSpec, gap: int) -> list[str]:
 
     def factor(rel, comp, exp):
         name = "r_0" if rel == 0 else f"r_{'m' if rel < 0 else 'p'}{abs(rel)}"
-        reads.setdefault(name, f"rows[order[{'s2' if rel == gap else _at('s1', rel)}]]")
+        reads.setdefault(name, f"rows[{'s2' if rel == gap else _at('s1', rel)}]")
         return f"{name}[{comp}]" if exp == 1 else f"{name}[{comp}] ** {exp}"
 
     def product(t, factors, swapped):
@@ -345,58 +344,40 @@ def _sum_lines(name: str, terms: list[str]) -> list[str]:
     return lines
 
 
-def _slot_plan(spec: DependenceSpec) -> tuple[tuple[int, ...], tuple[range, ...]]:
-    """The kernel's accumulation slots: group g of the spec's
-    ``MonomialTable`` plan writes slot ``group_slot[g]``, and term k owns
-    the consecutive slots ``spans[k]``, one per group of its in plan order,
-    or one for a term with no group (which only a near move writes)."""
-    group_terms = [k for k, _, _ in spec._table.groups]
-    spans, lo = [], 0
-    for k in range(spec.n_terms):
-        width = max(1, group_terms.count(k))
-        spans.append(range(lo, lo + width))
-        lo += width
-    group_slot = tuple(spans[k].start + group_terms[:g].count(k) for g, k in enumerate(group_terms))
-    return group_slot, tuple(spans)
-
-
-def _statistic_path(table: np.ndarray, spans: tuple[range, ...], start) -> tuple[np.ndarray, int]:
+def _statistic_path(table: np.ndarray, start) -> tuple[np.ndarray, int]:
     """The running statistic after each step of a block, (B, K), and the
-    number of accepted moves, from the slots x steps array ``table`` the
-    kernel wrote (nan where no move wrote) and the statistic ``start``
-    before the block.
+    number of accepted moves, from the K x steps array ``table`` the kernel
+    wrote (nan where no move wrote) and the statistic ``start`` before the
+    block.
 
-    Every accepted move writes at least one slot, and never nan (a nan
-    change makes the log-ratio nan, which rejects), so the accepted moves
-    are the steps with a written slot.  The unwritten entries are set to
-    -0.0 in place, which leaves every float as it is (x + -0.0 == x).  Term
-    k runs one cumulative sum from ``start[k]`` through its slots' entries,
-    step by step and slot by slot within a step: the order in which a
-    running sum would add each group's term."""
+    Every accepted move writes at least one term's entry, and never nan (a
+    nan change makes the log-ratio nan, which rejects), so the accepted
+    moves are the steps with a written entry.  The unwritten entries are
+    set to -0.0 in place, which leaves every float as it is (x + -0.0 ==
+    x).  Term k runs one cumulative sum from ``start[k]`` through its
+    entries, step by step."""
     B = table.shape[1]
     unwritten = np.isnan(table)
     accepted = B - int(np.count_nonzero(unwritten.all(axis=0)))
     np.putmask(table, unwritten, -0.0)
-    path = np.empty((B, len(spans)))
-    for k, span in enumerate(spans):
-        width = len(span)
-        seq = np.empty(1 + B * width)
-        seq[0] = start[k]
-        seq[1:].reshape(B, width)[...] = table[span.start : span.stop].T
-        path[:, k] = np.add.accumulate(seq)[width::width]
-    return path, accepted
+    seq = np.empty((1 + B, table.shape[0]))
+    seq[0] = start
+    seq[1:] = table.T
+    return np.add.accumulate(seq, axis=0)[1:], accepted
 
 
 def _kernel_source(spec: DependenceSpec) -> str:
     """Source of the compiled ``segment`` of ``spec``."""
     table, d, K = spec._table, spec.order, spec.n_terms
-    group_slot, spans = _slot_plan(spec)
     names = [f"P_{q}" for q in range(len(table.exps))]
     ths = ", ".join(f"TH_{k}" for k in range(K)) + ","
-    slots = ", ".join(f"D_{i}" for i in range(spans[-1].stop)) + ","
-    # a spec whose terms each touch one lag has no group: its far moves
-    # change nothing and mark term 0's slot with -0.0 as accepted
-    far_writes = [f"D_{group_slot[g]}[j] = v_{g}" for g in range(len(table.groups))] or ["D_0[j] = -0.0"]
+    buffers = ", ".join(f"D_{k}" for k in range(K)) + ","
+    # an accepted far move writes each term with groups the sum of its
+    # groups' terms in plan order; a spec whose terms each touch one lag has
+    # no group: its far moves change nothing and mark D_0 with -0.0
+    groups_of = [[f"v_{g}" for g, (k, _, _) in enumerate(table.groups) if k == t] for t in range(K)]
+    far_writes = [line for k, vs in enumerate(groups_of) if vs for line in _sum_lines(f"D_{k}[j]", vs)]
+    far_writes = far_writes or ["D_0[j] = -0.0"]
     far_logr = _sum_lines("logr", [f"TH_{k} * v_{g}" for g, (k, _, _) in enumerate(table.groups)])
     near_logr = _sum_lines("logr", [f"TH_{k} * n_{k}" for k in range(K)])
     # the far step holds P_q[s1] and P_q[s2] of each own power column in locals
@@ -406,16 +387,16 @@ def _kernel_source(spec: DependenceSpec) -> str:
         """An accepted move: swap two entries of every list, writing back
         the locals ``held`` where the step read them."""
         swaps = []
-        for name in names:
+        for name in [*names, "rows"]:
             at_s1, at_s2 = held.get(name, (f"{name}[s1]", f"{name}[s2]"))
             swaps.append(f"{name}[s1], {name}[s2] = {at_s2}, {at_s1}")
-        return [*swaps, "order[s1], order[s2] = order[s2], order[s1]"]
+        return swaps
 
     lines = [
-        "def segment(columns, order, rows, th, proposals, deltas):",
+        "def segment(columns, rows, th, proposals, deltas):",
         f"    {', '.join(names)}, = columns",
         f"    {ths} = th",
-        f"    {slots} = deltas",
+        f"    {buffers} = deltas",
         "    for j, s1, s2, logu in proposals:",
         f"        if s2 - s1 > {d}:",
         *(f"            {line}" for line in _far_pair_lines(table) + far_logr),
@@ -427,7 +408,7 @@ def _kernel_source(spec: DependenceSpec) -> str:
         lines.append(f"        elif s2 - s1 == {gap}:")
         lines.extend(f"            {line}" for line in _near_pair_lines(spec, gap) + near_logr)
         lines.append("            if logu <= logr:")
-        lines.extend(f"                D_{spans[k].start}[j] = n_{k}" for k in range(K))
+        lines.extend(f"                D_{k}[j] = n_{k}" for k in range(K))
         lines.extend(f"                {line}" for line in accept({}))
     return "\n".join(lines) + "\n"
 
@@ -436,28 +417,28 @@ def _kernel_source(spec: DependenceSpec) -> str:
 def _exchange_kernel(spec: DependenceSpec) -> Callable:
     """The exchange step of ``spec`` as straight-line Python, compiled once
     per spec (as :mod:`dataclasses` generates methods): one function,
-    ``segment(columns, order, rows, th, proposals, deltas)``, which runs
-    the steps ``(j, s1, s2, logu)`` of one decoded proposal block, ``j``
-    the step's index within the block.
+    ``segment(columns, rows, th, proposals, deltas)``, which runs the
+    steps ``(j, s1, s2, logu)`` of one decoded proposal block, ``j`` the
+    step's index within the block.
 
     The ordering lives in one column list per power column ``P_q``
-    (:func:`_chain_columns`) and in the position -> data index list
-    ``order``; ``rows`` is the data's row tuples (``TimeSeries.rows``).
-    An accepted move exchanges two entries of every column list and of
-    ``order``.  The kernel keeps no statistic and no count: it writes each
-    accepted move's statistic change at index ``j`` of ``deltas``, one
-    writable float buffer per slot (:func:`_slot_plan`), each a
-    ``memoryview`` of one row of a nan-filled slots x steps array, and
-    :func:`_statistic_path` sums that array and counts the accepted moves
-    afterwards.
+    (:func:`_chain_columns`) and in ``rows``, the list of data row tuples
+    in the current order (``TimeSeries.rows``).  An accepted move exchanges
+    two entries of every column list and of ``rows``.  The kernel keeps no
+    statistic and no count: it writes each accepted move's statistic
+    change at index ``j`` of ``deltas``, one writable float buffer ``D_k``
+    per term, each a ``memoryview`` of one row of a nan-filled K x steps
+    array, and :func:`_statistic_path` sums that array and counts the
+    accepted moves afterwards.
 
     A far pair (s2 - s1 > d) runs :func:`_far_pair_lines`: it reads
     ``P_q[s1 + off]`` and ``P_q[s2 + off]`` directly, its log-ratio is the
     theta-weighted sum of the group terms ``v_g`` and an accepted move
-    writes each ``v_g`` into its group's slot.  A near pair runs
-    :func:`_near_pair_lines` for its gap, :func:`core._swap_delta_rows`
-    unrolled on ``rows[order[...]]``, and an accepted move writes each
-    term's change ``n_k`` into the term's first slot.  The source holds only
+    writes, for each term with groups, the sum of its groups' ``v_g`` in
+    plan order (a spec with no group writes ``D_0[j] = -0.0``).  A near
+    pair runs :func:`_near_pair_lines` for its gap,
+    :func:`core._swap_delta_rows` unrolled on ``rows[s1 + off]``, and an
+    accepted move writes each term's change ``n_k``.  The source holds only
     integers of the spec's ``MonomialTable`` plan (power columns, offsets,
     term indices, exponents) and its order; theta arrives as an argument.
     """
@@ -486,29 +467,26 @@ def exchange_sample(
     Each block of ``_PROPOSAL_BLOCK`` proposals is drawn in numpy: the
     pairs by ``core._uniform_pairs`` (the draw online SGD makes), then
     log u.  The block runs in the spec's compiled kernel
-    (:func:`_exchange_kernel`) on the column lists of the current ordering,
-    which writes each accepted move's statistic change into a slots x steps
-    array; :func:`_statistic_path` turns it into the statistic after each
-    step of the block, by one cumulative sum per term from the statistic
-    before the block.  Every ``_RECOMPUTE_EVERY`` steps, at a block's end,
-    the statistic is recomputed from the permuted data and replaces the
-    block's last row.  The rows of the recorded steps are copied out, so
-    no array spans the whole chain.
+    (:func:`_exchange_kernel`) on the column lists and the row list of the
+    current ordering, which writes each accepted move's statistic change
+    into a K x steps array; :func:`_statistic_path` turns it into the
+    statistic after each step of the block, by one cumulative sum per term
+    from the statistic before the block.  Every ``_RECOMPUTE_EVERY`` steps,
+    at a block's end, the statistic is recomputed from the row list and
+    replaces the block's last row.  The rows of the recorded steps are
+    copied out, so no array spans the whole chain.
     """
     theta = _validate_theta(spec, theta)
     d, hi = _interior_bounds(spec, series)
-    n = series.n
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
     segment = _exchange_kernel(spec)
-    _, spans = _slot_plan(spec)
-    table = np.empty((spans[-1].stop, _PROPOSAL_BLOCK))
+    table = np.empty((spec.n_terms, _PROPOSAL_BLOCK))
     deltas = [memoryview(row) for row in table]  # the kernel writes the rows of table
     th = [float(v) for v in theta]
     columns = _chain_columns(spec, series.data)
-    order = list(range(n))  # data index at each position of the current ordering
-    rows = series.rows()
+    rows = list(series.rows())  # the data rows of the current ordering
     current = total_statistic(spec, series)
 
     burn, thin = config.burn_in, config.thin
@@ -521,12 +499,11 @@ def exchange_sample(
         end = min(first + _PROPOSAL_BLOCK, total_steps)
         s1, s2, logu = (v[: end - first].tolist() for v in (s1, s2, logu))
         table.fill(math.nan)
-        segment(columns, order, rows, th, zip(range(end - first), s1, s2, logu), deltas)
-        path, block_accepted = _statistic_path(table[:, : end - first], spans, current)
+        segment(columns, rows, th, zip(range(end - first), s1, s2, logu), deltas)
+        path, block_accepted = _statistic_path(table[:, : end - first], current)
         accepted += block_accepted
         if end % _RECOMPUTE_EVERY == 0:
-            permuted = TimeSeries(series.data[order], kinds=series.kinds)
-            path[-1] = total_statistic(spec, permuted)
+            path[-1] = total_statistic(spec, TimeSeries(rows, kinds=series.kinds))
         current = path[-1]
         # the recorded steps burn + thin * i in (first, end], at rows step - first - 1
         done, upto = (max(0, (step - burn) // thin) for step in (first, end))

@@ -221,6 +221,11 @@ class PleResult:
 
 
 def n_interior_pairs(n: int, d: int) -> int:
+    """C(n - 2d, 2), the number of interior pairs of a length-n series
+    under order d (0 below two interior positions); ``n`` and ``d`` are
+    integers >= 1 (else ParameterDomainError)."""
+    _check_count("n", n)
+    _check_count("d", d)
     m = n - 2 * d
     return m * (m - 1) // 2 if m >= 2 else 0
 
@@ -644,8 +649,11 @@ def spaced_matching(n: int, d: int, seed) -> tuple[np.ndarray, np.ndarray]:
     touched by its windows) is disjoint from every other retained position's,
     so the pseudo-likelihood factors built from the matched pairs are nearly
     independent.  This keeps information-criterion penalties calibrated when
-    ranking dependence specs; see :func:`select_specs`.
+    ranking dependence specs; see :func:`select_specs`.  ``n`` and ``d``
+    are integers >= 1 (else ParameterDomainError).
     """
+    _check_count("n", n)
+    _check_count("d", d)
     positions = _spaced_positions(n, d)
     if len(positions) < 2:
         raise InsufficientInteriorError(

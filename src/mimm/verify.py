@@ -215,7 +215,7 @@ def _check_all_pairs_design() -> CheckResult:
 
 def _exchange_step_cases(rng):
     """AR(2) on real data and a binary/real kron spec with d = 2, n = 40,
-    each under a random interior permutation (position -> data index)."""
+    each as the series of its rows under a random interior permutation."""
     n = 40
     mixed = np.column_stack([rng.integers(0, 2, size=n), rng.standard_normal(n)])
     cases = (
@@ -228,22 +228,21 @@ def _exchange_step_cases(rng):
     for spec, series in cases:
         d = spec.order
         order = np.concatenate([np.arange(d), d + rng.permutation(n - 2 * d), np.arange(n - d, n)])
-        yield spec, series, order
+        yield spec, core.TimeSeries(series.data[order], kinds=series.kinds)
 
 
-def _exchange_step(spec, series, order, s1, s2) -> np.ndarray:
-    """The statistic change of the move (s1, s2) on the ordering ``order``,
-    run by the chain's own compiled ``segment`` and statistic path: theta 0
-    and log u = -inf accept the move, and the path starts at -0.0, so it
-    comes back as the in-order sum of the step's slots bit for bit
-    (-0.0 + x == x, and an unwritten slot adds -0.0)."""
+def _exchange_step(spec, series, s1, s2) -> np.ndarray:
+    """The statistic change of the move (s1, s2) on the ordering of
+    ``series``, run by the chain's own compiled ``segment`` and statistic
+    path: theta 0 and log u = -inf accept the move, and the path starts at
+    -0.0, so it comes back as each term's entry bit for bit (-0.0 + x == x,
+    and an unwritten entry adds -0.0)."""
     K = spec.n_terms
-    columns = mcle._chain_columns(spec, series.data[order])
-    _, spans = mcle._slot_plan(spec)
-    table = np.full((spans[-1].stop, 1), math.nan)
+    table = np.full((K, 1), math.nan)
     deltas = [memoryview(row) for row in table]
-    mcle._exchange_kernel(spec)(columns, order.tolist(), series.rows(), [0.0] * K, [(0, s1, s2, -math.inf)], deltas)
-    path, _ = mcle._statistic_path(table, spans, [-0.0] * K)
+    segment = mcle._exchange_kernel(spec)
+    segment(mcle._chain_columns(spec, series.data), list(series.rows()), [0.0] * K, [(0, s1, s2, -math.inf)], deltas)
+    path, _ = mcle._statistic_path(table, [-0.0] * K)
     return path[-1]
 
 
@@ -253,13 +252,13 @@ def _check_exchange_step_factored() -> CheckResult:
     re-evaluation, on AR(2) and on a binary/real kron spec."""
     rng = np.random.default_rng(9)
     worst = 0.0
-    for spec, series, order in _exchange_step_cases(rng):
+    for spec, series in _exchange_step_cases(rng):
         n, d = series.n, spec.order
         for _ in range(30):
             s1 = int(rng.integers(d, n - 2 * d - 1))
             s2 = int(rng.integers(s1 + d + 1, n - d))
-            factored = _exchange_step(spec, series, order, s1, s2)
-            scalar = core.swap_delta(spec, series, s1, s2, order=order)
+            factored = _exchange_step(spec, series, s1, s2)
+            scalar = core.swap_delta(spec, series, s1, s2)
             err = np.abs(factored - scalar) / (1.0 + np.abs(scalar))
             worst = max(worst, float(err.max()))
     return CheckResult("exchange_step_factored", worst < 1e-12, worst, 1e-12)
@@ -272,12 +271,12 @@ def _check_exchange_step_near() -> CheckResult:
     match bitwise: the value is the number of pairs that differ."""
     rng = np.random.default_rng(16)
     mismatches = 0
-    for spec, series, order in _exchange_step_cases(rng):
+    for spec, series in _exchange_step_cases(rng):
         n, d = series.n, spec.order
         for gap in range(1, d + 1):
             for s1 in rng.choice(np.arange(d, n - d - gap), size=10, replace=False).tolist():
-                scalar = core.swap_delta(spec, series, s1, s1 + gap, order=order)
-                mismatches += _exchange_step(spec, series, order, s1, s1 + gap).tobytes() != scalar.tobytes()
+                scalar = core.swap_delta(spec, series, s1, s1 + gap)
+                mismatches += _exchange_step(spec, series, s1, s1 + gap).tobytes() != scalar.tobytes()
     return CheckResult("exchange_step_near", mismatches == 0, float(mismatches), 0.0)
 
 
@@ -374,9 +373,9 @@ def _check_detailed_balance() -> CheckResult:
     for _ in range(20):
         s1, s2 = sorted(rng.choice(range(2, 18), size=2, replace=False))
         fwd = core.swap_delta(spec, series, int(s1), int(s2))
-        order = list(range(20))
-        order[s1], order[s2] = order[s2], order[s1]
-        rev = core.swap_delta(spec, series, int(s1), int(s2), order=order)
+        order = np.arange(20)
+        order[[s1, s2]] = order[[s2, s1]]
+        rev = core.swap_delta(spec, core.TimeSeries(data[order]), int(s1), int(s2))
         # the normalizers cancel: a swap's log ratio is theta . delta
         worst = max(worst, abs(float(theta @ fwd) + float(theta @ rev)))
     return CheckResult("detailed_balance_log_ratio", worst == 0.0, worst, 0.0)

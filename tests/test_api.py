@@ -79,6 +79,10 @@ COUNTS = {  # case: build from the value; the case's last word names the setting
     "simulate_ar burn_in": lambda v: gaussian.simulate_ar(AR1, 5, v),
     "mle_ols_ar d": lambda v: oracle.mle_ols_ar(SERIES, v),
     "aic_pic K": lambda v: ple.aic_pic(-10.0, v, 50, 1),
+    "n_interior_pairs n": lambda v: ple.n_interior_pairs(v, 1),
+    "n_interior_pairs d": lambda v: ple.n_interior_pairs(10, v),
+    "spaced_matching n": lambda v: ple.spaced_matching(v, 1, 0),
+    "spaced_matching d": lambda v: ple.spaced_matching(40, v, 0),
 }
 
 
@@ -90,7 +94,7 @@ def test_count_settings_take_integers(case, value):
     setting = case.split()[-1]
     with pytest.raises(ParameterDomainError, match=f"^{setting} must be an integer >= "):
         COUNTS[case](value)
-    COUNTS[case](np.int64(3))
+    COUNTS[case](np.int64(7))  # a spaced matching needs n >= 3d + 4
 
 
 @pytest.mark.parametrize("value", [True, "1e-6", float("nan"), float("inf"), 0, -1])

@@ -236,15 +236,25 @@ class TestSwapDelta:
         data = rng.standard_normal(10)
         series = core.TimeSeries(data)
         spec = core.ar_spec(1)
-        order = list(range(10))
-        order[3], order[6] = order[6], order[3]
-        delta = core.swap_delta(spec, series, 2, 5, order=order)
-        permuted = data[np.asarray(order)]
-        after = np.asarray(order)
+        order = np.arange(10)
+        order[[3, 6]] = order[[6, 3]]
+        permuted = core.TimeSeries(data[order])  # the ordering is the series of its rows
+        delta = core.swap_delta(spec, permuted, 2, 5)
+        after = order.copy()
         after[[2, 5]] = after[[5, 2]]
         brute = core.total_statistic(spec, core.TimeSeries(data[after]))
-        brute -= core.total_statistic(spec, core.TimeSeries(permuted))
+        brute -= core.total_statistic(spec, permuted)
         np.testing.assert_allclose(delta, brute, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "s1, s2", [(True, 5), (1.5, 5), (2, 5.0), (np.bool_(True), 5)], ids=["bool", "float", "float-s2", "numpy-bool"]
+    )
+    def test_positions_must_be_integers(self, s1, s2):
+        # True would read as position 1, and 1.5 fail as a bare list index
+        spec, series = core.ar_spec(1), core.TimeSeries(np.arange(12.0))
+        with pytest.raises(BoundaryViolationError, match="^swap indices must be integers, got "):
+            core.swap_delta(spec, series, s1, s2)
+        np.testing.assert_array_equal(core.swap_delta(spec, series, np.int64(2), np.int64(5)), [-18.0])
 
     def test_boundary_violations(self):
         series = core.TimeSeries(np.arange(8.0))
@@ -517,50 +527,45 @@ def permuted_swaps(draw, specs):
     d, n = spec.order, series.n
     order = np.arange(n)
     order[d : n - d] = d + np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(n - 2 * d)
-    return spec, series, order, s1, s2
+    return spec, core.TimeSeries(series.data[order], kinds=series.kinds), s1, s2
 
 
-def _segment_moves(spec, series, order, pairs):
+def _segment_moves(spec, series, pairs):
     """The running statistic after the chain's compiled ``segment`` makes the
-    moves ``pairs`` in turn on the ordering ``order``, read off the chain's
-    statistic path from -0.0: theta 0 and log u = -inf accept every move,
-    and -0.0 + x == x bit for bit, so one move returns the in-order sum of
-    its slots, its swap delta."""
+    moves ``pairs`` in turn on the ordering of ``series``, read off the
+    chain's statistic path from -0.0: theta 0 and log u = -inf accept every
+    move, and -0.0 + x == x bit for bit, so one move returns each term's
+    entry, its swap delta."""
     K = spec.n_terms
-    columns = mcle._chain_columns(spec, series.data[order])
     proposals = [(j, a, b, -np.inf) for j, (a, b) in enumerate(pairs)]
-    _, spans = mcle._slot_plan(spec)
-    table = np.full((spans[-1].stop, len(pairs)), np.nan)
+    table = np.full((K, len(pairs)), np.nan)
     deltas = [memoryview(row) for row in table]
-    mcle._exchange_kernel(spec)(columns, order.tolist(), series.rows(), [0.0] * K, proposals, deltas)
-    path, accepted = mcle._statistic_path(table, spans, [-0.0] * K)
+    columns = mcle._chain_columns(spec, series.data)
+    mcle._exchange_kernel(spec)(columns, list(series.rows()), [0.0] * K, proposals, deltas)
+    path, accepted = mcle._statistic_path(table, [-0.0] * K)
     assert accepted == len(pairs)
     return path[-1]
 
 
 class TestExchangeStepAgainstScalar:
     """One move of the exchange chain's compiled ``segment`` on a permuted
-    ordering against ``swap_delta(order=...)``: the factored form for far
-    pairs, the unrolled direct re-evaluation for near ones.  The reverse
-    move cancels it."""
+    ordering against ``swap_delta`` on the permuted series: the factored
+    form for far pairs, the unrolled direct re-evaluation for near ones.
+    The reverse move cancels it."""
 
     @staticmethod
-    def check(spec, series, order, s1, s2):
+    def check(spec, series, s1, s2):
         d = spec.order
-        rows = [series.rows()[i] for i in order]
-        terms = core._term_factor_tuples(spec)
         for a, b in zip(s1.tolist(), s2.tolist()):
-            scalar = core.swap_delta(spec, series, a, b, order=order)
-            step = _segment_moves(spec, series, order, [(a, b)])
+            scalar = core.swap_delta(spec, series, a, b)
+            step = _segment_moves(spec, series, [(a, b)])
             if b - a <= d:
-                near = core._swap_delta_rows(rows, d, terms, a, b)
-                np.testing.assert_array_equal(near, scalar)
-                assert _bits(step) == _bits(near)
+                assert _bits(step) == _bits(scalar)
             else:
                 assert np.all(np.abs(step - scalar) <= 1e-12 * (1.0 + np.abs(scalar)))
             # a term fed by several groups sums their exactly negated parts
             # in a different rounding, so the round trip is 0 to rounding
-            back = _segment_moves(spec, series, order, [(a, b), (a, b)])
+            back = _segment_moves(spec, series, [(a, b), (a, b)])
             assert np.all(np.abs(back) <= 1e-12 * (1.0 + np.abs(step)))
 
     @settings(max_examples=60, deadline=None)
@@ -578,11 +583,12 @@ class TestExchangeStepAgainstScalar:
         # one group per term: the reverse move's delta is the exact negative
         rng = np.random.default_rng(d)
         n = 30
-        series = core.TimeSeries(rng.standard_normal(n))
+        data = rng.standard_normal(n)
         order = np.concatenate([np.arange(d), d + rng.permutation(n - 2 * d), np.arange(n - d, n)])
+        series = core.TimeSeries(data[order])
         for a in range(d, n - d - 1):
             for b in range(a + 1, n - d):
-                back = _segment_moves(core.ar_spec(d), series, order, [(a, b), (a, b)])
+                back = _segment_moves(core.ar_spec(d), series, [(a, b), (a, b)])
                 assert np.all(back == 0.0)
 
     def test_plan_is_compiled_once_per_spec(self):
@@ -614,12 +620,13 @@ def near_swaps(draw, specs):
         kinds[0] = "binary"
     order = np.arange(n)
     order[d : n - d] = d + rng.permutation(n - 2 * d)
+    data = data[order]
     pairs = []
     for gap in range(1, d + 1):
         last = n - d - 1 - gap
         starts = {d, last, *draw(st.lists(st.integers(d, last), min_size=1, max_size=4))}
         pairs.extend((a, a + gap) for a in sorted(starts))
-    return spec, core.TimeSeries(data, kinds=kinds), order, pairs
+    return spec, core.TimeSeries(data, kinds=kinds), pairs
 
 
 class TestNearStepAgainstRows:
@@ -628,12 +635,12 @@ class TestNearStepAgainstRows:
     the same floats, bit for bit, for every gap 1 .. d."""
 
     @staticmethod
-    def check(spec, series, order, pairs):
-        rows = [series.rows()[i] for i in order]
+    def check(spec, series, pairs):
+        rows = series.rows()
         terms = core._term_factor_tuples(spec)
         assert {b - a for a, b in pairs} == set(range(1, spec.order + 1))
         for a, b in pairs:
-            step = _segment_moves(spec, series, order, [(a, b)])
+            step = _segment_moves(spec, series, [(a, b)])
             assert _bits(step) == _bits(core._swap_delta_rows(rows, spec.order, terms, a, b))
 
     @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Exchange sampler and Fisher scoring for conditional likelihood."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,9 +31,9 @@ class TestLogRatio:
         for _ in range(10):
             s1, s2 = sorted(rng.choice(range(2, 18), size=2, replace=False))
             fwd = core.swap_delta(spec, series, int(s1), int(s2))
-            order = list(range(20))
-            order[s1], order[s2] = order[s2], order[s1]
-            rev = core.swap_delta(spec, series, int(s1), int(s2), order=order)
+            order = np.arange(20)
+            order[[s1, s2]] = order[[s2, s1]]
+            rev = core.swap_delta(spec, core.TimeSeries(series.data[order]), int(s1), int(s2))
             assert theta @ fwd == -(theta @ rev)
 
 
@@ -131,14 +132,16 @@ class TestExchangeSampler:
 
 def reference_chain(spec, series, theta, config, rng, moves=None):
     """The exchange sampler with every step re-evaluated by the scalar
-    window path under a position -> data index map; returns the recorded
-    statistics and the accepted count.  ``moves``, when given, receives the
-    step number (from 1) of every accepted move."""
+    window path (``core._swap_delta_rows``) on the list of data rows in the
+    current order; returns the recorded statistics and the accepted count.
+    ``moves``, when given, receives the step number (from 1) of every
+    accepted move."""
     d, n = spec.order, series.n
     m = n - 2 * d
     K = spec.n_terms
     th = [float(v) for v in theta]
-    order = list(range(n))
+    terms = core._term_factor_tuples(spec)
+    rows = list(series.rows())
     current = [float(v) for v in core.total_statistic(spec, series)]
     burn = config.burn_in
     total_steps = burn + config.n_samples * config.thin
@@ -156,25 +159,43 @@ def reference_chain(spec, series, theta, config, rng, moves=None):
         s1, s2 = (a, b) if a < b else (b, a)
         s1 += d
         s2 += d
-        delta = core.swap_delta(spec, series, s1, s2, order=order).tolist()
+        delta = core._swap_delta_rows(rows, d, terms, s1, s2)
         logr = 0.0
         for k in range(K):
             logr += th[k] * delta[k]
         if logu <= logr:
-            order[s1], order[s2] = order[s2], order[s1]
+            rows[s1], rows[s2] = rows[s2], rows[s1]
             for k in range(K):
                 current[k] += delta[k]
             accepted += 1
             if moves is not None:
                 moves.append(step + 1)
         if (step + 1) % mcle._RECOMPUTE_EVERY == 0:
-            permuted = core.TimeSeries(series.data[order], kinds=series.kinds)
+            permuted = core.TimeSeries(rows, kinds=series.kinds)
             current = [float(v) for v in core.total_statistic(spec, permuted)]
         offset = step + 1 - burn
         if offset >= 1 and offset % config.thin == 0 and recorded < config.n_samples:
             stats[recorded] = current
             recorded += 1
     return stats, accepted
+
+
+def chain_moves(spec, series, theta, config):
+    """``exchange_sample``'s result and the step number (from 1) of every
+    move it accepted, read off each block's K x steps table (a step with a
+    written entry) by wrapping ``mcle._statistic_path``."""
+    moves, seen, path_of = [], 0, mcle._statistic_path
+
+    def recording(table, start):
+        nonlocal seen
+        written = np.flatnonzero(~np.isnan(table).all(axis=0))
+        moves.extend((seen + 1 + written).tolist())
+        seen += table.shape[1]
+        return path_of(table, start)
+
+    with mock.patch.object(mcle, "_statistic_path", recording):
+        res = mcle.exchange_sample(spec, series, theta, config)
+    return res, moves
 
 
 def _kron_binary_case():
@@ -251,16 +272,20 @@ class TestChainEquivalence:
     )
     def test_same_chain_as_scalar_reference(self, case, config):
         spec, series, theta = case
-        ref_stats, ref_accepted = reference_chain(spec, series, theta, config, np.random.default_rng(config.seed))
-        res = mcle.exchange_sample(spec, series, theta, config)
+        ref_moves = []
+        ref_stats, ref_accepted = reference_chain(
+            spec, series, theta, config, np.random.default_rng(config.seed), ref_moves
+        )
+        res, moves = chain_moves(spec, series, theta, config)
         assert res.n_steps == config.burn_in + config.n_samples * config.thin
+        assert moves == ref_moves
         assert round(res.acceptance_rate * res.n_steps) == ref_accepted
         assert 0 < ref_accepted < res.n_steps
         assert res.stats.shape == ref_stats.shape
         np.testing.assert_allclose(res.stats, ref_stats, rtol=0.0, atol=1e-9)
 
     def test_zero_theta_records_every_step(self):
-        # every move is accepted, so every step writes its slot
+        # every move is accepted, so every step writes its entries
         spec, series, _ = _ar_case([0.5], 60, 7)
         config = mcle.ExchangeConfig(n_samples=8500, burn_in=3, seed=18)
         ref_stats, ref_accepted = reference_chain(spec, series, [0.0], config, np.random.default_rng(config.seed))
@@ -297,8 +322,12 @@ class TestChainEquivalence:
 
     @staticmethod
     def check_against_reference(spec, series, theta, config):
-        ref_stats, ref_accepted = reference_chain(spec, series, theta, config, np.random.default_rng(config.seed))
-        res = mcle.exchange_sample(spec, series, theta, config)
+        ref_moves = []
+        ref_stats, ref_accepted = reference_chain(
+            spec, series, theta, config, np.random.default_rng(config.seed), ref_moves
+        )
+        res, moves = chain_moves(spec, series, theta, config)
+        assert moves == ref_moves
         assert round(res.acceptance_rate * res.n_steps) == ref_accepted
         np.testing.assert_allclose(res.stats, ref_stats, rtol=0.0, atol=1e-9)
 
@@ -370,25 +399,25 @@ class TestSegmentState:
         logu = np.log(rng.random(B))
         proposals = list(zip(range(B), s1.tolist(), s2.tolist(), logu.tolist()))
         columns = mcle._chain_columns(spec, series.data)
-        order = list(range(n))
+        rows = list(series.rows())
         start = core.total_statistic(spec, series)
-        _, spans = mcle._slot_plan(spec)
-        table = np.full((spans[-1].stop, B), np.nan)
-        mcle._exchange_kernel(spec)(
-            columns, order, series.rows(), [0.3, -0.2, 0.1], proposals, [memoryview(row) for row in table]
-        )
-        # an accepted move writes its slots, a rejected one none
+        table = np.full((spec.n_terms, B), np.nan)
+        mcle._exchange_kernel(spec)(columns, rows, [0.3, -0.2, 0.1], proposals, [memoryview(row) for row in table])
+        # an accepted move writes its terms' entries, a rejected one none
         moves = [p for p, written in zip(proposals, ~np.isnan(table).all(axis=0)) if written]
-        path, accepted = mcle._statistic_path(table, spans, start)
+        path, accepted = mcle._statistic_path(table, start)
         current = path[-1]
         assert len(moves) == accepted
         near = sum(b - a <= d for _, a, b, _ in moves)
         assert near >= 200 and len(moves) - near >= 1000
-        expected = mcle._chain_columns(spec, series.data[order])
+        # the row list is an interior permutation of the data rows, and the
+        # column lists hold its powers
+        original = series.rows()
+        assert rows[:d] + rows[n - d :] == [*original[:d], *original[n - d :]]
+        assert sorted(rows) == sorted(original) and rows != list(original)
+        permuted = core.TimeSeries(rows)
+        expected = mcle._chain_columns(spec, permuted.data)
         assert np.array(columns).tobytes() == np.array(expected).tobytes()
-        assert order[:d] + order[n - d :] == [0, 1, n - 2, n - 1]
-        assert sorted(order) == list(range(n))
-        permuted = core.TimeSeries(series.data[order])
         np.testing.assert_allclose(current, core.total_statistic(spec, permuted), rtol=1e-12, atol=1e-12)
 
 
