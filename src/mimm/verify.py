@@ -490,35 +490,37 @@ def _check_newton_pilot_start() -> CheckResult:
     """An all-pairs AR(1) fit started from its pilot against the same fit
     from theta = 0 (pilot threshold raised past the design), both at tol
     1e-10.  Every full step the self-concordance certificate accepted, in
-    the pilots and both fits, is re-checked with log_pl on its own design:
-    it must not lower the log-PL by more than 1e-12 (1 + |log_pl|)."""
+    the pilots and both fits, the fits' final stops included, is re-checked
+    with log_pl on its own design from its own start point, the theta of
+    the pass that gave the certificate its gradient: it must not lower the
+    log-PL by more than 1e-12 (1 + |log_pl|)."""
     spec = core.ar_spec(1)
     series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 800, seed=3)
     config = ple.GdConfig(tol=1e-10)
-    newton_pass, certified, min_pairs = ple._newton_pass, ple._certified, ple._PILOT_MIN_PAIRS
-    last, drops = [], []
+    newton_pass, certificate, min_pairs = ple._newton_pass, ple._certificate, ple._PILOT_MIN_PAIRS
+    passes, drops = [], []
 
     def recording_pass(blocks, theta):
-        last[:] = [blocks, theta]
-        return newton_pass(blocks, theta)
+        grad, info = newton_pass(blocks, theta)
+        passes.append((grad, blocks, theta))
+        return grad, info
 
     def rechecked(grad, info, step, max_row_norm):
-        ok = certified(grad, info, step, max_row_norm)
-        if ok:
-            # the step ends where the last Newton pass was taken
-            blocks, end = last
-            before = sum(ple.log_pl(end - step, X) for X in blocks())
-            after = sum(ple.log_pl(end, X) for X in blocks())
+        ascends, bound = certificate(grad, info, step, max_row_norm)
+        if ascends:
+            blocks, start = next((blocks, theta) for g, blocks, theta in passes if g is grad)
+            before = sum(ple.log_pl(start, X) for X in blocks())
+            after = sum(ple.log_pl(start + step, X) for X in blocks())
             drops.append((before - after) / (1.0 + abs(before)))
-        return ok
+        return ascends, bound
 
-    ple._newton_pass, ple._certified = recording_pass, rechecked
+    ple._newton_pass, ple._certificate = recording_pass, rechecked
     try:
         warm = ple.fit_naive(spec, series, config)
         ple._PILOT_MIN_PAIRS = math.inf
         cold = ple.fit_naive(spec, series, config)
     finally:
-        ple._newton_pass, ple._certified, ple._PILOT_MIN_PAIRS = newton_pass, certified, min_pairs
+        ple._newton_pass, ple._certificate, ple._PILOT_MIN_PAIRS = newton_pass, certificate, min_pairs
     gap = float(np.abs(warm.theta - cold.theta).max())
     worst = max(drops, default=math.nan)
     ok = (

@@ -325,7 +325,7 @@ class TestFitNaive:
             seen.append(theta.copy())
             return log_pl(theta, X) if np.array_equal(theta, seen[0]) else -math.inf
 
-        monkeypatch.setattr(ple, "_certified", lambda *args: False)
+        monkeypatch.setattr(ple, "_certificate", lambda *args: (False, math.inf))
         monkeypatch.setattr(ple, "log_pl", lowered)
         fit = ple.fit_naive(self.CUBIC_SPEC, series)
         assert not fit.converged
@@ -557,8 +557,8 @@ class TestTelemetry:
         X = all_pairs_matrix(SPEC1, series)
         expected = np.linalg.norm(reference_newton_pass(X, fit.theta)[0]) / len(X)
         assert fit.converged and 2 <= fit.iterations <= 20
-        assert fit.grad_norm == pytest.approx(expected, rel=1e-6, abs=1e-15)
-        assert fit.grad_norm <= ple.GdConfig().tol
+        # a fit the certificate ends reports its bound on the exact norm
+        assert expected <= fit.grad_norm <= ple.GdConfig().tol
         record = fit.to_dict()
         assert record["iterations"] == fit.iterations
         assert record["grad_norm"] == fit.grad_norm
@@ -694,7 +694,9 @@ def assert_same_fit(a, b):
 def pair_designs(draw):
     """A spec, a series, its interior pairs (s1 None) or a random list of
     them, a chunk size and two strides."""
-    spec = draw(st.sampled_from([SPEC1, core.ar_spec(2), core.kron_spec(2, [(1, 1, 1)])]))
+    spec = draw(
+        st.sampled_from([SPEC1, core.ar_spec(2), core.kron_spec(2, [(1, 1, 1)]), core.kron_spec(2, [(1, 1, 1), (1, 2, 2)])])
+    )
     d = spec.order
     n = draw(st.integers(2 * d + 2, 70))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -884,7 +886,8 @@ def certificate_cases(draw):
 
 
 class TestCertifiedStep:
-    """The self-concordance certificate never accepts a step that lowers the log-PL."""
+    """The self-concordance certificate never accepts a step that lowers the
+    log-PL, and its gradient bound holds at the step's end."""
 
     @staticmethod
     def assert_no_descent(X, theta, step):
@@ -895,8 +898,19 @@ class TestCertifiedStep:
     @given(certificate_cases())
     def test_certified_steps_never_lower_the_log_pl(self, case):
         X, theta, step, grad, info, row_norm = case
-        if ple._certified(grad, info, step, row_norm):
+        if ple._certificate(grad, info, step, row_norm)[0]:
             self.assert_no_descent(X, theta, step)
+
+    @settings(max_examples=300, deadline=None)
+    @given(certificate_cases())
+    def test_gradient_bound_holds(self, case):
+        # the bound is on the exact gradient at theta + step; the slack
+        # covers the rounding of the sums both sides are computed from
+        X, theta, step, grad, info, row_norm = case
+        bound = ple._certificate(grad, info, step, row_norm)[1]
+        exact = np.linalg.norm(reference_newton_pass(X, theta + step)[0])
+        scale = np.abs(X).sum()
+        assert exact <= bound + 1e-12 * scale
 
     def test_psi(self):
         assert ple._psi(0.0) == 0.5
@@ -910,11 +924,11 @@ class TestCertifiedStep:
         X = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 1.0]])
         theta = np.array([0.3, -0.2])
         grad, info = ple._newton_pass(lambda: (X,), theta)
-        assert ple._certified(grad, info, np.zeros(2), 3.2)
+        assert ple._certificate(grad, info, np.zeros(2), 3.2)[0]
         # a design of zero rows: no step moves a margin
         Z = np.zeros((4, 2))
         grad, info = ple._newton_pass(lambda: (Z,), theta)
-        assert ple._certified(grad, info, np.array([5.0, -1.0]), 0.0)
+        assert ple._certificate(grad, info, np.array([5.0, -1.0]), 0.0)[0]
         self.assert_no_descent(Z, theta, np.array([5.0, -1.0]))
 
     @pytest.mark.parametrize("side", [-0.01, 0.01])
@@ -930,9 +944,167 @@ class TestCertifiedStep:
         rho_star = brentq(lambda r: ple._psi(r) - 1.0, 1.0, 3.0)
         theta0 = brentq(lambda t: abs(newton(t)[2][0]) - (rho_star + side), -3.0, math.log(3.0) - 1e-6)
         grad, info, step = newton(theta0)
-        assert ple._certified(grad, info, step, 1.0) == (side < 0)
+        assert ple._certificate(grad, info, step, 1.0)[0] == (side < 0)
         if side < 0:
             self.assert_no_descent(X, np.array([theta0]), step)
+
+
+@st.composite
+def large_designs(draw):
+    """An AR spec of :func:`ar_designs` or a binary/real kron spec, with a
+    series whose design has more than ``_SLICE_ROWS`` pairs: every interior
+    pair or a uniform list of them; a tolerance."""
+    if draw(st.booleans()):
+        spec = draw(ar_designs())[0]
+        series = ar_series(spec.order, draw(st.integers(190, 320)), draw(st.integers(0, 2**32 - 1)))
+    else:
+        spec = draw(binary_kron_designs())[0]
+        series = binary_real_series(draw(st.integers(190, 320)), draw(st.integers(0, 2**32 - 1)))
+    s1 = s2 = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        count = draw(st.integers(ple._SLICE_ROWS + 1, 30_000))
+        s1, s2 = core._uniform_pairs(rng, spec.order, series.n - spec.order, count)
+    return spec, series, s1, s2, ple.GdConfig(tol=draw(st.sampled_from([1e-6, 1e-9])))
+
+
+def spy_certificate_calls(monkeypatch):
+    """For each certificate call, whether its gradient is the last Newton
+    pass's, that is, whether the call precedes the pass at theta + step."""
+    calls, last = [], []
+    newton_pass, certificate = ple._newton_pass, ple._certificate
+
+    def recording_pass(blocks, theta):
+        last[:] = [newton_pass(blocks, theta)]
+        return last[0]
+
+    def recording_certificate(grad, *rest):
+        calls.append(grad is last[0][0])
+        return certificate(grad, *rest)
+
+    monkeypatch.setattr(ple, "_newton_pass", recording_pass)
+    monkeypatch.setattr(ple, "_certificate", recording_certificate)
+    return calls
+
+
+class TestCertifiedStop:
+    """On a design of more than _SLICE_ROWS pairs the fit stops without the
+    pass at theta + step when the certificate bounds the gradient there by
+    tol; it returns the theta and log-PL that pass would have confirmed."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(large_designs())
+    def test_stop_saves_at_most_one_pass_and_changes_nothing_else(self, case):
+        spec, series, s1, s2, config = case
+        X = all_pairs_matrix(spec, series) if s1 is None else -core.swap_deltas(spec, series, s1, s2)
+        certificate = ple._certificate
+        for limit in (ple._MATERIALIZE_LIMIT, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ple, "_MATERIALIZE_LIMIT", limit)
+                mp.setattr(ple, "_CHUNK_PAIRS", 7000)
+                fit = ple._fit(ple._PairDesign(spec, series, s1, s2), config, "ple-test")
+                mp.setattr(ple, "_certificate", lambda *args: (certificate(*args)[0], math.inf))
+                full = ple._fit(ple._PairDesign(spec, series, s1, s2), config, "ple-test")
+            assert fit.theta.tobytes() == full.theta.tobytes()
+            assert (fit.log_pl, fit.converged) == (full.log_pl, full.converged)
+            assert fit.theta_trace == full.theta_trace
+            assert fit.iterations in (full.iterations, full.iterations - 1)
+            if fit.iterations < full.iterations:
+                # the slack is the rounding of the reference sum, as in
+                # TestCertifiedStep.test_gradient_bound_holds
+                exact = np.linalg.norm(reference_newton_pass(X, fit.theta)[0])
+                assert exact <= fit.grad_norm * len(X) + 1e-12 * np.abs(X).sum()
+                assert fit.grad_norm * len(X) <= config.tol * len(X)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair_designs())
+    def test_max_row_norm_is_the_largest_row_norm_held_and_streamed(self, case):
+        # a streamed design takes it during its first sweep, a held one
+        # from its held blocks
+        spec, series, s1, s2, chunk, _, _ = case
+        X = all_pairs_matrix(spec, series) if s1 is None else -core.swap_deltas(spec, series, s1, s2)
+        norms = []
+        for limit in (ple._MATERIALIZE_LIMIT, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ple, "_CHUNK_PAIRS", chunk)
+                mp.setattr(ple, "_MATERIALIZE_LIMIT", limit)
+                design = ple._PairDesign(spec, series, s1, s2)
+                for _ in design():
+                    pass
+                assert (design._max_row_norm is None) == (limit > 0)
+                norms.append(design.max_row_norm())
+        assert norms[0] == norms[1] == pytest.approx(np.linalg.norm(X, axis=1).max(), rel=1e-14)
+
+    @pytest.mark.parametrize("limit", [ple._MATERIALIZE_LIMIT, 0], ids=["held", "streamed"])
+    def test_stop_ends_a_large_fit_one_pass_sooner(self, monkeypatch, limit):
+        series = gaussian.simulate_ar(AR1, 300, seed=18)
+        monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", limit)
+        fit = ple.fit_naive(SPEC1, series)
+        certificate = ple._certificate
+        monkeypatch.setattr(ple, "_certificate", lambda *args: (certificate(*args)[0], math.inf))
+        full = ple.fit_naive(SPEC1, series)
+        assert fit.converged and fit.iterations == full.iterations - 1
+        assert fit.theta.tobytes() == full.theta.tobytes() and fit.log_pl == full.log_pl
+        assert full.grad_norm < fit.grad_norm <= ple.GdConfig().tol
+
+    def test_a_bound_without_proven_ascent_does_not_stop_the_fit(self, monkeypatch):
+        series = gaussian.simulate_ar(AR1, 300, seed=18)
+        fits = []
+        for bound in (math.inf, 0.0):
+            monkeypatch.setattr(ple, "_certificate", lambda *args, bound=bound: (False, bound))
+            fits.append(ple.fit_naive(SPEC1, series))
+        assert fits[0].converged and fits[0].iterations > 1
+        assert_same_fit(*fits)
+
+    @pytest.mark.parametrize("count", [ple._SLICE_ROWS, ple._SLICE_ROWS + 1])
+    def test_small_designs_take_the_certificate_only_after_a_pass(self, monkeypatch, count):
+        series = gaussian.simulate_ar(AR1, 300, seed=18)
+        s1, s2 = core._uniform_pairs(np.random.default_rng(3), 1, 299, count)
+        calls = spy_certificate_calls(monkeypatch)
+        ple.fit_pairs(SPEC1, series, s1, s2)
+        assert any(calls) == (count > ple._SLICE_ROWS)
+
+    def test_overshoots_on_a_small_design_take_the_certificate_after_the_pass(self, monkeypatch):
+        calls = spy_certificate_calls(monkeypatch)
+        fit = ple.fit_naive(TestFitNaive.CUBIC_SPEC, TestFitNaive.cubic_series())
+        assert fit.converged and calls and not any(calls)
+
+    @pytest.mark.parametrize(
+        "spec, series",
+        [
+            (SPEC1, gaussian.simulate_ar(AR1, 300, seed=18)),
+            (TestFitNaive.CUBIC_SPEC, TestFitNaive.cubic_series()),
+        ],
+        ids=["ar1-stop", "cubic-line-search"],
+    )
+    def test_streamed_design_sweeps_once_per_pass_and_objective(self, monkeypatch, spec, series):
+        # the largest row norm is taken during the first sweep, so no sweep
+        # is made for it alone
+        n_pairs = ple.n_interior_pairs(series.n, spec.order)
+        built, read = [], []
+        all_pairs_deltas, log_pl = core._all_pairs_deltas, ple.log_pl
+
+        def counting(*args):
+            block = all_pairs_deltas(*args)
+            built.append(len(block))
+            return block
+
+        def reading(theta, X):
+            read.append(len(X))
+            return log_pl(theta, X)
+
+        monkeypatch.setattr(core, "_all_pairs_deltas", counting)
+        monkeypatch.setattr(ple, "log_pl", reading)
+        monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", 0)
+        monkeypatch.setattr(ple, "_CHUNK_PAIRS", max(10, n_pairs // 5))
+        calls = spy_certificate_calls(monkeypatch)
+        fit = ple.fit_naive(spec, series)
+        assert fit.converged and calls  # the row norm was needed
+        assert len(built) > 2 * (sum(built) // n_pairs)  # streamed in several chunks
+        objectives, rest = divmod(sum(read), n_pairs)
+        sweeps, partial = divmod(sum(built), n_pairs)
+        assert rest == partial == 0
+        assert sweeps == fit.iterations + objectives
 
 
 class TestFitBipartition:
