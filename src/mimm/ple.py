@@ -335,20 +335,16 @@ class _PairDesign:
 
 
 def _largest_square_norm(X) -> float:
-    """Largest squared row norm of the block X, slice by slice.  Below 8
-    columns the squares are added column by column: over all pairs at
-    n=1000 on a 2-vCPU host that took 0.38 ms against 0.8 ms for einsum's
-    per-row loop with AR(1), and 1.1 against 2.4 ms with AR(2).  From 8
-    columns einsum is as fast or faster."""
+    """Largest squared row norm of the block X, slice by slice, the squares
+    added column by column: over all pairs at n=1000 on a 2-vCPU host that
+    took 0.38 ms against 0.8 ms for einsum's per-row loop with AR(1), and
+    1.1 against 2.4 ms with AR(2)."""
     top = 0.0
     for start in range(0, X.shape[0], _SLICE_ROWS):
         Xb = X[start : start + _SLICE_ROWS]
-        if Xb.shape[1] < 8:
-            sums = np.square(Xb[:, 0])
-            for k in range(1, Xb.shape[1]):
-                sums += np.square(Xb[:, k])
-        else:
-            sums = np.einsum("ij,ij->i", Xb, Xb)
+        sums = np.square(Xb[:, 0])
+        for k in range(1, Xb.shape[1]):
+            sums += np.square(Xb[:, k])
         top = max(top, float(sums.max()))
     return top
 
@@ -459,8 +455,12 @@ def _fit(design: _PairDesign, config: GdConfig, method: str) -> PleResult:
     ascends and that the gradient there is at most ``tol`` per pair, the
     fit takes the full step and stops with no pass at theta + step,
     reporting the bound as ``grad_norm``; theta and the log-PL are those
-    the pass would have confirmed.  On smaller designs the K x K work and
-    the row-norm sweep cost more than the pass they could save.
+    the pass would have confirmed.  The one exception is a bound within
+    rounding of ``tol``: the gradient that pass computes may then exceed
+    ``tol``, a fit without the stop takes one more step, and the exact
+    norm at the returned theta may exceed ``tol`` by that rounding.  On
+    smaller designs the K x K work and the row-norm sweep cost more than
+    the pass they could save.
     """
     start = time.perf_counter()
     n_pairs = design.n_pairs
@@ -491,7 +491,7 @@ def _fit(design: _PairDesign, config: GdConfig, method: str) -> PleResult:
         if epochs >= config.max_epochs:
             break
         step = np.linalg.lstsq(info, grad, rcond=_RCOND)[0]
-        ascends, bound = False, math.inf
+        ascends, bound = None, math.inf  # the certificate, taken at most once per step
         if n_pairs > _SLICE_ROWS:
             ascends, bound = _certificate(grad, info, step, design.max_row_norm())
         t, new_value = 1.0, None
@@ -500,7 +500,10 @@ def _fit(design: _PairDesign, config: GdConfig, method: str) -> PleResult:
         else:
             new_grad, new_info = _newton_pass(design, theta + step)
             epochs += 1
-            if new_grad @ step < 0.0 and not _certificate(grad, info, step, design.max_row_norm())[0]:
+            overshoots = new_grad @ step < 0.0
+            if overshoots and ascends is None:
+                ascends = _certificate(grad, info, step, design.max_row_norm())[0]
+            if overshoots and not ascends:
                 # past the maximum along the step: backtrack on the objective
                 if value is None:
                     value = objective(theta)

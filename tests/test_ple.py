@@ -1064,6 +1064,17 @@ class TestCertifiedStop:
         ple.fit_pairs(SPEC1, series, s1, s2)
         assert any(calls) == (count > ple._SLICE_ROWS)
 
+    def test_overshoots_on_a_large_design_reuse_the_certificate_of_the_step(self, monkeypatch):
+        series = TestFitNaive.cubic_series()
+        s1, s2 = core._uniform_pairs(np.random.default_rng(0), 1, series.n - 1, ple._SLICE_ROWS + 1)
+        grads, searched = [], []
+        certificate, log_pl = ple._certificate, ple.log_pl
+        monkeypatch.setattr(ple, "_certificate", lambda grad, *rest: grads.append(grad) or certificate(grad, *rest))
+        monkeypatch.setattr(ple, "log_pl", lambda *args: searched.append(1) or log_pl(*args))
+        fit = ple.fit_pairs(TestFitNaive.CUBIC_SPEC, series, s1, s2)
+        assert fit.converged and searched  # some step overshot and was backtracked
+        assert all(a is not b for i, a in enumerate(grads) for b in grads[:i])
+
     def test_overshoots_on_a_small_design_take_the_certificate_after_the_pass(self, monkeypatch):
         calls = spy_certificate_calls(monkeypatch)
         fit = ple.fit_naive(TestFitNaive.CUBIC_SPEC, TestFitNaive.cubic_series())
