@@ -388,9 +388,11 @@ class TimeSeries:
         return cls(data, kinds=kinds)
 
     def to_csv(self, path) -> None:
+        """Write one line per row, each value as the ``repr`` of its float,
+        which :meth:`from_csv` reads back exactly; no header."""
+        text = "".join(",".join(map(repr, row)) + "\n" for row in self.data.tolist())
         with open(path, "w", encoding="utf-8") as fh:
-            for row in self.data:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(text)
 
 
 def _check_series(spec: DependenceSpec, series: TimeSeries) -> None:

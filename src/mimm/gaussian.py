@@ -14,9 +14,13 @@ cannot resolve to 1e-8.
 
 Every stationary covariance (AR(d) variance, VAR(1) covariance, the
 variance the AR(d) inverse matches, the law the simulators start from) comes
-from one route: the block companion matrix of :func:`companion_matrix` and
-``scipy.linalg.solve_discrete_lyapunov``.  Parameter records serialize to a
-flat ``name.i.j=value`` text format driven by their dataclass fields.
+from one Lyapunov solve on the block companion matrix of
+:func:`companion_matrix` (see :func:`_stationary_state_cov`).  Parameter
+records serialize to a flat ``name.i.j=value`` text format driven by their
+dataclass fields.
+
+scipy is imported inside the functions that call it, so importing this
+module, simulating and transforming an AR(1) load none of it.
 
 All functions are pure; simulators take explicit seeds and return
 bit-identical output for identical inputs on one platform.
@@ -29,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial import chebyshev
 
 from .core import TimeSeries, _check_count, _check_positive
@@ -66,6 +69,10 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12  # largest |M - M'| of a covariance, relative to max(1, max |M|)
+# cond_1 * eps of a Lyapunov system from which scipy solves it; scipy's own
+# solve was seen to warn from 0.053 up, over 40,000 random AR(2-9) and
+# VAR(1) states, and the computed cond_1 is itself off by up to cond * eps
+_LYAPUNOV_COND_EPS = 1e-3
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -89,10 +96,30 @@ def companion_matrix(coef: np.ndarray) -> np.ndarray:
 def _stationary_state_cov(coef: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Stationary covariance of the companion state of an AR/VAR recursion
     with noise covariance ``noise``: solves G = F G F' + Q, where F is the
-    block companion matrix and Q carries ``noise`` in its leading block."""
+    block companion matrix and Q carries ``noise`` in its leading block.
+
+    Below dimension 10 this is scipy's ``direct`` method, the one
+    ``scipy.linalg.solve_discrete_lyapunov`` picks there, done in numpy:
+    vec G solves (I - F kron F) vec G = vec Q.  Two cases go to scipy
+    itself: dimension 10 and above (its ``bilinear`` method), and a system
+    with cond_1 * eps >= ``_LYAPUNOV_COND_EPS``, the range in which scipy's
+    solve can warn with ``LinAlgWarning``.  So the warnings are scipy's,
+    and so are the values: bitwise at dimension 1, and at dimensions 2-9
+    within rounding of a different LU kernel, (1e-15 + cond_1 * eps) of
+    max |G|.
+
+    Known limit: the solve can lose all its digits when the poles cluster
+    near the unit circle; see :func:`stationary_variance`.
+    """
     F = companion_matrix(coef)
     Q = np.zeros_like(F)
     Q[: len(noise), : len(noise)] = noise
+    if len(F) < 10:
+        lhs = np.eye(F.size) - np.kron(F, F)
+        if np.linalg.cond(lhs, 1) * np.finfo(float).eps < _LYAPUNOV_COND_EPS:
+            return np.linalg.solve(lhs, Q.ravel()).reshape(Q.shape)
+    import scipy.linalg
+
     return scipy.linalg.solve_discrete_lyapunov(F, Q)
 
 
@@ -324,11 +351,13 @@ def simulate_ar(params: ClassicalARParams, n: int, burn_in: int = 0, seed=None) 
 
     Known limit: the start covariance comes from the same Lyapunov solve as
     :func:`stationary_variance`, which can lose all its digits when the
-    poles cluster near the unit circle (see there).  An AR(8) with fourfold
+    poles cluster near the unit circle (see there).  Such a state is
+    ill-conditioned, so scipy solves it and warns: an AR(8) with fourfold
     poles 0.95 e^{+-0.5i} starts with a ``LinAlgWarning``, and the draws
-    stay finite; an AR(8) with an eightfold root 0.9 has no Cholesky factor
-    in double precision, and ``numpy.linalg.LinAlgError`` is raised.
-    ROADMAP item 10 replaces the solve.
+    stay finite; an AR(8) with an eightfold root 0.9 also warns, then has no
+    Cholesky factor in double precision, and ``numpy.linalg.LinAlgError`` is
+    raised.  An AR(1) start never loads scipy.  ROADMAP item 10 replaces the
+    solve.
     """
     return _simulate(params.phi[:, None, None], np.array([[params.sigma2]]), n, burn_in, seed)
 
@@ -400,13 +429,16 @@ def _simulate(A: np.ndarray, Sigma: np.ndarray, n: int, burn_in: int, seed) -> T
 
 
 def stationary_variance(params: ClassicalARParams) -> float:
-    """Stationary variance of an AR(d) via the companion-form Lyapunov solve.
+    """Stationary variance of an AR(d) via the companion-form Lyapunov solve
+    of :func:`_stationary_state_cov` (numpy below order 10 when the system
+    is well conditioned, scipy otherwise).
 
     Known limit: the solve can lose all its digits when the poles cluster
     near the unit circle.  With sigma2 = 1, an eightfold root 0.9 gives
     8.08e12 where the true variance is 1.104e14, and the seven roots
-    ``linspace(0.9, 0.99, 7)`` give -8.98e11, a negative variance.
-    ROADMAP item 10 replaces the solve."""
+    ``linspace(0.9, 0.99, 7)`` give -8.98e11, a negative variance.  These
+    systems have cond_1 * eps of 1.5e5 and 3.9e3, so scipy solves them and
+    warns with ``LinAlgWarning``.  ROADMAP item 10 replaces the solve."""
     return float(_stationary_state_cov(params.phi, [[params.sigma2]])[0, 0])
 
 
@@ -487,8 +519,10 @@ def _ar_factor(theta: np.ndarray, peak: float, x_peak: float, delta: float) -> C
     a[: poles.size + 1] = np.poly(poles).real
     alpha = a * math.sqrt(b0 / (a @ a))
     wave = np.exp(1j * math.acos(x_peak) * np.arange(d + 1))
+    from scipy.linalg import hankel, toeplitz
+
     for _ in range(3):
-        jac = scipy.linalg.toeplitz(np.eye(d + 1)[0] * alpha[0], alpha) + scipy.linalg.hankel(alpha)
+        jac = toeplitz(np.eye(d + 1)[0] * alpha[0], alpha) + hankel(alpha)
         rhs = _autocorr(alpha) - np.concatenate([[0.0], theta])
         at_peak = alpha @ wave
         jac[0] = 2.0 * (at_peak.conjugate() * wave).real
@@ -547,8 +581,6 @@ def mininfo_to_ar(params: MinInfoARParams) -> ClassicalARParams:
         if lo <= floor:
             raise unresolved
         hi, lo = lo, max(lo - 2.0 * (hi - lo), floor)
-    # imported here: scipy.optimize takes ~0.2 s to load, which every CLI
-    # command would pay at module level
     from scipy.optimize import brentq
 
     delta = math.exp(brentq(log_variance, lo, hi, xtol=1e-14))
@@ -597,6 +629,8 @@ def mininfo_to_var1(params: MinInfoVARParams) -> ClassicalVARParams:
     lam, U = np.linalg.eigh(N @ C @ N)
     Sigma = N @ (U * (2.0 / (1.0 + np.sqrt(1.0 + 4.0 * lam)))) @ U.T @ N
     resid = Sigma + Sigma @ C @ Sigma - B
+    import scipy.linalg
+
     Sigma = Sigma + scipy.linalg.solve_sylvester(np.eye(params.dim) + Sigma @ C, C @ Sigma, -resid)
     Sigma = (Sigma + Sigma.T) / 2.0
     return ClassicalVARParams(A=(Sigma @ Theta.T)[None], Sigma=Sigma)
@@ -648,6 +682,8 @@ def divergence_rate(p: GaussianKernel, q: GaussianKernel) -> float:
     sign_p, logdet_p = np.linalg.slogdet(Sp)
     if sign_q <= 0 or sign_p <= 0:
         raise ParameterDomainError("noise covariances must be positive definite")
+    import scipy.linalg
+
     cho = scipy.linalg.cho_factor(Sq)
     trace_ratio = float(np.trace(scipy.linalg.cho_solve(cho, Sp)))
     mean_term = float(np.trace(p.stationary_cov @ dF.T @ scipy.linalg.cho_solve(cho, dF)))

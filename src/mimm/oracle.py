@@ -7,7 +7,9 @@ Every oracle keeps its own code path: enumeration physically permutes the
 data and recomputes totals, OLS goes through plain linear algebra, and the
 quadrature oracle re-derives the parameter transform inline.  None of them
 share numerics with the estimators they validate beyond the core statistic
-evaluation.  They are not performance-optimized.
+evaluation.  They are not performance-optimized.  The enumeration oracles
+import scipy when called, so importing this module and the OLS oracle load
+none of it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import gaussian
 from .core import DependenceSpec, TimeSeries, _check_count, total_statistic
@@ -113,6 +114,8 @@ def exact_conditional_likelihood(spec: DependenceSpec, series: TimeSeries, theta
     """Probability of the observed ordering among all interior orderings,
     exp(theta . H_id) / sum over orderings of exp(theta . H), stabilized by
     log-sum-exp."""
+    from scipy.special import logsumexp
+
     theta = np.asarray(theta, dtype=float)
     logits = permutation_statistics(spec, series) @ theta
     h_id = total_statistic(spec, series)
@@ -122,6 +125,8 @@ def exact_conditional_likelihood(spec: DependenceSpec, series: TimeSeries, theta
 def enumeration_moments(spec: DependenceSpec, series: TimeSeries, theta, stats: np.ndarray | None = None):
     """Exact mean and covariance of the sufficient statistic under the
     conditional law with weights theta."""
+    from scipy.special import logsumexp
+
     theta = np.asarray(theta, dtype=float)
     if stats is None:
         stats = permutation_statistics(spec, series)

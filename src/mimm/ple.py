@@ -67,7 +67,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit  # noqa: F401  bench/tracing.py counts calls to mimm.ple.expit
 
 from .core import (  # noqa: F401  window_statistics: bench/tracing.py wraps it here
     DependenceSpec,
@@ -104,6 +103,19 @@ __all__ = [
     "SelectRow",
     "select_specs",
 ]
+
+
+def __getattr__(name: str):
+    """Bind ``expit`` on first lookup, so importing this module loads no
+    scipy.  Nothing here calls it: bench/tracing.py wraps ``mimm.ple.expit``
+    to count Newton passes.  The hook goes when ROADMAP item 1 drops that
+    tracer target."""
+    if name == "expit":
+        from scipy.special import expit
+
+        globals()["expit"] = expit
+        return expit
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # Singular values of the Fisher matrix below this fraction of the largest

@@ -152,6 +152,30 @@ class TestTimeSeries:
         loaded = core.TimeSeries.from_csv(path)
         np.testing.assert_array_equal(loaded.data, series.data)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1]),
+                ),
+                st.sampled_from([0.0, 1.0]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_csv_bytes_equal_the_per_value_writer(self, tmp_path_factory, rows):
+        # the writer formats Python floats from one tolist(); the bytes are
+        # those of writing repr(float(v)) value by value
+        series = core.TimeSeries(np.array(rows), kinds=("real", "binary"))
+        path = tmp_path_factory.mktemp("csv") / "series.csv"
+        series.to_csv(path)
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in series.data)
+        assert path.read_bytes() == expected.encode("utf-8")
+        np.testing.assert_array_equal(core.TimeSeries.from_csv(path).data, series.data)
+
     def test_csv_header_autodetect(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("x\n1.5\n2.5\n")

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from mimm import gaussian
@@ -112,13 +112,13 @@ def ar_from_roots(roots, sigma2=1.0):
 
 
 @st.composite
-def stationary_ar(draw, max_order=4):
-    """AR(d), d = 1..max_order, from real roots and conjugate pairs of
-    modulus at most 0.98."""
-    d = draw(st.integers(1, max_order))
+def stationary_ar(draw, max_order=4, min_order=1, max_modulus=0.98):
+    """AR(d), d = min_order..max_order, from real roots and conjugate pairs
+    of modulus at most ``max_modulus``."""
+    d = draw(st.integers(min_order, max_order))
     roots = []
     while len(roots) < d:
-        r = draw(st.floats(0.0, 0.98))
+        r = draw(st.floats(0.0, max_modulus))
         if d - len(roots) >= 2 and draw(st.booleans()):
             w = draw(st.floats(0.0, math.pi))
             roots += [r * np.exp(1j * w), r * np.exp(-1j * w)]
@@ -254,16 +254,14 @@ class TestOneSimulator:
     def test_repeated_poles_simulate_finite_values(self, roots):
         # known limit: the Lyapunov solve loses about four digits on
         # repeated poles and warns, yet the start is drawn and finite
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        with pytest.warns(scipy.linalg.LinAlgWarning):
             x = gaussian.simulate_ar(ar_from_roots(roots), 200, seed=1).data
         assert x.shape == (200, 1) and np.all(np.isfinite(x))
 
     def test_numerically_singular_start_raises(self):
         # an eightfold root 0.9: the state covariance has condition number
         # 2.5e16, so even its exact value has no Cholesky factor in doubles
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        with pytest.warns(scipy.linalg.LinAlgWarning):
             with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
                 gaussian.simulate_ar(ar_from_roots([0.9] * 8), 10, seed=0)
 
@@ -275,7 +273,101 @@ class TestOneSimulator:
             gaussian.simulate_var(gaussian.ClassicalVARParams(A=0.5 * np.eye(2), Sigma=np.eye(2)), n, burn_in=burn_in)
 
 
+def state_cov_and_warnings(solve, coef, noise):
+    """``solve``'s state covariance and the categories of its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cov = solve(coef, noise)
+    return cov, [w.category for w in caught]
+
+
+def scipy_state_cov(coef, noise):
+    """The reference: scipy's Lyapunov solve on the same companion system."""
+    F = gaussian.companion_matrix(coef)
+    Q = np.zeros_like(F)
+    Q[: len(noise), : len(noise)] = noise
+    return scipy.linalg.solve_discrete_lyapunov(F, Q)
+
+
+def lyapunov_cond_eps(coef) -> float:
+    F = gaussian.companion_matrix(coef)
+    return float(np.linalg.cond(np.eye(F.size) - np.kron(F, F), 1) * np.finfo(float).eps)
+
+
+@st.composite
+def small_states(draw):
+    """AR(2-9) with roots up to modulus 0.9999, some repeated, and VAR(1-2)
+    with p = 2-3: companion states of dimension 2-9, from well to badly
+    conditioned."""
+    if draw(st.booleans()):
+        params = draw(stationary_var())
+        return params.A, params.Sigma
+    if draw(st.booleans()):
+        params = draw(stationary_ar(min_order=2, max_order=9, max_modulus=0.9999))
+    else:
+        r = draw(st.floats(0.5, 0.9999)) * draw(st.sampled_from([-1.0, 1.0]))
+        try:
+            params = ar_from_roots([r] * draw(st.integers(2, 9)), draw(st.floats(1e-2, 1e2)))
+        except StationarityError:  # the rounded coefficients put a root past 1
+            reject()
+    return params.phi[:, None, None], np.array([[params.sigma2]])
+
+
 class TestStationaryCovariance:
+    @settings(max_examples=300, deadline=None)
+    @given(phi=st.floats(-0.9999, 0.9999), sigma2=st.floats(1e-3, 1e3))
+    @example(phi=0.5, sigma2=0.5)
+    def test_dimension_one_is_scipys_solve_bitwise(self, phi, sigma2):
+        # every benchmark input is an AR(1): its start and variance hash
+        # equal to scipy's, with no warning
+        coef, noise = np.array([[[phi]]]), np.array([[sigma2]])
+        got, got_warned = state_cov_and_warnings(gaussian._stationary_state_cov, coef, noise)
+        want, want_warned = state_cov_and_warnings(scipy_state_cov, coef, noise)
+        assert got.tobytes() == want.tobytes()
+        assert got_warned == want_warned == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(state=small_states())
+    def test_small_states_match_scipy_within_rounding(self, state):
+        # the numpy solve and scipy's LU differ in their last bits, by up to
+        # 0.03 cond_1 eps of max |G| in a 40,000-draw sweep; an ill-conditioned
+        # system goes to scipy and matches bitwise, with scipy's warning
+        coef, noise = state
+        got, got_warned = state_cov_and_warnings(gaussian._stationary_state_cov, coef, noise)
+        want, want_warned = state_cov_and_warnings(scipy_state_cov, coef, noise)
+        assert got_warned == want_warned
+        cond_eps = lyapunov_cond_eps(coef)
+        if cond_eps >= gaussian._LYAPUNOV_COND_EPS:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert not want_warned
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=(1e-15 + cond_eps) * np.abs(want).max())
+
+    @pytest.mark.parametrize(
+        "roots",
+        [[0.9] * 8, list(np.linspace(0.9, 0.99, 7)), [0.99] * 4, [0.95 * np.exp(0.5j)] * 4 + [0.95 * np.exp(-0.5j)] * 4],
+        ids=["eightfold-0.9", "seven-near-unit", "fourfold-0.99", "fourfold-pairs"],
+    )
+    def test_ill_conditioned_states_are_scipys_solve(self, roots):
+        # the known-limit inputs of stationary_variance and simulate_ar keep
+        # scipy's values and its warning
+        params = ar_from_roots(roots)
+        coef, noise = params.phi[:, None, None], np.array([[1.0]])
+        assert lyapunov_cond_eps(coef) >= 1.0
+        with pytest.warns(scipy.linalg.LinAlgWarning):
+            got = gaussian._stationary_state_cov(coef, noise)
+        with pytest.warns(scipy.linalg.LinAlgWarning):
+            want = scipy_state_cov(coef, noise)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(params=stationary_ar(min_order=10, max_order=12, max_modulus=0.999))
+    def test_dimension_ten_and_up_is_scipys_solve(self, params):
+        coef, noise = params.phi[:, None, None], np.array([[params.sigma2]])
+        got, got_warned = state_cov_and_warnings(gaussian._stationary_state_cov, coef, noise)
+        want, want_warned = state_cov_and_warnings(scipy_state_cov, coef, noise)
+        assert got.tobytes() == want.tobytes() and got_warned == want_warned
+
     def test_large_nonnormal_var1_solves_the_lyapunov_equation(self):
         # strongly non-normal A: a truncated power series of A^k Sigma A'^k
         # leaves a 1.9e-7 relative residual here
