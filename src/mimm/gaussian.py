@@ -69,10 +69,6 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12  # largest |M - M'| of a covariance, relative to max(1, max |M|)
-# cond_1 * eps of a Lyapunov system from which scipy solves it; scipy's own
-# solve was seen to warn from 0.053 up, over 40,000 random AR(2-9) and
-# VAR(1) states, and the computed cond_1 is itself off by up to cond * eps
-_LYAPUNOV_COND_EPS = 1e-3
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -98,15 +94,13 @@ def _stationary_state_cov(coef: np.ndarray, noise: np.ndarray) -> np.ndarray:
     with noise covariance ``noise``: solves G = F G F' + Q, where F is the
     block companion matrix and Q carries ``noise`` in its leading block.
 
-    Below dimension 10 this is scipy's ``direct`` method, the one
-    ``scipy.linalg.solve_discrete_lyapunov`` picks there, done in numpy:
-    vec G solves (I - F kron F) vec G = vec Q.  Two cases go to scipy
-    itself: dimension 10 and above (its ``bilinear`` method), and a system
-    with cond_1 * eps >= ``_LYAPUNOV_COND_EPS``, the range in which scipy's
-    solve can warn with ``LinAlgWarning``.  So the warnings are scipy's,
-    and so are the values: bitwise at dimension 1, and at dimensions 2-9
-    within rounding of a different LU kernel, (1e-15 + cond_1 * eps) of
-    max |G|.
+    At dimension 1, the companion state of an AR(1), this is scipy's
+    ``direct`` method done in numpy: vec G solves (I - F kron F) vec G =
+    vec Q, a 1x1 system whose reciprocal condition number is 1.  So the
+    value is scipy's bitwise, scipy never warns there, and an AR(1) loads
+    no scipy.  Every larger state goes to
+    ``scipy.linalg.solve_discrete_lyapunov`` unchanged, with its values and
+    its ``LinAlgWarning``.
 
     Known limit: the solve can lose all its digits when the poles cluster
     near the unit circle; see :func:`stationary_variance`.
@@ -114,10 +108,8 @@ def _stationary_state_cov(coef: np.ndarray, noise: np.ndarray) -> np.ndarray:
     F = companion_matrix(coef)
     Q = np.zeros_like(F)
     Q[: len(noise), : len(noise)] = noise
-    if len(F) < 10:
-        lhs = np.eye(F.size) - np.kron(F, F)
-        if np.linalg.cond(lhs, 1) * np.finfo(float).eps < _LYAPUNOV_COND_EPS:
-            return np.linalg.solve(lhs, Q.ravel()).reshape(Q.shape)
+    if F.size == 1:
+        return np.linalg.solve(np.eye(1) - np.kron(F, F), Q.ravel()).reshape(Q.shape)
     import scipy.linalg
 
     return scipy.linalg.solve_discrete_lyapunov(F, Q)
@@ -352,7 +344,7 @@ def simulate_ar(params: ClassicalARParams, n: int, burn_in: int = 0, seed=None) 
     Known limit: the start covariance comes from the same Lyapunov solve as
     :func:`stationary_variance`, which can lose all its digits when the
     poles cluster near the unit circle (see there).  Such a state is
-    ill-conditioned, so scipy solves it and warns: an AR(8) with fourfold
+    ill-conditioned, and scipy's solve warns: an AR(8) with fourfold
     poles 0.95 e^{+-0.5i} starts with a ``LinAlgWarning``, and the draws
     stay finite; an AR(8) with an eightfold root 0.9 also warns, then has no
     Cholesky factor in double precision, and ``numpy.linalg.LinAlgError`` is
@@ -430,15 +422,15 @@ def _simulate(A: np.ndarray, Sigma: np.ndarray, n: int, burn_in: int, seed) -> T
 
 def stationary_variance(params: ClassicalARParams) -> float:
     """Stationary variance of an AR(d) via the companion-form Lyapunov solve
-    of :func:`_stationary_state_cov` (numpy below order 10 when the system
-    is well conditioned, scipy otherwise).
+    of :func:`_stationary_state_cov` (numpy for an AR(1), scipy for every
+    higher order).
 
     Known limit: the solve can lose all its digits when the poles cluster
     near the unit circle.  With sigma2 = 1, an eightfold root 0.9 gives
     8.08e12 where the true variance is 1.104e14, and the seven roots
     ``linspace(0.9, 0.99, 7)`` give -8.98e11, a negative variance.  These
-    systems have cond_1 * eps of 1.5e5 and 3.9e3, so scipy solves them and
-    warns with ``LinAlgWarning``.  ROADMAP item 10 replaces the solve."""
+    systems have cond_1 * eps of 1.5e5 and 3.9e3, and scipy's solve warns
+    with ``LinAlgWarning``.  ROADMAP item 10 replaces the solve."""
     return float(_stationary_state_cov(params.phi, [[params.sigma2]])[0, 0])
 
 

@@ -124,7 +124,11 @@ def stationary_ar(draw, max_order=4, min_order=1, max_modulus=0.98):
             roots += [r * np.exp(1j * w), r * np.exp(-1j * w)]
         else:
             roots.append(r * draw(st.sampled_from([-1.0, 1.0])))
-    return ar_from_roots(roots, draw(st.floats(1e-2, 1e2)))
+    sigma2 = draw(st.floats(1e-2, 1e2))
+    try:
+        return ar_from_roots(roots, sigma2)
+    except StationarityError:  # repeated near-unit roots, rounded past 1
+        reject()
 
 
 @st.composite
@@ -289,25 +293,20 @@ def scipy_state_cov(coef, noise):
     return scipy.linalg.solve_discrete_lyapunov(F, Q)
 
 
-def lyapunov_cond_eps(coef) -> float:
-    F = gaussian.companion_matrix(coef)
-    return float(np.linalg.cond(np.eye(F.size) - np.kron(F, F), 1) * np.finfo(float).eps)
-
-
 @st.composite
-def small_states(draw):
-    """AR(2-9) with roots up to modulus 0.9999, some repeated, and VAR(1-2)
-    with p = 2-3: companion states of dimension 2-9, from well to badly
+def larger_states(draw):
+    """AR(2-12) with roots up to modulus 0.9999, some repeated, and VAR(1-2)
+    with p = 2-3: companion states of dimension 2-12, from well to badly
     conditioned."""
     if draw(st.booleans()):
         params = draw(stationary_var())
         return params.A, params.Sigma
     if draw(st.booleans()):
-        params = draw(stationary_ar(min_order=2, max_order=9, max_modulus=0.9999))
+        params = draw(stationary_ar(min_order=2, max_order=12, max_modulus=0.9999))
     else:
         r = draw(st.floats(0.5, 0.9999)) * draw(st.sampled_from([-1.0, 1.0]))
         try:
-            params = ar_from_roots([r] * draw(st.integers(2, 9)), draw(st.floats(1e-2, 1e2)))
+            params = ar_from_roots([r] * draw(st.integers(2, 12)), draw(st.floats(1e-2, 1e2)))
         except StationarityError:  # the rounded coefficients put a root past 1
             reject()
     return params.phi[:, None, None], np.array([[params.sigma2]])
@@ -327,21 +326,14 @@ class TestStationaryCovariance:
         assert got_warned == want_warned == []
 
     @settings(max_examples=300, deadline=None)
-    @given(state=small_states())
-    def test_small_states_match_scipy_within_rounding(self, state):
-        # the numpy solve and scipy's LU differ in their last bits, by up to
-        # 0.03 cond_1 eps of max |G| in a 40,000-draw sweep; an ill-conditioned
-        # system goes to scipy and matches bitwise, with scipy's warning
+    @given(state=larger_states())
+    def test_larger_states_are_scipys_solve(self, state):
+        # from dimension 2 up the solve is scipy's own: the same bits and
+        # the same warnings
         coef, noise = state
         got, got_warned = state_cov_and_warnings(gaussian._stationary_state_cov, coef, noise)
         want, want_warned = state_cov_and_warnings(scipy_state_cov, coef, noise)
-        assert got_warned == want_warned
-        cond_eps = lyapunov_cond_eps(coef)
-        if cond_eps >= gaussian._LYAPUNOV_COND_EPS:
-            assert got.tobytes() == want.tobytes()
-        else:
-            assert not want_warned
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=(1e-15 + cond_eps) * np.abs(want).max())
+        assert got.tobytes() == want.tobytes() and got_warned == want_warned
 
     @pytest.mark.parametrize(
         "roots",
@@ -353,20 +345,11 @@ class TestStationaryCovariance:
         # scipy's values and its warning
         params = ar_from_roots(roots)
         coef, noise = params.phi[:, None, None], np.array([[1.0]])
-        assert lyapunov_cond_eps(coef) >= 1.0
         with pytest.warns(scipy.linalg.LinAlgWarning):
             got = gaussian._stationary_state_cov(coef, noise)
         with pytest.warns(scipy.linalg.LinAlgWarning):
             want = scipy_state_cov(coef, noise)
         assert got.tobytes() == want.tobytes()
-
-    @settings(max_examples=30, deadline=None)
-    @given(params=stationary_ar(min_order=10, max_order=12, max_modulus=0.999))
-    def test_dimension_ten_and_up_is_scipys_solve(self, params):
-        coef, noise = params.phi[:, None, None], np.array([[params.sigma2]])
-        got, got_warned = state_cov_and_warnings(gaussian._stationary_state_cov, coef, noise)
-        want, want_warned = state_cov_and_warnings(scipy_state_cov, coef, noise)
-        assert got.tobytes() == want.tobytes() and got_warned == want_warned
 
     def test_large_nonnormal_var1_solves_the_lyapunov_equation(self):
         # strongly non-normal A: a truncated power series of A^k Sigma A'^k
