@@ -45,7 +45,10 @@ def _check_transform_anchors() -> CheckResult:
     A = np.array([[0.5, 0.1], [0.1, 0.5]])
     miv = gaussian.var1_to_mininfo(gaussian.ClassicalVARParams(A=A[None], Sigma=0.5 * np.eye(2)))
     worst = max(worst, float(np.abs(miv.Theta - [[1.0, 0.2], [0.2, 1.0]]).max()))
-    return CheckResult("transform_anchor_values", worst < 1e-15, worst, 1e-15)
+    # the AR(2) and AR(3) anchors may land one rounding off their decimal
+    # literals; the AR(1) and VAR(1) anchors must equal theirs bit for bit
+    exact = mi.theta[0] == 1.0 and np.array_equal(miv.Theta, [[1.0, 0.2], [0.2, 1.0]])
+    return CheckResult("transform_anchor_values", exact and worst < 1e-15, worst, 1e-15)
 
 
 def _check_roundtrips():
@@ -112,7 +115,7 @@ def _check_fisher():
 def _check_pythagorean() -> CheckResult:
     rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(50):
+    for _ in range(60):
         th = rng.uniform(-2, 2)
         t2 = rng.uniform(0.2, 3.0)
         phw = rng.uniform(-0.95, 0.95)

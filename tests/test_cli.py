@@ -1162,13 +1162,6 @@ class TestVerify:
         assert not out.exists()
 
 
-def test_cli_import_does_not_load_scipy_optimize():
-    # every benchmark job's setup time includes importing the CLI
-    code = "import sys, mimm.cli; sys.exit('scipy.optimize' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
 SCIPY_FREE_RUN = """
 import contextlib, io, json, sys
 from pathlib import Path

@@ -546,11 +546,15 @@ class TestUniformPairs:
 @st.composite
 def permuted_swaps(draw, specs):
     """A swap batch (as :func:`swap_batches`) on a random interior
-    permutation of the series."""
+    permutation of the series, plus, for every gap 1 .. d that fits, the
+    near pairs at the first and at the last interior start."""
     spec, series, s1, s2 = draw(swap_batches(specs))
     d, n = spec.order, series.n
     order = np.arange(n)
     order[d : n - d] = d + np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(n - 2 * d)
+    fits = range(1, min(d, n - 2 * d - 1) + 1)  # gap 1 always fits: n >= 2d + 2
+    near = np.array([(a, a + gap) for gap in fits for a in (d, n - d - 1 - gap)])
+    s1, s2 = np.concatenate([s1, near[:, 0]]), np.concatenate([s2, near[:, 1]])
     return spec, core.TimeSeries(series.data[order], kinds=series.kinds), s1, s2
 
 
@@ -574,7 +578,8 @@ def _segment_moves(spec, series, pairs):
 class TestExchangeStepAgainstScalar:
     """One move of the exchange chain's compiled ``segment`` on a permuted
     ordering against ``swap_delta`` on the permuted series: the factored
-    form for far pairs, the unrolled direct re-evaluation for near ones.
+    form for far pairs, the unrolled direct re-evaluation (bit for bit) for
+    near ones, every gap 1 .. d at both ends of the interior included.
     The reverse move cancels it."""
 
     @staticmethod
@@ -626,56 +631,6 @@ class TestExchangeStepAgainstScalar:
 def _bits(values):
     """Bit patterns of a sequence of floats (tells -0.0 from 0.0)."""
     return np.asarray(values, dtype=float).tobytes()
-
-
-@st.composite
-def near_swaps(draw, specs):
-    """A spec, a series on a random interior permutation and, for every
-    gap 1 .. d, a few near pairs (s1, s1 + gap) across the interior, the
-    first and last positions included."""
-    spec = draw(specs)
-    d = spec.order
-    n = draw(st.integers(3 * d + 1, 3 * d + 30))  # every gap 1 .. d fits
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    data = rng.uniform(-1.5, 1.5, size=(n, spec.dim))
-    kinds = ["real"] * spec.dim
-    if spec.dim == 2 and draw(st.booleans()):
-        data[:, 0] = rng.integers(0, 2, size=n)
-        kinds[0] = "binary"
-    order = np.arange(n)
-    order[d : n - d] = d + rng.permutation(n - 2 * d)
-    data = data[order]
-    pairs = []
-    for gap in range(1, d + 1):
-        last = n - d - 1 - gap
-        starts = {d, last, *draw(st.lists(st.integers(d, last), min_size=1, max_size=4))}
-        pairs.extend((a, a + gap) for a in sorted(starts))
-    return spec, core.TimeSeries(data, kinds=kinds), pairs
-
-
-class TestNearStepAgainstRows:
-    """The chain's near-pair step unrolls ``core._swap_delta_rows`` on the
-    data rows of the current ordering: one near move of ``segment`` gives
-    the same floats, bit for bit, for every gap 1 .. d."""
-
-    @staticmethod
-    def check(spec, series, pairs):
-        rows = series.rows()
-        terms = core._term_factor_tuples(spec)
-        assert {b - a for a, b in pairs} == set(range(1, spec.order + 1))
-        for a, b in pairs:
-            step = _segment_moves(spec, series, [(a, b)])
-            assert _bits(step) == _bits(core._swap_delta_rows(rows, spec.order, terms, a, b))
-
-    @settings(max_examples=60, deadline=None)
-    @given(near_swaps(random_specs()))
-    def test_random_specs(self, case):
-        self.check(*case)
-
-    @settings(max_examples=30, deadline=None)
-    @given(near_swaps(kron_binary_specs()))
-    def test_kron_specs_with_binary_column(self, case):
-        self.check(*case)
 
 
 class TestKronSpec:
