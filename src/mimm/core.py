@@ -50,6 +50,7 @@ import functools
 import itertools
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -375,7 +376,8 @@ class TimeSeries:
 
         The first line is skipped as a header when it does not parse as
         numbers.  Column kinds come from the caller (e.g. a sidecar config);
-        the default is all-real.
+        the default is all-real.  A file with no data row (empty, or a
+        header only) raises :class:`InsufficientDataError`.
         """
         with open(path, "r", encoding="utf-8") as fh:
             first = fh.readline()
@@ -384,7 +386,12 @@ class TimeSeries:
             [float(tok) for tok in first.strip().split(",") if tok != ""]
         except ValueError:
             skip = 1
-        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty or header-only file is reported below, as an error
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        if data.size == 0:
+            raise InsufficientDataError(f"{path} holds no data rows")
         return cls(data, kinds=kinds)
 
     def to_csv(self, path) -> None:

@@ -355,12 +355,19 @@ def simulate_ar(params: ClassicalARParams, n: int, burn_in: int = 0, seed=None) 
 
 
 def stationary_cov_var1(A: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
-    """Stationary covariance of a VAR(1): solves B = A B A' + Sigma."""
+    """Stationary covariance of a VAR(1): solves B = A B A' + Sigma for a
+    square A and a symmetric positive definite Sigma of A's shape."""
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ShapeMismatchError(f"A must be square, got shape {A.shape}")
+    Sigma = np.asarray(Sigma, dtype=float)
+    if Sigma.shape != A.shape:
+        raise ShapeMismatchError(f"Sigma shape {Sigma.shape} does not match p={len(A)}")
+    _check_spd(Sigma, "Sigma")
     rho = _spectral_radius(A)
     if rho >= 1.0:
         raise StationarityError(f"spectral radius {rho:.6g} >= 1")
-    B = _stationary_state_cov(A[None], np.asarray(Sigma, dtype=float))
+    B = _stationary_state_cov(A[None], Sigma)
     return (B + B.T) / 2.0
 
 

@@ -744,7 +744,7 @@ def aic_pic(log_pl_at_opt: float, K: int, n: int, d: int) -> tuple[float, float]
     _check_count("K", K)
     n_pairs = n_interior_pairs(n, d)
     if n_pairs == 0:
-        raise ValueError(f"need n - 2d >= 2, got {n - 2 * d}")
+        raise InsufficientInteriorError(f"need n - 2d >= 2, got {n - 2 * d}")
     aic = -2.0 * log_pl_at_opt + 2.0 * K
     pic = -2.0 * log_pl_at_opt + K * math.log(n_pairs)
     return aic, pic
@@ -787,10 +787,13 @@ def select_specs(
 
     A spec whose order leaves fewer than two spaced positions, or whose fit
     fails with a library, linear-algebra or floating-point error, gets an
-    error row; any other exception propagates.  Raises
-    :class:`InsufficientInteriorError` when no spec is feasible.
+    error row; any other exception propagates.  Raises ``ValueError`` for
+    an empty spec list and :class:`InsufficientInteriorError` when no spec
+    is feasible.
     """
     _check_count("splits", splits)
+    if not specs:
+        raise ValueError("need at least one spec")
     feasible = [len(_spaced_positions(series.n, spec.order)) >= 2 for spec in specs]
     if not any(feasible):
         raise InsufficientInteriorError("every spec order is too large for this series length")

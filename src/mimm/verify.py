@@ -6,7 +6,12 @@ orthogonal blocks, the Pythagorean identity of the divergence rates, the
 permutation-invariant remainder of the conditional likelihood, and the swap
 deltas, samplers and Newton passes that evaluate them) from fixed inputs
 and seeds, and reports the worst deviation against a fixed tolerance.
-:func:`run_checks` yields the results in a fixed order.
+
+Every ``_check_*`` function is a generator of its :class:`CheckResult`
+values, and :func:`run_checks` runs the tuple ``_CHECKS`` of them in the
+report's order.  :func:`_below` builds each result whose rule is measured <
+tolerance, so its tolerance is written once; any other rule (exact, ``>=``,
+``== 0``, compound) is written beside its own :class:`CheckResult`.
 
 The checks call the library through its modules (``gaussian.mininfo_to_var1``,
 ``ple._newton_pass``, ...), so a patched module attribute is what they run.
@@ -34,7 +39,12 @@ class CheckResult:
     detail: str = ""
 
 
-def _check_transform_anchors() -> CheckResult:
+def _below(name, measured, tolerance, detail=""):
+    """The result of a check that passes when ``measured < tolerance``."""
+    return CheckResult(name, measured < tolerance, measured, tolerance, detail)
+
+
+def _check_transform_anchors():
     worst = 0.0
     mi = gaussian.ar1_to_mininfo(gaussian.ClassicalARParams([0.5], 0.5))
     worst = max(worst, abs(mi.theta[0] - 1.0))
@@ -48,7 +58,7 @@ def _check_transform_anchors() -> CheckResult:
     # the AR(2) and AR(3) anchors may land one rounding off their decimal
     # literals; the AR(1) and VAR(1) anchors must equal theirs bit for bit
     exact = mi.theta[0] == 1.0 and np.array_equal(miv.Theta, [[1.0, 0.2], [0.2, 1.0]])
-    return CheckResult("transform_anchor_values", exact and worst < 1e-15, worst, 1e-15)
+    yield CheckResult("transform_anchor_values", exact and worst < 1e-15, worst, 1e-15)
 
 
 def _check_roundtrips():
@@ -92,11 +102,11 @@ def _check_roundtrips():
         p = gaussian.ClassicalARParams(-np.poly(poles).real[1:], rng.uniform(0.05, 4.0))
         b = gaussian.mininfo_to_ar(gaussian.ard_to_mininfo(p))
         worstd = max(worstd, float(np.abs(b.phi - p.phi).max()), abs(b.sigma2 - p.sigma2))
-    yield CheckResult("roundtrip_ar1", worst1 < 1e-10, worst1, 1e-10)
-    yield CheckResult("roundtrip_ar2", worst2 < 1e-10, worst2, 1e-10)
-    yield CheckResult("roundtrip_ard", worstd < 1e-9, worstd, 1e-9, detail="d = 3-8")
-    yield CheckResult("roundtrip_var1", worstv < 1e-10, worstv, 1e-10)
-    yield CheckResult("riccati_residual", worstr < 1e-8, worstr, 1e-8)
+    yield _below("roundtrip_ar1", worst1, 1e-10)
+    yield _below("roundtrip_ar2", worst2, 1e-10)
+    yield _below("roundtrip_ard", worstd, 1e-9, "d = 3-8")
+    yield _below("roundtrip_var1", worstv, 1e-10)
+    yield _below("riccati_residual", worstr, 1e-8)
 
 
 def _check_fisher():
@@ -108,11 +118,11 @@ def _check_fisher():
             numeric = oracle.ar1_fisher_info_numeric(th, t2)
             worst = max(worst, float(np.abs(closed - numeric).max()))
             worst_off = max(worst_off, abs(numeric[0, 1]), abs(closed[0, 1]))
-    yield CheckResult("fisher_info_quadrature", worst < 1e-6, worst, 1e-6)
-    yield CheckResult("fisher_orthogonality", worst_off < 1e-6, worst_off, 1e-6)
+    yield _below("fisher_info_quadrature", worst, 1e-6)
+    yield _below("fisher_orthogonality", worst_off, 1e-6)
 
 
-def _check_pythagorean() -> CheckResult:
+def _check_pythagorean():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(60):
@@ -131,10 +141,10 @@ def _check_pythagorean() -> CheckResult:
             - gaussian.divergence_rate(w, v)
         )
         worst = max(worst, abs(gap))
-    return CheckResult("pythagorean_identity", worst < 1e-8, worst, 1e-8)
+    yield _below("pythagorean_identity", worst, 1e-8)
 
 
-def _check_divergence_nonneg() -> CheckResult:
+def _check_divergence_nonneg():
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(50):
@@ -145,10 +155,10 @@ def _check_divergence_nonneg() -> CheckResult:
         worst = min(worst, gaussian.divergence_rate(p, q))
     self_div = gaussian.divergence_rate(p, p)
     ok = worst >= -1e-12 and abs(self_div) < 1e-12
-    return CheckResult("divergence_nonnegative", ok, min(worst, -abs(self_div)), -1e-12)
+    yield CheckResult("divergence_nonnegative", ok, min(worst, -abs(self_div)), -1e-12)
 
 
-def _check_swap_recompute() -> CheckResult:
+def _check_swap_recompute():
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(60):
@@ -166,10 +176,10 @@ def _check_swap_recompute() -> CheckResult:
             spec, series
         )
         worst = max(worst, float(np.abs(delta - brute).max()))
-    return CheckResult("swap_delta_recompute", worst < 1e-12, worst, 1e-12)
+    yield _below("swap_delta_recompute", worst, 1e-12)
 
 
-def _check_swap_deltas_batch() -> CheckResult:
+def _check_swap_deltas_batch():
     """Batched swap deltas (factored far pairs, direct near pairs) against
     the scalar window re-evaluation on a binary/real kron spec."""
     rng = np.random.default_rng(4)
@@ -189,10 +199,10 @@ def _check_swap_deltas_batch() -> CheckResult:
         batch = core.swap_deltas(spec, series, s1[rows], s2[rows])
         err = np.abs(batch - scalar[rows]) / (1.0 + np.abs(scalar[rows]))
         worst = max(worst, float(err.max()))
-    return CheckResult("swap_deltas_batch", worst < 1e-12, worst, 1e-12)
+    yield _below("swap_deltas_batch", worst, 1e-12)
 
 
-def _check_all_pairs_design() -> CheckResult:
+def _check_all_pairs_design():
     """The all-pairs design built by row tiles (``fit_naive``'s block
     builder) against the scalar window re-evaluation on a binary/real kron
     spec with d = 2, over more than three tiles and in two row ranges."""
@@ -213,7 +223,7 @@ def _check_all_pairs_design() -> CheckResult:
         scalar = core.swap_delta(spec, series, a, b)
         worst = max(worst, float((np.abs(row - scalar) / (1.0 + np.abs(scalar))).max()))
     ok = len(design) == len(pairs) and worst < 1e-12
-    return CheckResult("all_pairs_design", ok, worst, 1e-12)
+    yield CheckResult("all_pairs_design", ok, worst, 1e-12)
 
 
 def _exchange_step_cases(rng):
@@ -249,7 +259,7 @@ def _exchange_step(spec, series, s1, s2) -> np.ndarray:
     return path[-1]
 
 
-def _check_exchange_step_factored() -> CheckResult:
+def _check_exchange_step_factored():
     """The exchange chain's compiled step (:func:`mcle._exchange_kernel`) on
     far pairs of a permuted ordering against the scalar window
     re-evaluation, on AR(2) and on a binary/real kron spec."""
@@ -264,10 +274,10 @@ def _check_exchange_step_factored() -> CheckResult:
             scalar = core.swap_delta(spec, series, s1, s2)
             err = np.abs(factored - scalar) / (1.0 + np.abs(scalar))
             worst = max(worst, float(err.max()))
-    return CheckResult("exchange_step_factored", worst < 1e-12, worst, 1e-12)
+    yield _below("exchange_step_factored", worst, 1e-12)
 
 
-def _check_exchange_step_near() -> CheckResult:
+def _check_exchange_step_near():
     """The exchange chain's compiled step on near pairs against the scalar
     window re-evaluation under a permuted ordering, for every gap 1 .. d on
     AR(2) and a binary/real kron spec.  It unrolls that path, so it must
@@ -280,10 +290,10 @@ def _check_exchange_step_near() -> CheckResult:
             for s1 in rng.choice(np.arange(d, n - d - gap), size=10, replace=False).tolist():
                 scalar = core.swap_delta(spec, series, s1, s1 + gap)
                 mismatches += _exchange_step(spec, series, s1, s1 + gap).tobytes() != scalar.tobytes()
-    return CheckResult("exchange_step_near", mismatches == 0, float(mismatches), 0.0)
+    yield CheckResult("exchange_step_near", mismatches == 0, float(mismatches), 0.0)
 
 
-def _check_multilinearity() -> CheckResult:
+def _check_multilinearity():
     rng = np.random.default_rng(5)
     spec = core.DependenceSpec(
         2,
@@ -306,10 +316,10 @@ def _check_multilinearity() -> CheckResult:
         for k, term in enumerate(spec.terms):
             exp = next((e for (l, cmp_, e) in term.factors if l == lag and cmp_ == comp), 0)
             worst = max(worst, abs(new[k] - base[k] * c**exp))
-    return CheckResult("eval_multilinearity", worst < 1e-12, worst, 1e-12)
+    yield _below("eval_multilinearity", worst, 1e-12)
 
 
-def _check_reversal() -> CheckResult:
+def _check_reversal():
     rng = np.random.default_rng(6)
     spec = core.ar_spec(1)
     worst = 0.0
@@ -318,10 +328,10 @@ def _check_reversal() -> CheckResult:
         h_fwd = core.total_statistic(spec, core.TimeSeries(data))
         h_rev = core.total_statistic(spec, core.TimeSeries(data[::-1]))
         worst = max(worst, float(np.abs(h_fwd - h_rev).max()))
-    return CheckResult("statistic_reversal_invariance", worst < 1e-12, worst, 1e-12)
+    yield _below("statistic_reversal_invariance", worst, 1e-12)
 
 
-def _check_remainder_invariance() -> CheckResult:
+def _check_remainder_invariance():
     phi, s2 = 0.5, 0.5
     params = gaussian.ClassicalARParams([phi], s2)
     mi = gaussian.ar1_to_mininfo(params)
@@ -342,7 +352,7 @@ def _check_remainder_invariance() -> CheckResult:
         h = core.total_statistic(spec, core.TimeSeries(x))
         vals.append(joint_logpdf(x) - mi.theta[0] * h[0])
     spread = float(np.max(vals) - np.min(vals))
-    return CheckResult("permutation_invariant_remainder", spread < 1e-8, spread, 1e-8)
+    yield _below("permutation_invariant_remainder", spread, 1e-8)
 
 
 def _ordering_law(seed):
@@ -361,12 +371,12 @@ def _ordering_law(seed):
         yield p, H, mu
 
 
-def _check_conditional_normalization() -> CheckResult:
+def _check_conditional_normalization():
     worst = max(abs(float(p.sum()) - 1.0) for p, _, _ in _ordering_law(5))
-    return CheckResult("conditional_law_normalization", worst < 1e-12, worst, 1e-12)
+    yield _below("conditional_law_normalization", worst, 1e-12)
 
 
-def _check_detailed_balance() -> CheckResult:
+def _check_detailed_balance():
     rng = np.random.default_rng(8)
     spec = core.ar_spec(2)
     data = rng.standard_normal(20)
@@ -381,25 +391,25 @@ def _check_detailed_balance() -> CheckResult:
         rev = core.swap_delta(spec, core.TimeSeries(data[order]), int(s1), int(s2))
         # the normalizers cancel: a swap's log ratio is theta . delta
         worst = max(worst, abs(float(theta @ fwd) + float(theta @ rev)))
-    return CheckResult("detailed_balance_log_ratio", worst == 0.0, worst, 0.0)
+    yield CheckResult("detailed_balance_log_ratio", worst == 0.0, worst, 0.0)
 
 
-def _check_zero_theta_acceptance() -> CheckResult:
+def _check_zero_theta_acceptance():
     spec = core.ar_spec(1)
     series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 60, seed=2)
     res = mcle.exchange_sample(
         spec, series, [0.0], mcle.ExchangeConfig(n_samples=2000, seed=4)
     )
     gap = abs(res.acceptance_rate - 1.0)
-    return CheckResult("zero_theta_acceptance", gap == 0.0, gap, 0.0)
+    yield CheckResult("zero_theta_acceptance", gap == 0.0, gap, 0.0)
 
 
-def _check_score_zero_mean() -> CheckResult:
+def _check_score_zero_mean():
     worst = max(float(np.abs(p @ (H - mu)).max()) for p, H, mu in _ordering_law(19))
-    return CheckResult("score_zero_mean_at_truth", worst < 1e-12, worst, 1e-12)
+    yield _below("score_zero_mean_at_truth", worst, 1e-12)
 
 
-def _check_enumeration_equivalence() -> CheckResult:
+def _check_enumeration_equivalence():
     spec = core.ar_spec(1)
     series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 8, seed=5)
     stats = oracle.permutation_statistics(spec, series)
@@ -411,10 +421,10 @@ def _check_enumeration_equivalence() -> CheckResult:
         moment_fn=lambda th: oracle.enumeration_moments(spec, series, th, stats=stats),
     )
     gap = float(np.abs(fit.theta - th_cle).max())
-    return CheckResult("enumeration_equivalence", gap < 1e-3, gap, 1e-3)
+    yield _below("enumeration_equivalence", gap, 1e-3)
 
 
-def _check_logpl_zero() -> CheckResult:
+def _check_logpl_zero():
     rng = np.random.default_rng(10)
     spec = core.ar_spec(1)
     series = core.TimeSeries(rng.standard_normal(40))
@@ -422,10 +432,10 @@ def _check_logpl_zero() -> CheckResult:
     pairs = -core.swap_deltas(spec, series, s1, s2)
     value = ple.log_pl(np.zeros(1), pairs)
     gap = abs(value - len(pairs) * math.log(0.5))
-    return CheckResult("logpl_zero_value", gap < 1e-12, gap, 1e-12)
+    yield _below("logpl_zero_value", gap, 1e-12)
 
 
-def _check_logpl_gradient() -> CheckResult:
+def _check_logpl_gradient():
     """Central differences of log_pl against the gradient of the Newton
     pass the fitters use."""
     rng = np.random.default_rng(12)
@@ -440,10 +450,10 @@ def _check_logpl_gradient() -> CheckResult:
         dn[k] -= h
         fd = (ple.log_pl(up, X) - ple.log_pl(dn, X)) / (2 * h)
         worst = max(worst, abs(fd - grad[k]) / max(1.0, abs(grad[k])))
-    return CheckResult("logpl_gradient_fd", worst < 1e-6, worst, 1e-6)
+    yield _below("logpl_gradient_fd", worst, 1e-6)
 
 
-def _check_logistic_pass_blocked() -> CheckResult:
+def _check_logistic_pass_blocked():
     """The sliced Newton pass and log-PL over a pair matrix of three slices,
     cut into two blocks, against the single-shot expit / logaddexp formulas;
     sums are compared relative to the largest value they could take."""
@@ -462,10 +472,10 @@ def _check_logistic_pass_blocked() -> CheckResult:
         float((np.abs(info - (X.T * (p * q)) @ X) / (A.T @ A)).max()),
         abs(ple.log_pl(theta, X) - ref) / abs(ref),
     )
-    return CheckResult("logistic_pass_blocked", worst < 1e-12, worst, 1e-12)
+    yield _below("logistic_pass_blocked", worst, 1e-12)
 
 
-def _check_pair_sign() -> CheckResult:
+def _check_pair_sign():
     """The fitters' pair matrix holds minus the swap delta of each pair."""
     rng = np.random.default_rng(14)
     spec = core.ar_spec(2)
@@ -476,20 +486,20 @@ def _check_pair_sign() -> CheckResult:
         float(np.abs(x + core.swap_delta(spec, series, int(a), int(b))).max())
         for x, a, b in zip(X, s1, s2)
     )
-    return CheckResult("pair_statistic_sign", worst < 1e-12, worst, 1e-12)
+    yield _below("pair_statistic_sign", worst, 1e-12)
 
 
-def _check_monotone_ascent() -> CheckResult:
+def _check_monotone_ascent():
     spec = core.ar_spec(1)
     series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 120, seed=15)
     fit = ple.fit_naive(spec, series)
     X = np.concatenate(ple._PairDesign(spec, series)())
     diffs = np.diff([ple.log_pl(theta, X) for theta in fit.theta_trace])
     worst = float(diffs.min()) if len(diffs) else 0.0
-    return CheckResult("objective_monotone_ascent", worst >= -1e-12, worst, -1e-12)
+    yield CheckResult("objective_monotone_ascent", worst >= -1e-12, worst, -1e-12)
 
 
-def _check_newton_pilot_start() -> CheckResult:
+def _check_newton_pilot_start():
     """An all-pairs AR(1) fit started from its pilot against the same fit
     from theta = 0 (pilot threshold raised past the design), both at tol
     1e-10.  Every full step the self-concordance certificate accepted, in
@@ -530,19 +540,14 @@ def _check_newton_pilot_start() -> CheckResult:
         warm.converged and cold.converged and warm.stages["pilot_s"] > 0.0
         and gap <= 1e-9 and len(drops) > 0 and worst <= 1e-12
     )
-    return CheckResult(
-        "newton_pilot_start",
-        bool(ok),
-        gap,
-        1e-9,
-        detail=(
-            f"passes {warm.iterations} from the pilot, {cold.iterations} from zero; "
-            f"certified steps {len(drops)}, largest relative log-PL drop {worst:.1e}"
-        ),
+    detail = (
+        f"passes {warm.iterations} from the pilot, {cold.iterations} from zero; "
+        f"certified steps {len(drops)}, largest relative log-PL drop {worst:.1e}"
     )
+    yield CheckResult("newton_pilot_start", bool(ok), gap, 1e-9, detail)
 
 
-def _check_consistency_ordering() -> CheckResult:
+def _check_consistency_ordering():
     # reduced desk-scale version of the error-vs-n trend (5 seeds per size)
     spec = core.ar_spec(1)
     params = gaussian.ClassicalARParams([0.5], 0.5)
@@ -555,39 +560,24 @@ def _check_consistency_ordering() -> CheckResult:
             errs.append(abs(float(fit.theta[0]) - 1.0))
         means.append(float(np.mean(errs)))
     ok = means[0] > means[1] > means[2]
-    return CheckResult(
-        "estimator_consistency_ordering",
-        ok,
-        means[-1] - means[0],
-        0.0,
-        detail=f"mean errors {[round(m, 4) for m in means]} for n in (100, 400, 1600)",
-    )
+    detail = f"mean errors {[round(m, 4) for m in means]} for n in (100, 400, 1600)"
+    yield CheckResult("estimator_consistency_ordering", ok, means[-1] - means[0], 0.0, detail)
+
+
+# every check, in the report's order (also their order of definition)
+_CHECKS = (
+    _check_transform_anchors, _check_roundtrips, _check_fisher, _check_pythagorean,
+    _check_divergence_nonneg, _check_swap_recompute, _check_swap_deltas_batch,
+    _check_all_pairs_design, _check_exchange_step_factored, _check_exchange_step_near,
+    _check_multilinearity, _check_reversal, _check_remainder_invariance,
+    _check_conditional_normalization, _check_detailed_balance, _check_zero_theta_acceptance,
+    _check_score_zero_mean, _check_enumeration_equivalence, _check_logpl_zero,
+    _check_logpl_gradient, _check_logistic_pass_blocked, _check_pair_sign, _check_monotone_ascent,
+    _check_newton_pilot_start, _check_consistency_ordering,
+)
 
 
 def run_checks():
     """Every check's :class:`CheckResult`, in the report's order."""
-    yield _check_transform_anchors()
-    yield from _check_roundtrips()
-    yield from _check_fisher()
-    yield _check_pythagorean()
-    yield _check_divergence_nonneg()
-    yield _check_swap_recompute()
-    yield _check_swap_deltas_batch()
-    yield _check_all_pairs_design()
-    yield _check_exchange_step_factored()
-    yield _check_exchange_step_near()
-    yield _check_multilinearity()
-    yield _check_reversal()
-    yield _check_remainder_invariance()
-    yield _check_conditional_normalization()
-    yield _check_detailed_balance()
-    yield _check_zero_theta_acceptance()
-    yield _check_score_zero_mean()
-    yield _check_enumeration_equivalence()
-    yield _check_logpl_zero()
-    yield _check_logpl_gradient()
-    yield _check_logistic_pass_blocked()
-    yield _check_pair_sign()
-    yield _check_monotone_ascent()
-    yield _check_newton_pilot_start()
-    yield _check_consistency_ordering()
+    for check in _CHECKS:
+        yield from check()

@@ -39,8 +39,7 @@ def report_checks(criterion, check, tolerances, seconds):
     each result's tolerance by check name, and require every result to pass
     and the run to take under ``seconds``."""
     start = time.perf_counter()
-    results = check()
-    results = [results] if isinstance(results, verify.CheckResult) else list(results)
+    results = list(check())
     elapsed = time.perf_counter() - start
     assert {c.name: c.tolerance for c in results} == tolerances
     ok = all(c.passed and c.measured < c.tolerance for c in results) and elapsed < seconds

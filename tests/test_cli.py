@@ -227,6 +227,18 @@ class TestFit:
         assert f"numerical failure: {error}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["", "x\n"], ids=["empty", "header-only"])
+    def test_data_file_without_rows_exits_2(self, workspace, capsys, text):
+        # numpy's no-data warning must not escape as a traceback
+        data = workspace["tmp"] / "no_rows.csv"
+        data.write_text(text)
+        rc, stdout = run_cli(
+            "fit", "--data", str(data), "--spec", str(workspace["spec1"]), "--estimator", "ple-naive",
+        )
+        assert rc == cli.EXIT_VALIDATION == 2
+        assert stdout == ""
+        assert capsys.readouterr().err == f"error: {data} holds no data rows\n"
+
     def test_ple_naive_matches_library(self, workspace):
         out = workspace["tmp"] / "fit.json"
         rc, _ = run_cli(
@@ -1143,8 +1155,15 @@ class TestVerify:
         enumerate_all = oracle.permutation_statistics
         monkeypatch.setattr(oracle, "permutation_statistics", lambda spec, series: enumerate_all(spec, series)[:-1])
         for check in (verify._check_conditional_normalization, verify._check_score_zero_mean):
-            result = check()
+            [result] = check()
             assert not result.passed and result.measured > 1e-4
+
+    def test_check_table_runs_every_check(self):
+        # a check defined but missing from the table would never run
+        from mimm import verify
+
+        defined = [name for name in vars(verify) if name.startswith("_check_")]
+        assert [check.__name__ for check in verify._CHECKS] == defined
 
     def test_riccati_rtol_flag_is_gone(self, workspace):
         out = workspace["tmp"] / "verify_flag.json"

@@ -15,6 +15,7 @@ from mimm import gaussian
 from mimm.exceptions import (
     ContractError,
     ParameterDomainError,
+    ShapeMismatchError,
     StationarityError,
 )
 
@@ -362,6 +363,17 @@ class TestStationaryCovariance:
         assert resid <= 1e-12 * np.linalg.norm(B, "fro")
         kernel = gaussian.GaussianKernel(A, Sigma, B)
         assert kernel.dim == p
+
+    def test_var1_covariance_checks_its_inputs(self):
+        A = 0.5 * np.eye(2)
+        with pytest.raises(ParameterDomainError, match="Sigma is not positive definite"):
+            gaussian.stationary_cov_var1(A, -np.eye(2))
+        with pytest.raises(ParameterDomainError, match="Sigma is not symmetric"):
+            gaussian.stationary_cov_var1(A, [[1.0, 0.9], [0.0, 1.0]])
+        with pytest.raises(ShapeMismatchError, match="Sigma shape"):
+            gaussian.stationary_cov_var1(A, np.eye(3))
+        with pytest.raises(ShapeMismatchError, match="A must be square"):
+            gaussian.stationary_cov_var1(np.zeros((2, 3)), np.eye(2))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))

@@ -1413,6 +1413,10 @@ class TestAicPic:
         with pytest.raises(ValueError):
             ple.aic_pic(-10.0, K=0, n=100, d=1)
 
+    def test_interior_too_short_raises_insufficient_interior(self):
+        with pytest.raises(InsufficientInteriorError, match="need n - 2d >= 2"):
+            ple.aic_pic(-10.0, K=1, n=5, d=2)
+
     def test_aic_linear_in_k(self):
         base, _ = ple.aic_pic(-50.0, K=3, n=100, d=1)
         double, _ = ple.aic_pic(-50.0, K=6, n=100, d=1)
@@ -1453,6 +1457,10 @@ class TestSelectSpecs:
     def test_all_specs_infeasible_raises(self):
         with pytest.raises(InsufficientInteriorError):
             ple.select_specs(self.SERIES, [core.ar_spec(75), core.ar_spec(80)])
+
+    def test_empty_spec_list_raises(self):
+        with pytest.raises(ValueError, match="need at least one spec"):
+            ple.select_specs(self.SERIES, [])
 
     def test_zero_splits_raises(self):
         with pytest.raises(ValueError, match="splits"):
