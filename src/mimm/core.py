@@ -50,7 +50,6 @@ import functools
 import itertools
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -380,19 +379,18 @@ class TimeSeries:
         header only) raises :class:`InsufficientDataError`.
         """
         with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
+            lines = fh.readlines()
+        first = lines[0] if lines else ""
         skip = 0
         try:
             [float(tok) for tok in first.strip().split(",") if tok != ""]
         except ValueError:
             skip = 1
-        with warnings.catch_warnings():
-            # an empty or header-only file is reported below, as an error
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-        if data.size == 0:
+        rows = lines[skip:]
+        # loadtxt reads every line as a data row but blank and '#' comment ones
+        if not any(line.split("#", 1)[0].strip() for line in rows):
             raise InsufficientDataError(f"{path} holds no data rows")
-        return cls(data, kinds=kinds)
+        return cls(np.loadtxt(rows, delimiter=",", ndmin=2), kinds=kinds)
 
     def to_csv(self, path) -> None:
         """Write one line per row, each value as the ``repr`` of its float,

@@ -452,15 +452,19 @@ def ar1_to_mininfo(params: ClassicalARParams) -> MinInfoARParams:
 
 
 def mininfo_to_ar1(params: MinInfoARParams) -> ClassicalARParams:
-    """Closed-form inverse of :func:`ar1_to_mininfo`; defined on all of
-    R x (0, inf)."""
+    """Closed-form inverse of :func:`ar1_to_mininfo`, defined on all of
+    R x (0, inf).  Raises :class:`ParameterDomainError` where double
+    precision does not resolve it: |2 theta tau2| beyond about 1e16 rounds
+    phi to +-1, and beyond the float range overflows."""
     if params.order != 1:
         raise ShapeMismatchError(f"expected 1 dependence weight, got {params.order}")
-    theta = float(params.theta[0])
     tau2 = params.tau2
-    root = math.sqrt(1.0 + 4.0 * theta**2 * tau2**2)
+    x = 2.0 * float(params.theta[0]) * tau2
+    root = math.hypot(1.0, x)
     sigma2 = 2.0 * tau2 / (1.0 + root)
-    phi = 2.0 * theta * tau2 / (1.0 + root)
+    phi = x / (1.0 + root)
+    if not abs(phi) < 1.0:  # an overflowed x gives a nan phi, which fails too
+        raise ParameterDomainError(f"no stationary AR resolves tau2 = {tau2} for theta = {params.theta}")
     return ClassicalARParams(phi=[phi], sigma2=sigma2)
 
 
@@ -549,7 +553,8 @@ def mininfo_to_ar(params: MinInfoARParams) -> ClassicalARParams:
     if params.order == 1:
         return mininfo_to_ar1(params)
     tau2 = params.tau2
-    theta = params.theta * tau2
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        theta = params.theta * tau2
     unresolved = ParameterDomainError(f"no stationary AR resolves tau2 = {tau2} for theta = {params.theta}")
     if not np.isfinite(theta).all():
         raise unresolved

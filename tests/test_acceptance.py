@@ -1,24 +1,75 @@
 """Acceptance gate: one test per criterion, each at its stated tolerance,
 printing a pass/fail line with the measured values (run with -s to see them).
 
-Criteria 1-4 run the checks of ``mimm verify`` with their tolerances pinned.
-The heavy criteria (6-8) are 30-repetition sweeps at fixed seeds; the full
-module takes about 12 s on 2 vCPUs.
+Criteria 1-5 and 10 run the checks of ``mimm verify``, whose tolerances are
+pinned once, in ``VERIFY_TOLERANCES``; the unit tests of the same properties
+run them through :func:`assert_verify_passes`.  The heavy criteria (6-8) are
+30-repetition sweeps at fixed seeds; the full module takes about 12 s on 2
+vCPUs.
 """
 
 import contextlib
+import functools
 import io
 import json
 import time
 
 import numpy as np
-import pytest
-from scipy.special import logsumexp
 
 from mimm import cli, core, gaussian, mcle, oracle, ple, verify
 
 AR1 = gaussian.ClassicalARParams([0.5], 0.5)
 SPEC1 = core.ar_spec(1)
+
+# every result of ``mimm verify``, in report order, with its tolerance: the
+# one place under tests/ where each is written
+VERIFY_TOLERANCES = {
+    "transform_anchor_values": 1e-15,
+    "roundtrip_ar1": 1e-10,
+    "roundtrip_ar2": 1e-10,
+    "roundtrip_ard": 1e-9,
+    "roundtrip_var1": 1e-10,
+    "riccati_residual": 1e-8,
+    "fisher_info_quadrature": 1e-6,
+    "fisher_orthogonality": 1e-6,
+    "pythagorean_identity": 1e-8,
+    "divergence_nonnegative": -1e-12,
+    "swap_delta_recompute": 1e-12,
+    "swap_deltas_batch": 1e-12,
+    "all_pairs_design": 1e-12,
+    "exchange_step_factored": 1e-12,
+    "exchange_step_near": 0.0,
+    "eval_multilinearity": 1e-12,
+    "statistic_reversal_invariance": 1e-12,
+    "permutation_invariant_remainder": 1e-8,
+    "conditional_law_normalization": 1e-12,
+    "detailed_balance_log_ratio": 0.0,
+    "zero_theta_acceptance": 0.0,
+    "score_zero_mean_at_truth": 1e-12,
+    "enumeration_equivalence": 1e-3,
+    "logpl_zero_value": 1e-12,
+    "logpl_gradient_fd": 1e-6,
+    "logistic_pass_blocked": 1e-12,
+    "pair_statistic_sign": 1e-12,
+    "objective_monotone_ascent": -1e-12,
+    "newton_pilot_start": 1e-9,
+    "estimator_consistency_ordering": 0.0,
+}
+
+
+@functools.cache
+def verify_results(check):
+    """The results of one ``mimm verify`` check by name, run once per session
+    for the unit tests that state its property."""
+    return {result.name: result for result in check()}
+
+
+def assert_verify_passes(check, *names):
+    """A unit test whose property ``mimm verify`` checks: the results
+    ``names`` of ``check`` pass, at the tolerances ``VERIFY_TOLERANCES`` pins."""
+    results = verify_results(check)
+    for name in names:
+        assert results[name].passed and results[name].tolerance == VERIFY_TOLERANCES[name], results[name]
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -34,72 +85,44 @@ def mean_error_sweep(fit_fn, n, reps, seed_base, truth=1.0):
     return float(np.mean(errs))
 
 
-def report_checks(criterion, check, tolerances, seconds):
-    """Criteria 1-4 are invariants of ``mimm verify``: run its ``check``, pin
-    each result's tolerance by check name, and require every result to pass
-    and the run to take under ``seconds``."""
+def report_checks(criterion, checks, seconds):
+    """Run the ``mimm verify`` ``checks``, require each result's tolerance to
+    be the one ``VERIFY_TOLERANCES`` pins, every result to pass and the run
+    to take under ``seconds``; return the results' names."""
     start = time.perf_counter()
-    results = list(check())
+    results = [result for check in checks for result in check()]
     elapsed = time.perf_counter() - start
-    assert {c.name: c.tolerance for c in results} == tolerances
-    ok = all(c.passed and c.measured < c.tolerance for c in results) and elapsed < seconds
-    measured = ", ".join(f"{c.name} {c.measured:.2e} < {c.tolerance:.0e}" for c in results)
-    report(criterion, ok, f"{measured}, {elapsed:.2f}s < {seconds}s")
+    names = [c.name for c in results]
+    assert [(c.name, c.tolerance) for c in results] == [(name, VERIFY_TOLERANCES.get(name)) for name in names]
+    failures = [c.name for c in results if not c.passed]
+    measured = ", ".join(f"{c.name} {c.measured:.2e} (tol {c.tolerance:.0e})" for c in results)
+    report(
+        criterion,
+        not failures and elapsed < seconds,
+        f"{measured}; failures: {failures or 'none'}; {elapsed:.2f}s < {seconds}s",
+    )
+    return names
 
 
 def test_criterion_01_transform_exactness():
-    tols = {"transform_anchor_values": 1e-15}
-    report_checks("criterion 1 (transform exactness)", verify._check_transform_anchors, tols, 1)
+    report_checks("criterion 1 (transform exactness)", [verify._check_transform_anchors], 1)
 
 
 def test_criterion_02_roundtrip_suite():
-    tols = {"roundtrip_ar1": 1e-10, "roundtrip_ar2": 1e-10, "roundtrip_ard": 1e-9,
-            "roundtrip_var1": 1e-10, "riccati_residual": 1e-8}
-    report_checks("criterion 2 (round trips)", verify._check_roundtrips, tols, 10)
+    report_checks("criterion 2 (round trips)", [verify._check_roundtrips], 10)
 
 
 def test_criterion_03_fisher_information():
-    tols = {"fisher_info_quadrature": 1e-6, "fisher_orthogonality": 1e-6}
-    report_checks("criterion 3 (Fisher information)", verify._check_fisher, tols, 10)
+    report_checks("criterion 3 (Fisher information)", [verify._check_fisher], 10)
 
 
 def test_criterion_04_pythagorean_identity():
-    tols = {"pythagorean_identity": 1e-8}
-    report_checks("criterion 4 (Pythagorean identity)", verify._check_pythagorean, tols, 5)
+    report_checks("criterion 4 (Pythagorean identity)", [verify._check_pythagorean], 5)
 
 
 def test_criterion_05_exact_oracle_equivalence():
-    start = time.perf_counter()
-    worst_fit = worst_norm = 0.0
-    for seed in (5, 6, 19):
-        series = gaussian.simulate_ar(AR1, 8, seed=seed)
-        stats = oracle.permutation_statistics(SPEC1, series)
-        h_id = core.total_statistic(SPEC1, series)
-
-        target = oracle.exact_cle(SPEC1, series)
-        fit = mcle.fisher_scoring(
-            SPEC1,
-            series,
-            scoring_config=mcle.ScoringConfig(max_iters=200, grad_tol=1e-9),
-            moment_fn=lambda th, s=series, st=stats: oracle.enumeration_moments(
-                SPEC1, s, th, stats=st
-            ),
-        )
-        grid = np.arange(-10.0, 10.0001, 1e-3)
-        logf = grid * h_id[0] - logsumexp(grid[:, None] * stats[:, 0][None, :], axis=1)
-        best = grid[np.argmax(logf)]
-        worst_fit = max(worst_fit, abs(fit.theta[0] - target[0]), abs(fit.theta[0] - best))
-        for th in (-1.0, 0.0, 0.7):
-            logits = stats @ np.array([th])
-            probs = np.exp(logits - logsumexp(logits))
-            worst_norm = max(worst_norm, abs(probs.sum() - 1.0))
-    elapsed = time.perf_counter() - start
-    report(
-        "criterion 5 (exact-oracle equivalence)",
-        worst_fit < 1e-3 and worst_norm < 1e-12 and elapsed < 30.0,
-        f"scoring vs exact maximizer vs grid {worst_fit:.2e} < 1e-3, "
-        f"normalization {worst_norm:.1e} < 1e-12, {elapsed:.1f}s < 30s",
-    )
+    checks = [verify._check_enumeration_equivalence, verify._check_conditional_normalization]
+    report_checks("criterion 5 (exact-oracle equivalence)", checks, 30)
 
 
 def test_criterion_06_benchmark_error_bands():
@@ -266,22 +289,5 @@ def test_criterion_09_information_criteria_and_selection(tmp_path):
 
 
 def test_criterion_10_verify_gate():
-    start = time.perf_counter()
-    results = list(verify.run_checks())
-    elapsed = time.perf_counter() - start
-    failures = [c.name for c in results if not c.passed]
-    names = {c.name for c in results}
-    required = {
-        "permutation_invariant_remainder",
-        "swap_delta_recompute",
-        "logpl_gradient_fd",
-        "zero_theta_acceptance",
-        "logpl_zero_value",
-    }
-    ok = not failures and required <= names and elapsed < 120.0
-    report(
-        "criterion 10 (verify gate)",
-        ok,
-        f"{len(results)} checks pass in {elapsed:.1f}s < 120s "
-        f"(failures: {failures or 'none'})",
-    )
+    names = report_checks("criterion 10 (verify gate)", verify._CHECKS, 120)
+    assert names == list(VERIFY_TOLERANCES)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_acceptance import VERIFY_TOLERANCES
 
 from mimm import cli, core, gaussian, ple
 from mimm.exceptions import IllConditionedError, NoSolutionFoundError
@@ -112,6 +113,25 @@ class TestSimulate:
         )
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
+
+    @pytest.mark.parametrize("theta, tau2", [(["1"], "1e300"), (["1e200", "0.5"], "1e200")])
+    def test_mininfo_input_past_the_float_range_exits_2(self, workspace, capsys, theta, tau2):
+        # phi rounds to 1 (d = 1), and theta * tau2 overflows (d = 2)
+        out = workspace["tmp"] / "unresolved.csv"
+        rc, stdout = run_cli("simulate", "--theta", *theta, "--tau2", tau2, "--n", "10", "--out", str(out))
+        assert rc == cli.EXIT_VALIDATION and stdout == "" and not out.exists()
+        expected = f"no stationary AR resolves tau2 = {float(tau2)} for theta = {np.array(theta, dtype=float)}"
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    def test_mininfo_input_whose_tau2_squared_overflows_maps_back(self, workspace):
+        # theta tau2 = 1, though tau2**2 is past the float range
+        out = workspace["tmp"] / "tiny_theta.csv"
+        rc, _ = run_cli("simulate", "--theta", "1e-300", "--tau2", "1e300", "--n", "10", "--out", str(out))
+        assert rc == cli.EXIT_OK
+        meta = json.loads((workspace["tmp"] / "tiny_theta.csv.meta.json").read_text())
+        back = gaussian.ard_to_mininfo(gaussian.params_from_text("\n".join(meta["params"])))
+        assert back.theta[0] == pytest.approx(1e-300, rel=1e-10)
+        assert back.tau2 == pytest.approx(1e300, rel=1e-10)
 
     def test_var1_writes_two_columns(self, workspace):
         a_csv = workspace["tmp"] / "A.csv"
@@ -768,6 +788,34 @@ class TestParser:
         assert kept == outputs(fresh=True)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("simulate --ar 0.5 --sigma2 0.5", "simulate requires --n and --out"),
+        (
+            "simulate --ar 0.5 --sigma2 0.5 --theta 1 --tau2 1 --n 10 --out {tmp}/x.csv",
+            "choose exactly one of --params, --ar/--sigma2, --theta/--tau2, --var1",
+        ),
+        ("simulate --ar 0.5 --n 10 --out {tmp}/x.csv", "--ar requires --sigma2"),
+        ("simulate --theta 1 --n 10 --out {tmp}/x.csv", "--theta requires --tau2"),
+        ("fit --data {data}", "fit requires --data and --estimator"),
+        ("fit --data {data} --estimator ple-naive", "ple-naive requires --spec"),
+        ("fit --data {tmp}/two.csv --estimator mle --order 2", "mle reports minimum-information weights only for order 1"),
+        ("select --data {data} --spec {spec1} --spec {tmp}/missing.spec", "cannot load spec {tmp}/missing.spec: "),
+        ("benchmark --out {tmp}/bench.csv", "benchmark requires --manifest and --out"),
+    ],
+    ids=["simulate-no-n", "two-sources", "ar-no-sigma2", "theta-no-tau2", "fit-no-estimator",
+         "no-spec", "mle-var2", "missing-spec", "benchmark-no-manifest"],
+)
+def test_refusal_exits_2_with_one_error_line(workspace, capsys, argv, message):
+    core.TimeSeries(np.random.default_rng(0).standard_normal((60, 2))).to_csv(workspace["tmp"] / "two.csv")
+    rc, stdout = run_cli(*argv.format(**workspace).split())
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_VALIDATION and stdout == ""
+    assert err.startswith("error: " + message.format(**workspace)) and err.count("\n") == 1
+    assert not (workspace["tmp"] / "x.csv").exists()
+
+
 class TestBenchmark:
     def test_small_manifest(self, workspace):
         man = workspace["tmp"] / "man.json"
@@ -1116,17 +1164,8 @@ class TestBenchmark:
         assert not (prefix.parent / "bench_bug.csv").exists()
 
 
-# every check of ``mimm verify``, in report order
-VERIFY_CHECKS = [
-    "transform_anchor_values", "roundtrip_ar1", "roundtrip_ar2", "roundtrip_ard", "roundtrip_var1",
-    "riccati_residual", "fisher_info_quadrature", "fisher_orthogonality", "pythagorean_identity",
-    "divergence_nonnegative", "swap_delta_recompute", "swap_deltas_batch", "all_pairs_design",
-    "exchange_step_factored", "exchange_step_near", "eval_multilinearity", "statistic_reversal_invariance",
-    "permutation_invariant_remainder", "conditional_law_normalization", "detailed_balance_log_ratio",
-    "zero_theta_acceptance", "score_zero_mean_at_truth", "enumeration_equivalence", "logpl_zero_value",
-    "logpl_gradient_fd", "logistic_pass_blocked", "pair_statistic_sign", "objective_monotone_ascent",
-    "newton_pilot_start", "estimator_consistency_ordering",
-]
+# every result of ``mimm verify``, in report order
+VERIFY_CHECKS = list(VERIFY_TOLERANCES)
 
 
 class TestVerify:

@@ -10,8 +10,9 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from test_acceptance import assert_verify_passes
 
-from mimm import gaussian
+from mimm import gaussian, verify
 from mimm.exceptions import (
     ContractError,
     ParameterDomainError,
@@ -392,9 +393,7 @@ class TestStationaryCovariance:
 
 class TestAr1Transform:
     def test_anchor_values(self):
-        mi = gaussian.ar1_to_mininfo(gaussian.ClassicalARParams([0.5], 0.5))
-        assert mi.theta[0] == 1.0
-        assert mi.tau2 == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert_verify_passes(verify._check_transform_anchors, "transform_anchor_values")
 
     def test_inverse_formulas(self):
         back = gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([1.0], 2.0 / 3.0))
@@ -409,32 +408,15 @@ class TestAr1Transform:
             assert back.phi[0] == 0.0 and back.sigma2 == s
 
     def test_round_trip_sweep(self):
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            phi = rng.uniform(-0.95, 0.95)
-            s2 = rng.uniform(0.05, 4.0)
-            back = gaussian.mininfo_to_ar1(
-                gaussian.ar1_to_mininfo(gaussian.ClassicalARParams([phi], s2))
-            )
-            assert back.phi[0] == pytest.approx(phi, abs=1e-10)
-            assert back.sigma2 == pytest.approx(s2, abs=1e-10)
+        assert_verify_passes(verify._check_roundtrips, "roundtrip_ar1")
 
 
 class TestAr2Transform:
     def test_anchor_values(self):
-        mi = gaussian.ar2_to_mininfo(gaussian.ClassicalARParams([0.5, 0.3], 0.5))
-        np.testing.assert_allclose(mi.theta, [0.7, 0.6], atol=1e-15)
+        assert_verify_passes(verify._check_transform_anchors, "transform_anchor_values")
 
     def test_round_trip_sweep(self):
-        rng = np.random.default_rng(20)
-        for _ in range(100):
-            f1, f2 = random_stationary_ar2(rng)
-            s2 = rng.uniform(0.05, 4.0)
-            back = gaussian.mininfo_to_ar(
-                gaussian.ar2_to_mininfo(gaussian.ClassicalARParams([f1, f2], s2))
-            )
-            np.testing.assert_allclose(back.phi, [f1, f2], atol=1e-10)
-            assert back.sigma2 == pytest.approx(s2, abs=1e-10)
+        assert_verify_passes(verify._check_roundtrips, "roundtrip_ar2")
 
     def test_round_trip_near_every_boundary_case(self):
         # exercise all sign cases of the bracket, including |theta1| > 4|theta2|
@@ -465,8 +447,7 @@ class TestAr2Transform:
 
 class TestArdTransform:
     def test_anchor_values(self):
-        mi = gaussian.ard_to_mininfo(gaussian.ClassicalARParams([0.5, 0.3, 0.1], 0.5))
-        np.testing.assert_allclose(mi.theta, [0.64, 0.5, 0.2], atol=1e-15)
+        assert_verify_passes(verify._check_transform_anchors, "transform_anchor_values")
 
     def test_reduces_to_ar1(self):
         p = gaussian.ClassicalARParams([0.37], 0.8)
@@ -516,9 +497,7 @@ class TestArdTransform:
 
 class TestVar1Transform:
     def test_anchor_values(self):
-        A = np.array([[0.5, 0.1], [0.1, 0.5]])
-        mi = gaussian.var1_to_mininfo(gaussian.ClassicalVARParams(A=A[None], Sigma=0.5 * np.eye(2)))
-        np.testing.assert_array_equal(mi.Theta, [[1.0, 0.2], [0.2, 1.0]])
+        assert_verify_passes(verify._check_transform_anchors, "transform_anchor_values")
 
     def test_zero_dependence(self):
         B = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -527,17 +506,7 @@ class TestVar1Transform:
         np.testing.assert_allclose(back.Sigma, B, atol=1e-12)
 
     def test_round_trip_sweep(self):
-        rng = np.random.default_rng(50)
-        for _ in range(100):
-            p = int(rng.integers(2, 4))
-            A, Sigma = random_stationary_var1(rng, p)
-            params = gaussian.ClassicalVARParams(A=A[None], Sigma=Sigma)
-            mi = gaussian.var1_to_mininfo(params)
-            back = gaussian.mininfo_to_var1(mi)
-            np.testing.assert_allclose(back.A[0], A, atol=1e-8)
-            np.testing.assert_allclose(back.Sigma, Sigma, atol=1e-8)
-            resid = np.linalg.norm(mi.B - back.A[0] @ mi.B @ back.A[0].T - back.Sigma, "fro")
-            assert resid < 1e-8 * np.linalg.norm(mi.B, "fro")
+        assert_verify_passes(verify._check_roundtrips, "roundtrip_var1", "riccati_residual")
 
     def test_theta_definition(self):
         rng = np.random.default_rng(51)
@@ -605,8 +574,7 @@ class TestDependenceKernel:
 
 class TestDivergenceRate:
     def test_self_divergence_is_zero(self):
-        p = gaussian.kernel_from_ar1(gaussian.ClassicalARParams([0.5], 0.5))
-        assert gaussian.divergence_rate(p, p) == pytest.approx(0.0, abs=1e-12)
+        assert_verify_passes(verify._check_divergence_nonneg, "divergence_nonnegative")
 
     def test_monte_carlo_oracle(self):
         p = gaussian.GaussianKernel([[0.5]], [[0.5]], [[2.0 / 3.0]])
@@ -630,41 +598,23 @@ class TestDivergenceRate:
         )
 
     def test_nonnegative_random_pairs(self):
-        rng = np.random.default_rng(71)
-        for _ in range(50):
-            pk = gaussian.kernel_from_ar1(
-                gaussian.ClassicalARParams([rng.uniform(-0.9, 0.9)], rng.uniform(0.1, 2.0))
-            )
-            qk = gaussian.kernel_from_ar1(
-                gaussian.ClassicalARParams([rng.uniform(-0.9, 0.9)], rng.uniform(0.1, 2.0))
-            )
-            assert gaussian.divergence_rate(pk, qk) >= -1e-12
+        assert_verify_passes(verify._check_divergence_nonneg, "divergence_nonnegative")
 
     def test_missing_stationary_law_rejected(self):
         p = gaussian.GaussianKernel([[0.5]], [[0.5]])
         with pytest.raises(ContractError):
             gaussian.divergence_rate(p, p)
 
+    def test_kernels_of_different_dimension_rejected(self):
+        p = gaussian.kernel_from_ar1(gaussian.ClassicalARParams([0.5], 0.5))
+        q = gaussian.GaussianKernel(np.zeros((2, 2)), np.eye(2))
+        with pytest.raises(ShapeMismatchError, match="1 vs 2"):
+            gaussian.divergence_rate(p, q)
+
 
 class TestPythagoreanIdentity:
     def test_randomized_configurations(self):
-        rng = np.random.default_rng(80)
-        for _ in range(60):
-            th = rng.uniform(-2.0, 2.0)
-            t2 = rng.uniform(0.2, 3.0)
-            phi_w = rng.uniform(-0.95, 0.95)
-            decay = abs(th) + float(np.exp(rng.uniform(-1.0, 2.0)))
-            w_star = gaussian.kernel_from_ar1(
-                gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([th], t2))
-            )
-            w = gaussian.GaussianKernel([[phi_w]], [[t2 * (1 - phi_w**2)]], [[t2]])
-            v = gaussian.DependenceKernel(th, decay).as_gaussian()
-            gap = (
-                gaussian.divergence_rate(w, w_star)
-                + gaussian.divergence_rate(w_star, v)
-                - gaussian.divergence_rate(w, v)
-            )
-            assert abs(gap) < 1e-8
+        assert_verify_passes(verify._check_pythagorean, "pythagorean_identity")
 
 
 _unit = st.floats(-1.0, 1.0)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import assert_verify_passes
 from test_core import _bits, kron_binary_specs, random_specs
 
-from mimm import core, gaussian, mcle, oracle
-from mimm.exceptions import IllConditionedError, InsufficientInteriorError
+from mimm import core, gaussian, mcle, oracle, verify
+from mimm.exceptions import IllConditionedError, InsufficientInteriorError, ShapeMismatchError
 
 AR1 = gaussian.ClassicalARParams([0.5], 0.5)
 SPEC1 = core.ar_spec(1)
@@ -24,24 +25,12 @@ class TestLogRatio:
         assert np.array([1.0]) @ delta == pytest.approx(-3.0)
 
     def test_detailed_balance(self):
-        rng = np.random.default_rng(1)
-        spec = core.ar_spec(2)
-        series = core.TimeSeries(rng.standard_normal(20))
-        theta = rng.standard_normal(2)
-        for _ in range(10):
-            s1, s2 = sorted(rng.choice(range(2, 18), size=2, replace=False))
-            fwd = core.swap_delta(spec, series, int(s1), int(s2))
-            order = np.arange(20)
-            order[[s1, s2]] = order[[s2, s1]]
-            rev = core.swap_delta(spec, core.TimeSeries(series.data[order]), int(s1), int(s2))
-            assert theta @ fwd == -(theta @ rev)
+        assert_verify_passes(verify._check_detailed_balance, "detailed_balance_log_ratio")
 
 
 class TestExchangeSampler:
     def test_zero_theta_accepts_everything(self):
-        series = gaussian.simulate_ar(AR1, 50, seed=0)
-        res = mcle.exchange_sample(SPEC1, series, [0.0], mcle.ExchangeConfig(n_samples=3000, seed=1))
-        assert res.acceptance_rate == 1.0
+        assert_verify_passes(verify._check_zero_theta_acceptance, "zero_theta_acceptance")
 
     def test_uniform_mean_matches_enumeration(self):
         series = gaussian.simulate_ar(AR1, 8, seed=5)
@@ -97,6 +86,15 @@ class TestExchangeSampler:
         series = core.TimeSeries([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(InsufficientInteriorError):
             mcle.exchange_sample(core.ar_spec(2), series, [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "theta, error, message",
+        [([0.0, 0.0], ShapeMismatchError, "does not match K = 1"), ([math.nan], ValueError, "non-finite")],
+    )
+    def test_theta_of_wrong_shape_or_not_finite_rejected(self, theta, error, message):
+        series = gaussian.simulate_ar(AR1, 20, seed=0)
+        with pytest.raises(error, match=message):
+            mcle.exchange_sample(SPEC1, series, theta)
 
     def test_statistics_track_the_running_permutation(self):
         # every recorded statistic must equal the statistic of some interior
@@ -516,17 +514,7 @@ class TestConfigs:
 
 class TestFisherScoring:
     def test_exact_moments_match_enumeration_maximizer(self):
-        series = gaussian.simulate_ar(AR1, 8, seed=5)
-        stats = oracle.permutation_statistics(SPEC1, series)
-        fit = mcle.fisher_scoring(
-            SPEC1,
-            series,
-            scoring_config=mcle.ScoringConfig(max_iters=200, grad_tol=1e-9),
-            moment_fn=lambda th: oracle.enumeration_moments(SPEC1, series, th, stats=stats),
-        )
-        target = oracle.exact_cle(SPEC1, series)
-        assert fit.converged
-        assert fit.theta[0] == pytest.approx(target[0], abs=1e-3)
+        assert_verify_passes(verify._check_enumeration_equivalence, "enumeration_equivalence")
 
     def test_zero_score_fixed_point(self):
         # boundary values equal, interior swap changes nothing: the observed

@@ -1,16 +1,20 @@
 """Reference implementations: OLS fits, exhaustive enumeration, quadrature."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
+from test_acceptance import assert_verify_passes
 
-from mimm import core, gaussian, oracle
+from mimm import core, gaussian, oracle, verify
 from mimm.exceptions import (
     EnumerationBudgetError,
+    InsufficientDataError,
     NoSolutionFoundError,
     RankError,
+    ShapeMismatchError,
 )
 
 AR1 = gaussian.ClassicalARParams([0.5], 0.5)
@@ -50,6 +54,12 @@ class TestOlsAr:
     def test_rank_error_on_constant_series(self):
         with pytest.raises(RankError):
             oracle.mle_ols_ar(core.TimeSeries(np.zeros(50)), 2)
+
+    def test_refuses_two_columns_and_short_series(self):
+        with pytest.raises(ShapeMismatchError, match="p=2"):
+            oracle.mle_ols_ar(core.TimeSeries(np.ones((20, 2))), 1)
+        with pytest.raises(InsufficientDataError, match=r"need n >= 2d \+ 2 = 6, got 5"):
+            oracle.mle_ols_ar(core.TimeSeries(np.arange(5.0)), 2)
 
     def test_sigma2_denominator(self):
         series = gaussian.simulate_ar(AR1, 400, seed=9)
@@ -104,12 +114,7 @@ class TestEnumeration:
             assert value == pytest.approx(1.0 / (1.0 + math.exp(th * delta[0])), rel=1e-12)
 
     def test_normalization(self):
-        series = gaussian.simulate_ar(AR1, 8, seed=6)
-        stats = oracle.permutation_statistics(SPEC1, series)
-        for th in (-1.0, 0.0, 0.7):
-            logits = stats @ np.array([th])
-            probs = np.exp(logits - logsumexp(logits))
-            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert_verify_passes(verify._check_conditional_normalization, "conditional_law_normalization")
 
     def test_budget_refusal(self):
         series = gaussian.simulate_ar(AR1, 30, seed=7)
@@ -135,15 +140,7 @@ class TestExactCle:
         assert theta[0] == 0.0
 
     def test_matches_dense_grid(self):
-        for seed in (5, 6, 19):
-            series = gaussian.simulate_ar(AR1, 8, seed=seed)
-            stats = oracle.permutation_statistics(SPEC1, series)
-            h_id = core.total_statistic(SPEC1, series)
-            grid = np.arange(-10.0, 10.0001, 1e-3)
-            logf = grid * h_id[0] - logsumexp(grid[:, None] * stats[:, 0][None, :], axis=1)
-            best = grid[np.argmax(logf)]
-            theta = oracle.exact_cle(SPEC1, series)
-            assert theta[0] == pytest.approx(best, abs=1e-3)
+        assert_verify_passes(verify._check_enumeration_equivalence, "enumeration_equivalence")
 
     def test_sorted_data_is_unbounded(self):
         # sorted data maximizes the adjacent-product statistic over all
@@ -153,14 +150,19 @@ class TestExactCle:
             oracle.exact_cle(SPEC1, series)
         assert err.value.direction is not None
 
+    def test_data_at_the_minimum_is_unbounded(self):
+        # the interior ordering of least statistic: the maximizer runs off to -infinity
+        x = [0.5, 3.0, -2.0, 1.0, -1.0, 0.2]
+        orderings = [core.TimeSeries([x[0], *perm, x[-1]]) for perm in itertools.permutations(x[1:-1])]
+        lowest = min(orderings, key=lambda series: core.total_statistic(SPEC1, series)[0])
+        with pytest.raises(NoSolutionFoundError, match="minimum") as err:
+            oracle.exact_cle(SPEC1, lowest)
+        np.testing.assert_array_equal(err.value.direction, [-1.0])
+
 
 class TestQuadratureFisher:
     def test_matches_closed_form_on_grid(self):
-        for th in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            for t2 in (0.25, 2.0 / 3.0, 1.0, 4.0):
-                closed = gaussian.ar1_fisher_info(th, t2)
-                numeric = oracle.ar1_fisher_info_numeric(th, t2)
-                np.testing.assert_allclose(numeric, closed, atol=1e-6)
+        assert_verify_passes(verify._check_fisher, "fisher_info_quadrature")
 
     def test_off_diagonal_small_everywhere(self):
         for th in (-2.0, -0.5, 0.0, 0.5, 2.0):

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, linprog, minimize
 from scipy.special import expit
+from test_acceptance import assert_verify_passes
 
-from mimm import core, gaussian, ple
+from mimm import core, gaussian, ple, verify
 from mimm.exceptions import (
     BoundaryViolationError,
     InsufficientInteriorError,
@@ -64,9 +65,7 @@ class TestPairStatistic:
 
 class TestLogPl:
     def test_zero_theta_value(self):
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((37, 2))
-        assert ple.log_pl(np.zeros(2), X) == pytest.approx(37 * math.log(0.5), abs=1e-12)
+        assert_verify_passes(verify._check_logpl_zero, "logpl_zero_value")
 
     def test_single_pair_high_precision(self):
         import mpmath
@@ -93,18 +92,12 @@ class TestLogPl:
         with pytest.raises(ValueError):
             ple.log_pl(np.zeros(1), np.empty((0, 1)))
 
+    def test_pair_width_must_match_theta(self):
+        with pytest.raises(ShapeMismatchError, match=r"pair width 2 != len\(theta\) 1"):
+            ple.log_pl(np.zeros(1), np.ones((3, 2)))
+
     def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(4)
-        X = rng.standard_normal((60, 3))
-        theta = rng.standard_normal(3)
-        grad, _ = ple._newton_pass(lambda: (X,), theta)
-        for k in range(3):
-            h = 1e-6 * (1 + abs(theta[k]))
-            up, dn = theta.copy(), theta.copy()
-            up[k] += h
-            dn[k] -= h
-            fd = (ple.log_pl(up, X) - ple.log_pl(dn, X)) / (2 * h)
-            assert grad[k] == pytest.approx(fd, rel=1e-6)
+        assert_verify_passes(verify._check_logpl_gradient, "logpl_gradient_fd")
 
 
 def reference_newton_pass(X, theta):
@@ -1429,6 +1422,11 @@ class TestAicPic:
 
 class TestSelectSpecs:
     SERIES = gaussian.simulate_ar(AR1, 300, seed=41)
+
+    def test_spaced_matching_needs_two_positions(self):
+        # n = 4, d = 1 leaves one position at spacing 2d + 1
+        with pytest.raises(InsufficientInteriorError, match=r"n=4, d=1"):
+            ple.spaced_matching(4, 1, 0)
 
     def test_row_is_the_mean_log_pl_over_spaced_designs(self):
         (row1, row2) = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2)], seed=4, splits=3)
