@@ -423,6 +423,19 @@ def _check_positive(name: str, value) -> None:
         raise ParameterDomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
+def _check_finite_statistics(spec: DependenceSpec, values: np.ndarray, what: str) -> None:
+    """Refuse statistics that overflowed: raise :class:`ParameterDomainError`
+    naming the first term whose column of ``values`` (one column per term)
+    is not all finite."""
+    if np.isfinite(values).all():
+        return
+    k = int(np.flatnonzero(~np.isfinite(values).reshape(-1, spec.n_terms).all(axis=0))[0])
+    raise ParameterDomainError(
+        f"{what} of term {spec.terms[k].label()} are not finite: the data's scale "
+        "overflows the monomial; standardize the series first (core.standard_scale)"
+    )
+
+
 def _interior_bounds(spec: DependenceSpec, series: TimeSeries) -> tuple[int, int]:
     d = spec.order
     m = series.n - 2 * d

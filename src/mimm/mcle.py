@@ -46,6 +46,7 @@ from .core import (
     DependenceSpec,
     TimeSeries,
     _check_count,
+    _check_finite_statistics,
     _check_positive,
     _interior_bounds,
     _uniform_pairs,
@@ -104,41 +105,78 @@ class ScoringConfig:
         _check_positive("grad_tol", self.grad_tol)
 
 
+def _autocovariance(xc: np.ndarray, size: int, lags: int) -> np.ndarray:
+    """Unnormalized autocovariances of the centred columns ``xc`` at lags 0
+    .. ``lags`` - 1, from one zero-padded FFT of ``size`` points per column
+    (the power spectrum formed as re^2 + im^2).  A lag t is free of
+    circular wrap-around when t <= size - len(xc)."""
+    f = np.fft.rfft(xc, n=size, axis=0)
+    return np.fft.irfft(f.real**2 + f.imag**2, n=size, axis=0)[:lags]
+
+
+def _initial_monotone_tau(acov: np.ndarray) -> tuple[float, bool]:
+    """Geyer's tau = -1 + 2 * (sum of the non-increasing pair sums) from the
+    autocovariances of one column at lags 0 .. 2m - 1, and whether a pair
+    sum rho_2i + rho_2i+1 that is not positive ended the sequence within
+    them."""
+    pairs = (acov / acov[:1]).reshape(-1, 2).sum(axis=1)  # no lags: no pairs
+    stop = np.flatnonzero(pairs <= 0.0)
+    if stop.size:
+        pairs = pairs[: stop[0]]
+    return -1.0 + 2.0 * np.minimum.accumulate(pairs).sum(), bool(stop.size)
+
+
 def effective_sample_size(samples) -> np.ndarray:
     """Effective sample size of each column of a chain, shape (L, K) or (L,)
     -> (K,), by Geyer's initial monotone sequence estimator (Statist. Sci.
     7:473, 1992).
 
-    The autocorrelations rho_t come from one FFT per column.  Their adjacent
-    pair sums rho_2m + rho_2m+1 are kept up to the first one that is not
-    positive and made non-increasing; with tau = -1 + 2 * (their sum), the
-    effective size is L / tau.  As in Stan, tau is floored at 1 / log10(L),
-    which keeps an antithetic chain (negative rho_1, as in a chain that
-    alternates between two states) finite and positive.  A constant
-    column, or a chain of fewer than 4 samples, gives nan.
+    The autocorrelations rho_t come from FFTs of the centred columns.
+    Their adjacent pair sums rho_2m + rho_2m+1 are kept up to the first one
+    that is not positive and made non-increasing; with tau = -1 + 2 * (their
+    sum), the effective size is L / tau.  As in Stan, tau is floored at
+    1 / log10(L), which keeps an antithetic chain (negative rho_1, as in a
+    chain that alternates between two states) finite and positive.  A
+    constant column, or a chain of fewer than 4 samples, gives nan.
+
+    The sequence reads only the lags before its first non-positive pair
+    sum, usually a small share of the L lags.  So the autocovariance first
+    comes from a short transform: its length is the smallest 2^a or 3 * 2^a
+    that is at least L + L // 8 (12 288 at L = 10 000), which gives every
+    lag below size - L + 1 exactly, with no circular wrap-around.  A column
+    whose pair sums stay positive through that window is recomputed from
+    the full transform, at least 2L - 1 points rounded up to a multiple of
+    2^(bits - 4) (20 480 at L = 10 000), which gives every lag.  The
+    estimator is the same either way; a column resolved in the window reads
+    the same lags from a shorter transform, so its value can differ from
+    the full transform's in the last bits.
     """
     x = np.asarray(samples, dtype=float).reshape(len(samples), -1)
     L, K = x.shape
     out = np.full(K, np.nan)
     if L < 4:
         return out
-    # at least 2L - 1 points, so the circular correlation does not wrap
-    # around; rounded up to a multiple of 2^(bits - 4), so the length has
-    # small factors (fast) while padding by at most 1/8, not the up to 2x of
-    # the next power of two
-    step = 1 << max(0, (2 * L - 1).bit_length() - 4)
-    size = -(-(2 * L - 1) // step) * step
-    f = np.fft.rfft(x - x.mean(axis=0), n=size, axis=0)
-    acov = np.fft.irfft(f.real**2 + f.imag**2, n=size, axis=0)[: L - L % 2]
-    for k in range(K):
-        if x[:, k].min() == x[:, k].max():
-            continue
-        pairs = (acov[:, k] / acov[0, k]).reshape(-1, 2).sum(axis=1)
-        stop = np.flatnonzero(pairs <= 0.0)
-        if stop.size:
-            pairs = pairs[: stop[0]]
-        tau = -1.0 + 2.0 * np.minimum.accumulate(pairs).sum()
-        out[k] = L / max(tau, 1.0 / math.log10(L))
+    xc = x - x.mean(axis=0)
+    floor = 1.0 / math.log10(L)
+    live = [k for k in range(K) if x[:, k].min() != x[:, k].max()]
+    # the smallest 2^a or 3 * 2^a that is at least L + L // 8
+    short = min(n << ((L + L // 8 - 1) // n).bit_length() for n in (1, 3))
+    acov = _autocovariance(xc, short, min(short - L + 1, L) // 2 * 2)
+    rest = []
+    for k in live:
+        tau, stopped = _initial_monotone_tau(acov[:, k])
+        if stopped:
+            out[k] = L / max(tau, floor)
+        else:
+            rest.append(k)
+    if rest:
+        # rounded up to a multiple of 2^(bits - 4), so the length has small
+        # factors (fast) while padding by at most 1/8, not the up to 2x of
+        # the next power of two
+        step = 1 << max(0, (2 * L - 1).bit_length() - 4)
+        acov = _autocovariance(xc[:, rest], -(-(2 * L - 1) // step) * step, L - L % 2)
+        for j, k in enumerate(rest):
+            out[k] = L / max(_initial_monotone_tau(acov[:, j])[0], floor)
     return out
 
 
@@ -533,11 +571,14 @@ def fisher_scoring(
     1.5x back up to 1.
 
     Starts from theta = 0 and stops when ||H_obs - mu|| < grad_tol *
-    (1 + ||H_obs||) or at max_iters.
+    (1 + ||H_obs||) or at max_iters.  An observed statistic that is not
+    finite (data whose scale overflows a monomial) raises
+    :class:`ParameterDomainError` before any chain runs.
     """
     start = time.perf_counter()
     K = spec.n_terms
     h_obs = total_statistic(spec, series)
+    _check_finite_statistics(spec, h_obs, "observed statistics")
     theta = np.zeros(K)
     rng = np.random.default_rng(exchange_config.seed)
 

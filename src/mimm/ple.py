@@ -73,6 +73,7 @@ from .core import (  # noqa: F401  window_statistics: bench/tracing.py wraps it 
     TimeSeries,
     _all_pairs_blocks,
     _check_count,
+    _check_finite_statistics,
     _check_positive,
     _interior_bounds,
     _uniform_pairs,
@@ -632,7 +633,9 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     value at every margin, and exactly eta once exp(m) is below half an ulp
     of 1 (m below about -36.7), with no branch for it.
     An update with m at or past ``_EXP_MAX`` is skipped; its weight is below
-    eta * e^-700, and exp would overflow further on.
+    eta * e^-700, and exp would overflow further on.  Pair statistics that
+    are not finite (data whose scale overflows a monomial) raise
+    :class:`ParameterDomainError` before any update.
 
     Pair statistics do not depend on theta, so the whole budget's are
     computed in one vectorized call; the update sweep itself is strictly
@@ -654,6 +657,8 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     s1, s2 = _uniform_pairs(np.random.default_rng(config.seed), lo, hi, config.n_iters)
     X = swap_deltas(spec, series, s1, s2)
     del s1, s2
+    # a nan margin would fail the ``_EXP_MAX`` test and skip its update unseen
+    _check_finite_statistics(spec, X, "pair statistics")
     np.negative(X, out=X)
     loop_start = time.perf_counter()
     # rows are turned into lists a few at a time so that few list objects

@@ -259,6 +259,30 @@ class TestFit:
         assert stdout == ""
         assert capsys.readouterr().err == f"error: {data} holds no data rows\n"
 
+    @pytest.mark.parametrize(
+        "estimator, what", [("ple-sgd", "pair"), ("mcle", "observed")], ids=["ple-sgd", "mcle"]
+    )
+    def test_data_whose_statistics_overflow_exits_2(self, workspace, estimator, what):
+        # finite values near 1e200 square past the float range: online SGD
+        # skipped every nan margin and wrote theta 0 with status ok, and
+        # scoring failed later on a nan covariance.  A subprocess, since the
+        # overflow's RuntimeWarning is an error under this suite's policy
+        data = workspace["tmp"] / "huge.csv"
+        core.TimeSeries(np.random.default_rng(0).standard_normal(50) * 1e200).to_csv(data)
+        out = workspace["tmp"] / f"huge-{estimator}.json"
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mimm.cli", "fit", "--estimator", estimator, "--seed", "1",
+             "--data", str(data), "--spec", str(workspace["spec1"]), "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
+        assert proc.stdout == "" and not out.exists()
+        assert proc.stderr.splitlines()[-1] == (
+            f"error: {what} statistics of term 0:0^1*1:0^1 are not finite: the data's scale "
+            "overflows the monomial; standardize the series first (core.standard_scale)"
+        )
+
     def test_ple_naive_matches_library(self, workspace):
         out = workspace["tmp"] / "fit.json"
         rc, _ = run_cli(

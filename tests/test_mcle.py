@@ -5,13 +5,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_acceptance import assert_verify_passes
 from test_core import _bits, kron_binary_specs, random_specs
 
 from mimm import core, gaussian, mcle, oracle, verify
-from mimm.exceptions import IllConditionedError, InsufficientInteriorError, ShapeMismatchError
+from mimm.exceptions import (
+    IllConditionedError,
+    InsufficientInteriorError,
+    ParameterDomainError,
+    ShapeMismatchError,
+)
 
 AR1 = gaussian.ClassicalARParams([0.5], 0.5)
 SPEC1 = core.ar_spec(1)
@@ -429,7 +434,92 @@ def _ar1_sequence(rho, n, seed):
     return x
 
 
+def _geyer_ess_by_dots(x):
+    """The oracle of effective_sample_size on one column: Geyer's initial
+    monotone sequence from autocovariances taken lag by lag as dot products.
+    Returns the ESS and the pair sums the sequence read, through the first
+    one that is not positive (None for a constant column)."""
+    L = len(x)
+    if x.min() == x.max():
+        return math.nan, None
+    xc = x - x.mean()
+    acov = np.array([np.dot(xc[: L - t], xc[t:]) for t in range(L - L % 2)])
+    pairs = (acov / acov[0]).reshape(-1, 2).sum(axis=1)
+    stop = np.flatnonzero(pairs <= 0.0)
+    read, kept = (pairs[: stop[0] + 1], pairs[: stop[0]]) if stop.size else (pairs, pairs)
+    tau = -1.0 + 2.0 * np.minimum.accumulate(kept).sum()
+    return L / max(tau, 1.0 / math.log10(L)), read
+
+
+def _column(kind, L, rng):
+    """One chain column: an AR(1) path (a float coefficient), a random walk,
+    an antithetic chain or a constant."""
+    noise = rng.standard_normal(L)
+    if kind == "constant":
+        return np.full(L, 2.5)
+    if kind == "antithetic":  # alternates between two states, with noise
+        return np.where(np.arange(L) % 2, 1.0, -1.0) + 0.1 * noise
+    phi = 1.0 if kind == "walk" else kind
+    x = np.empty(L)
+    x[0] = noise[0]
+    for t in range(1, L):
+        x[t] = phi * x[t - 1] + noise[t]
+    return x
+
+
+COLUMN_KINDS = st.one_of(
+    st.sampled_from(["constant", "antithetic", "walk", 0.999, 0.99, -0.9]),
+    st.floats(-0.95, 0.999),
+)
+
+
 class TestChainDiagnostics:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        L=st.one_of(st.integers(4, 40), st.integers(41, 3000)),
+        kinds=st.lists(COLUMN_KINDS, min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ess_matches_lag_by_lag_oracle(self, L, kinds, seed):
+        # short window or full-length fallback, the value is Geyer's
+        # estimator on exact lags; drawn only where no pair sum the
+        # sequence reads lies within rounding of zero, so both sides stop
+        # at the same pair
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([_column(kind, L, rng) for kind in kinds])
+        expected = []
+        for k in range(x.shape[1]):
+            ess, read = _geyer_ess_by_dots(x[:, k])
+            assume(read is None or np.abs(read).min() > 1e-9)
+            expected.append(ess)
+        np.testing.assert_allclose(mcle.effective_sample_size(x), expected, rtol=1e-12, atol=0.0)
+
+    def test_window_and_fallback_columns_in_one_call(self, monkeypatch):
+        # at L = 1820 the short transform has 2048 points and gives lags
+        # 0 .. 228 (114 pair sums) exactly; a column whose sequence reads
+        # further takes the 3840-point transform, alone, and the constant
+        # column is nan either way
+        L = 1820
+        rng = np.random.default_rng(11)
+        kinds = [0.0, "walk", "constant", 0.999, "antithetic"]
+        x = np.column_stack([_column(kind, L, rng) for kind in kinds])
+        oracle = [_geyer_ess_by_dots(x[:, k]) for k in range(len(kinds))]
+        fallback = sum(read is not None and len(read) > 114 for _, read in oracle)
+        assert 1 <= fallback <= 3  # both paths in one call
+        calls = []
+        autocovariance = mcle._autocovariance
+
+        def spy(xc, size, lags):
+            calls.append((size, xc.shape[1], lags))
+            return autocovariance(xc, size, lags)
+
+        monkeypatch.setattr(mcle, "_autocovariance", spy)
+        ess = mcle.effective_sample_size(x)
+        assert calls == [(2048, 5, 228), (3840, fallback, 1820)]
+        np.testing.assert_allclose(ess, [value for value, _ in oracle], rtol=1e-12, atol=0.0)
+        assert math.isnan(ess[2])
+        assert ess[4] == pytest.approx(L * math.log10(L), rel=1e-12)  # tau at Stan's floor
+
     def test_ess_of_ar1_sequence(self):
         rho, n = 0.5, 20_000
         ess = mcle.effective_sample_size(_ar1_sequence(rho, n, seed=3))
@@ -567,6 +657,14 @@ class TestFisherScoring:
         )
         assert np.all(np.isfinite(fit.theta))
         assert fit.theta[0] == pytest.approx(1e12, rel=1e-12)
+
+    def test_statistics_past_the_float_range_refused_before_any_chain(self, monkeypatch):
+        series = core.TimeSeries(np.random.default_rng(0).standard_normal(50) * 1e200)
+        monkeypatch.setattr(mcle, "exchange_sample", mock.Mock(side_effect=AssertionError("a chain ran")))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ParameterDomainError, match=r"term 0:0\^1\*1:0\^1 .*core\.standard_scale"
+        ):
+            mcle.fisher_scoring(SPEC1, series)
 
     def test_nan_covariance_raises_ill_conditioned(self):
         series = gaussian.simulate_ar(AR1, 30, seed=5)

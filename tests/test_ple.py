@@ -21,6 +21,7 @@ from mimm.exceptions import (
     BoundaryViolationError,
     InsufficientInteriorError,
     MimmError,
+    ParameterDomainError,
     SeparationWarning,
     ShapeMismatchError,
 )
@@ -571,6 +572,15 @@ class TestTelemetry:
         assert fit.iterations == 500
         record = json.loads(json.dumps(fit.to_dict()))
         assert record["converged"] is None and record["iterations"] == 500
+
+    def test_sgd_refuses_pair_statistics_past_the_float_range(self):
+        # every margin would be nan, fail the _EXP_MAX test and skip its
+        # update: theta 0 with no word of it
+        series = core.TimeSeries(np.random.default_rng(0).standard_normal(50) * 1e200)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ParameterDomainError, match=r"pair statistics of term 0:0\^1\*1:0\^1 .*core\.standard_scale"
+        ):
+            ple.fit_online_sgd(SPEC1, series, ple.SgdConfig(seed=1))
 
     def test_record_holds_every_field_but_the_trace(self):
         fit = ple.fit_naive(SPEC1, gaussian.simulate_ar(AR1, 100, seed=21))
