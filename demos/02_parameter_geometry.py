@@ -55,9 +55,13 @@ print("quadrature: \n", np.round(numeric, 10))
 print("off-diagonal is zero: the two blocks are orthogonal parameters")
 
 # --- Pythagorean identity ------------------------------------------------------
+# a kernel is its mean map and noise covariance; its stationary law, which
+# the divergence rate averages over, is derived from the two
 theta, tau2 = 0.8, 1.5
-w_star = gaussian.kernel_from_ar1(gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([theta], tau2)))
-w = gaussian.GaussianKernel([[0.3]], [[tau2 * (1 - 0.09)]], [[tau2]])  # same marginal
+star = gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([theta], tau2))
+w_star = gaussian.GaussianKernel([star.phi], [[star.sigma2]])
+w = gaussian.GaussianKernel([[0.3]], [[tau2 * (1 - 0.09)]])  # same marginal
+print(f"\nstationary variance of w: {w.stationary_cov[0, 0]:.12f} (tau2 = {tau2})")
 v = gaussian.DependenceKernel(theta, decay=2.0).as_gaussian()  # same dependence
 lhs = gaussian.divergence_rate(w, w_star) + gaussian.divergence_rate(w_star, v)
 rhs = gaussian.divergence_rate(w, v)

@@ -333,7 +333,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_select(args: argparse.Namespace) -> int:
     """Rank dependence specs by AIC/PIC with :func:`ple.select_specs`, print
     the table and write the ranked CSV.  --seed and --splits are passed on
-    only when given, so their defaults are the library's."""
+    only when given, so their defaults are the library's.  When every spec
+    fails, the one error line gives each spec's reason."""
     conf = _merge_config(args)
     if conf["data"] is None or not conf["spec"] or len(conf["spec"]) < 2:
         raise MimmError("select requires --data and at least two --spec files")
@@ -351,7 +352,8 @@ def cmd_select(args: argparse.Namespace) -> int:
 
     ok = [r for r in rows if r["error"] is None]
     if not ok:
-        raise MimmError("every spec failed to fit")
+        reasons = "; ".join(f"{r['spec']}: {r['error']}" for r in rows)
+        raise MimmError(f"every spec failed to fit: {reasons}")
     best_aic = min(ok, key=lambda r: r["aic"])["spec"]
     best_pic = min(ok, key=lambda r: r["pic"])["spec"]
 

@@ -423,16 +423,22 @@ def _check_positive(name: str, value) -> None:
         raise ParameterDomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
+_STATISTIC_LIMIT = math.sqrt(np.finfo(float).max)  # about 1.34e154: the largest finite square
+
+
 def _check_finite_statistics(spec: DependenceSpec, values: np.ndarray, what: str) -> None:
-    """Refuse statistics that overflowed: raise :class:`ParameterDomainError`
-    naming the first term whose column of ``values`` (one column per term)
-    is not all finite."""
-    if np.isfinite(values).all():
+    """Refuse statistics whose squares (so a Fisher matrix or a chain
+    covariance) would overflow: raise :class:`ParameterDomainError` naming
+    the first term whose column of ``values`` (one column per term) holds a
+    nan or a value past ``_STATISTIC_LIMIT`` in magnitude.  Max and min
+    reductions, which a nan fails, test it with no temporary of that size."""
+    if values.max() <= _STATISTIC_LIMIT and values.min() >= -_STATISTIC_LIMIT:
         return
-    k = int(np.flatnonzero(~np.isfinite(values).reshape(-1, spec.n_terms).all(axis=0))[0])
+    columns = values.reshape(-1, spec.n_terms)
+    inside = (columns.max(axis=0) <= _STATISTIC_LIMIT) & (columns.min(axis=0) >= -_STATISTIC_LIMIT)
     raise ParameterDomainError(
-        f"{what} of term {spec.terms[k].label()} are not finite: the data's scale "
-        "overflows the monomial; standardize the series first (core.standard_scale)"
+        f"{what} of term {spec.terms[int(np.argmin(inside))].label()} are not all below {_STATISTIC_LIMIT:.3g} "
+        "in magnitude, past which their squares overflow; standardize the series first (core.standard_scale)"
     )
 
 

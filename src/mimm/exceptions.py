@@ -33,10 +33,6 @@ class ParameterDomainError(MimmError, ValueError):
     """A parameter lies outside its admissible domain."""
 
 
-class ContractError(MimmError, ValueError):
-    """A required field or precondition of an operation is missing."""
-
-
 class RankError(MimmError, ValueError):
     """A regression design matrix is rank deficient."""
 

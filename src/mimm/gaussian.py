@@ -13,7 +13,8 @@ constant term Brent's method picks to match the variance; it refuses, with
 cannot resolve to 1e-8.
 
 Every stationary covariance (AR(d) variance, VAR(1) covariance, the
-variance the AR(d) inverse matches, the law the simulators start from) comes
+variance the AR(d) inverse matches, the law the simulators start from, a
+:class:`GaussianKernel`'s law, which is derived and never passed) comes
 from one Lyapunov solve on the block companion matrix of
 :func:`companion_matrix` (see :func:`_stationary_state_cov`).  Parameter
 records serialize to a flat ``name.i.j=value`` text format driven by their
@@ -29,6 +30,7 @@ bit-identical output for identical inputs on one platform.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +39,6 @@ from numpy.polynomial import chebyshev
 
 from .core import TimeSeries, _check_count, _check_positive
 from .exceptions import (
-    ContractError,
     ParameterDomainError,
     ShapeMismatchError,
     StationarityError,
@@ -63,7 +64,6 @@ __all__ = [
     "divergence_rate",
     "stationary_variance",
     "stationary_cov_var1",
-    "kernel_from_ar1",
     "params_to_text",
     "params_from_text",
 ]
@@ -244,13 +244,14 @@ class MinInfoVARParams:
 class GaussianKernel:
     """First-order conditionally Gaussian kernel y | x ~ N(mean_map @ x, noise_cov).
 
-    ``stationary_cov`` is optional; when present it must satisfy the
-    stationarity equation B = F B F' + S to 1e-8 (relative).
+    Its stationary law N(0, B) is derived, not given: ``stationary_cov`` is
+    the solution B of B = F B F' + S, from :func:`stationary_cov_var1` on
+    first access.  A kernel whose mean map is not stable is built all the
+    same; reading its law raises :class:`StationarityError`.
     """
 
     mean_map: np.ndarray
     noise_cov: np.ndarray
-    stationary_cov: np.ndarray | None = None
 
     def __post_init__(self):
         F = np.atleast_2d(np.asarray(self.mean_map, dtype=float))
@@ -260,15 +261,10 @@ class GaussianKernel:
         _check_spd(S, "noise_cov")
         object.__setattr__(self, "mean_map", _readonly(F))
         object.__setattr__(self, "noise_cov", _readonly(S))
-        if self.stationary_cov is not None:
-            B = np.atleast_2d(np.asarray(self.stationary_cov, dtype=float))
-            _check_spd(B, "stationary_cov")
-            resid = np.linalg.norm(B - F @ B @ F.T - S, "fro")
-            if resid > 1e-8 * max(1.0, np.linalg.norm(B, "fro")):
-                raise ParameterDomainError(
-                    f"stationary_cov violates B = F B F' + S (residual {resid:.3g})"
-                )
-            object.__setattr__(self, "stationary_cov", _readonly(B))
+
+    @functools.cached_property
+    def stationary_cov(self) -> np.ndarray:
+        return _readonly(stationary_cov_var1(self.mean_map, self.noise_cov))
 
     @property
     def dim(self) -> int:
@@ -324,11 +320,7 @@ class DependenceKernel:
         root = math.sqrt(self.decay**2 - self.theta**2)
         slope = self.theta / (self.decay + root)
         noise = 1.0 / (self.decay + root)
-        return GaussianKernel(
-            mean_map=[[slope]],
-            noise_cov=[[noise]],
-            stationary_cov=[[self.stationary_var]],
-        )
+        return GaussianKernel(mean_map=[[slope]], noise_cov=[[noise]])
 
 
 # ---------------------------------------------------------------------------
@@ -658,25 +650,15 @@ def ar1_fisher_info(theta: float, tau2: float) -> np.ndarray:
     return np.array([[g_theta, 0.0], [0.0, g_tau2]])
 
 
-def kernel_from_ar1(params: ClassicalARParams) -> GaussianKernel:
-    """Package a stationary AR(1) as a conditionally Gaussian kernel."""
-    if params.order != 1:
-        raise ShapeMismatchError(f"expected AR(1), got order {params.order}")
-    phi = float(params.phi[0])
-    cov = [[params.sigma2 / (1.0 - phi**2)]]
-    return GaussianKernel(mean_map=[[phi]], noise_cov=[[params.sigma2]], stationary_cov=cov)
-
-
 def divergence_rate(p: GaussianKernel, q: GaussianKernel) -> float:
     """Divergence rate between stationary conditionally Gaussian kernels:
-    the conditional KL divergence of q from p averaged over p's stationary law.
+    the conditional KL divergence of q from p averaged over p's stationary law
+    (so a p whose mean map is not stable raises :class:`StationarityError`).
 
     Closed form:
         (log det Sq - log det Sp - p + tr(Sq^{-1} Sp)
          + tr(Bp (Fp - Fq)' Sq^{-1} (Fp - Fq))) / 2
     """
-    if p.stationary_cov is None:
-        raise ContractError("divergence_rate needs p.stationary_cov")
     if p.dim != q.dim:
         raise ShapeMismatchError(f"kernel dimensions differ: {p.dim} vs {q.dim}")
     dim = p.dim

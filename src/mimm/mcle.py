@@ -221,10 +221,11 @@ class ExchangeResult:
 
 @dataclass(frozen=True, eq=False)
 class McleResult:
-    """Fisher-scoring summary.  The traces hold one entry per iteration;
-    ``acceptance_trace``, ``ess_trace`` and ``split_rhat_trace`` give the
-    chain's acceptance rate and per-statistic diagnostics (nan when the
-    moments came from ``moment_fn``, as does ``final_acceptance_rate``).
+    """Fisher-scoring summary.  The traces hold one entry per iteration, so
+    ``iterations`` is their length; ``acceptance_trace``, ``ess_trace`` and
+    ``split_rhat_trace`` give the chain's acceptance rate and per-statistic
+    diagnostics (nan when the moments came from ``moment_fn``), and
+    ``final_acceptance_rate`` is the last rate.
     ``n_steps`` counts the MH steps of all chains.  ``stages`` gives seconds
     spent obtaining the moments (``sampler_s``: the chains, or
     ``moment_fn``), computing the chain diagnostics (``diagnostics_s``) and
@@ -233,8 +234,6 @@ class McleResult:
     :meth:`to_dict` and, per iteration, :meth:`diagnostics`."""
 
     theta: np.ndarray
-    iterations: int
-    final_acceptance_rate: float
     score_norm_trace: tuple[float, ...]
     theta_trace: tuple[tuple[float, ...], ...]
     acceptance_trace: tuple[float, ...]
@@ -245,10 +244,13 @@ class McleResult:
     ess_trace: tuple[tuple[float, ...], ...] = ()
     split_rhat_trace: tuple[tuple[float, ...], ...] = ()
 
-    def __post_init__(self):
-        rate = self.final_acceptance_rate
-        if not (math.isnan(rate) or 0.0 <= rate <= 1.0):
-            raise ValueError("acceptance rate must lie in [0, 1], or be nan when no chain ran")
+    @property
+    def iterations(self) -> int:
+        return len(self.score_norm_trace)
+
+    @property
+    def final_acceptance_rate(self) -> float:
+        return self.acceptance_trace[-1]
 
     def to_dict(self) -> dict:
         """The ``fit`` record's estimator keys."""
@@ -571,13 +573,14 @@ def fisher_scoring(
     1.5x back up to 1.
 
     Starts from theta = 0 and stops when ||H_obs - mu|| < grad_tol *
-    (1 + ||H_obs||) or at max_iters.  An observed statistic that is not
-    finite (data whose scale overflows a monomial) raises
+    (1 + ||H_obs||) or at max_iters.  An observed statistic whose square
+    overflows (``core._check_finite_statistics``) raises
     :class:`ParameterDomainError` before any chain runs.
     """
     start = time.perf_counter()
     K = spec.n_terms
-    h_obs = total_statistic(spec, series)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        h_obs = total_statistic(spec, series)
     _check_finite_statistics(spec, h_obs, "observed statistics")
     theta = np.zeros(K)
     rng = np.random.default_rng(exchange_config.seed)
@@ -591,12 +594,10 @@ def fisher_scoring(
     damping = 1.0
     prev_norm = math.inf
     h_scale = 1.0 + float(np.linalg.norm(h_obs))
-    iterations = 0
     n_steps = 0
     stages = {"sampler_s": 0.0, "diagnostics_s": 0.0, "solve_s": 0.0}
 
     for _ in range(scoring_config.max_iters):
-        iterations += 1
         tick = time.perf_counter()
         if moment_fn is not None:
             mu, cov = moment_fn(theta)
@@ -656,8 +657,6 @@ def fisher_scoring(
 
     return McleResult(
         theta=theta,
-        iterations=iterations,
-        final_acceptance_rate=acc_rates[-1],
         score_norm_trace=tuple(score_norms),
         theta_trace=tuple(thetas),
         acceptance_trace=tuple(acc_rates),

@@ -84,6 +84,7 @@ from .exceptions import (
     InsufficientDataError,
     InsufficientInteriorError,
     MimmError,
+    ParameterDomainError,
     SeparationWarning,
     ShapeMismatchError,
 )
@@ -444,7 +445,11 @@ def _certificate(grad, info, step, max_row_norm: float) -> tuple[bool, float]:
 
 def _fit(design: _PairDesign, config: GdConfig, method: str) -> PleResult:
     """Pseudo-likelihood fit on the pairs of ``design`` by damped Newton
-    ascent; an empty design raises :class:`InsufficientDataError`.
+    ascent; an empty design raises :class:`InsufficientDataError`.  A first
+    pass whose gradient norm or Fisher trace is not finite raises
+    :class:`ParameterDomainError` before any solve, naming the first term
+    whose pair statistics ``core._check_finite_statistics`` refuses, else
+    the term whose sums over the pairs overflow.
 
     A design of at least ``_PILOT_STRIDE * _PILOT_MIN_PAIRS`` pairs first
     runs a pilot: this same fit, on ``design.every(_PILOT_STRIDE)``, with
@@ -492,10 +497,18 @@ def _fit(design: _PairDesign, config: GdConfig, method: str) -> PleResult:
         if pilot.converged:
             theta = pilot.theta
         pilot_s = pilot.wall_time_s
-    grad, info = _newton_pass(design, theta)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        grad, info = _newton_pass(design, theta)
+        grad_norm = math.sqrt(grad @ grad) / n_pairs
+        if not (math.isfinite(grad_norm) and math.isfinite(info.trace())):
+            for X in design():  # name the first term whose statistics are out of range
+                _check_finite_statistics(design.spec, X, "pair statistics")
+            term = design.spec.terms[int(np.argmax(np.abs(grad) + np.diagonal(info)))].label()
+            raise ParameterDomainError(
+                f"pair sums of term {term} overflow; standardize the series first (core.standard_scale)"
+            )
     epochs = 1
     thetas, value = [tuple(theta.tolist())], None
-    grad_norm = math.sqrt(grad @ grad) / n_pairs
     converged = False
     while True:
         if grad_norm <= config.tol:
@@ -633,8 +646,8 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     value at every margin, and exactly eta once exp(m) is below half an ulp
     of 1 (m below about -36.7), with no branch for it.
     An update with m at or past ``_EXP_MAX`` is skipped; its weight is below
-    eta * e^-700, and exp would overflow further on.  Pair statistics that
-    are not finite (data whose scale overflows a monomial) raise
+    eta * e^-700, and exp would overflow further on.  Pair statistics whose
+    squares overflow (``core._check_finite_statistics``) raise
     :class:`ParameterDomainError` before any update.
 
     Pair statistics do not depend on theta, so the whole budget's are
@@ -655,7 +668,8 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
 
     pairs_start = time.perf_counter()
     s1, s2 = _uniform_pairs(np.random.default_rng(config.seed), lo, hi, config.n_iters)
-    X = swap_deltas(spec, series, s1, s2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        X = swap_deltas(spec, series, s1, s2)
     del s1, s2
     # a nan margin would fail the ``_EXP_MAX`` test and skip its update unseen
     _check_finite_statistics(spec, X, "pair statistics")

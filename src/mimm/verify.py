@@ -138,10 +138,9 @@ def _check_pythagorean():
         t2 = rng.uniform(0.2, 3.0)
         phw = rng.uniform(-0.95, 0.95)
         decay = abs(th) + float(np.exp(rng.uniform(-1, 2)))
-        wstar = gaussian.kernel_from_ar1(
-            gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([th], t2))
-        )
-        w = gaussian.GaussianKernel([[phw]], [[t2 * (1 - phw**2)]], [[t2]])
+        star = gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([th], t2))
+        wstar = gaussian.GaussianKernel([star.phi], [[star.sigma2]])
+        w = gaussian.GaussianKernel([[phw]], [[t2 * (1 - phw**2)]])
         v = gaussian.DependenceKernel(th, decay).as_gaussian()
         gap = (
             gaussian.divergence_rate(w, wstar)
@@ -158,8 +157,8 @@ def _check_divergence_nonneg():
     for _ in range(50):
         phi_p, phi_q = rng.uniform(-0.9, 0.9, size=2)
         s_p, s_q = rng.uniform(0.1, 2.0, size=2)
-        p = gaussian.kernel_from_ar1(gaussian.ClassicalARParams([phi_p], s_p))
-        q = gaussian.kernel_from_ar1(gaussian.ClassicalARParams([phi_q], s_q))
+        p = gaussian.GaussianKernel([[phi_p]], [[s_p]])
+        q = gaussian.GaussianKernel([[phi_q]], [[s_q]])
         worst = min(worst, gaussian.divergence_rate(p, q))
     self_div = gaussian.divergence_rate(p, p)
     ok = worst >= -1e-12 and abs(self_div) < 1e-12

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_acceptance import VERIFY_TOLERANCES
+from test_core import OVERFLOWING, overflowing_input
 
 from mimm import cli, core, gaussian, ple
 from mimm.exceptions import IllConditionedError, NoSolutionFoundError
@@ -33,6 +34,15 @@ def options_cell(estimator, options):
     """A one-estimator AR(1) cell that sets ``options`` for its estimator."""
     cell = {"label": "x", "model": {"kind": "ar", "phi": [0.5], "sigma2": 0.5}, "n": 100, "estimators": [estimator]}
     return {**cell, "estimator_options": {estimator: options}}
+
+
+def overflow_files(workspace, case):
+    """The data and spec files of ``test_core.OVERFLOWING[case]``."""
+    series, spec = overflowing_input(case)
+    data, spec_path = workspace["tmp"] / f"overflow-{case}.csv", workspace["tmp"] / f"overflow-{case}.spec"
+    series.to_csv(data)
+    spec.save(spec_path)
+    return data, spec_path
 
 
 @pytest.fixture(scope="module")
@@ -259,29 +269,42 @@ class TestFit:
         assert stdout == ""
         assert capsys.readouterr().err == f"error: {data} holds no data rows\n"
 
-    @pytest.mark.parametrize(
-        "estimator, what", [("ple-sgd", "pair"), ("mcle", "observed")], ids=["ple-sgd", "mcle"]
-    )
-    def test_data_whose_statistics_overflow_exits_2(self, workspace, estimator, what):
-        # finite values near 1e200 square past the float range: online SGD
-        # skipped every nan margin and wrote theta 0 with status ok, and
-        # scoring failed later on a nan covariance.  A subprocess, since the
-        # overflow's RuntimeWarning is an error under this suite's policy
-        data = workspace["tmp"] / "huge.csv"
-        core.TimeSeries(np.random.default_rng(0).standard_normal(50) * 1e200).to_csv(data)
-        out = workspace["tmp"] / f"huge-{estimator}.json"
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    @pytest.mark.parametrize("estimator", ["ple-naive", "ple-bipartition", "ple-sgd", "mcle"])
+    def test_data_whose_statistics_overflow_exits_2(self, workspace, capsys, estimator, case):
+        # statistics whose squares overflow: the Newton fits failed inside
+        # LAPACK (exit 3), and on (b) online SGD and scoring wrote garbage
+        # with status ok.  In process, so a RuntimeWarning would be an error
+        # here: the one line on stderr is the whole report
+        data, spec = overflow_files(workspace, case)
+        out = workspace["tmp"] / f"huge-{estimator}-{case}.json"
+        seed = [] if estimator == "ple-naive" else ["--seed", "1"]
+        rc, stdout = run_cli(
+            "fit", "--estimator", estimator, *seed, "--data", str(data), "--spec", str(spec), "--out", str(out)
+        )
+        assert rc == cli.EXIT_VALIDATION and stdout == "" and not out.exists()
+        what = "observed" if estimator == "mcle" else "pair"
+        assert capsys.readouterr().err == (
+            f"error: {what} statistics of term {OVERFLOWING[case][2]} are not all below 1.34e+154 in "
+            "magnitude, past which their squares overflow; standardize the series first (core.standard_scale)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["ple-naive", "ple-bipartition", "select"])
+    def test_overflow_refusal_writes_nothing_to_stdout(self, workspace, command):
+        # LAPACK printed "On entry to DLASCL parameter number 4 had an
+        # illegal value" through C's stdout, which capsys cannot see
+        data, spec = overflow_files(workspace, "a")
+        if command == "select":
+            argv = ["select", "--spec", str(spec), "--spec", str(workspace["spec2"])]
+        else:
+            argv = ["fit", "--estimator", command, "--spec", str(spec)]
         env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run(
-            [sys.executable, "-m", "mimm.cli", "fit", "--estimator", estimator, "--seed", "1",
-             "--data", str(data), "--spec", str(workspace["spec1"]), "--out", str(out)],
-            env=env, capture_output=True, text=True,
+            [sys.executable, "-m", "mimm.cli", *argv, "--data", str(data)], env=env, capture_output=True, text=True
         )
         assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
-        assert proc.stdout == "" and not out.exists()
-        assert proc.stderr.splitlines()[-1] == (
-            f"error: {what} statistics of term 0:0^1*1:0^1 are not finite: the data's scale "
-            "overflows the monomial; standardize the series first (core.standard_scale)"
-        )
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "core.standard_scale" in proc.stderr
 
     def test_ple_naive_matches_library(self, workspace):
         out = workspace["tmp"] / "fit.json"
@@ -711,6 +734,21 @@ class TestSelect:
     def test_requires_two_specs(self, workspace):
         rc, _ = run_cli("select", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]))
         assert rc == cli.EXIT_VALIDATION
+
+    def test_every_spec_failed_gives_each_reason(self, workspace, capsys):
+        data, spec = overflow_files(workspace, "a")
+        out = workspace["tmp"] / "all_failed.csv"
+        rc, stdout = run_cli(
+            "select", "--data", str(data), "--spec", str(spec), "--spec", str(workspace["spec2"]), "--out", str(out)
+        )
+        assert rc == cli.EXIT_VALIDATION and stdout == "" and not out.exists()
+        reason = (
+            "pair statistics of term 0:0^1*1:0^1 are not all below 1.34e+154 in magnitude, past which "
+            "their squares overflow; standardize the series first (core.standard_scale)"
+        )
+        assert capsys.readouterr().err == (
+            f"error: every spec failed to fit: {spec}: {reason}; {workspace['spec2']}: {reason}\n"
+        )
 
     def test_failed_spec_recorded_not_fatal(self, workspace):
         big = workspace["tmp"] / "huge_order.spec"

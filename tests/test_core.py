@@ -16,6 +16,7 @@ from mimm.exceptions import (
     DegenerateScaleError,
     InsufficientDataError,
     InsufficientInteriorError,
+    ParameterDomainError,
     ShapeMismatchError,
 )
 
@@ -209,6 +210,46 @@ class TestTotalStatistic:
 
     def test_reversal_invariance_ar1(self):
         assert_verify_passes(verify._check_reversal, "statistic_reversal_invariance")
+
+
+# inputs whose statistics pass ``core._STATISTIC_LIMIT``: (length, scale of
+# the N(0, 1) draws of default_rng(0), spec); (b)'s are finite, their squares not
+OVERFLOWING = {
+    "a": (50, 1e200, "0:0^1*1:0^1"),
+    "b": (50, 1e100, "0:0^1*1:0^1"),
+    "c": (200, 1e80, "0:0^2*1:0^2"),
+}
+
+
+def overflowing_input(case):
+    """The series and spec of ``OVERFLOWING[case]``."""
+    n, scale, term = OVERFLOWING[case]
+    series = core.TimeSeries(np.random.default_rng(0).standard_normal(n) * scale)
+    return series, core.DependenceSpec.from_text(term + "\n")
+
+
+class TestStatisticsRange:
+    """The one rule for statistics (``core._check_finite_statistics``): none
+    past sqrt(DBL_MAX) in magnitude, so every square stays finite."""
+
+    SPEC = core.DependenceSpec.from_text("0:0^1*1:0^1\n0:0^1*2:0^1\n")
+
+    def test_values_whose_squares_are_finite_pass(self):
+        limit = core._STATISTIC_LIMIT
+        assert np.isfinite(limit * limit)
+        core._check_finite_statistics(self.SPEC, np.array([[limit, -limit], [0.0, 1.0]]), "pair statistics")
+        core._check_finite_statistics(self.SPEC, np.array([-limit, 1e150]), "observed statistics")
+
+    @pytest.mark.parametrize(
+        "bad", [np.nextafter(core._STATISTIC_LIMIT, np.inf), -1e200, np.inf, -np.inf, np.nan],
+        ids=["next-float", "finite", "inf", "minus-inf", "nan"],
+    )
+    def test_value_past_the_limit_or_nan_names_its_term(self, bad):
+        values = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ParameterDomainError, match=r"^pair statistics of term 0:0\^1\*2:0\^1 .*core\.standard_scale"):
+            core._check_finite_statistics(self.SPEC, values, "pair statistics")
+        with pytest.raises(ParameterDomainError, match=r"^observed statistics of term 0:0\^1\*1:0\^1 "):
+            core._check_finite_statistics(self.SPEC, np.array([bad, bad]), "observed statistics")
 
 
 class TestSwapDelta:

@@ -14,7 +14,6 @@ from test_acceptance import assert_verify_passes
 
 from mimm import gaussian, verify
 from mimm.exceptions import (
-    ContractError,
     ParameterDomainError,
     ShapeMismatchError,
     StationarityError,
@@ -59,9 +58,29 @@ class TestParamRecords:
         params = gaussian.MinInfoARParams([25.0], 9.0)  # far outside |phi|<1 image? no: any theta is fine
         assert params.tau2 == 9.0
 
-    def test_kernel_checks_stationary_consistency(self):
-        with pytest.raises(ParameterDomainError):
-            gaussian.GaussianKernel([[0.5]], [[0.5]], [[1.0]])  # 2/3 is the fixed point
+    def test_kernel_takes_no_stationary_law(self):
+        # B = F B F' + S fixes the law, so a third argument could only disagree
+        with pytest.raises(TypeError):
+            gaussian.GaussianKernel([[0.5]], [[0.5]], [[1.0]])
+        with pytest.raises(TypeError):
+            gaussian.GaussianKernel([[0.5]], [[0.5]], stationary_cov=[[2.0 / 3.0]])
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_kernel_law_is_the_lyapunov_solve(self, p):
+        rng = np.random.default_rng(p)
+        F = 0.4 * rng.standard_normal((p, p)) / math.sqrt(p)
+        root = rng.standard_normal((p, p))
+        S = root @ root.T + p * np.eye(p)
+        kernel = gaussian.GaussianKernel(F, S)
+        B = kernel.stationary_cov
+        assert B.tobytes() == gaussian.stationary_cov_var1(F, S).tobytes()
+        assert kernel.stationary_cov is B and not B.flags.writeable
+
+    def test_unstable_kernel_is_built_without_a_law(self):
+        kernel = gaussian.GaussianKernel([[1.5]], [[1.0]])
+        assert kernel.dim == 1
+        with pytest.raises(StationarityError):
+            kernel.stationary_cov
 
 
 class TestSimulation:
@@ -362,8 +381,9 @@ class TestStationaryCovariance:
         B = gaussian.stationary_cov_var1(A, Sigma)
         resid = np.linalg.norm(B - A @ B @ A.T - Sigma, "fro")
         assert resid <= 1e-12 * np.linalg.norm(B, "fro")
-        kernel = gaussian.GaussianKernel(A, Sigma, B)
+        kernel = gaussian.GaussianKernel(A, Sigma)
         assert kernel.dim == p
+        np.testing.assert_array_equal(kernel.stationary_cov, B)
 
     def test_var1_covariance_checks_its_inputs(self):
         A = 0.5 * np.eye(2)
@@ -543,9 +563,8 @@ class TestDependenceKernel:
         # decay chosen so the stationary variance equals 2/3
         decay = math.sqrt(1.0 + 0.5625)
         kern = gaussian.DependenceKernel(1.0, decay).as_gaussian()
-        ar = gaussian.kernel_from_ar1(
-            gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([1.0], 2.0 / 3.0))
-        )
+        star = gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([1.0], 2.0 / 3.0))
+        ar = gaussian.GaussianKernel([star.phi], [[star.sigma2]])
         assert kern.mean_map[0, 0] == pytest.approx(ar.mean_map[0, 0], abs=1e-10)
         assert kern.noise_cov[0, 0] == pytest.approx(ar.noise_cov[0, 0], abs=1e-10)
         assert kern.stationary_cov[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-10)
@@ -577,7 +596,7 @@ class TestDivergenceRate:
         assert_verify_passes(verify._check_divergence_nonneg, "divergence_nonnegative")
 
     def test_monte_carlo_oracle(self):
-        p = gaussian.GaussianKernel([[0.5]], [[0.5]], [[2.0 / 3.0]])
+        p = gaussian.GaussianKernel([[0.5]], [[0.5]])
         q = gaussian.GaussianKernel([[0.0]], [[1.0]])
         closed = gaussian.divergence_rate(p, q)
 
@@ -591,8 +610,8 @@ class TestDivergenceRate:
         assert closed == pytest.approx(mc, abs=1e-3)
 
     def test_asymmetry(self):
-        p = gaussian.GaussianKernel([[0.5]], [[0.5]], [[2.0 / 3.0]])
-        q = gaussian.GaussianKernel([[0.0]], [[1.0]], [[1.0]])
+        p = gaussian.GaussianKernel([[0.5]], [[0.5]])
+        q = gaussian.GaussianKernel([[0.0]], [[1.0]])
         assert gaussian.divergence_rate(p, q) != pytest.approx(
             gaussian.divergence_rate(q, p), abs=1e-6
         )
@@ -600,13 +619,16 @@ class TestDivergenceRate:
     def test_nonnegative_random_pairs(self):
         assert_verify_passes(verify._check_divergence_nonneg, "divergence_nonnegative")
 
-    def test_missing_stationary_law_rejected(self):
-        p = gaussian.GaussianKernel([[0.5]], [[0.5]])
-        with pytest.raises(ContractError):
-            gaussian.divergence_rate(p, p)
+    def test_unstable_kernel_has_no_divergence_rate(self):
+        # the rate averages over p's stationary law, which an unstable p lacks
+        p = gaussian.GaussianKernel([[1.0]], [[0.5]])
+        q = gaussian.GaussianKernel([[0.5]], [[0.5]])
+        with pytest.raises(StationarityError):
+            gaussian.divergence_rate(p, q)
+        assert gaussian.divergence_rate(q, p) > 0.0
 
     def test_kernels_of_different_dimension_rejected(self):
-        p = gaussian.kernel_from_ar1(gaussian.ClassicalARParams([0.5], 0.5))
+        p = gaussian.GaussianKernel([[0.5]], [[0.5]])
         q = gaussian.GaussianKernel(np.zeros((2, 2)), np.eye(2))
         with pytest.raises(ShapeMismatchError, match="1 vs 2"):
             gaussian.divergence_rate(p, q)

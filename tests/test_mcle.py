@@ -1,6 +1,7 @@
 """Exchange sampler and Fisher scoring for conditional likelihood."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_acceptance import assert_verify_passes
-from test_core import _bits, kron_binary_specs, random_specs
+from test_core import _bits, kron_binary_specs, overflowing_input, random_specs
 
 from mimm import core, gaussian, mcle, oracle, verify
 from mimm.exceptions import (
@@ -583,23 +584,15 @@ class TestConfigs:
         with pytest.raises(ValueError):
             mcle.ScoringConfig(max_iters=0)
 
-    def test_result_validates_acceptance_rate(self):
-        def result(rate):
-            return mcle.McleResult(
-                theta=np.zeros(1),
-                iterations=1,
-                final_acceptance_rate=rate,
-                score_norm_trace=(),
-                theta_trace=(),
-                acceptance_trace=(),
-                converged=True,
-                wall_time_s=0.0,
-            )
-
-        with pytest.raises(ValueError):
-            result(1.5)
-        # nan: the moments came from moment_fn, and no chain ran
-        assert math.isnan(result(math.nan).final_acceptance_rate)
+    def test_derived_fields_are_not_arguments(self):
+        # the iteration count and the last acceptance rate are read off the
+        # traces, so they cannot disagree with them
+        traces = dict(score_norm_trace=(2.0, 1.0), theta_trace=((0.0,), (0.5,)), acceptance_trace=(0.25, 0.5))
+        result = mcle.McleResult(theta=np.zeros(1), converged=True, wall_time_s=0.0, **traces)
+        assert result.iterations == 2 and result.final_acceptance_rate == 0.5
+        for derived in ({"iterations": 2}, {"final_acceptance_rate": 0.5}):
+            with pytest.raises(TypeError):
+                mcle.McleResult(theta=np.zeros(1), converged=True, wall_time_s=0.0, **traces, **derived)
 
 
 class TestFisherScoring:
@@ -659,12 +652,15 @@ class TestFisherScoring:
         assert fit.theta[0] == pytest.approx(1e12, rel=1e-12)
 
     def test_statistics_past_the_float_range_refused_before_any_chain(self, monkeypatch):
-        series = core.TimeSeries(np.random.default_rng(0).standard_normal(50) * 1e200)
+        # at 1e100 the statistics are finite but their squares are not: the
+        # fit ran and wrote theta 0 with every score norm inf.  No overflow
+        # warning comes first: this suite makes warnings errors
         monkeypatch.setattr(mcle, "exchange_sample", mock.Mock(side_effect=AssertionError("a chain ran")))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ParameterDomainError, match=r"term 0:0\^1\*1:0\^1 .*core\.standard_scale"
-        ):
-            mcle.fisher_scoring(SPEC1, series)
+        for case in "abc":
+            series, spec = overflowing_input(case)
+            label = re.escape(spec.terms[0].label())
+            with pytest.raises(ParameterDomainError, match=rf"^observed statistics of term {label} .*core\.standard_scale"):
+                mcle.fisher_scoring(spec, series)
 
     def test_nan_covariance_raises_ill_conditioned(self):
         series = gaussian.simulate_ar(AR1, 30, seed=5)

@@ -4,9 +4,11 @@ information criteria."""
 import dataclasses
 import json
 import math
+import re
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, linprog, minimize
 from scipy.special import expit
 from test_acceptance import assert_verify_passes
+from test_core import OVERFLOWING, overflowing_input
 
 from mimm import core, gaussian, ple, verify
 from mimm.exceptions import (
@@ -574,13 +577,46 @@ class TestTelemetry:
         assert record["converged"] is None and record["iterations"] == 500
 
     def test_sgd_refuses_pair_statistics_past_the_float_range(self):
-        # every margin would be nan, fail the _EXP_MAX test and skip its
-        # update: theta 0 with no word of it
-        series = core.TimeSeries(np.random.default_rng(0).standard_normal(50) * 1e200)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ParameterDomainError, match=r"pair statistics of term 0:0\^1\*1:0\^1 .*core\.standard_scale"
-        ):
-            ple.fit_online_sgd(SPEC1, series, ple.SgdConfig(seed=1))
+        # at 1e200 every margin would be nan, fail the _EXP_MAX test and skip
+        # its update: theta 0 with no word of it; at 1e100 the statistics are
+        # finite, theta reached 1.1e198 and the log-PL -inf.  No overflow
+        # warning comes first: this suite makes warnings errors
+        for case in "ab":
+            series, spec = overflowing_input(case)
+            with pytest.raises(
+                ParameterDomainError, match=r"pair statistics of term 0:0\^1\*1:0\^1 .*core\.standard_scale"
+            ):
+                ple.fit_online_sgd(spec, series, ple.SgdConfig(seed=1))
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    @pytest.mark.parametrize("fit", [ple.fit_naive, ple.fit_bipartition], ids=["naive", "bipartition"])
+    def test_newton_fits_refuse_statistics_past_the_square_limit(self, fit, case, monkeypatch):
+        # the solve failed inside LAPACK ("SVD did not converge"), which
+        # printed to stdout; the first pass is checked before any solve
+        series, spec = overflowing_input(case)
+        monkeypatch.setattr(np.linalg, "lstsq", mock.Mock(side_effect=AssertionError("a solve ran")))
+        label = re.escape(spec.terms[0].label())
+        with pytest.raises(ParameterDomainError, match=rf"^pair statistics of term {label} .*core\.standard_scale"):
+            fit(spec, series)
+
+    def test_a_pilot_checks_its_own_first_pass(self, monkeypatch):
+        # 318 003 pairs: the pilot on every 64th pair runs first, and its
+        # first pass is the one refused
+        series = core.TimeSeries(np.random.default_rng(0).standard_normal(800) * 1e200)
+        passes = mock.Mock(side_effect=ple._newton_pass)
+        monkeypatch.setattr(ple, "_newton_pass", passes)
+        with pytest.raises(ParameterDomainError, match=r"^pair statistics of term 0:0\^1\*1:0\^1 "):
+            ple.fit_naive(SPEC1, series)
+        assert passes.call_count == 1
+        assert passes.call_args.args[0].n_pairs == -(-ple.n_interior_pairs(800, 1) // ple._PILOT_STRIDE)
+
+    def test_sums_that_overflow_name_the_term(self):
+        # every pair statistic is in range, but the Fisher sum over the
+        # pairs overflows: refused before the solve, which failed in LAPACK
+        series = core.TimeSeries(np.random.default_rng(0).standard_normal(300) * 1e76)
+        assert np.abs(all_pairs_matrix(SPEC1, series)).max() <= core._STATISTIC_LIMIT
+        with pytest.raises(ParameterDomainError, match=r"^pair sums of term 0:0\^1\*1:0\^1 overflow.*core\.standard_scale"):
+            ple.fit_naive(SPEC1, series)
 
     def test_record_holds_every_field_but_the_trace(self):
         fit = ple.fit_naive(SPEC1, gaussian.simulate_ar(AR1, 100, seed=21))
