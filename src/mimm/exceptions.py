@@ -50,7 +50,7 @@ class NoSolutionFoundError(MimmError, RuntimeError):
 
 
 class IllConditionedError(MimmError, RuntimeError):
-    """A moment matrix could not be inverted even after ridge repair."""
+    """A moment matrix, with its ridge added, gave no finite solve."""
 
 
 class SeparationWarning(UserWarning):

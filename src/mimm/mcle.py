@@ -106,10 +106,10 @@ class ScoringConfig:
 
 
 def _autocovariance(xc: np.ndarray, size: int, lags: int) -> np.ndarray:
-    """Unnormalized autocovariances of the centred columns ``xc`` at lags 0
-    .. ``lags`` - 1, from one zero-padded FFT of ``size`` points per column
-    (the power spectrum formed as re^2 + im^2).  A lag t is free of
-    circular wrap-around when t <= size - len(xc)."""
+    """Unnormalized autocovariances of the centred column ``xc`` at lags 0
+    .. ``lags`` - 1, from one zero-padded FFT of ``size`` points (the power
+    spectrum formed as re^2 + im^2).  A lag t is free of circular
+    wrap-around when t <= size - len(xc)."""
     f = np.fft.rfft(xc, n=size, axis=0)
     return np.fft.irfft(f.real**2 + f.imag**2, n=size, axis=0)[:lags]
 
@@ -131,13 +131,16 @@ def effective_sample_size(samples) -> np.ndarray:
     -> (K,), by Geyer's initial monotone sequence estimator (Statist. Sci.
     7:473, 1992).
 
-    The autocorrelations rho_t come from FFTs of the centred columns.
-    Their adjacent pair sums rho_2m + rho_2m+1 are kept up to the first one
-    that is not positive and made non-increasing; with tau = -1 + 2 * (their
-    sum), the effective size is L / tau.  As in Stan, tau is floored at
-    1 / log10(L), which keeps an antithetic chain (negative rho_1, as in a
-    chain that alternates between two states) finite and positive.  A
-    constant column, or a chain of fewer than 4 samples, gives nan.
+    The autocorrelations rho_t come from FFTs of the centred columns, each
+    transformed alone after scaling by the power of two that puts its
+    largest magnitude in [0.5, 1): exact, so rho_t keeps its bits, and the
+    transform's squares stay in range at any scale.  Their adjacent pair
+    sums rho_2m + rho_2m+1 are kept up to the first one that is not
+    positive and made non-increasing; with tau = -1 + 2 * (their sum), the
+    effective size is L / tau.  As in Stan, tau is floored at 1 / log10(L), which
+    keeps an antithetic chain (negative rho_1, as in a chain that alternates
+    between two states) finite and positive.  A constant column, or a chain
+    of fewer than 4 samples, gives nan.
 
     The sequence reads only the lags before its first non-positive pair
     sum, usually a small share of the L lags.  So the autocovariance first
@@ -156,27 +159,24 @@ def effective_sample_size(samples) -> np.ndarray:
     out = np.full(K, np.nan)
     if L < 4:
         return out
-    xc = x - x.mean(axis=0)
+    means = x.mean(axis=0)  # one call: a column's own mean rounds differently
     floor = 1.0 / math.log10(L)
-    live = [k for k in range(K) if x[:, k].min() != x[:, k].max()]
     # the smallest 2^a or 3 * 2^a that is at least L + L // 8
     short = min(n << ((L + L // 8 - 1) // n).bit_length() for n in (1, 3))
-    acov = _autocovariance(xc, short, min(short - L + 1, L) // 2 * 2)
-    rest = []
-    for k in live:
-        tau, stopped = _initial_monotone_tau(acov[:, k])
-        if stopped:
-            out[k] = L / max(tau, floor)
-        else:
-            rest.append(k)
-    if rest:
-        # rounded up to a multiple of 2^(bits - 4), so the length has small
-        # factors (fast) while padding by at most 1/8, not the up to 2x of
-        # the next power of two
-        step = 1 << max(0, (2 * L - 1).bit_length() - 4)
-        acov = _autocovariance(xc[:, rest], -(-(2 * L - 1) // step) * step, L - L % 2)
-        for j, k in enumerate(rest):
-            out[k] = L / max(_initial_monotone_tau(acov[:, j])[0], floor)
+    # rounded up to a multiple of 2^(bits - 4): small factors (fast), and
+    # padding by at most 1/8, not the up to 2x of the next power of two
+    step = 1 << max(0, (2 * L - 1).bit_length() - 4)
+    full = -(-(2 * L - 1) // step) * step
+    for k in range(K):
+        column = x[:, k]
+        if column.min() == column.max():
+            continue
+        xc = column - means[k]
+        np.ldexp(xc, -np.frexp(np.abs(xc).max())[1], out=xc)
+        tau, stopped = _initial_monotone_tau(_autocovariance(xc, short, min(short - L + 1, L) // 2 * 2))
+        if not stopped:
+            tau = _initial_monotone_tau(_autocovariance(xc, full, L - L % 2))[0]
+        out[k] = L / max(tau, floor)
     return out
 
 
@@ -566,11 +566,11 @@ def fisher_scoring(
     ``moment_fn(theta) -> (mu, cov)`` when supplied, e.g. exact enumeration)
     and updates theta by damping * (cov + ridge I)^{-1} (H_obs - mu): the
     score of the conditional log-likelihood is the observed statistic minus
-    its model expectation.  The ridge is 1e-8 * tr(cov) / K; while the solve
-    fails it is raised tenfold (to at least 1e-12), six tries in all.  The
-    damping starts at 1; it halves, down to 1/16, whenever the score norm
-    increased relative to the previous iteration, and otherwise grows by
-    1.5x back up to 1.
+    its model expectation.  The ridge is 1e-8 * tr(cov) / K, at least
+    1e-12; a solve that fails or gives a step that is not finite raises
+    :class:`IllConditionedError`.  The damping starts at 1; it halves, down
+    to 1/16, whenever the score norm increased relative to the previous
+    iteration, and otherwise grows by 1.5x back up to 1.
 
     Starts from theta = 0 and stops when ||H_obs - mu|| < grad_tol *
     (1 + ||H_obs||) or at max_iters.  An observed statistic whose square
@@ -632,19 +632,15 @@ def fisher_scoring(
             stages["solve_s"] += time.perf_counter() - diagnosed
             break
 
-        ridge = 1e-8 * float(np.trace(cov)) / K
-        step = None
-        bump = ridge
-        for _ in range(6):
-            try:
-                step = np.linalg.solve(cov + bump * np.eye(K), score)
-                break
-            except np.linalg.LinAlgError:
-                bump = max(bump * 10.0, 1e-12)
+        ridge = max(1e-8 * float(np.trace(cov)) / K, 1e-12)
+        try:
+            step = np.linalg.solve(cov + ridge * np.eye(K), score)
+        except np.linalg.LinAlgError:
+            step = None
         if step is None or not np.all(np.isfinite(step)):
             raise IllConditionedError(
                 f"moment covariance not invertible (trace {np.trace(cov):.3g}, "
-                f"ridge {bump:.3g}); the chain may be degenerate"
+                f"ridge {ridge:.3g}); the chain may be degenerate"
             )
 
         if snorm > prev_norm:

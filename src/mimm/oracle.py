@@ -7,9 +7,12 @@ Every oracle keeps its own code path: enumeration physically permutes the
 data and recomputes totals, OLS goes through plain linear algebra, and the
 quadrature oracle re-derives the parameter transform inline.  None of them
 share numerics with the estimators they validate beyond the core statistic
-evaluation.  They are not performance-optimized.  The enumeration oracles
-import scipy when called, so importing this module and the OLS oracle load
-none of it.
+evaluation, with one exception: the exact-CLE maximizer runs the
+pseudo-likelihood fitters' Newton ascent (``ple._newton``) on its
+enumerated moments.  It shares nothing with ``mcle.fisher_scoring``, the
+estimator it checks.  They are not performance-optimized.  The enumeration
+oracles import scipy when called, so importing this module and the OLS
+oracle load none of it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import gaussian
+from . import gaussian, ple
 from .core import DependenceSpec, TimeSeries, _check_count, total_statistic
 from .exceptions import (
     EnumerationBudgetError,
@@ -42,9 +45,8 @@ __all__ = [
 
 # Largest interior size enumerated exhaustively (8! = 40320 orderings).
 _MAX_INTERIOR = 8
-# Score tolerance (relative to 1 + |H_id|) and iteration cap of exact_cle.
-_CLE_TOL = 1e-10
-_CLE_MAX_ITERS = 200
+# Score tolerance (relative to 1 + |H_id|) and pass budget of exact_cle.
+_CLE_CONFIG = ple.GdConfig(max_epochs=200, tol=1e-10)
 
 
 def _lag_regression(X: np.ndarray, d: int):
@@ -139,58 +141,47 @@ def enumeration_moments(spec: DependenceSpec, series: TimeSeries, theta, stats: 
 
 
 def exact_cle(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:
-    """Maximizer of the exact conditional likelihood by Newton iteration on
-    enumeration moments, from theta = 0.
+    """Maximizer of the exact conditional likelihood by ``ple._newton`` on
+    enumeration moments from theta = 0, to a score norm of at most 1e-10
+    (1 + |H_obs|) within 200 passes.
 
-    Raises :class:`NoSolutionFoundError` carrying the divergence direction
-    when the observed statistic is extreme and the maximizer runs off to
-    infinity."""
+    Raises :class:`NoSolutionFoundError` with the divergence direction when
+    the maximizer runs off to infinity: for K = 1 when the observed
+    statistic is extreme, else when |theta| passes the ascent's cap, along
+    its last step; with none when the ascent stops unconverged."""
+    from scipy.special import logsumexp
+
     K = spec.n_terms
     stats = permutation_statistics(spec, series)
     h_id = total_statistic(spec, series)
-    if K == 1:
-        # exact extremeness check: when the observed statistic is the overall
-        # max (min), the conditional log-likelihood increases in theta without
-        # bound and no finite maximizer exists
-        hmax, hmin = float(stats.max()), float(stats.min())
-        span = hmax - hmin
-        if span > 0:
-            if h_id[0] >= hmax - 1e-12 * (1.0 + abs(hmax)):
+    if K == 1 and stats.max() > stats.min():
+        # exact extremeness check: at the overall max (min) of the statistic
+        # the log-likelihood increases in theta without bound
+        for side, edge, sign in (("maximum", float(stats.max()), 1.0), ("minimum", float(stats.min()), -1.0)):
+            if sign * h_id[0] >= sign * edge - 1e-12 * (1.0 + abs(edge)):
                 raise NoSolutionFoundError(
-                    "observed statistic is the maximum over orderings; the "
-                    "conditional likelihood is unbounded",
-                    direction=np.array([1.0]),
+                    f"observed statistic is the {side} over orderings; the conditional likelihood is unbounded",
+                    direction=np.array([sign]),
                 )
-            if h_id[0] <= hmin + 1e-12 * (1.0 + abs(hmin)):
-                raise NoSolutionFoundError(
-                    "observed statistic is the minimum over orderings; the "
-                    "conditional likelihood is unbounded",
-                    direction=np.array([-1.0]),
-                )
-    theta = np.zeros(K)
-    scale = 1.0 + float(np.linalg.norm(h_id))
-    for _ in range(_CLE_MAX_ITERS):
+
+    def score_pass(theta):
         mu, cov = enumeration_moments(spec, series, theta, stats=stats)
-        score = h_id - mu
-        if np.linalg.norm(score) < _CLE_TOL * scale:
-            return theta
-        try:
-            step = np.linalg.solve(cov + 1e-12 * np.eye(K), score)
-        except np.linalg.LinAlgError as err:
-            raise NoSolutionFoundError(
-                "conditional likelihood is flat or degenerate",
-                direction=score / max(np.linalg.norm(score), 1e-300),
-            ) from err
-        theta = theta + step
-        if np.linalg.norm(theta) > 1e4:
-            raise NoSolutionFoundError(
-                "conditional likelihood appears unbounded (observed statistic extreme)",
-                direction=score / max(np.linalg.norm(score), 1e-300),
-            )
-    raise NoSolutionFoundError(
-        "Newton did not converge within the iteration budget",
-        direction=None,
-    )
+        return h_id - mu, cov
+
+    def log_cle(theta):
+        return float(theta @ h_id) - logsumexp(stats @ theta)
+
+    theta, scale = np.zeros(K), 1.0 + float(np.linalg.norm(h_id))
+    ascent = ple._newton(score_pass, log_cle, theta, score_pass(theta), _CLE_CONFIG, scale)
+    if ascent.capped:
+        step = np.subtract(ascent.trace[-1], ascent.trace[-2])
+        raise NoSolutionFoundError(
+            "conditional likelihood appears unbounded (theta passed the divergence cap)",
+            direction=step / np.linalg.norm(step),
+        )
+    if not ascent.converged:
+        raise NoSolutionFoundError(f"Newton ascent stopped unconverged after {ascent.passes} passes")
+    return ascent.theta
 
 
 _GH_NODES = 64

@@ -13,23 +13,18 @@ Four fitters:
 * ``fit_pairs``       an explicit pair list,
 * ``fit_online_sgd``  single-pair stochastic updates with a fixed budget.
 
-The first three differ only in the pairs they draw: one body builds the
-pair statistics and fits them by damped Newton ascent with a minimum-norm
-step.  The objective is concave with a K x K Hessian, and binary columns
-can make monomials collinear, so the step solves the Newton system in the
-least-squares sense and theta stays in the row space of the pair matrix.
-Theta starts at zero, except on a design of at least 64 * 4096 pairs: that
-one first fits every 64th of its pairs and starts from the result if that
-pilot converged.  A full step past the maximum along its direction is kept
-without evaluating the objective when a self-concordance bound proves it
-ascends (``_certificate``); only the others are backtracked.  On a design
-of more than ``_SLICE_ROWS`` pairs the same bound is taken before the pass
-at the new point and also bounds the gradient there: when that bound is
-within ``tol``, the fit takes the step and stops without the pass.
-The Newton pass and the log pseudo-likelihood walk the pair blocks in
-cache-sized row slices with plain numpy ufuncs (logistic weights from
-``exp`` with the margin clipped, the log-PL in softplus form), so no
-temporary grows with the pair matrix.
+The first three differ only in the pairs they draw: one body (``_fit``)
+builds the pair statistics and fits them with ``_newton``, the package's
+one Newton loop, which ``oracle.exact_cle`` also runs: damped ascent with
+a minimum-norm step (binary columns can make monomials collinear), whose
+overshooting steps a self-concordance bound (``_certificate``) keeps or
+sends to backtracking.  Theta starts at zero, except on a design of at
+least 64 * 4096 pairs: that one first fits every 64th of its pairs and
+starts from the result if that pilot converged.  The Newton pass and the
+log pseudo-likelihood walk the pair blocks in cache-sized row slices with
+plain numpy ufuncs (logistic weights from ``exp`` with the margin
+clipped, the log-PL in softplus form), so no temporary grows with the
+pair matrix.
 
 Online SGD builds its whole budget's pair statistics in one vectorized
 call; only the update sweep is sequential, and it runs on Python floats:
@@ -64,6 +59,7 @@ import time
 import warnings
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -140,7 +136,7 @@ _EXP_MAX = 700.0
 # force the streamed path.
 _MATERIALIZE_LIMIT = 20_000_000
 _CHUNK_PAIRS = 500_000
-# The Newton ascent stops with a SeparationWarning once |theta| exceeds this.
+# The Newton ascent stops once |theta| exceeds this.
 _THETA_CAP = 1e3
 # A design of at least _PILOT_STRIDE * _PILOT_MIN_PAIRS pairs first fits
 # every _PILOT_STRIDE-th of its pairs and starts its Newton ascent there.
@@ -159,10 +155,10 @@ class GdConfig:
     per-pair-averaged gradient is at most ``tol`` (on a design of more than
     16384 pairs, also when a self-concordance bound on that norm at the next
     full Newton step is, which saves the pass there), after ``max_epochs``
-    passes, or, with a :class:`SeparationWarning`, when the norm of theta
-    exceeds a fixed divergence cap of 1e3.  ``max_epochs`` must be an
-    integer >= 1 and ``tol`` a real finite and > 0, or construction raises
-    :class:`ParameterDomainError`.
+    passes, or when the norm of theta exceeds a fixed divergence cap of
+    1e3, where only the fit the caller asked for, not a pilot, warns
+    :class:`SeparationWarning`.  ``max_epochs`` must be an integer >= 1 and
+    ``tol`` a real finite and > 0, or else :class:`ParameterDomainError`.
     """
 
     max_epochs: int = 500
@@ -443,42 +439,104 @@ def _certificate(grad, info, step, max_row_norm: float) -> tuple[bool, float]:
     return gain - psi * curvature >= 1e-8 * gain, bound
 
 
-def _fit(design: _PairDesign, config: GdConfig, method: str) -> PleResult:
-    """Pseudo-likelihood fit on the pairs of ``design`` by damped Newton
-    ascent; an empty design raises :class:`InsufficientDataError`.  A first
-    pass whose gradient norm or Fisher trace is not finite raises
-    :class:`ParameterDomainError` before any solve, naming the first term
-    whose pair statistics ``core._check_finite_statistics`` refuses, else
-    the term whose sums over the pairs overflow.
+class _Ascent(NamedTuple):
+    """How :func:`_newton` ended; ``value`` is the objective at ``theta``,
+    None when the ascent did not evaluate it there."""
 
-    A design of at least ``_PILOT_STRIDE * _PILOT_MIN_PAIRS`` pairs first
-    runs a pilot: this same fit, on ``design.every(_PILOT_STRIDE)``, with
-    the caller's ``tol`` and ``max_epochs`` and its
-    :class:`SeparationWarning` ignored (a pilot large enough runs a pilot of
-    its own); any other warning reaches the caller.  The ascent starts from
-    the pilot's theta if the pilot converged, and from theta = 0 otherwise
-    (and on smaller designs).
+    theta: np.ndarray
+    passes: int
+    grad_norm: float
+    converged: bool
+    capped: bool
+    trace: tuple[tuple[float, ...], ...]
+    value: float | None
 
-    One Newton pass over the pairs is one epoch; the pilot's passes are not
-    counted.  The step is the minimum-norm least-squares solution of
-    info step = grad, which keeps theta in the row space of the pair matrix
-    when columns are collinear.  A full step is kept when the slope
-    grad(theta + step) . step is still >= 0, since by concavity the
-    objective cannot then have decreased, or when :func:`_certificate`
-    proves it does not lower the objective; otherwise the step is halved
-    until the objective is no lower than at theta.
 
-    On a design of more than ``_SLICE_ROWS`` pairs the certificate is also
-    taken before the pass at theta + step.  When it proves that the step
-    ascends and that the gradient there is at most ``tol`` per pair, the
-    fit takes the full step and stops with no pass at theta + step,
-    reporting the bound as ``grad_norm``; theta and the log-PL are those
-    the pass would have confirmed.  The one exception is a bound within
-    rounding of ``tol``: the gradient that pass computes may then exceed
-    ``tol``, a fit without the stop takes one more step, and the exact
-    norm at the returned theta may exceed ``tol`` by that rounding.  On
-    smaller designs the K x K work and the row-norm sweep cost more than
-    the pass they could save.
+def _newton(pass_fn, value_fn, theta, first_pass, config, scale, row_norm=None, certify_early=False) -> _Ascent:
+    """Damped Newton ascent on a concave objective ``value_fn`` from theta;
+    ``pass_fn`` gives the gradient and the information (the negated
+    Hessian), and ``first_pass`` is its value at theta.  It stops converged
+    once |gradient| / ``scale`` is at most ``config.tol``, or after
+    ``config.max_epochs`` passes (the first included), when no damped step
+    ascends, or ``capped`` when |theta| exceeds ``_THETA_CAP``.
+
+    The step is the minimum-norm least-squares solution of info step =
+    grad, so theta stays in the row space of a singular information.  A
+    full step is kept when the slope grad(theta + step) . step is still
+    >= 0 (by concavity the objective cannot then have decreased), or when
+    :func:`_certificate`, given the design's largest row norm
+    ``row_norm()``, proves it does not lower the objective; otherwise it is
+    halved until the objective is no lower than at theta.  With
+    ``certify_early`` the certificate is also taken before the pass at
+    theta + step; when it proves the step ascends and bounds the gradient
+    there by ``tol`` times ``scale``, the ascent takes the step and stops
+    without the pass, with the bound as the gradient norm.  The pass would
+    have stopped there too unless the bound lies within rounding of ``tol``.
+    """
+    grad, info = first_pass
+    grad_norm = math.sqrt(grad @ grad) / scale
+    passes = 1
+    thetas, value = [tuple(theta.tolist())], None
+    converged = capped = False
+    while True:
+        if grad_norm <= config.tol:
+            converged = True
+            break
+        if passes >= config.max_epochs:
+            break
+        step = np.linalg.lstsq(info, grad, rcond=_RCOND)[0]
+        ascends, bound = None, math.inf  # the certificate, taken at most once per step
+        if certify_early:
+            ascends, bound = _certificate(grad, info, step, row_norm())
+        t, new_value = 1.0, None
+        if ascends and bound / scale <= config.tol:
+            grad_norm = bound / scale  # proven, with no pass at theta + step
+        else:
+            new_grad, new_info = pass_fn(theta + step)
+            passes += 1
+            overshoots = new_grad @ step < 0.0
+            if overshoots and ascends is None and row_norm is not None:
+                ascends = _certificate(grad, info, step, row_norm())[0]
+            if overshoots and not ascends:
+                # past the maximum along the step: backtrack on the objective
+                if value is None:
+                    value = value_fn(theta)
+                new_value = value_fn(theta + step)
+                while new_value < value and t > _MIN_STEP:
+                    t *= 0.5
+                    new_value = value_fn(theta + t * step)
+                if new_value < value:
+                    break  # no ascent along the step
+                if t < 1.0:
+                    if passes >= config.max_epochs:
+                        break  # no pass left for the gradient at the damped point
+                    new_grad, new_info = pass_fn(theta + t * step)
+                    passes += 1
+            grad, info = new_grad, new_info
+            grad_norm = math.sqrt(grad @ grad) / scale
+        theta = theta + t * step
+        thetas.append(tuple(theta.tolist()))
+        value = new_value
+        if math.sqrt(theta @ theta) > _THETA_CAP:
+            capped = True
+            break
+    return _Ascent(theta, passes, grad_norm, converged, capped, tuple(thetas), value)
+
+
+def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = True) -> PleResult:
+    """Pseudo-likelihood fit on the pairs of ``design`` by :func:`_newton`,
+    the gradient norm taken per pair.  An empty design raises
+    :class:`InsufficientDataError`; a first pass whose gradient norm or
+    Fisher trace is not finite, :class:`ParameterDomainError` before any
+    solve, naming the first term whose pair statistics
+    ``core._check_finite_statistics`` refuses, else the term whose sums
+    overflow.  A design of at least ``_PILOT_STRIDE * _PILOT_MIN_PAIRS``
+    pairs starts from its pilot's theta if that converged: this fit on
+    ``design.every(_PILOT_STRIDE)``, not ``requested``, so silent on the
+    cap, its passes not counted.  A requested fit stopped on the cap warns
+    :class:`SeparationWarning` at the fitter's caller.  Only a design of
+    more than ``_SLICE_ROWS`` pairs certifies early: on smaller ones the
+    K x K work and the row-norm sweep cost more than the pass they save.
     """
     start = time.perf_counter()
     n_pairs = design.n_pairs
@@ -491,74 +549,27 @@ def _fit(design: _PairDesign, config: GdConfig, method: str) -> PleResult:
     theta = np.zeros(design.spec.n_terms)
     pilot_s = 0.0
     if n_pairs >= _PILOT_STRIDE * _PILOT_MIN_PAIRS:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SeparationWarning)
-            pilot = _fit(design.every(_PILOT_STRIDE), config, method)
+        pilot = _fit(design.every(_PILOT_STRIDE), config, method, False)  # not requested: no warning
         if pilot.converged:
             theta = pilot.theta
         pilot_s = pilot.wall_time_s
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
         grad, info = _newton_pass(design, theta)
-        grad_norm = math.sqrt(grad @ grad) / n_pairs
-        if not (math.isfinite(grad_norm) and math.isfinite(info.trace())):
+        if not (math.isfinite(grad @ grad) and math.isfinite(info.trace())):
             for X in design():  # name the first term whose statistics are out of range
                 _check_finite_statistics(design.spec, X, "pair statistics")
             term = design.spec.terms[int(np.argmax(np.abs(grad) + np.diagonal(info)))].label()
             raise ParameterDomainError(
                 f"pair sums of term {term} overflow; standardize the series first (core.standard_scale)"
             )
-    epochs = 1
-    thetas, value = [tuple(theta.tolist())], None
-    converged = False
-    while True:
-        if grad_norm <= config.tol:
-            converged = True
-            break
-        if epochs >= config.max_epochs:
-            break
-        step = np.linalg.lstsq(info, grad, rcond=_RCOND)[0]
-        ascends, bound = None, math.inf  # the certificate, taken at most once per step
-        if n_pairs > _SLICE_ROWS:
-            ascends, bound = _certificate(grad, info, step, design.max_row_norm())
-        t, new_value = 1.0, None
-        if ascends and bound / n_pairs <= config.tol:
-            grad_norm = bound / n_pairs  # proven, with no pass at theta + step
-        else:
-            new_grad, new_info = _newton_pass(design, theta + step)
-            epochs += 1
-            overshoots = new_grad @ step < 0.0
-            if overshoots and ascends is None:
-                ascends = _certificate(grad, info, step, design.max_row_norm())[0]
-            if overshoots and not ascends:
-                # past the maximum along the step: backtrack on the objective
-                if value is None:
-                    value = objective(theta)
-                new_value = objective(theta + step)
-                while new_value < value and t > _MIN_STEP:
-                    t *= 0.5
-                    new_value = objective(theta + t * step)
-                if new_value < value:
-                    break  # no ascent along the step
-                if t < 1.0:
-                    if epochs >= config.max_epochs:
-                        break  # no pass left for the gradient at the damped point
-                    new_grad, new_info = _newton_pass(design, theta + t * step)
-                    epochs += 1
-            grad, info = new_grad, new_info
-            grad_norm = math.sqrt(grad @ grad) / n_pairs
-        theta = theta + t * step
-        thetas.append(tuple(theta.tolist()))
-        value = new_value
-        if math.sqrt(theta @ theta) > _THETA_CAP:
-            warnings.warn(
-                "theta norm exceeded the divergence cap; data may be separable",
-                SeparationWarning,
-                stacklevel=3,
-            )
-            break
+    ascent = _newton(
+        partial(_newton_pass, design), objective, theta, (grad, info), config, n_pairs,
+        design.max_row_norm, n_pairs > _SLICE_ROWS,
+    )
+    if ascent.capped and requested:
+        warnings.warn("theta norm exceeded the divergence cap; data may be separable", SeparationWarning, stacklevel=3)
     solved, pairs_solved = time.perf_counter(), design.seconds
-    if value is None:
-        value = objective(theta)
+    value = objective(ascent.theta) if ascent.value is None else ascent.value
     stages = {
         "pairs_s": design.seconds,
         "solver_s": solved - start - pilot_s - pairs_solved,
@@ -566,17 +577,17 @@ def _fit(design: _PairDesign, config: GdConfig, method: str) -> PleResult:
         "pilot_s": pilot_s,
     }
     return PleResult(
-        theta=theta,
+        theta=ascent.theta,
         log_pl=value,
         aic=None,
         pic=None,
         n_pairs_used=n_pairs,
         wall_time_s=time.perf_counter() - start,
-        converged=converged,
+        converged=ascent.converged,
         method=method,
-        theta_trace=tuple(thetas),
-        iterations=epochs,
-        grad_norm=grad_norm,
+        theta_trace=ascent.trace,
+        iterations=ascent.passes,
+        grad_norm=ascent.grad_norm,
         stages=stages,
     )
 

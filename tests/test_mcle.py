@@ -468,6 +468,26 @@ def _column(kind, L, rng):
     return x
 
 
+def _batched_ess(x):
+    """effective_sample_size as one transform of all centred columns at
+    their own scale: the windowed transform, then the full one for a column
+    whose pair sums stay positive through the window."""
+    L, K = x.shape
+    out = np.full(K, np.nan)
+    xc = x - x.mean(axis=0)
+    short = min(n << ((L + L // 8 - 1) // n).bit_length() for n in (1, 3))
+    window = mcle._autocovariance(xc, short, min(short - L + 1, L) // 2 * 2)
+    step = 1 << max(0, (2 * L - 1).bit_length() - 4)
+    full = mcle._autocovariance(xc, -(-(2 * L - 1) // step) * step, L - L % 2)
+    for k in range(K):
+        if x[:, k].min() != x[:, k].max():
+            tau, stopped = mcle._initial_monotone_tau(window[:, k])
+            if not stopped:
+                tau = mcle._initial_monotone_tau(full[:, k])[0]
+            out[k] = L / max(tau, 1.0 / math.log10(L))
+    return out
+
+
 COLUMN_KINDS = st.one_of(
     st.sampled_from(["constant", "antithetic", "walk", 0.999, 0.99, -0.9]),
     st.floats(-0.95, 0.999),
@@ -495,11 +515,36 @@ class TestChainDiagnostics:
             expected.append(ess)
         np.testing.assert_allclose(mcle.effective_sample_size(x), expected, rtol=1e-12, atol=0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        L=st.one_of(st.integers(4, 40), st.integers(41, 3000)),
+        kinds=st.lists(COLUMN_KINDS, min_size=1, max_size=3),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ess_column_by_column_equals_one_batched_transform(self, L, kinds, scale, seed):
+        # each column alone, scaled by a power of two, gives the bits of
+        # the batched transform of every column at its own scale
+        rng = np.random.default_rng(seed)
+        x = scale * np.column_stack([_column(kind, L, rng) for kind in kinds])
+        np.testing.assert_array_equal(mcle.effective_sample_size(x), _batched_ess(x))
+
+    @pytest.mark.parametrize("scale", [1e75, 1e-160])
+    def test_chains_at_extreme_scales_warn_nothing(self, scale):
+        # at 1e75 the batched transform's squares overflowed, at 1e-160 the
+        # statistics are subnormal and its lag-0 autocovariance was 0; this
+        # suite makes any warning an error
+        series = core.TimeSeries(np.random.default_rng(0).standard_normal(300) * scale)
+        config = mcle.ExchangeConfig(n_samples=2000, seed=1)
+        fit = mcle.fisher_scoring(SPEC1, series, config, mcle.ScoringConfig(max_iters=2))
+        assert all(np.isfinite(ess).all() and ess[0] > 0.0 for ess in fit.ess_trace)
+
     def test_window_and_fallback_columns_in_one_call(self, monkeypatch):
         # at L = 1820 the short transform has 2048 points and gives lags
         # 0 .. 228 (114 pair sums) exactly; a column whose sequence reads
-        # further takes the 3840-point transform, alone, and the constant
-        # column is nan either way
+        # further then takes the 3840-point transform.  Each live column is
+        # transformed alone, scaled into [0.5, 1); the constant column is
+        # not transformed and is nan
         L = 1820
         rng = np.random.default_rng(11)
         kinds = [0.0, "walk", "constant", 0.999, "antithetic"]
@@ -511,12 +556,17 @@ class TestChainDiagnostics:
         autocovariance = mcle._autocovariance
 
         def spy(xc, size, lags):
-            calls.append((size, xc.shape[1], lags))
+            assert xc.shape == (L,) and 0.5 <= np.abs(xc).max() < 1.0
+            calls.append((size, lags))
             return autocovariance(xc, size, lags)
 
         monkeypatch.setattr(mcle, "_autocovariance", spy)
         ess = mcle.effective_sample_size(x)
-        assert calls == [(2048, 5, 228), (3840, fallback, 1820)]
+        expected = []
+        for kind, (_, read) in zip(kinds, oracle):
+            expected += [] if kind == "constant" else [(2048, 228)]
+            expected += [(3840, 1820)] if read is not None and len(read) > 114 else []
+        assert calls == expected
         np.testing.assert_allclose(ess, [value for value, _ in oracle], rtol=1e-12, atol=0.0)
         assert math.isnan(ess[2])
         assert ess[4] == pytest.approx(L * math.log10(L), rel=1e-12)  # tau at Stan's floor
@@ -637,9 +687,8 @@ class TestFisherScoring:
         assert all(0.0 < ess[0] <= 1500 * math.log10(1500) for ess in fit.ess_trace)
 
     def test_zero_covariance_takes_a_finite_step_after_the_ridge_bump(self):
-        # tr(cov) = 0 gives a zero ridge, so the first solve is singular and
-        # the ridge is raised to its floor of 1e-12: one unit of score moves
-        # theta by 1e12
+        # tr(cov) = 0 puts the ridge at its floor of 1e-12: one unit of
+        # score moves theta by 1e12
         series = gaussian.simulate_ar(AR1, 30, seed=5)
         h_obs = mcle.total_statistic(SPEC1, series)
         fit = mcle.fisher_scoring(

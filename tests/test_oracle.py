@@ -1,7 +1,9 @@
 """Reference implementations: OLS fits, exhaustive enumeration, quadrature."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +160,46 @@ class TestExactCle:
         with pytest.raises(NoSolutionFoundError, match="minimum") as err:
             oracle.exact_cle(SPEC1, lowest)
         np.testing.assert_array_equal(err.value.direction, [-1.0])
+
+    def test_ar2_data_the_undamped_ascent_lost(self):
+        # undamped Newton ran to (2.9e5, 1.7e5) here and called the
+        # likelihood unbounded; the damped ascent stops at the maximum
+        spec = core.ar_spec(2)
+        series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.9, -0.2], 1.0), 12, seed=7)
+        theta = oracle.exact_cle(spec, series)
+        np.testing.assert_allclose(theta, [3.0013396534, -1.0323000272], rtol=0.0, atol=1e-8)
+        h_obs = core.total_statistic(spec, series)
+        mu, _ = oracle.enumeration_moments(spec, series, theta)
+        assert np.linalg.norm(h_obs - mu) <= 1e-10 * (1.0 + np.linalg.norm(h_obs))
+
+    @pytest.mark.parametrize(
+        "phi, seed, bounded",
+        [(0.9, 10, False), (0.5, 23, True), (0.97, 3, True), (0.97, 8, True), (0.97, 17, True)],
+    )
+    def test_two_term_cases_of_a_separable_support(self, phi, seed, bounded):
+        # an LP finds H_obs on the boundary of the convex support on all
+        # five, so none has a maximizer; the ascent reaches the cap only on
+        # the first, and the other four still return a finite theta until
+        # an exact existence test replaces the K = 1 one
+        spec = core.DependenceSpec.from_text("0:0^1*1:0^1\n0:0^2*1:0^2\n")
+        series = gaussian.simulate_ar(gaussian.ClassicalARParams([phi], 1.0), 10, seed=seed)
+        if bounded:
+            assert np.all(np.isfinite(oracle.exact_cle(spec, series)))
+        else:
+            with pytest.raises(NoSolutionFoundError, match="unbounded") as err:
+                oracle.exact_cle(spec, series)
+            assert np.linalg.norm(err.value.direction) == pytest.approx(1.0)
+
+    def test_imports_nothing_from_the_estimator_it_checks(self):
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not {name for name in imported if "mcle" in name.split(".")}
 
 
 class TestQuadratureFisher:

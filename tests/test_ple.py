@@ -2,9 +2,11 @@
 information criteria."""
 
 import dataclasses
+import inspect
 import json
 import math
 import re
+import threading
 import time
 import tracemalloc
 import warnings
@@ -892,6 +894,48 @@ class TestPilotStart:
         assert fit.converged
         monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 10**12)
         assert_same_fit(fit, ple._fit(design.every(1), ple.GdConfig(), "ple-test"))
+
+    def test_requested_fit_at_the_divergence_cap_warns_at_its_caller(self, monkeypatch):
+        # every pair has x = 1e-3: separable, so theta runs past the cap
+        # while the mean gradient is still about 1e-4
+        x = np.full(64, 1e-3)
+
+        class SyntheticDesign(ple._PairDesign):
+            def _deltas(self):
+                return (-x[:: self._stride, None],)
+
+        monkeypatch.setattr(ple, "_PairDesign", SyntheticDesign)
+        positions = np.arange(len(x))
+        with pytest.warns(SeparationWarning, match="^theta norm exceeded the divergence cap") as caught:
+            line = inspect.currentframe().f_lineno + 1
+            fit = ple.fit_pairs(SPEC1, core.TimeSeries(np.zeros(4)), positions, positions)
+        assert len(caught) == 1
+        assert (caught[0].filename, caught[0].lineno) == (__file__, line)
+        assert not fit.converged and np.linalg.norm(fit.theta) > ple._THETA_CAP
+
+    def test_threaded_pilot_fits_match_serial_without_a_warnings_filter(self):
+        # n = 800 gives 318003 pairs, so each fit runs a pilot; no fit
+        # touches the process-wide warnings filter
+        specs = (SPEC1, core.ar_spec(2))
+        series = gaussian.simulate_ar(AR1, 800, seed=21)
+        serial = [ple.fit_naive(spec, series) for spec in specs]
+        assert all(fit.stages["pilot_s"] > 0.0 for fit in serial)
+        threaded = [None, None]
+
+        def run(i):
+            threaded[i] = ple.fit_naive(specs[i], series)
+
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        # patched only while the threads run: pytest's own reporting uses it
+        with mock.patch.object(warnings, "catch_warnings", side_effect=AssertionError("filter swapped")):
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        assert not any(worker.is_alive() for worker in workers)
+        for a, b in zip(threaded, serial):
+            assert_same_fit(a, b)
+            assert a.theta_trace == b.theta_trace
 
 
 @st.composite
