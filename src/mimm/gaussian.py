@@ -12,16 +12,19 @@ constant term Brent's method picks to match the variance; it refuses, with
 :class:`ParameterDomainError`, the pairs whose inverse double precision
 cannot resolve to 1e-8.
 
-Every stationary covariance (AR(d) variance, VAR(1) covariance, the
-variance the AR(d) inverse matches, the law the simulators start from, a
-:class:`GaussianKernel`'s law, which is derived and never passed) comes
-from one Lyapunov solve on the block companion matrix of
-:func:`companion_matrix` (see :func:`_stationary_state_cov`).  Parameter
-records serialize to a flat ``name.i.j=value`` text format driven by their
-dataclass fields.
+The stationary law of a univariate AR(d) (its variance, the variance the
+AR(d) inverse matches, the law :func:`simulate_ar` starts from) comes from
+the Durbin-Levinson step-down of :func:`_levinson`, which forms no matrix.
+Every VAR covariance (a VAR(1)'s, the law :func:`simulate_var` starts a
+vector recursion from, a :class:`GaussianKernel`'s law, which is derived
+and never passed) comes from one Lyapunov solve on the block companion
+matrix of :func:`companion_matrix` (see :func:`_stationary_state_cov`).
+Parameter records serialize to a flat ``name.i.j=value`` text format driven
+by their dataclass fields.
 
 scipy is imported inside the functions that call it, so importing this
-module, simulating and transforming an AR(1) load none of it.
+module, simulating an AR of any order and transforming an AR(1) load none
+of it.
 
 All functions are pure; simulators take explicit seeds and return
 bit-identical output for identical inputs on one platform.
@@ -33,6 +36,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -90,20 +94,20 @@ def companion_matrix(coef: np.ndarray) -> np.ndarray:
 
 
 def _stationary_state_cov(coef: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Stationary covariance of the companion state of an AR/VAR recursion
-    with noise covariance ``noise``: solves G = F G F' + Q, where F is the
-    block companion matrix and Q carries ``noise`` in its leading block.
+    """Stationary covariance of the companion state of a VAR recursion with
+    noise covariance ``noise``: solves G = F G F' + Q, where F is the block
+    companion matrix and Q carries ``noise`` in its leading block.  Its
+    callers are the VAR paths: :func:`stationary_cov_var1` (so a
+    :class:`GaussianKernel`'s law, a 1x1 one included) and the vector
+    recursion of :func:`_simulate` (p > 1).  A univariate AR takes the
+    step-down of :func:`_levinson` instead.
 
-    At dimension 1, the companion state of an AR(1), this is scipy's
-    ``direct`` method done in numpy: vec G solves (I - F kron F) vec G =
-    vec Q, a 1x1 system whose reciprocal condition number is 1.  So the
-    value is scipy's bitwise, scipy never warns there, and an AR(1) loads
-    no scipy.  Every larger state goes to
-    ``scipy.linalg.solve_discrete_lyapunov`` unchanged, with its values and
-    its ``LinAlgWarning``.
-
-    Known limit: the solve can lose all its digits when the poles cluster
-    near the unit circle; see :func:`stationary_variance`.
+    At dimension 1 this is scipy's ``direct`` method done in numpy: vec G
+    solves (I - F kron F) vec G = vec Q, a 1x1 system whose reciprocal
+    condition number is 1.  So the value is scipy's bitwise, scipy never
+    warns there, and a 1x1 kernel loads no scipy.  Every larger state goes
+    to ``scipy.linalg.solve_discrete_lyapunov`` unchanged, with its values
+    and its ``LinAlgWarning``.
     """
     F = companion_matrix(coef)
     Q = np.zeros_like(F)
@@ -113,6 +117,84 @@ def _stationary_state_cov(coef: np.ndarray, noise: np.ndarray) -> np.ndarray:
     import scipy.linalg
 
     return scipy.linalg.solve_discrete_lyapunov(F, Q)
+
+
+def _levinson(phi, sigma2: float) -> tuple[list[float], list[list[float]], list[float], float]:
+    """The Durbin-Levinson step-down of the AR(d) x_t = sum_j phi_j x_{t-j} +
+    e_t, var e_t = sigma2 (Durbin 1960, *Rev. Int. Stat. Inst.* 28:233;
+    Brockwell & Davis 1991, *Time Series: Theory and Methods*, section 5.2).
+
+    Returns ``(kappa, predictors, variances, gamma0)``.  ``predictors[k]``
+    holds the order-k predictor coefficients, those of x_{t-1} .. x_{t-k}
+    in the best linear prediction of x_t from them, and ``variances[k]``
+    its error variance v_k, for k = 0..d; ``predictors[d]`` is phi and
+    v_d is sigma2.  ``kappa`` lists the partial autocorrelations kappa_1 ..
+    kappa_d, and gamma0 = v_0 = sigma2 / prod_k (1 - kappa_k * kappa_k) is
+    the stationary variance; for d = 1 it is sigma2 / (1 - phi * phi).
+
+    Stepping down from order k, kappa_k is the last order-k coefficient,
+    v_{k-1} = v_k / (1 - kappa_k * kappa_k), and the order-(k-1)
+    coefficient j is (phi_kj + kappa_k phi_k,k-j) / (1 - kappa_k^2).  That
+    one is formed from the pair (j, k - j): half their sum over
+    1 - kappa_k plus or minus half their difference over 1 + kappa_k,
+    which cancels no digits when kappa_k is near -1 or 1 (each coefficient
+    is then accurate relative to the larger of its pair).  Against a
+    60-digit Yule-Walker solve, gamma0 is then within a few cond * eps, cond
+    its relative sensitivity to (phi, sigma2), for roots up to modulus
+    0.999.  All in Python floats, with no matrix formed.  The AR is
+    stationary if and only if every |kappa_k| < 1; else
+    :class:`StationarityError`.
+    """
+    coef = np.asarray(phi, dtype=float).tolist()
+    d = len(coef)
+    predictors = [[]] * d + [coef]
+    variances = [0.0] * d + [float(sigma2)]
+    for k in range(d, 0, -1):
+        c = predictors[k]
+        kap = c[-1]
+        if not abs(kap) < 1.0:
+            raise StationarityError(f"AR coefficients are non-stationary (partial autocorrelation {kap:.6g})")
+        lower = [0.0] * (k - 1)
+        for j in range(k // 2):
+            mirror = k - 2 - j
+            plus = (c[j] + c[mirror]) / (1.0 - kap)
+            minus = (c[j] - c[mirror]) / (1.0 + kap)
+            lower[j], lower[mirror] = (plus + minus) / 2.0, (plus - minus) / 2.0
+        predictors[k - 1] = lower
+        variances[k - 1] = variances[k] / (1.0 - kap * kap)
+    return [c[-1] for c in predictors[1:]], predictors, variances, variances[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _ar_recursion(d: int) -> Callable:
+    """The AR(d) recursion x_t = e_t + a_1 x_{t-1} + ... + a_d x_{t-d} as
+    one straight-line Python loop, compiled once per order (as
+    :func:`mcle._exchange_kernel` is): ``run(xs, coef, noise)`` takes the
+    list ``xs``, whose last d entries (oldest first) are the start, appends
+    one value per noise value e_t and returns it.  The source holds only d;
+    the coefficients arrive as arguments.  For d = 2 the loop body is
+    ``x1, x2 = e + a1 * x1 + a2 * x2, x1; append(x1)``: the sum adds left to
+    right, e_t first, so each value is that of a per-lag loop
+    ``val = e; val += a_k * x_{t-k}``, bit for bit.
+    """
+    lags = [f"x{k}" for k in range(1, d + 1)]
+    coefs = [f"a{k}" for k in range(1, d + 1)]
+    total = " + ".join(["e", *(f"{a} * {x}" for a, x in zip(coefs, lags))])
+    source = "\n".join(
+        [
+            "def run(xs, coef, noise):",
+            f"    {', '.join(coefs)}, = coef",
+            f"    {', '.join(lags[::-1])}, = xs[-{d}:]",
+            "    append = xs.append",
+            "    for e in noise:",
+            f"        {', '.join(lags)} = {', '.join([total, *lags[:-1]])}",
+            "        append(x1)",
+            "    return xs",
+        ]
+    )
+    namespace: dict = {}
+    exec(compile(source + "\n", f"<mimm AR({d}) recursion>", "exec"), {}, namespace)
+    return namespace["run"]
 
 
 def _spectral_radius(mat: np.ndarray) -> float:
@@ -330,18 +412,10 @@ class DependenceKernel:
 def simulate_ar(params: ClassicalARParams, n: int, burn_in: int = 0, seed=None) -> TimeSeries:
     """Simulate n observations of the AR(d) recursion after discarding
     ``burn_in`` steps; the chain starts from its exact stationary law for
-    every order (see :func:`_simulate`).  ``n`` and ``burn_in`` are
-    integers >= 1 and >= 0, else :class:`ParameterDomainError`.
-
-    Known limit: the start covariance comes from the same Lyapunov solve as
-    :func:`stationary_variance`, which can lose all its digits when the
-    poles cluster near the unit circle (see there).  Such a state is
-    ill-conditioned, and scipy's solve warns: an AR(8) with fourfold
-    poles 0.95 e^{+-0.5i} starts with a ``LinAlgWarning``, and the draws
-    stay finite; an AR(8) with an eightfold root 0.9 also warns, then has no
-    Cholesky factor in double precision, and ``numpy.linalg.LinAlgError`` is
-    raised.  An AR(1) start never loads scipy.  ROADMAP item 10 replaces the
-    solve.
+    every order, drawn by the step-down of :func:`_levinson` (see
+    :func:`_simulate`), so no order forms or factors a covariance or loads
+    scipy.  ``n`` and ``burn_in`` are integers >= 1 and >= 0, else
+    :class:`ParameterDomainError`.
     """
     return _simulate(params.phi[:, None, None], np.array([[params.sigma2]]), n, burn_in, seed)
 
@@ -367,7 +441,7 @@ def simulate_var(params: ClassicalVARParams, n: int, burn_in: int = 0, seed=None
     """Simulate n observations of the VAR(d) recursion after discarding
     ``burn_in`` steps; the chain starts from its exact stationary law for
     every order (see :func:`_simulate`).  ``n`` and ``burn_in`` follow the
-    rule of :func:`simulate_ar`, and its known limit applies."""
+    rule of :func:`simulate_ar`."""
     return _simulate(params.A, params.Sigma, n, burn_in, seed)
 
 
@@ -375,37 +449,48 @@ def _simulate(A: np.ndarray, Sigma: np.ndarray, n: int, burn_in: int, seed) -> T
     """The one simulator of x_t = sum_k A[k] x_{t-k} + e_t, e_t ~ N(0, Sigma),
     for coefficient blocks ``A`` of shape (d, p, p).
 
-    The companion state (x_0, x_{-1}, ..., x_{1-d}) is drawn from its exact
-    stationary law, N(0, G) with G the Lyapunov solve of
-    :func:`_stationary_state_cov`; then ``burn_in + n`` steps run and the
-    first ``burn_in`` are discarded, so a run equals the tail of a longer
-    run from the same seed.  For p = 1 the recursion runs on Python floats.
+    The first d values (the start) are drawn from their exact stationary
+    law with the first d * p standard normals z, and the noise takes the
+    next ones; then ``burn_in + n`` steps run and the first ``burn_in`` are
+    discarded, so a run equals the tail of a longer run from the same seed.
+
+    For p = 1 the start is in innovations form, from :func:`_levinson`:
+    x_k = sqrt(v_k) z_k plus the order-k predictor of x_k from
+    x_0 .. x_{k-1}, for k = 0..d-1, oldest first (for d = 1,
+    x_0 = sqrt(gamma0) z_0).  The recursion is :func:`_ar_recursion`'s
+    straight-line loop on Python floats.
+
+    For p > 1 the companion state (x_0, x_{-1}, ..., x_{1-d}) is the
+    Cholesky factor of :func:`_stationary_state_cov`'s Lyapunov solve times
+    z, and the recursion adds the blocks' matrix-vector products.
     """
     _check_count("n", n)
     _check_count("burn_in", burn_in, least=0)
     d, p, _ = A.shape
     rng = np.random.default_rng(seed)
+    z = rng.standard_normal(d * p)
+    eps = rng.standard_normal((burn_in + n, p)) @ np.linalg.cholesky(Sigma).T
+    if p == 1:
+        coef = A[:, 0, 0].tolist()
+        _, predictors, variances, _ = _levinson(coef, Sigma[0, 0])
+        xs: list[float] = []
+        for c, v, z_k in zip(predictors, variances, z.tolist()):
+            val = math.sqrt(v) * z_k
+            for a, x in zip(c, reversed(xs)):
+                val += a * x
+            xs.append(val)
+        return TimeSeries(_ar_recursion(d)(xs, coef, eps[:, 0].tolist())[d + burn_in :])
     G = _stationary_state_cov(A, Sigma)
     try:
-        start = np.linalg.cholesky((G + G.T) / 2.0) @ rng.standard_normal(d * p)
+        start = np.linalg.cholesky((G + G.T) / 2.0) @ z
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(
             "the stationary state covariance is not positive definite in double "
             "precision (clustered near-unit roots)"
         ) from err
-    steps = burn_in + n
-    eps = rng.standard_normal((steps, p)) @ np.linalg.cholesky(Sigma).T
-    if p == 1:
-        xs = start[::-1].tolist()  # oldest first: x_{t-j} is xs[-j] when x_t is formed
-        lags = [(float(a), -1 - k) for k, a in enumerate(A[:, 0, 0])]
-        for val in eps[:, 0].tolist():
-            for a, k in lags:
-                val += a * xs[k]
-            xs.append(val)
-        return TimeSeries(xs[d + burn_in :])
     state = list(start.reshape(d, p))  # state[0] = most recent
-    out = np.empty((steps, p))
-    for t in range(steps):
+    out = np.empty(eps.shape)
+    for t in range(len(eps)):
         val = eps[t].copy()
         for k in range(d):
             val += A[k] @ state[k]
@@ -420,17 +505,14 @@ def _simulate(A: np.ndarray, Sigma: np.ndarray, n: int, burn_in: int, seed) -> T
 
 
 def stationary_variance(params: ClassicalARParams) -> float:
-    """Stationary variance of an AR(d) via the companion-form Lyapunov solve
-    of :func:`_stationary_state_cov` (numpy for an AR(1), scipy for every
-    higher order).
-
-    Known limit: the solve can lose all its digits when the poles cluster
-    near the unit circle.  With sigma2 = 1, an eightfold root 0.9 gives
-    8.08e12 where the true variance is 1.104e14, and the seven roots
-    ``linspace(0.9, 0.99, 7)`` give -8.98e11, a negative variance.  These
-    systems have cond_1 * eps of 1.5e5 and 3.9e3, and scipy's solve warns
-    with ``LinAlgWarning``.  ROADMAP item 10 replaces the solve."""
-    return float(_stationary_state_cov(params.phi, [[params.sigma2]])[0, 0])
+    """Stationary variance gamma0 = sigma2 / prod_k (1 - kappa_k * kappa_k)
+    of an AR(d), from the partial autocorrelations kappa_k of the
+    step-down in :func:`_levinson`; for an AR(1) it is
+    sigma2 / (1 - phi * phi).  No matrix is formed or solved, so roots
+    clustered near the unit circle keep their digits: an eightfold root 0.9
+    with sigma2 = 1 gives 1.104e14.  A record whose step-down reaches a
+    |kappa_k| >= 1 in rounding raises :class:`StationarityError`."""
+    return _levinson(params.phi, params.sigma2)[3]
 
 
 def ar1_to_mininfo(params: ClassicalARParams) -> MinInfoARParams:
@@ -480,11 +562,7 @@ def _autocorr(a: np.ndarray) -> np.ndarray:
 def ard_to_mininfo(params: ClassicalARParams) -> MinInfoARParams:
     """General AR(d) forward transform.  With a = (1, -phi_1, ..., -phi_d),
     theta_i = -(sum_j a_j a_{j+i}) / sigma2 is the x_t x_{t-i} coefficient of
-    the kernel exponent; the stationary variance comes from the
-    companion-form Lyapunov solve, so tau2 inherits the known limit of
-    :func:`stationary_variance` on poles clustered near the unit circle:
-    seven roots ``linspace(0.9, 0.99, 7)`` raise ``ParameterDomainError``
-    for a negative tau2 (ROADMAP item 10)."""
+    the kernel exponent; tau2 is :func:`stationary_variance`."""
     theta = -_autocorr(np.concatenate([[1.0], -params.phi]))[1:] / params.sigma2
     return MinInfoARParams(theta=theta, tau2=stationary_variance(params))
 

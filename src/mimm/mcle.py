@@ -188,12 +188,19 @@ def split_rhat(samples) -> np.ndarray:
     still drifting reads above 1.  A column constant within both halves,
     or a chain of fewer than 4 samples, gives nan (inf when the two
     constants differ).
+
+    Each column is first scaled by the power of two that puts its largest
+    magnitude in [0.5, 1), as in :func:`effective_sample_size`: exact, so
+    R-hat keeps its bits on a chain in the normal range, and the squares
+    of a chain at a subnormal or huge scale neither underflow nor overflow.
     """
     x = np.asarray(samples, dtype=float).reshape(len(samples), -1)
     h = len(x) // 2
     if h < 2:
         return np.full(x.shape[1], np.nan)
     halves = np.stack([x[:h], x[len(x) - h :]])
+    top = np.maximum(halves.max(axis=(0, 1)), -halves.min(axis=(0, 1)))
+    np.ldexp(halves, -np.frexp(top)[1], out=halves)
     within = halves.var(axis=1, ddof=1).mean(axis=0)
     between = halves.mean(axis=1).var(axis=0, ddof=1)  # B / h
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1298,29 +1298,32 @@ tmp = Path(sys.argv[1])
 spec1, spec2, data = tmp / "ar1.spec", tmp / "ar2.spec", tmp / "ar1.csv"
 spec1.write_text(core.ar_spec(1).to_text())
 spec2.write_text(core.ar_spec(2).to_text())
-runs = [["simulate", "--ar", "0.5", "--sigma2", "0.5", "--n", "300", "--seed", "1", "--out", str(data)]]
+runs = [
+    ["simulate", "--ar", "0.5", "--sigma2", "0.5", "--n", "300", "--seed", "1", "--out", str(data)],
+    ["simulate", "--ar", "0.5", "0.3", "--sigma2", "0.5", "--n", "300", "--out", str(tmp / "ar2.csv")],
+]
 for est in ("ple-naive", "ple-bipartition", "ple-sgd", "mcle", "mle"):
     runs.append(["fit", "--estimator", est, "--spec", str(spec1), "--data", str(data), "--out", str(tmp / f"{est}.json")])
 runs.append(["select", "--data", str(data), "--spec", str(spec1), "--spec", str(spec2), "--out", str(tmp / "select.csv")])
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(argv)
-    seen[" ".join(argv[:3])] = loaded() if rc == 0 else f"exit {rc}"
+    seen[" ".join(argv[:4])] = loaded() if rc == 0 else f"exit {rc}"
 print(json.dumps(seen))
 """
 
 
 def test_common_commands_load_no_scipy(tmp_path):
-    # importing the package and the CLI, simulating an AR(1), every fit
-    # estimator and select on its data run without scipy, which is most of
-    # a cold start's import time
+    # importing the package and the CLI, simulating an AR(1) and an AR(2),
+    # every fit estimator and select on the AR(1) data run without scipy,
+    # which is most of a cold start's import time
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert len(seen) == 9
+    assert len(seen) == 10
     assert seen == {step: [] for step in seen}
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -189,6 +190,32 @@ def reference_ar1(params, n, burn_in, seed):
     return out[burn_in:, None]
 
 
+def per_step_recursion(xs, coef, noise):
+    """The AR recursion as the simulator ran it before the compiled loop:
+    per step, the noise value plus one pass over the lags, a_1 x_{t-1}
+    first.  ``xs`` ends with the start, oldest first."""
+    xs = list(xs)
+    lags = [(float(a), -1 - k) for k, a in enumerate(coef)]
+    for val in noise:
+        for a, k in lags:
+            val += a * xs[k]
+        xs.append(val)
+    return xs
+
+
+def parent_ar1(phi, sigma2, n, burn_in, seed):
+    """The AR(1) simulator before the step-down start: the 1x1 Lyapunov
+    solve, its Cholesky factor times the first normal, then the noise as a
+    matrix product and :func:`per_step_recursion`."""
+    rng = np.random.default_rng(seed)
+    F = np.array([[phi]])
+    G = np.linalg.solve(np.eye(1) - np.kron(F, F), np.array([sigma2])).reshape(1, 1)
+    start = np.linalg.cholesky((G + G.T) / 2.0) @ rng.standard_normal(1)
+    eps = rng.standard_normal((burn_in + n, 1)) @ np.linalg.cholesky(np.array([[sigma2]])).T
+    xs = per_step_recursion(start.tolist(), [phi], eps[:, 0].tolist())
+    return np.array(xs[1 + burn_in :])[:, None]
+
+
 def reference_var1(params, n, burn_in, seed):
     """The VAR(1) simulator before the shared one."""
     rng = np.random.default_rng(seed)
@@ -260,10 +287,46 @@ class TestOneSimulator:
             assert got.tobytes() == want.tobytes()
         else:
             # the reference squares with pow, which can be one ulp off
-            # phi * phi; the Lyapunov solve's 1 - phi * phi then moves the
-            # start by about an ulp
+            # phi * phi; the step-down's 1 - phi * phi then moves the start
+            # by about an ulp
             tau = math.sqrt(sigma2 / (1.0 - phi * phi))
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * tau)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        phi=st.floats(-0.9999, 0.9999),
+        sigma2=st.floats(1e-3, 1e3),
+        n=st.integers(1, 60),
+        burn_in=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ar1_is_the_parent_simulator(self, phi, sigma2, n, burn_in, seed):
+        # the step-down start sqrt(sigma2 / (1 - phi * phi)) z_0 and the
+        # compiled loop give the Lyapunov-and-Cholesky simulator's bits,
+        # through both entry points
+        want = parent_ar1(phi, sigma2, n, burn_in, seed).tobytes()
+        ar = gaussian.ClassicalARParams([phi], sigma2)
+        var = gaussian.ClassicalVARParams(A=[[[phi]]], Sigma=[[sigma2]])
+        assert gaussian.simulate_ar(ar, n, burn_in=burn_in, seed=seed).data.tobytes() == want
+        assert gaussian.simulate_var(var, n, burn_in=burn_in, seed=seed).data.tobytes() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        params=stationary_ar(max_order=8, max_modulus=0.999),
+        n=st.integers(1, 300),
+        burn_in=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_recursion_is_the_per_step_loop(self, params, n, burn_in, seed):
+        # from a given start, the straight-line loop adds in the per-step
+        # loop's order: the same bits on every draw
+        d = params.order
+        start = gaussian.simulate_ar(params, d, seed=seed).data[:, 0].tolist()
+        noise = (np.random.default_rng(seed).standard_normal(burn_in + n) * math.sqrt(params.sigma2)).tolist()
+        coef = params.phi.tolist()
+        got = gaussian._ar_recursion(d)(list(start), coef, noise)[d + burn_in :]
+        want = per_step_recursion(start, coef, noise)[d + burn_in :]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(params=stationary_var(orders=(1,)), n=st.integers(1, 60), burn_in=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
@@ -277,18 +340,19 @@ class TestOneSimulator:
         ids=["ar8-fourfold-pairs", "ar4-fourfold-root"],
     )
     def test_repeated_poles_simulate_finite_values(self, roots):
-        # known limit: the Lyapunov solve loses about four digits on
-        # repeated poles and warns, yet the start is drawn and finite
-        with pytest.warns(scipy.linalg.LinAlgWarning):
-            x = gaussian.simulate_ar(ar_from_roots(roots), 200, seed=1).data
+        # the step-down start forms no state covariance: repeated poles
+        # draw finite values, with no warning
+        x = gaussian.simulate_ar(ar_from_roots(roots), 200, seed=1).data
         assert x.shape == (200, 1) and np.all(np.isfinite(x))
 
-    def test_numerically_singular_start_raises(self):
-        # an eightfold root 0.9: the state covariance has condition number
-        # 2.5e16, so even its exact value has no Cholesky factor in doubles
-        with pytest.warns(scipy.linalg.LinAlgWarning):
-            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-                gaussian.simulate_ar(ar_from_roots([0.9] * 8), 10, seed=0)
+    def test_eightfold_root_starts_stationary(self):
+        # an eightfold root 0.9: its state covariance has condition number
+        # 2.5e16 and no Cholesky factor in doubles; the step-down start
+        # needs none, and the first value has the variance gamma0
+        params = ar_from_roots([0.9] * 8)
+        x0 = [gaussian.simulate_ar(params, 1, seed=s).data[0, 0] for s in range(2000)]
+        ratio = np.mean(np.square(x0)) / gaussian.stationary_variance(params)
+        assert abs(ratio - 1.0) <= 0.15
 
     @pytest.mark.parametrize("n, burn_in", [(0, 0), (5, -1)])
     def test_rejects_bad_lengths(self, n, burn_in):
@@ -316,9 +380,9 @@ def scipy_state_cov(coef, noise):
 
 @st.composite
 def larger_states(draw):
-    """AR(2-12) with roots up to modulus 0.9999, some repeated, and VAR(1-2)
-    with p = 2-3: companion states of dimension 2-12, from well to badly
-    conditioned."""
+    """VAR(1-2) with p = 2-3, and VAR(2-12) with p = 1 (the coefficients of
+    an AR(2-12) with roots up to modulus 0.9999, some repeated): companion
+    states of dimension 2-12, from well to badly conditioned."""
     if draw(st.booleans()):
         params = draw(stationary_var())
         return params.A, params.Sigma
@@ -333,13 +397,47 @@ def larger_states(draw):
     return params.phi[:, None, None], np.array([[params.sigma2]])
 
 
+def yule_walker(phi, sigma2):
+    """The autocovariances gamma_0 .. gamma_d of the AR(phi, sigma2) from a
+    60-digit Yule-Walker solve, rounded to floats, and the condition number
+    of gamma_0: 1 + sum_j |phi_j d gamma_0 / d phi_j| / gamma_0, the 1 being
+    its relative sensitivity to sigma2."""
+    d = len(phi)
+    with mpmath.workdps(60):
+        M = mpmath.eye(d + 1)
+        for k in range(d + 1):
+            for j in range(1, d + 1):
+                M[k, abs(k - j)] -= mpmath.mpf(float(phi[j - 1]))
+        gamma = mpmath.lu_solve(M, mpmath.matrix([mpmath.mpf(float(sigma2))] + [0] * d))
+        cond = mpmath.mpf(1)
+        for j in range(1, d + 1):
+            # M (d gamma / d phi_j) = (gamma_{|k - j|})_k
+            slope = mpmath.lu_solve(M, mpmath.matrix([gamma[abs(k - j)] for k in range(d + 1)]))[0]
+            cond += abs(float(phi[j - 1]) * slope) / gamma[0]
+        return [float(g) for g in gamma], float(cond)
+
+
+def assert_variance_within_cond_eps(params):
+    """stationary_variance within 10 cond * eps of the Yule-Walker gamma_0."""
+    gamma, cond = yule_walker(params.phi, params.sigma2)
+    got = gaussian.stationary_variance(params)
+    assert abs(got - gamma[0]) <= 10.0 * cond * np.finfo(float).eps * gamma[0]
+    return got
+
+
+CLUSTERED_ROOTS = pytest.mark.parametrize(
+    "roots",
+    [[0.9] * 8, list(np.linspace(0.9, 0.99, 7)), [0.99] * 4, [0.95 * np.exp(0.5j)] * 4 + [0.95 * np.exp(-0.5j)] * 4],
+    ids=["eightfold-0.9", "seven-near-unit", "fourfold-0.99", "fourfold-pairs"],
+)
+
+
 class TestStationaryCovariance:
     @settings(max_examples=300, deadline=None)
     @given(phi=st.floats(-0.9999, 0.9999), sigma2=st.floats(1e-3, 1e3))
     @example(phi=0.5, sigma2=0.5)
     def test_dimension_one_is_scipys_solve_bitwise(self, phi, sigma2):
-        # every benchmark input is an AR(1): its start and variance hash
-        # equal to scipy's, with no warning
+        # a 1x1 kernel's law is scipy's, bitwise, with no warning
         coef, noise = np.array([[[phi]]]), np.array([[sigma2]])
         got, got_warned = state_cov_and_warnings(gaussian._stationary_state_cov, coef, noise)
         want, want_warned = state_cov_and_warnings(scipy_state_cov, coef, noise)
@@ -356,14 +454,10 @@ class TestStationaryCovariance:
         want, want_warned = state_cov_and_warnings(scipy_state_cov, coef, noise)
         assert got.tobytes() == want.tobytes() and got_warned == want_warned
 
-    @pytest.mark.parametrize(
-        "roots",
-        [[0.9] * 8, list(np.linspace(0.9, 0.99, 7)), [0.99] * 4, [0.95 * np.exp(0.5j)] * 4 + [0.95 * np.exp(-0.5j)] * 4],
-        ids=["eightfold-0.9", "seven-near-unit", "fourfold-0.99", "fourfold-pairs"],
-    )
+    @CLUSTERED_ROOTS
     def test_ill_conditioned_states_are_scipys_solve(self, roots):
-        # the known-limit inputs of stationary_variance and simulate_ar keep
-        # scipy's values and its warning
+        # clustered near-unit poles, as a VAR(d) with p = 1: the state
+        # covariance keeps scipy's values and its warning
         params = ar_from_roots(roots)
         coef, noise = params.phi[:, None, None], np.array([[1.0]])
         with pytest.warns(scipy.linalg.LinAlgWarning):
@@ -409,6 +503,52 @@ class TestStationaryCovariance:
         F = gaussian.companion_matrix(A)
         np.testing.assert_array_equal(F[:2], np.hstack([A[0], A[1]]))
         np.testing.assert_array_equal(F[2:], [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
+class TestStepDown:
+    """``stationary_variance`` and the simulator's start read gamma0 and
+    the predictors of :func:`gaussian._levinson`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=stationary_ar(max_order=8, max_modulus=0.999))
+    def test_variance_is_the_yule_walker_solve(self, params):
+        assert_variance_within_cond_eps(params)
+
+    @CLUSTERED_ROOTS
+    def test_clustered_roots_keep_their_digits(self, roots):
+        # the Lyapunov solve lost all its digits here (0.93 relative on the
+        # eightfold root, a negative variance on the seven near-unit roots)
+        params = ar_from_roots(roots)
+        assert gaussian.ard_to_mininfo(params).tau2 == assert_variance_within_cond_eps(params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(phi=st.floats(-0.9999, 0.9999), sigma2=st.floats(1e-3, 1e3))
+    @example(phi=0.5, sigma2=0.5)
+    def test_ar1_variance_is_the_closed_form_bitwise(self, phi, sigma2):
+        assert gaussian.stationary_variance(gaussian.ClassicalARParams([phi], sigma2)) == sigma2 / (1.0 - phi * phi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=stationary_ar(max_order=6, max_modulus=0.9))
+    def test_predictors_solve_the_yule_walker_equations(self, params):
+        # the order-k predictor and its error variance satisfy
+        # gamma_i = sum_j c_j gamma_{|i - j|} (i = 1..k) and
+        # v_k = gamma_0 - sum_j c_j gamma_j, with the exact autocovariances
+        kappa, predictors, variances, gamma0 = gaussian._levinson(params.phi, params.sigma2)
+        d = params.order
+        gamma, _ = yule_walker(params.phi, params.sigma2)
+        assert len(kappa) == d and len(predictors) == len(variances) == d + 1
+        assert predictors[d] == params.phi.tolist() and variances[d] == params.sigma2 and gamma0 == variances[0]
+        for k, (c, v) in enumerate(zip(predictors, variances)):
+            assert len(c) == k and (k == 0 or c[-1] == kappa[k - 1])
+            for i in range(k + 1):
+                # i = 0 is the variance equation; normwise, since the step-down
+                # is accurate relative to the largest coefficient of a pair
+                resid = gamma[i] - math.fsum(c[j - 1] * gamma[abs(i - j)] for j in range(1, k + 1))
+                assert abs(resid - (v if i == 0 else 0.0)) <= 1e-9 * gamma[0] * (1.0 + np.abs(c).sum())
+
+    def test_a_unit_partial_autocorrelation_is_refused(self):
+        with pytest.raises(StationarityError, match="partial autocorrelation"):
+            gaussian._levinson([0.5, 1.0], 1.0)
 
 
 class TestAr1Transform:

@@ -494,6 +494,16 @@ COLUMN_KINDS = st.one_of(
 )
 
 
+def unscaled_split_rhat(samples):
+    """:func:`mcle.split_rhat` without its power-of-two column scaling."""
+    x = np.asarray(samples, dtype=float).reshape(len(samples), -1)
+    h = len(x) // 2
+    halves = np.stack([x[:h], x[len(x) - h :]])
+    within = halves.var(axis=1, ddof=1).mean(axis=0)
+    between = halves.mean(axis=1).var(axis=0, ddof=1)
+    return np.sqrt(((h - 1) / h * within + between) / within)
+
+
 class TestChainDiagnostics:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -595,6 +605,41 @@ class TestChainDiagnostics:
         rhat = mcle.split_rhat(np.column_stack([stationary, trending]))
         assert rhat[0] == pytest.approx(1.0, abs=0.01)
         assert rhat[1] > 1.1
+
+    def test_split_rhat_of_a_subnormal_chain(self):
+        # statistics near 1e-320: unscaled, the within-half variances
+        # underflow to 0 and R-hat read nan beside a finite ESS
+        series = core.TimeSeries(np.random.default_rng(0).standard_normal(300) * 1e-160)
+        fit = mcle.fisher_scoring(
+            SPEC1, series, mcle.ExchangeConfig(n_samples=2000, seed=1), mcle.ScoringConfig(max_iters=2)
+        )
+        assert np.isfinite(fit.split_rhat_trace).all() and np.isfinite(fit.ess_trace).all()
+        assert 0.9 < fit.split_rhat_trace[0][0] < 2.0
+
+    def test_split_rhat_scaling_keeps_its_bits(self):
+        # the chains of the first ar1-exchange jobs of seed 1 (data and chain
+        # seeds from child k of SeedSequence(1), 9 fixed scoring iterations):
+        # power-of-two scaling is exact, so R-hat is the unscaled formula's
+        chains = []
+        sample = mcle.exchange_sample
+
+        def record(*args, **kwargs):
+            chains.append(sample(*args, **kwargs))
+            return chains[-1]
+
+        for child in np.random.SeedSequence(1).spawn(2):
+            data_seed, chain_seed = child.spawn(2)
+            series = gaussian.simulate_ar(AR1, 100, seed=data_seed)
+            config = mcle.ExchangeConfig(n_samples=10_000, seed=chain_seed)
+            with mock.patch.object(mcle, "exchange_sample", record):
+                fit = mcle.fisher_scoring(SPEC1, series, config, mcle.ScoringConfig(max_iters=9, grad_tol=1e-12))
+            rhats = [tuple(float(v) for v in unscaled_split_rhat(chain.stats)) for chain in chains[-9:]]
+            assert np.array(fit.split_rhat_trace).tobytes() == np.array(rhats).tobytes()
+        assert len(chains) == 18
+
+    def test_split_rhat_of_constant_halves(self):
+        assert np.isnan(mcle.split_rhat(np.ones((10, 2)))).all()
+        assert mcle.split_rhat(np.repeat([1e-310, 2e-310], 5))[0] == math.inf
 
     def test_exchange_result_reports_diagnostics(self):
         series = gaussian.simulate_ar(AR1, 60, seed=7)

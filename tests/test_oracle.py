@@ -163,9 +163,17 @@ class TestExactCle:
 
     def test_ar2_data_the_undamped_ascent_lost(self):
         # undamped Newton ran to (2.9e5, 1.7e5) here and called the
-        # likelihood unbounded; the damped ascent stops at the maximum
+        # likelihood unbounded; the damped ascent stops at the maximum.  The
+        # data: 12 values of the AR(2) phi = (0.9, -0.2), sigma2 = 1, drawn
+        # from a Lyapunov-and-Cholesky start with seed 7
         spec = core.ar_spec(2)
-        series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.9, -0.2], 1.0), 12, seed=7)
+        series = core.TimeSeries(
+            [
+                -0.3336954069677879, -1.1912973385963366, -1.4600993085148681, -2.067476464940577,
+                -1.508565354146107, 0.3960017198111526, 0.16590810010792917, -0.5503579536850347,
+                -0.03866172815291887, 0.43216304355944074, 0.502093333831979, -0.5650166529713118,
+            ]
+        )
         theta = oracle.exact_cle(spec, series)
         np.testing.assert_allclose(theta, [3.0013396534, -1.0323000272], rtol=0.0, atol=1e-8)
         h_obs = core.total_statistic(spec, series)
