@@ -45,6 +45,13 @@ def overflow_files(workspace, case):
     return data, spec_path
 
 
+def constant_file(workspace):
+    """A data file of 50 values 2.0, whose pair statistics are all zero."""
+    data = workspace["tmp"] / "constant.csv"
+    core.TimeSeries(np.full(50, 2.0)).to_csv(data)
+    return data
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
@@ -288,6 +295,15 @@ class TestFit:
             f"error: {what} statistics of term {OVERFLOWING[case][2]} are not all below 1.34e+154 in "
             "magnitude, past which their squares overflow; standardize the series first (core.standard_scale)\n"
         )
+
+    @pytest.mark.parametrize("estimator", ["ple-naive", "ple-bipartition", "ple-sgd"])
+    def test_constant_series_exits_validation(self, workspace, capsys, estimator):
+        data, out = constant_file(workspace), workspace["tmp"] / f"constant-{estimator}.json"
+        rc, stdout = run_cli(
+            "fit", "--estimator", estimator, "--data", str(data), "--spec", str(workspace["spec1"]), "--out", str(out)
+        )
+        assert rc == cli.EXIT_VALIDATION and stdout == "" and not out.exists()
+        assert capsys.readouterr().err == "error: every pair statistic is zero, so theta is not identified\n"
 
     @pytest.mark.parametrize("command", ["ple-naive", "ple-bipartition", "select"])
     def test_overflow_refusal_writes_nothing_to_stdout(self, workspace, command):
@@ -749,6 +765,14 @@ class TestSelect:
         assert capsys.readouterr().err == (
             f"error: every spec failed to fit: {spec}: {reason}; {workspace['spec2']}: {reason}\n"
         )
+
+    def test_constant_series_fails_every_spec(self, workspace, capsys):
+        data, out = constant_file(workspace), workspace["tmp"] / "constant_select.csv"
+        spec1, spec2 = workspace["spec1"], workspace["spec2"]
+        rc, stdout = run_cli("select", "--data", str(data), "--spec", str(spec1), "--spec", str(spec2), "--out", str(out))
+        assert rc == cli.EXIT_VALIDATION and stdout == "" and not out.exists()
+        reason = "every pair statistic is zero, so theta is not identified"
+        assert capsys.readouterr().err == f"error: every spec failed to fit: {spec1}: {reason}; {spec2}: {reason}\n"
 
     def test_failed_spec_recorded_not_fatal(self, workspace):
         big = workspace["tmp"] / "huge_order.spec"

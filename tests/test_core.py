@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from test_acceptance import assert_verify_passes
 
 from mimm import core, mcle, verify
@@ -96,6 +97,27 @@ class TestEvaluate:
         assert_verify_passes(verify._check_multilinearity, "eval_multilinearity")
 
 
+CSV_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e-300, -1e-300, 1e300, -1e300, 0.1]),
+    st.integers(-(2**53), 2**53).map(float),
+)
+
+
+@st.composite
+def csv_series(draw):
+    """A series of 1-300 rows and 1-4 columns, each real or binary; real
+    values are any finite float, signed zeros, subnormals, values near
+    1e+-300 and integer-valued floats."""
+    n, p = draw(st.integers(1, 300)), draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(["real", "binary"]), min_size=p, max_size=p))
+    columns = [
+        draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 1.0]) if kind == "binary" else CSV_VALUES))
+        for kind in kinds
+    ]
+    return core.TimeSeries(np.column_stack(columns), kinds=kinds)
+
+
 class TestTimeSeries:
     def test_basic_properties(self):
         series = core.TimeSeries([[1.0, 0.0], [2.0, 1.0]], kinds=("real", "binary"))
@@ -136,29 +158,19 @@ class TestTimeSeries:
         loaded = core.TimeSeries.from_csv(path)
         np.testing.assert_array_equal(loaded.data, series.data)
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.one_of(
-                    st.floats(allow_nan=False, allow_infinity=False),
-                    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1]),
-                ),
-                st.sampled_from([0.0, 1.0]),
-            ),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    def test_csv_bytes_equal_the_per_value_writer(self, tmp_path_factory, rows):
-        # the writer formats Python floats from one tolist(); the bytes are
-        # those of writing repr(float(v)) value by value
-        series = core.TimeSeries(np.array(rows), kinds=("real", "binary"))
+    @settings(max_examples=100, deadline=None)
+    @given(csv_series())
+    def test_csv_bytes_equal_the_per_value_writer(self, tmp_path_factory, series):
+        # the writer formats each column once and joins the file in one
+        # string; its bytes are those of the join per row it replaced, which
+        # wrote repr(float(v)) value by value
         path = tmp_path_factory.mktemp("csv") / "series.csv"
         series.to_csv(path)
-        expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in series.data)
+        expected = "".join(",".join(map(repr, row)) + "\n" for row in series.data.tolist())
         assert path.read_bytes() == expected.encode("utf-8")
-        np.testing.assert_array_equal(core.TimeSeries.from_csv(path).data, series.data)
+        loaded = core.TimeSeries.from_csv(path, kinds=series.kinds)
+        assert loaded.data.shape == series.data.shape
+        assert loaded.data.tobytes() == series.data.tobytes()  # -0.0 and subnormals too
 
     def test_csv_header_autodetect(self, tmp_path):
         path = tmp_path / "series.csv"

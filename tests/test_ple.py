@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq, linprog, minimize
 from scipy.special import expit
 from test_acceptance import assert_verify_passes
@@ -24,6 +25,7 @@ from test_core import OVERFLOWING, overflowing_input
 from mimm import core, gaussian, ple, verify
 from mimm.exceptions import (
     BoundaryViolationError,
+    InsufficientDataError,
     InsufficientInteriorError,
     MimmError,
     ParameterDomainError,
@@ -104,6 +106,41 @@ class TestLogPl:
 
     def test_gradient_matches_finite_differences(self):
         assert_verify_passes(verify._check_logpl_gradient, "logpl_gradient_fd")
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(float, st.integers(1, 64), elements=st.floats()))
+    def test_negated_abs_is_bitwise_copysign(self, m):
+        # the kernel takes -|m| as abs then negative; copysign(m, -1.0) gave
+        # the same bits for every margin, signed zeros, infinities and nan
+        a = np.empty_like(m)
+        np.abs(m, out=a)
+        np.negative(a, out=a)
+        assert a.view(np.uint64).tolist() == np.copysign(m, -1.0).view(np.uint64).tolist()
+
+    def test_bitwise_equal_to_the_copysign_kernel_on_benchmark_inputs(self):
+        # the 26 series the ar1-allpairs workload fits at seed 1 and
+        # --seconds 20, each at zero, at its fitted theta and past the
+        # softplus cut-off
+        for child in np.random.SeedSequence(1).spawn(26):
+            series = gaussian.simulate_ar(AR1, 1000, seed=child)
+            X = all_pairs_matrix(SPEC1, series)
+            for theta in (np.zeros(1), ple.fit_naive(SPEC1, series).theta, np.array([-800.0])):
+                assert ple.log_pl(theta, X) == copysign_log_pl(theta, X)
+
+
+def copysign_log_pl(theta, X):
+    """The sliced log-PL kernel as it took -|m| before, by copysign."""
+    total = 0.0
+    for start in range(0, X.shape[0], ple._SLICE_ROWS):
+        Xb = X[start : start + ple._SLICE_ROWS]
+        m = np.dot(Xb, theta)
+        a = np.copysign(m, -1.0)
+        np.exp(a, out=a)
+        np.log1p(a, out=a)
+        np.minimum(m, 0.0, out=m)
+        m -= a
+        total += m.sum()
+    return float(total)
 
 
 def reference_newton_pass(X, theta):
@@ -406,6 +443,12 @@ def all_pairs_matrix(spec, series):
     return -core.swap_deltas(spec, series, s1 + lo, s2 + lo)
 
 
+def fit_first_pairs(spec, series):
+    """fit_pairs on the first disjoint pairs of the interior."""
+    s1 = np.arange(spec.order, series.n - spec.order - 1, 2)
+    return ple.fit_pairs(spec, series, s1, s1 + 1)
+
+
 def binary_real_series(n, seed):
     """Binary column driven by the lagged real column of an AR(1)."""
     z_seed, b_seed = np.random.SeedSequence(seed).spawn(2)
@@ -611,6 +654,36 @@ class TestTelemetry:
             ple.fit_naive(SPEC1, series)
         assert passes.call_count == 1
         assert passes.call_args.args[0].n_pairs == -(-ple.n_interior_pairs(800, 1) // ple._PILOT_STRIDE)
+
+    @pytest.mark.parametrize(
+        "fit, n",
+        [(ple.fit_naive, 50), (ple.fit_bipartition, 50), (fit_first_pairs, 50), (ple.fit_naive, 800)],
+        ids=["naive", "bipartition", "pairs", "naive-piloted"],
+    )
+    def test_constant_series_is_refused(self, fit, n, monkeypatch):
+        # each returned theta [0.0] "converged" with grad_norm 0.0; all
+        # pairs of 800 values are enough for a pilot, whose own first pass
+        # is the one refused
+        monkeypatch.setattr(np.linalg, "lstsq", mock.Mock(side_effect=AssertionError("a solve ran")))
+        with pytest.raises(InsufficientDataError, match="^every pair statistic is zero, so theta is not identified$"):
+            fit(SPEC1, core.TimeSeries(np.full(n, 2.0)))
+
+    def test_constant_column_is_refused_for_its_own_terms(self):
+        # a constant real column leaves only the other column's terms to fit
+        rng = np.random.default_rng(3)
+        series = core.TimeSeries(np.column_stack([np.full(60, -1.5), rng.standard_normal(60)]))
+        on_constant = core.DependenceSpec(order=1, dim=2, terms=SPEC1.terms)
+        with pytest.raises(InsufficientDataError, match="every pair statistic is zero"):
+            ple.fit_naive(on_constant, series)
+        assert ple.fit_naive(core.DependenceSpec.from_text("0:1^1*1:1^1\n"), series).converged
+
+    def test_ordinary_fits_never_scan_for_zero_statistics(self, monkeypatch):
+        check = mock.Mock(side_effect=ple._check_identified)
+        monkeypatch.setattr(ple, "_check_identified", check)
+        series = gaussian.simulate_ar(AR1, 200, seed=5)
+        ple.fit_naive(SPEC1, series)
+        ple.fit_bipartition(core.ar_spec(2), series, seed=1)
+        assert check.call_count == 0
 
     def test_sums_that_overflow_name_the_term(self):
         # every pair statistic is in range, but the Fisher sum over the
@@ -1393,10 +1466,12 @@ class TestFitOnlineSgd:
         assert abs(fit.theta[0] - 1.0) < 0.4
         assert fit.n_pairs_used == 10_000
 
-    def test_constant_series_stays_at_zero(self):
+    def test_constant_series_is_refused(self):
+        # it returned theta [0.0]: no update moves theta when every pair
+        # statistic is zero
         series = core.TimeSeries(np.ones(50) * 2.5)
-        fit = ple.fit_online_sgd(SPEC1, series, ple.SgdConfig(eta=0.1, n_iters=500, seed=7))
-        assert fit.theta[0] == 0.0
+        with pytest.raises(InsufficientDataError, match="^every pair statistic is zero, so theta is not identified$"):
+            ple.fit_online_sgd(SPEC1, series, ple.SgdConfig(eta=0.1, n_iters=500, seed=7))
 
     SGD_ROW_LOOP_CASES = [
         (SPEC1, 3 * ple._SGD_LIST_ROWS + 5),
@@ -1433,6 +1508,12 @@ class TestFitOnlineSgd:
     @given(sgd_designs())
     def test_theta_bitwise_equal_to_numpy_row_loop_random(self, design):
         spec, series, config = design
+        if not _reference_pair_rows(spec, series, config).any():
+            # a short budget on sparse data can draw only pairs whose swap
+            # changes nothing: refused as a constant series is
+            with pytest.raises(InsufficientDataError, match="every pair statistic is zero"):
+                ple.fit_online_sgd(spec, series, config)
+            return
         fit = ple.fit_online_sgd(spec, series, config)
         np.testing.assert_array_equal(fit.theta, reference_sgd_theta(spec, series, config))
         assert fit.n_pairs_used == fit.iterations == config.n_iters
@@ -1541,6 +1622,11 @@ class TestSelectSpecs:
         assert rows[0].error is None and np.isfinite(rows[0].aic)
         assert "too large" in rows[1].error
         assert rows[1][:4] == (None, None, None, None)
+
+    def test_constant_series_gives_every_spec_an_error_row(self):
+        # AR(1) and AR(2) both scored log-PL -3.4657 and ranked by list order
+        rows = ple.select_specs(core.TimeSeries(np.full(50, 2.0)), [SPEC1, core.ar_spec(2)], splits=2)
+        assert rows == [ple.SelectRow(error="every pair statistic is zero, so theta is not identified")] * 2
 
     def test_all_specs_infeasible_raises(self):
         with pytest.raises(InsufficientInteriorError):
