@@ -21,11 +21,16 @@ products of its other factors, read off the neighbours of ``i``.  When
     delta = sum_g (S_g[s1] - S_g[s2]) * (Phi_g(x_{s2}) - Phi_g(x_{s1})),
 
 with ``S`` and ``Phi`` tabulated once per position instead of gathered once
-per pair.  The O(m d) near pairs re-evaluate their at most 2d + 1 windows
-directly.  The exchange sampler, one pair at a time under a changing
-ordering, sums ``S`` for the two positions on the fly instead, reading
-per-column lists of the ordering, in code generated from the same plan
-(:func:`mimm.mcle._exchange_kernel`).
+per pair.  The tables of the whole interior are built once per (spec,
+series) and kept on the spec's table in a one-entry cache that holds the
+series weakly: (owns + groups) x n floats per spec, freed with the series
+or by the next series' build.  A sparse batch on a series of more than
+``_WHOLE_TABLES`` (1024) interior positions builds tables of the touched
+positions instead (:func:`swap_deltas`).  The O(m d) near pairs
+re-evaluate their at most 2d + 1 windows directly.  The exchange sampler,
+one pair at a time under a changing ordering, sums ``S`` for the two
+positions on the fly instead, reading per-column lists of the ordering, in
+code generated from the same plan (:func:`mimm.mcle._exchange_kernel`).
 
 The all-pairs design (every interior pair in lexicographic order) needs no
 pair indices at all: for a tile of rows s1 the far pairs of every s2 > s1
@@ -39,9 +44,10 @@ uniform pairs.  The random matchings of ``fit_bipartition`` and
 ``spaced_matching``).
 
 All containers are immutable after construction and safe to share across
-threads; every operation is a pure function.  Statistic summation relies on
-numpy's pairwise accumulation, which keeps totals reproducible to ~1e-12
-regardless of how callers shard the work.
+threads; every operation is a pure function.  The swap-table cache is the
+one shared mutable state, and a hit returns the values a rebuild would.
+Statistic summation relies on numpy's pairwise accumulation, which keeps
+totals reproducible to ~1e-12 regardless of how callers shard the work.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import functools
 import itertools
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,6 +271,33 @@ class MonomialTable:
                 groups.append((k, owns.setdefault(own, len(owns)), tuple(slots)))
         self.owns = tuple(owns)
         self.groups = tuple(groups)
+        self._swap_entry = None  # (weakref to a series, its swap tables)
+
+    def _swap_tables(self, series: TimeSeries) -> tuple[list, list]:
+        """The factored swap tables (Phi, S) of ``series`` over its whole
+        interior, indexed by position (:func:`_factored_tables` with ``pad``
+        d), read-only.  The last series' tables are kept in a one-entry
+        cache that holds the series only by a weak reference: they are
+        built once for every fit of this spec on it, and freed with it.
+        Threads that share the spec may replace each other's entry, which
+        costs a rebuild of the same values, never a different result."""
+        entry = self._swap_entry
+        if entry is not None and entry[0]() is series:
+            return entry[1]
+        d = self.order
+        tables = _factored_tables(self, series.data, np.arange(d, series.n - d), d)
+        for column in itertools.chain(*tables):
+            column.setflags(write=False)
+        owner = weakref.ref(self)
+
+        def forget(key):
+            table = owner()
+            entry = None if table is None else table._swap_entry
+            if entry is not None and entry[0] is key:
+                table._swap_entry = None
+
+        self._swap_entry = (weakref.ref(series, forget), tables)
+        return tables
 
     def powers(self, values: np.ndarray) -> np.ndarray:
         """Power columns of the values: (..., p) -> (..., Q)."""
@@ -448,6 +482,15 @@ def _check_finite_statistics(spec: DependenceSpec, values: np.ndarray, what: str
     )
 
 
+def _check_identified(blocks) -> None:
+    """Refuse pair statistics that are all zero (a constant series, say),
+    given as blocks of rows: every theta then gives the same
+    pseudo-likelihood and the same conditional law, so
+    :class:`InsufficientDataError`."""
+    if not any(X.any() for X in blocks):
+        raise InsufficientDataError("every pair statistic is zero, so theta is not identified")
+
+
 def _interior_bounds(spec: DependenceSpec, series: TimeSeries) -> tuple[int, int]:
     d = spec.order
     m = series.n - 2 * d
@@ -567,6 +610,12 @@ def _factored_tables(table: MonomialTable, X: np.ndarray, positions: np.ndarray,
 # pairs per block of the far-pair sweep: its temporaries stay in cache
 # (unblocked, 1e5 SGD pairs at n = 1e4 took 3.7 ms against 1.9 ms)
 _SWAP_BLOCK = 1 << 14
+# C: an interior of at most this many positions reads the cached
+# whole-interior tables at any batch size.  Cold, on a select design (a
+# spaced matching at d = 1, a third of the positions touched), one call
+# cost 0.93-0.98x the touched-table call at K = 1 and 1.13-1.34x at K = 16
+# at 1024 positions; 1.6-1.7x at K = 16 from 1792, 2.0-2.1x at 4096
+_WHOLE_TABLES = 1 << 10
 
 
 def _near_deltas(table: MonomialTable, X: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -589,11 +638,15 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
     """Vectorized swap deltas for identity ordering: row b is
     H(swap s1[b], s2[b]) - H(identity), shape (B, K).
 
-    Far pairs (s2 - s1 > d) use the factored form of the module docstring:
-    the tables S and Phi are built once per call, over every position in
-    the pairs' span when the batch is dense in it and over the touched
-    positions otherwise, and each pair row costs a few 1-d ``take``s per
-    term (whole-span tables made ``select_specs`` 2.4x slower at n = 2e4).
+    Far pairs (s2 - s1 > d) use the factored form of the module docstring,
+    each pair row a few 1-d ``take``s per term from the tables S and Phi.
+    When the interior holds at most max(2B, C) positions for B pairs
+    (C = ``_WHOLE_TABLES``), the tables are the whole interior's, cached on
+    the spec's ``MonomialTable`` (``_swap_tables``) and shared by every
+    later call on the same series; otherwise, a sparse batch on a long
+    series, they are built for this call over the touched positions alone
+    (past C a cold whole-interior call costs up to 3.4x the touched one at
+    K = 16 on a spaced matching, at 32768 positions).
     Near pairs re-evaluate their overlapping windows directly.  Used by
     ``fit_bipartition``, ``fit_pairs``, ``fit_online_sgd`` and pilots;
     ``fit_naive``'s full design is built by :func:`_all_pairs_deltas`
@@ -619,16 +672,14 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
     out = np.empty((B, K))
     if B == 0:
         return out
-    first, last = int(s1.min()), int(s2.max())
-    if first < d or last > n - d - 1:
+    if int(s1.min()) < d or int(s2.max()) > n - d - 1:
         raise BoundaryViolationError("swap indices outside the swappable interior")
-    if last - first < 2 * B:
-        # tables over the whole span, indexed by position
-        positions, pad, i1, i2 = np.arange(first, last + 1), first, s1, s2
+    if n - 2 * d <= max(2 * B, _WHOLE_TABLES):
+        (phi, S), i1, i2 = table._swap_tables(series), s1, s2
     else:
         positions, inverse = np.unique(np.concatenate([s1, s2]), return_inverse=True)
-        pad, i1, i2 = 0, inverse[:B], inverse[B:]
-    phi, S = _factored_tables(table, X, positions, pad)
+        phi, S = _factored_tables(table, X, positions, 0)
+        i1, i2 = inverse[:B], inverse[B:]
 
     near = []
     for lo in range(0, B, _SWAP_BLOCK):
@@ -659,9 +710,11 @@ def _all_pairs_deltas(spec: DependenceSpec, series: TimeSeries, r0: int, r1: int
     s1 < s2 <= n - d - 1, in lexicographic order: rows r0 .. r1 - 1 of the
     all-pairs design, shape (N, K).
 
-    The tables S and Phi are taken once over positions [r0, n - d).  For a
-    tile of rows the far pairs are one broadcast per group, accumulated
-    from zeros in ``MonomialTable.groups`` order, so every entry equals
+    The tables S and Phi are the series' cached whole-interior tables
+    (``MonomialTable._swap_tables``), so the chunks of a design, and every
+    pass that rebuilds them, share one build.  For a tile of rows the far
+    pairs are one broadcast per group, accumulated from zeros in
+    ``MonomialTable.groups`` order, so every entry equals
     :func:`swap_deltas` on the same pair list bitwise; the tile's upper
     triangle (s2 > s1) is then compressed into the output.  The near pairs,
     the first d entries of each row, are overwritten by the direct
@@ -679,7 +732,7 @@ def _all_pairs_deltas(spec: DependenceSpec, series: TimeSeries, r0: int, r1: int
     s1 = np.arange(r0, r1, dtype=np.intp)
     ends = np.cumsum(hi - 1 - s1)  # pairs up to and including each row
     out = np.empty((int(ends[-1]), K))
-    phi, S = _factored_tables(table, X, np.arange(r0, hi), r0)
+    phi, S = table._swap_tables(series)
     # tile entry (t, c) is the pair (a + t, a + 1 + c), kept when c >= t
     upper = np.arange(hi - r0 - 1) >= np.arange(_PAIR_TILE_ROWS)[:, None]
     start = 0

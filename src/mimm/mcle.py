@@ -43,10 +43,13 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    _SWAP_BLOCK,
     DependenceSpec,
     TimeSeries,
+    _all_pairs_blocks,
     _check_count,
     _check_finite_statistics,
+    _check_identified,
     _check_positive,
     _interior_bounds,
     _uniform_pairs,
@@ -582,7 +585,14 @@ def fisher_scoring(
     Starts from theta = 0 and stops when ||H_obs - mu|| < grad_tol *
     (1 + ||H_obs||) or at max_iters.  An observed statistic whose square
     overflows (``core._check_finite_statistics``) raises
-    :class:`ParameterDomainError` before any chain runs.
+    :class:`ParameterDomainError` before any chain runs.  When the first
+    iteration's score and covariance both vanish to rounding (a norm of at
+    most 1e-8 ||H_obs||, a trace of at most its square), the statistic may
+    never move; the pair fitters' rule (``core._check_identified``) then
+    scans the swap deltas of every interior pair once, and if all are zero
+    raises :class:`InsufficientDataError`, whichever gave the moments.  At
+    theta = 0 a chain accepts every proposal, so on other data the
+    statistic moves and the scan never runs.
     """
     start = time.perf_counter()
     K = spec.n_terms
@@ -600,7 +610,8 @@ def fisher_scoring(
     converged = False
     damping = 1.0
     prev_norm = math.inf
-    h_scale = 1.0 + float(np.linalg.norm(h_obs))
+    h_norm = float(np.linalg.norm(h_obs))
+    h_scale = 1.0 + h_norm
     n_steps = 0
     stages = {"sampler_s": 0.0, "diagnostics_s": 0.0, "solve_s": 0.0}
 
@@ -630,6 +641,9 @@ def fisher_scoring(
 
         score = h_obs - mu
         snorm = float(np.linalg.norm(score))
+        # a mean of equal statistics can round off by a few ulps, so not exactly 0
+        if not score_norms and snorm <= 1e-8 * h_norm and np.trace(cov) <= (1e-8 * h_norm) ** 2:
+            _check_identified(_all_pairs_blocks(spec, series, _SWAP_BLOCK))
         score_norms.append(snorm)
         thetas.append(tuple(float(v) for v in theta))
         acc_rates.append(acc)

@@ -70,6 +70,7 @@ from .core import (  # noqa: F401  window_statistics: bench/tracing.py wraps it 
     _all_pairs_blocks,
     _check_count,
     _check_finite_statistics,
+    _check_identified,
     _check_positive,
     _interior_bounds,
     _uniform_pairs,
@@ -522,14 +523,6 @@ def _newton(pass_fn, value_fn, theta, first_pass, config, scale, row_norm=None, 
             capped = True
             break
     return _Ascent(theta, passes, grad_norm, converged, capped, tuple(thetas), value)
-
-
-def _check_identified(blocks) -> None:
-    """Refuse a design whose every pair statistic is zero (a constant
-    series, say): every theta then gives the same pseudo-likelihood, so
-    :class:`InsufficientDataError`."""
-    if not any(X.any() for X in blocks):
-        raise InsufficientDataError("every pair statistic is zero, so theta is not identified")
 
 
 def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = True) -> PleResult:

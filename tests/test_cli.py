@@ -296,7 +296,7 @@ class TestFit:
             "magnitude, past which their squares overflow; standardize the series first (core.standard_scale)\n"
         )
 
-    @pytest.mark.parametrize("estimator", ["ple-naive", "ple-bipartition", "ple-sgd"])
+    @pytest.mark.parametrize("estimator", ["ple-naive", "ple-bipartition", "ple-sgd", "mcle"])
     def test_constant_series_exits_validation(self, workspace, capsys, estimator):
         data, out = constant_file(workspace), workspace["tmp"] / f"constant-{estimator}.json"
         rc, stdout = run_cli(

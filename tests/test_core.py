@@ -1,7 +1,11 @@
 """Dependence functions, sufficient statistics, and swap deltas."""
 
 import dataclasses
+import gc
+import sys
+import threading
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -391,12 +395,16 @@ def test_numpy_integers_build_the_same_spec(spec):
 
 
 @st.composite
-def swap_batches(draw, specs):
+def swap_batches(draw, specs, around_c=False):
     """A spec, a series and pairs that include adjacent (gap 1), near
-    (gap d) and far (gap > d) swaps alongside random ones."""
+    (gap d) and far (gap > d) swaps alongside random ones.  With
+    ``around_c``, half the series have an interior within 20 positions of
+    ``core._WHOLE_TABLES``, on either side of it."""
     spec = draw(specs)
     d = spec.order
     n = draw(st.integers(2 * d + 2, 2 * d + 40))
+    if around_c and draw(st.booleans()):
+        n = 2 * d + core._WHOLE_TABLES + draw(st.integers(-20, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # values in [-1.5, 1.5] keep the largest monomial (a ninth power) near
     # 40, so the 1e-12 tolerance is ~100 ulps of a summand
@@ -474,6 +482,124 @@ class TestSwapDeltasAgainstScalar:
         # a bool among ints converts to an integer array
         with pytest.raises(BoundaryViolationError, match="integers"):
             core.swap_deltas(core.ar_spec(1), core.TimeSeries(np.arange(12.0)), s1, s2)
+
+
+def touched_swap_deltas(spec, series, s1, s2):
+    """Swap deltas by the table rule that preceded the cache, kept as the
+    reference: tables built per call, over the pairs' span when the batch
+    is dense in it and over the touched positions otherwise."""
+    table, d, K, B = spec._table, spec.order, spec.n_terms, len(s1)
+    first, last = int(s1.min()), int(s2.max())
+    if last - first < 2 * B:
+        positions, pad, i1, i2 = np.arange(first, last + 1), first, s1, s2
+    else:
+        positions, inverse = np.unique(np.concatenate([s1, s2]), return_inverse=True)
+        pad, i1, i2 = 0, inverse[:B], inverse[B:]
+    phi, S = core._factored_tables(table, series.data, positions, pad)
+    out = np.empty((B, K))
+    for lo in range(0, B, core._SWAP_BLOCK):
+        hi = min(lo + core._SWAP_BLOCK, B)
+        a, b = i1[lo:hi], i2[lo:hi]
+        dphi = [p.take(b) - p.take(a) for p in phi]
+        block = np.zeros((K, hi - lo))
+        for (k, own, _), s in zip(table.groups, S):
+            block[k] += (s.take(a) - s.take(b)) * dphi[own]
+        out[lo:hi] = block.T
+    near = np.flatnonzero(s2 - s1 <= d)
+    if near.size:
+        out[near] = core._near_deltas(table, series.data, s1[near], s2[near])
+    return out
+
+
+class TestCachedSwapTables:
+    """Rows from the cached whole-interior tables against rows from tables
+    built per call by the earlier rule, bitwise, on a cold and on a warm
+    cache; interiors on both sides of C = ``_WHOLE_TABLES``."""
+
+    @staticmethod
+    def check(spec, series, s1, s2):
+        series = core.TimeSeries(series.data, kinds=series.kinds)  # a new series: the cache is cold
+        table, d = spec._table, spec.order
+        expected = _bits(touched_swap_deltas(spec, series, s1, s2))
+        assert _bits(core.swap_deltas(spec, series, s1, s2)) == expected
+        whole = series.n - 2 * d <= max(2 * len(s1), core._WHOLE_TABLES)
+        entry = table._swap_entry
+        assert (entry is not None and entry[0]() is series) == whole
+        # the first rows of the all-pairs design fill the cache on either side
+        r1 = min(d + 2, series.n - d - 1)
+        rows = [(a, b) for a in range(d, r1) for b in range(a + 1, series.n - d)]
+        a, b = (np.array(v, dtype=np.intp) for v in zip(*rows))
+        design = core._all_pairs_deltas(spec, series, d, r1)
+        assert _bits(design) == _bits(core.swap_deltas(spec, series, a, b)) == _bits(touched_swap_deltas(spec, series, a, b))
+        assert table._swap_entry[0]() is series
+        # warm: every table this series needs is cached now
+        with mock.patch.object(core, "_factored_tables", side_effect=AssertionError("rebuilt")):
+            assert _bits(core._all_pairs_deltas(spec, series, d, r1)) == _bits(design)
+            if whole:
+                assert _bits(core.swap_deltas(spec, series, s1, s2)) == expected
+        assert _bits(core.swap_deltas(spec, series, s1, s2)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(swap_batches(random_specs(), around_c=True))
+    def test_random_specs(self, case):
+        self.check(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(swap_batches(kron_binary_specs(), around_c=True))
+    def test_kron_specs_with_binary_column(self, case):
+        self.check(*case)
+
+    def test_one_entry_per_spec_table(self):
+        spec, rng = core.ar_spec(2), np.random.default_rng(4)
+        first, second = (core.TimeSeries(rng.standard_normal(40)) for _ in range(2))
+        with mock.patch.object(core, "_factored_tables", wraps=core._factored_tables) as build:
+            for series in (first, first, second, second, first):
+                core.swap_deltas(spec, series, [2, 5], [9, 30])
+                core._all_pairs_deltas(spec, series, 2, 10)
+        # one build per change of series, each replacing the one entry
+        assert build.call_count == 3
+        key, (phi, S) = spec._table._swap_entry
+        assert key() is first and len(phi) == len(spec._table.owns) and len(S) == len(spec._table.groups)
+        assert all(column.shape == (38,) and not column.flags.writeable for column in phi + S)
+        assert core.ar_spec(2)._table._swap_entry is None  # an equal spec has its own table
+
+    def test_threads_sharing_a_spec_get_their_own_series_rows(self):
+        # more threads than cores, switching every microsecond: each thread
+        # alternates two series through one spec's one-entry cache
+        spec = core.kron_spec(2, [(1, 1, 1), (1, 2, 2)])
+        rng = np.random.default_rng(6)
+        series = [core.TimeSeries(rng.uniform(-1.5, 1.5, size=(300, 2))) for _ in range(8)]
+        s1, s2 = np.arange(1, 150), np.arange(150, 299)
+        serial = [_bits(core.swap_deltas(spec, data, s1, s2)) for data in series]
+        rows = [[] for _ in range(4)]
+
+        def run(i):
+            for _ in range(50):
+                for j in (2 * i, 2 * i + 1):
+                    rows[i].append((j, _bits(core.swap_deltas(spec, series[j], s1, s2))))
+
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert all(len(done) == 100 and all(got == serial[j] for j, got in done) for done in rows)
+
+    def test_tables_are_freed_with_the_series(self):
+        spec = core.ar_spec(1)
+        series = core.TimeSeries(np.random.default_rng(5).standard_normal(50))
+        core.swap_deltas(spec, series, [3], [20])
+        column = weakref.ref(spec._table._swap_entry[1][1][0])
+        assert column() is not None
+        del series
+        gc.collect()
+        assert column() is None and spec._table._swap_entry is None
 
 
 @st.composite

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from test_acceptance import assert_verify_passes
 from test_core import _bits, kron_binary_specs, overflowing_input, random_specs
 
-from mimm import core, gaussian, mcle, oracle, verify
+from mimm import core, gaussian, mcle, oracle, ple, verify
 from mimm.exceptions import (
     IllConditionedError,
+    InsufficientDataError,
     InsufficientInteriorError,
     ParameterDomainError,
     ShapeMismatchError,
@@ -694,17 +695,43 @@ class TestFisherScoring:
     def test_exact_moments_match_enumeration_maximizer(self):
         assert_verify_passes(verify._check_enumeration_equivalence, "enumeration_equivalence")
 
-    def test_zero_score_fixed_point(self):
-        # boundary values equal, interior swap changes nothing: the observed
-        # statistic equals the permutation mean, so theta stays at zero
+    def test_zero_score_design_is_refused(self):
+        # boundary values equal, the one interior swap changes nothing: the
+        # score and covariance are 0 at every theta, which returned theta 0
+        # "converged"; the pair fitters refuse the same data
         series = core.TimeSeries([1.0, 2.0, 5.0, 1.0])
-        fit = mcle.fisher_scoring(
-            SPEC1,
-            series,
-            moment_fn=lambda th: oracle.enumeration_moments(SPEC1, series, th),
-        )
-        assert fit.converged and fit.iterations == 1
-        assert fit.theta[0] == 0.0
+        with pytest.raises(InsufficientDataError, match="^every pair statistic is zero, so theta is not identified$"):
+            mcle.fisher_scoring(SPEC1, series, moment_fn=lambda th: oracle.enumeration_moments(SPEC1, series, th))
+        with pytest.raises(InsufficientDataError, match="every pair statistic is zero"):
+            ple.fit_naive(SPEC1, series)
+
+    @pytest.mark.parametrize("value", [2.0, 0.3, 0.0])
+    @pytest.mark.parametrize("moments", ["chain", "enumeration"])
+    def test_constant_series_is_refused(self, value, moments):
+        # each returned theta [0.0] "converged"; at 0.3 the chain's mean of
+        # equal statistics rounds, so the score (8.9e-16) and covariance
+        # (7.9e-31) are not exactly 0
+        series = core.TimeSeries(np.full(50 if moments == "chain" else 9, value))
+        moment_fn = None if moments == "chain" else (lambda th: oracle.enumeration_moments(SPEC1, series, th))
+        with pytest.raises(InsufficientDataError, match="^every pair statistic is zero, so theta is not identified$"):
+            mcle.fisher_scoring(SPEC1, series, mcle.ExchangeConfig(n_samples=2000, seed=1), moment_fn=moment_fn)
+
+    def test_constant_column_is_refused_for_its_own_terms(self):
+        rng = np.random.default_rng(3)
+        series = core.TimeSeries(np.column_stack([np.full(60, -1.5), rng.standard_normal(60)]))
+        config = mcle.ExchangeConfig(n_samples=2000, seed=1)
+        with pytest.raises(InsufficientDataError, match="every pair statistic is zero"):
+            mcle.fisher_scoring(core.DependenceSpec(order=1, dim=2, terms=SPEC1.terms), series, config)
+        assert mcle.fisher_scoring(core.DependenceSpec.from_text("0:1^1*1:1^1\n"), series, config).iterations > 1
+
+    def test_ordinary_fits_never_scan_for_zero_statistics(self, monkeypatch):
+        check = mock.Mock(side_effect=mcle._check_identified)
+        monkeypatch.setattr(mcle, "_check_identified", check)
+        series = gaussian.simulate_ar(AR1, 100, seed=5)
+        mcle.fisher_scoring(SPEC1, series, mcle.ExchangeConfig(n_samples=2000, seed=1))
+        small = gaussian.simulate_ar(AR1, 9, seed=5)
+        mcle.fisher_scoring(SPEC1, small, moment_fn=lambda th: oracle.enumeration_moments(SPEC1, small, th))
+        assert check.call_count == 0
 
     def test_mcmc_estimate_close_to_truth(self):
         series = gaussian.simulate_ar(AR1, 150, seed=8)

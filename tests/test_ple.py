@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -988,17 +989,28 @@ class TestPilotStart:
 
     def test_threaded_pilot_fits_match_serial_without_a_warnings_filter(self):
         # n = 800 gives 318003 pairs, so each fit runs a pilot; no fit
-        # touches the process-wide warnings filter
-        specs = (SPEC1, core.ar_spec(2))
+        # touches the process-wide warnings filter.  Two threads fit one
+        # spec on two series, so they replace each other's entry in the
+        # spec's one swap-table cache
         series = gaussian.simulate_ar(AR1, 800, seed=21)
-        serial = [ple.fit_naive(spec, series) for spec in specs]
-        assert all(fit.stages["pilot_s"] > 0.0 for fit in serial)
-        threaded = [None, None]
+        other = gaussian.simulate_ar(AR1, 800, seed=22)
+
+        def select_like(data):  # nine small fits, as select_specs runs them
+            return [ple.fit_pairs(SPEC1, data, *ple.spaced_matching(800, 1, seed)) for seed in range(9)]
+
+        jobs = [
+            *(partial(ple.fit_naive, spec, data) for spec, data in ((SPEC1, series), (core.ar_spec(2), series), (SPEC1, other))),
+            partial(select_like, series),
+            partial(select_like, other),
+        ]
+        serial = [job() for job in jobs]
+        assert all(fit.stages["pilot_s"] > 0.0 for fit in serial[:3])
+        threaded = [None] * len(jobs)
 
         def run(i):
-            threaded[i] = ple.fit_naive(specs[i], series)
+            threaded[i] = jobs[i]()
 
-        workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
         # patched only while the threads run: pytest's own reporting uses it
         with mock.patch.object(warnings, "catch_warnings", side_effect=AssertionError("filter swapped")):
             for worker in workers:
@@ -1006,7 +1018,7 @@ class TestPilotStart:
             for worker in workers:
                 worker.join(timeout=120)
         assert not any(worker.is_alive() for worker in workers)
-        for a, b in zip(threaded, serial):
+        for a, b in zip(threaded[:3] + threaded[3] + threaded[4], serial[:3] + serial[3] + serial[4]):
             assert_same_fit(a, b)
             assert a.theta_trace == b.theta_trace
 
@@ -1610,6 +1622,17 @@ class TestSelectSpecs:
         assert row1.log_pl == float(np.mean(log_pls))
         assert (row1.aic, row1.pic) == ple.aic_pic(row1.log_pl, 1, 300, 2)
         assert row1.error is None and row2.error is None
+
+    def test_swap_tables_built_once_per_spec(self, monkeypatch):
+        # 9 splits x 2 specs: every fit of a padded spec reads the tables
+        # its first fit built
+        build = mock.Mock(side_effect=core._factored_tables)
+        monkeypatch.setattr(core, "_factored_tables", build)
+        fits = mock.Mock(side_effect=ple.fit_pairs)
+        monkeypatch.setattr(ple, "fit_pairs", fits)
+        rows = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2)], seed=4)
+        assert all(row.error is None for row in rows)
+        assert fits.call_count == 18 and build.call_count == 2
 
     def test_duplicate_spec_gets_identical_rows(self):
         rows = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2), SPEC1], seed=1, splits=2)
