@@ -23,14 +23,13 @@ products of its other factors, read off the neighbours of ``i``.  When
 with ``S`` and ``Phi`` tabulated once per position instead of gathered once
 per pair.  The tables of the whole interior are built once per (spec,
 series) and kept on the spec's table in a one-entry cache that holds the
-series weakly: (owns + groups) x n floats per spec, freed with the series
-or by the next series' build.  A sparse batch on a series of more than
-``_WHOLE_TABLES`` (1024) interior positions builds tables of the touched
-positions instead (:func:`swap_deltas`).  The O(m d) near pairs
-re-evaluate their at most 2d + 1 windows directly.  The exchange sampler,
-one pair at a time under a changing ordering, sums ``S`` for the two
-positions on the fly instead, reading per-column lists of the ordering, in
-code generated from the same plan (:func:`mimm.mcle._exchange_kernel`).
+series weakly (``MonomialTable._swap_tables``): (owns + groups) x (n - d)
+floats per spec, freed with the series or by the next series' build.  The
+O(m d) near pairs re-evaluate their at most 2d + 1 windows directly.  The
+exchange sampler, one pair at a time under a changing ordering, sums ``S``
+for the two positions on the fly instead, reading per-column lists of the
+ordering, in code generated from the same plan
+(:func:`mimm.mcle._exchange_kernel`).
 
 The all-pairs design (every interior pair in lexicographic order) needs no
 pair indices at all: for a tile of rows s1 the far pairs of every s2 > s1
@@ -610,12 +609,6 @@ def _factored_tables(table: MonomialTable, X: np.ndarray, positions: np.ndarray,
 # pairs per block of the far-pair sweep: its temporaries stay in cache
 # (unblocked, 1e5 SGD pairs at n = 1e4 took 3.7 ms against 1.9 ms)
 _SWAP_BLOCK = 1 << 14
-# C: an interior of at most this many positions reads the cached
-# whole-interior tables at any batch size.  Cold, on a select design (a
-# spaced matching at d = 1, a third of the positions touched), one call
-# cost 0.93-0.98x the touched-table call at K = 1 and 1.13-1.34x at K = 16
-# at 1024 positions; 1.6-1.7x at K = 16 from 1792, 2.0-2.1x at 4096
-_WHOLE_TABLES = 1 << 10
 
 
 def _near_deltas(table: MonomialTable, X: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -639,14 +632,9 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
     H(swap s1[b], s2[b]) - H(identity), shape (B, K).
 
     Far pairs (s2 - s1 > d) use the factored form of the module docstring,
-    each pair row a few 1-d ``take``s per term from the tables S and Phi.
-    When the interior holds at most max(2B, C) positions for B pairs
-    (C = ``_WHOLE_TABLES``), the tables are the whole interior's, cached on
-    the spec's ``MonomialTable`` (``_swap_tables``) and shared by every
-    later call on the same series; otherwise, a sparse batch on a long
-    series, they are built for this call over the touched positions alone
-    (past C a cold whole-interior call costs up to 3.4x the touched one at
-    K = 16 on a spaced matching, at 32768 positions).
+    each pair row a few 1-d ``take``s per term from the tables S and Phi
+    of the whole interior, built on the first call for this spec and
+    series and cached on the spec's ``MonomialTable`` (``_swap_tables``).
     Near pairs re-evaluate their overlapping windows directly.  Used by
     ``fit_bipartition``, ``fit_pairs``, ``fit_online_sgd`` and pilots;
     ``fit_naive``'s full design is built by :func:`_all_pairs_deltas`
@@ -674,12 +662,7 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
         return out
     if int(s1.min()) < d or int(s2.max()) > n - d - 1:
         raise BoundaryViolationError("swap indices outside the swappable interior")
-    if n - 2 * d <= max(2 * B, _WHOLE_TABLES):
-        (phi, S), i1, i2 = table._swap_tables(series), s1, s2
-    else:
-        positions, inverse = np.unique(np.concatenate([s1, s2]), return_inverse=True)
-        phi, S = _factored_tables(table, X, positions, 0)
-        i1, i2 = inverse[:B], inverse[B:]
+    phi, S = table._swap_tables(series)
 
     near = []
     for lo in range(0, B, _SWAP_BLOCK):
@@ -688,7 +671,7 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
         if gap.min() < 1:
             raise BoundaryViolationError("need s1 < s2 elementwise")
         near.append(lo + np.flatnonzero(gap <= d))
-        a, b = i1[lo:hi], i2[lo:hi]
+        a, b = s1[lo:hi], s2[lo:hi]
         dphi = [p.take(b) - p.take(a) for p in phi]
         block = np.zeros((K, hi - lo))
         for (k, own, _), s in zip(table.groups, S):

@@ -589,8 +589,12 @@ def fisher_scoring(
     iteration's score and covariance both vanish to rounding (a norm of at
     most 1e-8 ||H_obs||, a trace of at most its square), the statistic may
     never move; the pair fitters' rule (``core._check_identified``) then
-    scans the swap deltas of every interior pair once, and if all are zero
-    raises :class:`InsufficientDataError`, whichever gave the moments.  At
+    scans the swap deltas of a bounded design once, and if all are zero
+    raises :class:`InsufficientDataError`, whichever gave the moments.  The
+    design is every interior pair when there are fewer than 2 x 16384 of
+    them, and otherwise every s-th pair of the all-pairs design, s = C(m,
+    2) // 16384 for m interior positions, so at most 2 x 16384 pairs; a
+    constant series of n = 1e5 is refused at that cost, not C(m, 2)'s.  At
     theta = 0 a chain accepts every proposal, so on other data the
     statistic moves and the scan never runs.
     """
@@ -643,7 +647,9 @@ def fisher_scoring(
         snorm = float(np.linalg.norm(score))
         # a mean of equal statistics can round off by a few ulps, so not exactly 0
         if not score_norms and snorm <= 1e-8 * h_norm and np.trace(cov) <= (1e-8 * h_norm) ** 2:
-            _check_identified(_all_pairs_blocks(spec, series, _SWAP_BLOCK))
+            lo, hi = _interior_bounds(spec, series)
+            stride = max(1, (hi - lo) * (hi - lo - 1) // 2 // _SWAP_BLOCK)
+            _check_identified(_all_pairs_blocks(spec, series, _SWAP_BLOCK, stride))
         score_norms.append(snorm)
         thetas.append(tuple(float(v) for v in theta))
         acc_rates.append(acc)

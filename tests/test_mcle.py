@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 from unittest import mock
 
 import numpy as np
@@ -715,6 +716,26 @@ class TestFisherScoring:
         moment_fn = None if moments == "chain" else (lambda th: oracle.enumeration_moments(SPEC1, series, th))
         with pytest.raises(InsufficientDataError, match="^every pair statistic is zero, so theta is not identified$"):
             mcle.fisher_scoring(SPEC1, series, mcle.ExchangeConfig(n_samples=2000, seed=1), moment_fn=moment_fn)
+
+    def test_long_constant_series_is_refused_at_a_bounded_cost(self, monkeypatch):
+        # n = 1e5 has 5e9 interior pairs; the scan reads at most 2 x 16384
+        scanned = []
+
+        def counted(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                scanned.append(len(out))
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(core, "swap_deltas", counted(core.swap_deltas))
+        monkeypatch.setattr(core, "_all_pairs_deltas", counted(core._all_pairs_deltas))
+        start = time.perf_counter()
+        with pytest.raises(InsufficientDataError, match="every pair statistic is zero"):
+            mcle.fisher_scoring(SPEC1, core.TimeSeries(np.full(100_000, 2.0)), mcle.ExchangeConfig(n_samples=500, seed=1))
+        assert 0 < sum(scanned) <= 2 * core._SWAP_BLOCK
+        assert time.perf_counter() - start < 10.0
 
     def test_constant_column_is_refused_for_its_own_terms(self):
         rng = np.random.default_rng(3)
