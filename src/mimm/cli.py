@@ -332,9 +332,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     """Rank dependence specs by AIC/PIC with :func:`ple.select_specs`, print
-    the table and write the ranked CSV.  --seed and --splits are passed on
-    only when given, so their defaults are the library's.  When every spec
-    fails, the one error line gives each spec's reason."""
+    the table and write the ranked CSV, each with the count of a spec's
+    split fits that converged.  --seed and --splits are passed on only when
+    given, so their defaults are the library's.  When every spec fails, the
+    one error line gives each spec's reason."""
     conf = _merge_config(args)
     if conf["data"] is None or not conf["spec"] or len(conf["spec"]) < 2:
         raise MimmError("select requires --data and at least two --spec files")
@@ -357,7 +358,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     best_aic = min(ok, key=lambda r: r["aic"])["spec"]
     best_pic = min(ok, key=lambda r: r["pic"])["spec"]
 
-    header = f"{'spec':<40} {'K':>3} {'log_pl':>14} {'aic':>14} {'pic':>14}  best"
+    header = f"{'spec':<40} {'K':>3} {'log_pl':>14} {'aic':>14} {'pic':>14} {'converged':>9}  best"
     print(header)
     print("-" * len(header))
     for r in rows:
@@ -367,20 +368,20 @@ def cmd_select(args: argparse.Namespace) -> int:
         if r["spec"] == best_pic:
             marks.append("PIC")
         if r["error"] is not None:
-            print(f"{r['spec']:<40} {'--':>3} {'--':>14} {'--':>14} {'--':>14}  failed: {r['error']}")
+            print(f"{r['spec']:<40} {'--':>3} {'--':>14} {'--':>14} {'--':>14} {'--':>9}  failed: {r['error']}")
         else:
             print(
                 f"{r['spec']:<40} {r['K']:>3} {r['log_pl']:>14.2f} {r['aic']:>14.2f} "
-                f"{r['pic']:>14.2f}  {'*'.join(marks)}"
+                f"{r['pic']:>14.2f} {r['converged']:>9}  {'*'.join(marks)}"
             )
 
     if conf["out"]:
         with open(conf["out"], "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["spec", "K", "log_pl", "aic", "pic", "best_aic", "best_pic", "error"])
+            writer.writerow(["spec", "K", "log_pl", "aic", "pic", "converged", "best_aic", "best_pic", "error"])
             for r in rows:
                 # None (a failed spec's scores, a fitted spec's error) is written empty
-                scores = [r[key] for key in ("K", "log_pl", "aic", "pic")]
+                scores = [r[key] for key in ("K", "log_pl", "aic", "pic", "converged")]
                 writer.writerow([r["spec"], *scores, r["spec"] == best_aic, r["spec"] == best_pic, r["error"]])
     return EXIT_OK
 

@@ -16,15 +16,17 @@ Four fitters:
 The first three differ only in the pairs they draw: one body (``_fit``)
 builds the pair statistics and fits them with ``_newton``, the package's
 one Newton loop, which ``oracle.exact_cle`` also runs: damped ascent with
-a minimum-norm step (binary columns can make monomials collinear), whose
-overshooting steps a self-concordance bound (``_certificate``) keeps or
-sends to backtracking.  Theta starts at zero, except on a design of at
-least 64 * 4096 pairs: that one first fits every 64th of its pairs and
-starts from the result if that pilot converged.  The Newton pass and the
-log pseudo-likelihood walk the pair blocks in cache-sized row slices with
-plain numpy ufuncs (logistic weights from ``exp`` with the margin
-clipped, the log-PL in softplus form), so no temporary grows with the
-pair matrix.
+a minimum-norm step (binary columns can make monomials collinear), solved
+within the range of the first pass's information by one LU solve per step,
+whose overshooting steps a self-concordance bound (``_certificate``) keeps
+or sends to backtracking.  Theta starts from a given start (``fit_pairs``
+takes one: ``select_specs`` passes the previous split's converged theta),
+else at zero, except on a design of at least 64 * 4096 pairs: that one
+first fits every 64th of its pairs and starts from the result if that
+pilot converged.  The Newton pass and the log pseudo-likelihood walk the
+pair blocks in cache-sized row slices with plain numpy ufuncs (logistic
+weights from ``exp`` with the margin clipped, the log-PL in softplus
+form), so no temporary grows with the pair matrix.
 
 Online SGD builds its whole budget's pair statistics in one vectorized
 call; only the update sweep is sequential, and it runs on Python floats:
@@ -49,7 +51,8 @@ from ``core._uniform_pairs``.
 Model selection: ``select_specs`` ranks candidate dependence specs by
 ``aic_pic`` on one shared design, every spec padded to the largest order and
 fitted by ``fit_pairs`` on ``spaced_matching`` pair sets whose swap
-neighborhoods are disjoint; ``SELECT_CONFIG`` holds its solver defaults.
+neighborhoods are disjoint, each split started from the previous converged
+one; ``SELECT_CONFIG`` holds its solver defaults.
 """
 
 from __future__ import annotations
@@ -117,8 +120,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# Singular values of the Fisher matrix below this fraction of the largest
-# are treated as zero when solving for the Newton step.
+# Eigenvalues of the Fisher matrix at or below this fraction of the largest
+# are treated as zero when solving for the Newton step (lstsq's rcond).
 _RCOND = 1e-10
 # Smallest fraction of a Newton step the line search tries.
 _MIN_STEP = 2.0**-30
@@ -150,16 +153,17 @@ class GdConfig:
     """Full-batch pseudo-likelihood solver settings.
 
     The solver is damped Newton ascent with a minimum-norm step; one epoch
-    is one Newton pass over the pairs.  It starts at theta = 0, or, on a
-    design of at least 64 * 4096 pairs, where a pilot fit on every 64th
-    pair with these same settings converged.  It stops when the norm of the
-    per-pair-averaged gradient is at most ``tol`` (on a design of more than
-    16384 pairs, also when a self-concordance bound on that norm at the next
-    full Newton step is, which saves the pass there), after ``max_epochs``
-    passes, or when the norm of theta exceeds a fixed divergence cap of
-    1e3, where only the fit the caller asked for, not a pilot, warns
-    :class:`SeparationWarning`.  ``max_epochs`` must be an integer >= 1 and
-    ``tol`` a real finite and > 0, or else :class:`ParameterDomainError`.
+    is one Newton pass over the pairs.  It starts from the ``start`` given
+    to :func:`fit_pairs`, else at theta = 0, or, on a design of at least
+    64 * 4096 pairs, where a pilot fit on every 64th pair with these same
+    settings converged.  It stops when the norm of the per-pair-averaged
+    gradient is at most ``tol`` (on a design of more than 16384 pairs, also
+    when a self-concordance bound on that norm at the next full Newton step
+    is, which saves the pass there), after ``max_epochs`` passes, or when
+    the norm of theta exceeds a fixed divergence cap of 1e3, where only the
+    fit the caller asked for, not a pilot, warns :class:`SeparationWarning`.
+    ``max_epochs`` must be an integer >= 1 and ``tol`` a real finite and
+    > 0, or else :class:`ParameterDomainError`.
     """
 
     max_epochs: int = 500
@@ -454,6 +458,27 @@ class _Ascent(NamedTuple):
     value: float | None
 
 
+def _range_basis(info):
+    """An orthonormal basis of the range of the symmetric positive
+    semidefinite ``info``: its eigenvectors whose eigenvalues exceed
+    ``_RCOND`` times the largest, lstsq's rcond rule (none for a zero
+    matrix), or None when that is every one, the identity."""
+    values, vectors = np.linalg.eigh(info)
+    kept = values > _RCOND * values[-1]
+    return None if kept.all() else vectors[:, kept]
+
+
+def _range_step(basis, info, grad):
+    """The solution of info step = grad within the span of ``basis`` (of
+    :func:`_range_basis`): while that span is the range of ``info``, the
+    minimum-norm least-squares solution, with one LU solve of the
+    restricted system.  Raises ``LinAlgError`` when the restricted
+    information is singular."""
+    if basis is None:
+        return np.linalg.solve(info, grad)
+    return basis @ np.linalg.solve(basis.T @ info @ basis, basis.T @ grad)
+
+
 def _newton(pass_fn, value_fn, theta, first_pass, config, scale, row_norm=None, certify_early=False) -> _Ascent:
     """Damped Newton ascent on a concave objective ``value_fn`` from theta;
     ``pass_fn`` gives the gradient and the information (the negated
@@ -463,8 +488,12 @@ def _newton(pass_fn, value_fn, theta, first_pass, config, scale, row_norm=None, 
     ascends, or ``capped`` when |theta| exceeds ``_THETA_CAP``.
 
     The step is the minimum-norm least-squares solution of info step =
-    grad, so theta stays in the row space of a singular information.  A
-    full step is kept when the slope grad(theta + step) . step is still
+    grad, so theta stays in the row space of a singular information: the
+    range of the first pass's information is taken once
+    (:func:`_range_basis`) and each step solves info restricted to it
+    (:func:`_range_step`), with the basis taken again from the current
+    information only when that solve finds it singular.  A full step is
+    kept when the slope grad(theta + step) . step is still
     >= 0 (by concavity the objective cannot then have decreased), or when
     :func:`_certificate`, given the design's largest row norm
     ``row_norm()``, proves it does not lower the objective; otherwise it is
@@ -477,6 +506,7 @@ def _newton(pass_fn, value_fn, theta, first_pass, config, scale, row_norm=None, 
     """
     grad, info = first_pass
     grad_norm = math.sqrt(grad @ grad) / scale
+    basis = _range_basis(info)
     passes = 1
     thetas, value = [tuple(theta.tolist())], None
     converged = capped = False
@@ -486,7 +516,11 @@ def _newton(pass_fn, value_fn, theta, first_pass, config, scale, row_norm=None, 
             break
         if passes >= config.max_epochs:
             break
-        step = np.linalg.lstsq(info, grad, rcond=_RCOND)[0]
+        try:
+            step = _range_step(basis, info, grad)
+        except np.linalg.LinAlgError:  # the information lost a direction of the basis
+            basis = _range_basis(info)
+            step = _range_step(basis, info, grad)
         ascends, bound = None, math.inf  # the certificate, taken at most once per step
         if certify_early:
             ascends, bound = _certificate(grad, info, step, row_norm())
@@ -525,7 +559,7 @@ def _newton(pass_fn, value_fn, theta, first_pass, config, scale, row_norm=None, 
     return _Ascent(theta, passes, grad_norm, converged, capped, tuple(thetas), value)
 
 
-def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = True) -> PleResult:
+def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = True, start=None) -> PleResult:
     """Pseudo-likelihood fit on the pairs of ``design`` by :func:`_newton`,
     the gradient norm taken per pair.  An empty design raises
     :class:`InsufficientDataError`; a first pass whose gradient norm or
@@ -534,16 +568,17 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
     ``core._check_finite_statistics`` refuses, else the term whose sums
     overflow.  A first pass whose Fisher trace is exactly zero checks the
     design's blocks once, and a design with no nonzero pair statistic
-    raises :class:`InsufficientDataError`.  A design of at least
+    raises :class:`InsufficientDataError`.  The ascent starts from
+    ``start`` when one is given.  Else a design of at least
     ``_PILOT_STRIDE * _PILOT_MIN_PAIRS`` pairs starts from its pilot's
     theta if that converged: this fit on ``design.every(_PILOT_STRIDE)``,
-    not ``requested``, so silent on the cap, its passes not counted.  A
-    requested fit stopped on the cap warns :class:`SeparationWarning` at
-    the fitter's caller.  Only a design of more than ``_SLICE_ROWS`` pairs
-    certifies early: on smaller ones the K x K work and the row-norm sweep
-    cost more than the pass they save.
+    not ``requested``, so silent on the cap, its passes not counted; any
+    other starts from zero.  A requested fit stopped on the cap warns
+    :class:`SeparationWarning` at the fitter's caller.  Only a design of
+    more than ``_SLICE_ROWS`` pairs certifies early: on smaller ones the
+    K x K work and the row-norm sweep cost more than the pass they save.
     """
-    start = time.perf_counter()
+    began = time.perf_counter()
     n_pairs = design.n_pairs
     if n_pairs == 0:
         raise InsufficientDataError("the pair design is empty")
@@ -551,13 +586,13 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
     def objective(theta):
         return sum(log_pl(theta, X) for X in design())
 
-    theta = np.zeros(design.spec.n_terms)
     pilot_s = 0.0
-    if n_pairs >= _PILOT_STRIDE * _PILOT_MIN_PAIRS:
+    if start is None and n_pairs >= _PILOT_STRIDE * _PILOT_MIN_PAIRS:
         pilot = _fit(design.every(_PILOT_STRIDE), config, method, False)  # not requested: no warning
         if pilot.converged:
-            theta = pilot.theta
+            start = pilot.theta
         pilot_s = pilot.wall_time_s
+    theta = np.zeros(design.spec.n_terms) if start is None else start
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
         grad, info = _newton_pass(design, theta)
         if not (math.isfinite(grad @ grad) and math.isfinite(info.trace())):
@@ -579,7 +614,7 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
     value = objective(ascent.theta) if ascent.value is None else ascent.value
     stages = {
         "pairs_s": design.seconds,
-        "solver_s": solved - start - pilot_s - pairs_solved,
+        "solver_s": solved - began - pilot_s - pairs_solved,
         "log_pl_s": time.perf_counter() - solved - (design.seconds - pairs_solved),
         "pilot_s": pilot_s,
     }
@@ -589,7 +624,7 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
         aic=None,
         pic=None,
         n_pairs_used=n_pairs,
-        wall_time_s=time.perf_counter() - start,
+        wall_time_s=time.perf_counter() - began,
         converged=ascent.converged,
         method=method,
         theta_trace=ascent.trace,
@@ -639,6 +674,7 @@ def fit_pairs(
     s1,
     s2,
     config: GdConfig = GdConfig(),
+    start=None,
 ) -> PleResult:
     """Pseudo-likelihood restricted to an explicit list of interior pairs.
 
@@ -649,8 +685,20 @@ def fit_pairs(
     :class:`InsufficientDataError`, lists not 1-d and of equal length
     :class:`ShapeMismatchError`, and non-integer positions (a bool too)
     :class:`BoundaryViolationError`.
+
+    The Newton ascent starts from ``start`` when it is given, in place of
+    zero or a pilot fit: ``spec.n_terms`` finite values (else
+    :class:`ShapeMismatchError` or :class:`ParameterDomainError`), copied.
+    ``select_specs`` passes each split the theta of the spec's previous
+    split when that fit converged.
     """
-    return _fit(_PairDesign(spec, series, s1, s2), config, "ple-pairs")
+    if start is not None:
+        start = np.array(start, dtype=float)
+        if start.shape != (spec.n_terms,):
+            raise ShapeMismatchError(f"start has shape {start.shape}, need ({spec.n_terms},)")
+        if not np.all(np.isfinite(start)):
+            raise ParameterDomainError(f"start must be finite, got {start.tolist()}")
+    return _fit(_PairDesign(spec, series, s1, s2), config, "ple-pairs", start=start)
 
 
 def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig = SgdConfig()) -> PleResult:
@@ -796,14 +844,16 @@ SELECT_CONFIG = GdConfig(max_epochs=2000, tol=1e-8)
 
 
 class SelectRow(NamedTuple):
-    """One spec's scores from :func:`select_specs`; a spec that could not
-    be scored has only ``error`` set."""
+    """One spec's scores from :func:`select_specs`, with ``converged`` the
+    number of its split fits that converged; a spec that could not be
+    scored has only ``error`` set."""
 
     K: int | None = None
     log_pl: float | None = None
     aic: float | None = None
     pic: float | None = None
     error: str | None = None
+    converged: int | None = None
 
 
 def select_specs(
@@ -824,6 +874,11 @@ def select_specs(
     ``SeedSequence(seed)``.  The disjoint swap neighborhoods keep an
     overparametrized spec from buying spurious fit, and averaging the
     log-PL over the designs concentrates its chance gain near the mean.
+    Each spec's first split starts from theta = 0, and every later one from
+    the theta of the split before it when that fit converged, else from
+    zero: the splits fit one spec to one series, so their maximizers lie
+    close together.  ``converged`` counts the splits whose fit converged;
+    the log-PL of one that did not enters the mean all the same.
 
     A spec whose order leaves fewer than two spaced positions, or whose fit
     fails with a library, linear-algebra or floating-point error, gets an
@@ -849,9 +904,16 @@ def select_specs(
             continue
         try:
             padded = DependenceSpec(order=max_d, dim=spec.dim, terms=spec.terms)
-            # fit_pairs is looked up here at call time: bench/ wraps it
-            mean = float(np.mean([fit_pairs(padded, series, s1, s2, config).log_pl for s1, s2 in designs]))
-            rows.append(SelectRow(padded.n_terms, mean, *aic_pic(mean, padded.n_terms, series.n, max_d)))
+            fits, start = [], None
+            for s1, s2 in designs:
+                # fit_pairs is looked up here at call time: bench/ wraps it
+                fits.append(fit_pairs(padded, series, s1, s2, config, start=start))
+                start = fits[-1].theta if fits[-1].converged else None
+            mean = float(np.mean([fit.log_pl for fit in fits]))
+            converged = sum(fit.converged for fit in fits)
+            rows.append(
+                SelectRow(padded.n_terms, mean, *aic_pic(mean, padded.n_terms, series.n, max_d), converged=converged)
+            )
         except (MimmError, np.linalg.LinAlgError, FloatingPointError) as err:
             rows.append(SelectRow(error=str(err)))
     return rows

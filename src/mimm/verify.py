@@ -568,6 +568,45 @@ def _check_newton_pilot_start():
     yield CheckResult("newton_pilot_start", bool(ok), gap, 1e-9, detail)
 
 
+def _check_select_warm_start():
+    """``select_specs`` of criterion 9c's four ``kron_spec(2, ...)``
+    candidates on a binary/real series of n = 307 (CI's "Select is
+    reproducible" input), with each split started from the previous
+    converged one, against the same selection with every split fitted from
+    theta = 0: the rows' log-PL within 1e-12 relative and the same AIC and
+    PIC ranks."""
+    z = gaussian.simulate_ar(gaussian.ClassicalARParams([0.6], 0.5), 307, seed=2).data[:, 0]
+    b = (np.random.default_rng(3).random(307) < 1.0 / (1.0 + np.exp(-np.roll(z, 1)))).astype(float)
+    series = core.TimeSeries(np.column_stack([b, z]), kinds=("binary", "real"))
+    blocks = ((1, 1, 1),), ((1, 1, 1), (1, 1, 2)), ((1, 1, 1), (1, 2, 1)), ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2))
+    specs = [core.kron_spec(2, block) for block in blocks]
+    fit_pairs, passes = ple.fit_pairs, {"warm": 0, "cold": 0}
+
+    def counted(side):
+        def fit(*args, start=None):
+            result = fit_pairs(*args, start=start if side == "warm" else None)
+            passes[side] += result.iterations
+            return result
+
+        return fit
+
+    try:
+        ple.fit_pairs = counted("warm")
+        warm = ple.select_specs(series, specs, seed=1)
+        ple.fit_pairs = counted("cold")
+        cold = ple.select_specs(series, specs, seed=1)
+    finally:
+        ple.fit_pairs = fit_pairs
+    gap = max(abs(w.log_pl - c.log_pl) / abs(c.log_pl) for w, c in zip(warm, cold))
+
+    def ranks(rows, key):
+        return sorted(range(len(rows)), key=lambda i: getattr(rows[i], key))
+
+    same = all(ranks(warm, key) == ranks(cold, key) for key in ("aic", "pic"))
+    detail = f"passes {passes['warm']} warm-started, {passes['cold']} from zero; ranks {'equal' if same else 'differ'}"
+    yield CheckResult("select_warm_start", same and gap < 1e-12, gap, 1e-12, detail)
+
+
 def _check_consistency_ordering():
     # reduced desk-scale version of the error-vs-n trend (5 seeds per size)
     spec = core.ar_spec(1)
@@ -594,7 +633,7 @@ _CHECKS = (
     _check_conditional_normalization, _check_detailed_balance, _check_zero_theta_acceptance,
     _check_score_zero_mean, _check_enumeration_equivalence, _check_logpl_zero,
     _check_logpl_gradient, _check_logistic_pass_blocked, _check_pair_sign, _check_monotone_ascent,
-    _check_newton_pilot_start, _check_consistency_ordering,
+    _check_newton_pilot_start, _check_select_warm_start, _check_consistency_ordering,
 )
 
 

@@ -53,6 +53,7 @@ VERIFY_TOLERANCES = {
     "pair_statistic_sign": 1e-12,
     "objective_monotone_ascent": -1e-12,
     "newton_pilot_start": 1e-9,
+    "select_warm_start": 1e-12,
     "estimator_consistency_ordering": 0.0,
 }
 

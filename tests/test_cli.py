@@ -699,8 +699,26 @@ class TestSelect:
             "--seed", "1", "--out", str(out),
         )
         assert rc == 0
-        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        header, *lines = out.read_text().splitlines()
+        assert header == "spec,K,log_pl,aic,pic,converged,best_aic,best_pic,error"
+        rows = [line.split(",") for line in lines]
         assert rows[0][1:5] == rows[1][1:5]
+        # every one of the 9 default splits converged
+        assert rows[0][5] == rows[1][5] == "9"
+
+    def test_table_and_csv_count_the_converged_splits(self, workspace):
+        # two passes per fit are too few to reach select's tol of 1e-8
+        out = workspace["tmp"] / "unconverged.csv"
+        rc, text = run_cli(
+            "select", "--data", str(workspace["data"]), "--spec", str(workspace["spec1"]),
+            "--spec", str(workspace["spec2"]), "--seed", "1", "--splits", "3", "--max-epochs", "2", "--out", str(out),
+        )
+        assert rc == 0
+        header, _, *table = text.splitlines()
+        assert header.split() == ["spec", "K", "log_pl", "aic", "pic", "converged", "best"]
+        assert [line.split()[5] for line in table] == ["0", "0"]
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert [row["converged"] for row in csv.DictReader(fh)] == ["0", "0"]
 
     def test_csv_quotes_a_spec_path_with_a_comma(self, workspace):
         odd = workspace["tmp"] / 'a,1 "x".spec'
@@ -716,7 +734,7 @@ class TestSelect:
         assert quoted["spec"] == str(odd)
         assert quoted["error"] == "" and quoted["best_aic"] in ("True", "False")
         # the same spec, so the same scores, read from the same columns
-        for key in ("K", "log_pl", "aic", "pic"):
+        for key in ("K", "log_pl", "aic", "pic", "converged"):
             assert quoted[key] == plain[key] != ""
 
     @pytest.mark.parametrize(
@@ -790,7 +808,7 @@ class TestSelect:
         for row in good:
             assert np.isfinite(float(row[3]))  # aic column
         failed_row = lines[3].split(",")
-        assert failed_row[1] == "" and "too large" in lines[3]
+        assert failed_row[1] == "" and failed_row[5] == "" and "too large" in lines[3]
 
     def test_programming_error_is_not_a_failed_row(self, workspace, monkeypatch):
         def broken(*args, **kwargs):

@@ -593,6 +593,79 @@ class TestNewtonAgainstBfgs:
         np.testing.assert_allclose(row_space @ fit.theta, fit.theta, atol=1e-8)
 
 
+def forbid_newton_solves(monkeypatch):
+    """Make the Newton step's linear algebra (the range basis's eigh and the
+    step's solve) fail the test if it runs."""
+    for name in ("eigh", "solve"):
+        monkeypatch.setattr(np.linalg, name, mock.Mock(side_effect=AssertionError(f"np.linalg.{name} ran")))
+
+
+@st.composite
+def step_cases(draw):
+    """The gradient and information of ``_newton_pass`` at a theta with
+    margins up to +-5: on all pairs of an AR(1)/AR(2) design or of a
+    binary/real kron design (collinear columns), either with one column
+    duplicated; or an all-zero information with any gradient."""
+    kind = draw(st.sampled_from(["ar", "kron", "zero"]))
+    if kind == "zero":
+        K = draw(st.integers(1, 16))
+        return draw(hnp.arrays(float, K, elements=st.floats(-1e3, 1e3))), np.zeros((K, K))
+    spec, n, seed = draw(ar_designs() if kind == "ar" else binary_kron_designs())
+    series = ar_series(spec.order, n, seed) if kind == "ar" else binary_real_series(n, seed)
+    X = all_pairs_matrix(spec, series)
+    if draw(st.booleans()):
+        X = np.column_stack([X, X[:, draw(st.integers(0, X.shape[1] - 1))]])
+    theta = np.random.default_rng(seed).standard_normal(X.shape[1])
+    top = np.abs(X @ theta).max()
+    theta *= draw(st.floats(0.0, 5.0)) / top if top > 0.0 else 0.0
+    return ple._newton_pass(lambda: (X,), theta)
+
+
+class TestRangeStep:
+    """The Newton step solves the information restricted to the range of
+    the first pass's: lstsq's minimum-norm step while that range holds,
+    with the basis taken again when it does not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_cases())
+    def test_step_is_the_minimum_norm_least_squares_solution(self, case):
+        grad, info = case
+        expected = np.linalg.lstsq(info, grad, rcond=ple._RCOND)[0]
+        step = ple._range_step(ple._range_basis(info), info, grad)
+        assert np.linalg.norm(step - expected) <= 1e-10 * (1.0 + np.linalg.norm(expected))
+
+    def test_full_rank_basis_is_the_identity(self):
+        assert ple._range_basis(np.diag([2.0, 1e-9])) is None
+        assert ple._range_basis(np.diag([2.0, 1e-11])).shape == (2, 1)
+        assert ple._range_basis(np.zeros((3, 3))).shape == (3, 0)
+
+    def test_information_that_loses_a_direction_is_rebased(self, monkeypatch):
+        # f(theta) = 3 theta_0 - exp(theta_0), flat in theta_1, from (2, 0):
+        # the first pass's information also holds theta_1, every later one
+        # only theta_0, so the first basis (the identity) turns singular
+        def pass_fn(theta):
+            passes.append(theta)
+            return np.array([3.0 - math.exp(theta[0]), 0.0]), np.diag([math.exp(theta[0]), 0.0])
+
+        def value_fn(theta):
+            return 3.0 * theta[0] - math.exp(theta[0])
+
+        passes, basis = [], mock.Mock(side_effect=ple._range_basis)
+        monkeypatch.setattr(ple, "_range_basis", basis)
+        theta = np.array([2.0, 0.0])
+        first = (np.array([3.0 - math.exp(2.0), 0.0]), np.diag([math.exp(2.0), 1.0]))
+        ascent = ple._newton(pass_fn, value_fn, theta, first, ple.GdConfig(tol=1e-12), 1.0)
+        assert ascent.converged and ascent.theta[0] == pytest.approx(math.log(3.0), abs=1e-12)
+        assert basis.call_count == 2 and basis.call_args.args[0][1, 1] == 0.0
+        # every step is lstsq's minimum-norm step on its pass's information
+        infos = [first] + [pass_fn(t) for t in passes[: len(ascent.trace) - 2]]
+        for (grad, info), a, b in zip(infos, ascent.trace, ascent.trace[1:]):
+            expected = np.linalg.lstsq(info, grad, rcond=ple._RCOND)[0]
+            # theta's own rounding, about 2e-16, bounds the step read back from the trace
+            np.testing.assert_allclose(np.subtract(b, a), expected, rtol=1e-12, atol=1e-15)
+        assert all(t[1] == 0.0 for t in ascent.trace)
+
+
 class TestTelemetry:
     def test_newton_fit_reports_passes_and_gradient(self):
         series = gaussian.simulate_ar(AR1, 300, seed=18)
@@ -640,7 +713,7 @@ class TestTelemetry:
         # the solve failed inside LAPACK ("SVD did not converge"), which
         # printed to stdout; the first pass is checked before any solve
         series, spec = overflowing_input(case)
-        monkeypatch.setattr(np.linalg, "lstsq", mock.Mock(side_effect=AssertionError("a solve ran")))
+        forbid_newton_solves(monkeypatch)
         label = re.escape(spec.terms[0].label())
         with pytest.raises(ParameterDomainError, match=rf"^pair statistics of term {label} .*core\.standard_scale"):
             fit(spec, series)
@@ -665,7 +738,7 @@ class TestTelemetry:
         # each returned theta [0.0] "converged" with grad_norm 0.0; all
         # pairs of 800 values are enough for a pilot, whose own first pass
         # is the one refused
-        monkeypatch.setattr(np.linalg, "lstsq", mock.Mock(side_effect=AssertionError("a solve ran")))
+        forbid_newton_solves(monkeypatch)
         with pytest.raises(InsufficientDataError, match="^every pair statistic is zero, so theta is not identified$"):
             fit(SPEC1, core.TimeSeries(np.full(n, 2.0)))
 
@@ -792,8 +865,8 @@ def spy_fits(monkeypatch):
     """Record every result ``ple._fit`` returns, pilots included."""
     results, fit = [], ple._fit
 
-    def recording(*args):
-        results.append(fit(*args))
+    def recording(*args, start=None):
+        results.append(fit(*args, start=start))
         return results[-1]
 
     monkeypatch.setattr(ple, "_fit", recording)
@@ -832,9 +905,9 @@ class TestPilotStart:
         monkeypatch.setattr(ple, "_CHUNK_PAIRS", chunk)
         captured, fit = [], ple._fit
 
-        def capturing(design, *rest):
+        def capturing(design, *rest, start=None):
             captured.append(design)
-            return fit(design, *rest)
+            return fit(design, *rest, start=start)
 
         monkeypatch.setattr(ple, "_fit", capturing)
         for spec, series in (
@@ -1612,16 +1685,51 @@ class TestSelectSpecs:
             ple.spaced_matching(4, 1, 0)
 
     def test_row_is_the_mean_log_pl_over_spaced_designs(self):
+        # each split starts from the previous split's theta when that fit
+        # converged, from zero otherwise
         (row1, row2) = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2)], seed=4, splits=3)
         padded = core.DependenceSpec(order=2, dim=1, terms=SPEC1.terms)
-        log_pls = [
-            ple.fit_pairs(padded, self.SERIES, *ple.spaced_matching(300, 2, child), ple.SELECT_CONFIG).log_pl
-            for child in np.random.SeedSequence(4).spawn(3)
-        ]
+        fits, start = [], None
+        for child in np.random.SeedSequence(4).spawn(3):
+            fits.append(ple.fit_pairs(padded, self.SERIES, *ple.spaced_matching(300, 2, child), ple.SELECT_CONFIG, start))
+            start = fits[-1].theta if fits[-1].converged else None
         assert row1.K == 1 and row2.K == 2
-        assert row1.log_pl == float(np.mean(log_pls))
+        assert row1.log_pl == float(np.mean([fit.log_pl for fit in fits]))
         assert (row1.aic, row1.pic) == ple.aic_pic(row1.log_pl, 1, 300, 2)
         assert row1.error is None and row2.error is None
+        assert row1.converged == row2.converged == 3
+
+    def test_an_unconverged_split_passes_no_start(self, monkeypatch):
+        # split 1 of each spec is reported unconverged: split 2 starts from
+        # zero, every other split from the split before it
+        fit_pairs, calls = ple.fit_pairs, []
+
+        def spy(spec, series, s1, s2, config, start=None):
+            fit = fit_pairs(spec, series, s1, s2, config, start=start)
+            calls.append((start, fit))
+            return dataclasses.replace(fit, converged=False) if len(calls) % 4 == 2 else fit
+
+        monkeypatch.setattr(ple, "fit_pairs", spy)
+        rows = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2)], seed=4, splits=4)
+        assert [row.converged for row in rows] == [3, 3]
+        for spec_calls in (calls[:4], calls[4:]):
+            starts = [start for start, _ in spec_calls]
+            assert starts[0] is None and starts[2] is None
+            np.testing.assert_array_equal(starts[1], spec_calls[0][1].theta)
+            np.testing.assert_array_equal(starts[3], spec_calls[2][1].theta)
+
+    def test_warm_started_rows_match_rows_fitted_from_zero(self):
+        assert_verify_passes(verify._check_select_warm_start, "select_warm_start")
+
+    def test_start_is_checked(self):
+        s1, s2 = ple.spaced_matching(300, 1, 0)
+        with pytest.raises(ShapeMismatchError, match=r"start has shape \(2,\), need \(1,\)"):
+            ple.fit_pairs(SPEC1, self.SERIES, s1, s2, start=[0.5, 0.5])
+        with pytest.raises(ParameterDomainError, match="start must be finite"):
+            ple.fit_pairs(SPEC1, self.SERIES, s1, s2, start=[math.nan])
+        start = np.array([0.9])
+        fit = ple.fit_pairs(SPEC1, self.SERIES, s1, s2, start=start)
+        assert fit.theta_trace[0] == (0.9,) and fit.converged and start[0] == 0.9
 
     def test_swap_tables_built_once_per_spec(self, monkeypatch):
         # 9 splits x 2 specs: every fit of a padded spec reads the tables
