@@ -6,10 +6,10 @@ A stationary AR/VAR process can be coordinatized either classically
 variance.  The second chart is unconstrained: no stationarity region to
 stay inside, and every point maps back to exactly one stationary process.
 This script walks the transforms in both directions (the AR(d) inverse by
-spectral factorization, the VAR(1) inverse in closed form through its
-quadratic matrix equation) and checks two structural facts: the dependence
-weight and the stationary variance are Fisher-orthogonal, and divergence
-rates obey a Pythagorean identity.
+Newton's method on the forward map, the VAR(1) inverse in closed form
+through its quadratic matrix equation) and checks two structural facts:
+the dependence weight and the stationary variance are Fisher-orthogonal,
+and divergence rates obey a Pythagorean identity.
 """
 
 import numpy as np
@@ -34,7 +34,7 @@ print(f"\nAR(2) (0.5, 0.3, 0.5)      ->  theta={np.round(mi2.theta, 3)}")
 mi3 = gaussian.ard_to_mininfo(gaussian.ClassicalARParams([0.5, 0.3, 0.1], 0.5))
 print(f"AR(3) (0.5, 0.3, 0.1, 0.5) ->  theta={np.round(mi3.theta, 3)}")
 back3 = gaussian.mininfo_to_ar(mi3)
-print(f"AR(3) spectral inverse     ->  phi={np.round(back3.phi, 6)}")
+print(f"AR(3) Newton inverse       ->  phi={np.round(back3.phi, 6)}")
 
 # --- VAR(1) and the quadratic matrix equation -------------------------------
 A = np.array([[0.5, 0.1], [0.1, 0.5]])

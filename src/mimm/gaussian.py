@@ -7,24 +7,26 @@ the dependence weights (theta) with the stationary variance, replacing the
 classical (coefficients, noise variance) pair.  Both directions are
 implemented here; every minimum-information pair has exactly one stationary
 inverse.  The VAR(1) inverse is a closed form.  The AR(d) inverse is the
-closed form for d = 1 and, for every d >= 2, a spectral factor whose
-constant term Brent's method picks to match the variance; it refuses, with
+closed form for d = 1 and, for every d >= 2, Newton's method on the forward
+map, continued from white noise in the partial autocorrelations of the
+step-down (:func:`_step_up` is its inverse); it refuses, with
 :class:`ParameterDomainError`, the pairs whose inverse double precision
 cannot resolve to 1e-8.
 
-The stationary law of a univariate AR(d) (its variance, the variance the
-AR(d) inverse matches, the law :func:`simulate_ar` starts from) comes from
-the Durbin-Levinson step-down of :func:`_levinson`, which forms no matrix.
-Every VAR covariance (a VAR(1)'s, the law :func:`simulate_var` starts a
-vector recursion from, a :class:`GaussianKernel`'s law, which is derived
-and never passed) comes from one Lyapunov solve on the block companion
-matrix of :func:`companion_matrix` (see :func:`_stationary_state_cov`).
-Parameter records serialize to a flat ``name.i.j=value`` text format driven
-by their dataclass fields.
+The stationary law of a univariate AR(d) (whether its record builds, its
+variance, the variance the AR(d) inverse matches, the law
+:func:`simulate_ar` starts from) comes from the Durbin-Levinson step-down
+of :func:`_levinson`, which forms no matrix.  Every VAR covariance (a
+VAR(1)'s, the law :func:`simulate_var` starts a vector recursion from, a
+:class:`GaussianKernel`'s law, which is derived and never passed) comes
+from one Lyapunov solve on the block companion matrix of
+:func:`companion_matrix` (see :func:`_stationary_state_cov`).  Parameter
+records serialize to a flat ``name.i.j=value`` text format driven by their
+dataclass fields.
 
 scipy is imported inside the functions that call it, so importing this
-module, simulating an AR of any order and transforming an AR(1) load none
-of it.
+module and every AR path (simulating and transforming an AR of any order)
+load none of it.
 
 All functions are pure; simulators take explicit seeds and return
 bit-identical output for identical inputs on one platform.
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .core import TimeSeries, _check_count, _check_positive
 from .exceptions import (
@@ -73,6 +74,7 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12  # largest |M - M'| of a covariance, relative to max(1, max |M|)
+_NEWTON_TRIES = 8  # Newton steps toward one point of mininfo_to_ar's path
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -213,7 +215,10 @@ def _check_spd(mat: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ClassicalARParams:
-    """AR(d) coefficients and noise variance; stationarity is enforced."""
+    """AR(d) coefficients and noise variance.  Stationarity is enforced by
+    the step-down of :func:`_levinson`, the rule of every AR path: a record
+    builds if and only if each of its partial autocorrelations is inside
+    (-1, 1) in double precision, so its stationary law can be formed."""
 
     phi: np.ndarray
     sigma2: float
@@ -225,11 +230,7 @@ class ClassicalARParams:
         if not np.all(np.isfinite(phi)):
             raise ParameterDomainError("phi contains non-finite values")
         _check_positive("sigma2", self.sigma2)
-        rho = _spectral_radius(companion_matrix(phi))
-        if rho >= 1.0:
-            raise StationarityError(
-                f"AR coefficients are non-stationary (companion spectral radius {rho:.6g})"
-            )
+        _levinson(phi, self.sigma2)  # StationarityError unless every |kappa_k| < 1
         object.__setattr__(self, "phi", _readonly(phi))
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
@@ -510,8 +511,8 @@ def stationary_variance(params: ClassicalARParams) -> float:
     step-down in :func:`_levinson`; for an AR(1) it is
     sigma2 / (1 - phi * phi).  No matrix is formed or solved, so roots
     clustered near the unit circle keep their digits: an eightfold root 0.9
-    with sigma2 = 1 gives 1.104e14.  A record whose step-down reaches a
-    |kappa_k| >= 1 in rounding raises :class:`StationarityError`."""
+    with sigma2 = 1 gives 1.104e14.  The record's constructor runs the same
+    step-down, so every record that builds has this variance."""
     return _levinson(params.phi, params.sigma2)[3]
 
 
@@ -567,104 +568,116 @@ def ard_to_mininfo(params: ClassicalARParams) -> MinInfoARParams:
     return MinInfoARParams(theta=theta, tau2=stationary_variance(params))
 
 
-def _ar_factor(theta: np.ndarray, peak: float, x_peak: float, delta: float) -> ClassicalARParams | None:
-    """The stationary AR(d) whose inverse spectral density is
-    b0 - 2 sum_i theta_i cos(i w) with b0 = peak + delta, where the cosine
-    sum peaks at cos(w) = x_peak; None if none is found.
+def _step_up(kappa) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of the step-down in :func:`_levinson`: the coefficients
+    phi of the AR(d) whose partial autocorrelations are kappa_1 .. kappa_d,
+    and their slopes, the d x d array d phi_j / d kappa_k.  Order k takes
+    phi <- (phi - kappa_k * reversed(phi), kappa_k); the slopes go through
+    the same recursion, and kappa_k's own column is (-reversed(phi), 1).
+    Every kappa in (-1, 1)^d gives a stationary AR."""
+    phi, slopes = np.zeros(len(kappa)), np.eye(len(kappa))
+    for k, kap in enumerate(kappa):
+        slopes[:k] -= kap * slopes[:k][::-1]
+        slopes[:k, k] = -phi[:k][::-1]
+        phi[:k] -= kap * phi[:k][::-1]
+        phi[k] = kap
+    return phi, slopes
 
-    Each root x_k of the density in x = cos(w), a Chebyshev series (tail
-    weights below rounding dropped), gives a pole z_k = x_k - sqrt(x_k^2 - 1)
-    inside the unit circle; alpha is prod_k (1 - z_k L) scaled to
-    |alpha|^2 = b0.  Three Newton steps (Wilson 1969) on the autocorrelation
-    equations r_i(alpha) = -theta_i, i >= 1, polish it; their first equation
-    is not r_0 = b0, which rounds delta away near a unit root, but
-    |alpha(e^{i w_peak})|^2 = delta.  The Jacobian is Toeplitz plus Hankel
-    with J alpha = 2 r.  Then phi = -alpha[1:] / alpha_0, sigma2 = 1 / alpha_0^2."""
+
+def _ar_misfit(u: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The misfit of the AR at u = (atanh kappa_1 .. atanh kappa_d,
+    log sigma2) to the unit-variance pair (theta, 1), and its Jacobian in u.
+
+    The misfit is (log tau2(u), (theta(u) - theta) / b0(u)).  tau2 comes
+    from the step-down's product, log tau2 = log sigma2 +
+    2 sum_k log cosh u_k.  With a = (1, -phi) and r_i = sum_j a_j a_{j+i},
+    theta_i(u) = -r_i / sigma2 and b0 = r_0 / sigma2, the constant term of
+    the inverse spectral density, which scales theta.  d r_i / d a_j is
+    a_{j+i} + a_{j-i}, taken times the slopes of :func:`_step_up` and
+    d kappa / du = 1 / cosh^2 u; the lag-0 row gives b0's own slope."""
     d = len(theta)
-    b0 = peak + delta
-    series = chebyshev.chebtrim(np.concatenate([[b0], -2.0 * theta]), 1e-15 * b0)
-    x = chebyshev.chebroots(series).astype(complex)
-    w = np.sqrt((x - 1.0) * (x + 1.0))
-    poles = 1.0 / np.where(np.abs(x + w) >= np.abs(x - w), x + w, x - w)
-    if not np.all(np.abs(poles) < 1.0):
-        return None
-    a = np.zeros(d + 1)
-    a[: poles.size + 1] = np.poly(poles).real
-    alpha = a * math.sqrt(b0 / (a @ a))
-    wave = np.exp(1j * math.acos(x_peak) * np.arange(d + 1))
-    from scipy.linalg import hankel, toeplitz
-
-    for _ in range(3):
-        jac = toeplitz(np.eye(d + 1)[0] * alpha[0], alpha) + hankel(alpha)
-        rhs = _autocorr(alpha) - np.concatenate([[0.0], theta])
-        at_peak = alpha @ wave
-        jac[0] = 2.0 * (at_peak.conjugate() * wave).real
-        rhs[0] = delta + abs(at_peak) ** 2
-        alpha = np.linalg.solve(jac, rhs)
-    if not np.abs(_autocorr(alpha)[1:] + theta).max() <= 1e-8 * b0:
-        return None  # the steps did not converge, as when delta is lost in rounding
-    try:
-        return ClassicalARParams(phi=-alpha[1:] / alpha[0], sigma2=1.0 / alpha[0] ** 2)
-    except (StationarityError, ParameterDomainError):
-        return None
+    z, sigma2 = u[:-1], math.exp(u[-1])
+    kappa = np.tanh(z)
+    phi, slopes = _step_up(kappa)
+    a = np.concatenate([np.zeros(d), [1.0], -phi, np.zeros(d)])  # a_j at a[d + j], zero off 0..d
+    r = _autocorr(a[d : 2 * d + 1]) / sigma2
+    lag, j = np.arange(d + 1)[:, None], np.arange(1, d + 1)
+    grad = np.empty((d + 1, d + 1))  # d (-r_i / sigma2) / du over b0, lags i = 0..d
+    grad[:, :d] = (a[d + j + lag] + a[d + j - lag]) @ slopes / np.cosh(z) ** 2 / (sigma2 * r[0])
+    grad[:, d] = r / r[0]
+    misfit = (-r[1:] - theta) / r[0]
+    jac = np.vstack([np.append(2.0 * kappa, 1.0), grad[1:] + np.outer(misfit, grad[0])])
+    log_tau2 = u[-1] + 2.0 * float(np.sum(np.logaddexp(z, -z) - math.log(2.0)))
+    return np.append(log_tau2, misfit), jac
 
 
 def mininfo_to_ar(params: MinInfoARParams) -> ClassicalARParams:
     """Inverse of :func:`ard_to_mininfo`: the closed form for d = 1 and, for
-    every d >= 2, the AR whose inverse spectral density is
-    b0 - 2 sum_i theta_i cos(i w) (see :func:`ard_to_mininfo`).  Its variance
-    falls strictly from +inf to 0 as b0 rises from the peak of the cosine
-    sum, so each (theta, tau2 > 0) has one stationary inverse.  Solved at unit
-    variance (theta * tau2, then sigma2 * tau2) by Brent's method on
-    log(b0 - peak) and :func:`_ar_factor`.  Raises
-    :class:`ParameterDomainError` where the result's forward map misses
-    (theta, tau2) by more than 1e-8 relative, as for 1 - rho below about
+    every d >= 2, the forward map solved by Newton's method.
+
+    Each (theta, tau2 > 0) has exactly one stationary inverse: the AR whose
+    inverse spectral density is b0 - 2 sum_i theta_i cos(i w), where b0 is
+    the one constant term that gives variance tau2 (the variance falls
+    strictly from +inf to 0 as b0 rises from the peak of the cosine sum).
+    So the path (t theta, tau2), t from 0 to 1, has one AR at every t.  It
+    is followed at unit variance (theta * tau2, then sigma2 * tau2) in the
+    coordinates u = (atanh kappa, log sigma2), kappa the partial
+    autocorrelations of :func:`_levinson`, where every point is a stationary
+    AR: from white noise (t = 0, u = 0), damped Newton steps on the misfit
+    of :func:`_ar_misfit` (each step at most 1 in every coordinate, halved
+    while it raises the misfit) take a point of the path at a misfit of
+    1e-3.  t then advances by a stride that doubles, and halves when
+    :data:`_NEWTON_TRIES` steps do not reach the next point; at t = 1 the
+    steps go on to a misfit of 1e-9 and one more.
+
+    Raises :class:`ParameterDomainError` where the path stalls (it names
+    that t) or where the result's forward map misses (theta, tau2) by more
+    than 1e-8 relative (it names that misfit), as for 1 - rho below about
     1e-7, which double precision does not resolve."""
     if params.order == 1:
         return mininfo_to_ar1(params)
     tau2 = params.tau2
     with np.errstate(over="ignore"):  # an overflow is refused just below
         theta = params.theta * tau2
-    unresolved = ParameterDomainError(f"no stationary AR resolves tau2 = {tau2} for theta = {params.theta}")
+    unresolved = f"no stationary AR resolves tau2 = {tau2} for theta = {params.theta}"
     if not np.isfinite(theta).all():
-        raise unresolved
-    if not theta.any():
-        return ClassicalARParams(phi=np.zeros(params.order), sigma2=tau2)
-    # the peak of 2 sum_i theta_i cos(i w), a Chebyshev series in x = cos(w),
-    # lies at x = +-1 or at a critical point
-    series = chebyshev.chebtrim(np.concatenate([[0.0], 2.0 * theta]), 2e-15 * np.abs(theta).max())
-    critical = np.clip(chebyshev.chebroots(chebyshev.chebder(series)).real, -1.0, 1.0)
-    candidates = np.concatenate([critical, [-1.0, 1.0]])
-    values = chebyshev.chebval(candidates, series)
-    peak, x_peak = float(values.max()), float(candidates[values.argmax()])
-
-    def log_variance(x):
-        ar = _ar_factor(theta, peak, x_peak, math.exp(x))
-        var = math.nan if ar is None else stationary_variance(ar)
-        # no factor counts as an infinite variance, capped for brentq
-        return min(math.log(var), 1e3) if var > 0.0 else 1e3
-
-    # at b0 = 2 sum_i |theta_i| + 2 the density is >= 2 and the variance
-    # <= 1/2; step down until the variance exceeds 1, but not below b0 - peak
-    # of ulp size, where the factor is lost in rounding
-    total = 2.0 * float(np.abs(theta).sum())
-    floor = math.log(1e-16 * (total + 2.0))
-    hi = math.log(max(total - peak, 0.0) + 2.0)
-    lo = hi - 1.0
-    while log_variance(lo) <= 0.0:
-        if lo <= floor:
-            raise unresolved
-        hi, lo = lo, max(lo - 2.0 * (hi - lo), floor)
-    from scipy.optimize import brentq
-
-    delta = math.exp(brentq(log_variance, lo, hi, xtol=1e-14))
-    ar = _ar_factor(theta, peak, x_peak, delta)
-    back = None if ar is None else ard_to_mininfo(ar)
-    if back is None or not (
-        abs(math.log(back.tau2)) <= 1e-8 and np.abs(back.theta - theta).max() <= 1e-8 * (peak + delta)
-    ):
-        raise unresolved
-    return ClassicalARParams(phi=ar.phi, sigma2=ar.sigma2 * tau2)
+        raise ParameterDomainError(unresolved)
+    u = base = np.zeros(params.order + 1)
+    t, stride, tries, best = 0.0, 1.0 / max(1.0, float(np.abs(theta).max())), 0, math.inf
+    for _ in range(2000):  # misfit evaluations along the whole path
+        target = min(t + stride, 1.0)
+        res, jac = _ar_misfit(u, target * theta)
+        err = float(np.abs(res).max())
+        if target < 1.0 and err <= 1e-3:
+            base, t, stride, tries, best = u, target, 2.0 * stride, 0, math.inf
+        elif tries == _NEWTON_TRIES:
+            u, stride, tries, best = base, stride / 2.0, 0, math.inf
+        elif err < best:
+            try:
+                step = np.linalg.solve(jac, res)
+            except np.linalg.LinAlgError:  # a kappa_k rounded to +-1: try a shorter stride
+                tries = _NEWTON_TRIES
+                continue
+            prev, best, tries, step = u, err, tries + 1, step / max(1.0, float(np.abs(step).max()))
+            u = prev - step
+            if target == 1.0 and err <= 1e-9:
+                break
+        else:  # the step raised the misfit (or left the floats): halve it
+            step, tries = step / 2.0, tries + 1
+            u = prev - step
+    else:
+        raise ParameterDomainError(f"{unresolved}: the path stalled at t = {t:.9g}")
+    phi, sigma2 = _step_up(np.tanh(u[:-1]))[0], math.exp(u[-1])
+    try:
+        back = ard_to_mininfo(ClassicalARParams(phi=phi, sigma2=sigma2))
+    except StationarityError:  # a partial autocorrelation rounded to +-1
+        misfit = math.inf
+    else:
+        b0 = (1.0 + float(phi @ phi)) / sigma2
+        misfit = max(abs(math.log(back.tau2)), float(np.abs(back.theta - theta).max()) / b0)
+    if not misfit <= 1e-8:
+        raise ParameterDomainError(f"{unresolved}: its forward misfit {misfit:.3g} exceeds the 1e-8 check")
+    return ClassicalARParams(phi=phi, sigma2=sigma2 * tau2)
 
 
 # ---------------------------------------------------------------------------

@@ -1336,6 +1336,7 @@ import mimm
 seen["import mimm"] = loaded()
 from mimm import cli, core
 seen["import mimm.cli"] = loaded()
+polynomial = sorted(name for name in sys.modules if name.startswith("numpy.polynomial"))
 tmp = Path(sys.argv[1])
 spec1, spec2, data = tmp / "ar1.spec", tmp / "ar2.spec", tmp / "ar1.csv"
 spec1.write_text(core.ar_spec(1).to_text())
@@ -1343,6 +1344,7 @@ spec2.write_text(core.ar_spec(2).to_text())
 runs = [
     ["simulate", "--ar", "0.5", "--sigma2", "0.5", "--n", "300", "--seed", "1", "--out", str(data)],
     ["simulate", "--ar", "0.5", "0.3", "--sigma2", "0.5", "--n", "300", "--out", str(tmp / "ar2.csv")],
+    ["simulate", "--theta", "0.7", "0.6", "--tau2", "1.5", "--n", "300", "--out", str(tmp / "theta.csv")],
 ]
 for est in ("ple-naive", "ple-bipartition", "ple-sgd", "mcle", "mle"):
     runs.append(["fit", "--estimator", est, "--spec", str(spec1), "--data", str(data), "--out", str(tmp / f"{est}.json")])
@@ -1351,22 +1353,26 @@ for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(argv)
     seen[" ".join(argv[:4])] = loaded() if rc == 0 else f"exit {rc}"
-print(json.dumps(seen))
+print(json.dumps({"scipy": seen, "numpy.polynomial": polynomial}))
 """
 
 
 def test_common_commands_load_no_scipy(tmp_path):
-    # importing the package and the CLI, simulating an AR(1) and an AR(2),
+    # importing the package and the CLI, simulating an AR(1) and an AR(2)
+    # (the second AR(2) given as theta and tau2, so through the inverse),
     # every fit estimator and select on the AR(1) data run without scipy,
-    # which is most of a cold start's import time
+    # which is most of a cold start's import time; importing the CLI loads
+    # no numpy.polynomial either
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert len(seen) == 10
+    out = json.loads(proc.stdout)
+    seen = out["scipy"]
+    assert len(seen) == 11
     assert seen == {step: [] for step in seen}
+    assert out["numpy.polynomial"] == []
 
 
 def test_cli_import_does_not_load_verify():

@@ -45,6 +45,13 @@ class TestParamRecords:
         with pytest.raises(StationarityError):
             gaussian.ClassicalARParams([0.8, 0.3], 1.0)
 
+    def test_ar_stationarity_is_the_step_down_rule(self):
+        # a double root 1 - 1e-10: its companion eigenvalues round inside the
+        # unit circle, but the step-down that forms its stationary law meets
+        # a partial autocorrelation of 1, so the record is refused
+        with pytest.raises(StationarityError, match="partial autocorrelation"):
+            gaussian.ClassicalARParams(-np.poly([1 - 1e-10] * 2)[1:], 1.0)
+
     def test_ar_rejects_bad_sigma(self):
         for sigma2 in (0.0, float("nan"), True, "0.5"):
             with pytest.raises(ParameterDomainError, match="sigma2 must be finite and > 0"):
@@ -546,6 +553,56 @@ class TestStepDown:
                 resid = gamma[i] - math.fsum(c[j - 1] * gamma[abs(i - j)] for j in range(1, k + 1))
                 assert abs(resid - (v if i == 0 else 0.0)) <= 1e-9 * gamma[0] * (1.0 + np.abs(c).sum())
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(2, 8),
+        data=st.data(),
+        gap=st.floats(-12.0, -5.0),
+    )
+    def test_every_record_that_builds_has_a_stationary_law(self, d, data, gap):
+        # a root 1 - 10^gap repeated 1 to d times, the other roots in
+        # (-0.9, 0.9): a record that builds has a finite stationary variance,
+        # a forward transform and a simulated start
+        repeats = data.draw(st.integers(1, d))
+        others = data.draw(st.lists(st.floats(-0.9, 0.9), min_size=d - repeats, max_size=d - repeats))
+        try:
+            params = ar_from_roots([1.0 - 10.0**gap] * repeats + others)
+        except StationarityError:
+            return
+        gamma0 = gaussian.stationary_variance(params)
+        assert math.isfinite(gamma0) and gamma0 >= params.sigma2
+        assert gaussian.ard_to_mininfo(params).tau2 == gamma0
+        assert np.isfinite(gaussian.simulate_ar(params, 2, seed=0).data).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=8))
+    def test_step_up_inverts_the_step_down(self, kappa):
+        # the rounding of the step-up and the step-down grows with each
+        # 2 / (1 - |kappa_k|)
+        phi, _ = gaussian._step_up(kappa)
+        bound = np.finfo(float).eps * math.prod(2.0 / (1.0 - abs(k)) for k in kappa)
+        try:
+            back = gaussian._levinson(phi, 1.0)[0]
+        except StationarityError:
+            # only where the bound lets the rounding carry a kappa_k past +-1
+            assert bound >= 1.0 - max(abs(k) for k in kappa)
+            return
+        assert np.abs(np.subtract(back, kappa)).max() <= bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=8))
+    def test_step_up_slopes_are_central_differences(self, kappa):
+        # phi is affine in each kappa_k, so a central difference is exact
+        # but for rounding
+        _, slopes = gaussian._step_up(kappa)
+        h = 1e-4
+        for k in range(len(kappa)):
+            up, down = list(kappa), list(kappa)
+            up[k] += h
+            down[k] -= h
+            diff = (gaussian._step_up(up)[0] - gaussian._step_up(down)[0]) / (2.0 * h)
+            assert np.abs(diff - slopes[:, k]).max() <= 1e-8 * (1.0 + np.abs(slopes).max())
+
     def test_a_unit_partial_autocorrelation_is_refused(self):
         with pytest.raises(StationarityError, match="partial autocorrelation"):
             gaussian._levinson([0.5, 1.0], 1.0)
@@ -653,6 +710,53 @@ class TestArdTransform:
             np.testing.assert_allclose(back.phi, phi, atol=1e-8)
             assert back.sigma2 == pytest.approx(p.sigma2, rel=1e-8)
             done += 1
+
+
+def assert_round_trips(params):
+    """mininfo_to_ar inverts the forward map of params within its 1e-8
+    check: log tau2, and theta relative to the inverse spectrum's constant
+    term b0 = sum_j a_j^2 / sigma2, a = (1, -phi)."""
+    mi = gaussian.ard_to_mininfo(params)
+    back = gaussian.ard_to_mininfo(gaussian.mininfo_to_ar(mi))
+    b0 = (1.0 + float(params.phi @ params.phi)) / params.sigma2
+    assert abs(math.log(back.tau2 / mi.tau2)) <= 1e-8
+    assert np.abs(back.theta - mi.theta).max() <= 1e-8 * b0
+
+
+class TestArInverseNearTheUnitCircle:
+    """The inverse resolves every model that double precision does; cond is
+    the relative condition number of tau2 from :func:`yule_walker`."""
+
+    @pytest.mark.parametrize(
+        "phi, sigma2, cond_eps",
+        [
+            (-np.poly([0.95 * np.exp(0.5j)] * 4 + [0.95 * np.exp(-0.5j)] * 4).real[1:], 1.0, 4.0e-9),
+            (
+                [-4.173178403739022, -7.963555350247212, -9.862922377046615, -9.544041075931059,
+                 -7.196406378036956, -3.4966351404660116, -0.7712159711629487],
+                3.5666709469244187,
+                1.4e-11,
+            ),
+        ],
+        ids=["fourfold-pairs-ar8", "near-unit-ar7"],
+    )
+    def test_clustered_near_unit_roots_round_trip(self, phi, sigma2, cond_eps):
+        params = gaussian.ClassicalARParams(phi, sigma2)
+        _, cond = yule_walker(params.phi, params.sigma2)
+        assert cond * np.finfo(float).eps == pytest.approx(cond_eps, rel=0.05)
+        assert_round_trips(params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=stationary_ar(min_order=2, max_order=8, max_modulus=0.999))
+    def test_every_resolvable_model_round_trips(self, params):
+        _, cond = yule_walker(params.phi, params.sigma2)
+        if cond * np.finfo(float).eps < 1e-9:
+            assert_round_trips(params)
+        else:  # double precision may not resolve it: a refusal is allowed
+            try:
+                assert_round_trips(params)
+            except ParameterDomainError:
+                pass
 
 
 class TestVar1Transform:

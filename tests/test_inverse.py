@@ -52,21 +52,21 @@ class TestArInverseOnRandomInputs:
 
     def test_order_one_matches_closed_form(self):
         # d = 1 is the closed form itself; a zero second weight sends the
-        # same AR(1) through the spectral path
+        # same AR(1) through the Newton path
         rng = np.random.default_rng(91)
         for _ in range(200):
             theta, tau2 = rng.uniform(-2.0, 2.0), rng.uniform(0.05, 10.0)
             closed = gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([theta], tau2))
             direct = gaussian.mininfo_to_ar(gaussian.MinInfoARParams([theta], tau2))
             assert (direct.phi[0], direct.sigma2) == (closed.phi[0], closed.sigma2)
-            spectral = gaussian.mininfo_to_ar(gaussian.MinInfoARParams([theta, 0.0], tau2))
-            np.testing.assert_allclose(spectral.phi, [closed.phi[0], 0.0], rtol=0.0, atol=1e-13)
-            assert spectral.sigma2 == pytest.approx(closed.sigma2, rel=1e-13)
+            newton = gaussian.mininfo_to_ar(gaussian.MinInfoARParams([theta, 0.0], tau2))
+            np.testing.assert_allclose(newton.phi, [closed.phi[0], 0.0], rtol=0.0, atol=1e-13)
+            assert newton.sigma2 == pytest.approx(closed.sigma2, rel=1e-13)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tail", [0.0, 1e-300])
     def test_negligible_trailing_weights_keep_the_order(self, tail):
-        # a tail weight below rounding would put Chebyshev roots near 1e300
+        # a tail weight below rounding (or none) keeps the order and the AR(1)
         ar = gaussian.mininfo_to_ar(gaussian.MinInfoARParams([0.8, 0.0, tail], 1.5))
         ar1 = gaussian.mininfo_to_ar1(gaussian.MinInfoARParams([0.8], 1.5))
         assert ar.order == 3
@@ -89,8 +89,9 @@ class TestArInverseOnRandomInputs:
 
     @pytest.mark.parametrize("theta, tau2", [([0.5, 0.2], 1e12), ([0.5, 0.2, 0.1], 1e30)])
     def test_tau2_beyond_double_precision_is_refused(self, theta, tau2):
-        # 1 - rho would be far below 1e-7, which double precision does not resolve
-        with pytest.raises(ParameterDomainError):
+        # 1 - rho would be far below 1e-7, which double precision does not
+        # resolve; the refusal names the misfit found or where the path stalled
+        with pytest.raises(ParameterDomainError, match=r"forward misfit \S+ exceeds the 1e-8 check|path stalled at t = "):
             gaussian.mininfo_to_ar(gaussian.MinInfoARParams(theta, tau2))
 
     @pytest.mark.parametrize("theta", [[0.5, 0.2], [0.5, 0.0], [0.3, -0.2, 0.1]])
