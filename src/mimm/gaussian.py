@@ -75,6 +75,11 @@ __all__ = [
 
 _SYM_TOL = 1e-12  # largest |M - M'| of a covariance, relative to max(1, max |M|)
 _NEWTON_TRIES = 8  # Newton steps toward one point of mininfo_to_ar's path
+# mininfo_to_ar refuses a path whose stride in t has halved to this fraction
+# of t: there it has stalled (on the 401-model near-unit sweep no stride went
+# below 0.018 t, the stalled MinInfoARParams([0.3, -0.2, 0.1, 0.05], 3e5)
+# reaches it after 324 misfit evaluations, against the 2000 of the budget)
+_MIN_STRIDE = 1e-6
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -631,9 +636,12 @@ def mininfo_to_ar(params: MinInfoARParams) -> ClassicalARParams:
     steps go on to a misfit of 1e-9 and one more.
 
     Raises :class:`ParameterDomainError` where the path stalls (it names
-    that t) or where the result's forward map misses (theta, tau2) by more
+    that t), at once where a path point rounds a kappa_k to +-1 (it names
+    k), or where the result's forward map misses (theta, tau2) by more
     than 1e-8 relative (it names that misfit), as for 1 - rho below about
-    1e-7, which double precision does not resolve."""
+    1e-7, which double precision does not resolve.  The path counts as
+    stalled when its stride has halved to ``_MIN_STRIDE`` times t, or
+    after 2000 misfit evaluations."""
     if params.order == 1:
         return mininfo_to_ar1(params)
     tau2 = params.tau2
@@ -649,8 +657,15 @@ def mininfo_to_ar(params: MinInfoARParams) -> ClassicalARParams:
         res, jac = _ar_misfit(u, target * theta)
         err = float(np.abs(res).max())
         if target < 1.0 and err <= 1e-3:
+            rounded = np.flatnonzero(np.abs(np.tanh(u[:-1])) == 1.0)
+            if len(rounded):
+                raise ParameterDomainError(
+                    f"{unresolved}: at t = {target:.9g} the path rounds kappa_{rounded[0] + 1} to +-1"
+                )
             base, t, stride, tries, best = u, target, 2.0 * stride, 0, math.inf
         elif tries == _NEWTON_TRIES:
+            if stride <= _MIN_STRIDE * t:
+                raise ParameterDomainError(f"{unresolved}: the path stalled at t = {t:.9g}")
             u, stride, tries, best = base, stride / 2.0, 0, math.inf
         elif err < best:
             try:

@@ -172,7 +172,10 @@ def exact_cle(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:
         return float(theta @ h_id) - logsumexp(stats @ theta)
 
     theta, scale = np.zeros(K), 1.0 + float(np.linalg.norm(h_id))
-    ascent = ple._newton(score_pass, log_cle, theta, score_pass(theta), _CLE_CONFIG, scale)
+    (ascent,) = ple._newton(
+        lambda rows, points: [score_pass(points[0])], lambda rows, points: [log_cle(points[0])],
+        [theta], [score_pass(theta)], _CLE_CONFIG, scale,
+    )
     if ascent.capped:
         step = np.subtract(ascent.trace[-1], ascent.trace[-2])
         raise NoSolutionFoundError(

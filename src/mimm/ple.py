@@ -19,10 +19,12 @@ one Newton loop, which ``oracle.exact_cle`` also runs: damped ascent with
 a minimum-norm step (binary columns can make monomials collinear), solved
 within the range of the first pass's information by one LU solve per step,
 whose overshooting steps a self-concordance bound (``_certificate``) keeps
-or sends to backtracking.  Theta starts from a given start (``fit_pairs``
-takes one: ``select_specs`` passes the previous split's converged theta),
-else at zero, except on a design of at least 64 * 4096 pairs: that one
-first fits every 64th of its pairs and starts from the result if that
+or sends to backtracking.  ``_newton`` ascends a batch of designs at once,
+each stopping on its own; the fitters give it one design, and
+``select_specs`` gives it all but the first split of a spec
+(``_fit_batch``).  Theta starts from a given start (``fit_pairs`` takes
+one), else at zero, except on a design of at least 64 * 4096 pairs: that
+one first fits every 64th of its pairs and starts from the result if that
 pilot converged.  The Newton pass and the log pseudo-likelihood walk the
 pair blocks in cache-sized row slices with plain numpy ufuncs (logistic
 weights from ``exp`` with the margin clipped, the log-PL in softplus
@@ -50,9 +52,9 @@ from ``core._uniform_pairs``.
 
 Model selection: ``select_specs`` ranks candidate dependence specs by
 ``aic_pic`` on one shared design, every spec padded to the largest order and
-fitted by ``fit_pairs`` on ``spaced_matching`` pair sets whose swap
-neighborhoods are disjoint, each split started from the previous converged
-one; ``SELECT_CONFIG`` holds its solver defaults.
+fitted on ``spaced_matching`` pair sets whose swap neighborhoods are
+disjoint: the first split by ``fit_pairs`` from zero, the others as one
+batch from its theta; ``SELECT_CONFIG`` holds its solver defaults.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ import time
 import warnings
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -350,18 +351,19 @@ class _PairDesign:
         return self._max_row_norm
 
 
-def _largest_square_norm(X) -> float:
-    """Largest squared row norm of the block X, slice by slice, the squares
-    added column by column: over all pairs at n=1000 on a 2-vCPU host that
-    took 0.38 ms against 0.8 ms for einsum's per-row loop with AR(1), and
-    1.1 against 2.4 ms with AR(2)."""
-    top = 0.0
-    for start in range(0, X.shape[0], _SLICE_ROWS):
-        Xb = X[start : start + _SLICE_ROWS]
-        sums = np.square(Xb[:, 0])
-        for k in range(1, Xb.shape[1]):
-            sums += np.square(Xb[:, k])
-        top = max(top, float(sums.max()))
+def _largest_square_norm(X):
+    """Largest squared row norm of the block X (N, K), slice by slice, the
+    squares added column by column: over all pairs at n=1000 on a 2-vCPU
+    host that took 0.38 ms against 0.8 ms for einsum's per-row loop with
+    AR(1), and 1.1 against 2.4 ms with AR(2).  A stack of blocks (B, N, K)
+    gives the (B,) array of each block's."""
+    top = np.zeros(X.shape[:-2])
+    for start in range(0, X.shape[-2], _SLICE_ROWS):
+        Xb = X[..., start : start + _SLICE_ROWS, :]
+        sums = np.square(Xb[..., 0])
+        for k in range(1, Xb.shape[-1]):
+            sums += np.square(Xb[..., k])
+        top = np.maximum(top, sums.max(axis=-1))
     return top
 
 
@@ -401,6 +403,21 @@ def _newton_pass(blocks, theta):
     if acc is None:
         acc = np.zeros((K + 1, K))
     return acc[0], acc[1:]
+
+
+def _batch_pass(X, theta):
+    """:func:`_newton_pass` of a stack of pair blocks X (B, N, K) at thetas
+    (B, K), a whole block at a time: the (B, K) gradients q' X and the
+    (B, K, K) Fisher matrices X' diag(p q) X, q = 1 - p."""
+    q = 1.0 / (np.exp(np.minimum(np.matmul(X, theta[:, :, None]), _EXP_MAX)) + 1.0)
+    return np.matmul(q.transpose(0, 2, 1), X)[:, 0], np.matmul((X * ((1.0 - q) * q)).transpose(0, 2, 1), X)
+
+
+def _batch_log_pl(X, theta):
+    """:func:`log_pl` of each block of the stack X (B, N, K) at its row of
+    theta (B, K), in the same softplus form."""
+    m = np.matmul(X, theta[:, :, None])[:, :, 0]
+    return (np.minimum(m, 0.0) - np.log1p(np.exp(-np.abs(m)))).sum(axis=1)
 
 
 def _psi(rho: float) -> float:
@@ -462,108 +479,188 @@ def _range_basis(info):
     """An orthonormal basis of the range of the symmetric positive
     semidefinite ``info``: its eigenvectors whose eigenvalues exceed
     ``_RCOND`` times the largest, lstsq's rcond rule (none for a zero
-    matrix), or None when that is every one, the identity."""
+    matrix), or None when that is every one, the identity.  A stack of
+    matrices (B, K, K) gives the list of their bases, from one ``eigh``."""
     values, vectors = np.linalg.eigh(info)
-    kept = values > _RCOND * values[-1]
+    kept = values > _RCOND * values[..., -1:]
+    if info.ndim > 2:
+        return [None if k.all() else v[:, k] for k, v in zip(kept, vectors)]
     return None if kept.all() else vectors[:, kept]
+
+
+def _may_keep_more(basis, info) -> bool:
+    """Whether :func:`_range_basis` of ``info`` could keep a direction
+    that ``basis`` dropped: true unless the trace of ``info`` outside the
+    span of ``basis`` is at most ``_RCOND`` times its trace over K.  That
+    trace bounds every eigenvalue of ``info`` restricted to the dropped
+    directions, so the smallest K - rank eigenvalues lie below the cut
+    (Courant-Fischer), which is at least ``_RCOND`` times the trace over K."""
+    return basis is None or (trace := info.trace()) - np.vdot(basis, info @ basis) > _RCOND * trace / len(info)
 
 
 def _range_step(basis, info, grad):
     """The solution of info step = grad within the span of ``basis`` (of
     :func:`_range_basis`): while that span is the range of ``info``, the
     minimum-norm least-squares solution, with one LU solve of the
-    restricted system.  Raises ``LinAlgError`` when the restricted
-    information is singular."""
+    restricted system.  ``basis``, ``info`` and ``grad`` may carry a
+    leading batch axis (bases of one rank): one LU solve per design.
+    Raises ``LinAlgError`` when a restricted information is singular."""
     if basis is None:
-        return np.linalg.solve(info, grad)
-    return basis @ np.linalg.solve(basis.T @ info @ basis, basis.T @ grad)
+        return np.linalg.solve(info, grad) if grad.ndim == 1 else np.linalg.solve(info, grad[..., None])[..., 0]
+    across = np.swapaxes(basis, -1, -2)
+    return (basis @ np.linalg.solve(across @ info @ basis, across @ grad[..., None]))[..., 0]
 
 
-def _newton(pass_fn, value_fn, theta, first_pass, config, scale, row_norm=None, certify_early=False) -> _Ascent:
-    """Damped Newton ascent on a concave objective ``value_fn`` from theta;
-    ``pass_fn`` gives the gradient and the information (the negated
-    Hessian), and ``first_pass`` is its value at theta.  It stops converged
-    once |gradient| / ``scale`` is at most ``config.tol``, or after
-    ``config.max_epochs`` passes (the first included), when no damped step
-    ascends, or ``capped`` when |theta| exceeds ``_THETA_CAP``.
+def _range_steps(designs, bases, infos, grads):
+    """:func:`_range_step` of each design in ``designs``, a dict of steps.
+    Designs whose bases have one rank are solved as one stack; a design
+    alone is solved alone, since the products of a stack round otherwise.
+    A basis that the information lost a direction of is taken again."""
+    ranks, steps = {}, {}
+    for b in designs:
+        ranks.setdefault(None if bases[b] is None else bases[b].shape[1], []).append(b)
+    for rank, group in ranks.items():
+        if len(group) > 1:
+            basis = None if rank is None else np.array([bases[b] for b in group])
+            try:
+                solved = _range_step(basis, np.array([infos[b] for b in group]), np.array([grads[b] for b in group]))
+                steps.update(zip(group, solved))
+                continue
+            except np.linalg.LinAlgError:
+                pass  # some design's information lost a direction of its basis
+        for b in group:
+            try:
+                steps[b] = _range_step(bases[b], infos[b], grads[b])
+            except np.linalg.LinAlgError:
+                bases[b] = _range_basis(infos[b])
+                steps[b] = _range_step(bases[b], infos[b], grads[b])
+    return steps
+
+
+def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norm=None, certify_early=False) -> list[_Ascent]:
+    """Damped Newton ascent on B concave objectives at once, one
+    :class:`_Ascent` per design: design b starts from ``thetas[b]``, and
+    ``first_pass[b]`` is its pass there.  ``pass_fn(rows, points)`` gives
+    the pass, a (gradient, information) pair with the information the
+    negated Hessian, of each design of ``rows`` at its point of ``points``;
+    ``value_fn(rows, points)`` gives their objective values, and
+    ``row_norm(b)`` design b's largest row norm.  Each design stops on its
+    own: converged once |gradient| / ``scale`` is at most ``config.tol``,
+    or after ``config.max_epochs`` passes (the first included), when no
+    damped step ascends, or ``capped`` when |theta| exceeds
+    ``_THETA_CAP``.  The designs still going share one pass per iteration,
+    and the objective and the pass at a damped point are taken together for
+    the designs that need them; everything else runs design by design, so
+    one design of a batch takes the steps and passes it takes alone
+    (B = 1), up to the rounding of the stacked products.
 
     The step is the minimum-norm least-squares solution of info step =
     grad, so theta stays in the row space of a singular information: the
-    range of the first pass's information is taken once
+    range of the first pass's information is taken per design
     (:func:`_range_basis`) and each step solves info restricted to it
-    (:func:`_range_step`), with the basis taken again from the current
-    information only when that solve finds it singular.  A full step is
-    kept when the slope grad(theta + step) . step is still
-    >= 0 (by concavity the objective cannot then have decreased), or when
-    :func:`_certificate`, given the design's largest row norm
-    ``row_norm()``, proves it does not lower the objective; otherwise it is
-    halved until the objective is no lower than at theta.  With
-    ``certify_early`` the certificate is also taken before the pass at
-    theta + step; when it proves the step ascends and bounds the gradient
-    there by ``tol`` times ``scale``, the ascent takes the step and stops
-    without the pass, with the bound as the gradient norm.  The pass would
-    have stopped there too unless the bound lies within rounding of ``tol``.
+    (:func:`_range_steps`).  When that first basis dropped a direction, it
+    is taken again from the current information at every later step where
+    :func:`_may_keep_more`, as the rank may grow along the ascent; else
+    only when the restricted solve finds it singular.  A full step is kept
+    when the slope grad(theta + step) . step is still >= 0 (by concavity
+    the objective cannot then have decreased), or when :func:`_certificate`
+    proves it does not lower the objective; otherwise it is halved until
+    the objective is no lower than at theta.  With ``certify_early`` the
+    certificate is also taken before the pass at theta + step; when it
+    proves the step ascends and bounds the gradient there by ``tol`` times
+    ``scale``, the design takes the step and stops without the pass, with
+    the bound as the gradient norm.  The pass would have stopped there too
+    unless the bound lies within rounding of ``tol``.
     """
-    grad, info = first_pass
-    grad_norm = math.sqrt(grad @ grad) / scale
-    basis = _range_basis(info)
-    passes = 1
-    thetas, value = [tuple(theta.tolist())], None
-    converged = capped = False
+    B = len(thetas)
+    thetas = [np.array(theta, dtype=float) for theta in thetas]
+    grads, infos = (list(column) for column in zip(*first_pass))
+    norms = [math.sqrt(grad @ grad) / scale for grad in grads]
+    bases = _range_basis(np.array(infos))
+    cut = [basis is not None for basis in bases]
+    passes, values, converged, capped = [1] * B, [None] * B, [False] * B, [False] * B
+    traces = [[tuple(theta.tolist())] for theta in thetas]
+    live = list(range(B))
     while True:
-        if grad_norm <= config.tol:
-            converged = True
+        for b in live:
+            converged[b] = norms[b] <= config.tol
+        live = [b for b in live if not converged[b] and passes[b] < config.max_epochs]
+        if not live:
             break
-        if passes >= config.max_epochs:
-            break
-        try:
-            step = _range_step(basis, info, grad)
-        except np.linalg.LinAlgError:  # the information lost a direction of the basis
-            basis = _range_basis(info)
-            step = _range_step(basis, info, grad)
-        ascends, bound = None, math.inf  # the certificate, taken at most once per step
-        if certify_early:
-            ascends, bound = _certificate(grad, info, step, row_norm())
-        t, new_value = 1.0, None
-        if ascends and bound / scale <= config.tol:
-            grad_norm = bound / scale  # proven, with no pass at theta + step
-        else:
-            new_grad, new_info = pass_fn(theta + step)
-            passes += 1
-            overshoots = new_grad @ step < 0.0
-            if overshoots and ascends is None and row_norm is not None:
-                ascends = _certificate(grad, info, step, row_norm())[0]
-            if overshoots and not ascends:
-                # past the maximum along the step: backtrack on the objective
-                if value is None:
-                    value = value_fn(theta)
-                new_value = value_fn(theta + step)
-                while new_value < value and t > _MIN_STEP:
-                    t *= 0.5
-                    new_value = value_fn(theta + t * step)
-                if new_value < value:
-                    break  # no ascent along the step
-                if t < 1.0:
-                    if passes >= config.max_epochs:
-                        break  # no pass left for the gradient at the damped point
-                    new_grad, new_info = pass_fn(theta + t * step)
-                    passes += 1
-            grad, info = new_grad, new_info
-            grad_norm = math.sqrt(grad @ grad) / scale
-        theta = theta + t * step
-        thetas.append(tuple(theta.tolist()))
-        value = new_value
-        if math.sqrt(theta @ theta) > _THETA_CAP:
-            capped = True
-            break
-    return _Ascent(theta, passes, grad_norm, converged, capped, tuple(thetas), value)
+        for b in live:
+            if cut[b] and len(traces[b]) > 1 and _may_keep_more(bases[b], infos[b]):
+                bases[b] = _range_basis(infos[b])
+        steps = _range_steps(live, bases, infos, grads)
+        points = {b: thetas[b] + steps[b] for b in live}
+        ascends, t, new_values, new, go = {}, {}, {}, {}, []  # one certificate a step
+        for b in live:
+            if certify_early:
+                ascends[b], bound = _certificate(grads[b], infos[b], steps[b], row_norm(b))
+                if ascends[b] and bound / scale <= config.tol:
+                    norms[b] = bound / scale  # proven, with no pass at theta + step
+                    continue
+            go.append(b)
+        if go:
+            new.update(zip(go, pass_fn(go, [points[b] for b in go])))
+        search = []
+        for b in go:
+            passes[b] += 1
+            if new[b][0] @ steps[b] < 0.0:
+                if ascends.get(b) is None and row_norm is not None:
+                    ascends[b] = _certificate(grads[b], infos[b], steps[b], row_norm(b))[0]
+                if not ascends.get(b):
+                    search.append(b)  # past the maximum along the step: backtrack on the objective
+        if search:
+            missing = [b for b in search if values[b] is None]
+            for b, value in zip(missing, value_fn(missing, [thetas[b] for b in missing]) if missing else ()):
+                values[b] = value
+            low = search
+            t.update(dict.fromkeys(search, 1.0))
+            while low:
+                new_values.update(zip(low, value_fn(low, [thetas[b] + t[b] * steps[b] for b in low])))
+                low = [b for b in low if new_values[b] < values[b] and t[b] > _MIN_STEP]
+                for b in low:
+                    t[b] *= 0.5
+            # no ascent along the step, or no pass left for the gradient at the damped point
+            stop = {b for b in search if new_values[b] < values[b] or (t[b] < 1.0 and passes[b] >= config.max_epochs)}
+            redo = [b for b in search if t[b] < 1.0 and b not in stop]
+            if redo:
+                new.update(zip(redo, pass_fn(redo, [thetas[b] + t[b] * steps[b] for b in redo])))
+                for b in redo:
+                    passes[b] += 1
+            live = [b for b in live if b not in stop]
+        for b in live:
+            if b in new:
+                grads[b], infos[b] = new[b]
+                norms[b] = math.sqrt(grads[b] @ grads[b]) / scale
+            thetas[b] = thetas[b] + t[b] * steps[b] if t.get(b, 1.0) < 1.0 else points[b]
+            traces[b].append(tuple(thetas[b].tolist()))
+            values[b] = new_values.get(b)
+            capped[b] = math.sqrt(thetas[b] @ thetas[b]) > _THETA_CAP
+        live = [b for b in live if not capped[b]]
+    return [_Ascent(*fields) for fields in zip(thetas, passes, norms, converged, capped, map(tuple, traces), values)]
+
+
+def _first_pass_checks(spec, blocks, grad, info) -> None:
+    """Refuse a design whose first pass (grad, info) is not finite or
+    whose pair statistics are all zero; ``blocks`` are its pair blocks,
+    read only when the pass is refused or its Fisher trace is zero."""
+    if not (math.isfinite(grad @ grad) and math.isfinite(info.trace())):
+        for X in blocks:  # name the first term whose statistics are out of range
+            _check_finite_statistics(spec, X, "pair statistics")
+        term = spec.terms[int(np.argmax(np.abs(grad) + np.diagonal(info)))].label()
+        raise ParameterDomainError(
+            f"pair sums of term {term} overflow; standardize the series first (core.standard_scale)"
+        )
+    if info.trace() == 0.0:  # all statistics zero, or too small to square: only then scan them
+        _check_identified(blocks)
 
 
 def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = True, start=None) -> PleResult:
-    """Pseudo-likelihood fit on the pairs of ``design`` by :func:`_newton`,
-    the gradient norm taken per pair.  An empty design raises
-    :class:`InsufficientDataError`; a first pass whose gradient norm or
-    Fisher trace is not finite, :class:`ParameterDomainError` before any
+    """Pseudo-likelihood fit on the pairs of ``design`` by :func:`_newton`
+    with one design, the gradient norm taken per pair.  An empty design
+    raises :class:`InsufficientDataError`; a first pass whose gradient norm
+    or Fisher trace is not finite, :class:`ParameterDomainError` before any
     solve, naming the first term whose pair statistics
     ``core._check_finite_statistics`` refuses, else the term whose sums
     overflow.  A first pass whose Fisher trace is exactly zero checks the
@@ -595,18 +692,10 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
     theta = np.zeros(design.spec.n_terms) if start is None else start
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
         grad, info = _newton_pass(design, theta)
-        if not (math.isfinite(grad @ grad) and math.isfinite(info.trace())):
-            for X in design():  # name the first term whose statistics are out of range
-                _check_finite_statistics(design.spec, X, "pair statistics")
-            term = design.spec.terms[int(np.argmax(np.abs(grad) + np.diagonal(info)))].label()
-            raise ParameterDomainError(
-                f"pair sums of term {term} overflow; standardize the series first (core.standard_scale)"
-            )
-    if info.trace() == 0.0:  # all statistics zero, or too small to square: only then scan them
-        _check_identified(design())
-    ascent = _newton(
-        partial(_newton_pass, design), objective, theta, (grad, info), config, n_pairs,
-        design.max_row_norm, n_pairs > _SLICE_ROWS,
+        _first_pass_checks(design.spec, design(), grad, info)
+    (ascent,) = _newton(
+        lambda rows, points: [_newton_pass(design, points[0])], lambda rows, points: [objective(points[0])],
+        [theta], [(grad, info)], config, n_pairs, lambda b: design.max_row_norm(), n_pairs > _SLICE_ROWS,
     )
     if ascent.capped and requested:
         warnings.warn("theta norm exceeded the divergence cap; data may be separable", SeparationWarning, stacklevel=3)
@@ -689,8 +778,6 @@ def fit_pairs(
     The Newton ascent starts from ``start`` when it is given, in place of
     zero or a pilot fit: ``spec.n_terms`` finite values (else
     :class:`ShapeMismatchError` or :class:`ParameterDomainError`), copied.
-    ``select_specs`` passes each split the theta of the spec's previous
-    split when that fit converged.
     """
     if start is not None:
         start = np.array(start, dtype=float)
@@ -699,6 +786,43 @@ def fit_pairs(
         if not np.all(np.isfinite(start)):
             raise ParameterDomainError(f"start must be finite, got {start.tolist()}")
     return _fit(_PairDesign(spec, series, s1, s2), config, "ple-pairs", start=start)
+
+
+def _fit_batch(spec: DependenceSpec, series: TimeSeries, s1, s2, config: GdConfig, start=None):
+    """Pseudo-likelihood fits of B pair lists of N pairs each, the rows of
+    s1 and s2 (B, N), as one :func:`_newton` ascent with a batch axis,
+    every design started from ``start`` (else zero): what :func:`fit_pairs`
+    gives for each list alone from that start, up to rounding.  The
+    statistics come from one ``swap_deltas`` call; each iteration makes one
+    batched pass over the designs still going, and the final log-PL is one
+    batched evaluation.  The first pass is checked per design as in
+    :func:`_fit`, and a design stopped on the cap warns
+    :class:`SeparationWarning` at the caller.  Returns each design's
+    :class:`_Ascent` and log-PL; B = 0 returns two empty lists."""
+    B, N = np.shape(s1)
+    if B == 0:
+        return [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        X = swap_deltas(spec, series, np.ravel(s1), np.ravel(s2)).reshape(B, N, spec.n_terms)
+        np.negative(X, out=X)
+        theta = np.zeros((B, spec.n_terms)) if start is None else np.tile(start, (B, 1))
+        grad, info = _batch_pass(X, theta)
+        for b in range(B):
+            _first_pass_checks(spec, (X[b],), grad[b], info[b])
+    row_norms = np.sqrt(_largest_square_norm(X)).tolist()
+
+    def rows_of(rows):  # every design is still going until the first stops
+        return X if len(rows) == B else X[rows]
+
+    ascents = _newton(
+        lambda rows, points: zip(*_batch_pass(rows_of(rows), np.array(points))),
+        lambda rows, points: _batch_log_pl(rows_of(rows), np.array(points)).tolist(),
+        theta, list(zip(grad, info)), config, N, row_norms.__getitem__, N > _SLICE_ROWS,
+    )
+    if any(ascent.capped for ascent in ascents):
+        warnings.warn("theta norm exceeded the divergence cap; data may be separable", SeparationWarning, stacklevel=2)
+    values = _batch_log_pl(X, np.reshape([ascent.theta for ascent in ascents], theta.shape)).tolist()
+    return ascents, [v if ascent.value is None else ascent.value for ascent, v in zip(ascents, values)]
 
 
 def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig = SgdConfig()) -> PleResult:
@@ -869,16 +993,21 @@ def select_specs(
     Log-PL values are comparable across specs only over the same pairs:
     pair counts that differ with the spec order shift the baseline by far
     more than any penalty.  So every spec is padded to the largest feasible
-    order and fitted by :func:`fit_pairs` on the same ``splits``
-    :func:`spaced_matching` designs, one per child of
-    ``SeedSequence(seed)``.  The disjoint swap neighborhoods keep an
-    overparametrized spec from buying spurious fit, and averaging the
-    log-PL over the designs concentrates its chance gain near the mean.
-    Each spec's first split starts from theta = 0, and every later one from
-    the theta of the split before it when that fit converged, else from
-    zero: the splits fit one spec to one series, so their maximizers lie
-    close together.  ``converged`` counts the splits whose fit converged;
-    the log-PL of one that did not enters the mean all the same.
+    order and fitted on the same ``splits`` :func:`spaced_matching`
+    designs, one per child of ``SeedSequence(seed)``, each of
+    floor(#spaced positions / 2) pairs.  The disjoint swap neighborhoods
+    keep an overparametrized spec from buying spurious fit, and averaging
+    the log-PL over the designs concentrates its chance gain near the mean.
+    Each spec's first split, the anchor, is fitted by :func:`fit_pairs`
+    from theta = 0 (looked up at call time, once per feasible spec).  The
+    other splits start from the anchor's theta when it converged, else
+    from zero: the splits fit one spec to one series, so their maximizers
+    lie close together.  They are fitted as one batch (``_fit_batch``): one
+    ``swap_deltas`` call, one Newton pass over the designs still going per
+    iteration and one final log-PL, each design stopping on its own, as
+    :func:`fit_pairs` would fit it from that start, up to rounding.
+    ``converged`` counts the splits whose fit converged; the log-PL of one
+    that did not enters the mean all the same.
 
     A spec whose order leaves fewer than two spaced positions, or whose fit
     fails with a library, linear-algebra or floating-point error, gets an
@@ -893,10 +1022,8 @@ def select_specs(
     if not any(feasible):
         raise InsufficientInteriorError("every spec order is too large for this series length")
     max_d = max(spec.order for spec, ok in zip(specs, feasible) if ok)
-    designs = [
-        spaced_matching(series.n, max_d, child)
-        for child in np.random.SeedSequence(seed).spawn(splits)
-    ]
+    # every design pairs off the same spaced positions: (splits, 2, N)
+    pairs = np.array([spaced_matching(series.n, max_d, child) for child in np.random.SeedSequence(seed).spawn(splits)])
     rows = []
     for spec, ok in zip(specs, feasible):
         if not ok:
@@ -904,13 +1031,12 @@ def select_specs(
             continue
         try:
             padded = DependenceSpec(order=max_d, dim=spec.dim, terms=spec.terms)
-            fits, start = [], None
-            for s1, s2 in designs:
-                # fit_pairs is looked up here at call time: bench/ wraps it
-                fits.append(fit_pairs(padded, series, s1, s2, config, start=start))
-                start = fits[-1].theta if fits[-1].converged else None
-            mean = float(np.mean([fit.log_pl for fit in fits]))
-            converged = sum(fit.converged for fit in fits)
+            # fit_pairs is looked up here at call time: bench/ wraps it
+            anchor = fit_pairs(padded, series, *pairs[0], config)
+            start = anchor.theta if anchor.converged else None
+            ascents, log_pls = _fit_batch(padded, series, *pairs[1:].transpose(1, 0, 2), config, start)
+            mean = float(np.mean([anchor.log_pl, *log_pls]))
+            converged = anchor.converged + sum(ascent.converged for ascent in ascents)
             rows.append(
                 SelectRow(padded.n_terms, mean, *aic_pic(mean, padded.n_terms, series.n, max_d), converged=converged)
             )

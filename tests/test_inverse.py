@@ -2,6 +2,8 @@
 random (theta, tau2) and (Theta, B) pairs, AR(d) round trips up to d = 8,
 and the d = 1 / p = 1 reductions to the closed-form AR(1) inverse."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,9 +92,29 @@ class TestArInverseOnRandomInputs:
     @pytest.mark.parametrize("theta, tau2", [([0.5, 0.2], 1e12), ([0.5, 0.2, 0.1], 1e30)])
     def test_tau2_beyond_double_precision_is_refused(self, theta, tau2):
         # 1 - rho would be far below 1e-7, which double precision does not
-        # resolve; the refusal names the misfit found or where the path stalled
-        with pytest.raises(ParameterDomainError, match=r"forward misfit \S+ exceeds the 1e-8 check|path stalled at t = "):
+        # resolve; the refusal names the misfit found, where the path
+        # stalled, or the partial autocorrelation a path point rounded to +-1
+        with pytest.raises(
+            ParameterDomainError,
+            match=r"forward misfit \S+ exceeds the 1e-8 check|path stalled at t = |the path rounds kappa_\d to \+-1",
+        ):
             gaussian.mininfo_to_ar(gaussian.MinInfoARParams(theta, tau2))
+
+    def test_a_stalled_path_is_refused_early(self, monkeypatch):
+        # the stride in t halves without end near t = 0.456: the whole
+        # budget of 2000 misfit evaluations went before the refusal
+        misfit = mock.Mock(side_effect=gaussian._ar_misfit)
+        monkeypatch.setattr(gaussian, "_ar_misfit", misfit)
+        with pytest.raises(ParameterDomainError, match=r"the path stalled at t = 0\.4557"):
+            gaussian.mininfo_to_ar(gaussian.MinInfoARParams([0.3, -0.2, 0.1, 0.05], 3e5))
+        assert misfit.call_count < 400
+
+    def test_a_path_point_with_kappa_rounded_to_one_is_refused_at_once(self, monkeypatch):
+        misfit = mock.Mock(side_effect=gaussian._ar_misfit)
+        monkeypatch.setattr(gaussian, "_ar_misfit", misfit)
+        with pytest.raises(ParameterDomainError, match=r"at t = \S+ the path rounds kappa_1 to \+-1$"):
+            gaussian.mininfo_to_ar(gaussian.MinInfoARParams([0.5, 0.2, 0.1], 1e30))
+        assert misfit.call_count < 400
 
     @pytest.mark.parametrize("theta", [[0.5, 0.2], [0.5, 0.0], [0.3, -0.2, 0.1]])
     def test_subnormal_tau2(self, theta):

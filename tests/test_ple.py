@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq, linprog, minimize
@@ -654,7 +654,10 @@ class TestRangeStep:
         monkeypatch.setattr(ple, "_range_basis", basis)
         theta = np.array([2.0, 0.0])
         first = (np.array([3.0 - math.exp(2.0), 0.0]), np.diag([math.exp(2.0), 1.0]))
-        ascent = ple._newton(pass_fn, value_fn, theta, first, ple.GdConfig(tol=1e-12), 1.0)
+        (ascent,) = ple._newton(  # one design: B = 1
+            lambda rows, points: [pass_fn(points[0])], lambda rows, points: [value_fn(points[0])],
+            [theta], [first], ple.GdConfig(tol=1e-12), 1.0,
+        )
         assert ascent.converged and ascent.theta[0] == pytest.approx(math.log(3.0), abs=1e-12)
         assert basis.call_count == 2 and basis.call_args.args[0][1, 1] == 0.0
         # every step is lstsq's minimum-norm step on its pass's information
@@ -664,6 +667,44 @@ class TestRangeStep:
             # theta's own rounding, about 2e-16, bounds the step read back from the trace
             np.testing.assert_allclose(np.subtract(b, a), expected, rtol=1e-12, atol=1e-15)
         assert all(t[1] == 0.0 for t in ascent.trace)
+
+
+class TestCutBasisTakenAgain:
+    """A first range basis that dropped a direction is taken again from the
+    current information as the ascent goes on: a direction cut at theta 0
+    can carry weight later, where a basis kept from theta 0 never lets the
+    fit converge."""
+
+    CUBIC = core.DependenceSpec.from_text("0:0^1*1:0^1\n0:0^3*1:0^1\n0:0^1*1:0^3\n0:0^3*1:0^3\n")
+
+    @staticmethod
+    def heavy_tailed_series(seed):
+        # AR(1), phi 0.5, t(2) innovations, the first 200 values dropped
+        e = np.random.default_rng(seed).standard_t(2, size=800)
+        x = np.empty(800)
+        x[0] = e[0]
+        for i in range(1, 800):
+            x[i] = 0.5 * x[i - 1] + e[i]
+        return core.TimeSeries(x[200:])
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_heavy_tailed_cubic_fit_converges(self, seed):
+        # with the basis of theta 0 kept, both stopped unconverged at 500
+        # passes, their gradient norms 0.43 and above
+        series = self.heavy_tailed_series(seed)
+        _, info = ple._newton_pass(ple._PairDesign(self.CUBIC, series), np.zeros(4))
+        assert ple._range_basis(info).shape == (4, 3)  # the first basis cuts a direction
+        fit = ple.fit_naive(self.CUBIC, series)
+        assert fit.converged and fit.iterations < 100
+
+    def test_a_structural_null_direction_is_not_taken_again(self, monkeypatch):
+        # b**2 == b: the cut direction carries no information at any theta,
+        # so the basis of the first pass serves every step
+        spec, series = core.kron_spec(2, [(1, 1, 1), (1, 2, 1)]), binary_real_series(400, 3)
+        basis = mock.Mock(side_effect=ple._range_basis)
+        monkeypatch.setattr(ple, "_range_basis", basis)
+        fit = ple.fit_naive(spec, series)
+        assert fit.converged and fit.iterations > 2 and basis.call_count == 1
 
 
 class TestTelemetry:
@@ -1676,6 +1717,79 @@ class TestAicPic:
         assert pic == pytest.approx(100.0 + 2 * math.log(math.comb(96, 2)))
 
 
+@st.composite
+def split_batches(draw):
+    """A spec, a series, B equal-size spaced matchings (B in 0..4) and a
+    start: zero, a converged fit's theta, or that theta pushed out, whose
+    first step overshoots.  The binary/real kron specs have singular
+    information."""
+    if draw(st.booleans()):
+        spec = core.ar_spec(draw(st.integers(1, 2)))
+        series = ar_series(spec.order, draw(st.integers(60, 400)), draw(st.integers(0, 2**32 - 1)))
+    else:
+        # about n / 6 pairs for up to 16 terms: on fewer pairs a fit ends in
+        # directions so flat that rounding alone moves its theta and passes
+        spec, n, seed = draw(binary_kron_designs())
+        series = binary_real_series(10 * n, seed)
+    pairs = [ple.spaced_matching(series.n, spec.order, draw(st.integers(0, 2**32 - 1))) for _ in range(draw(st.integers(0, 4)))]
+    start = draw(st.sampled_from([None, "fit", "pushed"]))
+    if start is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SeparationWarning)
+            fit = ple.fit_pairs(spec, series, *ple.spaced_matching(series.n, spec.order, 0), ple.SELECT_CONFIG)
+        start = fit.theta * (1.0 if start == "fit" else 3.0) if fit.converged else None
+    return spec, series, pairs, start
+
+
+class TestFitBatch:
+    """``select_specs`` fits splits 2..S as one batch: each design of it
+    takes the steps and passes ``fit_pairs`` takes alone from the same
+    start; only the rounding of the stacked products differs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_batches())
+    def test_each_design_is_its_fit_alone(self, case):
+        spec, series, pairs, start = case
+        n = len(pairs[0][0]) if pairs else 0
+        s1, s2 = (np.array([p[i] for p in pairs]).reshape(len(pairs), n) for i in (0, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SeparationWarning)
+            try:
+                alone = [ple.fit_pairs(spec, series, a, b, ple.SELECT_CONFIG, start) for a, b in pairs]
+            except RuntimeWarning:
+                # a pushed start on a separable design can step theta past
+                # the float range alone too (the cap is read after the step)
+                assume(False)
+            ascents, log_pls = ple._fit_batch(spec, series, s1, s2, ple.SELECT_CONFIG, start)
+        assert len(ascents) == len(log_pls) == len(alone)
+        for ascent, value, fit in zip(ascents, log_pls, alone):
+            assert ascent.converged == fit.converged
+            if not fit.converged:
+                # a separable design has no maximizer: theta runs to the
+                # cap along a direction that amplifies rounding, so the
+                # two runs agree only on the verdict
+                continue
+            assert ascent.passes == fit.iterations
+            # |theta| is the norm, as for the cap: on a singular design the
+            # restricted solve spreads its rounding over every term
+            assert np.linalg.norm(ascent.theta - fit.theta) <= 1e-10 * (1.0 + np.linalg.norm(fit.theta))
+            # near separation a fit can stop converged at a large theta,
+            # with a log-PL of tiny terms (-3e-7 seen): there 1e-15 absolute
+            assert value == pytest.approx(fit.log_pl, rel=1e-12, abs=1e-15)
+
+    def test_a_pushed_start_overshoots_in_the_batch_too(self, monkeypatch):
+        series = ar_series(1, 300, 7)
+        pairs = [ple.spaced_matching(300, 1, seed) for seed in range(3)]
+        start = ple.fit_pairs(SPEC1, series, *pairs[0], ple.SELECT_CONFIG).theta * 3.0
+        values = mock.Mock(side_effect=ple._batch_log_pl)
+        monkeypatch.setattr(ple, "_batch_log_pl", values)
+        ascents, _ = ple._fit_batch(SPEC1, series, *np.array(pairs).transpose(1, 0, 2), ple.SELECT_CONFIG, start)
+        # the line search ran on the designs together: its first call
+        # holds every design that overshot
+        assert all(a.converged for a in ascents) and values.call_count > 1
+        assert len(values.call_args_list[0].args[1]) == 3
+
+
 class TestSelectSpecs:
     SERIES = gaussian.simulate_ar(AR1, 300, seed=41)
 
@@ -1685,38 +1799,43 @@ class TestSelectSpecs:
             ple.spaced_matching(4, 1, 0)
 
     def test_row_is_the_mean_log_pl_over_spaced_designs(self):
-        # each split starts from the previous split's theta when that fit
-        # converged, from zero otherwise
+        # split 1 of each spec is fitted from zero, the anchor; every other
+        # split starts from the anchor's theta when it converged.  The
+        # other splits are fitted as one batch, whose products round
+        # otherwise than fit_pairs' alone: equal to 1e-12 relative
         (row1, row2) = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2)], seed=4, splits=3)
         padded = core.DependenceSpec(order=2, dim=1, terms=SPEC1.terms)
-        fits, start = [], None
-        for child in np.random.SeedSequence(4).spawn(3):
-            fits.append(ple.fit_pairs(padded, self.SERIES, *ple.spaced_matching(300, 2, child), ple.SELECT_CONFIG, start))
-            start = fits[-1].theta if fits[-1].converged else None
+        designs = [ple.spaced_matching(300, 2, child) for child in np.random.SeedSequence(4).spawn(3)]
+        anchor = ple.fit_pairs(padded, self.SERIES, *designs[0], ple.SELECT_CONFIG)
+        assert anchor.converged
+        fits = [anchor] + [ple.fit_pairs(padded, self.SERIES, *d, ple.SELECT_CONFIG, anchor.theta) for d in designs[1:]]
         assert row1.K == 1 and row2.K == 2
-        assert row1.log_pl == float(np.mean([fit.log_pl for fit in fits]))
+        assert row1.log_pl == pytest.approx(float(np.mean([fit.log_pl for fit in fits])), rel=1e-12, abs=0.0)
         assert (row1.aic, row1.pic) == ple.aic_pic(row1.log_pl, 1, 300, 2)
         assert row1.error is None and row2.error is None
         assert row1.converged == row2.converged == 3
 
     def test_an_unconverged_split_passes_no_start(self, monkeypatch):
-        # split 1 of each spec is reported unconverged: split 2 starts from
-        # zero, every other split from the split before it
-        fit_pairs, calls = ple.fit_pairs, []
+        # the anchor of the first spec is reported unconverged: that spec's
+        # batch starts from zero, the second spec's from its anchor's theta
+        fit_pairs, fit_batch, anchors, starts = ple.fit_pairs, ple._fit_batch, [], []
 
         def spy(spec, series, s1, s2, config, start=None):
             fit = fit_pairs(spec, series, s1, s2, config, start=start)
-            calls.append((start, fit))
-            return dataclasses.replace(fit, converged=False) if len(calls) % 4 == 2 else fit
+            anchors.append((start, fit))
+            return dataclasses.replace(fit, converged=False) if len(anchors) == 1 else fit
+
+        def batch_spy(spec, series, s1, s2, config, start=None):
+            starts.append(start)
+            return fit_batch(spec, series, s1, s2, config, start)
 
         monkeypatch.setattr(ple, "fit_pairs", spy)
+        monkeypatch.setattr(ple, "_fit_batch", batch_spy)
         rows = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2)], seed=4, splits=4)
-        assert [row.converged for row in rows] == [3, 3]
-        for spec_calls in (calls[:4], calls[4:]):
-            starts = [start for start, _ in spec_calls]
-            assert starts[0] is None and starts[2] is None
-            np.testing.assert_array_equal(starts[1], spec_calls[0][1].theta)
-            np.testing.assert_array_equal(starts[3], spec_calls[2][1].theta)
+        assert [row.converged for row in rows] == [3, 4]
+        assert [start for start, _ in anchors] == [None, None]
+        assert starts[0] is None
+        np.testing.assert_array_equal(starts[1], anchors[1][1].theta)
 
     def test_warm_started_rows_match_rows_fitted_from_zero(self):
         assert_verify_passes(verify._check_select_warm_start, "select_warm_start")
@@ -1732,15 +1851,32 @@ class TestSelectSpecs:
         assert fit.theta_trace[0] == (0.9,) and fit.converged and start[0] == 0.9
 
     def test_swap_tables_built_once_per_spec(self, monkeypatch):
-        # 9 splits x 2 specs: every fit of a padded spec reads the tables
-        # its first fit built
+        # 9 splits x 2 specs: each spec's anchor fit builds the tables, and
+        # its batch of the other 8 splits reads them in one swap_deltas call
         build = mock.Mock(side_effect=core._factored_tables)
         monkeypatch.setattr(core, "_factored_tables", build)
         fits = mock.Mock(side_effect=ple.fit_pairs)
         monkeypatch.setattr(ple, "fit_pairs", fits)
+        deltas = mock.Mock(side_effect=core.swap_deltas)
+        monkeypatch.setattr(ple, "swap_deltas", deltas)
         rows = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2)], seed=4)
         assert all(row.error is None for row in rows)
-        assert fits.call_count == 18 and build.call_count == 2
+        assert fits.call_count == 2 and build.call_count == 2 and deltas.call_count == 4
+
+    @pytest.mark.parametrize("splits", [1, 2, 9])
+    def test_fit_pairs_runs_once_per_feasible_spec(self, monkeypatch, splits):
+        # bench/ reads the AR(1) theta through ple.fit_pairs: one anchor
+        # per feasible spec, whatever the split count; the infeasible spec
+        # makes no call
+        build = mock.Mock(side_effect=core._factored_tables)
+        monkeypatch.setattr(core, "_factored_tables", build)
+        fits = mock.Mock(side_effect=ple.fit_pairs)
+        monkeypatch.setattr(ple, "fit_pairs", fits)
+        specs = [SPEC1, core.ar_spec(75), core.ar_spec(2)]
+        rows = ple.select_specs(self.SERIES, specs, seed=4, splits=splits)
+        assert [row.error is None for row in rows] == [True, False, True]
+        assert [call.args[0].terms for call in fits.call_args_list] == [SPEC1.terms, core.ar_spec(2).terms]
+        assert build.call_count == 2
 
     def test_duplicate_spec_gets_identical_rows(self):
         rows = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2), SPEC1], seed=1, splits=2)
