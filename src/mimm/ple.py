@@ -351,19 +351,18 @@ class _PairDesign:
         return self._max_row_norm
 
 
-def _largest_square_norm(X):
-    """Largest squared row norm of the block X (N, K), slice by slice, the
-    squares added column by column: over all pairs at n=1000 on a 2-vCPU
-    host that took 0.38 ms against 0.8 ms for einsum's per-row loop with
-    AR(1), and 1.1 against 2.4 ms with AR(2).  A stack of blocks (B, N, K)
-    gives the (B,) array of each block's."""
-    top = np.zeros(X.shape[:-2])
-    for start in range(0, X.shape[-2], _SLICE_ROWS):
-        Xb = X[..., start : start + _SLICE_ROWS, :]
-        sums = np.square(Xb[..., 0])
-        for k in range(1, Xb.shape[-1]):
-            sums += np.square(Xb[..., k])
-        top = np.maximum(top, sums.max(axis=-1))
+def _largest_square_norm(X) -> float:
+    """Largest squared row norm of the block X, slice by slice, the squares
+    added column by column: over all pairs at n=1000 on a 2-vCPU host that
+    took 0.38 ms against 0.8 ms for einsum's per-row loop with AR(1), and
+    1.1 against 2.4 ms with AR(2)."""
+    top = 0.0
+    for start in range(0, X.shape[0], _SLICE_ROWS):
+        Xb = X[start : start + _SLICE_ROWS]
+        sums = np.square(Xb[:, 0])
+        for k in range(1, Xb.shape[1]):
+            sums += np.square(Xb[:, k])
+        top = max(top, float(sums.max()))
     return top
 
 
@@ -809,7 +808,10 @@ def _fit_batch(spec: DependenceSpec, series: TimeSeries, s1, s2, config: GdConfi
         grad, info = _batch_pass(X, theta)
         for b in range(B):
             _first_pass_checks(spec, (X[b],), grad[b], info[b])
-    row_norms = np.sqrt(_largest_square_norm(X)).tolist()
+    squares = np.square(X[:, :, 0])  # added column by column, as in _largest_square_norm
+    for k in range(1, spec.n_terms):
+        squares += np.square(X[:, :, k])
+    row_norms = np.sqrt(squares.max(axis=1)).tolist()
 
     def rows_of(rows):  # every design is still going until the first stops
         return X if len(rows) == B else X[rows]
@@ -821,8 +823,7 @@ def _fit_batch(spec: DependenceSpec, series: TimeSeries, s1, s2, config: GdConfi
     )
     if any(ascent.capped for ascent in ascents):
         warnings.warn("theta norm exceeded the divergence cap; data may be separable", SeparationWarning, stacklevel=2)
-    values = _batch_log_pl(X, np.reshape([ascent.theta for ascent in ascents], theta.shape)).tolist()
-    return ascents, [v if ascent.value is None else ascent.value for ascent, v in zip(ascents, values)]
+    return ascents, _batch_log_pl(X, np.array([ascent.theta for ascent in ascents])).tolist()
 
 
 def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig = SgdConfig()) -> PleResult:
