@@ -21,14 +21,15 @@ within the range of the first pass's information by one LU solve per step,
 whose overshooting steps a self-concordance bound (``_certificate``) keeps
 or sends to backtracking.  ``_newton`` ascends a batch of designs at once,
 each stopping on its own; the fitters give it one design, and
-``select_specs`` gives it all but the first split of a spec
-(``_fit_batch``).  Theta starts from a given start (``fit_pairs`` takes
-one), else at zero, except on a design of at least 64 * 4096 pairs: that
-one first fits every 64th of its pairs and starts from the result if that
-pilot converged.  The Newton pass and the log pseudo-likelihood walk the
-pair blocks in cache-sized row slices with plain numpy ufuncs (logistic
-weights from ``exp`` with the margin clipped, the log-PL in softplus
-form), so no temporary grows with the pair matrix.
+``select_specs`` gives it all but the first split of a spec, one
+``_PairDesign`` of several pair lists whose blocks carry a leading batch
+axis.  Theta starts from a given start (``fit_pairs`` takes one), else at
+zero, except on a design of at least 64 * 4096 pairs: that one first fits
+every 64th of its pairs and starts from the result if that pilot
+converged.  The Newton pass and the log pseudo-likelihood walk the pair
+blocks, with or without the batch axis, in cache-sized row slices with
+plain numpy ufuncs (logistic weights from ``exp`` with the margin clipped,
+the log-PL in softplus form), so no temporary grows with the pair matrix.
 
 Online SGD builds its whole budget's pair statistics in one vectorized
 call; only the update sweep is sequential, and it runs on Python floats:
@@ -266,157 +267,174 @@ def log_pl(theta, pairs) -> float:
         raise ShapeMismatchError(f"pair width {X.shape[1]} != len(theta) {len(theta)}")
     if X.shape[0] == 0:
         raise ValueError("pairs must be nonempty")
-    total, rows = 0.0, 0
-    for start in range(0, X.shape[0], _SLICE_ROWS):
-        Xb = X[start : start + _SLICE_ROWS]
-        if Xb.shape[0] != rows:
-            rows = Xb.shape[0]
-            m, a = np.empty(rows), np.empty(rows)
-        np.dot(Xb, theta, out=m)
+    return float(_log_pl(theta, X))
+
+
+def _slices(X, rows=None):
+    """The slices of the pair rows of a block X (n, K), or of a stack of
+    blocks (B, n, K), of about ``_SLICE_ROWS`` rows over all its blocks;
+    of a stack, only the blocks ``rows`` when given (each slice a copy)."""
+    size = max(1, _SLICE_ROWS // math.prod(X.shape[:-2]))
+    parts = [X[..., start : start + size, :] for start in range(0, X.shape[-2], size)] if X.shape[-2] > size else [X]
+    return parts if rows is None else [Xb[rows] for Xb in parts]
+
+
+def _margins(Xb, column, m) -> None:
+    """The margins theta . x of the rows of the slice Xb into m, with
+    ``column`` theta[..., None]: one term by a plain product, since matmul
+    runs a one-column matrix through numpy's unblocked loop, several times
+    slower than the product."""
+    if column.shape[-2] == 1:
+        np.multiply(Xb, column, out=m[..., None])
+    else:
+        np.matmul(Xb, column, out=m[..., None])
+
+
+def _log_pl(theta, X, rows=None):
+    """:func:`log_pl` of the block X at theta, unchecked; with a leading
+    batch axis, X (B, n, K) and theta (R, K), one value for each design of
+    ``rows`` (all when None), as ``log_pl`` gives it for that design alone.
+    Slice by slice (:func:`_slices`) through buffers reused from slice to
+    slice."""
+    column, total, shape = theta[..., None], 0.0, None
+    for Xb in _slices(X, rows):
+        if Xb.shape != shape:
+            shape = Xb.shape
+            m, a = np.empty(shape[:-1]), np.empty(shape[:-1])
+        _margins(Xb, column, m)
         np.abs(m, out=a)
         np.negative(a, out=a)  # -|m|, bitwise copysign(m, -1.0), at a third of its cost
         np.exp(a, out=a)
         np.log1p(a, out=a)
         np.minimum(m, 0.0, out=m)
         m -= a
-        total += m.sum()
-    return float(total)
+        total += m.sum(axis=-1)
+    return total
 
 
 class _PairDesign:
-    """The pairs of one Newton fit: every interior pair, in
-    ``core._all_pairs_blocks`` order, when ``s1`` is None, else the listed
-    pairs (s1[i], s2[i]); of those, pairs 0, stride, 2 stride, ...,
-    ``n_pairs`` in all.  Calling it yields one pass of minus-swap-delta
-    blocks of about ``_CHUNK_PAIRS`` pairs (all pairs at a stride above 1:
-    one block), built on the first pass and held up to ``_MATERIALIZE_LIMIT``
-    statistics (n_pairs * K), else regenerated on every pass; ``seconds``
-    sums the time spent building them."""
+    """The pairs of B Newton fits of one spec on one series: every interior
+    pair, in ``core._all_pairs_blocks`` order, when ``s1`` is None (B = 1),
+    else the B pair lists (s1[b][i], s2[b][i]) of one length; of each,
+    pairs 0, stride, 2 stride, ..., ``n_pairs`` in all.  Calling it yields
+    one pass of minus-swap-delta blocks (B, n, K) of about ``_CHUNK_PAIRS``
+    pairs over all lists (all pairs at a stride above 1: one block), built
+    on the first pass and held up to ``_MATERIALIZE_LIMIT`` statistics
+    (B * n_pairs * K), else regenerated on every pass; ``seconds`` sums the
+    time spent building them."""
 
     def __init__(self, spec: DependenceSpec, series: TimeSeries, s1=None, s2=None, stride: int = 1):
         _interior_bounds(spec, series)
         if s1 is None:
-            count = n_interior_pairs(series.n, spec.order)
+            self.B, count = 1, n_interior_pairs(series.n, spec.order)
         else:
-            # kept as given: swap_deltas checks the positions of each block
-            if np.ndim(s1) != 1 or np.shape(s1) != np.shape(s2):
-                raise ShapeMismatchError("s1 and s2 must be 1-d arrays of equal length")
-            count = len(s1)
+            self.B, count = len(s1), len(s1[0]) if len(s1) else 0
         self.spec, self.series, self._s1, self._s2, self._stride = spec, series, s1, s2, stride
         self.n_pairs = -(-count // stride)
         self.seconds = 0.0
         self._held = self._max_row_norm = None
 
     def every(self, k: int) -> _PairDesign:
-        """Pairs 0, k, 2 k, ... of this design, as a new design."""
+        """Pairs 0, k, 2 k, ... of each list of this design, as a new design."""
         return type(self)(self.spec, self.series, self._s1, self._s2, self._stride * k)
 
     def _deltas(self):
         if self._s1 is None:
-            return _all_pairs_blocks(self.spec, self.series, _CHUNK_PAIRS, self._stride)
-        a, b = self._s1[:: self._stride], self._s2[:: self._stride]
-        return (
-            swap_deltas(self.spec, self.series, a[i : i + _CHUNK_PAIRS], b[i : i + _CHUNK_PAIRS])
-            for i in range(0, len(a), _CHUNK_PAIRS)
-        )
+            return (X[None] for X in _all_pairs_blocks(self.spec, self.series, _CHUNK_PAIRS, self._stride))
+        lists = [(a[:: self._stride], b[:: self._stride]) for a, b in zip(self._s1, self._s2)]
+        size = max(1, _CHUNK_PAIRS // self.B)
+        return (self._block([(a[i : i + size], b[i : i + size]) for a, b in lists]) for i in range(0, self.n_pairs, size))
+
+    def _block(self, parts):
+        # a lone list goes to swap_deltas as given: it checks the positions
+        a, b = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        return swap_deltas(self.spec, self.series, a, b).reshape(len(parts), -1, self.spec.n_terms)
 
     def _generate(self, measure: bool):
         start = time.perf_counter()
-        top = 0.0
+        top = np.zeros(self.B)
         for X in self._deltas():
             np.negative(X, out=X)
             if measure:
-                top = max(top, _largest_square_norm(X))
+                top = np.maximum(top, _largest_square_norm(X))
             self.seconds += time.perf_counter() - start
             yield X
             start = time.perf_counter()
         self.seconds += time.perf_counter() - start
         if measure:
-            self._max_row_norm = math.sqrt(top)
+            self._max_row_norm = np.sqrt(top)
 
     def __call__(self):
-        if self._held is None and self.n_pairs * self.spec.n_terms <= _MATERIALIZE_LIMIT:
+        if self._held is None and self.B * self.n_pairs * self.spec.n_terms <= _MATERIALIZE_LIMIT:
             self._held = tuple(self._generate(measure=False))
         if self._held is not None:
             return self._held
         return self._generate(measure=self._max_row_norm is None)
 
-    def max_row_norm(self) -> float:
-        """Largest Euclidean norm of a pair row.  A streamed design takes it
-        slice by slice during its first complete sweep; a held one on the
-        first call, from its held blocks."""
+    def max_row_norm(self) -> np.ndarray:
+        """Largest Euclidean norm of a pair row of each list, (B,).  A
+        streamed design takes them slice by slice during its first complete
+        sweep; a held one on the first call, from its held blocks."""
         if self._max_row_norm is None:
-            top = max((_largest_square_norm(X) for X in self()), default=0.0)
-            self._max_row_norm = math.sqrt(top)
+            top = np.zeros(self.B)
+            for X in self():
+                top = np.maximum(top, _largest_square_norm(X))
+            self._max_row_norm = np.sqrt(top)
         return self._max_row_norm
 
 
-def _largest_square_norm(X) -> float:
-    """Largest squared row norm of the block X, slice by slice, the squares
-    added column by column: over all pairs at n=1000 on a 2-vCPU host that
-    took 0.38 ms against 0.8 ms for einsum's per-row loop with AR(1), and
-    1.1 against 2.4 ms with AR(2)."""
+def _largest_square_norm(X):
+    """Largest squared row norm of the block X (n, K), or of each block of
+    a stack (B, n, K), slice by slice, the squares added column by column:
+    over all pairs at n=1000 on a 2-vCPU host that took 0.38 ms against
+    0.8 ms for einsum's per-row loop with AR(1), and 1.1 against 2.4 ms
+    with AR(2)."""
     top = 0.0
-    for start in range(0, X.shape[0], _SLICE_ROWS):
-        Xb = X[start : start + _SLICE_ROWS]
-        sums = np.square(Xb[:, 0])
-        for k in range(1, Xb.shape[1]):
-            sums += np.square(Xb[:, k])
-        top = max(top, float(sums.max()))
+    for Xb in _slices(X):
+        sums = np.square(Xb[..., 0])
+        for k in range(1, Xb.shape[-1]):
+            sums += np.square(Xb[..., k])
+        top = np.maximum(top, sums.max(axis=-1))
     return top
 
 
-def _newton_pass(blocks, theta):
+def _newton_pass(blocks, theta, rows=None):
     """Gradient of :func:`log_pl` at theta and the Fisher matrix
-    X' diag(p (1 - p)) X, with p = 1 / (1 + exp(-theta . x)).
+    X' diag(p (1 - p)) X, with p = 1 / (1 + exp(-theta . x)); with a
+    leading batch axis, blocks (B, n, K) and theta (R, K), the (R, K)
+    gradients and (R, K, K) matrices of the designs ``rows`` (all when
+    None), each as its pass alone gives it.
 
-    Each block is walked in slices of ``_SLICE_ROWS`` rows through buffers
-    reused from slice to slice, so no temporary grows with the block.  Per
-    slice q = 1 - p is taken as 1 / (1 + exp(m)), with the margin m clipped
-    at ``_EXP_MAX`` so exp stays finite, and one product of
-    [q; X' diag(p q)] with the slice gives the gradient and Fisher rows
-    together.
+    Each block is walked in slices (:func:`_slices`) through buffers reused
+    from slice to slice, so no temporary grows with the block.  Per slice
+    q = 1 - p is taken as 1 / (1 + exp(m)), with the margin m clipped at
+    ``_EXP_MAX`` so exp stays finite, and one product of [q; X' diag(p q)]
+    with the slice gives the gradient and Fisher rows together.
     """
-    K = len(theta)
-    acc, rows = None, 0
+    column, K = theta[..., None], theta.shape[-1]
+    acc, shape = None, None
     for X in blocks():
-        for start in range(0, X.shape[0], _SLICE_ROWS):
-            Xb = X[start : start + _SLICE_ROWS]
-            if Xb.shape[0] != rows:
-                rows = Xb.shape[0]
-                m, Z = np.empty(rows), np.empty((K + 1, rows))
-                q, XW = Z[0], Z[1:]
-            np.dot(Xb, theta, out=m)
+        for Xb in _slices(X, rows):
+            if Xb.shape != shape:
+                shape = Xb.shape
+                m, Z = np.empty(shape[:-1]), np.empty(shape[:-2] + (K + 1, shape[-2]))
+                q, XW = Z[..., 0, :], Z[..., 1:, :]
+            _margins(Xb, column, m)
             np.minimum(m, _EXP_MAX, out=m)
             np.exp(m, out=m)
             m += 1.0
             np.divide(1.0, m, out=q)
             np.subtract(1.0, q, out=m)
             m *= q
-            np.multiply(Xb.T, m, out=XW)
-            part = np.dot(Z, Xb)
+            np.multiply(Xb.swapaxes(-1, -2), m[..., None, :], out=XW)
+            part = np.matmul(Z, Xb)
             if acc is None:
                 acc = part
             else:
                 acc += part
     if acc is None:
-        acc = np.zeros((K + 1, K))
-    return acc[0], acc[1:]
-
-
-def _batch_pass(X, theta):
-    """:func:`_newton_pass` of a stack of pair blocks X (B, N, K) at thetas
-    (B, K), a whole block at a time: the (B, K) gradients q' X and the
-    (B, K, K) Fisher matrices X' diag(p q) X, q = 1 - p."""
-    q = 1.0 / (np.exp(np.minimum(np.matmul(X, theta[:, :, None]), _EXP_MAX)) + 1.0)
-    return np.matmul(q.transpose(0, 2, 1), X)[:, 0], np.matmul((X * ((1.0 - q) * q)).transpose(0, 2, 1), X)
-
-
-def _batch_log_pl(X, theta):
-    """:func:`log_pl` of each block of the stack X (B, N, K) at its row of
-    theta (B, K), in the same softplus form."""
-    m = np.matmul(X, theta[:, :, None])[:, :, 0]
-    return (np.minimum(m, 0.0) - np.log1p(np.exp(-np.abs(m)))).sum(axis=1)
+        acc = np.zeros(theta.shape[:-1] + (K + 1, K))
+    return acc[..., 0, :], acc[..., 1:, :]
 
 
 def _psi(rho: float) -> float:
@@ -474,17 +492,15 @@ class _Ascent(NamedTuple):
     value: float | None
 
 
-def _range_basis(info):
-    """An orthonormal basis of the range of the symmetric positive
-    semidefinite ``info``: its eigenvectors whose eigenvalues exceed
-    ``_RCOND`` times the largest, lstsq's rcond rule (none for a zero
-    matrix), or None when that is every one, the identity.  A stack of
-    matrices (B, K, K) gives the list of their bases, from one ``eigh``."""
-    values, vectors = np.linalg.eigh(info)
+def _range_basis(infos) -> list:
+    """For each symmetric positive semidefinite matrix of the stack
+    ``infos`` (B, K, K), an orthonormal basis of its range: its
+    eigenvectors whose eigenvalues exceed ``_RCOND`` times the largest,
+    lstsq's rcond rule (none for a zero matrix), or None when that is every
+    one, the identity.  One ``eigh`` for the stack."""
+    values, vectors = np.linalg.eigh(infos)
     kept = values > _RCOND * values[..., -1:]
-    if info.ndim > 2:
-        return [None if k.all() else v[:, k] for k, v in zip(kept, vectors)]
-    return None if kept.all() else vectors[:, kept]
+    return [None if k.all() else v[:, k] for k, v in zip(kept, vectors)]
 
 
 def _may_keep_more(basis, info) -> bool:
@@ -501,38 +517,35 @@ def _range_step(basis, info, grad):
     """The solution of info step = grad within the span of ``basis`` (of
     :func:`_range_basis`): while that span is the range of ``info``, the
     minimum-norm least-squares solution, with one LU solve of the
-    restricted system.  ``basis``, ``info`` and ``grad`` may carry a
-    leading batch axis (bases of one rank): one LU solve per design.
-    Raises ``LinAlgError`` when a restricted information is singular."""
+    restricted system.  With a leading batch axis on all three (bases of
+    one rank), one LU solve per design.  Raises ``LinAlgError`` when a
+    restricted information is singular."""
     if basis is None:
-        return np.linalg.solve(info, grad) if grad.ndim == 1 else np.linalg.solve(info, grad[..., None])[..., 0]
-    across = np.swapaxes(basis, -1, -2)
+        return np.linalg.solve(info, grad[..., None])[..., 0]
+    across = basis.swapaxes(-1, -2)
     return (basis @ np.linalg.solve(across @ info @ basis, across @ grad[..., None]))[..., 0]
 
 
-def _range_steps(designs, bases, infos, grads):
-    """:func:`_range_step` of each design in ``designs``, a dict of steps.
-    Designs whose bases have one rank are solved as one stack; a design
-    alone is solved alone, since the products of a stack round otherwise.
-    A basis that the information lost a direction of is taken again."""
-    ranks, steps = {}, {}
-    for b in designs:
-        ranks.setdefault(None if bases[b] is None else bases[b].shape[1], []).append(b)
-    for rank, group in ranks.items():
-        if len(group) > 1:
-            basis = None if rank is None else np.array([bases[b] for b in group])
-            try:
-                solved = _range_step(basis, np.array([infos[b] for b in group]), np.array([grads[b] for b in group]))
-                steps.update(zip(group, solved))
-                continue
-            except np.linalg.LinAlgError:
-                pass  # some design's information lost a direction of its basis
-        for b in group:
-            try:
-                steps[b] = _range_step(bases[b], infos[b], grads[b])
-            except np.linalg.LinAlgError:
-                bases[b] = _range_basis(infos[b])
-                steps[b] = _range_step(bases[b], infos[b], grads[b])
+def _range_steps(rows, bases, infos, grads) -> list:
+    """:func:`_range_step` of each design of ``rows``: one stacked solve
+    when their bases share a rank, bitwise what each design's solve alone
+    gives, else one solve each, where a design whose restricted information
+    is singular (it lost a direction of its basis) takes its basis again."""
+    if len(rows) > 1 and len({None if bases[b] is None else bases[b].shape[1] for b in rows}) == 1:
+        # each basis in eigh's column-major order, so that the stacked
+        # products round as the products of one design alone
+        basis = None if bases[rows[0]] is None else np.array([bases[b].T for b in rows]).swapaxes(-1, -2)
+        try:
+            return list(_range_step(basis, np.array([infos[b] for b in rows]), np.array([grads[b] for b in rows])))
+        except np.linalg.LinAlgError:
+            pass
+    steps = []
+    for b in rows:
+        try:
+            steps.append(_range_step(bases[b], infos[b], grads[b]))
+        except np.linalg.LinAlgError:  # the information lost a direction of the basis
+            (bases[b],) = _range_basis(infos[b][None])
+            steps.append(_range_step(bases[b], infos[b], grads[b]))
     return steps
 
 
@@ -547,17 +560,18 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norm=None,
     own: converged once |gradient| / ``scale`` is at most ``config.tol``,
     or after ``config.max_epochs`` passes (the first included), when no
     damped step ascends, or ``capped`` when |theta| exceeds
-    ``_THETA_CAP``.  The designs still going share one pass per iteration,
-    and the objective and the pass at a damped point are taken together for
-    the designs that need them; everything else runs design by design, so
-    one design of a batch takes the steps and passes it takes alone
-    (B = 1), up to the rounding of the stacked products.
+    ``_THETA_CAP``.  The designs still going share one pass and one stacked
+    solve per iteration, and the objective and the pass at a damped point
+    are taken together for the designs that need them; the certificates,
+    the line search's verdicts and the stops run design by design, so each
+    design of a batch takes the steps and passes it takes alone (B = 1).
 
     The step is the minimum-norm least-squares solution of info step =
     grad, so theta stays in the row space of a singular information: the
-    range of the first pass's information is taken per design
-    (:func:`_range_basis`) and each step solves info restricted to it
-    (:func:`_range_steps`).  When that first basis dropped a direction, it
+    range of the first pass's information is taken per design, by one
+    ``eigh`` for the batch (:func:`_range_basis`), and each step solves
+    info restricted to it (:func:`_range_steps`).  When that first basis
+    dropped a direction, it
     is taken again from the current information at every later step where
     :func:`_may_keep_more`, as the rank may grow along the ascent; else
     only when the restricted solve finds it singular.  A full step is kept
@@ -577,66 +591,61 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norm=None,
     norms = [math.sqrt(grad @ grad) / scale for grad in grads]
     bases = _range_basis(np.array(infos))
     cut = [basis is not None for basis in bases]
-    passes, values, converged, capped = [1] * B, [None] * B, [False] * B, [False] * B
+    passes, capped, values = [1] * B, [False] * B, [None] * B
     traces = [[tuple(theta.tolist())] for theta in thetas]
-    live = list(range(B))
-    while True:
-        for b in live:
-            converged[b] = norms[b] <= config.tol
-        live = [b for b in live if not converged[b] and passes[b] < config.max_epochs]
-        if not live:
-            break
+    # per step: the step, theta + step, its certificate (taken at most once),
+    # the damping, the objective at the damped point and the pass taken along it
+    steps, trials, ascends, t, new_values, fresh = ([None] * B for _ in range(6))
+    live = range(B)
+    while live := [b for b in live if not (capped[b] or norms[b] <= config.tol or passes[b] >= config.max_epochs)]:
         for b in live:
             if cut[b] and len(traces[b]) > 1 and _may_keep_more(bases[b], infos[b]):
-                bases[b] = _range_basis(infos[b])
-        steps = _range_steps(live, bases, infos, grads)
-        points = {b: thetas[b] + steps[b] for b in live}
-        ascends, t, new_values, new, go = {}, {}, {}, {}, []  # one certificate a step
-        for b in live:
+                (bases[b],) = _range_basis(infos[b][None])
+        go = []
+        for b, step in zip(live, _range_steps(live, bases, infos, grads)):
+            steps[b], trials[b], ascends[b], t[b], new_values[b], fresh[b] = step, thetas[b] + step, None, 1.0, None, None
             if certify_early:
                 ascends[b], bound = _certificate(grads[b], infos[b], steps[b], row_norm(b))
                 if ascends[b] and bound / scale <= config.tol:
                     norms[b] = bound / scale  # proven, with no pass at theta + step
                     continue
             go.append(b)
-        if go:
-            new.update(zip(go, pass_fn(go, [points[b] for b in go])))
         search = []
-        for b in go:
+        for b, new in zip(go, pass_fn(go, [trials[b] for b in go]) if go else ()):
             passes[b] += 1
-            if new[b][0] @ steps[b] < 0.0:
-                if ascends.get(b) is None and row_norm is not None:
+            fresh[b] = new
+            if new[0] @ steps[b] < 0.0:
+                if ascends[b] is None and row_norm is not None:
                     ascends[b] = _certificate(grads[b], infos[b], steps[b], row_norm(b))[0]
-                if not ascends.get(b):
+                if not ascends[b]:
                     search.append(b)  # past the maximum along the step: backtrack on the objective
         if search:
             missing = [b for b in search if values[b] is None]
             for b, value in zip(missing, value_fn(missing, [thetas[b] for b in missing]) if missing else ()):
                 values[b] = value
             low = search
-            t.update(dict.fromkeys(search, 1.0))
             while low:
-                new_values.update(zip(low, value_fn(low, [thetas[b] + t[b] * steps[b] for b in low])))
+                for b, value in zip(low, value_fn(low, [thetas[b] + t[b] * steps[b] for b in low])):
+                    new_values[b] = value
                 low = [b for b in low if new_values[b] < values[b] and t[b] > _MIN_STEP]
                 for b in low:
                     t[b] *= 0.5
             # no ascent along the step, or no pass left for the gradient at the damped point
-            stop = {b for b in search if new_values[b] < values[b] or (t[b] < 1.0 and passes[b] >= config.max_epochs)}
+            stop = [b for b in search if new_values[b] < values[b] or (t[b] < 1.0 and passes[b] >= config.max_epochs)]
             redo = [b for b in search if t[b] < 1.0 and b not in stop]
-            if redo:
-                new.update(zip(redo, pass_fn(redo, [thetas[b] + t[b] * steps[b] for b in redo])))
-                for b in redo:
-                    passes[b] += 1
+            for b, new in zip(redo, pass_fn(redo, [thetas[b] + t[b] * steps[b] for b in redo]) if redo else ()):
+                passes[b] += 1
+                fresh[b] = new
             live = [b for b in live if b not in stop]
         for b in live:
-            if b in new:
-                grads[b], infos[b] = new[b]
+            if fresh[b] is not None:
+                grads[b], infos[b] = fresh[b]
                 norms[b] = math.sqrt(grads[b] @ grads[b]) / scale
-            thetas[b] = thetas[b] + t[b] * steps[b] if t.get(b, 1.0) < 1.0 else points[b]
+            thetas[b] = trials[b] if t[b] == 1.0 else thetas[b] + t[b] * steps[b]
             traces[b].append(tuple(thetas[b].tolist()))
-            values[b] = new_values.get(b)
+            values[b] = new_values[b]
             capped[b] = math.sqrt(thetas[b] @ thetas[b]) > _THETA_CAP
-        live = [b for b in live if not capped[b]]
+    converged = [not capped[b] and norms[b] <= config.tol for b in range(B)]
     return [_Ascent(*fields) for fields in zip(thetas, passes, norms, converged, capped, map(tuple, traces), values)]
 
 
@@ -655,71 +664,89 @@ def _first_pass_checks(spec, blocks, grad, info) -> None:
         _check_identified(blocks)
 
 
-def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = True, start=None) -> PleResult:
-    """Pseudo-likelihood fit on the pairs of ``design`` by :func:`_newton`
-    with one design, the gradient norm taken per pair.  An empty design
-    raises :class:`InsufficientDataError`; a first pass whose gradient norm
-    or Fisher trace is not finite, :class:`ParameterDomainError` before any
-    solve, naming the first term whose pair statistics
-    ``core._check_finite_statistics`` refuses, else the term whose sums
-    overflow.  A first pass whose Fisher trace is exactly zero checks the
-    design's blocks once, and a design with no nonzero pair statistic
-    raises :class:`InsufficientDataError`.  The ascent starts from
+def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = True, start=None) -> list[PleResult]:
+    """Pseudo-likelihood fits on the B pair lists of ``design`` by one
+    :func:`_newton` ascent, the gradient norm taken per pair: one
+    :class:`PleResult` per list, each what this gives for that list alone
+    (B = 1); ``stages`` and ``wall_time_s`` are the batch's.  No list gives
+    no result, and empty lists raise :class:`InsufficientDataError`.  A
+    first pass whose gradient norm or Fisher trace is not finite raises
+    :class:`ParameterDomainError` before any solve, naming the first term
+    whose pair statistics ``core._check_finite_statistics`` refuses, else
+    the term whose sums overflow.  A first pass whose Fisher trace is
+    exactly zero checks that list's blocks once, and a list with no nonzero
+    pair statistic raises :class:`InsufficientDataError`.  The ascent starts from
     ``start`` when one is given.  Else a design of at least
-    ``_PILOT_STRIDE * _PILOT_MIN_PAIRS`` pairs starts from its pilot's
-    theta if that converged: this fit on ``design.every(_PILOT_STRIDE)``,
-    not ``requested``, so silent on the cap, its passes not counted; any
-    other starts from zero.  A requested fit stopped on the cap warns
-    :class:`SeparationWarning` at the fitter's caller.  Only a design of
-    more than ``_SLICE_ROWS`` pairs certifies early: on smaller ones the
-    K x K work and the row-norm sweep cost more than the pass they save.
+    ``_PILOT_STRIDE * _PILOT_MIN_PAIRS`` pairs a list starts each list
+    from its pilot's theta if that converged: this fit on
+    ``design.every(_PILOT_STRIDE)``, not ``requested``, so silent on the
+    cap, its passes not counted; any other starts from zero.  A requested
+    fit stopped on the cap warns :class:`SeparationWarning` at the fitter's
+    caller.  Only a design of more than ``_SLICE_ROWS`` pairs a list
+    certifies early: on smaller ones the K x K work and the row-norm sweep
+    cost more than the pass they save.
     """
     began = time.perf_counter()
-    n_pairs = design.n_pairs
+    n_pairs, B = design.n_pairs, design.B
+    if B == 0:
+        return []
     if n_pairs == 0:
         raise InsufficientDataError("the pair design is empty")
 
-    def objective(theta):
-        return sum(log_pl(theta, X) for X in design())
+    def pick(rows):  # every design is still going until the first stops
+        return None if len(rows) == B else rows
 
+    def objective(rows, points):
+        return sum(_log_pl(points, X, rows) for X in design())
+
+    theta = np.zeros((B, design.spec.n_terms)) if start is None else np.tile(start, (B, 1))
     pilot_s = 0.0
     if start is None and n_pairs >= _PILOT_STRIDE * _PILOT_MIN_PAIRS:
-        pilot = _fit(design.every(_PILOT_STRIDE), config, method, False)  # not requested: no warning
-        if pilot.converged:
-            start = pilot.theta
-        pilot_s = pilot.wall_time_s
-    theta = np.zeros(design.spec.n_terms) if start is None else start
+        pilots = _fit(design.every(_PILOT_STRIDE), config, method, False)  # not requested: no warning
+        for b, pilot in enumerate(pilots):
+            if pilot.converged:
+                theta[b] = pilot.theta
+        pilot_s = pilots[0].wall_time_s
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
         grad, info = _newton_pass(design, theta)
-        _first_pass_checks(design.spec, design(), grad, info)
-    (ascent,) = _newton(
-        lambda rows, points: [_newton_pass(design, points[0])], lambda rows, points: [objective(points[0])],
-        [theta], [(grad, info)], config, n_pairs, lambda b: design.max_row_norm(), n_pairs > _SLICE_ROWS,
+        for b in range(B):
+            _first_pass_checks(design.spec, (X[b] for X in design()), grad[b], info[b])
+    ascents = _newton(
+        lambda rows, points: zip(*_newton_pass(design, np.array(points), pick(rows))),
+        lambda rows, points: objective(pick(rows), np.array(points)),
+        theta, list(zip(grad, info)), config, n_pairs, lambda b: float(design.max_row_norm()[b]), n_pairs > _SLICE_ROWS,
     )
-    if ascent.capped and requested:
+    if requested and any(ascent.capped for ascent in ascents):
         warnings.warn("theta norm exceeded the divergence cap; data may be separable", SeparationWarning, stacklevel=3)
     solved, pairs_solved = time.perf_counter(), design.seconds
-    value = objective(ascent.theta) if ascent.value is None else ascent.value
+    values = [ascent.value for ascent in ascents]
+    missing = [b for b, value in enumerate(values) if value is None]
+    for b, value in zip(missing, objective(pick(missing), np.array([ascents[b].theta for b in missing])) if missing else ()):
+        values[b] = value
     stages = {
         "pairs_s": design.seconds,
         "solver_s": solved - began - pilot_s - pairs_solved,
         "log_pl_s": time.perf_counter() - solved - (design.seconds - pairs_solved),
         "pilot_s": pilot_s,
     }
-    return PleResult(
-        theta=ascent.theta,
-        log_pl=value,
-        aic=None,
-        pic=None,
-        n_pairs_used=n_pairs,
-        wall_time_s=time.perf_counter() - began,
-        converged=ascent.converged,
-        method=method,
-        theta_trace=ascent.trace,
-        iterations=ascent.passes,
-        grad_norm=ascent.grad_norm,
-        stages=stages,
-    )
+    wall_time_s = time.perf_counter() - began
+    return [
+        PleResult(
+            theta=ascent.theta,
+            log_pl=float(value),
+            aic=None,
+            pic=None,
+            n_pairs_used=n_pairs,
+            wall_time_s=wall_time_s,
+            converged=ascent.converged,
+            method=method,
+            theta_trace=ascent.trace,
+            iterations=ascent.passes,
+            grad_norm=ascent.grad_norm,
+            stages=dict(stages),
+        )
+        for ascent, value in zip(ascents, values)
+    ]
 
 
 def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdConfig()) -> PleResult:
@@ -734,7 +761,7 @@ def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdCon
     that, every pass regenerates them one chunk at a time, and the pair
     matrix is never held at once.
     """
-    fit = _fit(_PairDesign(spec, series), config, "ple-naive")
+    (fit,) = _fit(_PairDesign(spec, series), config, "ple-naive")
     aic, pic = aic_pic(fit.log_pl, spec.n_terms, series.n, spec.order)
     return replace(fit, aic=aic, pic=pic)
 
@@ -753,7 +780,7 @@ def fit_bipartition(
     """
     lo, hi = _interior_bounds(spec, series)
     s1, s2 = _matching(np.random.default_rng(seed), np.arange(lo, hi, dtype=np.intp))
-    return _fit(_PairDesign(spec, series, s1, s2), config, "ple-bipartition")
+    return _fit(_PairDesign(spec, series, [s1], [s2]), config, "ple-bipartition")[0]
 
 
 def fit_pairs(
@@ -784,46 +811,9 @@ def fit_pairs(
             raise ShapeMismatchError(f"start has shape {start.shape}, need ({spec.n_terms},)")
         if not np.all(np.isfinite(start)):
             raise ParameterDomainError(f"start must be finite, got {start.tolist()}")
-    return _fit(_PairDesign(spec, series, s1, s2), config, "ple-pairs", start=start)
-
-
-def _fit_batch(spec: DependenceSpec, series: TimeSeries, s1, s2, config: GdConfig, start=None):
-    """Pseudo-likelihood fits of B pair lists of N pairs each, the rows of
-    s1 and s2 (B, N), as one :func:`_newton` ascent with a batch axis,
-    every design started from ``start`` (else zero): what :func:`fit_pairs`
-    gives for each list alone from that start, up to rounding.  The
-    statistics come from one ``swap_deltas`` call; each iteration makes one
-    batched pass over the designs still going, and the final log-PL is one
-    batched evaluation.  The first pass is checked per design as in
-    :func:`_fit`, and a design stopped on the cap warns
-    :class:`SeparationWarning` at the caller.  Returns each design's
-    :class:`_Ascent` and log-PL; B = 0 returns two empty lists."""
-    B, N = np.shape(s1)
-    if B == 0:
-        return [], []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
-        X = swap_deltas(spec, series, np.ravel(s1), np.ravel(s2)).reshape(B, N, spec.n_terms)
-        np.negative(X, out=X)
-        theta = np.zeros((B, spec.n_terms)) if start is None else np.tile(start, (B, 1))
-        grad, info = _batch_pass(X, theta)
-        for b in range(B):
-            _first_pass_checks(spec, (X[b],), grad[b], info[b])
-    squares = np.square(X[:, :, 0])  # added column by column, as in _largest_square_norm
-    for k in range(1, spec.n_terms):
-        squares += np.square(X[:, :, k])
-    row_norms = np.sqrt(squares.max(axis=1)).tolist()
-
-    def rows_of(rows):  # every design is still going until the first stops
-        return X if len(rows) == B else X[rows]
-
-    ascents = _newton(
-        lambda rows, points: zip(*_batch_pass(rows_of(rows), np.array(points))),
-        lambda rows, points: _batch_log_pl(rows_of(rows), np.array(points)).tolist(),
-        theta, list(zip(grad, info)), config, N, row_norms.__getitem__, N > _SLICE_ROWS,
-    )
-    if any(ascent.capped for ascent in ascents):
-        warnings.warn("theta norm exceeded the divergence cap; data may be separable", SeparationWarning, stacklevel=2)
-    return ascents, _batch_log_pl(X, np.array([ascent.theta for ascent in ascents])).tolist()
+    if np.ndim(s1) != 1 or np.shape(s1) != np.shape(s2):
+        raise ShapeMismatchError("s1 and s2 must be 1-d arrays of equal length")
+    return _fit(_PairDesign(spec, series, [s1], [s2]), config, "ple-pairs", start=start)[0]
 
 
 def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig = SgdConfig()) -> PleResult:
@@ -1003,10 +993,12 @@ def select_specs(
     from theta = 0 (looked up at call time, once per feasible spec).  The
     other splits start from the anchor's theta when it converged, else
     from zero: the splits fit one spec to one series, so their maximizers
-    lie close together.  They are fitted as one batch (``_fit_batch``): one
-    ``swap_deltas`` call, one Newton pass over the designs still going per
-    iteration and one final log-PL, each design stopping on its own, as
-    :func:`fit_pairs` would fit it from that start, up to rounding.
+    lie close together.  They are fitted as one batch, one
+    ``_PairDesign`` of their pair lists under the same chunk, hold and
+    slice rules as one list's: one ``swap_deltas`` call per chunk, one
+    Newton pass over the designs still going per iteration and one final
+    log-PL, each design stopping on its own, as :func:`fit_pairs` would fit
+    it from that start (a pilot included).
     ``converged`` counts the splits whose fit converged; the log-PL of one
     that did not enters the mean all the same.
 
@@ -1035,9 +1027,10 @@ def select_specs(
             # fit_pairs is looked up here at call time: bench/ wraps it
             anchor = fit_pairs(padded, series, *pairs[0], config)
             start = anchor.theta if anchor.converged else None
-            ascents, log_pls = _fit_batch(padded, series, *pairs[1:].transpose(1, 0, 2), config, start)
-            mean = float(np.mean([anchor.log_pl, *log_pls]))
-            converged = anchor.converged + sum(ascent.converged for ascent in ascents)
+            # the other splits, as one batch (none for one split)
+            fits = [anchor, *_fit(_PairDesign(padded, series, pairs[1:, 0], pairs[1:, 1]), config, "ple-pairs", start=start)]
+            mean = float(np.mean([fit.log_pl for fit in fits]))
+            converged = sum(fit.converged for fit in fits)
             rows.append(
                 SelectRow(padded.n_terms, mean, *aic_pic(mean, padded.n_terms, series.n, max_d), converged=converged)
             )

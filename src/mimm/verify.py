@@ -502,7 +502,7 @@ def _check_pair_sign():
     spec = core.ar_spec(2)
     series = core.TimeSeries(rng.standard_normal(30))
     s1, s2 = np.sort([rng.choice(range(2, 28), size=2, replace=False) for _ in range(20)]).T
-    (X,) = ple._PairDesign(spec, series, s1, s2)()
+    ((X,),) = ple._PairDesign(spec, series, [s1], [s2])()
     worst = max(
         float(np.abs(x + core.swap_delta(spec, series, int(a), int(b))).max())
         for x, a, b in zip(X, s1, s2)
@@ -514,7 +514,7 @@ def _check_monotone_ascent():
     spec = core.ar_spec(1)
     series = gaussian.simulate_ar(gaussian.ClassicalARParams([0.5], 0.5), 120, seed=15)
     fit = ple.fit_naive(spec, series)
-    X = np.concatenate(ple._PairDesign(spec, series)())
+    X = np.concatenate(ple._PairDesign(spec, series)(), axis=1)[0]
     diffs = np.diff([ple.log_pl(theta, X) for theta in fit.theta_trace])
     worst = float(diffs.min()) if len(diffs) else 0.0
     yield CheckResult("objective_monotone_ascent", worst >= -1e-12, worst, -1e-12)
@@ -534,17 +534,17 @@ def _check_newton_pilot_start():
     newton_pass, certificate, min_pairs = ple._newton_pass, ple._certificate, ple._PILOT_MIN_PAIRS
     passes, drops = [], []
 
-    def recording_pass(blocks, theta):
-        grad, info = newton_pass(blocks, theta)
+    def recording_pass(blocks, theta, rows=None):
+        grad, info = newton_pass(blocks, theta, rows)
         passes.append((grad, blocks, theta))
         return grad, info
 
     def rechecked(grad, info, step, max_row_norm):
         ascends, bound = certificate(grad, info, step, max_row_norm)
-        if ascends:
-            blocks, start = next((blocks, theta) for g, blocks, theta in passes if g is grad)
-            before = sum(ple.log_pl(start, X) for X in blocks())
-            after = sum(ple.log_pl(start + step, X) for X in blocks())
+        if ascends:  # a fit of one design: its pass's gradient is the row the certificate got
+            blocks, (start,) = next((blocks, theta) for g, blocks, theta in passes if np.shares_memory(g, grad))
+            before = sum(ple.log_pl(start, X) for (X,) in blocks())
+            after = sum(ple.log_pl(start + step, X) for (X,) in blocks())
             drops.append((before - after) / (1.0 + abs(before)))
         return ascends, bound
 

@@ -66,7 +66,7 @@ class TestPairStatistic:
         spec = core.ar_spec(2)
         series = core.TimeSeries(rng.standard_normal(25))
         s1, s2 = np.sort([rng.choice(range(2, 23), size=2, replace=False) for _ in range(15)]).T
-        (X,) = ple._PairDesign(spec, series, s1, s2)()
+        ((X,),) = ple._PairDesign(spec, series, [s1], [s2])()
         np.testing.assert_array_equal(X, -core.swap_deltas(spec, series, s1, s2))
         scalar = np.array([core.swap_delta(spec, series, int(a), int(b)) for a, b in zip(s1, s2)])
         np.testing.assert_allclose(X, -scalar, rtol=0.0, atol=1e-12)
@@ -318,15 +318,16 @@ class TestFitNaive:
     def test_damped_steps_keep_the_objective_monotone(self, monkeypatch):
         series = self.cubic_series()
         calls = []
-        log_pl = ple.log_pl
-        monkeypatch.setattr(ple, "log_pl", lambda *args: calls.append(log_pl(*args)) or calls[-1])
+        log_pl = ple._log_pl
+        monkeypatch.setattr(ple, "_log_pl", lambda *args: calls.append(log_pl(*args)) or calls[-1])
         fit = ple.fit_naive(self.CUBIC_SPEC, series)
         assert fit.converged
+        values = [v for (v,) in calls]  # one design: each call gives one value
         X = all_pairs_matrix(self.CUBIC_SPEC, series)
-        trace = [log_pl(theta, X) for theta in fit.theta_trace]
+        trace = [ple.log_pl(theta, X) for theta in fit.theta_trace]
         # the line search rejected a step well below the optimum, not
         # roundoff there
-        rejected = [v for v in calls if v not in trace]
+        rejected = [v for v in values if v not in trace]
         assert min(rejected) < trace[-1] - 1.0
         assert np.all(np.diff(trace) >= -1e-12)
 
@@ -336,8 +337,8 @@ class TestFitNaive:
         # returns the iterate before the step, with its gradient
         series = self.cubic_series()
         calls = []
-        log_pl = ple.log_pl
-        monkeypatch.setattr(ple, "log_pl", lambda *args: calls.append(log_pl(*args)) or calls[-1])
+        log_pl = ple._log_pl
+        monkeypatch.setattr(ple, "_log_pl", lambda *args: calls.append(log_pl(*args)) or calls[-1])
         config = ple.GdConfig(max_epochs=10)
         fit = ple.fit_naive(self.CUBIC_SPEC, series, config)
         assert fit.iterations == config.max_epochs and not fit.converged
@@ -355,21 +356,21 @@ class TestFitNaive:
         # up: the fit returns the iterate before the step, unconverged,
         # with its log-PL and gradient
         series = self.cubic_series()
-        log_pl = ple.log_pl
-        seen = []  # the base value is read first
+        log_pl = ple._log_pl
+        seen = []  # the base value is read first; one design, so thetas (1, K)
 
-        def lowered(theta, X):
+        def lowered(theta, X, rows=None):
             seen.append(theta.copy())
-            return log_pl(theta, X) if np.array_equal(theta, seen[0]) else -math.inf
+            return log_pl(theta, X, rows) if np.array_equal(theta, seen[0]) else np.full(len(theta), -math.inf)
 
         monkeypatch.setattr(ple, "_certificate", lambda *args: (False, math.inf))
-        monkeypatch.setattr(ple, "log_pl", lowered)
+        monkeypatch.setattr(ple, "_log_pl", lowered)
         fit = ple.fit_naive(self.CUBIC_SPEC, series)
         assert not fit.converged
         # one pass per accepted iterate, then the overshoot's pass
         assert fit.iterations == len(fit.theta_trace) + 1 < ple.GdConfig().max_epochs
         assert len(seen) > 2  # the base and at least two trial points
-        assert fit.theta_trace[-1] == tuple(fit.theta) == tuple(seen[0])
+        assert fit.theta_trace[-1] == tuple(fit.theta) == tuple(seen[0][0])
         X = all_pairs_matrix(self.CUBIC_SPEC, series)
         assert fit.log_pl == pytest.approx(log_pl(fit.theta, X), rel=1e-12)
         grad = X.T @ expit(-(X @ fit.theta))
@@ -631,13 +632,13 @@ class TestRangeStep:
     def test_step_is_the_minimum_norm_least_squares_solution(self, case):
         grad, info = case
         expected = np.linalg.lstsq(info, grad, rcond=ple._RCOND)[0]
-        step = ple._range_step(ple._range_basis(info), info, grad)
+        step = ple._range_step(ple._range_basis(info[None])[0], info, grad)
         assert np.linalg.norm(step - expected) <= 1e-10 * (1.0 + np.linalg.norm(expected))
 
     def test_full_rank_basis_is_the_identity(self):
-        assert ple._range_basis(np.diag([2.0, 1e-9])) is None
-        assert ple._range_basis(np.diag([2.0, 1e-11])).shape == (2, 1)
-        assert ple._range_basis(np.zeros((3, 3))).shape == (3, 0)
+        assert ple._range_basis(np.diag([2.0, 1e-9])[None]) == [None]
+        assert ple._range_basis(np.diag([2.0, 1e-11])[None])[0].shape == (2, 1)
+        assert ple._range_basis(np.zeros((1, 3, 3)))[0].shape == (3, 0)
 
     def test_information_that_loses_a_direction_is_rebased(self, monkeypatch):
         # f(theta) = 3 theta_0 - exp(theta_0), flat in theta_1, from (2, 0):
@@ -659,7 +660,7 @@ class TestRangeStep:
             [theta], [first], ple.GdConfig(tol=1e-12), 1.0,
         )
         assert ascent.converged and ascent.theta[0] == pytest.approx(math.log(3.0), abs=1e-12)
-        assert basis.call_count == 2 and basis.call_args.args[0][1, 1] == 0.0
+        assert basis.call_count == 2 and basis.call_args.args[0][0, 1, 1] == 0.0
         # every step is lstsq's minimum-norm step on its pass's information
         infos = [first] + [pass_fn(t) for t in passes[: len(ascent.trace) - 2]]
         for (grad, info), a, b in zip(infos, ascent.trace, ascent.trace[1:]):
@@ -692,8 +693,8 @@ class TestCutBasisTakenAgain:
         # with the basis of theta 0 kept, both stopped unconverged at 500
         # passes, their gradient norms 0.43 and above
         series = self.heavy_tailed_series(seed)
-        _, info = ple._newton_pass(ple._PairDesign(self.CUBIC, series), np.zeros(4))
-        assert ple._range_basis(info).shape == (4, 3)  # the first basis cuts a direction
+        _, (info,) = ple._newton_pass(ple._PairDesign(self.CUBIC, series), np.zeros((1, 4)))
+        assert ple._range_basis(info[None])[0].shape == (4, 3)  # the first basis cuts a direction
         fit = ple.fit_naive(self.CUBIC, series)
         assert fit.converged and fit.iterations < 100
 
@@ -907,11 +908,22 @@ def spy_fits(monkeypatch):
     results, fit = [], ple._fit
 
     def recording(*args, start=None):
-        results.append(fit(*args, start=start))
-        return results[-1]
+        fits = fit(*args, start=start)
+        results.extend(fits)
+        return fits
 
     monkeypatch.setattr(ple, "_fit", recording)
     return results
+
+
+def one_design(spec, series, s1, s2):
+    """The ``_PairDesign`` of every interior pair (s1 None) or of one list."""
+    return ple._PairDesign(spec, series) if s1 is None else ple._PairDesign(spec, series, [s1], [s2])
+
+
+def design_rows(blocks):
+    """The pair rows of a one-design ``_PairDesign`` pass, as one matrix."""
+    return np.concatenate(tuple(blocks), axis=1)[0]
 
 
 def assert_same_fit(a, b):
@@ -967,7 +979,7 @@ class TestPilotStart:
             for limit in (ple._MATERIALIZE_LIMIT, 0):
                 monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", limit)
                 for design, rows in zip(captured, expected):
-                    full = np.vstack(tuple(design.every(1)()))
+                    full = design_rows(design.every(1)())
                     if rows is not None:
                         np.testing.assert_array_equal(full, rows)
                     for k in (1, 7, 64):
@@ -975,7 +987,7 @@ class TestPilotStart:
                         assert thinned.n_pairs == -(-design.n_pairs // k)
                         blocks = thinned()
                         assert isinstance(blocks, tuple) == (limit > 0)
-                        np.testing.assert_array_equal(np.vstack(tuple(blocks)), full[::k])
+                        np.testing.assert_array_equal(design_rows(blocks), full[::k])
 
     @settings(max_examples=60, deadline=None)
     @given(pair_designs())
@@ -986,11 +998,11 @@ class TestPilotStart:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ple, "_CHUNK_PAIRS", chunk)
                 mp.setattr(ple, "_MATERIALIZE_LIMIT", limit)
-                design = ple._PairDesign(spec, series, s1, s2)
+                design = one_design(spec, series, s1, s2)
                 cases = ((design, full), (design.every(k), full[::k]), (design.every(j).every(k), full[:: j * k]))
                 for thinned, rows in cases:
                     assert thinned.n_pairs == len(rows)
-                    np.testing.assert_array_equal(np.vstack(tuple(thinned())), rows)
+                    np.testing.assert_array_equal(design_rows(thinned()), rows)
 
     def test_held_and_streamed_fits_bitwise_equal_with_the_pilot(self, monkeypatch):
         # 400-pair chunks are no multiple of the stride, so the pilot's
@@ -1047,9 +1059,9 @@ class TestPilotStart:
         monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 64)
         newton_pass = ple._newton_pass
 
-        def warning_pass(blocks, theta):
-            warnings.warn(f"pass over {sum(len(X) for X in blocks())} rows", RuntimeWarning)
-            return newton_pass(blocks, theta)
+        def warning_pass(blocks, theta, rows=None):
+            warnings.warn(f"pass over {sum(X.shape[-2] for X in blocks())} rows", RuntimeWarning)
+            return newton_pass(blocks, theta, rows)
 
         monkeypatch.setattr(ple, "_newton_pass", warning_pass)
         with warnings.catch_warnings(record=True) as caught:
@@ -1068,20 +1080,20 @@ class TestPilotStart:
         class SyntheticDesign(ple._PairDesign):
             # pair i's row is x[i]; the listed positions only set the count
             def _deltas(self):
-                return (-x[:: self._stride, None],)
+                return (-x[None, :: self._stride, None],)
 
-        design = SyntheticDesign(SPEC1, core.TimeSeries(np.zeros(4)), np.arange(len(x)), np.arange(len(x)))
+        design = SyntheticDesign(SPEC1, core.TimeSeries(np.zeros(4)), [np.arange(len(x))], [np.arange(len(x))])
         monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 64)
         results = spy_fits(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = ple._fit(design, ple.GdConfig(), "ple-test")
+            (fit,) = ple._fit(design, ple.GdConfig(), "ple-test")
         pilot = results[0]
         assert pilot.n_pairs_used == 64 and not pilot.converged
         assert np.linalg.norm(pilot.theta) > ple._THETA_CAP
         assert fit.converged
         monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 10**12)
-        assert_same_fit(fit, ple._fit(design.every(1), ple.GdConfig(), "ple-test"))
+        assert_same_fit(fit, ple._fit(design.every(1), ple.GdConfig(), "ple-test")[0])
 
     def test_requested_fit_at_the_divergence_cap_warns_at_its_caller(self, monkeypatch):
         # every pair has x = 1e-3: separable, so theta runs past the cap
@@ -1090,7 +1102,7 @@ class TestPilotStart:
 
         class SyntheticDesign(ple._PairDesign):
             def _deltas(self):
-                return (-x[:: self._stride, None],)
+                return (-x[None, :: self._stride, None],)
 
         monkeypatch.setattr(ple, "_PairDesign", SyntheticDesign)
         positions = np.arange(len(x))
@@ -1256,12 +1268,12 @@ def spy_certificate_calls(monkeypatch):
     calls, last = [], []
     newton_pass, certificate = ple._newton_pass, ple._certificate
 
-    def recording_pass(blocks, theta):
-        last[:] = [newton_pass(blocks, theta)]
+    def recording_pass(blocks, theta, rows=None):
+        last[:] = [newton_pass(blocks, theta, rows)]
         return last[0]
 
     def recording_certificate(grad, *rest):
-        calls.append(grad is last[0][0])
+        calls.append(np.shares_memory(grad, last[0][0]))  # a design's row of that pass
         return certificate(grad, *rest)
 
     monkeypatch.setattr(ple, "_newton_pass", recording_pass)
@@ -1284,9 +1296,9 @@ class TestCertifiedStop:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ple, "_MATERIALIZE_LIMIT", limit)
                 mp.setattr(ple, "_CHUNK_PAIRS", 7000)
-                fit = ple._fit(ple._PairDesign(spec, series, s1, s2), config, "ple-test")
+                (fit,) = ple._fit(one_design(spec, series, s1, s2), config, "ple-test")
                 mp.setattr(ple, "_certificate", lambda *args: (certificate(*args)[0], math.inf))
-                full = ple._fit(ple._PairDesign(spec, series, s1, s2), config, "ple-test")
+                (full,) = ple._fit(one_design(spec, series, s1, s2), config, "ple-test")
             assert fit.theta.tobytes() == full.theta.tobytes()
             assert (fit.log_pl, fit.converged) == (full.log_pl, full.converged)
             assert fit.theta_trace == full.theta_trace
@@ -1310,11 +1322,12 @@ class TestCertifiedStop:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ple, "_CHUNK_PAIRS", chunk)
                 mp.setattr(ple, "_MATERIALIZE_LIMIT", limit)
-                design = ple._PairDesign(spec, series, s1, s2)
+                design = one_design(spec, series, s1, s2)
                 for _ in design():
                     pass
                 assert (design._max_row_norm is None) == (limit > 0)
-                norms.append(design.max_row_norm())
+                (norm,) = design.max_row_norm()
+                norms.append(norm)
         assert norms[0] == norms[1] == pytest.approx(np.linalg.norm(X, axis=1).max(), rel=1e-14)
 
     @pytest.mark.parametrize("limit", [ple._MATERIALIZE_LIMIT, 0], ids=["held", "streamed"])
@@ -1350,9 +1363,9 @@ class TestCertifiedStop:
         series = TestFitNaive.cubic_series()
         s1, s2 = core._uniform_pairs(np.random.default_rng(0), 1, series.n - 1, ple._SLICE_ROWS + 1)
         grads, searched = [], []
-        certificate, log_pl = ple._certificate, ple.log_pl
+        certificate, log_pl = ple._certificate, ple._log_pl
         monkeypatch.setattr(ple, "_certificate", lambda grad, *rest: grads.append(grad) or certificate(grad, *rest))
-        monkeypatch.setattr(ple, "log_pl", lambda *args: searched.append(1) or log_pl(*args))
+        monkeypatch.setattr(ple, "_log_pl", lambda *args: searched.append(1) or log_pl(*args))
         fit = ple.fit_pairs(TestFitNaive.CUBIC_SPEC, series, s1, s2)
         assert fit.converged and searched  # some step overshot and was backtracked
         assert all(a is not b for i, a in enumerate(grads) for b in grads[:i])
@@ -1375,19 +1388,19 @@ class TestCertifiedStop:
         # is made for it alone
         n_pairs = ple.n_interior_pairs(series.n, spec.order)
         built, read = [], []
-        all_pairs_deltas, log_pl = core._all_pairs_deltas, ple.log_pl
+        all_pairs_deltas, log_pl = core._all_pairs_deltas, ple._log_pl
 
         def counting(*args):
             block = all_pairs_deltas(*args)
             built.append(len(block))
             return block
 
-        def reading(theta, X):
-            read.append(len(X))
-            return log_pl(theta, X)
+        def reading(theta, X, rows=None):
+            read.append(X.shape[-2])
+            return log_pl(theta, X, rows)
 
         monkeypatch.setattr(core, "_all_pairs_deltas", counting)
-        monkeypatch.setattr(ple, "log_pl", reading)
+        monkeypatch.setattr(ple, "_log_pl", reading)
         monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", 0)
         monkeypatch.setattr(ple, "_CHUNK_PAIRS", max(10, n_pairs // 5))
         calls = spy_certificate_calls(monkeypatch)
@@ -1741,17 +1754,41 @@ def split_batches(draw):
     return spec, series, pairs, start
 
 
+def fit_batch(spec, series, pairs, start, config=ple.SELECT_CONFIG):
+    """``select_specs``' batch of the pair lists ``pairs`` (one length):
+    one ``_fit`` of one ``_PairDesign`` of them all."""
+    n = len(pairs[0][0]) if pairs else 0
+    s1, s2 = (np.array([p[i] for p in pairs], dtype=np.intp).reshape(len(pairs), n) for i in (0, 1))
+    return ple._fit(ple._PairDesign(spec, series, s1, s2), config, "ple-pairs", start=start)
+
+
 class TestFitBatch:
     """``select_specs`` fits splits 2..S as one batch: each design of it
     takes the steps and passes ``fit_pairs`` takes alone from the same
-    start; only the rounding of the stacked products differs."""
+    start, under the same chunk, hold and slice rules."""
+
+    @staticmethod
+    def assert_batch_is_fits_alone(batch, alone):
+        assert len(batch) == len(alone)
+        for fit, ref in zip(batch, alone):
+            assert fit.converged == ref.converged and fit.n_pairs_used == ref.n_pairs_used
+            if not ref.converged:
+                # a separable design has no maximizer: theta runs to the
+                # cap along a direction that amplifies rounding, so runs
+                # that sum in another order agree only on the verdict
+                continue
+            assert fit.iterations == ref.iterations
+            # |theta| is the norm, as for the cap: on a singular design the
+            # restricted solve spreads its rounding over every term
+            assert np.linalg.norm(fit.theta - ref.theta) <= 1e-10 * (1.0 + np.linalg.norm(ref.theta))
+            # near separation a fit can stop converged at a large theta,
+            # with a log-PL of tiny terms (-3e-7 seen): there 1e-15 absolute
+            assert fit.log_pl == pytest.approx(ref.log_pl, rel=1e-12, abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(split_batches())
     def test_each_design_is_its_fit_alone(self, case):
         spec, series, pairs, start = case
-        n = len(pairs[0][0]) if pairs else 0
-        s1, s2 = (np.array([p[i] for p in pairs]).reshape(len(pairs), n) for i in (0, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SeparationWarning)
             try:
@@ -1760,34 +1797,78 @@ class TestFitBatch:
                 # a pushed start on a separable design can step theta past
                 # the float range alone too (the cap is read after the step)
                 assume(False)
-            ascents, log_pls = ple._fit_batch(spec, series, s1, s2, ple.SELECT_CONFIG, start)
-        assert len(ascents) == len(log_pls) == len(alone)
-        for ascent, value, fit in zip(ascents, log_pls, alone):
-            assert ascent.converged == fit.converged
-            if not fit.converged:
-                # a separable design has no maximizer: theta runs to the
-                # cap along a direction that amplifies rounding, so the
-                # two runs agree only on the verdict
-                continue
-            assert ascent.passes == fit.iterations
-            # |theta| is the norm, as for the cap: on a singular design the
-            # restricted solve spreads its rounding over every term
-            assert np.linalg.norm(ascent.theta - fit.theta) <= 1e-10 * (1.0 + np.linalg.norm(fit.theta))
-            # near separation a fit can stop converged at a large theta,
-            # with a log-PL of tiny terms (-3e-7 seen): there 1e-15 absolute
-            assert value == pytest.approx(fit.log_pl, rel=1e-12, abs=1e-15)
+            batch = fit_batch(spec, series, pairs, start)
+        self.assert_batch_is_fits_alone(batch, alone)
+        # a list within one slice of the batch is summed as alone: equal
+        for fit, ref in zip(batch, alone):
+            assert_same_fit(fit, ref)
+            assert fit.theta_trace == ref.theta_trace
 
     def test_a_pushed_start_overshoots_in_the_batch_too(self, monkeypatch):
         series = ar_series(1, 300, 7)
         pairs = [ple.spaced_matching(300, 1, seed) for seed in range(3)]
         start = ple.fit_pairs(SPEC1, series, *pairs[0], ple.SELECT_CONFIG).theta * 3.0
-        values = mock.Mock(side_effect=ple._batch_log_pl)
-        monkeypatch.setattr(ple, "_batch_log_pl", values)
-        ascents, _ = ple._fit_batch(SPEC1, series, *np.array(pairs).transpose(1, 0, 2), ple.SELECT_CONFIG, start)
+        values = mock.Mock(side_effect=ple._log_pl)
+        monkeypatch.setattr(ple, "_log_pl", values)
+        batch = fit_batch(SPEC1, series, pairs, start)
         # the line search ran on the designs together: its first call
         # holds every design that overshot
-        assert all(a.converged for a in ascents) and values.call_count > 1
-        assert len(values.call_args_list[0].args[1]) == 3
+        assert all(fit.converged for fit in batch) and values.call_count > 1
+        assert len(values.call_args_list[0].args[0]) == 3
+
+    def test_a_batch_keeps_the_chunk_hold_and_slice_rules(self, monkeypatch):
+        # 3 lists of 150 pairs, streamed in chunks and slices: the batch
+        # under chunks of 120 pairs and slices of 48 rows over all lists,
+        # with a limit of 2 lists' statistics, sums in the order of each
+        # list alone under chunks of 40, slices of 16 and a limit of 149
+        series = ar_series(1, 900, 7)
+        pairs = [ple.spaced_matching(900, 1, seed) for seed in range(3)]
+        built, shapes, swap_deltas, slices = [], [], ple.swap_deltas, ple._slices
+
+        def recording_deltas(spec, series, s1, s2):
+            built.append(len(s1))
+            return swap_deltas(spec, series, s1, s2)
+
+        def recording_slices(X, rows=None):
+            for Xb in slices(X, rows):
+                shapes.append(Xb.shape)
+                yield Xb
+
+        monkeypatch.setattr(ple, "swap_deltas", recording_deltas)
+        monkeypatch.setattr(ple, "_slices", recording_slices)
+        for chunk, rows, limit in ((40, 16, 149), (120, 48, 2 * 150)):
+            monkeypatch.setattr(ple, "_CHUNK_PAIRS", chunk)
+            monkeypatch.setattr(ple, "_SLICE_ROWS", rows)
+            monkeypatch.setattr(ple, "_MATERIALIZE_LIMIT", limit)
+            if chunk == 40:
+                alone = [ple.fit_pairs(SPEC1, series, a, b, ple.SELECT_CONFIG) for a, b in pairs]
+            else:
+                built.clear()
+                shapes.clear()
+                batch = fit_batch(SPEC1, series, pairs, None)
+        assert max(built) == 120 and sum(built) >= 3 * 3 * 150  # chunks, built again on every pass
+        # per chunk of 40 pairs a list: slices of 16, 16 and 8 rows; 30 in the last
+        assert {shape[:2] for shape in shapes} == {(3, 16), (3, 8), (3, 14)}
+        for fit, ref in zip(batch, alone):
+            assert_same_fit(fit, ref)
+            assert fit.theta_trace == ref.theta_trace
+
+    def test_each_list_of_a_batch_runs_its_pilot(self, monkeypatch):
+        # 500 pairs a list reach a pilot threshold of 64 * 4 pairs: each
+        # list starts from the fit on its every 64th pair, as alone
+        series = ar_series(1, 3000, 7)
+        pairs = [ple.spaced_matching(3000, 1, seed) for seed in range(3)]
+        monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 4)
+        results = spy_fits(monkeypatch)
+        alone = [ple.fit_pairs(SPEC1, series, a, b, ple.SELECT_CONFIG) for a, b in pairs]
+        pilots_alone = results[::2]
+        results.clear()
+        batch = fit_batch(SPEC1, series, pairs, None)
+        assert [fit.n_pairs_used for fit in results] == [8] * 3 + [len(pairs[0][0])] * 3
+        assert any(pilot.converged for pilot in pilots_alone)
+        for fit, ref in zip(results, pilots_alone + alone):
+            assert_same_fit(fit, ref)
+        assert batch == results[3:]
 
 
 class TestSelectSpecs:
@@ -1818,19 +1899,20 @@ class TestSelectSpecs:
     def test_an_unconverged_split_passes_no_start(self, monkeypatch):
         # the anchor of the first spec is reported unconverged: that spec's
         # batch starts from zero, the second spec's from its anchor's theta
-        fit_pairs, fit_batch, anchors, starts = ple.fit_pairs, ple._fit_batch, [], []
+        fit_pairs, fit, anchors, starts = ple.fit_pairs, ple._fit, [], []
 
         def spy(spec, series, s1, s2, config, start=None):
             fit = fit_pairs(spec, series, s1, s2, config, start=start)
             anchors.append((start, fit))
             return dataclasses.replace(fit, converged=False) if len(anchors) == 1 else fit
 
-        def batch_spy(spec, series, s1, s2, config, start=None):
-            starts.append(start)
-            return fit_batch(spec, series, s1, s2, config, start)
+        def batch_spy(design, config, method, requested=True, start=None):
+            if design.B > 1:  # the batch, not an anchor's fit
+                starts.append(start)
+            return fit(design, config, method, requested, start)
 
         monkeypatch.setattr(ple, "fit_pairs", spy)
-        monkeypatch.setattr(ple, "_fit_batch", batch_spy)
+        monkeypatch.setattr(ple, "_fit", batch_spy)
         rows = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2)], seed=4, splits=4)
         assert [row.converged for row in rows] == [3, 4]
         assert [start for start, _ in anchors] == [None, None]
