@@ -275,19 +275,18 @@ def _slices(X, rows=None):
     blocks (B, n, K), of about ``_SLICE_ROWS`` rows over all its blocks;
     of a stack, only the blocks ``rows`` when given (each slice a copy)."""
     size = max(1, _SLICE_ROWS // math.prod(X.shape[:-2]))
-    parts = [X[..., start : start + size, :] for start in range(0, X.shape[-2], size)] if X.shape[-2] > size else [X]
+    if X.shape[-2] <= size:
+        return (X,) if rows is None else (X[rows],)
+    parts = [X[..., start : start + size, :] for start in range(0, X.shape[-2], size)]
     return parts if rows is None else [Xb[rows] for Xb in parts]
 
 
-def _margins(Xb, column, m) -> None:
-    """The margins theta . x of the rows of the slice Xb into m, with
-    ``column`` theta[..., None]: one term by a plain product, since matmul
-    runs a one-column matrix through numpy's unblocked loop, several times
+def _margin_product(K: int):
+    """The product that gives the margins theta . x of a slice from the
+    column theta[..., None]: one term by a plain product, since matmul runs
+    a one-column matrix through numpy's unblocked loop, several times
     slower than the product."""
-    if column.shape[-2] == 1:
-        np.multiply(Xb, column, out=m[..., None])
-    else:
-        np.matmul(Xb, column, out=m[..., None])
+    return np.multiply if K == 1 else np.matmul
 
 
 def _log_pl(theta, X, rows=None):
@@ -296,12 +295,13 @@ def _log_pl(theta, X, rows=None):
     ``rows`` (all when None), as ``log_pl`` gives it for that design alone.
     Slice by slice (:func:`_slices`) through buffers reused from slice to
     slice."""
-    column, total, shape = theta[..., None], 0.0, None
+    column, product, total, shape = theta[..., None], _margin_product(theta.shape[-1]), 0.0, None
     for Xb in _slices(X, rows):
         if Xb.shape != shape:
             shape = Xb.shape
             m, a = np.empty(shape[:-1]), np.empty(shape[:-1])
-        _margins(Xb, column, m)
+            margins = m[..., None]
+        product(Xb, column, out=margins)
         np.abs(m, out=a)
         np.negative(a, out=a)  # -|m|, bitwise copysign(m, -1.0), at a third of its cost
         np.exp(a, out=a)
@@ -412,21 +412,21 @@ def _newton_pass(blocks, theta, rows=None):
     with the slice gives the gradient and Fisher rows together.
     """
     column, K = theta[..., None], theta.shape[-1]
-    acc, shape = None, None
+    product, acc, shape = _margin_product(K), None, None
     for X in blocks():
         for Xb in _slices(X, rows):
             if Xb.shape != shape:
                 shape = Xb.shape
                 m, Z = np.empty(shape[:-1]), np.empty(shape[:-2] + (K + 1, shape[-2]))
-                q, XW = Z[..., 0, :], Z[..., 1:, :]
-            _margins(Xb, column, m)
+                q, XW, margins, weights = Z[..., 0, :], Z[..., 1:, :], m[..., None], m[..., None, :]
+            product(Xb, column, out=margins)
             np.minimum(m, _EXP_MAX, out=m)
             np.exp(m, out=m)
             m += 1.0
             np.divide(1.0, m, out=q)
             np.subtract(1.0, q, out=m)
             m *= q
-            np.multiply(Xb.swapaxes(-1, -2), m[..., None, :], out=XW)
+            np.multiply(Xb.swapaxes(-1, -2), weights, out=XW)
             part = np.matmul(Z, Xb)
             if acc is None:
                 acc = part
@@ -520,6 +520,8 @@ def _range_step(basis, info, grad):
     restricted system.  With a leading batch axis on all three (bases of
     one rank), one LU solve per design.  Raises ``LinAlgError`` when a
     restricted information is singular."""
+    if grad.ndim == 1:  # one design: as the stack's solve, without its reshapes
+        return np.linalg.solve(info, grad) if basis is None else basis @ np.linalg.solve(basis.T @ info @ basis, basis.T @ grad)
     if basis is None:
         return np.linalg.solve(info, grad[..., None])[..., 0]
     across = basis.swapaxes(-1, -2)
@@ -597,7 +599,8 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norm=None,
     # the damping, the objective at the damped point and the pass taken along it
     steps, trials, ascends, t, new_values, fresh = ([None] * B for _ in range(6))
     live = range(B)
-    while live := [b for b in live if not (capped[b] or norms[b] <= config.tol or passes[b] >= config.max_epochs)]:
+    tol, budget = config.tol, config.max_epochs
+    while live := [b for b in live if not (capped[b] or norms[b] <= tol or passes[b] >= budget)]:
         for b in live:
             if cut[b] and len(traces[b]) > 1 and _may_keep_more(bases[b], infos[b]):
                 (bases[b],) = _range_basis(infos[b][None])
@@ -606,7 +609,7 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norm=None,
             steps[b], trials[b], ascends[b], t[b], new_values[b], fresh[b] = step, thetas[b] + step, None, 1.0, None, None
             if certify_early:
                 ascends[b], bound = _certificate(grads[b], infos[b], steps[b], row_norm(b))
-                if ascends[b] and bound / scale <= config.tol:
+                if ascends[b] and bound / scale <= tol:
                     norms[b] = bound / scale  # proven, with no pass at theta + step
                     continue
             go.append(b)
@@ -631,7 +634,7 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norm=None,
                 for b in low:
                     t[b] *= 0.5
             # no ascent along the step, or no pass left for the gradient at the damped point
-            stop = [b for b in search if new_values[b] < values[b] or (t[b] < 1.0 and passes[b] >= config.max_epochs)]
+            stop = [b for b in search if new_values[b] < values[b] or (t[b] < 1.0 and passes[b] >= budget)]
             redo = [b for b in search if t[b] < 1.0 and b not in stop]
             for b, new in zip(redo, pass_fn(redo, [thetas[b] + t[b] * steps[b] for b in redo]) if redo else ()):
                 passes[b] += 1
@@ -645,7 +648,7 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norm=None,
             traces[b].append(tuple(thetas[b].tolist()))
             values[b] = new_values[b]
             capped[b] = math.sqrt(thetas[b] @ thetas[b]) > _THETA_CAP
-    converged = [not capped[b] and norms[b] <= config.tol for b in range(B)]
+    converged = [not capped[b] and norms[b] <= tol for b in range(B)]
     return [_Ascent(*fields) for fields in zip(thetas, passes, norms, converged, capped, map(tuple, traces), values)]
 
 
@@ -696,6 +699,10 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
     def pick(rows):  # every design is still going until the first stops
         return None if len(rows) == B else rows
 
+    def newton_pass(rows, points):
+        grads, infos = _newton_pass(design, np.array(points), pick(rows))
+        return zip(grads, infos)
+
     def objective(rows, points):
         return sum(_log_pl(points, X, rows) for X in design())
 
@@ -712,8 +719,7 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
         for b in range(B):
             _first_pass_checks(design.spec, (X[b] for X in design()), grad[b], info[b])
     ascents = _newton(
-        lambda rows, points: zip(*_newton_pass(design, np.array(points), pick(rows))),
-        lambda rows, points: objective(pick(rows), np.array(points)),
+        newton_pass, lambda rows, points: objective(pick(rows), np.array(points)),
         theta, list(zip(grad, info)), config, n_pairs, lambda b: float(design.max_row_norm()[b]), n_pairs > _SLICE_ROWS,
     )
     if requested and any(ascent.capped for ascent in ascents):
