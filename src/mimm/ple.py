@@ -598,13 +598,10 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norm=None,
     # per step: the step, theta + step, its certificate (taken at most once),
     # the damping, the objective at the damped point and the pass taken along it
     steps, trials, ascends, t, new_values, fresh = ([None] * B for _ in range(6))
-    live = range(B)
     tol, budget = config.tol, config.max_epochs
-    while live := [b for b in live if not (capped[b] or norms[b] <= tol or passes[b] >= budget)]:
-        for b in live:
-            if cut[b] and len(traces[b]) > 1 and _may_keep_more(bases[b], infos[b]):
-                (bases[b],) = _range_basis(infos[b][None])
-        go = []
+    live = [b for b in range(B) if not (norms[b] <= tol or passes[b] >= budget)]
+    while live:
+        go, points = [], []
         for b, step in zip(live, _range_steps(live, bases, infos, grads)):
             steps[b], trials[b], ascends[b], t[b], new_values[b], fresh[b] = step, thetas[b] + step, None, 1.0, None, None
             if certify_early:
@@ -613,8 +610,9 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norm=None,
                     norms[b] = bound / scale  # proven, with no pass at theta + step
                     continue
             go.append(b)
+            points.append(trials[b])
         search = []
-        for b, new in zip(go, pass_fn(go, [trials[b] for b in go]) if go else ()):
+        for b, new in zip(go, pass_fn(go, points) if go else ()):
             passes[b] += 1
             fresh[b] = new
             if new[0] @ steps[b] < 0.0:
@@ -640,6 +638,7 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norm=None,
                 passes[b] += 1
                 fresh[b] = new
             live = [b for b in live if b not in stop]
+        going = []
         for b in live:
             if fresh[b] is not None:
                 grads[b], infos[b] = fresh[b]
@@ -648,6 +647,11 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norm=None,
             traces[b].append(tuple(thetas[b].tolist()))
             values[b] = new_values[b]
             capped[b] = math.sqrt(thetas[b] @ thetas[b]) > _THETA_CAP
+            if not (capped[b] or norms[b] <= tol or passes[b] >= budget):
+                if cut[b] and _may_keep_more(bases[b], infos[b]):
+                    (bases[b],) = _range_basis(infos[b][None])
+                going.append(b)
+        live = going
     converged = [not capped[b] and norms[b] <= tol for b in range(B)]
     return [_Ascent(*fields) for fields in zip(thetas, passes, norms, converged, capped, map(tuple, traces), values)]
 
