@@ -520,8 +520,6 @@ def _range_step(basis, info, grad):
     restricted system.  With a leading batch axis on all three (bases of
     one rank), one LU solve per design.  Raises ``LinAlgError`` when a
     restricted information is singular."""
-    if grad.ndim == 1:  # one design: as the stack's solve, without its reshapes
-        return np.linalg.solve(info, grad) if basis is None else basis @ np.linalg.solve(basis.T @ info @ basis, basis.T @ grad)
     if basis is None:
         return np.linalg.solve(info, grad[..., None])[..., 0]
     across = basis.swapaxes(-1, -2)
@@ -562,8 +560,8 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norm=None,
     own: converged once |gradient| / ``scale`` is at most ``config.tol``,
     or after ``config.max_epochs`` passes (the first included), when no
     damped step ascends, or ``capped`` when |theta| exceeds
-    ``_THETA_CAP``.  The designs still going share one pass and one stacked
-    solve per iteration, and the objective and the pass at a damped point
+    ``_THETA_CAP``.  The designs still going share one pass per iteration,
+    and one stacked solve when their bases share a rank, and the objective and the pass at a damped point
     are taken together for the designs that need them; the certificates,
     the line search's verdicts and the stops run design by design, so each
     design of a batch takes the steps and passes it takes alone (B = 1).
