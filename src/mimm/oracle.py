@@ -10,9 +10,8 @@ share numerics with the estimators they validate beyond the core statistic
 evaluation, with one exception: the exact-CLE maximizer runs the
 pseudo-likelihood fitters' Newton ascent (``ple._newton``) on its
 enumerated moments.  It shares nothing with ``mcle.fisher_scoring``, the
-estimator it checks.  They are not performance-optimized.  The enumeration
-oracles import scipy when called, so importing this module and the OLS
-oracle load none of it.
+estimator it checks.  They are not performance-optimized, and need numpy
+alone.
 """
 
 from __future__ import annotations
@@ -89,6 +88,13 @@ def mle_ols_var(series: TimeSeries, d: int):
     return classical, mininfo
 
 
+def _logsumexp(a):
+    """log sum exp(a) over the last axis, shifted by the largest entry so
+    that no exp overflows."""
+    top = np.max(a, axis=-1)
+    return top + np.log(np.sum(np.exp(a - top[..., None]), axis=-1))
+
+
 def permutation_statistics(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:
     """Sufficient statistics of every interior ordering, shape (m!, K), for
     an interior of at most 8 positions (:class:`EnumerationBudgetError`
@@ -116,24 +122,20 @@ def exact_conditional_likelihood(spec: DependenceSpec, series: TimeSeries, theta
     """Probability of the observed ordering among all interior orderings,
     exp(theta . H_id) / sum over orderings of exp(theta . H), stabilized by
     log-sum-exp."""
-    from scipy.special import logsumexp
-
     theta = np.asarray(theta, dtype=float)
     logits = permutation_statistics(spec, series) @ theta
     h_id = total_statistic(spec, series)
-    return float(np.exp(float(h_id @ theta) - logsumexp(logits)))
+    return float(np.exp(float(h_id @ theta) - _logsumexp(logits)))
 
 
 def enumeration_moments(spec: DependenceSpec, series: TimeSeries, theta, stats: np.ndarray | None = None):
     """Exact mean and covariance of the sufficient statistic under the
     conditional law with weights theta."""
-    from scipy.special import logsumexp
-
     theta = np.asarray(theta, dtype=float)
     if stats is None:
         stats = permutation_statistics(spec, series)
     logits = stats @ theta
-    w = np.exp(logits - logsumexp(logits))
+    w = np.exp(logits - _logsumexp(logits))
     mu = w @ stats
     centered = stats - mu
     cov = (centered * w[:, None]).T @ centered
@@ -149,8 +151,6 @@ def exact_cle(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:
     the maximizer runs off to infinity: for K = 1 when the observed
     statistic is extreme, else when |theta| passes the ascent's cap, along
     its last step; with none when the ascent stops unconverged."""
-    from scipy.special import logsumexp
-
     K = spec.n_terms
     stats = permutation_statistics(spec, series)
     h_id = total_statistic(spec, series)
@@ -169,7 +169,7 @@ def exact_cle(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:
         return h_id - mu, cov
 
     def log_cle(theta):
-        return float(theta @ h_id) - logsumexp(stats @ theta)
+        return float(theta @ h_id) - _logsumexp(stats @ theta)
 
     theta, scale = np.zeros(K), 1.0 + float(np.linalg.norm(h_id))
     (ascent,) = ple._newton(

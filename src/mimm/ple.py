@@ -110,10 +110,11 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """Bind ``expit`` on first lookup, so importing this module loads no
-    scipy.  Nothing here calls it: bench/tracing.py wraps ``mimm.ple.expit``
-    to count Newton passes.  The hook goes when ROADMAP item 1 drops that
-    tracer target."""
+    """Bind ``expit`` on first lookup: the one scipy import left in the
+    package.  Nothing here calls it; only bench/tracing.py reaches it, to
+    wrap ``mimm.ple.expit`` as a count of Newton passes, and the benchmark
+    runs with the ``test`` extra, which installs scipy.  The hook goes when
+    ROADMAP item 29 drops that tracer target."""
     if name == "expit":
         from scipy.special import expit
 

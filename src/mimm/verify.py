@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from . import core, gaussian, mcle, oracle, ple
 
@@ -200,8 +199,7 @@ def _check_swap_deltas_batch():
     s2 = np.minimum(s1 + gaps, n - d - 1)
     scalar = np.array([core.swap_delta(spec, series, int(a), int(b)) for a, b in zip(s1, s2)])
     worst = 0.0
-    # every pair (tables over the whole span) and a sparse subset (tables
-    # at the touched positions only)
+    # every pair and a sparse pair list, both over the same cached tables
     for rows in (slice(None), slice(None, None, 7)):
         batch = core.swap_deltas(spec, series, s1[rows], s2[rows])
         err = np.abs(batch - scalar[rows]) / (1.0 + np.abs(scalar[rows]))
@@ -437,7 +435,7 @@ def _check_enumeration_equivalence():
         h = core.total_statistic(spec, series)[0]
         # about 1000 grid points at a time, so no 20001 x 720 array is held
         log_cle = np.concatenate(
-            [g * h - logsumexp(np.outer(g, stats[:, 0]), axis=1) for g in np.array_split(grid, 20)]
+            [g * h - oracle._logsumexp(np.outer(g, stats[:, 0])) for g in np.array_split(grid, 20)]
         )
         estimates = [fit.theta[0], oracle.exact_cle(spec, series)[0], grid[np.argmax(log_cle)]]
         worst = max(worst, float(np.ptp(estimates)))
@@ -476,7 +474,7 @@ def _check_logpl_gradient():
 
 def _check_logistic_pass_blocked():
     """The sliced Newton pass and log-PL over a pair matrix of three slices,
-    cut into two blocks, against the single-shot expit / logaddexp formulas;
+    cut into two blocks, against the single-shot tanh / logaddexp formulas;
     sums are compared relative to the largest value they could take."""
     rng = np.random.default_rng(16)
     X = rng.standard_normal((2 * ple._SLICE_ROWS + 3, 3))
@@ -484,7 +482,7 @@ def _check_logistic_pass_blocked():
     theta *= 60.0 / np.abs(X @ theta).max()  # margins up to +-60
     margins = X @ theta
     grad, info = ple._newton_pass(lambda: (X[:1000], X[1000:]), theta)
-    p = expit(margins)
+    p = 0.5 * (1.0 + np.tanh(margins / 2.0))
     q = 1.0 - p
     A = np.abs(X)
     ref = -np.logaddexp(0.0, -margins).sum()

@@ -1328,50 +1328,65 @@ SCIPY_FREE_RUN = """
 import contextlib, io, json, sys
 from pathlib import Path
 
-def loaded():
-    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
 
-seen = {}
+sys.meta_path.insert(0, RefuseScipy())
 import mimm
-seen["import mimm"] = loaded()
-from mimm import cli, core
-seen["import mimm.cli"] = loaded()
+from mimm import cli, core, gaussian
 polynomial = sorted(name for name in sys.modules if name.startswith("numpy.polynomial"))
 tmp = Path(sys.argv[1])
 spec1, spec2, data = tmp / "ar1.spec", tmp / "ar2.spec", tmp / "ar1.csv"
+var1_data = tmp / "var1.csv"
 spec1.write_text(core.ar_spec(1).to_text())
 spec2.write_text(core.ar_spec(2).to_text())
+(tmp / "A.csv").write_text("0.5,0.1\\n0.1,0.5\\n")
+(tmp / "Sigma.csv").write_text("0.5,0.0\\n0.0,0.5\\n")
+mi_var1 = gaussian.MinInfoVARParams(Theta=[[0.3, 0.1], [0.05, 0.2]], B=[[1.0, 0.2], [0.2, 0.8]])
+(tmp / "mi_var1.txt").write_text(gaussian.params_to_text(mi_var1))
+var1 = {"kind": "var", "A": [[[0.5, 0.1], [0.1, 0.5]]], "Sigma": [[0.5, 0.0], [0.0, 0.5]]}
+cell = {"label": "VAR(1)", "model": var1, "n": 200, "estimators": ["mle"]}
+(tmp / "man.json").write_text(json.dumps({"repetitions": 1, "cells": [cell]}))
 runs = [
     ["simulate", "--ar", "0.5", "--sigma2", "0.5", "--n", "300", "--seed", "1", "--out", str(data)],
     ["simulate", "--ar", "0.5", "0.3", "--sigma2", "0.5", "--n", "300", "--out", str(tmp / "ar2.csv")],
     ["simulate", "--theta", "0.7", "0.6", "--tau2", "1.5", "--n", "300", "--out", str(tmp / "theta.csv")],
+    ["simulate", "--var1", str(tmp / "A.csv"), str(tmp / "Sigma.csv"), "--n", "300", "--out", str(var1_data)],
+    ["simulate", "--params", str(tmp / "mi_var1.txt"), "--n", "300", "--out", str(tmp / "mi_var1.csv")],
 ]
 for est in ("ple-naive", "ple-bipartition", "ple-sgd", "mcle", "mle"):
     runs.append(["fit", "--estimator", est, "--spec", str(spec1), "--data", str(data), "--out", str(tmp / f"{est}.json")])
+runs.append(["fit", "--estimator", "mle", "--order", "1", "--data", str(var1_data), "--out", str(tmp / "mle-var1.json")])
 runs.append(["select", "--data", str(data), "--spec", str(spec1), "--spec", str(spec2), "--out", str(tmp / "select.csv")])
+runs.append(["benchmark", "--manifest", str(tmp / "man.json"), "--out", str(tmp / "bench")])
+runs.append(["verify", "--out", str(tmp / "verify.json")])
+exits = {}
 for argv in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = cli.main(argv)
-    seen[" ".join(argv[:4])] = loaded() if rc == 0 else f"exit {rc}"
-print(json.dumps({"scipy": seen, "numpy.polynomial": polynomial}))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exits[" ".join(argv[:4])] = cli.main(argv)
+print(json.dumps({"exits": exits, "verify": out.getvalue().splitlines()[-1], "numpy.polynomial": polynomial}))
 """
 
 
 def test_common_commands_load_no_scipy(tmp_path):
-    # importing the package and the CLI, simulating an AR(1) and an AR(2)
-    # (the second AR(2) given as theta and tau2, so through the inverse),
-    # every fit estimator and select on the AR(1) data run without scipy,
-    # which is most of a cold start's import time; importing the CLI loads
-    # no numpy.polynomial either
+    # with every scipy import refused, the package and the CLI import and
+    # every command runs: simulating an AR(1), an AR(2) (the second given
+    # as theta and tau2, so through the inverse), a VAR(1) and a VAR(1)
+    # given as Theta and B (through its inverse), every fit estimator, mle
+    # on the bivariate data, select, a VAR(1) benchmark cell and the whole
+    # verify gate; importing the CLI loads no numpy.polynomial either
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    seen = out["scipy"]
-    assert len(seen) == 11
-    assert seen == {step: [] for step in seen}
+    exits = out["exits"]
+    assert len(exits) == 14
+    assert exits == {step: cli.EXIT_OK for step in exits}
+    assert out["verify"] == "31/31 checks passed"
     assert out["numpy.polynomial"] == []
 
 

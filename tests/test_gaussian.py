@@ -454,24 +454,40 @@ class TestStationaryCovariance:
     @settings(max_examples=300, deadline=None)
     @given(state=larger_states())
     def test_larger_states_are_scipys_solve(self, state):
-        # from dimension 2 up the solve is scipy's own: the same bits and
-        # the same warnings
+        # from dimension 2 up, scipy's solve is the oracle: the largest
+        # entry error, relative to the largest entry, is within 100 cond
+        # eps, cond that of the Kronecker system (14 cond eps at most over
+        # 3000 draws); ours never warns, where scipy's may
         coef, noise = state
         got, got_warned = state_cov_and_warnings(gaussian._stationary_state_cov, coef, noise)
-        want, want_warned = state_cov_and_warnings(scipy_state_cov, coef, noise)
-        assert got.tobytes() == want.tobytes() and got_warned == want_warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            want = scipy_state_cov(coef, noise)
+        F = gaussian.companion_matrix(coef)
+        cond = np.linalg.cond(np.eye(F.size) - np.kron(F, F))
+        err = np.abs(got - want).max() / np.abs(want).max()
+        assert err <= 100.0 * cond * np.finfo(float).eps
+        assert got_warned == []
 
     @CLUSTERED_ROOTS
     def test_ill_conditioned_states_are_scipys_solve(self, roots):
         # clustered near-unit poles, as a VAR(d) with p = 1: the state
-        # covariance keeps scipy's values and its warning
+        # covariance's backward error ||G - F G F' - Q|| / (||G|| (1 +
+        # ||F||^2) + ||Q||) is at most twice scipy's (1.23x at most here)
         params = ar_from_roots(roots)
         coef, noise = params.phi[:, None, None], np.array([[1.0]])
-        with pytest.warns(scipy.linalg.LinAlgWarning):
-            got = gaussian._stationary_state_cov(coef, noise)
+        F = gaussian.companion_matrix(coef)
+        Q = np.zeros_like(F)
+        Q[0, 0] = 1.0
+
+        def backward_error(G):
+            norm = np.linalg.norm
+            return norm(G - F @ G @ F.T - Q) / (norm(G) * (1.0 + norm(F) ** 2) + norm(Q))
+
+        got = gaussian._stationary_state_cov(coef, noise)
         with pytest.warns(scipy.linalg.LinAlgWarning):
             want = scipy_state_cov(coef, noise)
-        assert got.tobytes() == want.tobytes()
+        assert backward_error(got) <= 2.0 * backward_error(want)
 
     def test_large_nonnormal_var1_solves_the_lyapunov_equation(self):
         # strongly non-normal A: a truncated power series of A^k Sigma A'^k
