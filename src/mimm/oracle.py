@@ -164,18 +164,15 @@ def exact_cle(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:
                     direction=np.array([sign]),
                 )
 
-    def score_pass(theta):
-        mu, cov = enumeration_moments(spec, series, theta, stats=stats)
-        return h_id - mu, cov
+    def score_pass(points):  # one design: points (1, K)
+        mu, cov = enumeration_moments(spec, series, points[0], stats=stats)
+        return (h_id - mu)[None], cov[None]
 
-    def log_cle(theta):
-        return float(theta @ h_id) - _logsumexp(stats @ theta)
+    def log_cle(points):
+        return np.array([float(points[0] @ h_id) - _logsumexp(stats @ points[0])])
 
-    theta, scale = np.zeros(K), 1.0 + float(np.linalg.norm(h_id))
-    (ascent,) = ple._newton(
-        lambda rows, points: [score_pass(points[0])], lambda rows, points: [log_cle(points[0])],
-        [theta], [score_pass(theta)], _CLE_CONFIG, scale,
-    )
+    theta, scale = np.zeros((1, K)), 1.0 + float(np.linalg.norm(h_id))
+    (ascent,) = ple._newton(score_pass, log_cle, theta, score_pass(theta), _CLE_CONFIG, scale)
     if ascent.capped:
         step = np.subtract(ascent.trace[-1], ascent.trace[-2])
         raise NoSolutionFoundError(

@@ -23,13 +23,14 @@ or sends to backtracking.  ``_newton`` ascends a batch of designs at once,
 each stopping on its own; the fitters give it one design, and
 ``select_specs`` gives it all but the first split of a spec, one
 ``_PairDesign`` of several pair lists whose blocks carry a leading batch
-axis.  Theta starts from a given start (``fit_pairs`` takes one), else at
+axis, started from the first split's theta.  Every other fit starts at
 zero, except on a design of at least 64 * 4096 pairs: that one first fits
 every 64th of its pairs and starts from the result if that pilot
-converged.  The Newton pass and the log pseudo-likelihood walk the pair
-blocks, with or without the batch axis, in cache-sized row slices with
-plain numpy ufuncs (logistic weights from ``exp`` with the margin clipped,
-the log-PL in softplus form), so no temporary grows with the pair matrix.
+converged.  Each Newton pass and log pseudo-likelihood covers the whole
+batch, one point per design, and walks the pair blocks in cache-sized row
+slices with plain numpy ufuncs (logistic weights from ``exp`` with the
+margin clipped, the log-PL in softplus form), so no temporary grows with
+the pair matrix.
 
 Online SGD builds its whole budget's pair statistics in one vectorized
 call; only the update sweep is sequential, and it runs on Python floats:
@@ -156,15 +157,16 @@ class GdConfig:
     """Full-batch pseudo-likelihood solver settings.
 
     The solver is damped Newton ascent with a minimum-norm step; one epoch
-    is one Newton pass over the pairs.  It starts from the ``start`` given
-    to :func:`fit_pairs`, else at theta = 0, or, on a design of at least
-    64 * 4096 pairs, where a pilot fit on every 64th pair with these same
-    settings converged.  It stops when the norm of the per-pair-averaged
-    gradient is at most ``tol`` (on a design of more than 16384 pairs, also
-    when a self-concordance bound on that norm at the next full Newton step
-    is, which saves the pass there), after ``max_epochs`` passes, or when
-    the norm of theta exceeds a fixed divergence cap of 1e3, where only the
-    fit the caller asked for, not a pilot, warns :class:`SeparationWarning`.
+    is one Newton pass over the pairs.  It starts at theta = 0 (a split of
+    :func:`select_specs` after the first at that spec's first fit), or, on
+    a design of at least 64 * 4096 pairs, where a pilot fit on every 64th
+    pair with these same settings converged.  It stops when the norm of
+    the per-pair-averaged gradient is at most ``tol`` (on a design of more
+    than 16384 pairs, also when a self-concordance bound on that norm at
+    the next full Newton step is, which saves the pass there), after
+    ``max_epochs`` passes, or when the norm of theta exceeds a fixed
+    divergence cap of 1e3, where only the fit the caller asked for, not a
+    pilot, warns :class:`SeparationWarning`.
     ``max_epochs`` must be an integer >= 1 and ``tol`` a real finite and
     > 0, or else :class:`ParameterDomainError`.
     """
@@ -271,15 +273,13 @@ def log_pl(theta, pairs) -> float:
     return float(_log_pl(theta, X))
 
 
-def _slices(X, rows=None):
+def _slices(X):
     """The slices of the pair rows of a block X (n, K), or of a stack of
-    blocks (B, n, K), of about ``_SLICE_ROWS`` rows over all its blocks;
-    of a stack, only the blocks ``rows`` when given (each slice a copy)."""
+    blocks (B, n, K), of about ``_SLICE_ROWS`` rows over all its blocks."""
     size = max(1, _SLICE_ROWS // math.prod(X.shape[:-2]))
     if X.shape[-2] <= size:
-        return (X,) if rows is None else (X[rows],)
-    parts = [X[..., start : start + size, :] for start in range(0, X.shape[-2], size)]
-    return parts if rows is None else [Xb[rows] for Xb in parts]
+        return (X,)
+    return [X[..., start : start + size, :] for start in range(0, X.shape[-2], size)]
 
 
 def _margin_product(K: int):
@@ -290,14 +290,13 @@ def _margin_product(K: int):
     return np.multiply if K == 1 else np.matmul
 
 
-def _log_pl(theta, X, rows=None):
+def _log_pl(theta, X):
     """:func:`log_pl` of the block X at theta, unchecked; with a leading
-    batch axis, X (B, n, K) and theta (R, K), one value for each design of
-    ``rows`` (all when None), as ``log_pl`` gives it for that design alone.
-    Slice by slice (:func:`_slices`) through buffers reused from slice to
-    slice."""
+    batch axis, X (B, n, K) and theta (B, K), one value for each design, as
+    ``log_pl`` gives it for that design alone.  Slice by slice
+    (:func:`_slices`) through buffers reused from slice to slice."""
     column, product, total, shape = theta[..., None], _margin_product(theta.shape[-1]), 0.0, None
-    for Xb in _slices(X, rows):
+    for Xb in _slices(X):
         if Xb.shape != shape:
             shape = Xb.shape
             m, a = np.empty(shape[:-1]), np.empty(shape[:-1])
@@ -322,7 +321,9 @@ class _PairDesign:
     pairs over all lists (all pairs at a stride above 1: one block), built
     on the first pass and held up to ``_MATERIALIZE_LIMIT`` statistics
     (B * n_pairs * K), else regenerated on every pass; ``seconds`` sums the
-    time spent building them."""
+    time spent building them.  ``max_row_norm`` (B,) is the largest
+    Euclidean norm of a pair row of each list, taken block by block during
+    the first complete build (None before it)."""
 
     def __init__(self, spec: DependenceSpec, series: TimeSeries, s1=None, s2=None, stride: int = 1):
         _interior_bounds(spec, series)
@@ -333,7 +334,7 @@ class _PairDesign:
         self.spec, self.series, self._s1, self._s2, self._stride = spec, series, s1, s2, stride
         self.n_pairs = -(-count // stride)
         self.seconds = 0.0
-        self._held = self._max_row_norm = None
+        self._held = self.max_row_norm = None
 
     def every(self, k: int) -> _PairDesign:
         """Pairs 0, k, 2 k, ... of each list of this design, as a new design."""
@@ -351,9 +352,9 @@ class _PairDesign:
         a, b = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         return swap_deltas(self.spec, self.series, a, b).reshape(len(parts), -1, self.spec.n_terms)
 
-    def _generate(self, measure: bool):
+    def _generate(self):
         start = time.perf_counter()
-        top = np.zeros(self.B)
+        measure, top = self.max_row_norm is None, np.zeros(self.B)
         for X in self._deltas():
             np.negative(X, out=X)
             if measure:
@@ -363,25 +364,12 @@ class _PairDesign:
             start = time.perf_counter()
         self.seconds += time.perf_counter() - start
         if measure:
-            self._max_row_norm = np.sqrt(top)
+            self.max_row_norm = np.sqrt(top)
 
     def __call__(self):
         if self._held is None and self.B * self.n_pairs * self.spec.n_terms <= _MATERIALIZE_LIMIT:
-            self._held = tuple(self._generate(measure=False))
-        if self._held is not None:
-            return self._held
-        return self._generate(measure=self._max_row_norm is None)
-
-    def max_row_norm(self) -> np.ndarray:
-        """Largest Euclidean norm of a pair row of each list, (B,).  A
-        streamed design takes them slice by slice during its first complete
-        sweep; a held one on the first call, from its held blocks."""
-        if self._max_row_norm is None:
-            top = np.zeros(self.B)
-            for X in self():
-                top = np.maximum(top, _largest_square_norm(X))
-            self._max_row_norm = np.sqrt(top)
-        return self._max_row_norm
+            self._held = tuple(self._generate())
+        return self._generate() if self._held is None else self._held
 
 
 def _largest_square_norm(X):
@@ -399,12 +387,12 @@ def _largest_square_norm(X):
     return top
 
 
-def _newton_pass(blocks, theta, rows=None):
+def _newton_pass(blocks, theta):
     """Gradient of :func:`log_pl` at theta and the Fisher matrix
     X' diag(p (1 - p)) X, with p = 1 / (1 + exp(-theta . x)); with a
-    leading batch axis, blocks (B, n, K) and theta (R, K), the (R, K)
-    gradients and (R, K, K) matrices of the designs ``rows`` (all when
-    None), each as its pass alone gives it.
+    leading batch axis, blocks (B, n, K) and theta (B, K), the (B, K)
+    gradients and (B, K, K) matrices, each as its design's pass alone gives
+    it.
 
     Each block is walked in slices (:func:`_slices`) through buffers reused
     from slice to slice, so no temporary grows with the block.  Per slice
@@ -415,7 +403,7 @@ def _newton_pass(blocks, theta, rows=None):
     column, K = theta[..., None], theta.shape[-1]
     product, acc, shape = _margin_product(K), None, None
     for X in blocks():
-        for Xb in _slices(X, rows):
+        for Xb in _slices(X):
             if Xb.shape != shape:
                 shape = Xb.shape
                 m, Z = np.empty(shape[:-1]), np.empty(shape[:-2] + (K + 1, shape[-2]))
@@ -481,8 +469,7 @@ def _certificate(grad, info, step, max_row_norm: float) -> tuple[bool, float]:
 
 
 class _Ascent(NamedTuple):
-    """How :func:`_newton` ended; ``value`` is the objective at ``theta``,
-    None when the ascent did not evaluate it there."""
+    """How :func:`_newton` ended for one design."""
 
     theta: np.ndarray
     passes: int
@@ -490,7 +477,6 @@ class _Ascent(NamedTuple):
     converged: bool
     capped: bool
     trace: tuple[tuple[float, ...], ...]
-    value: float | None
 
 
 def _range_basis(infos) -> list:
@@ -528,16 +514,17 @@ def _range_step(basis, info, grad):
 
 
 def _range_steps(rows, bases, infos, grads) -> list:
-    """:func:`_range_step` of each design of ``rows``: one stacked solve
-    when their bases share a rank, bitwise what each design's solve alone
-    gives, else one solve each, where a design whose restricted information
-    is singular (it lost a direction of its basis) takes its basis again."""
+    """:func:`_range_step` of each design of ``rows``, from the stacks
+    ``infos`` (B, K, K) and ``grads`` (B, K): one stacked solve when their
+    bases share a rank, bitwise what each design's solve alone gives, else
+    one solve each, where a design whose restricted information is singular
+    (it lost a direction of its basis) takes its basis again."""
     if len(rows) > 1 and len({None if bases[b] is None else bases[b].shape[1] for b in rows}) == 1:
         # each basis in eigh's column-major order, so that the stacked
         # products round as the products of one design alone
         basis = None if bases[rows[0]] is None else np.array([bases[b].T for b in rows]).swapaxes(-1, -2)
         try:
-            return list(_range_step(basis, np.array([infos[b] for b in rows]), np.array([grads[b] for b in rows])))
+            return list(_range_step(basis, infos[rows], grads[rows]))
         except np.linalg.LinAlgError:
             pass
     steps = []
@@ -550,109 +537,119 @@ def _range_steps(rows, bases, infos, grads) -> list:
     return steps
 
 
-def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norm=None, certify_early=False) -> list[_Ascent]:
+def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norms=None, certify_early=False) -> list[_Ascent]:
     """Damped Newton ascent on B concave objectives at once, one
     :class:`_Ascent` per design: design b starts from ``thetas[b]``, and
-    ``first_pass[b]`` is its pass there.  ``pass_fn(rows, points)`` gives
-    the pass, a (gradient, information) pair with the information the
-    negated Hessian, of each design of ``rows`` at its point of ``points``;
-    ``value_fn(rows, points)`` gives their objective values, and
-    ``row_norm(b)`` design b's largest row norm.  Each design stops on its
-    own: converged once |gradient| / ``scale`` is at most ``config.tol``,
-    or after ``config.max_epochs`` passes (the first included), when no
-    damped step ascends, or ``capped`` when |theta| exceeds
-    ``_THETA_CAP``.  The designs still going share one pass per iteration,
-    and one stacked solve when their bases share a rank, and the objective and the pass at a damped point
-    are taken together for the designs that need them; the certificates,
-    the line search's verdicts and the stops run design by design, so each
-    design of a batch takes the steps and passes it takes alone (B = 1).
+    ``first_pass`` is the (gradient, information) pass there, stacked (B, K)
+    and (B, K, K), with the information the negated Hessian.  ``pass_fn``
+    and ``value_fn`` take one (B, K) array with every design's current
+    point, its theta or, for a design that moves, its trial or damped
+    point, and give every design's pass there, stacked the same way, and
+    its objective value, (B,).  ``row_norms[b]`` is design b's largest row
+    norm.  Each design stops on its own: converged once |gradient| /
+    ``scale`` is at most ``config.tol``, or after ``config.max_epochs``
+    passes (the first included), when no damped step ascends, or ``capped``
+    when |theta| exceeds ``_THETA_CAP``.  Every call covers the whole batch
+    and the driver reads the rows of the designs that moved, so each design
+    takes the steps and passes it takes alone (B = 1); the steps of the
+    designs still going are one stacked solve when their bases share a
+    rank, and the certificates, the line search's verdicts and the stops
+    run design by design.
 
     The step is the minimum-norm least-squares solution of info step =
     grad, so theta stays in the row space of a singular information: the
     range of the first pass's information is taken per design, by one
     ``eigh`` for the batch (:func:`_range_basis`), and each step solves
     info restricted to it (:func:`_range_steps`).  When that first basis
-    dropped a direction, it
-    is taken again from the current information at every later step where
-    :func:`_may_keep_more`, as the rank may grow along the ascent; else
-    only when the restricted solve finds it singular.  A full step is kept
-    when the slope grad(theta + step) . step is still >= 0 (by concavity
-    the objective cannot then have decreased), or when :func:`_certificate`
-    proves it does not lower the objective; otherwise it is halved until
-    the objective is no lower than at theta.  With ``certify_early`` the
-    certificate is also taken before the pass at theta + step; when it
-    proves the step ascends and bounds the gradient there by ``tol`` times
-    ``scale``, the design takes the step and stops without the pass, with
-    the bound as the gradient norm.  The pass would have stopped there too
-    unless the bound lies within rounding of ``tol``.
+    dropped a direction, it is taken again from the current information at
+    every later step where :func:`_may_keep_more`, as the rank may grow
+    along the ascent; else only when the restricted solve finds it
+    singular.  A full step is kept when the slope grad(theta + step) . step
+    is still >= 0 (by concavity the objective cannot then have decreased),
+    or when :func:`_certificate` proves it does not lower the objective;
+    otherwise it is halved until the objective is no lower than at theta.
+    With ``certify_early`` the certificate is also taken before the pass at
+    theta + step; when it proves the step ascends and bounds the gradient
+    there by ``tol`` times ``scale``, the design takes the step and stops
+    without the pass, with the bound as the gradient norm.  The pass would
+    have stopped there too unless the bound lies within rounding of ``tol``.
     """
     B = len(thetas)
-    thetas = [np.array(theta, dtype=float) for theta in thetas]
-    grads, infos = (list(column) for column in zip(*first_pass))
+    thetas = np.array(thetas, dtype=float)
+    grads, infos = first_pass
     norms = [math.sqrt(grad @ grad) / scale for grad in grads]
-    bases = _range_basis(np.array(infos))
+    bases = _range_basis(infos)
     cut = [basis is not None for basis in bases]
-    passes, capped, values = [1] * B, [False] * B, [None] * B
+    passes, capped = [1] * B, [False] * B
     traces = [[tuple(theta.tolist())] for theta in thetas]
-    # per step: the step, theta + step, its certificate (taken at most once),
-    # the damping, the objective at the damped point and the pass taken along it
-    steps, trials, ascends, t, new_values, fresh = ([None] * B for _ in range(6))
+    # per design: its step (zero once it stops), the damping and the
+    # step's certificate (taken at most once)
+    steps, t, ascends = np.zeros_like(thetas), np.ones(B), [None] * B
+
+    def points():  # every design's point: theta + t step, theta once it stopped
+        return thetas + t[:, None] * steps
+
     tol, budget = config.tol, config.max_epochs
     live = [b for b in range(B) if not (norms[b] <= tol or passes[b] >= budget)]
     while live:
-        go, points = [], []
+        go = []
         for b, step in zip(live, _range_steps(live, bases, infos, grads)):
-            steps[b], trials[b], ascends[b], t[b], new_values[b], fresh[b] = step, thetas[b] + step, None, 1.0, None, None
+            steps[b], t[b], ascends[b] = step, 1.0, None
             if certify_early:
-                ascends[b], bound = _certificate(grads[b], infos[b], steps[b], row_norm(b))
+                ascends[b], bound = _certificate(grads[b], infos[b], step, row_norms[b])
                 if ascends[b] and bound / scale <= tol:
                     norms[b] = bound / scale  # proven, with no pass at theta + step
                     continue
             go.append(b)
-            points.append(trials[b])
-        search = []
-        for b, new in zip(go, pass_fn(go, points) if go else ()):
-            passes[b] += 1
-            fresh[b] = new
-            if new[0] @ steps[b] < 0.0:
-                if ascends[b] is None and row_norm is not None:
-                    ascends[b] = _certificate(grads[b], infos[b], steps[b], row_norm(b))[0]
-                if not ascends[b]:
-                    search.append(b)  # past the maximum along the step: backtrack on the objective
+        new, search, stop = points(), [], []
+        if go:
+            trial = pass_fn(new)
+            for b in go:
+                passes[b] += 1
+                if trial[0][b] @ steps[b] < 0.0:
+                    if ascends[b] is None and row_norms is not None:
+                        ascends[b] = _certificate(grads[b], infos[b], steps[b], row_norms[b])[0]
+                    if not ascends[b]:
+                        search.append(b)  # past the maximum along the step: backtrack on the objective
+            # every design that goes on took this pass; the others stop
+            grads, infos = trial
         if search:
-            missing = [b for b in search if values[b] is None]
-            for b, value in zip(missing, value_fn(missing, [thetas[b] for b in missing]) if missing else ()):
-                values[b] = value
-            low = search
+            values, tried, low = value_fn(thetas), {}, search
             while low:
-                for b, value in zip(low, value_fn(low, [thetas[b] + t[b] * steps[b] for b in low])):
-                    new_values[b] = value
-                low = [b for b in low if new_values[b] < values[b] and t[b] > _MIN_STEP]
+                new = points()  # the last one tried is each design's damped point
+                for b, value in zip(low, value_fn(new)[low]):
+                    tried[b] = value
+                low = [b for b in low if tried[b] < values[b] and t[b] > _MIN_STEP]
                 for b in low:
                     t[b] *= 0.5
             # no ascent along the step, or no pass left for the gradient at the damped point
-            stop = [b for b in search if new_values[b] < values[b] or (t[b] < 1.0 and passes[b] >= budget)]
+            stop = [b for b in search if tried[b] < values[b] or (t[b] < 1.0 and passes[b] >= budget)]
             redo = [b for b in search if t[b] < 1.0 and b not in stop]
-            for b, new in zip(redo, pass_fn(redo, [thetas[b] + t[b] * steps[b] for b in redo]) if redo else ()):
-                passes[b] += 1
-                fresh[b] = new
-            live = [b for b in live if b not in stop]
+            if redo:  # the trial pass was at the full step: take the damped point's
+                damped = pass_fn(new)
+                grads, infos = grads.copy(), infos.copy()
+                for b in redo:
+                    grads[b], infos[b] = damped[0][b], damped[1][b]
+                    passes[b] += 1
         going = []
         for b in live:
-            if fresh[b] is not None:
-                grads[b], infos[b] = fresh[b]
+            if b in stop:
+                steps[b] = 0.0
+                continue
+            thetas[b] = new[b]
+            if b in go:
                 norms[b] = math.sqrt(grads[b] @ grads[b]) / scale
-            thetas[b] = trials[b] if t[b] == 1.0 else thetas[b] + t[b] * steps[b]
             traces[b].append(tuple(thetas[b].tolist()))
-            values[b] = new_values[b]
             capped[b] = math.sqrt(thetas[b] @ thetas[b]) > _THETA_CAP
-            if not (capped[b] or norms[b] <= tol or passes[b] >= budget):
-                if cut[b] and _may_keep_more(bases[b], infos[b]):
-                    (bases[b],) = _range_basis(infos[b][None])
-                going.append(b)
+            if capped[b] or norms[b] <= tol or passes[b] >= budget:
+                steps[b] = 0.0
+                continue
+            if cut[b] and _may_keep_more(bases[b], infos[b]):
+                (bases[b],) = _range_basis(infos[b][None])
+            going.append(b)
         live = going
     converged = [not capped[b] and norms[b] <= tol for b in range(B)]
-    return [_Ascent(*fields) for fields in zip(thetas, passes, norms, converged, capped, map(tuple, traces), values)]
+    return [_Ascent(*fields) for fields in zip(thetas, passes, norms, converged, capped, map(tuple, traces))]
 
 
 def _first_pass_checks(spec, blocks, grad, info) -> None:
@@ -681,16 +678,18 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
     whose pair statistics ``core._check_finite_statistics`` refuses, else
     the term whose sums overflow.  A first pass whose Fisher trace is
     exactly zero checks that list's blocks once, and a list with no nonzero
-    pair statistic raises :class:`InsufficientDataError`.  The ascent starts from
-    ``start`` when one is given.  Else a design of at least
+    pair statistic raises :class:`InsufficientDataError`.  The ascent starts
+    from ``start`` when one is given, one theta for every list or one per
+    list (B, K).  Else a design of at least
     ``_PILOT_STRIDE * _PILOT_MIN_PAIRS`` pairs a list starts each list
     from its pilot's theta if that converged: this fit on
     ``design.every(_PILOT_STRIDE)``, not ``requested``, so silent on the
     cap, its passes not counted; any other starts from zero.  A requested
     fit stopped on the cap warns :class:`SeparationWarning` at the fitter's
     caller.  Only a design of more than ``_SLICE_ROWS`` pairs a list
-    certifies early: on smaller ones the K x K work and the row-norm sweep
-    cost more than the pass they save.
+    certifies early: on smaller ones the K x K work costs more than the
+    pass it saves.  The final log-PL of every list is one call at the
+    returned thetas.
     """
     began = time.perf_counter()
     n_pairs, B = design.n_pairs, design.B
@@ -699,17 +698,11 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
     if n_pairs == 0:
         raise InsufficientDataError("the pair design is empty")
 
-    def pick(rows):  # every design is still going until the first stops
-        return None if len(rows) == B else rows
+    def objective(points):
+        return sum(_log_pl(points, X) for X in design())
 
-    def newton_pass(rows, points):
-        grads, infos = _newton_pass(design, np.array(points), pick(rows))
-        return zip(grads, infos)
-
-    def objective(rows, points):
-        return sum(_log_pl(points, X, rows) for X in design())
-
-    theta = np.zeros((B, design.spec.n_terms)) if start is None else np.tile(start, (B, 1))
+    shape = (B, design.spec.n_terms)
+    theta = np.zeros(shape) if start is None else np.broadcast_to(start, shape).copy()
     pilot_s = 0.0
     if start is None and n_pairs >= _PILOT_STRIDE * _PILOT_MIN_PAIRS:
         pilots = _fit(design.every(_PILOT_STRIDE), config, method, False)  # not requested: no warning
@@ -718,20 +711,17 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
                 theta[b] = pilot.theta
         pilot_s = pilots[0].wall_time_s
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
-        grad, info = _newton_pass(design, theta)
-        for b in range(B):
-            _first_pass_checks(design.spec, (X[b] for X in design()), grad[b], info[b])
+        first_pass = _newton_pass(design, theta)
+        for b, (grad, info) in enumerate(zip(*first_pass)):
+            _first_pass_checks(design.spec, (X[b] for X in design()), grad, info)
     ascents = _newton(
-        newton_pass, lambda rows, points: objective(pick(rows), np.array(points)),
-        theta, list(zip(grad, info)), config, n_pairs, lambda b: float(design.max_row_norm()[b]), n_pairs > _SLICE_ROWS,
+        lambda points: _newton_pass(design, points), objective, theta, first_pass, config, n_pairs,
+        design.max_row_norm.tolist(), n_pairs > _SLICE_ROWS,
     )
     if requested and any(ascent.capped for ascent in ascents):
         warnings.warn("theta norm exceeded the divergence cap; data may be separable", SeparationWarning, stacklevel=3)
     solved, pairs_solved = time.perf_counter(), design.seconds
-    values = [ascent.value for ascent in ascents]
-    missing = [b for b, value in enumerate(values) if value is None]
-    for b, value in zip(missing, objective(pick(missing), np.array([ascents[b].theta for b in missing])) if missing else ()):
-        values[b] = value
+    values = objective(np.array([ascent.theta for ascent in ascents]))
     stages = {
         "pairs_s": design.seconds,
         "solver_s": solved - began - pilot_s - pairs_solved,
@@ -798,7 +788,6 @@ def fit_pairs(
     s1,
     s2,
     config: GdConfig = GdConfig(),
-    start=None,
 ) -> PleResult:
     """Pseudo-likelihood restricted to an explicit list of interior pairs.
 
@@ -809,20 +798,10 @@ def fit_pairs(
     :class:`InsufficientDataError`, lists not 1-d and of equal length
     :class:`ShapeMismatchError`, and non-integer positions (a bool too)
     :class:`BoundaryViolationError`.
-
-    The Newton ascent starts from ``start`` when it is given, in place of
-    zero or a pilot fit: ``spec.n_terms`` finite values (else
-    :class:`ShapeMismatchError` or :class:`ParameterDomainError`), copied.
     """
-    if start is not None:
-        start = np.array(start, dtype=float)
-        if start.shape != (spec.n_terms,):
-            raise ShapeMismatchError(f"start has shape {start.shape}, need ({spec.n_terms},)")
-        if not np.all(np.isfinite(start)):
-            raise ParameterDomainError(f"start must be finite, got {start.tolist()}")
     if np.ndim(s1) != 1 or np.shape(s1) != np.shape(s2):
         raise ShapeMismatchError("s1 and s2 must be 1-d arrays of equal length")
-    return _fit(_PairDesign(spec, series, [s1], [s2]), config, "ple-pairs", start=start)[0]
+    return _fit(_PairDesign(spec, series, [s1], [s2]), config, "ple-pairs")[0]
 
 
 def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig = SgdConfig()) -> PleResult:
@@ -1005,9 +984,9 @@ def select_specs(
     lie close together.  They are fitted as one batch, one
     ``_PairDesign`` of their pair lists under the same chunk, hold and
     slice rules as one list's: one ``swap_deltas`` call per chunk, one
-    Newton pass over the designs still going per iteration and one final
-    log-PL, each design stopping on its own, as :func:`fit_pairs` would fit
-    it from that start (a pilot included).
+    Newton pass over the whole batch per iteration and one final log-PL,
+    each design stopping on its own, as a fit of that list alone would
+    from that start (a pilot included).
     ``converged`` counts the splits whose fit converged; the log-PL of one
     that did not enters the mean all the same.
 

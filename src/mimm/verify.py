@@ -532,15 +532,17 @@ def _check_newton_pilot_start():
     newton_pass, certificate, min_pairs = ple._newton_pass, ple._certificate, ple._PILOT_MIN_PAIRS
     passes, drops = [], []
 
-    def recording_pass(blocks, theta, rows=None):
-        grad, info = newton_pass(blocks, theta, rows)
+    def recording_pass(blocks, theta):
+        grad, info = newton_pass(blocks, theta)
         passes.append((grad, blocks, theta))
         return grad, info
 
     def rechecked(grad, info, step, max_row_norm):
         ascends, bound = certificate(grad, info, step, max_row_norm)
-        if ascends:  # a fit of one design: its pass's gradient is the row the certificate got
-            blocks, (start,) = next((blocks, theta) for g, blocks, theta in passes if np.shares_memory(g, grad))
+        if ascends:  # a fit of one design: the last pass whose gradient the certificate got
+            blocks, (start,) = next(
+                (blocks, theta) for g, blocks, theta in reversed(passes) if np.array_equal(g[0], grad)
+            )
             before = sum(ple.log_pl(start, X) for (X,) in blocks())
             after = sum(ple.log_pl(start + step, X) for (X,) in blocks())
             drops.append((before - after) / (1.0 + abs(before)))

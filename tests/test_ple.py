@@ -359,9 +359,9 @@ class TestFitNaive:
         log_pl = ple._log_pl
         seen = []  # the base value is read first; one design, so thetas (1, K)
 
-        def lowered(theta, X, rows=None):
+        def lowered(theta, X):
             seen.append(theta.copy())
-            return log_pl(theta, X, rows) if np.array_equal(theta, seen[0]) else np.full(len(theta), -math.inf)
+            return log_pl(theta, X) if np.array_equal(theta, seen[0]) else np.full(len(theta), -math.inf)
 
         monkeypatch.setattr(ple, "_certificate", lambda *args: (False, math.inf))
         monkeypatch.setattr(ple, "_log_pl", lowered)
@@ -655,9 +655,14 @@ class TestRangeStep:
         monkeypatch.setattr(ple, "_range_basis", basis)
         theta = np.array([2.0, 0.0])
         first = (np.array([3.0 - math.exp(2.0), 0.0]), np.diag([math.exp(2.0), 1.0]))
-        (ascent,) = ple._newton(  # one design: B = 1
-            lambda rows, points: [pass_fn(points[0])], lambda rows, points: [value_fn(points[0])],
-            [theta], [first], ple.GdConfig(tol=1e-12), 1.0,
+
+        def stacked_pass(points):  # one design: B = 1
+            grad, info = pass_fn(points[0])
+            return grad[None], info[None]
+
+        (ascent,) = ple._newton(
+            stacked_pass, lambda points: np.array([value_fn(points[0])]),
+            [theta], (first[0][None], first[1][None]), ple.GdConfig(tol=1e-12), 1.0,
         )
         assert ascent.converged and ascent.theta[0] == pytest.approx(math.log(3.0), abs=1e-12)
         assert basis.call_count == 2 and basis.call_args.args[0][0, 1, 1] == 0.0
@@ -1059,9 +1064,9 @@ class TestPilotStart:
         monkeypatch.setattr(ple, "_PILOT_MIN_PAIRS", 64)
         newton_pass = ple._newton_pass
 
-        def warning_pass(blocks, theta, rows=None):
+        def warning_pass(blocks, theta):
             warnings.warn(f"pass over {sum(X.shape[-2] for X in blocks())} rows", RuntimeWarning)
-            return newton_pass(blocks, theta, rows)
+            return newton_pass(blocks, theta)
 
         monkeypatch.setattr(ple, "_newton_pass", warning_pass)
         with warnings.catch_warnings(record=True) as caught:
@@ -1268,12 +1273,12 @@ def spy_certificate_calls(monkeypatch):
     calls, last = [], []
     newton_pass, certificate = ple._newton_pass, ple._certificate
 
-    def recording_pass(blocks, theta, rows=None):
-        last[:] = [newton_pass(blocks, theta, rows)]
+    def recording_pass(blocks, theta):
+        last[:] = [newton_pass(blocks, theta)]
         return last[0]
 
     def recording_certificate(grad, *rest):
-        calls.append(np.shares_memory(grad, last[0][0]))  # a design's row of that pass
+        calls.append(any(np.array_equal(grad, row) for row in last[0][0]))  # a design's row of that pass
         return certificate(grad, *rest)
 
     monkeypatch.setattr(ple, "_newton_pass", recording_pass)
@@ -1313,8 +1318,7 @@ class TestCertifiedStop:
     @settings(max_examples=40, deadline=None)
     @given(pair_designs())
     def test_max_row_norm_is_the_largest_row_norm_held_and_streamed(self, case):
-        # a streamed design takes it during its first sweep, a held one
-        # from its held blocks
+        # held or streamed, a design takes it during its first sweep
         spec, series, s1, s2, chunk, _, _ = case
         X = all_pairs_matrix(spec, series) if s1 is None else -core.swap_deltas(spec, series, s1, s2)
         norms = []
@@ -1323,10 +1327,10 @@ class TestCertifiedStop:
                 mp.setattr(ple, "_CHUNK_PAIRS", chunk)
                 mp.setattr(ple, "_MATERIALIZE_LIMIT", limit)
                 design = one_design(spec, series, s1, s2)
+                assert design.max_row_norm is None
                 for _ in design():
                     pass
-                assert (design._max_row_norm is None) == (limit > 0)
-                (norm,) = design.max_row_norm()
+                (norm,) = design.max_row_norm
                 norms.append(norm)
         assert norms[0] == norms[1] == pytest.approx(np.linalg.norm(X, axis=1).max(), rel=1e-14)
 
@@ -1364,11 +1368,11 @@ class TestCertifiedStop:
         s1, s2 = core._uniform_pairs(np.random.default_rng(0), 1, series.n - 1, ple._SLICE_ROWS + 1)
         grads, searched = [], []
         certificate, log_pl = ple._certificate, ple._log_pl
-        monkeypatch.setattr(ple, "_certificate", lambda grad, *rest: grads.append(grad) or certificate(grad, *rest))
+        monkeypatch.setattr(ple, "_certificate", lambda g, *rest: grads.append(g.copy()) or certificate(g, *rest))
         monkeypatch.setattr(ple, "_log_pl", lambda *args: searched.append(1) or log_pl(*args))
         fit = ple.fit_pairs(TestFitNaive.CUBIC_SPEC, series, s1, s2)
         assert fit.converged and searched  # some step overshot and was backtracked
-        assert all(a is not b for i, a in enumerate(grads) for b in grads[:i])
+        assert not any(np.array_equal(a, b) for i, a in enumerate(grads) for b in grads[:i])
 
     def test_overshoots_on_a_small_design_take_the_certificate_after_the_pass(self, monkeypatch):
         calls = spy_certificate_calls(monkeypatch)
@@ -1395,9 +1399,9 @@ class TestCertifiedStop:
             built.append(len(block))
             return block
 
-        def reading(theta, X, rows=None):
+        def reading(theta, X):
             read.append(X.shape[-2])
-            return log_pl(theta, X, rows)
+            return log_pl(theta, X)
 
         monkeypatch.setattr(core, "_all_pairs_deltas", counting)
         monkeypatch.setattr(ple, "_log_pl", reading)
@@ -1733,9 +1737,10 @@ class TestAicPic:
 @st.composite
 def split_batches(draw):
     """A spec, a series, B equal-size spaced matchings (B in 0..4) and a
-    start: zero, a converged fit's theta, or that theta pushed out, whose
-    first step overshoots.  The binary/real kron specs have singular
-    information."""
+    start: zero, a converged fit's theta, that theta pushed out, whose
+    first step overshoots, or one start per design, every other design at
+    the pushed one, so the designs of a batch stop at different passes.
+    The binary/real kron specs have singular information."""
     if draw(st.booleans()):
         spec = core.ar_spec(draw(st.integers(1, 2)))
         series = ar_series(spec.order, draw(st.integers(60, 400)), draw(st.integers(0, 2**32 - 1)))
@@ -1745,21 +1750,60 @@ def split_batches(draw):
         spec, n, seed = draw(binary_kron_designs())
         series = binary_real_series(10 * n, seed)
     pairs = [ple.spaced_matching(series.n, spec.order, draw(st.integers(0, 2**32 - 1))) for _ in range(draw(st.integers(0, 4)))]
-    start = draw(st.sampled_from([None, "fit", "pushed"]))
+    start = draw(st.sampled_from([None, "fit", "pushed", "mixed"]))
     if start is not None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SeparationWarning)
             fit = ple.fit_pairs(spec, series, *ple.spaced_matching(series.n, spec.order, 0), ple.SELECT_CONFIG)
-        start = fit.theta * (1.0 if start == "fit" else 3.0) if fit.converged else None
+        scale = {"fit": 1.0, "pushed": 3.0, "mixed": np.array([[1.0], [3.0]] * 2)[: len(pairs)]}[start]
+        start = fit.theta * scale if fit.converged else None
     return spec, series, pairs, start
 
 
 def fit_batch(spec, series, pairs, start, config=ple.SELECT_CONFIG):
     """``select_specs``' batch of the pair lists ``pairs`` (one length):
-    one ``_fit`` of one ``_PairDesign`` of them all."""
+    one ``_fit`` of one ``_PairDesign`` of them all, from ``start``, one
+    theta or one per list."""
     n = len(pairs[0][0]) if pairs else 0
     s1, s2 = (np.array([p[i] for p in pairs], dtype=np.intp).reshape(len(pairs), n) for i in (0, 1))
     return ple._fit(ple._PairDesign(spec, series, s1, s2), config, "ple-pairs", start=start)
+
+
+
+@st.composite
+def stacked_points(draw):
+    """A ``_PairDesign`` of B = 1-4 pair lists of one length, on an
+    AR(1)/AR(2) monomial spec or a binary/real kron spec, with a (B, K)
+    array of points, some rows zero."""
+    kind = draw(st.sampled_from(["ar", "kron"]))
+    spec, n, seed = draw(ar_designs() if kind == "ar" else binary_kron_designs())
+    series = ar_series(spec.order, n, seed) if kind == "ar" else binary_real_series(n, seed)
+    rng = np.random.default_rng(seed)
+    B, count = draw(st.integers(1, 4)), draw(st.integers(1, 200))
+    s1, s2 = np.array([core._uniform_pairs(rng, spec.order, n - spec.order, count) for _ in range(B)]).swapaxes(0, 1)
+    points = draw(hnp.arrays(float, (B, spec.n_terms), elements=st.floats(-3.0, 3.0)))
+    points[draw(hnp.arrays(bool, B))] = 0.0
+    return spec, series, s1, s2, points
+
+
+class TestBatchKernels:
+    """Row b of a Newton pass or log-PL over a stack of designs is the
+    call on design b alone at its point, bit for bit: every kernel call of
+    a batch covers the whole batch."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(stacked_points())
+    def test_each_row_is_its_design_alone(self, case):
+        spec, series, s1, s2, points = case
+        design = ple._PairDesign(spec, series, s1, s2)
+        grads, infos = ple._newton_pass(design, points)
+        values = sum(ple._log_pl(points, X) for X in design())
+        for b, point in enumerate(points):
+            alone = ple._PairDesign(spec, series, [s1[b]], [s2[b]])
+            (grad,), (info,) = ple._newton_pass(alone, point[None])
+            (value,) = sum(ple._log_pl(point[None], X) for X in alone())
+            assert grads[b].tobytes() == grad.tobytes() and infos[b].tobytes() == info.tobytes()
+            assert values[b].tobytes() == value.tobytes()
 
 
 class TestFitBatch:
@@ -1792,7 +1836,8 @@ class TestFitBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SeparationWarning)
             try:
-                alone = [ple.fit_pairs(spec, series, a, b, ple.SELECT_CONFIG, start) for a, b in pairs]
+                starts = [None] * len(pairs) if start is None else np.broadcast_to(start, (len(pairs), spec.n_terms))
+                alone = [fit_batch(spec, series, [pair], start)[0] for pair, start in zip(pairs, starts)]
             except RuntimeWarning:
                 # a pushed start on a separable design can step theta past
                 # the float range alone too (the cap is read after the step)
@@ -1811,8 +1856,8 @@ class TestFitBatch:
         values = mock.Mock(side_effect=ple._log_pl)
         monkeypatch.setattr(ple, "_log_pl", values)
         batch = fit_batch(SPEC1, series, pairs, start)
-        # the line search ran on the designs together: its first call
-        # holds every design that overshot
+        # the line search ran on the designs together: each call holds
+        # every design
         assert all(fit.converged for fit in batch) and values.call_count > 1
         assert len(values.call_args_list[0].args[0]) == 3
 
@@ -1829,8 +1874,8 @@ class TestFitBatch:
             built.append(len(s1))
             return swap_deltas(spec, series, s1, s2)
 
-        def recording_slices(X, rows=None):
-            for Xb in slices(X, rows):
+        def recording_slices(X):
+            for Xb in slices(X):
                 shapes.append(Xb.shape)
                 yield Xb
 
@@ -1871,6 +1916,63 @@ class TestFitBatch:
         assert batch == results[3:]
 
 
+def select_ci_input(name):
+    """The series and specs of CI's "Select is reproducible" step: AR(1)
+    against AR(2) on an AR(1) series, or the four kron specs on the
+    binary/real series."""
+    if name == "ar":
+        series = gaussian.simulate_ar(AR1, 300, seed=1)
+        return series, [core.DependenceSpec.from_text(t) for t in ("0:0^1*1:0^1\n", "0:0^1*1:0^1\n0:0^1*2:0^1\n")]
+    z = gaussian.simulate_ar(gaussian.ClassicalARParams([0.6], 0.5), 307, seed=2).data[:, 0]
+    b = (np.random.default_rng(3).random(307) < 1.0 / (1.0 + np.exp(-np.roll(z, 1)))).astype(float)
+    series = core.TimeSeries(np.column_stack([b, z]), kinds=("binary", "real"))
+    blocks = [[(1, 1, 1)], [(1, 1, 1), (1, 1, 2)], [(1, 1, 1), (1, 2, 1)], [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]]
+    return series, [core.kron_spec(2, block) for block in blocks]
+
+
+# Per select with seed 1 on each input of select_ci_input: the Newton
+# passes of each split design (per spec, its anchor, then its batch of the
+# other 8 splits), and the calls of the two kernels.  A log-PL call is a
+# final value (two per spec) or a line-search step: on the binary/real
+# input, 8 finals and 26 search calls.  A change of these counts is a
+# change of the solver's work: record it with the new table.
+SELECT_CALLS = {
+    "ar": {
+        "passes": [[5], [5, 3, 4, 6, 5, 6, 3, 5], [5], [5, 4, 5, 6, 5, 6, 5, 5]],
+        "newton_pass": 22,
+        "log_pl": 4,
+    },
+    "bi": {
+        "passes": [
+            [8], [7, 7, 7, 5, 7, 8, 6, 7], [9], [8, 8, 8, 5, 8, 9, 7, 7],
+            [9], [8, 8, 8, 7, 9, 9, 7, 9], [9], [9, 11, 10, 9, 9, 9, 10, 10],
+        ],
+        "newton_pass": 75,
+        "log_pl": 34,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELECT_CALLS))
+def test_select_call_counts(name, monkeypatch):
+    series, specs = select_ci_input(name)
+    passes, newton = [], ple._newton
+
+    def counted(*args, **kwargs):
+        ascents = newton(*args, **kwargs)
+        passes.append([ascent.passes for ascent in ascents])
+        return ascents
+
+    kernel, values = mock.Mock(side_effect=ple._newton_pass), mock.Mock(side_effect=ple._log_pl)
+    monkeypatch.setattr(ple, "_newton", counted)
+    monkeypatch.setattr(ple, "_newton_pass", kernel)
+    monkeypatch.setattr(ple, "_log_pl", values)
+    rows = ple.select_specs(series, specs, seed=1)
+    assert all(row.error is None for row in rows)
+    counts = {"passes": passes, "newton_pass": kernel.call_count, "log_pl": values.call_count}
+    assert counts == SELECT_CALLS[name]
+
+
 class TestSelectSpecs:
     SERIES = gaussian.simulate_ar(AR1, 300, seed=41)
 
@@ -1889,7 +1991,7 @@ class TestSelectSpecs:
         designs = [ple.spaced_matching(300, 2, child) for child in np.random.SeedSequence(4).spawn(3)]
         anchor = ple.fit_pairs(padded, self.SERIES, *designs[0], ple.SELECT_CONFIG)
         assert anchor.converged
-        fits = [anchor] + [ple.fit_pairs(padded, self.SERIES, *d, ple.SELECT_CONFIG, anchor.theta) for d in designs[1:]]
+        fits = [anchor] + [fit_batch(padded, self.SERIES, [d], anchor.theta)[0] for d in designs[1:]]
         assert row1.K == 1 and row2.K == 2
         assert row1.log_pl == float(np.mean([fit.log_pl for fit in fits]))
         assert (row1.aic, row1.pic) == ple.aic_pic(row1.log_pl, 1, 300, 2)
@@ -1901,10 +2003,9 @@ class TestSelectSpecs:
         # batch starts from zero, the second spec's from its anchor's theta
         fit_pairs, fit, anchors, starts = ple.fit_pairs, ple._fit, [], []
 
-        def spy(spec, series, s1, s2, config, start=None):
-            fit = fit_pairs(spec, series, s1, s2, config, start=start)
-            anchors.append((start, fit))
-            return dataclasses.replace(fit, converged=False) if len(anchors) == 1 else fit
+        def spy(spec, series, s1, s2, config):
+            anchors.append(fit_pairs(spec, series, s1, s2, config))
+            return dataclasses.replace(anchors[-1], converged=False) if len(anchors) == 1 else anchors[-1]
 
         def batch_spy(design, config, method, requested=True, start=None):
             if design.B > 1:  # the batch, not an anchor's fit
@@ -1915,22 +2016,11 @@ class TestSelectSpecs:
         monkeypatch.setattr(ple, "_fit", batch_spy)
         rows = ple.select_specs(self.SERIES, [SPEC1, core.ar_spec(2)], seed=4, splits=4)
         assert [row.converged for row in rows] == [3, 4]
-        assert [start for start, _ in anchors] == [None, None]
         assert starts[0] is None
-        np.testing.assert_array_equal(starts[1], anchors[1][1].theta)
+        np.testing.assert_array_equal(starts[1], anchors[1].theta)
 
     def test_warm_started_rows_match_rows_fitted_from_zero(self):
         assert_verify_passes(verify._check_select_warm_start, "select_warm_start")
-
-    def test_start_is_checked(self):
-        s1, s2 = ple.spaced_matching(300, 1, 0)
-        with pytest.raises(ShapeMismatchError, match=r"start has shape \(2,\), need \(1,\)"):
-            ple.fit_pairs(SPEC1, self.SERIES, s1, s2, start=[0.5, 0.5])
-        with pytest.raises(ParameterDomainError, match="start must be finite"):
-            ple.fit_pairs(SPEC1, self.SERIES, s1, s2, start=[math.nan])
-        start = np.array([0.9])
-        fit = ple.fit_pairs(SPEC1, self.SERIES, s1, s2, start=start)
-        assert fit.theta_trace[0] == (0.9,) and fit.converged and start[0] == 0.9
 
     def test_swap_tables_built_once_per_spec(self, monkeypatch):
         # 9 splits x 2 specs: each spec's anchor fit builds the tables, and
