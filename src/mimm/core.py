@@ -28,7 +28,7 @@ floats per spec, freed with the series or by the next series' build.  The
 O(m d) near pairs re-evaluate their at most 2d + 1 windows directly.  The
 exchange sampler, one pair at a time under a changing ordering, sums ``S``
 for the two positions on the fly instead, reading per-column lists of the
-ordering, in code generated from the same plan
+ordering (its only copy of it), in code generated from the same plan
 (:func:`mimm.mcle._exchange_kernel`).
 
 The all-pairs design (every interior pair in lexicographic order) needs no
@@ -235,7 +235,9 @@ class MonomialTable:
     cached on it.
 
     ``comps``/``exps`` list the distinct (component, exponent) powers the
-    terms use, and ``terms[k]`` lists term k's factors as (lag, power
+    terms use and every component's exponent-1 power, so ``values[c]`` is
+    the power column that holds component c itself (added when no term
+    uses it), and ``terms[k]`` lists term k's factors as (lag, power
     column).  The plan of the factored swap delta at position i: ``owns``
     lists the distinct products of one lag's factors of a term, each as a
     tuple of power columns, and ``groups`` holds ``(k, own index, slots)``:
@@ -246,11 +248,13 @@ class MonomialTable:
     """
 
     def __init__(self, spec: DependenceSpec):
-        powers = sorted({(comp, exp) for term in spec.terms for _, comp, exp in term.factors})
+        used = {(comp, exp) for term in spec.terms for _, comp, exp in term.factors}
+        powers = sorted(used | {(comp, 1) for comp in range(spec.dim)})
         column = {power: q for q, power in enumerate(powers)}
         self.order = spec.order
         self.comps = np.array([comp for comp, _ in powers], dtype=np.intp)
         self.exps = tuple(exp for _, exp in powers)
+        self.values = tuple(column[(comp, 1)] for comp in range(spec.dim))
         self.terms = tuple(
             tuple((lag, column[(comp, exp)]) for lag, comp, exp in term.factors)
             for term in spec.terms
@@ -542,7 +546,8 @@ def _swap_delta_rows(rows, d, terms, s1, s2):
     windows.  Serves only :func:`swap_delta`, the oracle of every faster
     path; the exchange chain's near-pair lines are this loop unrolled per
     spec and gap (:func:`mimm.mcle._near_pair_lines`), reading the same
-    rows, and its compiled step is checked bitwise against it.
+    values from the chain's value columns (``MonomialTable.values``), and
+    its compiled step is checked bitwise against it.
     """
     r1, r2 = rows[s1], rows[s2]
     delta = [0.0] * len(terms)

@@ -629,9 +629,11 @@ def mininfo_to_ar(params: MinInfoARParams) -> ClassicalARParams:
     AR: from white noise (t = 0, u = 0), damped Newton steps on the misfit
     of :func:`_ar_misfit` (each step at most 1 in every coordinate, halved
     while it raises the misfit) take a point of the path at a misfit of
-    1e-3.  t then advances by a stride that doubles, and halves when
-    :data:`_NEWTON_TRIES` steps do not reach the next point; at t = 1 the
-    steps go on to a misfit of 1e-9 and one more.
+    1e-3, or of 1e-9 where the doubled stride from it reaches t = 1.  t
+    then advances by a stride that doubles; when :data:`_NEWTON_TRIES`
+    steps do not reach the next point, the stride becomes half of itself or
+    of the distance 1 - t, whichever is less.  At t = 1 the steps go on to a
+    misfit of 1e-9 and one more.
 
     Raises :class:`ParameterDomainError` where the path stalls (it names
     that t), at once where a path point rounds a kappa_k to +-1 (it names
@@ -654,7 +656,8 @@ def mininfo_to_ar(params: MinInfoARParams) -> ClassicalARParams:
         target = min(t + stride, 1.0)
         res, jac = _ar_misfit(u, target * theta)
         err = float(np.abs(res).max())
-        if target < 1.0 and err <= 1e-3:
+        # a point from which the next stride reaches t = 1 is taken at the final misfit
+        if target < 1.0 and err <= (1e-9 if target + 2.0 * stride >= 1.0 else 1e-3):
             rounded = np.flatnonzero(np.abs(np.tanh(u[:-1])) == 1.0)
             if len(rounded):
                 raise ParameterDomainError(
@@ -664,7 +667,7 @@ def mininfo_to_ar(params: MinInfoARParams) -> ClassicalARParams:
         elif tries == _NEWTON_TRIES:
             if stride <= _MIN_STRIDE * t:
                 raise ParameterDomainError(f"{unresolved}: the path stalled at t = {t:.9g}")
-            u, stride, tries, best = base, stride / 2.0, 0, math.inf
+            u, stride, tries, best = base, min(stride, 1.0 - t) / 2.0, 0, math.inf
         elif err < best:
             try:
                 step = np.linalg.solve(jac, res)

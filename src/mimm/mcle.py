@@ -21,12 +21,13 @@ position pairs in numpy (``core._uniform_pairs``), and the step is compiled
 once per spec into straight-line source generated from the spec's
 ``MonomialTable`` plan (:func:`_exchange_kernel`): no loops over terms or
 factors remain, an accepted move writes one statistic change per term and
-the ordering is held in one Python list per power column beside the list
-of data rows in the current order.  A far pair (s2 - s1 > d) takes the
-factored form of :mod:`mimm.core`, the neighbour sums ``S_g`` read straight
-from the column lists, and an accepted swap exchanges two entries of each
-list; a near pair runs :func:`core._swap_delta_rows` unrolled for its gap
-on the row list, which gives the same floats.  The far step gives the swap
+the ordering is held once, in one Python list per power column; the
+table's exponent-1 columns (``MonomialTable.values``) hold the data
+themselves.  A far pair (s2 - s1 > d) takes the factored form of
+:mod:`mimm.core`, the neighbour sums ``S_g`` read straight from the column
+lists, and an accepted swap exchanges two entries of each list; a near
+pair runs :func:`core._swap_delta_rows` unrolled for its gap on the value
+columns, which gives the same floats.  The far step gives the swap
 delta of the direct path to rounding, so the chain makes the same moves.
 Every chain reports its effective sample size and split-R-hat per
 statistic.
@@ -353,20 +354,22 @@ def _far_pair_lines(table) -> list[str]:
 def _near_pair_lines(spec: DependenceSpec, gap: int) -> list[str]:
     """Straight-line source of the direct swap delta ``n_k`` of a near pair
     with s2 - s1 = ``gap`` <= d: :func:`core._swap_delta_rows` unrolled, so
-    it gives the same floats.  It reads the list of data rows in the
-    current order, ``rows[s1 + off]``, each once into a local (``r_m1`` is
-    the row at s1 - 1, ``r_0`` at s1, ``r_p1`` at s1 + 1, ...).  Windows
-    t = s1 .. s2 + d in order, each term's products before and after the
-    swap started from 1.0 and taken factor by factor (``r[c]``, or
-    ``r[c] ** e`` for an exponent e != 1, as the rows path does), and
-    n_k = 0.0 plus after - before window by window."""
-    d = spec.order
+    it gives the same floats.  Component c of the row at s1 + off is read
+    from its value column, ``P_q[s1 + off]`` with q = ``values[c]`` of the
+    spec's ``MonomialTable``, each once into a local (``a{q}_m1`` at
+    s1 - 1, ``a{q}`` at s1, ``a{q}_p1`` at s1 + 1, ...).  Windows t = s1 ..
+    s2 + d in order, each term's products before and after the swap
+    started from 1.0 and taken factor by factor (the value, or the value
+    ``** e`` for an exponent e != 1, as the rows path does), and n_k = 0.0
+    plus after - before window by window."""
+    d, values = spec.order, spec._table.values
     reads: dict[str, str] = {}  # local name -> its read, in order of first use
 
     def factor(rel, comp, exp):
-        name = "r_0" if rel == 0 else f"r_{'m' if rel < 0 else 'p'}{abs(rel)}"
-        reads.setdefault(name, f"rows[{'s2' if rel == gap else _at('s1', rel)}]")
-        return f"{name}[{comp}]" if exp == 1 else f"{name}[{comp}] ** {exp}"
+        q = values[comp]
+        name = _read_name("a", q, rel)
+        reads.setdefault(name, f"P_{q}[{'s2' if rel == gap else _at('s1', rel)}]")
+        return name if exp == 1 else f"{name} ** {exp}"
 
     def product(t, factors, swapped):
         rels = [(t - lag, comp, exp) for lag, comp, exp in factors]
@@ -434,16 +437,16 @@ def _kernel_source(spec: DependenceSpec) -> str:
     held = {f"P_{q}": (_read_name("a", q, 0), _read_name("b", q, 0)) for qs in table.owns for q in qs}
 
     def accept(held):
-        """An accepted move: swap two entries of every list, writing back
-        the locals ``held`` where the step read them."""
+        """An accepted move: swap two entries of every column list, writing
+        back the locals ``held`` where the step read them."""
         swaps = []
-        for name in [*names, "rows"]:
+        for name in names:
             at_s1, at_s2 = held.get(name, (f"{name}[s1]", f"{name}[s2]"))
             swaps.append(f"{name}[s1], {name}[s2] = {at_s2}, {at_s1}")
         return swaps
 
     lines = [
-        "def segment(columns, rows, th, proposals, deltas):",
+        "def segment(columns, th, proposals, deltas):",
         f"    {', '.join(names)}, = columns",
         f"    {ths} = th",
         f"    {buffers} = deltas",
@@ -467,14 +470,14 @@ def _kernel_source(spec: DependenceSpec) -> str:
 def _exchange_kernel(spec: DependenceSpec) -> Callable:
     """The exchange step of ``spec`` as straight-line Python, compiled once
     per spec (as :mod:`dataclasses` generates methods): one function,
-    ``segment(columns, rows, th, proposals, deltas)``, which runs the
-    steps ``(j, s1, s2, logu)`` of one decoded proposal block, ``j`` the
-    step's index within the block.
+    ``segment(columns, th, proposals, deltas)``, which runs the steps
+    ``(j, s1, s2, logu)`` of one decoded proposal block, ``j`` the step's
+    index within the block.
 
-    The ordering lives in one column list per power column ``P_q``
-    (:func:`_chain_columns`) and in ``rows``, the list of data row tuples
-    in the current order (``TimeSeries.rows``).  An accepted move exchanges
-    two entries of every column list and of ``rows``.  The kernel keeps no
+    The ordering lives only in the column lists, one per power column
+    ``P_q`` (:func:`_chain_columns`); the table's value columns
+    (``MonomialTable.values``) hold the data themselves.  An accepted move
+    exchanges two entries of every column list.  The kernel keeps no
     statistic and no count: it writes each accepted move's statistic
     change at index ``j`` of ``deltas``, one writable float buffer ``D_k``
     per term, each a ``memoryview`` of one row of a nan-filled K x steps
@@ -487,10 +490,11 @@ def _exchange_kernel(spec: DependenceSpec) -> Callable:
     writes, for each term with groups, the sum of its groups' ``v_g`` in
     plan order (a spec with no group writes ``D_0[j] = -0.0``).  A near
     pair runs :func:`_near_pair_lines` for its gap,
-    :func:`core._swap_delta_rows` unrolled on ``rows[s1 + off]``, and an
-    accepted move writes each term's change ``n_k``.  The source holds only
-    integers of the spec's ``MonomialTable`` plan (power columns, offsets,
-    term indices, exponents) and its order; theta arrives as an argument.
+    :func:`core._swap_delta_rows` unrolled on the value columns
+    ``P_q[s1 + off]``, and an accepted move writes each term's change
+    ``n_k``.  The source holds only integers of the spec's
+    ``MonomialTable`` plan (power columns, offsets, term indices,
+    exponents) and its order; theta arrives as an argument.
     """
     source = _kernel_source(spec)
     namespace: dict = {}
@@ -517,14 +521,14 @@ def exchange_sample(
     Each block of ``_PROPOSAL_BLOCK`` proposals is drawn in numpy: the
     pairs by ``core._uniform_pairs`` (the draw online SGD makes), then
     log u.  The block runs in the spec's compiled kernel
-    (:func:`_exchange_kernel`) on the column lists and the row list of the
-    current ordering, which writes each accepted move's statistic change
-    into a K x steps array; :func:`_statistic_path` turns it into the
-    statistic after each step of the block, by one cumulative sum per term
-    from the statistic before the block.  Every ``_RECOMPUTE_EVERY`` steps,
-    at a block's end, the statistic is recomputed from the row list and
-    replaces the block's last row.  The rows of the recorded steps are
-    copied out, so no array spans the whole chain.
+    (:func:`_exchange_kernel`) on the column lists of the current
+    ordering, which writes each accepted move's statistic change into a K x
+    steps array; :func:`_statistic_path` turns it into the statistic after
+    each step of the block, by one cumulative sum per term from the
+    statistic before the block.  Every ``_RECOMPUTE_EVERY`` steps, at a
+    block's end, the statistic is recomputed from the ordering that the
+    value columns hold and replaces the block's last row.  The rows of the
+    recorded steps are copied out, so no array spans the whole chain.
     """
     theta = _validate_theta(spec, theta)
     d, hi = _interior_bounds(spec, series)
@@ -536,7 +540,7 @@ def exchange_sample(
     deltas = [memoryview(row) for row in table]  # the kernel writes the rows of table
     th = [float(v) for v in theta]
     columns = _chain_columns(spec, series.data)
-    rows = list(series.rows())  # the data rows of the current ordering
+    values = [columns[q] for q in spec._table.values]  # the current ordering, by component
     current = total_statistic(spec, series)
 
     burn, thin = config.burn_in, config.thin
@@ -549,11 +553,11 @@ def exchange_sample(
         end = min(first + _PROPOSAL_BLOCK, total_steps)
         s1, s2, logu = (v[: end - first].tolist() for v in (s1, s2, logu))
         table.fill(math.nan)
-        segment(columns, rows, th, zip(range(end - first), s1, s2, logu), deltas)
+        segment(columns, th, zip(range(end - first), s1, s2, logu), deltas)
         path, block_accepted = _statistic_path(table[:, : end - first], current)
         accepted += block_accepted
         if end % _RECOMPUTE_EVERY == 0:
-            path[-1] = total_statistic(spec, TimeSeries(rows, kinds=series.kinds))
+            path[-1] = total_statistic(spec, TimeSeries(np.column_stack(values), kinds=series.kinds))
         current = path[-1]
         # the recorded steps burn + thin * i in (first, end], at rows step - first - 1
         done, upto = (max(0, (step - burn) // thin) for step in (first, end))

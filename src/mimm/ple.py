@@ -497,7 +497,7 @@ def _may_keep_more(basis, info) -> bool:
     trace bounds every eigenvalue of ``info`` restricted to the dropped
     directions, so the smallest K - rank eigenvalues lie below the cut
     (Courant-Fischer), which is at least ``_RCOND`` times the trace over K."""
-    return basis is None or (trace := info.trace()) - np.vdot(basis, info @ basis) > _RCOND * trace / len(info)
+    return (trace := info.trace()) - np.vdot(basis, info @ basis) > _RCOND * trace / len(info)
 
 
 def _range_step(basis, info, grad):
@@ -560,14 +560,15 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norms=None
     grad, so theta stays in the row space of a singular information: the
     range of the first pass's information is taken per design, by one
     ``eigh`` for the batch (:func:`_range_basis`), and each step solves
-    info restricted to it (:func:`_range_steps`).  When that first basis
-    dropped a direction, it is taken again from the current information at
+    info restricted to it (:func:`_range_steps`).  While a design's basis
+    drops a direction, it is taken again from the current information at
     every later step where :func:`_may_keep_more`, as the rank may grow
-    along the ascent; else only when the restricted solve finds it
-    singular.  A full step is kept when the slope grad(theta + step) . step
-    is still >= 0 (by concavity the objective cannot then have decreased),
-    or when :func:`_certificate` proves it does not lower the objective;
-    otherwise it is halved until the objective is no lower than at theta.
+    along the ascent; a basis that drops none is taken again only when the
+    restricted solve finds the information singular.  A full step is kept
+    when the slope grad(theta + step) . step is still >= 0 (by concavity
+    the objective cannot then have decreased), or when :func:`_certificate`
+    proves it does not lower the objective; otherwise it is halved until
+    the objective is no lower than at theta.
     With ``certify_early`` the certificate is also taken before the pass at
     theta + step; when it proves the step ascends and bounds the gradient
     there by ``tol`` times ``scale``, the design takes the step and stops
@@ -579,7 +580,6 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norms=None
     grads, infos = first_pass
     norms = [math.sqrt(grad @ grad) / scale for grad in grads]
     bases = _range_basis(infos)
-    cut = [basis is not None for basis in bases]
     passes, capped = [1] * B, [False] * B
     traces = [[tuple(theta.tolist())] for theta in thetas]
     # per design: its step (zero once it stops), the damping and the
@@ -644,7 +644,7 @@ def _newton(pass_fn, value_fn, thetas, first_pass, config, scale, row_norms=None
             if capped[b] or norms[b] <= tol or passes[b] >= budget:
                 steps[b] = 0.0
                 continue
-            if cut[b] and _may_keep_more(bases[b], infos[b]):
+            if bases[b] is not None and _may_keep_more(bases[b], infos[b]):
                 (bases[b],) = _range_basis(infos[b][None])
             going.append(b)
         live = going

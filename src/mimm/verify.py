@@ -259,7 +259,7 @@ def _exchange_step(spec, series, s1, s2) -> np.ndarray:
     table = np.full((K, 1), math.nan)
     deltas = [memoryview(row) for row in table]
     segment = mcle._exchange_kernel(spec)
-    segment(mcle._chain_columns(spec, series.data), list(series.rows()), [0.0] * K, [(0, s1, s2, -math.inf)], deltas)
+    segment(mcle._chain_columns(spec, series.data), [0.0] * K, [(0, s1, s2, -math.inf)], deltas)
     path, _ = mcle._statistic_path(table, [-0.0] * K)
     return path[-1]
 

@@ -729,7 +729,7 @@ def _segment_moves(spec, series, pairs):
     table = np.full((K, len(pairs)), np.nan)
     deltas = [memoryview(row) for row in table]
     columns = mcle._chain_columns(spec, series.data)
-    mcle._exchange_kernel(spec)(columns, list(series.rows()), [0.0] * K, proposals, deltas)
+    mcle._exchange_kernel(spec)(columns, [0.0] * K, proposals, deltas)
     path, accepted = mcle._statistic_path(table, [-0.0] * K)
     assert accepted == len(pairs)
     return path[-1]

@@ -766,8 +766,28 @@ class TestArInverseNearTheUnitCircle:
         assert cond * np.finfo(float).eps == pytest.approx(cond_eps, rel=0.05)
         assert_round_trips(params)
 
+    # draws with two or three roots at modulus 0.999 whose path once
+    # stalled just short of t = 1, each retry aimed at t = 1 from a base
+    # accepted at a misfit of 1e-3
     @settings(max_examples=300, deadline=None)
     @given(params=stationary_ar(min_order=2, max_order=8, max_modulus=0.999))
+    @example(params=gaussian.ClassicalARParams([-2.73627535, -2.73353907, -0.997003, 0, 0, 0, 0, 0], 1.0))
+    @example(
+        params=gaussian.ClassicalARParams(
+            [-2.778480532314123, -3.570546547030085, -2.736070424244001, -0.9517679214477538], 1.0
+        )
+    )
+    @example(
+        params=gaussian.ClassicalARParams(
+            [3.7524099586569646, -5.752067507355271, 4.434763037362548, -1.6844173861745764, 0.24925074974999992],
+            1.0,
+        )
+    )
+    @example(
+        params=gaussian.ClassicalARParams(
+            [1.6046608353769645, -1.0502257568531053, -0.05427508827079364, 0.49850149950000006, -0.0], 1.0
+        )
+    )
     def test_every_resolvable_model_round_trips(self, params):
         _, cond = yule_walker(params.phi, params.sigma2)
         if cond * np.finfo(float).eps < 1e-9:

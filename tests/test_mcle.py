@@ -227,6 +227,15 @@ def _ar_case(phi, n, seed):
     return core.ar_spec(len(phi)), series, gaussian.ard_to_mininfo(params).theta
 
 
+def _squared_case():
+    # component 0 enters only squared: the table adds its value column,
+    # which the near-pair lines read and the refresh rebuilds the ordering from
+    spec = core.DependenceSpec.from_text("0:0^2*1:0^2\n")
+    assert spec._table.exps == (1, 2) and spec._table.values == (0,)
+    series = gaussian.simulate_ar(AR1, 100, seed=8)
+    return spec, series, [-0.3]
+
+
 @st.composite
 def chain_cases(draw, specs):
     """A spec, a series of values in [-1.5, 1.5] (column 0 binary on
@@ -270,10 +279,12 @@ class TestChainEquivalence:
             (_ar_case([0.5], 60, 5), mcle.ExchangeConfig(n_samples=4200, burn_in=7, thin=2, seed=16)),
             (_ar_case([0.5, 0.3], 60, 6), mcle.ExchangeConfig(n_samples=2800, burn_in=5, thin=3, seed=17)),
             (_wide_kron_case(), mcle.ExchangeConfig(n_samples=300, seed=19)),
+            # past the refresh at 8192
+            (_squared_case(), mcle.ExchangeConfig(n_samples=9000, seed=20)),
         ],
         ids=[
             "ar1", "ar2", "kron-binary", "thin3-no-burn-in", "long", "thin2-odd-burn-in", "thin3-burn-in-5",
-            "kron-289-terms",
+            "kron-289-terms", "squared-only",
         ],
     )
     def test_same_chain_as_scalar_reference(self, case, config):
@@ -391,12 +402,15 @@ class TestChainEquivalence:
 
 class TestSegmentState:
     def test_column_lists_follow_the_ordering(self):
-        # p = 2, d = 2, component 1 only cubed: the near lines read it from
-        # the data rows, the far lines from its power column
+        # p = 2, d = 2, component 1 only cubed: the table adds its value
+        # column, which the near lines read and raise to the cube
         T = core.MonomialTerm
         spec = core.DependenceSpec(
             2, 2, (T(((0, 0, 1), (1, 0, 1))), T(((0, 0, 1), (1, 1, 3))), T(((0, 0, 2), (2, 1, 3))))
         )
+        table = spec._table
+        assert list(zip(table.comps.tolist(), table.exps)) == [(0, 1), (0, 2), (1, 1), (1, 3)]
+        assert table.values == (0, 2)
         d, n = spec.order, 40
         rng = np.random.default_rng(3)
         series = core.TimeSeries(rng.uniform(-1.2, 1.2, size=(n, 2)))
@@ -405,25 +419,26 @@ class TestSegmentState:
         logu = np.log(rng.random(B))
         proposals = list(zip(range(B), s1.tolist(), s2.tolist(), logu.tolist()))
         columns = mcle._chain_columns(spec, series.data)
-        rows = list(series.rows())
         start = core.total_statistic(spec, series)
-        table = np.full((spec.n_terms, B), np.nan)
-        mcle._exchange_kernel(spec)(columns, rows, [0.3, -0.2, 0.1], proposals, [memoryview(row) for row in table])
+        deltas = np.full((spec.n_terms, B), np.nan)
+        mcle._exchange_kernel(spec)(columns, [0.3, -0.2, 0.1], proposals, [memoryview(row) for row in deltas])
         # an accepted move writes its terms' entries, a rejected one none
-        moves = [p for p, written in zip(proposals, ~np.isnan(table).all(axis=0)) if written]
-        path, accepted = mcle._statistic_path(table, start)
+        moves = [p for p, written in zip(proposals, ~np.isnan(deltas).all(axis=0)) if written]
+        path, accepted = mcle._statistic_path(deltas, start)
         current = path[-1]
         assert len(moves) == accepted
         near = sum(b - a <= d for _, a, b, _ in moves)
         assert near >= 200 and len(moves) - near >= 1000
-        # the row list is an interior permutation of the data rows, and the
-        # column lists hold its powers
+        # the value columns hold an interior permutation of the data rows
+        rows = list(zip(*(columns[q] for q in table.values)))
         original = series.rows()
         assert rows[:d] + rows[n - d :] == [*original[:d], *original[n - d :]]
         assert sorted(rows) == sorted(original) and rows != list(original)
+        # and every power column is a power of its value column
         permuted = core.TimeSeries(rows)
-        expected = mcle._chain_columns(spec, permuted.data)
-        assert np.array(columns).tobytes() == np.array(expected).tobytes()
+        for q, (comp, exp) in enumerate(zip(table.comps.tolist(), table.exps)):
+            value = np.array(columns[table.values[comp]])
+            assert _bits(np.array(columns[q])) == _bits(value**exp)
         np.testing.assert_allclose(current, core.total_statistic(spec, permuted), rtol=1e-12, atol=1e-12)
 
 

@@ -693,10 +693,12 @@ class TestCutBasisTakenAgain:
             x[i] = 0.5 * x[i - 1] + e[i]
         return core.TimeSeries(x[200:])
 
-    @pytest.mark.parametrize("seed", [0, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 6, 8, 9])
     def test_heavy_tailed_cubic_fit_converges(self, seed):
-        # with the basis of theta 0 kept, both stopped unconverged at 500
-        # passes, their gradient norms 0.43 and above
+        # with the basis of theta 0 kept, seeds 0 and 6 stopped unconverged
+        # at 500 passes, their gradient norms 0.43 and above; seeds 1, 8
+        # and 9 did so while a basis retaken at full rank was taken again
+        # at every later step
         series = self.heavy_tailed_series(seed)
         _, (info,) = ple._newton_pass(ple._PairDesign(self.CUBIC, series), np.zeros((1, 4)))
         assert ple._range_basis(info[None])[0].shape == (4, 3)  # the first basis cuts a direction
