@@ -9,7 +9,10 @@ positions stay frozen under conditional inference.
 
 Every vectorized monomial evaluation goes through one compiled table per
 spec (:class:`MonomialTable`): the distinct ``(component, exponent)`` powers
-are computed once per row and each term multiplies its power columns.
+are computed once per row and each term multiplies its power columns.  The
+windows of a series are read from those columns through one strided view
+(:func:`_windows`), so neither ``window_statistics`` nor the swap-table
+build copies a row per window.
 
 Batched swap deltas use the factored ("local-energy") form.  Write the sum
 of the statistics of the windows touching position ``i``, with value ``v``
@@ -22,7 +25,8 @@ products of its other factors, read off the neighbours of ``i``.  When
 
 with ``S`` and ``Phi`` tabulated once per position instead of gathered once
 per pair.  The tables of the whole interior are built once per (spec,
-series) and kept on the spec's table in a one-entry cache that holds the
+series), from the strided windows of 2d + 1 rows around each position, and
+kept on the spec's table in a one-entry cache that holds the
 series weakly (``MonomialTable._swap_tables``): (owns + groups) x (n - d)
 floats per spec, freed with the series or by the next series' build.  The
 O(m d) near pairs re-evaluate their at most 2d + 1 windows directly.  The
@@ -34,13 +38,17 @@ ordering (its only copy of it), in code generated from the same plan
 The all-pairs design (every interior pair in lexicographic order) needs no
 pair indices at all: for a tile of rows s1 the far pairs of every s2 > s1
 are one broadcast per group of the same tables, ``(S_g[s1] - S_g[s2]) *
-(Phi_g[s2] - Phi_g[s1])``, and the tile's upper triangle is compressed
-into the design (:func:`_all_pairs_deltas`).  The all-pairs design is
+(Phi_g[s2] - Phi_g[s1])``, and each term's tile writes its upper triangle
+into the term's column of the design through the triangle mask
+(:func:`_all_pairs_deltas`).  Both batch paths sum a term's groups from
+0.0 straight into its output column, so no block of zeros is filled and
+none is copied transposed.  The all-pairs design is
 numbered here, where :func:`_all_pairs_blocks` cuts it into blocks, and
 :func:`_uniform_pairs` draws online SGD's and the exchange sampler's
 uniform pairs.  The random matchings of ``fit_bipartition`` and
 ``select_specs`` are drawn in :mod:`mimm.ple` (``_matching`` and
-``spaced_matching``).
+``spaced_matching``), each pair the elementwise minimum and maximum of the
+even and the odd entries of one permutation.
 
 All containers are immutable after construction and safe to share across
 threads; every operation is a pure function.  The swap-table cache is the
@@ -278,17 +286,17 @@ class MonomialTable:
 
     def _swap_tables(self, series: TimeSeries) -> tuple[list, list]:
         """The factored swap tables (Phi, S) of ``series`` over its whole
-        interior, indexed by position (:func:`_factored_tables` with ``pad``
-        d), read-only.  The last series' tables are kept in a one-entry
-        cache that holds the series only by a weak reference: they are
-        built once for every fit of this spec on it, and freed with it.
+        interior, indexed by position (:func:`_factored_tables` on the
+        strided windows of the power columns, with ``pad`` d), read-only.
+        The last series' tables are kept in a one-entry cache that holds
+        the series only by a weak reference: they are built once for every
+        fit of this spec on it, and freed with it.
         Threads that share the spec may replace each other's entry, which
         costs a rebuild of the same values, never a different result."""
         entry = self._swap_entry
         if entry is not None and entry[0]() is series:
             return entry[1]
-        d = self.order
-        tables = _factored_tables(self, series.data, np.arange(d, series.n - d), d)
+        tables = _factored_tables(self, _windows(self.powers(series.data), 2 * self.order + 1), self.order)
         for column in itertools.chain(*tables):
             column.setflags(write=False)
         owner = weakref.ref(self)
@@ -504,14 +512,20 @@ def _interior_bounds(spec: DependenceSpec, series: TimeSeries) -> tuple[int, int
     return d, series.n - d  # half-open [lo, hi)
 
 
+def _windows(values: np.ndarray, width: int) -> np.ndarray:
+    """Every run of ``width`` consecutive rows of ``values`` (n, Q) as a
+    read-only strided view, (n - width + 1, width, Q): entry [i, j] is row
+    i + j.  No row is copied."""
+    return np.lib.stride_tricks.sliding_window_view(values, width, axis=0).transpose(0, 2, 1)
+
+
 def window_statistics(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:
     """Per-window dependence values, shape (n - d, K); row i is the window at
-    time t = d + i."""
+    time t = d + i, read from the power columns through a reversed strided
+    view (:func:`_windows`), so lag l is row t - l."""
     _check_series(spec, series)
-    d = spec.order
     table = spec._table
-    t = np.arange(d, series.n)
-    return table.evaluate(table.powers(series.data)[t[:, None] - np.arange(d + 1)])
+    return table.evaluate(_windows(table.powers(series.data), spec.order + 1)[:, ::-1])
 
 
 def total_statistic(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:
@@ -590,16 +604,17 @@ def swap_delta(spec: DependenceSpec, series: TimeSeries, s1: int, s2: int) -> np
     return np.asarray(_swap_delta_rows(series.rows(), spec.order, _term_factor_tuples(spec), s1, s2))
 
 
-def _factored_tables(table: MonomialTable, X: np.ndarray, positions: np.ndarray, pad: int):
-    """Per-position tables of the factored swap delta at ``positions``,
-    each preceded by ``pad`` unused entries: ``phi[j]`` is own product j,
-    and ``S[g]`` sums the products over group g's slots."""
+def _factored_tables(table: MonomialTable, G: np.ndarray, pad: int):
+    """Per-position tables of the factored swap delta, each preceded by
+    ``pad`` unused entries, from the power columns ``G`` (P, 2d + 1, Q) of
+    the windows centred on P positions (column d + j holds the powers of row
+    i + j): ``phi[j]`` is own product j, and ``S[g]`` sums the products over
+    group g's slots.  ``G`` may be a strided view (:func:`_windows`) or a
+    gathered copy; the tables are the same floats."""
     d = table.order
-    # column d + j holds the powers of row i + j
-    G = table.powers(X[positions[:, None] + np.arange(-d, d + 1)])
 
     def padded(values):
-        out = np.zeros(pad + len(positions))
+        out = np.zeros(pad + len(G))
         out[pad:] = values
         return out
 
@@ -640,6 +655,9 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
     each pair row a few 1-d ``take``s per term from the tables S and Phi
     of the whole interior, built on the first call for this spec and
     series and cached on the spec's ``MonomialTable`` (``_swap_tables``).
+    A block of pairs writes each term's column of the output directly: 0.0
+    plus its first group's product, then its other groups in plan order,
+    the bytes of a sum started from zeros (a term with no group is 0.0).
     Near pairs re-evaluate their overlapping windows directly.  Used by
     ``fit_bipartition``, ``fit_pairs``, ``fit_online_sgd`` and pilots;
     ``fit_naive``'s full design is built by :func:`_all_pairs_deltas`
@@ -678,10 +696,13 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
         near.append(lo + np.flatnonzero(gap <= d))
         a, b = s1[lo:hi], s2[lo:hi]
         dphi = [p.take(b) - p.take(a) for p in phi]
-        block = np.zeros((K, hi - lo))
+        # from 0.0, as a sum into zeros: 0.0 + the first group's product
+        # (a -0.0 becomes 0.0), then the others in place
+        sums = [0.0] * K
         for (k, own, _), s in zip(table.groups, S):
-            block[k] += (s.take(a) - s.take(b)) * dphi[own]
-        out[lo:hi] = block.T
+            sums[k] += (s.take(a) - s.take(b)) * dphi[own]
+        for k, column in enumerate(sums):
+            out[lo:hi, k] = column
     near = np.concatenate(near)
     if near.size:
         out[near] = _near_deltas(table, X, s1[near], s2[near])
@@ -701,10 +722,11 @@ def _all_pairs_deltas(spec: DependenceSpec, series: TimeSeries, r0: int, r1: int
     The tables S and Phi are the series' cached whole-interior tables
     (``MonomialTable._swap_tables``), so the chunks of a design, and every
     pass that rebuilds them, share one build.  For a tile of rows the far
-    pairs are one broadcast per group, accumulated from zeros in
+    pairs are one broadcast per group, summed per term from 0.0 in
     ``MonomialTable.groups`` order, so every entry equals
-    :func:`swap_deltas` on the same pair list bitwise; the tile's upper
-    triangle (s2 > s1) is then compressed into the output.  The near pairs,
+    :func:`swap_deltas` on the same pair list bitwise; each term's tile
+    writes its upper triangle (s2 > s1) into the term's output column
+    through the triangle mask.  The near pairs,
     the first d entries of each row, are overwritten by the direct
     re-evaluation.  No per-pair index array is built.
     """
@@ -728,12 +750,13 @@ def _all_pairs_deltas(spec: DependenceSpec, series: TimeSeries, r0: int, r1: int
         b = min(a + _PAIR_TILE_ROWS, r1)
         rows, cols, width = slice(a, b), slice(a + 1, hi), hi - a - 1
         dphi = [p[None, cols] - p[rows, None] for p in phi]
-        tile = np.zeros((K, b - a, width))
+        sums = [0.0] * K  # from 0.0, as in swap_deltas
         for (k, own, _), s in zip(table.groups, S):
-            tile[k] += (s[rows, None] - s[None, cols]) * dphi[own]
-        kept = upper[: b - a, :width].ravel()
+            sums[k] += (s[rows, None] - s[None, cols]) * dphi[own]
+        kept = upper[: b - a, :width]
         end = int(ends[b - 1 - r0])
-        out[start:end] = np.compress(kept, tile.reshape(K, -1), axis=1).T
+        for k, tile in enumerate(sums):
+            out[start:end, k] = tile[kept] if np.ndim(tile) else 0.0
         start = end
     # near pairs (s1, s1 + j), j = 1 .. d, sit at the start of each row
     s2 = s1[:, None] + np.arange(1, d + 1)

@@ -17,7 +17,9 @@ samples and a block of B = 4096 proposals).
 
 Each step is scalar Python, so its cost is the interpreter's per
 proposal.  To keep that small, the proposals of a block are drawn as
-position pairs in numpy (``core._uniform_pairs``), and the step is compiled
+position pairs in numpy (``core._uniform_pairs``) and read by the step
+through ``memoryview``s of those arrays, as Python ints and floats with no
+list built, and the step is compiled
 once per spec into straight-line source generated from the spec's
 ``MonomialTable`` plan (:func:`_exchange_kernel`): no loops over terms or
 factors remain, an accepted move writes one statistic change per term and
@@ -521,11 +523,12 @@ def exchange_sample(
     Each block of ``_PROPOSAL_BLOCK`` proposals is drawn in numpy: the
     pairs by ``core._uniform_pairs`` (the draw online SGD makes), then
     log u.  The block runs in the spec's compiled kernel
-    (:func:`_exchange_kernel`) on the column lists of the current
-    ordering, which writes each accepted move's statistic change into a K x
-    steps array; :func:`_statistic_path` turns it into the statistic after
-    each step of the block, by one cumulative sum per term from the
-    statistic before the block.  Every ``_RECOMPUTE_EVERY`` steps, at a
+    (:func:`_exchange_kernel`), which iterates ``memoryview``s of those
+    three arrays, on the column lists of the current ordering, and writes
+    each accepted move's statistic change into a K x steps array;
+    :func:`_statistic_path` turns it into the statistic after each step of
+    the block, by one cumulative sum per term from the statistic before
+    the block.  Every ``_RECOMPUTE_EVERY`` steps, at a
     block's end, the statistic is recomputed from the ordering that the
     value columns hold and replaces the block's last row.  The rows of the
     recorded steps are copied out, so no array spans the whole chain.
@@ -551,9 +554,9 @@ def exchange_sample(
         s1, s2 = _uniform_pairs(rng, d, hi, _PROPOSAL_BLOCK)
         logu = np.log(rng.random(size=_PROPOSAL_BLOCK))
         end = min(first + _PROPOSAL_BLOCK, total_steps)
-        s1, s2, logu = (v[: end - first].tolist() for v in (s1, s2, logu))
+        steps = (memoryview(v[: end - first]) for v in (s1, s2, logu))  # read as Python ints and floats
         table.fill(math.nan)
-        segment(columns, th, zip(range(end - first), s1, s2, logu), deltas)
+        segment(columns, th, zip(range(end - first), *steps), deltas)
         path, block_accepted = _statistic_path(table[:, : end - first], current)
         accepted += block_accepted
         if end % _RECOMPUTE_EVERY == 0:

@@ -51,16 +51,20 @@ _CLE_CONFIG = ple.GdConfig(max_epochs=200, tol=1e-10)
 def _lag_regression(X: np.ndarray, d: int):
     """Least squares of X[d:] on its d lags with the first d observations
     held fixed: the coefficients (lag k's block in rows (k-1) p to k p) and
-    the residuals.  X is the 1-D series or the (n, p) data, d an int >= 1."""
+    the residuals.  X is the 1-D series or the (n, p) data, d an int >= 1.
+    A design whose rank, as ``lstsq`` counts it, is short of its columns
+    raises :class:`RankError`."""
     _check_count("d", d)
     n = len(X)
     if n < 2 * d + 2:
         raise InsufficientDataError(f"need n >= 2d + 2 = {2 * d + 2}, got {n}")
     Y = X[d:]
     design = np.column_stack([X[d - k : n - k] for k in range(1, d + 1)])
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+    # lstsq's rank counts the singular values above max(n - d, d p) * eps
+    # times the largest, matrix_rank's rule, from the one SVD it runs
+    coef, _, rank, _ = np.linalg.lstsq(design, Y, rcond=None)
+    if rank < design.shape[1]:
         raise RankError("lag design matrix is rank deficient")
-    coef, _, _, _ = np.linalg.lstsq(design, Y, rcond=None)
     return coef, Y - design @ coef
 
 

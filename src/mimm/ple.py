@@ -34,12 +34,14 @@ the pair matrix.
 
 Online SGD builds its whole budget's pair statistics in one vectorized
 call; only the update sweep is sequential, and it runs on Python floats:
-one float swept over the flat column when K = 1, a row sweep otherwise.
-Each update takes its logistic weight from one exponential,
-eta / (1 + exp(margin)), and skips only a margin past exp's range.  Both
-sweeps do the operations of a plain per-row loop over the numpy pair matrix
-in the same order, so theta is bitwise equal to that loop's (see
-``fit_online_sgd``).
+one float swept over the statistics column, read through a ``memoryview``,
+when K = 1, a row sweep otherwise.  Each update takes its logistic weight
+from one exponential, eta / (1 + exp(margin)), and skips only a margin past
+exp's range.  The K = 1 sweep tests that range once per slice of
+``_SGD_LIST_ROWS`` updates where a bound proves no margin of the slice can
+reach it, and per update elsewhere.  Both sweeps do the operations of a
+plain per-row loop over the numpy pair matrix in the same order, so theta
+is bitwise equal to that loop's (see ``fit_online_sgd``).
 
 Pairs are generated in a deterministic order (lexicographic, or derived from
 the seed), so runs are reproducible.  Each Newton fitter builds one
@@ -132,7 +134,8 @@ _MIN_STEP = 2.0**-30
 # Rows per slice in the logistic kernels: a slice's buffers (a few
 # 128 KiB vectors) stay in cache while a block may hold millions of rows.
 _SLICE_ROWS = 1 << 14
-# Rows online SGD turns into Python lists at a time.
+# Rows per slice of online SGD's sweep: the K = 1 sweep proves the range
+# of a slice's margins at once, the row sweep turns a slice into lists.
 _SGD_LIST_ROWS = 2048
 # Largest argument this module passes to exp (and _psi to expm1): e^700 is
 # about 1e304, so the result stays finite, and past it a logistic weight
@@ -825,12 +828,19 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     computed in one vectorized call; the update sweep itself is strictly
     sequential and runs on Python floats, which the interpreter reads far
     faster than numpy scalars.  With one statistic (K = 1, the univariate
-    AR(1) case) theta is a single float updated from a flat list of the
-    column; otherwise each row is a list and the margin is summed term by
-    term from 0.0.  Both sweeps do the same floating-point operations in the
-    same order: the one-term margin th * x differs from 0.0 + th * x at
-    most in the sign of a zero, which neither the ``_EXP_MAX`` test nor
-    exp(margin) can see, so theta is bitwise the same either way.
+    AR(1) case) theta is a single float updated from the column, iterated
+    through a ``memoryview`` (no list is built), one slice of
+    ``_SGD_LIST_ROWS`` updates at a time.  A weight is at most eta, so over
+    a slice |theta| stays below its start's |theta| + eta * sum |x|; a
+    slice where that bound times max |x| is below ``_EXP_MAX / 2`` has
+    every margin inside the range and runs without the per-update test,
+    and any other slice runs the checked loop, with the same float
+    operations.  Otherwise each row is a list and the margin is summed
+    term by term from 0.0.  Both sweeps do the same floating-point
+    operations in the same order: the one-term margin th * x differs from
+    0.0 + th * x at most in the sign of a zero, which neither the
+    ``_EXP_MAX`` test nor exp(margin) can see, so theta is bitwise the same
+    either way.
     """
     start = time.perf_counter()
     lo, hi = _interior_bounds(spec, series)
@@ -847,22 +857,34 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
     _check_identified((X,))
     np.negative(X, out=X)
     loop_start = time.perf_counter()
-    # rows are turned into lists a few at a time so that few list objects
-    # are alive at once (16384 at a time raised peak RSS 2 MiB)
     exp, limit = math.exp, _EXP_MAX
+    rows = _SGD_LIST_ROWS
     if K == 1:
+        # a slice whose margins the bound keeps below limit / 2 skips the test
+        column = X[:, 0]
+        size = np.abs(column)
+        starts = range(0, config.n_iters, rows)
+        totals = np.add.reduceat(size, starts).tolist()
+        tops = np.maximum.reduceat(size, starts).tolist()
+        values = memoryview(column)  # iterates as Python floats
         th = 0.0
-        for sl in range(0, config.n_iters, _SGD_LIST_ROWS):
-            for x in X[sl : sl + _SGD_LIST_ROWS, 0].tolist():
-                margin = th * x
-                if margin < limit:
-                    th += eta / (1.0 + exp(margin)) * x
+        for sl, total, top in zip(starts, totals, tops):
+            if (abs(th) + eta * total) * top < limit / 2:
+                for x in values[sl : sl + rows]:
+                    th += eta / (1.0 + exp(th * x)) * x
+            else:
+                for x in values[sl : sl + rows]:
+                    margin = th * x
+                    if margin < limit:
+                        th += eta / (1.0 + exp(margin)) * x
         theta = [th]
     else:
+        # rows are turned into lists a few at a time so that few list
+        # objects are alive at once (16384 at a time raised peak RSS 2 MiB)
         theta = [0.0] * K
         terms = range(K)
-        for sl in range(0, config.n_iters, _SGD_LIST_ROWS):
-            for row in X[sl : sl + _SGD_LIST_ROWS].tolist():
+        for sl in range(0, config.n_iters, rows):
+            for row in X[sl : sl + rows].tolist():
                 margin = 0.0
                 for k in terms:
                     margin += theta[k] * row[k]
@@ -895,10 +917,13 @@ def fit_online_sgd(spec: DependenceSpec, series: TimeSeries, config: SgdConfig =
 
 def _matching(rng: np.random.Generator, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A uniformly random matching of ``positions``: one permutation, paired
-    off in order, as (smaller, larger) index arrays.  With an odd count the
-    last permuted position stays unpaired."""
-    paired = rng.permutation(positions)[: len(positions) // 2 * 2].reshape(-1, 2)
-    return paired.min(axis=1), paired.max(axis=1)
+    off in order (entries 2i and 2i + 1), as (smaller, larger) index arrays:
+    the elementwise minimum and maximum of the even and the odd entries,
+    read as strided views.  With an odd count the last permuted position
+    stays unpaired."""
+    permuted = rng.permutation(positions)
+    first, second = permuted[0 : len(positions) - 1 : 2], permuted[1::2]
+    return np.minimum(first, second), np.maximum(first, second)
 
 
 def _spaced_positions(n: int, d: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from test_acceptance import assert_verify_passes
@@ -484,6 +484,13 @@ class TestSwapDeltasAgainstScalar:
             core.swap_deltas(core.ar_spec(1), core.TimeSeries(np.arange(12.0)), s1, s2)
 
 
+def gathered_windows(table, X, positions):
+    """The power columns of the windows centred on ``positions``, (P, 2d + 1,
+    Q), gathered by fancy indexing: the reference for the strided views."""
+    d = table.order
+    return table.powers(X[positions[:, None] + np.arange(-d, d + 1)])
+
+
 def touched_swap_deltas(spec, series, s1, s2):
     """Swap deltas by the table rule that preceded the cache, kept as the
     reference: tables built per call, over the pairs' span when the batch
@@ -495,7 +502,7 @@ def touched_swap_deltas(spec, series, s1, s2):
     else:
         positions, inverse = np.unique(np.concatenate([s1, s2]), return_inverse=True)
         pad, i1, i2 = 0, inverse[:B], inverse[B:]
-    phi, S = core._factored_tables(table, series.data, positions, pad)
+    phi, S = core._factored_tables(table, gathered_windows(table, series.data, positions), pad)
     out = np.empty((B, K))
     for lo in range(0, B, core._SWAP_BLOCK):
         hi = min(lo + core._SWAP_BLOCK, B)
@@ -596,6 +603,73 @@ class TestCachedSwapTables:
         del series
         gc.collect()
         assert column() is None and spec._table._swap_entry is None
+
+
+@st.composite
+def window_cases(draw):
+    """A spec of order 1-4 on p = 1 or 2 components with exponents 1-4, and
+    a series from d + 1 to d + 60 rows (so as short as one window) whose
+    column 0 is binary in half the two-component draws."""
+    d = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 2))
+    comps, exps = st.integers(0, p - 1), st.integers(1, 4)
+    factor = st.tuples(st.integers(0, d), comps, exps)
+    terms = tuple(
+        core.MonomialTerm(((0, c, e), *rest))
+        for c, e, rest in draw(st.lists(st.tuples(comps, exps, st.lists(factor, max_size=2)), min_size=1, max_size=4))
+    )
+    spec = core.DependenceSpec(order=d, dim=p, terms=terms)
+    n = d + draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.uniform(-1.5, 1.5, size=(n, p))
+    kinds = ["real"] * p
+    if p == 2 and draw(st.booleans()):
+        data[:, 0] = rng.integers(0, 2, size=n)
+        kinds[0] = "binary"
+    return spec, core.TimeSeries(data, kinds=kinds)
+
+
+def gathered_window_statistics(spec, series):
+    """Per-window statistics with the windows gathered by fancy indexing:
+    the reference for the strided view of ``core.window_statistics``."""
+    d, table = spec.order, spec._table
+    t = np.arange(d, series.n)
+    return table.evaluate(table.powers(series.data)[t[:, None] - np.arange(d + 1)])
+
+
+class TestStridedWindows:
+    """The strided window views against the gathers they replaced, bit for
+    bit: the per-window statistics, and the whole-interior swap tables
+    against ``_factored_tables`` on the gathered windows of every interior
+    position, as ``touched_swap_deltas`` builds them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(window_cases())
+    def test_window_statistics_equal_the_gather(self, case):
+        spec, series = case
+        got = core.window_statistics(spec, series)
+        assert got.shape == (series.n - spec.order, spec.n_terms)
+        assert _bits(got) == _bits(gathered_window_statistics(spec, series))
+
+    @settings(max_examples=80, deadline=None)
+    @given(window_cases())
+    def test_swap_tables_equal_the_gathered_build(self, case):
+        spec, series = case
+        table, d = spec._table, spec.order
+        assume(series.n - 2 * d >= 1)
+        series = core.TimeSeries(series.data, kinds=series.kinds)  # a new series: the cache is cold
+        phi, S = table._swap_tables(series)
+        positions = np.arange(d, series.n - d)
+        ref_phi, ref_S = core._factored_tables(table, gathered_windows(table, series.data, positions), d)
+        assert len(phi) == len(ref_phi) and len(S) == len(ref_S)
+        for got, ref in zip(phi + S, ref_phi + ref_S):
+            assert got.shape == (series.n - d,) and _bits(got) == _bits(ref)
+
+    def test_window_is_a_view(self):
+        values = np.arange(12.0).reshape(6, 2)
+        windows = core._windows(values, 3)
+        assert np.shares_memory(windows, values) and not windows.flags.writeable
+        np.testing.assert_array_equal(windows[2], values[2:5])
 
 
 @st.composite

@@ -1440,6 +1440,25 @@ class TestFitBipartition:
         assert fit.aic is None and fit.pic is None
 
 
+class TestMatching:
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 10, 11, 9998, 9999])
+    def test_equal_to_rowwise_min_and_max(self, count):
+        # the permutation paired off in rows of two, reduced row by row
+        positions = np.arange(7, 7 + count, dtype=np.intp)
+        paired = np.random.default_rng(count).permutation(positions)[: count // 2 * 2].reshape(-1, 2)
+        s1, s2 = ple._matching(np.random.default_rng(count), positions)
+        for got, expected in ((s1, paired.min(axis=1)), (s2, paired.max(axis=1))):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n, d", [(40, 1), (43, 1), (300, 2), (301, 3)])
+    def test_spaced_matching_equal_to_rowwise_min_and_max(self, n, d):
+        positions = np.arange(d, n - d, 2 * d + 1, dtype=np.intp)
+        paired = np.random.default_rng(5).permutation(positions)[: len(positions) // 2 * 2].reshape(-1, 2)
+        s1, s2 = ple.spaced_matching(n, d, 5)
+        np.testing.assert_array_equal(s1, paired.min(axis=1))
+        np.testing.assert_array_equal(s2, paired.max(axis=1))
+
+
 class TestFitPairs:
     def test_matches_bipartition_on_same_pairs(self):
         series = gaussian.simulate_ar(AR1, 500, seed=31)
@@ -1672,6 +1691,32 @@ class TestFitOnlineSgd:
         # 1 + exp(m) rounds to 1 below m = log(2**-53) ~ -36.74, so the weight is eta itself
         assert {w for m, w in zip(margins, weights) if m < -36.8} == {config.eta}
         assert all(w is None for m, w in zip(margins, weights) if m >= 700.0)
+        np.testing.assert_array_equal(ple.fit_online_sgd(SPEC1, series, config).theta, expected)
+
+    def test_theta_bitwise_equal_with_slices_on_both_sides_of_the_range_bound(self):
+        # one value of 1e5 in a long AR(1) series: the one slice of the
+        # budget whose pairs touch it fails the bound (|theta| + eta
+        # sum |x|) max |x| < _EXP_MAX / 2 and runs the checked loop, where
+        # an update's margin passes _EXP_MAX and is skipped; the other
+        # slices run without the per-update range test
+        x = gaussian.simulate_ar(AR1, 20_000, seed=29).data[:, 0].copy()
+        x[10_000] = 1e5
+        series = core.TimeSeries(x)
+        rows = ple._SGD_LIST_ROWS
+        config = ple.SgdConfig(eta=0.001, n_iters=4 * rows + 5, seed=9)
+        margins, weights = [], []
+        expected = reference_sgd_theta(SPEC1, series, config, margins, weights)
+        column = _reference_pair_rows(SPEC1, series, config)[:, 0]
+        bounded, th = [], 0.0
+        for sl in range(0, config.n_iters, rows):
+            size = np.abs(column[sl : sl + rows])
+            bounded.append((abs(th) + config.eta * size.sum()) * size.max() < ple._EXP_MAX / 2)
+            for w, value in zip(weights[sl : sl + rows], column[sl : sl + rows].tolist()):
+                if w is not None:
+                    th += w * value
+        assert th == expected[0]
+        assert bounded == [True, False, True, True, True]
+        assert [i // rows for i, w in enumerate(weights) if w is None] == [1]
         np.testing.assert_array_equal(ple.fit_online_sgd(SPEC1, series, config).theta, expected)
 
     def test_deterministic_given_seed(self):
