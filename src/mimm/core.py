@@ -513,10 +513,15 @@ def _interior_bounds(spec: DependenceSpec, series: TimeSeries) -> tuple[int, int
 
 
 def _windows(values: np.ndarray, width: int) -> np.ndarray:
-    """Every run of ``width`` consecutive rows of ``values`` (n, Q) as a
-    read-only strided view, (n - width + 1, width, Q): entry [i, j] is row
-    i + j.  No row is copied."""
-    return np.lib.stride_tricks.sliding_window_view(values, width, axis=0).transpose(0, 2, 1)
+    """Every run of ``width`` consecutive rows of ``values`` (n, Q), n >=
+    ``width``, as a read-only strided view, (n - width + 1, width, Q):
+    entry [i, j] is row i + j.  No row is copied.  This is numpy's
+    ``sliding_window_view`` over axis 0, transposed, without its argument
+    checks, which took about 10 us a call on a 2-vCPU x86_64 host, as long
+    as the whole ``window_statistics`` of an n = 100 series."""
+    n, q = values.shape
+    row, column = values.strides
+    return np.lib.stride_tricks.as_strided(values, (n - width + 1, width, q), (row, row, column), writeable=False)
 
 
 def window_statistics(spec: DependenceSpec, series: TimeSeries) -> np.ndarray:

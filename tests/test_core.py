@@ -665,11 +665,14 @@ class TestStridedWindows:
         for got, ref in zip(phi + S, ref_phi + ref_S):
             assert got.shape == (series.n - d,) and _bits(got) == _bits(ref)
 
-    def test_window_is_a_view(self):
-        values = np.arange(12.0).reshape(6, 2)
-        windows = core._windows(values, 3)
+    @pytest.mark.parametrize("n, q, width", [(6, 2, 3), (5, 1, 5), (9, 3, 1), (40, 4, 9)])
+    def test_window_is_numpys_sliding_window_view(self, n, q, width):
+        values = np.arange(n * q, dtype=float).reshape(n, q) ** 2
+        windows = core._windows(values, width)
         assert np.shares_memory(windows, values) and not windows.flags.writeable
-        np.testing.assert_array_equal(windows[2], values[2:5])
+        expected = np.lib.stride_tricks.sliding_window_view(values, width, axis=0).transpose(0, 2, 1)
+        assert windows.shape == expected.shape == (n - width + 1, width, q)
+        np.testing.assert_array_equal(windows, expected)
 
 
 @st.composite
