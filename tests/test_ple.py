@@ -1450,14 +1450,6 @@ class TestMatching:
         for got, expected in ((s1, paired.min(axis=1)), (s2, paired.max(axis=1))):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("n, d", [(40, 1), (43, 1), (300, 2), (301, 3)])
-    def test_spaced_matching_equal_to_rowwise_min_and_max(self, n, d):
-        positions = np.arange(d, n - d, 2 * d + 1, dtype=np.intp)
-        paired = np.random.default_rng(5).permutation(positions)[: len(positions) // 2 * 2].reshape(-1, 2)
-        s1, s2 = ple.spaced_matching(n, d, 5)
-        np.testing.assert_array_equal(s1, paired.min(axis=1))
-        np.testing.assert_array_equal(s2, paired.max(axis=1))
-
 
 class TestFitPairs:
     def test_matches_bipartition_on_same_pairs(self):
