@@ -64,7 +64,7 @@ import itertools
 import math
 import numbers
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -368,7 +368,6 @@ class TimeSeries:
 
     data: np.ndarray
     kinds: tuple[str, ...] | None = None
-    _rows: tuple | None = field(default=None, init=False)
 
     def __post_init__(self):
         arr = np.array(self.data, dtype=float)
@@ -400,13 +399,6 @@ class TimeSeries:
     @property
     def p(self) -> int:
         return self.data.shape[1]
-
-    def rows(self):
-        """Tuple-of-tuples view of Python floats, cached for scalar hot loops
-        (arithmetic on numpy scalars is several times slower)."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows", tuple(map(tuple, self.data.tolist())))
-        return self._rows
 
     def __len__(self) -> int:
         return self.n
@@ -558,9 +550,10 @@ def _affected_windows(d: int, s1: int, s2: int):
 
 
 def _swap_delta_rows(rows, d, terms, s1, s2):
-    """Scalar-path swap delta on tuple rows.
+    """Scalar-path swap delta on rows of Python floats.
 
-    ``rows`` is the sequence of data rows (tuples) of the current ordering.
+    ``rows`` is the sequence of data rows of the current ordering, as
+    ``data.tolist()`` gives them.
     Returns the list H(swapped) - H(current) re-evaluating only affected
     windows.  Serves only :func:`swap_delta`, the oracle of every faster
     path; the exchange chain's near-pair lines are this loop unrolled per
@@ -606,7 +599,7 @@ def swap_delta(spec: DependenceSpec, series: TimeSeries, s1: int, s2: int) -> np
     """
     _check_series(spec, series)
     _check_swap_indices(series.n, spec.order, s1, s2)
-    return np.asarray(_swap_delta_rows(series.rows(), spec.order, _term_factor_tuples(spec), s1, s2))
+    return np.asarray(_swap_delta_rows(series.data.tolist(), spec.order, _term_factor_tuples(spec), s1, s2))
 
 
 def _factored_tables(table: MonomialTable, G: np.ndarray, pad: int):
@@ -773,27 +766,28 @@ def _all_pairs_deltas(spec: DependenceSpec, series: TimeSeries, r0: int, r1: int
 
 def _all_pairs_blocks(spec: DependenceSpec, series: TimeSeries, chunk: int, stride: int = 1):
     """Lazily, the swap-delta blocks of pairs 0, stride, 2 stride, ... of
-    the all-pairs design.  At stride 1 a block is a chunk of whole rows (one
-    s1 with every s2 > s1), closed at the first row that brings it to at
-    least ``chunk`` pairs and built by :func:`_all_pairs_deltas`; a larger
-    stride maps the kept pair numbers to (s1, s2) for one :func:`swap_deltas`
-    call."""
+    the all-pairs design, cut by one rule at every stride: a block is a run
+    of whole rows (one s1 with every s2 > s1), closed at the first row that
+    brings it to at least ``chunk`` kept pairs, so it holds at most
+    ``chunk`` kept pairs plus one row's.  The runs come from the rows'
+    cumulative pair counts, one ``searchsorted`` per run.  At stride 1 a run
+    is built by :func:`_all_pairs_deltas`; at any other its kept pairs go to
+    one :func:`swap_deltas` call (pair number p of row r has s2 = hi + p -
+    ends[r]), and a run that keeps no pair yields nothing."""
     lo, hi = _interior_bounds(spec, series)
-    if stride == 1:
-        r0, count = lo, 0
-        for s1 in range(lo, hi - 1):
-            count += hi - 1 - s1
-            if count >= chunk:
-                yield _all_pairs_deltas(spec, series, r0, s1 + 1)
-                r0, count = s1 + 1, 0
-        if count:
-            yield _all_pairs_deltas(spec, series, r0, hi - 1)
-        return
-    rows = np.arange(lo, hi - 1, dtype=np.intp)
-    ends = np.cumsum(hi - 1 - rows)  # one past each row's last pair number
-    counts = np.diff(-(-ends // stride), prepend=0)  # pair numbers taken per row
-    s2 = np.arange(0, int(ends[-1]), stride, dtype=np.intp) + np.repeat(hi - ends, counts)
-    yield swap_deltas(spec, series, np.repeat(rows, counts), s2)
+    ends = np.cumsum(np.arange(hi - lo - 1, 0, -1, dtype=np.intp))  # one past each row's last pair number
+    kept = -(-ends // stride)  # pair numbers kept up to each row's end
+    r, taken = 0, 0
+    while r < len(ends):  # the next run is rows lo + r .. lo + e - 1
+        e = min(max(r, int(np.searchsorted(kept, taken + chunk))) + 1, len(ends))
+        if stride == 1:
+            yield _all_pairs_deltas(spec, series, lo + r, lo + e)
+        elif kept[e - 1] > taken:
+            counts = np.diff(kept[r:e], prepend=taken)  # kept pairs per row
+            s2 = np.repeat(hi - ends[r:e], counts)
+            s2 += np.arange(taken * stride, ends[e - 1], stride)
+            yield swap_deltas(spec, series, np.repeat(np.arange(lo + r, lo + e), counts), s2)
+        r, taken = e, int(kept[e - 1])
 
 
 def _uniform_pairs(rng: np.random.Generator, lo: int, hi: int, size: int) -> tuple[np.ndarray, np.ndarray]:

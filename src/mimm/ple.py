@@ -45,12 +45,15 @@ is bitwise equal to that loop's (see ``fit_online_sgd``).
 
 Pairs are generated in a deterministic order (lexicographic, or derived from
 the seed), so runs are reproducible.  Each Newton fitter builds one
-``_PairDesign``: all pairs for ``fit_naive`` (chunks of whole rows from
-``core._all_pairs_blocks``, built by row tiles with no pair index arrays),
-or a pair list, cut into chunks of ``_CHUNK_PAIRS`` pairs.  The design holds
-the memory policy: within ``_MATERIALIZE_LIMIT`` it is held as one block per
-chunk, past it regenerated on every pass, so memory stays bounded regardless
-of n.  A pilot fits its ``every(64)``.  Matchings are drawn here
+``_PairDesign``: all pairs for ``fit_naive`` (runs of whole rows from
+``core._all_pairs_blocks``, each closed at about ``_CHUNK_PAIRS`` pairs and
+built by row tiles with no pair index arrays), or a pair list, cut into
+chunks of ``_CHUNK_PAIRS`` pairs.  A pilot fits its ``every(64)``, cut by
+the same rules into blocks of about ``_CHUNK_PAIRS`` kept pairs.  The
+design holds the memory policy: within ``_MATERIALIZE_LIMIT`` it is held as
+one block per chunk, past it regenerated on every pass; no block outgrows a
+chunk plus one row, so a streamed design's memory stays bounded regardless
+of n.  Matchings are drawn here
 (``_matching``, ``spaced_matching``); ``fit_online_sgd`` takes its pairs
 from ``core._uniform_pairs``.
 
@@ -321,7 +324,8 @@ class _PairDesign:
     else the B pair lists (s1[b][i], s2[b][i]) of one length; of each,
     pairs 0, stride, 2 stride, ..., ``n_pairs`` in all.  Calling it yields
     one pass of minus-swap-delta blocks (B, n, K) of about ``_CHUNK_PAIRS``
-    pairs over all lists (all pairs at a stride above 1: one block), built
+    pairs over all lists (all pairs: runs of whole rows of at most
+    ``_CHUNK_PAIRS`` kept pairs plus one row's, at every stride), built
     on the first pass and held up to ``_MATERIALIZE_LIMIT`` statistics
     (B * n_pairs * K), else regenerated on every pass; ``seconds`` sums the
     time spent building them.  ``max_row_norm`` (B,) is the largest

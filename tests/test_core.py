@@ -136,23 +136,13 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             core.TimeSeries([[0.5]], kinds=("binary",))
 
-    def test_rows_hold_python_floats(self):
-        data = np.column_stack([np.arange(6) % 2, np.linspace(-1.0, 1.5, 6)])
-        series = core.TimeSeries(data, kinds=("binary", "real"))
-        rows = series.rows()
-        assert all(type(v) is float for row in rows for v in row)
-        assert rows == tuple(map(tuple, series.data))
-        assert series.rows() is rows  # cached
-
     def test_fields_cannot_be_reassigned(self):
-        # a reassigned data would also leave rows() reading the old values
         series = core.TimeSeries([[1.0, 0.0], [2.0, 1.0]], kinds=("real", "binary"))
-        rows = series.rows()
         with pytest.raises(dataclasses.FrozenInstanceError):
             series.data = np.zeros((2, 2))
         with pytest.raises(dataclasses.FrozenInstanceError):
             series.kinds = ("real", "real")
-        assert series.kinds == ("real", "binary") and series.rows() is rows
+        assert series.kinds == ("real", "binary")
         assert len(series) == 2 and repr(series) == "TimeSeries(n=2, p=2, kinds=('real', 'binary'))"
 
     def test_csv_round_trip(self, tmp_path):
@@ -738,7 +728,21 @@ class TestAllPairsDesign:
 
 class TestAllPairsBlocks:
     """The all-pairs generator: its blocks, at any chunk size and stride,
-    are every stride-th row of the lexicographic design, bitwise."""
+    are every stride-th row of the lexicographic design, bitwise, cut by
+    one rule: runs of whole rows, each closed at the first row that brings
+    it to ``chunk`` kept pairs."""
+
+    @staticmethod
+    def check_runs(sizes, rows, chunk):
+        """Blocks of ``sizes`` kept pairs, ``rows`` the s1 of each kept pair."""
+        ends = np.cumsum(sizes)
+        assert min(sizes) > 0  # a run that keeps no pair yields nothing
+        assert all(rows[e - 1] != rows[e] for e in ends[:-1])  # whole rows
+        assert all(size >= chunk for size in sizes[:-1])
+        for start, end in zip(ends - sizes, ends):
+            # below ``chunk`` (a run has a row) before its last kept row
+            last = np.count_nonzero(rows[start:end] == rows[end - 1])
+            assert end - start - last < max(chunk, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(design_rows(random_specs()), st.integers(0, 300), st.sampled_from([1, 2, 7, 64]))
@@ -749,9 +753,19 @@ class TestAllPairsBlocks:
         design = core.swap_deltas(spec, series, s1 + lo, s2 + lo)
         blocks = list(core._all_pairs_blocks(spec, series, chunk, stride))
         np.testing.assert_array_equal(np.concatenate(blocks), design[::stride])
-        if stride == 1:
-            # whole rows, each block closed once it holds ``chunk`` pairs
-            assert all(len(b) >= chunk for b in blocks[:-1])
+        self.check_runs(np.array([len(b) for b in blocks]), s1[::stride], chunk)
+
+    @pytest.mark.parametrize("chunk, sizes", [(0, [2, 1, 1, 1, 1, 1]), (1, [2, 1, 1, 1, 1, 1]), (2, [2, 2, 2, 1])])
+    def test_last_rows_keeping_no_pair(self, chunk, sizes):
+        # AR(1), n = 12: rows s1 = 1 .. 9 hold 9, 8, ..., 1 pairs, so the
+        # pair numbers 0, 7, ..., 42 of stride 7 fall in rows 1, 1, 2, 3,
+        # 4, 6 and 8; rows 5, 7 and 9, the last, keep none
+        spec, series = core.ar_spec(1), core.TimeSeries(np.random.default_rng(3).standard_normal(12))
+        blocks = list(core._all_pairs_blocks(spec, series, chunk, 7))
+        assert [len(b) for b in blocks] == sizes
+        s1, s2 = np.triu_indices(10, 1)
+        np.testing.assert_array_equal(np.concatenate(blocks), core.swap_deltas(spec, series, s1[::7] + 1, s2[::7] + 1))
+        self.check_runs(np.array(sizes), s1[::7] + 1, chunk)
 
     def test_interior_checked_on_the_first_block(self):
         blocks = core._all_pairs_blocks(core.ar_spec(2), core.TimeSeries(np.arange(5.0)), 10)

@@ -147,7 +147,7 @@ def reference_chain(spec, series, theta, config, rng, moves=None):
     K = spec.n_terms
     th = [float(v) for v in theta]
     terms = core._term_factor_tuples(spec)
-    rows = list(series.rows())
+    rows = series.data.tolist()
     current = [float(v) for v in core.total_statistic(spec, series)]
     burn = config.burn_in
     total_steps = burn + config.n_samples * config.thin
@@ -430,10 +430,10 @@ class TestSegmentState:
         near = sum(b - a <= d for _, a, b, _ in moves)
         assert near >= 200 and len(moves) - near >= 1000
         # the value columns hold an interior permutation of the data rows
-        rows = list(zip(*(columns[q] for q in table.values)))
-        original = series.rows()
+        rows = list(map(list, zip(*(columns[q] for q in table.values))))
+        original = series.data.tolist()
         assert rows[:d] + rows[n - d :] == [*original[:d], *original[n - d :]]
-        assert sorted(rows) == sorted(original) and rows != list(original)
+        assert sorted(rows) == sorted(original) and rows != original
         # and every power column is a power of its value column
         permuted = core.TimeSeries(rows)
         for q, (comp, exp) in enumerate(zip(table.comps.tolist(), table.exps)):
