@@ -740,7 +740,8 @@ class TestAllPairsBlocks:
         assert all(rows[e - 1] != rows[e] for e in ends[:-1])  # whole rows
         assert all(size >= chunk for size in sizes[:-1])
         for start, end in zip(ends - sizes, ends):
-            # below ``chunk`` (a run has a row) before its last kept row
+            # before its last row a block held fewer than ``chunk`` pairs
+            # (none at chunk 0, where every run is one row)
             last = np.count_nonzero(rows[start:end] == rows[end - 1])
             assert end - start - last < max(chunk, 1)
 
