@@ -707,8 +707,9 @@ def swap_deltas(spec: DependenceSpec, series: TimeSeries, s1, s2) -> np.ndarray:
     return out
 
 
-# rows per tile of the all-pairs build: with n - 2d ~ 1000 a tile's
-# temporaries (32 x 1000 floats each) stay in cache
+# rows per tile of the all-pairs build: at most 32, and fewer on rows of
+# more than 1024 pairs, so a tile's temporaries (up to 32 x 1024 floats
+# each) stay in cache at every n
 _PAIR_TILE_ROWS = 32
 
 
@@ -743,10 +744,11 @@ def _all_pairs_deltas(spec: DependenceSpec, series: TimeSeries, r0: int, r1: int
     phi, S = table._swap_tables(series)
     # tile entry (t, c) is the pair (a + t, a + 1 + c), kept when c >= t
     upper = np.arange(hi - r0 - 1) >= np.arange(_PAIR_TILE_ROWS)[:, None]
-    start = 0
-    for a in range(r0, r1, _PAIR_TILE_ROWS):
-        b = min(a + _PAIR_TILE_ROWS, r1)
-        rows, cols, width = slice(a, b), slice(a + 1, hi), hi - a - 1
+    start, a = 0, r0
+    while a < r1:
+        width = hi - a - 1
+        b = min(a + min(_PAIR_TILE_ROWS, max(1, _PAIR_TILE_ROWS * 1024 // width)), r1)
+        rows, cols = slice(a, b), slice(a + 1, hi)
         dphi = [p[None, cols] - p[rows, None] for p in phi]
         sums = [0.0] * K  # from 0.0, as in swap_deltas
         for (k, own, _), s in zip(table.groups, S):
@@ -755,7 +757,7 @@ def _all_pairs_deltas(spec: DependenceSpec, series: TimeSeries, r0: int, r1: int
         end = int(ends[b - 1 - r0])
         for k, tile in enumerate(sums):
             out[start:end, k] = tile[kept] if np.ndim(tile) else 0.0
-        start = end
+        start, a = end, b
     # near pairs (s1, s1 + j), j = 1 .. d, sit at the start of each row
     s2 = s1[:, None] + np.arange(1, d + 1)
     near = s2 < hi

@@ -762,10 +762,10 @@ def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdCon
     otherwise from theta = 0.
 
     The design is a :class:`_PairDesign` of all pairs: chunks of whole
-    rows of about 5e5 pairs, and for the pilot one strided block.  Up to
-    2e7 statistics (n_pairs * K) the blocks are built once and held; past
-    that, every pass regenerates them one chunk at a time, and the pair
-    matrix is never held at once.
+    rows of about 5e5 pairs, and for the pilot runs of whole rows of about
+    5e5 kept pairs.  Up to 2e7 statistics (n_pairs * K) the blocks are
+    built once and held; past that, every pass regenerates them one chunk
+    at a time, and the pair matrix is never held at once.
     """
     (fit,) = _fit(_PairDesign(spec, series), config, "ple-naive")
     aic, pic = aic_pic(fit.log_pl, spec.n_terms, series.n, spec.order)

@@ -718,6 +718,22 @@ class TestAllPairsDesign:
     def test_kron_specs_with_binary_column(self, case):
         self.check(*case)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rows_wider_than_a_tile_bitwise(self, d):
+        # past 1024 pairs a row a tile takes fewer than 32 rows (one past
+        # 16384), so the row ranges below are cut into tiles of 1 row, of
+        # 1 and then 2 rows, and of 20 rising to 32 rows
+        n = 2 * d + 33002
+        rng = np.random.default_rng(d)
+        series = core.TimeSeries(rng.uniform(-1.5, 1.5, size=(n, 1)))
+        spec = core.ar_spec(d)
+        hi = n - d
+        for r0, r1 in [(d, d + 4), (hi - 16390, hi - 16380), (hi - 1600, hi - 1000)]:
+            s1 = np.repeat(np.arange(r0, r1), hi - 1 - np.arange(r0, r1))
+            s2 = np.concatenate([np.arange(a + 1, hi) for a in range(r0, r1)])
+            design = core._all_pairs_deltas(spec, series, r0, r1)
+            assert _bits(design) == _bits(core.swap_deltas(spec, series, s1, s2))
+
     @pytest.mark.parametrize("r0, r1", [(1, 3), (2, 6), (4, 3), (5, 6)])
     def test_rows_outside_the_interior_rejected(self, r0, r1):
         # n = 8, d = 2: interior [2, 6), rows s1 = 2 .. 4

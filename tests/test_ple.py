@@ -438,11 +438,12 @@ class TestFitNaive:
         assert fit.converged
         assert peak <= 2 * matrix_bytes
 
-    def test_strided_design_peak_memory_is_its_blocks_plus_one_block(self, monkeypatch):
+    def test_strided_design_peak_memory_is_its_blocks_plus_a_few_blocks(self, monkeypatch):
         # a pilot's design, every 64th pair, is cut into blocks of whole
         # rows like the full one: building it holds its blocks, the rows'
-        # pair counts and one block's temporaries (index arrays over all
-        # 125k kept pairs at once would take about 4x the held bytes)
+        # pair counts and one block's temporaries, about 10 blocks' bytes
+        # above the held ones; built as one block of all 125k kept pairs,
+        # its index arrays took about 90
         series = gaussian.simulate_ar(AR1, 4000, seed=21)
         monkeypatch.setattr(ple, "_CHUNK_PAIRS", 4000)
         design = ple._PairDesign(SPEC1, series).every(64)
@@ -457,7 +458,8 @@ class TestFitNaive:
         assert len(blocks) > 30 and sum(b.shape[1] for b in blocks) == design.n_pairs
         assert max(b.shape[1] for b in blocks) <= 4000 + 4000 // 64 + 1  # a chunk plus one row
         # 16 blocks' bytes cover the count arrays (n = 4000 entries) and the
-        # index arrays and swap_deltas temporaries of one block
+        # index arrays and swap_deltas temporaries of one block, and stay
+        # far below the one-block build's 90
         assert peak - held <= 16 * 4000 * 8
 
 
