@@ -16,10 +16,14 @@ Four fitters:
 The first three differ only in the pairs they draw: one body (``_fit``)
 builds the pair statistics and fits them with ``_newton``, the package's
 one Newton loop, which ``oracle.exact_cle`` also runs: damped ascent with
-a minimum-norm step (binary columns can make monomials collinear), solved
-within the range of the first pass's information by one LU solve per step,
-whose overshooting steps a self-concordance bound (``_certificate``) keeps
-or sends to backtracking.  ``_newton`` ascends a batch of designs at once,
+a minimum-norm step (monomials can be collinear), solved within the range
+of the first pass's information by one LU solve per step, whose
+overshooting steps a self-concordance bound (``_certificate``) keeps or
+sends to backtracking.  ``_fit`` builds one column per distinct statistic:
+terms that a binary column makes equal (b^e = b on 0/1 values), or that
+the spec lists twice, are one column scaled by the square root of their
+count (``_distinct_terms``), and each fit reports all K terms.
+``_newton`` ascends a batch of designs at once,
 each stopping on its own; the fitters give it one design, and
 ``select_specs`` gives it all but the first split of a spec, one
 ``_PairDesign`` of several pair lists whose blocks carry a leading batch
@@ -66,6 +70,7 @@ batch from its theta; ``SELECT_CONFIG`` holds its solver defaults.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -318,6 +323,62 @@ def _log_pl(theta, X):
     return total
 
 
+class _Distinct(NamedTuple):
+    """The G distinct statistics of K terms (:func:`_distinct_terms`):
+    ``spec`` lists the first of the terms of each group, ``group`` (K,)
+    gives each term's group, ``members`` (K, G) is its 0/1 indicator and
+    ``root`` (G,) the square root of each group's size c_g."""
+
+    spec: DependenceSpec
+    group: np.ndarray
+    members: np.ndarray
+    root: np.ndarray
+
+    def forward(self, theta):
+        """The theta' (..., G) of a theta (..., K): theta'_g is the sum of
+        theta_k over the members k of group g, over sqrt(c_g)."""
+        return theta @ self.members / self.root
+
+    def back(self, theta):
+        """The theta (..., K) of a theta' (..., G): theta_k = theta'_g /
+        sqrt(c_g) for k in group g, the same float on every member."""
+        return (theta / self.root)[..., self.group]
+
+
+@functools.lru_cache(maxsize=64)
+def _distinct_terms(spec: DependenceSpec, kinds: tuple[str, ...]) -> _Distinct | None:
+    """The distinct statistics of ``spec`` on a series of column ``kinds``,
+    or None when its K terms are K distinct statistics.
+
+    A binary column holds only 0 and 1 (``TimeSeries`` refuses any other
+    value), where b^e = b: so terms that agree once every binary-column
+    factor's exponent is set to 1, and a term listed twice, have equal
+    columns in every design.  Grouping them writes the design X (N, K) as
+    X' U, with X' (N, G) one column per group times sqrt(c_g) and U (G, K)
+    holding 1 / sqrt(c_g) at (g, k) for each member k of group g.  The rows
+    of U are orthonormal, so at theta = theta' U every margin, and the
+    norms of a row, of the gradient (U' g'), of theta and of the Newton
+    step are those of the fit of X' at theta', whose Fisher matrix I' gives
+    I = U' I' U; and theta' U lies in the row space of X, the minimum-norm
+    maximizer's.  Cached per (spec, kinds), so every fit of one spec on
+    one kind of series shares the distinct spec and its swap tables."""
+    binary = {c for c, kind in enumerate(kinds) if kind == "binary"}
+    keys: dict[tuple, int] = {}
+    group = [
+        keys.setdefault(tuple((lag, c, 1 if c in binary else e) for lag, c, e in term.factors), len(keys))
+        for term in spec.terms
+    ]
+    if len(keys) == len(group):
+        return None
+    first = tuple(spec.terms[group.index(g)] for g in range(len(keys)))
+    group = np.array(group, dtype=np.intp)
+    members = (group[:, None] == np.arange(len(keys))).astype(float)
+    root = np.sqrt(members.sum(axis=0))
+    for array in (group, members, root):
+        array.setflags(write=False)
+    return _Distinct(DependenceSpec(spec.order, spec.dim, first), group, members, root)
+
+
 class _PairDesign:
     """The pairs of B Newton fits of one spec on one series: every interior
     pair, in ``core._all_pairs_blocks`` order, when ``s1`` is None (B = 1),
@@ -328,24 +389,33 @@ class _PairDesign:
     ``_CHUNK_PAIRS`` kept pairs plus one row's, at every stride), built
     on the first pass and held up to ``_MATERIALIZE_LIMIT`` statistics
     (B * n_pairs * K), else regenerated on every pass; ``seconds`` sums the
-    time spent building them.  ``max_row_norm`` (B,) is the largest
+    time spent building them.  With ``scale`` (K,) column k is the minus
+    swap delta times ``scale[k]``.  ``max_row_norm`` (B,) is the largest
     Euclidean norm of a pair row of each list, taken block by block during
     the first complete build (None before it)."""
 
-    def __init__(self, spec: DependenceSpec, series: TimeSeries, s1=None, s2=None, stride: int = 1):
+    def __init__(
+        self, spec: DependenceSpec, series: TimeSeries, s1=None, s2=None, stride: int = 1, scale=None
+    ):
         _interior_bounds(spec, series)
         if s1 is None:
             self.B, count = 1, n_interior_pairs(series.n, spec.order)
         else:
             self.B, count = len(s1), len(s1[0]) if len(s1) else 0
-        self.spec, self.series, self._s1, self._s2, self._stride = spec, series, s1, s2, stride
+        self.spec, self.series, self._s1, self._s2, self._stride, self.scale = spec, series, s1, s2, stride, scale
         self.n_pairs = -(-count // stride)
         self.seconds = 0.0
         self._held = self.max_row_norm = None
 
     def every(self, k: int) -> _PairDesign:
         """Pairs 0, k, 2 k, ... of each list of this design, as a new design."""
-        return type(self)(self.spec, self.series, self._s1, self._s2, self._stride * k)
+        return type(self)(self.spec, self.series, self._s1, self._s2, self._stride * k, self.scale)
+
+    def merged(self, distinct: _Distinct) -> _PairDesign:
+        """This design's pairs on the distinct statistics of
+        :func:`_distinct_terms`, each column scaled by the square root of
+        its group's size."""
+        return type(self)(distinct.spec, self.series, self._s1, self._s2, self._stride, distinct.root)
 
     def _deltas(self):
         if self._s1 is None:
@@ -363,7 +433,10 @@ class _PairDesign:
         start = time.perf_counter()
         measure, top = self.max_row_norm is None, np.zeros(self.B)
         for X in self._deltas():
-            np.negative(X, out=X)
+            if self.scale is None:
+                np.negative(X, out=X)
+            else:
+                np.multiply(X, -self.scale, out=X)
             if measure:
                 top = np.maximum(top, _largest_square_norm(X))
             self.seconds += time.perf_counter() - start
@@ -679,11 +752,19 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
     :func:`_newton` ascent, the gradient norm taken per pair: one
     :class:`PleResult` per list, each what this gives for that list alone
     (B = 1); ``stages`` and ``wall_time_s`` are the batch's.  No list gives
-    no result, and empty lists raise :class:`InsufficientDataError`.  A
-    first pass whose gradient norm or Fisher trace is not finite raises
+    no result, and empty lists raise :class:`InsufficientDataError`.
+    Where terms share a statistic (:func:`_distinct_terms`), the ascent
+    runs on the design of the distinct ones, each column scaled by the
+    square root of its group's size c_g, from a start mapped there as
+    theta'_g = (sum of theta_k over g) / sqrt(c_g); every norm it reads is
+    the full design's, and each result maps back as theta_k = theta'_g /
+    sqrt(c_g), as does each row of its trace, so ``theta`` and
+    ``theta_trace`` keep the K terms, equal within a group.  A first pass
+    whose gradient norm or Fisher trace is not finite raises
     :class:`ParameterDomainError` before any solve, naming the first term
     whose pair statistics ``core._check_finite_statistics`` refuses, else
-    the term whose sums overflow.  A first pass whose Fisher trace is
+    the term whose sums overflow (of a group, its first term in the spec).
+    A first pass whose Fisher trace is
     exactly zero checks that list's blocks once, and a list with no nonzero
     pair statistic raises :class:`InsufficientDataError`.  The ascent starts
     from ``start`` when one is given, one theta for every list or one per
@@ -704,6 +785,10 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
         return []
     if n_pairs == 0:
         raise InsufficientDataError("the pair design is empty")
+    distinct = _distinct_terms(design.spec, design.series.kinds)
+    if distinct is not None:
+        design = design.merged(distinct)
+        start = None if start is None else distinct.forward(np.asarray(start, dtype=float))
 
     def objective(points):
         return sum(_log_pl(points, X) for X in design())
@@ -735,6 +820,14 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
         "log_pl_s": time.perf_counter() - solved - (design.seconds - pairs_solved),
         "pilot_s": pilot_s,
     }
+    if distinct is not None:
+        ascents = [
+            ascent._replace(
+                theta=distinct.back(ascent.theta),
+                trace=tuple(map(tuple, distinct.back(np.array(ascent.trace)).tolist())),
+            )
+            for ascent in ascents
+        ]
     wall_time_s = time.perf_counter() - began
     return [
         PleResult(
@@ -757,9 +850,11 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
 
 def fit_naive(spec: DependenceSpec, series: TimeSeries, config: GdConfig = GdConfig()) -> PleResult:
     """Newton ascent with minimum-norm steps over all interior pairs, with
-    AIC/PIC filled in.  From 64 * 4096 pairs (n of about 726 at order 1)
-    the ascent starts from a converged pilot fit on every 64th pair,
-    otherwise from theta = 0.
+    AIC/PIC filled in (over all K terms).  From 64 * 4096 pairs (n of about
+    726 at order 1) the ascent starts from a converged pilot fit on every
+    64th pair, otherwise from theta = 0.  Terms with one statistic (b^2 = b
+    on a binary column, or a term listed twice) are fitted as one column,
+    and share its weight equally: the minimum-norm split.
 
     The design is a :class:`_PairDesign` of all pairs: chunks of whole
     rows of about 5e5 pairs, and for the pilot runs of whole rows of about
@@ -801,7 +896,8 @@ def fit_pairs(
     Used by :func:`select_specs`, which evaluates every candidate spec on
     one shared pair set (swap neighborhoods kept disjoint) so that the
     logistic factors are close to independent and information criteria stay
-    calibrated across candidates.  An empty list raises
+    calibrated across candidates.  Terms with one statistic are fitted as
+    one column, as in :func:`fit_naive`.  An empty list raises
     :class:`InsufficientDataError`, lists not 1-d and of equal length
     :class:`ShapeMismatchError`, and non-integer positions (a bool too)
     :class:`BoundaryViolationError`.
@@ -1015,7 +1111,9 @@ def select_specs(
     slice rules as one list's: one ``swap_deltas`` call per chunk, one
     Newton pass over the whole batch per iteration and one final log-PL,
     each design stopping on its own, as a fit of that list alone would
-    from that start (a pilot included).
+    from that start (a pilot included).  Both fit one column per distinct
+    statistic of the spec on the series' column kinds, sharing one spec
+    and its swap tables; ``K`` and AIC/PIC count every term.
     ``converged`` counts the splits whose fit converged; the log-PL of one
     that did not enters the mean all the same.
 

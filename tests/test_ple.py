@@ -730,13 +730,97 @@ class TestCutBasisTakenAgain:
         assert fit.converged and fit.iterations < 100
 
     def test_a_structural_null_direction_is_not_taken_again(self, monkeypatch):
-        # b**2 == b: the cut direction carries no information at any theta,
-        # so the basis of the first pass serves every step
+        # b**2 == b: two of the 8 columns copy others, and the fit runs on
+        # the 6 distinct statistics (ple._distinct_terms), whose
+        # information is full rank: the first pass's one basis is the
+        # identity and serves every step
         spec, series = core.kron_spec(2, [(1, 1, 1), (1, 2, 1)]), binary_real_series(400, 3)
-        basis = mock.Mock(side_effect=ple._range_basis)
-        monkeypatch.setattr(ple, "_range_basis", basis)
+        bases, range_basis = [], ple._range_basis
+
+        def recording(infos):
+            bases.append(range_basis(infos))
+            return bases[-1]
+
+        monkeypatch.setattr(ple, "_range_basis", recording)
         fit = ple.fit_naive(spec, series)
-        assert fit.converged and fit.iterations > 2 and basis.call_count == 1
+        assert fit.converged and fit.iterations > 2 and bases == [[None]]
+
+
+@st.composite
+def repeated_statistic_designs(draw):
+    """A spec and a series whose pair design may have equal columns: a
+    :func:`binary_kron_designs` draw, or x_t x_{t-1} listed twice, with
+    x_t x_{t-2} between the copies or not, on an AR(1) series."""
+    if draw(st.booleans()):
+        spec, n, seed = draw(binary_kron_designs())
+        return spec, binary_real_series(n, seed)
+    text = draw(st.sampled_from(["0:0^1*1:0^1\n0:0^1*1:0^1\n", "0:0^1*1:0^1\n0:0^1*2:0^1\n0:0^1*1:0^1\n"]))
+    return core.DependenceSpec.from_text(text), ar_series(1, draw(st.integers(30, 70)), draw(st.integers(0, 2**32 - 1)))
+
+
+def statistic_groups(spec, kinds):
+    """The term indices of each distinct statistic: terms that agree once
+    every binary-column factor's exponent is 1 (b**e == b on 0/1 values)."""
+    groups = {}
+    for k, term in enumerate(spec.terms):
+        key = tuple((lag, c, 1 if kinds[c] == "binary" else e) for lag, c, e in term.factors)
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
+
+
+class TestDistinctStatistics:
+    """A Newton fit runs on one column per distinct statistic, each scaled
+    by the square root of its copies, and reports the K-term fit: equal
+    weights on equal columns, the log-PL and gradient of the full design."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_statistic_designs())
+    def test_fit_is_the_full_designs(self, case):
+        spec, series = case
+        X = all_pairs_matrix(spec, series)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SeparationWarning)
+            fit = ple.fit_naive(spec, series)
+        trace = np.array(fit.theta_trace)
+        for group in statistic_groups(spec, series.kinds):
+            for k in group[1:]:
+                assert X[:, k].tobytes() == X[:, group[0]].tobytes()
+                assert fit.theta[k].tobytes() == fit.theta[group[0]].tobytes()
+                assert trace[:, k].tobytes() == trace[:, group[0]].tobytes()
+        np.testing.assert_array_equal(trace[-1], fit.theta)
+        assert fit.log_pl == pytest.approx(ple.log_pl(fit.theta, X), rel=1e-12)
+        if fit.converged:
+            # the stop read the norm of the K-term gradient, up to the
+            # rounding of two sums of the pairs' terms (each at most |x|):
+            # a fit that ends at a gradient of 1e-7 differs by 1e-9 of it
+            exact = np.linalg.norm(reference_newton_pass(X, fit.theta)[0]) / len(X)
+            rounding = np.finfo(float).eps * np.abs(X).sum() / len(X)
+            assert exact <= fit.grad_norm * (1.0 + 1e-9) + rounding
+
+    @pytest.mark.parametrize("n", [300, 800], ids=["cold", "piloted"])
+    def test_a_term_listed_twice_splits_the_one_term_theta(self, n):
+        # the minimum-norm split of the one-term maximizer: half on each copy
+        series = ar_series(1, n, 11)
+        one = ple.fit_naive(SPEC1, series)
+        twice = ple.fit_naive(core.DependenceSpec.from_text("0:0^1*1:0^1\n" * 2), series)
+        assert one.converged and twice.converged and twice.iterations == one.iterations
+        assert (one.stages["pilot_s"] > 0.0) == (twice.stages["pilot_s"] > 0.0) == (n == 800)
+        np.testing.assert_allclose(twice.theta, [one.theta[0] / 2.0] * 2, rtol=1e-12)
+        assert twice.log_pl == pytest.approx(one.log_pl, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "scale, message", [(1e160, "pair statistics of term"), (5e152, "pair sums of term")], ids=["statistics", "sums"]
+    )
+    def test_an_overflowing_merged_fit_names_the_users_term(self, scale, message):
+        # b**2 z' and b**3 z' are one statistic, b z'; the refusal names
+        # the first of the spec's own terms
+        rng = np.random.default_rng(5)
+        data = np.column_stack([rng.random(200) < 0.5, rng.standard_normal(200) * scale])
+        series = core.TimeSeries(data, kinds=("binary", "real"))
+        spec = core.DependenceSpec.from_text("0:0^2*1:1^1\n0:0^3*1:1^1\n")
+        assert ple._distinct_terms(spec, series.kinds).spec.terms == spec.terms[:1]
+        with pytest.raises(ParameterDomainError, match=rf"^{message} 0:0\^2\*1:1\^1 "):
+            ple.fit_naive(spec, series)
 
 
 class TestTelemetry:
