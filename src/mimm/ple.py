@@ -71,6 +71,7 @@ batch from its theta; ``SELECT_CONFIG`` holds its solver defaults.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 import warnings
@@ -820,13 +821,12 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
         "log_pl_s": time.perf_counter() - solved - (design.seconds - pairs_solved),
         "pilot_s": pilot_s,
     }
-    if distinct is not None:
+    if distinct is not None:  # every design's theta, and then every trace row, in one call
+        thetas = distinct.back(np.array([ascent.theta for ascent in ascents]))
+        rows = map(tuple, distinct.back(np.array([row for ascent in ascents for row in ascent.trace])).tolist())
         ascents = [
-            ascent._replace(
-                theta=distinct.back(ascent.theta),
-                trace=tuple(map(tuple, distinct.back(np.array(ascent.trace)).tolist())),
-            )
-            for ascent in ascents
+            ascent._replace(theta=theta, trace=tuple(itertools.islice(rows, len(ascent.trace))))
+            for ascent, theta in zip(ascents, thetas)
         ]
     wall_time_s = time.perf_counter() - began
     return [
