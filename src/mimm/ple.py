@@ -814,7 +814,8 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
     if requested and any(ascent.capped for ascent in ascents):
         warnings.warn("theta norm exceeded the divergence cap; data may be separable", SeparationWarning, stacklevel=3)
     solved, pairs_solved = time.perf_counter(), design.seconds
-    values = objective(np.array([ascent.theta for ascent in ascents]))
+    thetas = np.array([ascent.theta for ascent in ascents])
+    values = objective(thetas)
     stages = {
         "pairs_s": design.seconds,
         "solver_s": solved - began - pilot_s - pairs_solved,
@@ -822,11 +823,10 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
         "pilot_s": pilot_s,
     }
     if distinct is not None:  # every design's theta, and then every trace row, in one call
-        thetas = distinct.back(np.array([ascent.theta for ascent in ascents]))
         rows = map(tuple, distinct.back(np.array([row for ascent in ascents for row in ascent.trace])).tolist())
         ascents = [
             ascent._replace(theta=theta, trace=tuple(itertools.islice(rows, len(ascent.trace))))
-            for ascent, theta in zip(ascents, thetas)
+            for ascent, theta in zip(ascents, distinct.back(thetas))
         ]
     wall_time_s = time.perf_counter() - began
     return [
