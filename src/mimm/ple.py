@@ -23,11 +23,10 @@ sends to backtracking.  ``_fit`` builds one column per distinct statistic:
 terms that a binary column makes equal (b^e = b on 0/1 values), or that
 the spec lists twice, are one column scaled by the square root of their
 count (``_distinct_terms``), and each fit reports all K terms.
-``_newton`` ascends a batch of designs at once,
-each stopping on its own; the fitters give it one design, and
-``select_specs`` gives it all but the first split of a spec, one
-``_PairDesign`` of several pair lists whose blocks carry a leading batch
-axis, started from the first split's theta.  Every other fit starts at
+``_newton`` ascends a batch of designs at once, each stopping on its own;
+the fitters give it one design, and ``select_specs`` gives it all but the
+first split of a spec, one ``_PairDesign`` of several pair lists whose
+blocks carry a leading batch axis, started from the first split's theta.  Every other fit starts at
 zero, except on a design of at least 64 * 4096 pairs: that one first fits
 every 64th of its pairs and starts from the result if that pilot
 converged.  Each Newton pass and log pseudo-likelihood covers the whole
@@ -765,9 +764,9 @@ def _fit(design: _PairDesign, config: GdConfig, method: str, requested: bool = T
     :class:`ParameterDomainError` before any solve, naming the first term
     whose pair statistics ``core._check_finite_statistics`` refuses, else
     the term whose sums overflow (of a group, its first term in the spec).
-    A first pass whose Fisher trace is
-    exactly zero checks that list's blocks once, and a list with no nonzero
-    pair statistic raises :class:`InsufficientDataError`.  The ascent starts
+    A first pass whose Fisher trace is exactly zero checks that list's
+    blocks once, and a list with no nonzero pair statistic raises
+    :class:`InsufficientDataError`.  The ascent starts
     from ``start`` when one is given, one theta for every list or one per
     list (B, K).  Else a design of at least
     ``_PILOT_STRIDE * _PILOT_MIN_PAIRS`` pairs a list starts each list
